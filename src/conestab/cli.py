@@ -39,6 +39,13 @@ def _rat(value, where):
         raise ParseError(f"not a rational 'p/q': {value!r}", where) from exc
 
 
+def _int(value, where):
+    try:
+        return int(value)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"not an integer: {value!r}", where) from exc
+
+
 def _rat_vector(values, where, rank):
     if not isinstance(values, list) or len(values) != rank:
         raise ParseError(f"expected a vector of length {rank}", where)
@@ -51,10 +58,7 @@ class InputDocument:
     def __init__(self, payload, path="<doc>"):
         if not isinstance(payload, dict):
             raise ParseError("top level must be an object", path)
-        try:
-            rank = int(payload["rank"])
-        except (KeyError, ValueError, TypeError):
-            raise ParseError("missing or bad integer field", f"{path}.rank")
+        rank = _int(payload.get("rank"), f"{path}.rank")
         rays = payload.get("rays")
         if not isinstance(rays, list) or not rays:
             raise ParseError("need a nonempty list of rays", f"{path}.rays")
@@ -87,7 +91,7 @@ class InputDocument:
         options = payload.get("options") or {}
         self.budget = options.get("budget")
         if self.budget is not None:
-            self.budget = int(self.budget)
+            self.budget = _int(self.budget, f"{path}.options.budget")
         self.tol = _rat(options.get("tol", "1/1000000000"), f"{path}.options.tol")
         self.levels = options.get("levels")
 
@@ -189,7 +193,7 @@ def cmd_stability(args):
 
 def cmd_nvolmin(args):
     doc = InputDocument.load(args.document)
-    tol = Fraction(args.tol) if args.tol else doc.tol
+    tol = _rat(args.tol, "--tol") if args.tol else doc.tol
     result = optimize.minimize_nvol(doc.singularity, tol=tol, raise_on_gap=True)
     if args.json:
         rep = invariants.InvariantReport(entries={})
@@ -214,9 +218,9 @@ def _parse_levels(expr):
         piece = piece.strip()
         if ".." in piece:
             lo, hi = piece.split("..", 1)
-            levels.extend(range(int(lo), int(hi) + 1))
+            levels.extend(range(_int(lo, "--levels"), _int(hi, "--levels") + 1))
         elif piece:
-            levels.append(int(piece))
+            levels.append(_int(piece, "--levels"))
     if not levels:
         raise ParseError("empty level list", "--levels")
     return levels
@@ -227,7 +231,7 @@ def cmd_estimate(args):
     F = doc.filtration(args.filtration)
     levels = _parse_levels(args.levels) if args.levels else (doc.levels or list(range(1, 51)))
     if args.approx:
-        sw = estimators.sweep_approx(doc.singularity, doc.reeb, F, int(args.approx),
+        sw = estimators.sweep_approx(doc.singularity, doc.reeb, F, _int(args.approx, "--approx"),
                                      levels, budget=doc.budget)
     else:
         sw = estimators.sweep(doc.singularity, doc.reeb, F, levels, budget=doc.budget)
@@ -253,7 +257,7 @@ def cmd_okounkov(args):
     if args.levels:
         levels = _parse_levels(args.levels)
         F = doc.filtration(args.filtration) if args.filtration else None
-        t = Fraction(args.t) if args.t else Fraction(0)
+        t = _rat(args.t, "--t") if args.t else Fraction(0)
         clouds = {}
         for m in levels:
             if F is None:

@@ -120,10 +120,14 @@ class DegenerateReebCone(ConestabError):
     """Internal error: descent left the Reeb cone."""
 
 
+class IdentityViolated(ConestabError):
+    """Internal error: an exact identity a computation relies on failed."""
+
+
 # --- CLI ingestion ---------------------------------------------------------
 
 class ParseError(ConestabError):
-    """Input document is malformed.  ``where`` anchors the offending field."""
+    """Malformed document, option or environment value; ``where`` anchors it."""
 
     def __init__(self, message, where=""):
         super().__init__(f"{where}: {message}" if where else message)

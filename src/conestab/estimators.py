@@ -13,7 +13,9 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from itertools import accumulate
+from math import floor, lcm
+from operator import mul
 
 from .errors import EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below, vec
@@ -88,40 +90,36 @@ def _aggregate(s, xi0, levels, order_of, budget=None):
         raise EmptyInput("levels must be positive integers")
     top = levels[-1] + 1  # S'_m at the last level needs one extra shell
     pts = lattice_points_below(s.weight_cone, xi0, top, budget=budget)
+    den = lcm(*(x.denominator for x in xi0))
+    xs = [int(x * den) for x in xi0]  # integer weights <xi0 den, a>
     counts = [0] * (top + 1)
     sums_ord = [0] * (top + 1)
-    sums_ref = [0] * (top + 1)
-    maxs = [Fraction(0)] * (top + 1)
+    maxs = [0] * (top + 1)
     eq_counts = [0] * (top + 2)
     for a in pts:
-        w = dot(xi0, a)
-        fw = floor(w)
+        wi = sum(map(mul, xs, a))
+        fw = wi // den
         o = order_of(a)
         counts[fw] += 1
         sums_ord[fw] += o
-        sums_ref[fw] += floor(w)
         if o > maxs[fw]:
             maxs[fw] = o
-        if w == fw:
+        if wi == fw * den:
             eq_counts[fw] += 1
-
-    def stats_at(m):
-        N = sum(counts[:m])
-        TS = sum(sums_ord[:m])
-        TS0 = sum(sums_ref[:m])
-        lam = max(maxs[:m])
-        return N, TS, TS0, lam
+    # Index m of each prefix array aggregates the shells below level m.
+    Ns, TSs, TS0s = (list(accumulate(x, initial=0)) for x in
+                     (counts, sums_ord, [fw * c for fw, c in enumerate(counts)]))
+    lams = list(accumulate(maxs, max, initial=0))
 
     per_level = []
     for m in levels:
-        N, TS, TS0, lam = stats_at(m)
-        N1, TS1, TS01, _ = stats_at(m + 1)
+        N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
         S_m = Fraction(TS, TS0) if TS0 else None
         Sp = Fraction(TS1 - TS, TS01 - TS0) if TS01 > TS0 else None
         Spp = Fraction(s.rank + 1, s.rank) * Fraction(TS, m * N)
         per_level.append(LevelStats(
             m=m, N_m=N, TS_m=TS, TS0_m=TS0, S_m=S_m, Sp_m=Sp, Spp_m=Spp,
-            lammax_m=Fraction(lam, m),
+            lammax_m=Fraction(lams[m], m),
             count_gamma=N + eq_counts[m],
         ))
     return levels, per_level
@@ -135,8 +133,11 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     once, so orders are read off pointwise; orders use the integer rounding
     floor(g), which leaves the S-limit unchanged.
     """
-    levels, per_level = _aggregate(s, xi0, levels, lambda a: floor(F.ord(a)),
-                                   budget=budget)
+    den = lcm(*(x.denominator for z in F.covectors for x in z))
+    zs = [[int(x * den) for x in z] for z in F.covectors]
+    levels, per_level = _aggregate(
+        s, xi0, levels, lambda a: min(sum(map(mul, z, a)) for z in zs) // den,
+        budget=budget)
     target = {
         "S": s_closed(s, xi0, F),
         "lambda_max": lambda_max_closed(s, xi0, F),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FutakiNonvanishing, NotPrimary
+from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
 from .exactgeom import (
     PLConcave,
     barycenter,
@@ -61,7 +61,8 @@ def _okounkov_cached(s: ConeSingularity, xi0: tuple) -> OkounkovBody:
     body = slice_polytope(s.weight_cone, xi0, 1)
     v = volume(body)
     b = barycenter(body)
-    assert dot(b, xi0) == Fraction(n, n + 1)
+    if dot(b, xi0) != Fraction(n, n + 1):
+        raise IdentityViolated(f"barycenter pairs to {dot(b, xi0)} with xi0, not {n}/{n + 1}")
     alpha0 = tuple(Fraction(n + 1, n) * x for x in b)
     return OkounkovBody(body=body, vol=v, bary=b, alpha0=alpha0)
 
@@ -220,7 +221,8 @@ def delta_T(s: ConeSingularity, xi0):
     den = tuple(a0 * x for x in alpha0)
     from .exactgeom.lp import fractional_lp
     value, y = fractional_lp(s.u, den, s.sigma.halfspaces, sense="min")
-    assert value <= 1
+    if value > 1:
+        raise IdentityViolated(f"delta_T LP returned {value} > 1")
     return value, primitivize(y)
 
 
@@ -348,7 +350,8 @@ def delta_red_objective(s: ConeSingularity, xi0, eta) -> Fraction:
     den = tuple(a0 * x for x in alpha0)
     from .exactgeom.lp import fractional_lp
     value, _ = fractional_lp(s.u, den, s.sigma.halfspaces, sense="max")
-    assert value == 1
+    if value != 1:
+        raise IdentityViolated(f"reduced delta ratio LP returned {value}, not 1")
     return Fraction(1)
 
 

@@ -173,6 +173,34 @@ def test_budget_env_override(doc_path, monkeypatch):
                  "--levels", "1..50"]) == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["estimate", "--filtration", "FEX", "--levels", "1..x"], "--levels"),
+    (["estimate", "--filtration", "FEX", "--levels", "1..5", "--approx", "q"], "--approx"),
+    (["nvolmin", "--tol", "abc"], "--tol"),
+    (["okounkov", "--filtration", "FEX", "--levels", "2", "--t", "abc"], "--t"),
+], ids=["levels", "approx", "tol", "t"])
+def test_malformed_numeric_option(doc_path, capsys, argv, where):
+    assert main(argv[:1] + [doc_path(C2_DOC)] + argv[1:]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: not ")
+
+
+def test_malformed_budget_option(doc_path, capsys):
+    doc = json.loads(json.dumps(C2_DOC))
+    doc["options"] = {"budget": "abc"}
+    assert main(["estimate", doc_path(doc), "--filtration", "FEX",
+                 "--levels", "1..5"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ".options.budget: not an integer: 'abc'" in err
+
+
+def test_malformed_budget_env(doc_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONESTAB_BUDGET", "abc")
+    assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",
+                 "--levels", "1..5"]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: CONESTAB_BUDGET: not an integer")
+
+
 def test_estimate_out_file(doc_path, tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -12,6 +13,7 @@ from conestab.estimators import (
     sweep,
     sweep_approx,
 )
+from conestab.exactgeom import dot, lattice_points_below
 from conestab.filtration import monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
 from conestab.singularity import from_rays
@@ -39,6 +41,24 @@ def test_sweep_mult_estimate_converges(c2, fex):
     st = sw.row(200)
     est = F(2 * st.N_m, 200 ** 2)
     assert abs(est - 1) <= F(2, 100)
+
+
+def test_sweep_integer_orders_match_fraction_reference(c2):
+    # Rational covectors and a rational xi0: the integer floor(g) and weight
+    # binning must agree with Fraction F.ord and <xi0, a> point by point.
+    G = monomial_filtration(c2, [(F(3, 2), F(1, 3)), (F(1, 2), F(5, 4))])
+    xi0 = (F(2, 3), F(1))
+    pts = lattice_points_below(c2.weight_cone, xi0, 10)
+    assert len(G.covectors) == 2
+    assert any(G.ord(a).denominator > 1 for a in pts)
+    sw = sweep(c2, xi0, G, [1, 2, 5, 9])
+    for st in sw.per_level:
+        below = [a for a in pts if dot(xi0, a) < st.m]
+        assert st.N_m == len(below)
+        assert st.TS_m == sum(floor(G.ord(a)) for a in below)
+        assert st.TS0_m == sum(floor(dot(xi0, a)) for a in below)
+        assert st.lammax_m == F(max(floor(G.ord(a)) for a in below), st.m)
+        assert st.count_gamma == sum(1 for a in pts if dot(xi0, a) <= st.m)
 
 
 def test_sweep_csv_shape(c2, fex):

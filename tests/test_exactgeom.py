@@ -1,9 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conestab.errors import BudgetExceeded, NotFullDimensional, Unbounded, UnboundedSlice
+from conestab.errors import (
+    BudgetExceeded,
+    NotFullDimensional,
+    ParseError,
+    Unbounded,
+    UnboundedSlice,
+)
 from conestab.exactgeom import (
     PLConcave,
     Polytope,
@@ -17,7 +27,7 @@ from conestab.exactgeom import (
     vec,
     volume,
 )
-from conftest import random_cone
+from conftest import random_cone, random_reeb
 
 F = Fraction
 
@@ -164,6 +174,53 @@ def test_lattice_points_lex_order_and_budget():
     assert pts == sorted(pts)
     with pytest.raises(BudgetExceeded):
         lattice_points_below(orthant, (1, 1), 100, budget=10)
+
+
+def test_lattice_budget_counts_kept_points():
+    orthant = cone_from_rays([(1, 0), (0, 1)])
+    pts = lattice_points_below(orthant, (1, 1), 9)
+    assert len(pts) == 45
+    assert lattice_points_below(orthant, (1, 1), 9, budget=45) == pts
+    with pytest.raises(BudgetExceeded):
+        lattice_points_below(orthant, (1, 1), 9, budget=44)
+
+
+def test_lattice_budget_env_malformed(monkeypatch):
+    orthant = cone_from_rays([(1, 0), (0, 1)])
+    monkeypatch.setenv("CONESTAB_BUDGET", "abc")
+    with pytest.raises(ParseError, match="CONESTAB_BUDGET"):
+        lattice_points_below(orthant, (1, 1), 3)
+    monkeypatch.setenv("CONESTAB_BUDGET", "5")
+    with pytest.raises(BudgetExceeded):
+        lattice_points_below(orthant, (1, 1), 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), strict=st.booleans())
+def test_lattice_points_match_fraction_box_scan(seed, strict):
+    # Ranks 2-4 and the level's numerator are drawn uniformly from the seed.
+    rnd = random.Random(seed)
+    rank, num = 2 + seed % 3, rnd.randint(0, 24)
+    m_den, xi_den = rnd.randint(1, 3), rnd.randint(1, 3)
+    s = random_cone(rnd, rank)
+    c = s.weight_cone
+    xi = tuple(x / xi_den for x in random_reeb(rnd, s))
+    # The slice lies in the hull of the origin and the rays scaled onto <xi, .> = m.
+    # Measure that hull at m = 1, divide the level until a box one wider than the
+    # hull on every side holds at most 8000 points, and scan that box.
+    unit = [(0,) * rank] + [tuple(x / dot(xi, r) for x in r) for r in c.rays]
+    lo = [min(v[i] for v in unit) for i in range(rank)]
+    hi = [max(v[i] for v in unit) for i in range(rank)]
+    k = 1
+    while prod(ceil(F(num, m_den * k) * (b - a)) + 3 for a, b in zip(lo, hi)) > 8000:
+        k += 1
+    m = F(num, m_den * k)
+    box = [range(floor(m * a) - 1, ceil(m * b) + 2) for a, b in zip(lo, hi)]
+    expected = [p for p in product(*box) if c.contains(p)
+                and (dot(xi, p) < m if strict else dot(xi, p) <= m)]
+    pts = lattice_points_below(c, xi, m, strict=strict)
+    assert pts == expected
+    assert all(type(p) is tuple and all(type(x) is int for x in p) for p in pts)
 
 
 def test_lattice_count_matches_volume():

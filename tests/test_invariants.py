@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conestab.errors import FutakiNonvanishing
+from conestab.errors import FutakiNonvanishing, IdentityViolated
 from conestab.exactgeom import dot
 from conestab.filtration import (
     geodesic,
@@ -431,6 +431,17 @@ def test_delta_red_objective(c2, a1):
     assert delta_red_objective(c2, (1, 1), (3, 2)) == 1
     with pytest.raises(FutakiNonvanishing):
         delta_red_objective(c2, (1, 2), (1, 1))
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda s: delta_T(s, (1, 1)), F(2)),
+    (lambda s: delta_red_objective(s, (1, 1), (1, 1)), F(1, 2)),
+], ids=["delta_T", "delta_red_objective"])
+def test_identity_checks_raise_typed_error(c2, monkeypatch, call, value):
+    import conestab.exactgeom.lp as lp
+    monkeypatch.setattr(lp, "fractional_lp", lambda *args, **kwargs: (value, (1, 0)))
+    with pytest.raises(IdentityViolated):
+        call(c2)
 
 
 # --- a non-simplicial rank-3 cone end to end ----------------------------------
