@@ -40,6 +40,8 @@ def _rat(value, where):
 
 
 def _int(value, where):
+    if isinstance(value, (bool, float)):
+        raise ParseError(f"not an integer: {value!r}", where)
     try:
         return int(value)
     except (ValueError, TypeError) as exc:

@@ -14,20 +14,16 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, lcm
+from math import lcm
 from operator import mul
 
 from .errors import EmptyInput, LatticeNotGenerated
-from .exactgeom import dot, frac, lattice_points_below, vec
-from .filtration import MonomialFiltration, _reference_level
-from .invariants import lambda_max_closed, s_closed, vol
-from .singularity import ConeSingularity, ReebVector
+from .exactgeom import dot, frac, lattice_points_below
+from .filtration import MonomialFiltration, _floor_order, _reference_level, approx_orders
+from .invariants import _xi, lambda_max_closed, s_closed, vol
+from .singularity import ConeSingularity
 
 CSV_HEADER = ["m", "N_m", "TS_m", "S_m", "Sp_m", "Spp_m", "lammax_m"]
-
-
-def _xi(x):
-    return x.xi if isinstance(x, ReebVector) else vec(x)
 
 
 @dataclass
@@ -82,14 +78,24 @@ class EstimatorSweep:
                           indent=2)
 
 
-def _aggregate(s, xi0, levels, order_of, budget=None):
-    """Shared accumulation: bucket points by floor weight, prefix-sum."""
-    xi0 = _xi(xi0)
+def _levels(levels):
     levels = sorted(set(int(m) for m in levels))
     if not levels or levels[0] < 1:
         raise EmptyInput("levels must be positive integers")
+    return levels
+
+
+def _aggregate(s, xi0, levels, order_of, budget=None, pts=None):
+    """Shared accumulation: bucket points by floor weight, prefix-sum.
+
+    ``pts`` may pass in the points below level max(levels) + 1 of xi0, as
+    lattice_points_below returns them; by default they are enumerated.
+    """
+    xi0 = _xi(xi0)
+    levels = _levels(levels)
     top = levels[-1] + 1  # S'_m at the last level needs one extra shell
-    pts = lattice_points_below(s.weight_cone, xi0, top, budget=budget)
+    if pts is None:
+        pts = lattice_points_below(s.weight_cone, xi0, top, budget=budget)
     den = lcm(*(x.denominator for x in xi0))
     xs = [int(x * den) for x in xi0]  # integer weights <xi0 den, a>
     counts = [0] * (top + 1)
@@ -133,11 +139,7 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     once, so orders are read off pointwise; orders use the integer rounding
     floor(g), which leaves the S-limit unchanged.
     """
-    den = lcm(*(x.denominator for z in F.covectors for x in z))
-    zs = [[int(x * den) for x in z] for z in F.covectors]
-    levels, per_level = _aggregate(
-        s, xi0, levels, lambda a: min(sum(map(mul, z, a)) for z in zs) // den,
-        budget=budget)
+    levels, per_level = _aggregate(s, xi0, levels, _floor_order(F), budget=budget)
     target = {
         "S": s_closed(s, xi0, F),
         "lambda_max": lambda_max_closed(s, xi0, F),
@@ -146,65 +148,31 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     return EstimatorSweep(levels=levels, per_level=per_level, target=target)
 
 
-def _dp_orders(F: MonomialFiltration, m: int, pts, ell):
-    """Orders of every enumerated point under the degree-m approximation."""
-    pts = sorted(pts, key=lambda p: (dot(ell, p), p))
-    best = {}
-    order = []
-    for p in pts:
-        if all(x == 0 for x in p):
-            best[p] = 0
-            order.append(p)
-            continue
-        value = min(floor(F.ord(p)), m)
-        wp = dot(ell, p)
-        for q in order:
-            if all(x == 0 for x in q):
-                continue
-            if dot(ell, q) > wp:
-                break
-            rest = tuple(a - b for a, b in zip(p, q))
-            prev = best.get(rest)
-            if prev is not None:
-                cand = min(floor(F.ord(q)), m) + prev
-                if cand > value:
-                    value = cand
-        best[p] = value
-        order.append(p)
-    return best
-
-
 def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
                  m_filtration: int, levels, budget=None) -> EstimatorSweep:
     """Sweep of the degree-m approximating filtration of F.
 
-    Orders come from the block-decomposition dynamic program; statistics
-    are pointwise below those of the sweep of F and close the gap once the
-    level exceeds the generation degree.
+    The points below the top level are enumerated once; their orders come
+    from one approx_orders pass over the reference-weight window that
+    holds them all.  Statistics are pointwise below those of the sweep of
+    F and close the gap once the level exceeds the generation degree.
     """
     if m_filtration < 1:
         raise EmptyInput("approximation level must be >= 1")
-    xi0v = _xi(xi0)
-    levels_sorted = sorted(set(int(m) for m in levels))
-    if not levels_sorted or levels_sorted[0] < 1:
-        raise EmptyInput("levels must be positive integers")
+    levels = _levels(levels)
+    pts = lattice_points_below(s.weight_cone, _xi(xi0), levels[-1] + 1, budget=budget)
     ell = _reference_level(s)
-    # One DP over the widest window that the aggregation will touch.
-    top = levels_sorted[-1] + 1
-    pts = lattice_points_below(s.weight_cone, xi0v, top, budget=budget)
-    wmax = max((dot(ell, p) for p in pts), default=Fraction(0))
-    window = lattice_points_below(s.weight_cone, ell, wmax, strict=False,
-                                  budget=budget)
-    orders = _dp_orders(F, m_filtration, window, ell)
-    levels_out, per_level = _aggregate(s, xi0, levels, lambda a: orders[tuple(a)],
-                                       budget=budget)
+    wmax = max(sum(map(mul, ell, p)) for p in pts)
+    window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
+    orders = approx_orders(F, m_filtration, window)
+    levels, per_level = _aggregate(s, xi0, levels, orders.__getitem__, pts=pts)
     target = {
         "S": s_closed(s, xi0, F),
         "lambda_max": lambda_max_closed(s, xi0, F),
         "vol": vol(s, xi0),
         "m_filtration": Fraction(m_filtration),
     }
-    return EstimatorSweep(levels=levels_out, per_level=per_level, target=target)
+    return EstimatorSweep(levels=levels, per_level=per_level, target=target)
 
 
 @dataclass

@@ -14,7 +14,8 @@ approximating filtration as a concave transform of its own.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import lcm
+from operator import le, mul, sub
 
 from .errors import (
     AmbientMismatch,
@@ -55,8 +56,9 @@ class NewtonPolyhedron:
 
 
 def _reference_level(s: ConeSingularity):
-    """Canonical strictly positive covector on the weight cone."""
-    return s.sigma.interior_point()
+    """Canonical strictly positive integer covector on the weight cone:
+    the sum of the primitive rays of sigma."""
+    return tuple(map(sum, zip(*s.sigma.rays)))
 
 
 def _reduce_covectors(s: ConeSingularity, covectors):
@@ -240,55 +242,85 @@ def ord_of(F: MonomialFiltration, alpha) -> Fraction:
     return F.ord(alpha)
 
 
+def _floor_order(F: MonomialFiltration):
+    """floor(g) as integer arithmetic: F's covectors scaled to integers."""
+    den = lcm(*(x.denominator for z in F.covectors for x in z))
+    zs = [[int(x * den) for x in z] for z in F.covectors]
+    return lambda a: min(sum(map(mul, z, a)) for z in zs) // den
+
+
+def _blocks(F: MonomialFiltration, m: int, pts):
+    """Non-dominated blocks (gamma, v) of the degree-m approximation in pts.
+
+    v(gamma) = min(floor(g(gamma)), m), and only blocks with v >= 1 count.
+    (gamma, v) is dropped when a kept (gamma', v') has v' >= v and
+    gamma - gamma' in the weight cone.  Blocks are scanned, and returned,
+    by decreasing v, then reference weight, then lexicographically, so
+    v' >= v holds for every earlier block; the cone test compares the
+    pairings with the weight cone's integer halfspaces componentwise.
+    """
+    order = _floor_order(F)
+    ell = _reference_level(F.ambient)
+    hs = F.ambient.weight_cone.halfspaces
+    cons = sorted(((gamma, v) for gamma in pts if (v := min(order(gamma), m)) >= 1),
+                  key=lambda cv: (-cv[1], sum(map(mul, ell, cv[0])), cv[0]))
+    kept, keys = [], []
+    for gamma, v in cons:
+        key = [sum(map(mul, h, gamma)) for h in hs]
+        if not any(all(map(le, k, key)) for k in keys):
+            kept.append((gamma, v))
+            keys.append(key)
+    return kept
+
+
+def approx_orders(F: MonomialFiltration, m: int, pts) -> dict:
+    """Order of every point of pts under the degree-m approximating filtration.
+
+    pts must be down-closed in the weight cone: with p it holds every
+    lattice q with p - q in the cone.  The order of p is its best
+    decomposition into nonzero lattice blocks, each worth
+    v = min(floor(g), m).  Swapping a block for its dominator from _blocks
+    moves the leftover into the remainder and never lowers the total, so
+    best[p] = max(0, v(q) + best[p - q] over kept q with p - q in pts,
+    q = p included), in O(points x kept blocks) integer steps.
+    """
+    kept = _blocks(F, m, pts)
+    ell = _reference_level(F.ambient)
+    best = {}
+    for p in sorted(pts, key=lambda p: sum(map(mul, ell, p))):
+        value = 0
+        for q, v in kept:
+            rest = best.get(tuple(map(sub, p, q)))
+            if rest is not None and v + rest > value:
+                value = v + rest
+        best[p] = value
+    return best
+
+
 def _cone_partners(F: MonomialFiltration, alpha, budget=None):
     """Lattice points gamma in the weight cone with alpha - gamma also in it."""
-    s = F.ambient
-    ell = _reference_level(s)
-    w = dot(ell, alpha)
-    pts = lattice_points_below(s.weight_cone, ell, w, budget=budget, strict=False)
-    keep = []
-    for gamma in pts:
-        rest = tuple(a - b for a, b in zip(alpha, gamma))
-        if s.weight_cone.contains(rest):
-            keep.append(gamma)
-    return keep, ell
+    wc = F.ambient.weight_cone
+    ell = _reference_level(F.ambient)
+    pts = lattice_points_below(wc, ell, dot(ell, alpha), budget=budget, strict=False)
+    tops = [dot(h, alpha) for h in wc.halfspaces]
+    return [g for g in pts
+            if all(sum(map(mul, h, g)) <= t for h, t in zip(wc.halfspaces, tops))]
 
 
 def approx_ord(F: MonomialFiltration, m: int, alpha, budget=None) -> int:
     """Order of the monomial under the degree-m approximating filtration.
 
     The value is the best decomposition of alpha into nonzero lattice
-    blocks, each worth min(floor(g(block)), m); computed by dynamic
-    programming over blocks sorted by reference weight.  Bounded above by
-    floor(g(alpha)), with equality whenever g(alpha) <= m.
+    blocks, each worth min(floor(g(block)), m): approx_orders on the
+    lattice points below alpha in the weight-cone order, read at alpha.
+    Bounded above by floor(g(alpha)), with equality whenever g(alpha) <= m.
     """
     if m < 1:
         raise EmptyInput("approximation level must be >= 1")
     alpha = vec(alpha)
     if not F.ambient.weight_cone.contains(alpha):
         raise OutsideWeightCone(f"{alpha} is not in the weight cone")
-    pts, ell = _cone_partners(F, alpha, budget=budget)
-    pts.sort(key=lambda p: (dot(ell, p), p))
-    index = {p: i for i, p in enumerate(pts)}
-    wc = F.ambient.weight_cone
-    best = {}
-    for p in pts:
-        if all(x == 0 for x in p):
-            best[p] = 0
-            continue
-        value = min(floor(F.ord(p)), m)  # single block
-        for q in pts:
-            if q == p or all(x == 0 for x in q):
-                continue
-            if dot(ell, q) > dot(ell, p):
-                break
-            rest = tuple(a - b for a, b in zip(p, q))
-            if rest in best:
-                cand = min(floor(F.ord(q)), m) + best[rest]
-                if cand > value:
-                    value = cand
-        best[p] = value
-    return best[tuple(alpha)]
+    return approx_orders(F, m, _cone_partners(F, alpha, budget=budget))[alpha]
 
 
 def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltration:
@@ -298,51 +330,33 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
     transform is the homogeneous concave envelope of the block values
     v(gamma) = min(floor(g(gamma)), m) over lattice gamma.  The envelope is
     computed dually: it is the minimum over the vertices of
-    Theta = {theta in sigma : <theta, gamma> >= v(gamma) for all gamma},
-    and a window of gammas suffices once every vertex theta satisfies
-    <theta, .> >= m outside the window, which is certified on the rays.
+    Theta = {theta in sigma : <theta, gamma> >= v(gamma) for the blocks
+    kept by _blocks}, whose dropped blocks are implied by their dominators.
+    A window <ell, gamma> <= w suffices once every vertex theta satisfies
+    <theta, .> >= m outside it, which is certified on the rays; otherwise
+    w doubles.  A BudgetExceeded names the last window and the doublings.
     """
     if m < 1:
         raise EmptyInput("approximation level must be >= 1")
     s = F.ambient
+    rays = s.weight_cone.rays
     ell = _reference_level(s)
-    n = s.rank
-    window = 2 * m * max(1, max(dot(ell, r) for r in s.weight_cone.rays))
-    for _ in range(24):
-        pts = lattice_points_below(s.weight_cone, ell, window,
-                                   budget=budget, strict=False)
-        cons = []
-        for gamma in pts:
-            v = min(floor(F.ord(gamma)), m)
-            if v >= 1:
-                cons.append((gamma, v))
-        # Drop constraints implied by a stronger one deeper in the cone:
-        # (gamma, v) follows from (gamma', v') when v' >= v and
-        # gamma - gamma' stays in the weight cone.
-        cons.sort(key=lambda cv: (-cv[1], dot(ell, cv[0]), cv[0]))
-        kept = []
-        for gamma, v in cons:
-            dominated = False
-            for gamma2, v2 in kept:
-                diff = tuple(a - b for a, b in zip(gamma, gamma2))
-                if v2 >= v and s.weight_cone.contains(diff):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append((gamma, v))
-        hs = []
-        for gamma, v in kept:
-            hs.append((tuple(-frac(x) for x in gamma), frac(-v)))
-        for r in s.weight_cone.rays:
-            hs.append((tuple(-frac(x) for x in r), Fraction(0)))
-        thetas = enumerate_vertices(hs, n)
-        ok = bool(kept)
-        for theta in thetas:
-            c = min(dot(theta, r) / dot(ell, r) for r in s.weight_cone.rays)
-            if c * window < m:
-                ok = False
-                break
-        if ok:
+    window = 2 * m * max(1, max(dot(ell, r) for r in rays))
+    for doublings in range(24):
+        if doublings:
+            window *= 2
+        try:
+            pts = lattice_points_below(s.weight_cone, ell, window,
+                                       budget=budget, strict=False)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"approximant window {window} after "
+                                 f"{doublings} doublings: {exc}") from exc
+        kept = _blocks(F, m, pts)
+        hs = [(tuple(-frac(x) for x in gamma), frac(-v)) for gamma, v in kept]
+        hs += [(tuple(-frac(x) for x in r), Fraction(0)) for r in rays]
+        thetas = enumerate_vertices(hs, s.rank)
+        if kept and all(min(dot(theta, r) / dot(ell, r) for r in rays) * window >= m
+                        for theta in thetas):
             return monomial_filtration(s, thetas)
-        window *= 2
-    raise BudgetExceeded("approximant window kept growing; raise the budget")
+    raise BudgetExceeded(f"approximant window {window} after {doublings} "
+                         "doublings still uncertified")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -160,6 +161,14 @@ def test_estimate_approx_matches_plain(doc_path, capsys):
     assert approx == capsys.readouterr().out
 
 
+def test_estimate_approx_stdout_pinned(doc_path, capsys):
+    # Digest of the stdout that the pairwise-DP implementation printed.
+    assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",
+                 "--approx", "4", "--levels", "1..60"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "1625c71096a0ce84a71f503aca82f75befca503cbf5bb64ab90851cee45b0479"
+
+
 def test_estimate_budget_exit_code(doc_path, capsys, monkeypatch):
     doc = json.loads(json.dumps(C2_DOC))
     doc["options"] = {"budget": 10}
@@ -192,6 +201,16 @@ def test_malformed_budget_option(doc_path, capsys):
                  "--levels", "1..5"]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ".options.budget: not an integer: 'abc'" in err
+
+
+@pytest.mark.parametrize("budget, shown", [(2.5, "2.5"), (True, "True")],
+                         ids=["float", "bool"])
+def test_non_integer_budget_option(doc_path, capsys, budget, shown):
+    doc = json.loads(json.dumps(C2_DOC))
+    doc["options"] = {"budget": budget}
+    path = doc_path(doc)
+    assert main(["estimate", path, "--filtration", "FEX", "--levels", "1..5"]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}.options.budget: not an integer: {shown}\n"
 
 
 def test_malformed_budget_env(doc_path, capsys, monkeypatch):

@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conestab.errors import (
     AmbientMismatch,
+    BudgetExceeded,
     EmptyInput,
     NonpositiveScale,
     NotPrimary,
@@ -14,6 +17,7 @@ from conestab.errors import (
 from conestab.exactgeom import dot, lattice_points_below
 from conestab.filtration import (
     approx_ord,
+    approx_orders,
     approximant,
     geodesic,
     intersect,
@@ -31,6 +35,8 @@ from conestab.singularity import from_rays
 from conftest import random_cone, random_filtration, random_reeb
 
 F = Fraction
+
+R3_RAYS = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
 def test_toric_filtration_examples(c2, a1):
@@ -194,6 +200,74 @@ def test_approx_ord_bounds_and_monotone(c2):
             if prev is not None:
                 assert all(v >= p for v, p in zip(vals, prev))
             prev = vals
+
+
+def _pairwise_dp_orders(F_, m, pts, ell):
+    """Reference: the O(P^2) DP trying every earlier point as a block."""
+    pts = sorted(pts, key=lambda p: (dot(ell, p), p))
+    best = {}
+    order = []
+    for p in pts:
+        if all(x == 0 for x in p):
+            best[p] = 0
+            order.append(p)
+            continue
+        value = min(floor(F_.ord(p)), m)
+        wp = dot(ell, p)
+        for q in order:
+            if all(x == 0 for x in q):
+                continue
+            if dot(ell, q) > wp:
+                break
+            rest = tuple(a - b for a, b in zip(p, q))
+            prev = best.get(rest)
+            if prev is not None:
+                cand = min(floor(F_.ord(q)), m) + prev
+                if cand > value:
+                    value = cand
+        best[p] = value
+        order.append(p)
+    return best
+
+
+def _random_window(seed):
+    """C^2 (even seeds) or the rank-3 non-simplicial cone (odd seeds), a
+    filtration with rational covectors, rescaled down so that blocks of
+    small order matter, and a reference-weight window of up to ~140 points."""
+    rnd = random.Random(seed)
+    s = from_rays(R3_RAYS) if seed % 2 else from_rays([(1, 0), (0, 1)])
+    F_ = rescale(random_filtration(rnd, s), F(1, rnd.randint(1, 3)))
+    ell = s.sigma.interior_point()
+    window = lattice_points_below(s.weight_cone, ell, rnd.randint(0, 12), strict=False)
+    return F_, ell, window
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), m=st.integers(1, 5))
+def test_approx_orders_match_pairwise_dp(seed, m):
+    F_, ell, window = _random_window(seed)
+    assert approx_orders(F_, m, window) == _pairwise_dp_orders(F_, m, window, ell)
+
+
+def test_approx_ord_reads_approx_orders():
+    # approx_ord runs the DP on the points below alpha only; a down-closed
+    # window holding alpha must give alpha the same order.
+    for seed in range(6):
+        F_, _, window = _random_window(seed)
+        for m in (1, 2, 4):
+            orders = approx_orders(F_, m, window)
+            for a in random.Random(seed).sample(window, min(6, len(window))):
+                assert approx_ord(F_, m, a) == orders[a]
+
+
+def test_approximant_budget_names_window(c2):
+    # g = (a + b) / 5 keeps every block below weight 5, so the window
+    # doubles 2 -> 4 -> 8 before the 45 points at weight <= 8 hit budget 20.
+    thin = monomial_filtration(c2, [(F(1, 5), F(1, 5))])
+    with pytest.raises(BudgetExceeded, match=r"^approximant window 8 after 2 doublings: "
+                       r"lattice enumeration exceeded budget 20$"):
+        approximant(thin, 1, budget=20)
+    assert approximant(thin, 1, budget=45) == toric_filtration(c2, (F(1, 5), F(1, 5)))
 
 
 def _ideal(F_, m, lam, window_pts):
