@@ -1,14 +1,29 @@
 """Exact rational simplex solver.
 
-Two-phase dense tableau simplex over ``Fraction`` with Bland's rule, so the
-solver is deterministic and cannot cycle.  Variables are free by default and
-are split into positive and negative parts internally.  Infeasibility and
-unboundedness are reported as distinct exceptions carrying certificates:
-a Farkas combination of the rows, or an improving recession ray.
+Two-phase dense tableau simplex with Bland's rule, so the solver is
+deterministic and cannot cycle.  Variables are free by default and are
+split into positive and negative parts internally; each <=-form row gets a
+slack and an artificial.  Infeasibility and unboundedness are reported as
+distinct exceptions carrying certificates: a Farkas combination of the
+rows, or an improving recession ray.
+
+The tableau is fraction-free.  Each row is a primitive integer vector R_i
+standing for the rational row R_i / R_i[basis[i]], and that scale
+R_i[basis[i]] is kept positive.  A pivot on (r, c) makes the pivot entry
+positive (negating row r if needed) and replaces every other row by the
+primitive part of R_i * R_r[c] - R_i[c] * R_r.  The reduced-cost row is an
+integer vector z over a positive denominator zd, updated the same way.
+Bland's rule reads only signs and the ratios R_i[rhs] / R_i[enter], which
+the positive scales leave unchanged and which are compared by
+cross-multiplying, so the pivot sequence -- and with it every value,
+vertex and certificate -- is the one a ``Fraction`` tableau normalized to
+a unit basis entry would take.  Answers are converted back to ``Fraction``
+only at the end.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import DenominatorVanishes, Infeasible, LPUnbounded
 from .linalg import dot, frac, vec
@@ -40,69 +55,66 @@ def lp_solve(objective, constraints, sense="min") -> LPResult:
     elif sense != "min":
         raise ValueError("sense must be 'min' or 'max'")
 
-    # Normalize to <=-form rows for the Farkas certificate bookkeeping, then
-    # to equalities with slacks on x split into x+ - x-.
-    rows_le = []  # (a, b, origin index, sign) in <= form
-    for idx, (a, rel, b) in enumerate(constraints):
-        a = list(vec(a))
+    # Normalize to <=-form rows (the Farkas certificate is indexed by them),
+    # each scaled once to integers: (L*a, L*b, L) for a.x <= b.
+    rows = []
+    for a, rel, b in constraints:
+        a = vec(a)
         b = frac(b)
         if rel == LE:
-            rows_le.append((a, b, idx, 1))
+            signs = (1,)
         elif rel == GE:
-            rows_le.append(([-x for x in a], -b, idx, -1))
+            signs = (-1,)
         elif rel == EQ:
-            rows_le.append((a, b, idx, 1))
-            rows_le.append(([-x for x in a], -b, idx, -1))
+            signs = (1, -1)
         else:
             raise ValueError(f"unknown relation {rel!r}")
+        iv, L = _integer_row(a + (b,))
+        rows.extend(([s * x for x in iv[:-1]], s * iv[-1], L) for s in signs)
 
-    m = len(rows_le)
-    nv = 2 * n  # split variables
-    ns = m      # one slack per <= row
-    # Equality system: for each row: a.(x+ - x-) + s = b, s >= 0.
-    A = []
-    b_col = []
-    for a, b, _, _ in rows_le:
-        row = [x for x in a] + [-x for x in a] + [Fraction(0)] * ns
-        A.append(row)
-        b_col.append(b)
-    for i in range(m):
-        A[i][nv + i] = Fraction(1)
-
-    cost = [x for x in c] + [-x for x in c] + [Fraction(0)] * ns
-
-    value, x_full, farkas = _two_phase(A, b_col, cost, nv + ns, rows_le, n)
-    x = tuple(x_full[j] - x_full[n + j] for j in range(n))
+    ic, Lc = _integer_row(c)
+    value, x = _two_phase(rows, ic, Lc, n)
     if sense == "max":
         value = -value
     return LPResult(value=value, point=x)
 
 
-def _two_phase(A, b, cost, ncols, rows_le, n_orig):
-    m = len(A)
-    # Make rhs nonnegative.
-    A = [row[:] for row in A]
-    b = b[:]
-    flipped = [False] * m
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-            flipped[i] = True
+def _integer_row(v):
+    """(L*v, L) with L the lcm of the denominators of the Fractions in v."""
+    L = lcm(*(x.denominator for x in v))
+    return [x.numerator * (L // x.denominator) for x in v], L
 
-    # Phase 1: artificial variables, minimize their sum.
+
+def _two_phase(rows, ic, Lc, n):
+    """Solve min <ic/Lc, x+ - x-> over rows (L*a, L*b, L): a.(x+ - x-) <= b.
+
+    Columns: x+ (n), x- (n), one slack per row, one artificial per row, rhs.
+    Returns the optimal value and point as Fractions.
+    """
+    m = len(rows)
+    ncols = 2 * n + m
     total = ncols + m
+    # Each row is L * (a, -a, e_slack, rhs), negated when rhs < 0 so that the
+    # artificial basis is feasible; the artificial entry is +L either way.
     T = []
-    for i in range(m):
-        row = A[i] + [Fraction(0)] * m + [b[i]]
-        row[ncols + i] = Fraction(1)
+    signs = []
+    for i, (a, b, L) in enumerate(rows):
+        s = -1 if b < 0 else 1
+        row = [s * x for x in a] + [-s * x for x in a] + [0] * (2 * m) + [s * b]
+        row[2 * n + i] = s * L
+        row[ncols + i] = L
         T.append(row)
+        signs.append(s)
     basis = [ncols + i for i in range(m)]
-    phase_cost = [Fraction(0)] * ncols + [Fraction(1)] * m + [Fraction(0)]
-    z = _reduced_cost_row(T, basis, phase_cost, total)
-    _simplex_loop(T, basis, z, total)
-    if -z[total] != 0:
-        farkas = _farkas_from_phase1(z, rows_le, flipped, ncols)
+
+    # Phase 1: minimize the sum of the artificials.
+    z, zd = _reduced_cost_row(T, basis, [0] * ncols + [1] * m + [0], 1)
+    z, zd, _ = _simplex_loop(T, basis, z, zd, total)
+    if z[total] != 0:
+        # The artificial of row i has reduced cost 1 - yhat_i; the <=-form
+        # multiplier is -yhat_i, negated again for a row whose rhs was.
+        farkas = tuple(s * (Fraction(z[ncols + i], zd) - 1)
+                       for i, s in enumerate(signs))
         raise Infeasible("feasible region is empty", farkas=farkas)
 
     # Drive remaining artificials out of the basis where possible.
@@ -111,83 +123,86 @@ def _two_phase(A, b, cost, ncols, rows_le, n_orig):
             piv = next((j for j in range(ncols) if T[i][j] != 0), None)
             if piv is None:
                 continue  # redundant row
-            _pivot(T, basis, i, piv, total)
+            _pivot(T, basis, i, piv)
 
-    # Phase 2 on the original cost.
-    full_cost = list(cost) + [Fraction(0)] * m + [Fraction(0)]
-    z = _reduced_cost_row(T, basis, full_cost, total)
-    try:
-        _simplex_loop(T, basis, z, total, forbid=set(range(ncols, ncols + m)))
-    except LPUnbounded as exc:
-        col = exc.ray  # improving column index stashed by the loop
-        ray = _ray_from_column(T, basis, col, ncols, n_orig)
-        raise LPUnbounded("objective unbounded on feasible region", ray=ray) from None
+    # Phase 2 on the original cost; artificials may no longer enter.
+    cost = ic + [-x for x in ic] + [0] * (m + m + 1)
+    z, zd = _reduced_cost_row(T, basis, cost, Lc)
+    z, zd, col = _simplex_loop(T, basis, z, zd, ncols)
+    if col is not None:
+        raise LPUnbounded("objective unbounded on feasible region",
+                          ray=_ray_from_column(T, basis, col, ncols, n))
     x = [Fraction(0)] * total
-    for i, bv in enumerate(basis):
-        x[bv] = T[i][total]
-    return -z[total], x[:ncols], None
+    for row, bv in zip(T, basis):
+        x[bv] = Fraction(row[total], row[bv])
+    return -Fraction(z[total], zd), tuple(x[j] - x[n + j] for j in range(n))
 
 
-def _reduced_cost_row(T, basis, cost, total):
-    z = list(cost)
-    for i, bv in enumerate(basis):
-        coef = z[bv]
-        if coef != 0:
-            for j in range(total + 1):
-                z[j] -= coef * T[i][j]
-    return z
+def _eliminate(z, zd, prow, col):
+    """(z', zd') with z'/zd' = z/zd - (z[col]/zd) * prow/prow[col], reduced."""
+    f = z[col]
+    if f == 0:
+        return z, zd
+    p = prow[col]
+    z = [a * p - f * b for a, b in zip(z, prow)]
+    zd *= p
+    g = gcd(zd, *z)
+    if g > 1:
+        z = [a // g for a in z]
+        zd //= g
+    return z, zd
 
 
-def _simplex_loop(T, basis, z, total, forbid=frozenset()):
-    m = len(T)
+def _reduced_cost_row(T, basis, cost, zd):
+    z = cost
+    for row, bv in zip(T, basis):
+        z, zd = _eliminate(z, zd, row, bv)
+    return z, zd
+
+
+def _simplex_loop(T, basis, z, zd, ncand):
+    """Pivot until no column below ``ncand`` has negative reduced cost.
+
+    Returns (z, zd, None) at an optimum, or (z, zd, col) when column col
+    improves without bound.
+    """
+    total = len(z) - 1
     while True:
         # Bland: entering variable is the smallest index with negative cost.
-        enter = next((j for j in range(total) if j not in forbid and z[j] < 0), None)
+        enter = next((j for j in range(ncand) if z[j] < 0), None)
         if enter is None:
-            return
+            return z, zd, None
         # Ratio test; Bland again on ties via smallest basis variable.
         best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][total] / T[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+        for i, row in enumerate(T):
+            a = row[enter]
+            if a > 0:
+                if best is None:
+                    best = i
+                    continue
+                lhs = row[total] * T[best][enter]
+                rhs = T[best][total] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:
-            exc = LPUnbounded("unbounded")
-            exc.ray = enter
-            raise exc
-        _pivot(T, basis, best[1], enter, total)
-        coef = z[enter]
-        if coef != 0:
-            for j in range(total + 1):
-                z[j] -= coef * T[best[1]][j]
+            return z, zd, enter
+        _pivot(T, basis, best, enter)
+        z, zd = _eliminate(z, zd, T[best], enter)
 
 
-def _pivot(T, basis, row, col, total):
-    pv = T[row][col]
-    T[row] = [x / pv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], T[row])]
-    basis[row] = col
-
-
-def _farkas_from_phase1(z, rows_le, flipped, ncols):
-    """Multipliers y >= 0 on the <=-form rows with y.A = 0 and y.b < 0.
-
-    Phase-1 duals are read off the reduced-cost row: the artificial column
-    of row i has reduced cost z[art_i] = 1 - yhat_i, and the <=-form
-    multiplier is y_i = -yhat_i * s_i with s_i = -1 for rows whose rhs was
-    negated.  Free-variable splitting forces y.A = 0 exactly.
-    """
-    m = len(rows_le)
-    y = []
-    for i in range(m):
-        yhat = Fraction(1) - z[ncols + i]
-        s = Fraction(-1) if flipped[i] else Fraction(1)
-        y.append(-yhat * s)
-    return tuple(y)
+def _pivot(T, basis, r, col):
+    prow = T[r]
+    p = prow[col]
+    if p < 0:
+        prow = T[r] = [-x for x in prow]
+        p = -p
+    for i, row in enumerate(T):
+        f = row[col]
+        if i != r and f != 0:
+            new = [a * p - f * b for a, b in zip(row, prow)]
+            g = gcd(*new)
+            T[i] = [a // g for a in new] if g > 1 else new
+    basis[r] = col
 
 
 def _ray_from_column(T, basis, col, ncols, n_orig):
@@ -195,22 +210,10 @@ def _ray_from_column(T, basis, col, ncols, n_orig):
     d = [Fraction(0)] * ncols
     if col < ncols:
         d[col] = Fraction(1)
-    for i, bv in enumerate(basis):
+    for row, bv in zip(T, basis):
         if bv < ncols:
-            d[bv] = -T[i][col]
+            d[bv] = -Fraction(row[col], row[bv])
     return tuple(d[j] - d[n_orig + j] for j in range(n_orig))
-
-
-def lp_max_over_vertices(objective, vertices):
-    """Max of a linear form over an explicit vertex list (oracle helper)."""
-    objective = vec(objective)
-    best = None
-    arg = None
-    for v in vertices:
-        val = dot(objective, v)
-        if best is None or val > best:
-            best, arg = val, v
-    return best, arg
 
 
 def fractional_lp(num, den, halfspaces, sense="min", normalization=Fraction(1)):

@@ -158,6 +158,7 @@ class LctResult:
     minimizer: tuple  # optimal toric valuation direction
 
 
+@lru_cache(maxsize=16384)
 def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
     """Log canonical threshold of a monomial filtration.
 

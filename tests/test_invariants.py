@@ -108,6 +108,16 @@ def test_lct_examples(c2, fex, half_boundary):
     assert res.value == 3
 
 
+def test_lct_memoized_per_filtration(c2):
+    # ding asks again for the lct of a filtration it has seen: an equal
+    # filtration built anew hits the cache and shares the frozen result.
+    first = lct_monomial(c2, monomial_filtration(c2, [(3, 1), (1, 3)]))
+    hits = lct_monomial.cache_info().hits
+    assert lct_monomial(c2, monomial_filtration(c2, [(3, 1), (1, 3)])) is first
+    assert lct_monomial.cache_info().hits == hits + 1
+    assert first.value == 4 and first.minimizer == (1, 3)
+
+
 def test_lct_toric_minimizer_beats_sampling(c2, fex):
     # 10^4 random interior directions never beat the LP optimum
     rnd = random.Random(73)
