@@ -42,7 +42,6 @@ from .filtration import (
     newton_polyhedron,
     ord_of,
     rescale,
-    saturate,
     toric_filtration,
     twist,
     value_under,

@@ -19,6 +19,7 @@ from operator import mul
 
 from .errors import EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below
+from .exactgeom.linalg import smith_diagonal
 from .filtration import MonomialFiltration, _floor_order, _reference_level, approx_orders
 from .invariants import _xi, lambda_max_closed, s_closed, vol
 from .singularity import ConeSingularity
@@ -276,12 +277,8 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
                 break
         if not reducible:
             gens.append(p)
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-    snf = smith_normal_form(Matrix(gens))
-    diag = [int(snf[i, i]) for i in range(min(snf.shape))]
-    ok = len(diag) == s.rank and all(abs(d) == 1 for d in diag)
-    if not ok:
+    diag = smith_diagonal(gens)
+    if diag != [1] * s.rank:
         raise LatticeNotGenerated(
             f"weight semigroup generates a proper sublattice (SNF {diag})")
     wmax = max(dot(xi0, g) for g in gens)

@@ -1,6 +1,6 @@
 """Exact rational convex geometry: cones, polytopes, LP, lattice points."""
 
-from .cone import Cone, cone_from_halfspaces, cone_from_rays, cone_triangulate, dual_cone
+from .cone import Cone, cone_from_halfspaces, cone_from_rays, dual_cone
 from .lattice import enumeration_budget, lattice_points_below
 from .linalg import dot, frac, primitivize, vec
 from .lp import LPResult, fractional_lp, lp_solve
@@ -10,7 +10,6 @@ from .polytope import (
     barycenter,
     enumerate_vertices,
     integrate_pl,
-    polytope_from_halfspaces,
     second_moment,
     slice_polytope,
     triangulate,
@@ -25,7 +24,6 @@ __all__ = [
     "barycenter",
     "cone_from_halfspaces",
     "cone_from_rays",
-    "cone_triangulate",
     "dot",
     "dual_cone",
     "enumerate_vertices",
@@ -35,7 +33,6 @@ __all__ = [
     "integrate_pl",
     "lattice_points_below",
     "lp_solve",
-    "polytope_from_halfspaces",
     "primitivize",
     "second_moment",
     "slice_polytope",

@@ -166,8 +166,3 @@ def _coords_in_basis(v, basis):
     if sol is None:
         raise DegenerateCone("vector outside span during triangulation")
     return sol
-
-
-def cone_triangulate(c: Cone):
-    """Deterministic triangulation of a cone into simplicial ray tuples."""
-    return _triangulate_rays(list(c.rays), c.rank)

@@ -62,13 +62,6 @@ def slice_polytope(c: Cone, xi, level, equality=False) -> Polytope:
                     halfspaces=tuple(hs))
 
 
-def polytope_from_halfspaces(halfspaces, dim) -> Polytope:
-    """Vertex-enumerate a bounded H-polytope by scanning dim-subsets."""
-    verts = enumerate_vertices(halfspaces, dim)
-    return Polytope(dim=dim, vertices=tuple(verts), recession_rays=(),
-                    halfspaces=tuple(halfspaces))
-
-
 def enumerate_vertices(halfspaces, dim):
     """All vertices of {x : <a,x> <= b}; assumes the region is bounded."""
     seen = set()

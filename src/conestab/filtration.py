@@ -7,8 +7,8 @@ reduces the covector list to the unique irredundant form (via exact LPs), so
 filtration equality is decidable by comparing tuples.
 
 Besides the algebra of filtrations (rescale, twist, geodesic, intersection)
-this module computes Newton polyhedra, saturation, exact orders, the orders
-of the degree-m approximating filtrations, and the saturated closure of an
+this module computes Newton polyhedra, exact orders, the orders of the
+degree-m approximating filtrations, and the saturated closure of an
 approximating filtration as a concave transform of its own.
 """
 
@@ -222,16 +222,6 @@ def value_under(F: MonomialFiltration, xi) -> Fraction:
     xi = vec(xi)
     verts = newton_polyhedron(F).vertices
     return min(dot(xi, v) for v in verts)
-
-
-def saturate(F: MonomialFiltration):
-    """Saturation; monomial filtrations in reduced form are already saturated.
-
-    Returns (filtration, already_saturated).  The gauge of the Newton
-    polyhedron reproduces the reduced transform on the weight cone, so the
-    filtration is returned unchanged with the flag set.
-    """
-    return F, True
 
 
 def ord_of(F: MonomialFiltration, alpha) -> Fraction:

@@ -4,23 +4,23 @@ The normalized-volume minimizer works on the affine slice where the log
 discrepancy equals one.  The slice volume is a convex function of the Reeb
 vector (it is an integral of exponentials of linear forms over the weight
 cone), its gradient and Hessian have exact closed forms in the slice
-barycenter and second moments, so the search runs damped Newton steps in
-floating point, rounds each iterate back to small rationals, and verifies
-descent exactly.  A final linear-programming bound certifies the gap, which
-collapses to zero whenever the rounded iterate is exactly stationary.
+barycenter and second moments, so the search takes exact Newton steps,
+converts each trial point to float only to round it to a nearby rational
+with a capped denominator, and verifies descent exactly.  A final
+linear-programming bound certifies the gap, which collapses to zero
+whenever the rounded iterate is exactly stationary.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateReebCone, ToleranceNotReached
 from .exactgeom import barycenter, dot, frac, second_moment, slice_polytope, vec, volume
+from .exactgeom.linalg import nullspace, solve
 from .exactgeom.lp import fractional_lp, lp_solve
-from .invariants import okounkov_body, vol
-from .singularity import ConeSingularity, log_discrepancy
+from .invariants import okounkov_body
+from .singularity import ConeSingularity
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,13 @@ class NvolResult:
     iterations: int
 
 
-def _round_to_slice(s, x_float, max_den):
+def _round_to_slice(s, x, max_den):
     """Continued-fraction rounding, then exact renormalization to A = 1."""
-    cand = [Fraction(float(v)).limit_denominator(max_den) for v in x_float]
+    cand = [Fraction(float(v)).limit_denominator(max_den) for v in x]
     a = dot(s.u, cand)
     if a <= 0:
         return None
     return tuple(c / a for c in cand)
-
-
-def _slice_tangent_basis(s):
-    from .exactgeom.linalg import nullspace
-    return nullspace([s.u], s.rank)
 
 
 def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
@@ -111,10 +106,12 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 
     Works on {A = 1}: there nvol equals vol, the gradient is the exact
     barycenter form and the Hessian the exact second moment of the unit
-    slice.  Steps: float Newton direction, rational rounding (denominators
-    capped), exact descent check.  The certificate is the convexity bound
-    vol(x*) + <grad, y - x*> minimized over the slice polytope by one LP;
-    at an exactly stationary rounded point it is exactly zero.
+    slice.  Steps: exact Newton direction (steepest descent if the reduced
+    Hessian is singular), rational rounding of the float trial point
+    (denominators capped), exact descent check.  The certificate is the
+    convexity bound vol(x*) + <grad, y - x*> minimized over the slice
+    polytope by one LP; at an exactly stationary rounded point it is
+    exactly zero.
     """
     tol = frac(tol)
     n = s.rank
@@ -133,27 +130,23 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     xi = s.sigma.interior_point()
     xi = tuple(frac(x) / dot(s.u, xi) for x in xi)
     fx, grad, hess = f_grad_hess(xi)
-    tangent = _slice_tangent_basis(s)
-    T = np.array([[float(x) for x in t] for t in tangent]).T  # n x (n-1)
+    tangent = nullspace([s.u], n)
 
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        g = np.array([float(x) for x in grad])
-        H = np.array([[float(x) for x in row] for row in hess])
-        Ht = T.T @ H @ T
-        gt = T.T @ g
-        try:
-            d = np.linalg.solve(Ht, -gt)
-        except np.linalg.LinAlgError:
-            d = -gt
-        step_dir = T @ d
+        # Newton direction in the slice: solve (T^t H T) d = -T^t g exactly.
+        Ht = [[dot(ti, [dot(row, tj) for row in hess]) for tj in tangent]
+              for ti in tangent]
+        neg_gt = [-dot(t, grad) for t in tangent]
+        d = solve(Ht, neg_gt) or neg_gt
+        step_dir = [dot(d, col) for col in zip(*tangent)]
         moved = False
         for k in range(40):
-            scale = 0.5 ** k
-            cand_f = np.array([float(x) for x in xi]) + scale * step_dir
+            scale = Fraction(1, 2 ** k)
+            trial = [x + scale * v for x, v in zip(xi, step_dir)]
             for max_den in (10 ** 6, 10 ** 4, 100, 10):
-                cand = _round_to_slice(s, cand_f, max_den)
+                cand = _round_to_slice(s, trial, max_den)
                 if cand is None or not s.sigma.contains(cand, strict=True):
                     continue
                 if cand == xi:
@@ -173,7 +166,7 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     # Prefer the simplest rational point near the iterate that does not
     # increase the value; exact minimizers of small height are recovered.
     for max_den in (1, 2, 3, 4, 6, 10, 100, 10 ** 4):
-        cand = _round_to_slice(s, [float(x) for x in xi], max_den)
+        cand = _round_to_slice(s, xi, max_den)
         if cand is None or not s.sigma.contains(cand, strict=True):
             continue
         fc = math.factorial(n) * volume(slice_polytope(wc, cand, 1))

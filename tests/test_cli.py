@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -235,3 +238,19 @@ def test_okounkov_json(doc_path, capsys):
     assert payload["vol"] == "1/2"
     assert payload["alpha0"] == ["1/2", "1/2"]
     assert sorted(map(tuple, payload["gamma"]["2"])) == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_library_loads_no_numpy_or_sympy():
+    code = (
+        "import sys\n"
+        "import conestab, conestab.cli\n"
+        "s = conestab.from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 1)])\n"
+        "assert conestab.minimize_nvol(s).iterations > 1\n"
+        "conestab.good_valuation_check(s, (0, 0, 1))\n"
+        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

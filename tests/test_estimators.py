@@ -4,7 +4,8 @@ from math import floor
 
 import pytest
 
-from conestab.errors import BudgetExceeded, EmptyInput
+from conestab import estimators
+from conestab.errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
 from conestab.estimators import (
     CSV_HEADER,
     bj_bound_check,
@@ -187,3 +188,13 @@ def test_good_valuation_rank3():
     s = from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
     r = good_valuation_check(s, (0, 0, 1))
     assert r.ok and r.snf_diagonal == [1, 1, 1]
+
+
+def test_good_valuation_proper_sublattice_message(c2, monkeypatch):
+    # Keep only points with even first coordinate: they generate 2Z x Z.
+    enumerate_all = estimators.lattice_points_below
+    monkeypatch.setattr(estimators, "lattice_points_below", lambda *a, **k: [
+        p for p in enumerate_all(*a, **k) if p[0] % 2 == 0])
+    with pytest.raises(LatticeNotGenerated) as exc:
+        good_valuation_check(c2, (1, 1))
+    assert str(exc.value) == "weight semigroup generates a proper sublattice (SNF [1, 2])"

@@ -25,7 +25,6 @@ from conestab.filtration import (
     newton_polyhedron,
     ord_of,
     rescale,
-    saturate,
     toric_filtration,
     twist,
     value_under,
@@ -157,15 +156,6 @@ def test_value_under(c2, fex):
     assert value_under(toric_filtration(c2, (1, 1)), (1, 1)) == 1
     assert value_under(fex, (1, 1)) == F(2, 3)
     assert value_under(toric_filtration(c2, (1, 1)), (1, 2)) == 1
-
-
-def test_saturate(c2, fex):
-    for Ft in [toric_filtration(c2, (1, 1)), fex,
-               intersect(toric_filtration(c2, (1, 1)), toric_filtration(c2, (2, 2)))]:
-        sat, flag = saturate(Ft)
-        assert sat == Ft and flag
-        sat2, _ = saturate(sat)
-        assert sat2 == sat
 
 
 def test_ord_of(c2, fex):

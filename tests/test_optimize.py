@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -89,6 +90,67 @@ def test_minimize_nvol_tolerance_error():
     assert exc.value.result.certificate_gap > 0
     r = minimize_nvol(s)  # default tolerance passes
     assert r.certificate_gap <= F(1, 10 ** 9)
+
+
+# Twenty seeded random cones: fifteen simplicial ones of rank 2-4, then five
+# over lattice polygons at height one, four of which have an irrational
+# minimizer.  Each row: rays, boundary coefficients, the minimizer, the
+# Newton iterations and a digest of repr(NvolResult).  They pin the rounding
+# path, not only the optimum: where a run stops short of an irrational
+# minimizer, and after how many iterations, depends on every Newton
+# direction and every rounding on the way.
+PINNED_NVOL = [
+    ([(2, -2), (3, 1)], None,
+     ('2', '0'), 1, '4fd3ee02fba02a68'),
+    ([(2, -2, 0), (1, 2, -1), (-2, 1, 1)], ['0', '1/2', '2/5'],
+     ('-1/9', '14/9', '-1/9'), 5, '053c94dfe1b22677'),
+    ([(-2, 1, -2, 2), (-2, 2, 2, -2), (-1, -1, -2, 3), (-1, 3, 1, 1)], ['0', '0', '1/2', '1/2'],
+     ('-7/4', '3/2', '-3/4', '9/4'), 5, 'e7263a5d067330c5'),
+    ([(-2, -1), (2, -2)], ['1/2', '1/3'],
+     ('-5/4', '-7/4'), 4, '432f90cd58194ee4'),
+    ([(-2, 2, 1), (0, 1, 2), (-1, 3, 0)], None,
+     ('-1', '2', '1'), 1, '013c9662921a8158'),
+    ([(2, 1, 1, 3), (-2, 3, 2, 1), (3, 2, -2, 0), (2, -1, 0, -1)], None,
+     ('5/4', '5/4', '1/4', '3/4'), 1, 'e6623d27bca47ce9'),
+    ([(2, 3), (-1, -2)], ['1/2', '2/5'],
+     ('7/6', '4/3'), 4, '1aecd0c582c6e7a6'),
+    ([(0, 2, -1), (0, 2, -2), (2, 2, 1)], None,
+     ('2/3', '5/3', '-1/3'), 1, 'eb1a376a1988198f'),
+    ([(-1, -1, -1, -1), (-1, 3, 1, 2), (-1, 0, 2, -2), (-2, 2, 1, -1)], None,
+     ('-5/4', '1', '3/4', '-1/2'), 1, 'da037ef56b297eb3'),
+    ([(3, 0), (-1, 1)], None,
+     ('0', '1/2'), 1, '97be67823f45a144'),
+    ([(-1, 2, 1), (-1, -2, 2), (-1, -1, 3)], None,
+     ('-1', '-1/3', '2'), 1, 'd635ce4fcd16322c'),
+    ([(3, 3, 3, 2), (2, -1, -2, 0), (3, 3, 2, 0), (0, 2, 1, 0)], ['0', '1/2', '1/3', '2/5'],
+     ('23/8', '53/24', '11/12', '1/2'), 5, '9b2e99ab3202a2df'),
+    ([(2, 1), (2, 2)], None,
+     ('3/2', '1'), 1, '18be72402c9617d8'),
+    ([(0, -2, 3), (-1, 2, -1), (0, -2, 0)], ['1/2', '2/5', '1/2'],
+     ('-5/9', '-8/9', '13/9'), 4, '5d38595be6bdf894'),
+    ([(3, 2, 3, -2), (-2, -1, 0, 0), (2, -2, -2, 2), (-2, 3, 2, 2)], None,
+     ('0', '3/4', '1', '1/4'), 1, 'cb524d7c2b229516'),
+    ([(-1, 0, 1), (2, 0, 1), (-1, -2, 1), (1, 2, 1), (2, 1, 1)], None,
+     ('131923/311079', '19093/415829', '1'), 5, '59b3405cf2e46de8'),
+    ([(2, -1, 1), (-2, 1, 1), (1, 0, 1), (1, -2, 1), (-2, 0, 1)], None,
+     ('-4383/211439', '-356457/748823', '1'), 5, '93c0e3bce6964941'),
+    ([(-2, 2, 1), (1, 1, 1), (2, 0, 1), (-2, 0, 1)], None,
+     ('-62602/116493', '634847/878170', '1'), 5, '147fae722d544355'),
+    ([(0, 0, 1), (2, -2, 1), (-1, 2, 1), (1, 0, 1)], None,
+     ('1/2', '0', '1'), 1, '473041838e2ea19a'),
+    ([(0, 0, 1), (0, -2, 1), (1, -2, 1), (2, 0, 1)], None,
+     ('564719/716035', '-413403/489061', '1'), 5, '1e7863abb58ce3fe'),
+]
+
+
+@pytest.mark.parametrize("rays, coeffs, minimizer, iterations, digest", PINNED_NVOL,
+                         ids=[f"cone{i}" for i in range(len(PINNED_NVOL))])
+def test_minimize_nvol_pinned_results(rays, coeffs, minimizer, iterations, digest):
+    s = from_rays(rays, None if coeffs is None else [F(c) for c in coeffs])
+    r = minimize_nvol(s)
+    assert r.minimizer == tuple(F(x) for x in minimizer)
+    assert r.iterations == iterations
+    assert hashlib.sha256(repr(r).encode()).hexdigest()[:16] == digest
 
 
 def test_kelley_linear_oracle_one_cut():
