@@ -1,4 +1,4 @@
-"""Exact rational convex geometry: cones, polytopes, LP, lattice points."""
+"""Exact rational convex geometry: cones, simplicial fans, polytopes, LP, lattice points."""
 
 from .cone import Cone, cone_from_halfspaces, cone_from_rays, dual_cone
 from .lattice import enumeration_budget, lattice_points_below

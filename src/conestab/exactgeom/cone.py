@@ -44,8 +44,9 @@ def _facet_normals(rays, n):
     """Facet normals of cone(rays) in R^n by scanning (n-1)-subsets."""
     if n == 1:
         # A pointed full-dim cone in R^1 is a single ray; the facet is {0}.
-        sign = 1 if rays[0][0] > 0 else -1
-        return [(sign,)]
+        # Mixed signs span the line, which is not pointed and has no facet.
+        signs = {1 if r[0] > 0 else -1 for r in rays}
+        return [(signs.pop(),)] if len(signs) == 1 else []
     normals = set()
     for sub in combinations(rays, n - 1):
         if mat_rank(sub) != n - 1:

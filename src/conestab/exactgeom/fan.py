@@ -1,0 +1,129 @@
+"""Slice volume, gradient and Hessian of a cone from one simplicial fan.
+
+Split a pointed full-dimensional cone C in R^n into simplicial cones tau
+with primitive integer rays w_1..w_n.  The slice {alpha in tau : <alpha,
+xi> <= 1} is the simplex on 0 and the points w_i / p_i, p_i = <w_i, xi>, so
+with c_tau = |det W_tau| / prod_i p_i and s_tau = sum_i w_i / p_i
+
+    vol(xi)  = sum_tau c_tau                  (n! times the slice volume)
+    grad     = -sum_tau c_tau s_tau
+    hess     =  sum_tau c_tau (s_tau s_tau^T + sum_i w_i w_i^T / p_i^2)
+
+and the slice barycenter is -grad / ((n+1) vol).  This is Lawrence's
+formula (J. Lawrence, "Polytope volume computation", Math. Comp. 57, 1991)
+in the toric form Martelli, Sparks and Yau use for the volume of a Sasakian
+link (hep-th/0503183).  The fan depends on the cone alone, so it is built
+once per cone; each evaluation then runs over integers, with the pairings
+p_i cleared to the common denominator Q = prod of the pairings of all rays,
+and forms one Fraction per output entry.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm, prod
+
+from ..errors import UnboundedSlice
+from .cone import Cone, _facet_normals, _triangulate_rays
+from .linalg import det, mat_rank, primitivize, vec, vsub
+
+
+@dataclass(frozen=True)
+class Fan:
+    """Simplicial subdivision of a full-dimensional cone in R^rank.
+
+    rays:      primitive integer rays, sorted
+    simplices: (|det W_tau|, indices into rays) per simplicial cone tau
+    """
+
+    rank: int
+    rays: tuple
+    simplices: tuple
+
+
+def simplicial_fan(rays, rank) -> Fan:
+    """Triangulate cone(rays), which must span R^rank, on its own rays."""
+    rays = tuple(sorted(rays))
+    index = {r: i for i, r in enumerate(rays)}
+    simplices = tuple((abs(int(det(tau))), tuple(index[r] for r in tau))
+                      for tau in _triangulate_rays(list(rays), rank))
+    return Fan(rank=rank, rays=rays, simplices=simplices)
+
+
+@lru_cache(maxsize=4096)
+def cone_fan(c: Cone) -> Fan:
+    """The simplicial fan of a cone, built once per cone."""
+    return simplicial_fan(c.rays, c.rank)
+
+
+def chamber_fans(c: Cone, covectors):
+    """Yield (z_j, fan of chamber j) for g = min_j <z_j, .> on the cone c.
+
+    Chamber j is {alpha in c : <z_j - z_i, alpha> <= 0 for all i}, where
+    z_j attains the minimum.  Duplicated covectors are dropped first, and
+    chambers of lower dimension (ties) carry no volume and are skipped.
+    """
+    covs = list(dict.fromkeys(vec(z) for z in covectors))
+    if len(covs) == 1:  # one chamber: the whole cone
+        yield covs[0], cone_fan(c)
+        return
+    n = c.rank
+    for j, zj in enumerate(covs):
+        hs = list(c.halfspaces) + [primitivize(vsub(zi, zj))
+                                   for i, zi in enumerate(covs) if i != j]
+        rays = _facet_normals(hs, n)  # duality: rays of the chamber
+        if mat_rank(rays) == n:
+            yield zj, simplicial_fan(rays, n)
+
+
+def fan_moments(fan: Fan, xi, order=2):
+    """(vol, grad, hess) of sum_tau |det W_tau| / prod_i <w_i, xi> at xi.
+
+    Exact Fractions; grad is None for order 0 and hess None below order 2.
+    Requires <w, xi> > 0 on every ray of the fan.  The value is computed at
+    the integer vector x = L xi and rescaled by the homogeneity degrees -n,
+    -n-1 and -n-2.
+    """
+    xi = vec(xi)
+    n = fan.rank
+    L = lcm(*(a.denominator for a in xi))
+    x = [int(a * L) for a in xi]
+    P = [sum(a * b for a, b in zip(w, x)) for w in fan.rays]
+    if any(p <= 0 for p in P):
+        raise UnboundedSlice("slicing covector vanishes on a ray")
+    Q = prod(P)
+    R = [Q // p for p in P]  # Q / p_i: the point w_i / p_i is R_i w_i / Q
+    vol = 0
+    grad = [0] * n
+    hess = [[0] * n for _ in range(n)]
+    weight = [0] * len(P)  # sum of c_tau over the simplices at each ray
+    for d, tau in fan.simplices:
+        c = d * Q // prod(P[i] for i in tau)  # c_tau * Q
+        vol += c
+        if order == 0:
+            continue
+        s = [sum(R[i] * fan.rays[i][k] for i in tau) for k in range(n)]  # s_tau * Q
+        for k in range(n):
+            grad[k] += c * s[k]
+        if order == 2:
+            for i in tau:
+                weight[i] += c
+            for k in range(n):
+                for m in range(k + 1):
+                    hess[k][m] += c * s[k] * s[m]
+    vol_q = Fraction(L ** n * vol, Q)
+    if order == 0:
+        return vol_q, None, None
+    grad_q = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in grad)
+    if order == 1:
+        return vol_q, grad_q, None
+    for i, w in enumerate(fan.rays):
+        if weight[i]:
+            f = weight[i] * R[i] * R[i]
+            for k in range(n):
+                for m in range(k + 1):
+                    hess[k][m] += f * w[k] * w[m]
+    scale = L ** (n + 2)
+    lower = [[Fraction(scale * hess[k][m], Q ** 3) for m in range(k + 1)] for k in range(n)]
+    hess_q = tuple(tuple(lower[max(k, m)][min(k, m)] for m in range(n)) for k in range(n))
+    return vol_q, grad_q, hess_q

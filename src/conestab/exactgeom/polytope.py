@@ -3,7 +3,10 @@
 Bounded polytopes are triangulated by homogenizing to a pointed cone one
 dimension up and reusing the cone triangulation; tie-breaking is
 lexicographic throughout, so volumes, barycenters and integrals are
-reproducible bit for bit.
+reproducible bit for bit.  The library's slice integrals come from the
+simplicial fan of the weight cone (``fan.py``); ``volume``, ``barycenter``,
+``second_moment`` and ``integrate_pl`` triangulate each slice afresh and
+stay as the direct reference for that kernel.
 """
 
 from dataclasses import dataclass

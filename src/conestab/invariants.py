@@ -1,36 +1,31 @@
 """Closed-form scalar invariants of a polarized toric cone singularity.
 
 Everything here reduces to exact polyhedral data of the weight cone sliced
-by the polarization: volumes and barycenters of the slice, epigraph LPs for
-extremal slopes, a Newton-polyhedron LP for the log canonical threshold,
-and linear-fractional programs over the cone for the delta invariant.  The
-volume derivative has the exact closed form
+by the polarization, epigraph LPs for extremal slopes, a Newton-polyhedron
+LP for the log canonical threshold, and linear-fractional programs over
+the cone for the delta invariant.  The slice integrals all come from one
+simplicial fan of the weight cone (``exactgeom.fan``, Lawrence's formula):
+vol(xi) = sum_tau |det W_tau| / prod_i <w_i, xi> and its gradient are
+rational functions of xi on a triangulation built once per cone, so the
+volume derivative has the closed form
 
-    D_eta vol(xi) = -(n+1)! * V(xi) * <bary(xi), eta>,
+    D_eta vol(xi) = <grad vol(xi), eta> = -(n+1) * vol(xi) * <bary(xi), eta>,
 
-with V the Euclidean slice volume, which turns the Futaki invariant of a
-product configuration into a single pairing and stationarity of the
-normalized volume into barycenter alignment.
+which turns the Futaki invariant of a product configuration into a single
+pairing and stationarity of the normalized volume into barycenter
+alignment.  S(xi0; F) sums the same first moment over the chamber fan on
+which each covector of F is the minimum.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
-from .exactgeom import (
-    PLConcave,
-    barycenter,
-    dot,
-    frac,
-    integrate_pl,
-    lp_solve,
-    primitivize,
-    slice_polytope,
-    vec,
-    volume,
-)
+from .exactgeom import dot, frac, lp_solve, primitivize, slice_polytope, vec
+from .exactgeom.fan import chamber_fans, cone_fan, fan_moments
 from .exactgeom.linalg import gram_project_out, norm_sq
 from .filtration import MonomialFiltration, newton_polyhedron, toric_filtration
 from .singularity import ConeSingularity, ReebVector, log_discrepancy, reeb_vector
@@ -58,13 +53,13 @@ class OkounkovBody:
 @lru_cache(maxsize=4096)
 def _okounkov_cached(s: ConeSingularity, xi0: tuple) -> OkounkovBody:
     n = s.rank
-    body = slice_polytope(s.weight_cone, xi0, 1)
-    v = volume(body)
-    b = barycenter(body)
+    v, grad, _ = fan_moments(cone_fan(s.weight_cone), xi0, order=1)
+    b = tuple(-g / ((n + 1) * v) for g in grad)
     if dot(b, xi0) != Fraction(n, n + 1):
         raise IdentityViolated(f"barycenter pairs to {dot(b, xi0)} with xi0, not {n}/{n + 1}")
     alpha0 = tuple(Fraction(n + 1, n) * x for x in b)
-    return OkounkovBody(body=body, vol=v, bary=b, alpha0=alpha0)
+    return OkounkovBody(body=slice_polytope(s.weight_cone, xi0, 1),
+                        vol=v / math.factorial(n), bary=b, alpha0=alpha0)
 
 
 def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
@@ -73,8 +68,7 @@ def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
 
 @lru_cache(maxsize=8192)
 def _vol_cached(s: ConeSingularity, xi: tuple) -> Fraction:
-    import math
-    return math.factorial(s.rank) * volume(slice_polytope(s.weight_cone, xi, 1))
+    return fan_moments(cone_fan(s.weight_cone), xi, order=0)[0]
 
 
 def vol(s: ConeSingularity, xi) -> Fraction:
@@ -90,27 +84,31 @@ def nvol(s: ConeSingularity, xi) -> Fraction:
 
 def vol_derivative(s: ConeSingularity, xi, eta) -> Fraction:
     """Directional derivative of vol at xi along eta (exact closed form)."""
-    xi = _xi(xi)
-    eta = vec(eta)
-    import math
-    body = slice_polytope(s.weight_cone, xi, 1)
-    V = volume(body)
-    b = barycenter(body)
-    return -math.factorial(s.rank + 1) * V * dot(b, eta)
+    _, grad, _ = fan_moments(cone_fan(s.weight_cone), _xi(xi), order=1)
+    return dot(grad, vec(eta))
 
 
 @lru_cache(maxsize=16384)
 def _s_closed_cached(s, xi0, F) -> Fraction:
     n = s.rank
-    O = _okounkov_cached(s, xi0)
-    return Fraction(n + 1, n) * integrate_pl(O.body, F.transform) / O.vol
+    total = Fraction(0)
+    for z, fan in chamber_fans(s.weight_cone, F.covectors):
+        _, grad, _ = fan_moments(fan, xi0, order=1)
+        total -= dot(z, grad)
+    return total / (n * math.factorial(n) * _okounkov_cached(s, xi0).vol)
 
 
 def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """Expected-vanishing-order invariant of F against the polarization.
 
-    (n+1)/n times the mean of the concave transform over the level-one
-    slice of the weight cone; exact via chamberwise linear integration.
+    (n+1)/n times the mean of the concave transform g = min_j <z_j, .> over
+    the level-one slice of the weight cone.  Exact, chamber by chamber:
+    triangulate each chamber {g = <z_j, .>} into simplicial cones tau with
+    rays w_i and pairings p_i = <w_i, xi0>.  On the slice of tau, g is
+    linear and its mean is its value at the centroid, which gives
+
+        S = sum_tau |det W_tau| / prod_i p_i * <z_j, sum_i w_i / p_i>
+            / (n * vol(xi0)).
     """
     return _s_closed_cached(s, _xi(xi0), F)
 

@@ -1,22 +1,24 @@
 """Optimization engines: fractional LP, cutting planes, volume minimization.
 
 The normalized-volume minimizer works on the affine slice where the log
-discrepancy equals one.  The slice volume is a convex function of the Reeb
-vector (it is an integral of exponentials of linear forms over the weight
-cone), its gradient and Hessian have exact closed forms in the slice
-barycenter and second moments, so the search takes exact Newton steps,
-converts each trial point to float only to round it to a nearby rational
-with a capped denominator, and verifies descent exactly.  A final
-linear-programming bound certifies the gap, which collapses to zero
+discrepancy equals one.  There nvol is vol(xi) = sum_tau |det W_tau| /
+prod_i <w_i, xi> over one simplicial fan of the weight cone (Lawrence's
+formula, ``exactgeom.fan``), a strictly convex rational function of the
+Reeb vector whose gradient and Hessian are exact sums over the same fan.
+The search takes exact Newton steps, converts each trial point to float
+only to round it to a nearby rational with a capped denominator, and
+verifies descent exactly.  It stops as soon as the reduced gradient is
+exactly zero, since by strict convexity no candidate can then descend.  A
+final linear-programming bound certifies the gap, which collapses to zero
 whenever the rounded iterate is exactly stationary.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateReebCone, ToleranceNotReached
-from .exactgeom import barycenter, dot, frac, second_moment, slice_polytope, vec, volume
+from .exactgeom import dot, frac, vec
+from .exactgeom.fan import cone_fan, fan_moments
 from .exactgeom.linalg import nullspace, solve
 from .exactgeom.lp import fractional_lp, lp_solve
 from .invariants import okounkov_body
@@ -104,41 +106,37 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
                   max_iter=80, raise_on_gap=False) -> NvolResult:
     """Minimize the normalized volume over the Reeb cone.
 
-    Works on {A = 1}: there nvol equals vol, the gradient is the exact
-    barycenter form and the Hessian the exact second moment of the unit
-    slice.  Steps: exact Newton direction (steepest descent if the reduced
-    Hessian is singular), rational rounding of the float trial point
-    (denominators capped), exact descent check.  The certificate is the
-    convexity bound vol(x*) + <grad, y - x*> minimized over the slice
-    polytope by one LP; at an exactly stationary rounded point it is
-    exactly zero.
+    Works on {A = 1}: there nvol equals vol, and vol with its gradient and
+    Hessian are exact sums over the weight cone's simplicial fan.  Steps:
+    exact Newton direction (steepest descent if the reduced Hessian is
+    singular), rational rounding of the float trial point (denominators
+    capped), exact descent check; the loop ends at once where the reduced
+    gradient is exactly zero.  The certificate is the convexity bound
+    vol(x*) + <grad, y - x*> minimized over the slice polytope by one LP;
+    at an exactly stationary rounded point it is exactly zero.
     """
     tol = frac(tol)
     n = s.rank
-    wc = s.weight_cone
+    fan = cone_fan(s.weight_cone)
 
-    def f_grad_hess(xi):
-        body = slice_polytope(wc, xi, 1)
-        V = volume(body)
-        b = barycenter(body)
-        grad = tuple(-math.factorial(n + 1) * V * x for x in b)
-        H = second_moment(body)
-        hess = tuple(tuple(math.factorial(n + 2) * x for x in row) for row in H)
-        return math.factorial(n) * V, grad, hess
+    def f(xi):
+        return fan_moments(fan, xi, order=0)[0]
 
     # Interior start on the slice.
     xi = s.sigma.interior_point()
     xi = tuple(frac(x) / dot(s.u, xi) for x in xi)
-    fx, grad, hess = f_grad_hess(xi)
+    fx, grad, hess = fan_moments(fan, xi)
     tangent = nullspace([s.u], n)
 
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
+        neg_gt = [-dot(t, grad) for t in tangent]
+        if not any(neg_gt):
+            break  # exactly stationary: by strict convexity nothing descends
         # Newton direction in the slice: solve (T^t H T) d = -T^t g exactly.
         Ht = [[dot(ti, [dot(row, tj) for row in hess]) for tj in tangent]
               for ti in tangent]
-        neg_gt = [-dot(t, grad) for t in tangent]
         d = solve(Ht, neg_gt) or neg_gt
         step_dir = [dot(d, col) for col in zip(*tangent)]
         moved = False
@@ -151,11 +149,10 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
                     continue
                 if cand == xi:
                     continue
-                body = slice_polytope(wc, cand, 1)
-                fc = math.factorial(n) * volume(body)
+                fc = f(cand)
                 if fc < fx:
                     xi = cand
-                    fx, grad, hess = f_grad_hess(xi)
+                    fx, grad, hess = fan_moments(fan, xi)
                     moved = True
                     break
             if moved:
@@ -169,10 +166,10 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
         cand = _round_to_slice(s, xi, max_den)
         if cand is None or not s.sigma.contains(cand, strict=True):
             continue
-        fc = math.factorial(n) * volume(slice_polytope(wc, cand, 1))
+        fc = f(cand)
         if fc <= fx:
             xi, fx = cand, fc
-            _, grad, hess = f_grad_hess(xi)
+            _, grad, _ = fan_moments(fan, xi, order=1)
             break
 
     # Certificate: convexity lower bound minimized over the slice polytope.

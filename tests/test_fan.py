@@ -1,0 +1,112 @@
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+from conestab.errors import DegenerateCone, UnboundedSlice
+from conestab.exactgeom import (
+    PLConcave,
+    barycenter,
+    cone_from_halfspaces,
+    cone_from_rays,
+    dot,
+    integrate_pl,
+    second_moment,
+    slice_polytope,
+    volume,
+)
+from conestab.exactgeom.fan import chamber_fans, cone_fan, fan_moments
+from conestab.exactgeom.linalg import mat_rank
+
+F = Fraction
+
+
+def chamber_s(c, xi, covectors):
+    """S = sum over chamber simplices of |det| / prod p_i * <z_j, sum w_i / p_i>,
+    over n * vol, as ``invariants.s_closed`` computes it."""
+    n = c.rank
+    total = F(0)
+    for z, fan in chamber_fans(c, covectors):
+        _, grad, _ = fan_moments(fan, xi, order=1)
+        total -= dot(z, grad)
+    return total / (n * fan_moments(cone_fan(c), xi, order=0)[0])
+
+
+def test_orthant_moments():
+    orthant = cone_from_rays([(1, 0), (0, 1)])
+    vol, grad, hess = fan_moments(cone_fan(orthant), (1, 1))
+    assert vol == 1  # 2! times the area 1/2 of the unit triangle
+    assert grad == (-1, -1)
+    assert hess == ((2, 1), (1, 2))  # 4! times the second moments 1/12, 1/24
+    assert fan_moments(cone_fan(orthant), (1, 2), order=0) == (F(1, 2), None, None)
+
+
+def test_moments_reject_vanishing_pairing():
+    orthant = cone_from_rays([(1, 0), (0, 1)])
+    with pytest.raises(UnboundedSlice):
+        fan_moments(cone_fan(orthant), (1, 0))
+
+
+def test_chambers_skip_duplicates_and_ties():
+    orthant = cone_from_rays([(1, 0), (0, 1)])
+    covs = [(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2)), (F(1), F(0))]
+    # The midpoint covector is minimal only on the diagonal ray.
+    assert [z for z, _ in chamber_fans(orthant, covs)] == covs[:2]
+    body = slice_polytope(orthant, (1, 1), 1)
+    assert integrate_pl(body, PLConcave(tuple(covs))) == F(1, 12)
+    assert chamber_s(orthant, (1, 1), covs) == F(3, 2) * F(1, 12) / volume(body)
+
+
+def test_rank_one_chambers():
+    ray = cone_from_rays([(1,)])
+    assert [z for z, _ in chamber_fans(ray, [(3,), (2,)])] == [(2,)]
+    assert chamber_s(ray, (1,), [(3,), (2,)]) == 2
+    with pytest.raises(DegenerateCone):
+        cone_from_halfspaces([(1,), (-1,)])
+
+
+@st.composite
+def cones_with_data(draw):
+    """A cone over lattice points at height one, a point xi interior to its
+    dual, and covectors with duplicates and ties among them."""
+    n = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (n - 1)),
+                           min_size=n, max_size=n + 3))
+    rays = [(1,) + p for p in points]  # repeats and interior points drop out
+    assume(mat_rank(rays) == n)
+    c = cone_from_rays(rays)
+    xi = [F(0)] * n
+    for h in c.halfspaces:  # positive on every ray of c
+        w = F(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+        xi = [x + w * a for x, a in zip(xi, h)]
+    covs = draw(st.lists(st.tuples(*[st.integers(-3, 3).map(F)] * n),
+                         min_size=1, max_size=3))
+    if len(covs) >= 2 and draw(st.booleans()):
+        # Minimal only where the two ends tie: a lower-dimensional chamber.
+        covs.append(tuple((a + b) / 2 for a, b in zip(covs[0], covs[1])))
+    if draw(st.booleans()):
+        covs.append(covs[draw(st.integers(0, len(covs) - 1))])
+    return c, tuple(xi), draw(st.permutations(covs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=cones_with_data())
+def test_kernel_equals_polytope_path(data):
+    c, xi, covs = data
+    n = c.rank
+    body = slice_polytope(c, xi, 1)
+    V, b, M = volume(body), barycenter(body), second_moment(body)
+    vol, grad, hess = fan_moments(cone_fan(c), xi)
+    assert vol == factorial(n) * V
+    assert grad == tuple(-factorial(n + 1) * V * x for x in b)
+    assert hess == tuple(tuple(factorial(n + 2) * x for x in row) for row in M)
+    assert tuple(-g / ((n + 1) * vol) for g in grad) == b
+    integral = integrate_pl(body, PLConcave(tuple(covs)))
+    assert chamber_s(c, xi, covs) == F(n + 1, n) * integral / V
+    event(f"rank {n}")
+    if len(c.rays) > n:
+        event("non-simplicial cone")
+    if len(list(chamber_fans(c, covs))) < len(set(covs)):
+        event("lower-dimensional chamber")

@@ -7,6 +7,7 @@ import pytest
 from conestab.errors import ToleranceNotReached
 from conestab.exactgeom import dot
 from conestab.invariants import semistable_verdict, vol, vol_derivative
+from conestab import optimize
 from conestab.optimize import kelley_minimize, minimize_nvol
 from conestab.singularity import from_rays
 from conftest import random_cone, random_reeb
@@ -31,6 +32,43 @@ def test_minimize_nvol_with_boundary(half_boundary):
     r = minimize_nvol(half_boundary)
     assert r.minimizer == (1, F(1, 2)) and r.nvol_value == 2
     assert r.certificate_gap == 0
+
+
+def test_minimize_nvol_simplicial_oracle():
+    # On a simplicial cone the minimizer is xi* = (1/n) sum_i v_i / (1 - a_i).
+    rnd = random.Random(181)
+    with_boundary = 0
+    for _ in range(40):
+        s = random_cone(rnd, rnd.choice([2, 3]))
+        n = s.rank
+        xi_star = tuple(sum(v[k] / (1 - a) for v, a in zip(s.sigma.rays, s.coefficients)) / n
+                        for k in range(n))
+        r = minimize_nvol(s)
+        assert r.minimizer == xi_star
+        assert r.certificate_gap == 0
+        with_boundary += any(s.coefficients)
+    assert with_boundary >= 10
+
+
+@pytest.mark.parametrize("rays, coeffs", [
+    ([(1, 0), (1, 5)], None),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 3)], [F(1, 2), 0, F(1, 3)]),
+])
+def test_minimize_nvol_stops_at_exact_stationarity(monkeypatch, rays, coeffs):
+    # Once the reduced gradient is exactly zero no rounded candidate can
+    # descend, so the line search must not try them all (40 x 4 roundings).
+    calls = 0
+    round_to_slice = optimize._round_to_slice
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return round_to_slice(*args)
+
+    monkeypatch.setattr(optimize, "_round_to_slice", counted)
+    r = minimize_nvol(from_rays(rays, coeffs))
+    assert r.certificate_gap == 0
+    assert calls <= 4 * r.iterations + 8
 
 
 def test_stationarity_matches_verdict():
@@ -94,11 +132,13 @@ def test_minimize_nvol_tolerance_error():
 
 # Twenty seeded random cones: fifteen simplicial ones of rank 2-4, then five
 # over lattice polygons at height one, four of which have an irrational
-# minimizer.  Each row: rays, boundary coefficients, the minimizer, the
-# Newton iterations and a digest of repr(NvolResult).  They pin the rounding
-# path, not only the optimum: where a run stops short of an irrational
-# minimizer, and after how many iterations, depends on every Newton
-# direction and every rounding on the way.
+# minimizer.  Then two non-simplicial cones with irrational minimizers: dP1
+# and the rank-4 cone over a triangular bipyramid, whose certificate gap
+# (about 1.5e-9) sits above the default tolerance.  Each row: rays, boundary
+# coefficients, the minimizer, the Newton iterations and a digest of
+# repr(NvolResult).  They pin the rounding path, not only the optimum: where
+# a run stops short of an irrational minimizer, and after how many
+# iterations, depends on every Newton direction and every rounding on the way.
 PINNED_NVOL = [
     ([(2, -2), (3, 1)], None,
      ('2', '0'), 1, '4fd3ee02fba02a68'),
@@ -140,6 +180,10 @@ PINNED_NVOL = [
      ('1/2', '0', '1'), 1, '473041838e2ea19a'),
     ([(0, 0, 1), (0, -2, 1), (1, -2, 1), (2, 0, 1)], None,
      ('564719/716035', '-413403/489061', '1'), 5, '1e7863abb58ce3fe'),
+    ([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)], None,
+     ('1', '608761/700920', '608761/700920'), 5, '639deff6a0021c3b'),
+    ([(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)], None,
+     ('1', '66161/153136', '66161/153136', '66161/153136'), 5, '1dda13b75f3e0423'),
 ]
 
 
