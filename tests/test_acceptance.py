@@ -105,6 +105,13 @@ def test_criterion_1_exact_identity_suite():
         its, _ = inf_twist_s(s, xi0, w)
         assert F(1, n - 1) * rj <= its <= (n - 1) * rj
 
+        # Ding = A * reduced J at the semistable polarization
+        # xi* = (1/n) sum_i v_i / (1 - a_i), exact
+        star = tuple(sum(v[i] / (1 - a) for v, a in zip(s.sigma.rays, s.coefficients)) / n
+                     for i in range(n))
+        assert semistable_verdict(s, star)[0]
+        assert ding(s, star, Ft) == log_discrepancy(s, star) * reduced_j(s, star, Ft).value
+
         # saturation rigidity: strict inclusions strictly raise S
         assert s_closed(s, xi0, tw) > s_closed(s, xi0, Ft)
         if len(Ft.covectors) >= 2:

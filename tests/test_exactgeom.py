@@ -27,7 +27,7 @@ from conestab.exactgeom import (
     vec,
     volume,
 )
-from conestab.exactgeom.linalg import smith_diagonal
+from conestab.exactgeom.linalg import det, mat_rank, nullspace, smith_diagonal, solve
 from conftest import random_cone, random_reeb
 
 F = Fraction
@@ -249,10 +249,11 @@ def test_barycenter_degenerate_raises():
         barycenter(seg)
 
 
-def _int_det(m):
+def _cofactor_det(m):
+    """Laplace expansion along the first row; exact for ints and Fractions."""
     if not m:
         return 1
-    return sum((-1) ** j * m[0][j] * _int_det([r[:j] + r[j + 1:] for r in m[1:]])
+    return sum((-1) ** j * m[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
                for j in range(len(m)))
 
 
@@ -263,7 +264,7 @@ def _determinantal_factors(a):
         d = 0
         for rows in combinations(range(len(a)), k):
             for cols in combinations(range(len(a[0])), k):
-                d = gcd(d, _int_det([[a[i][j] for j in cols] for i in rows]))
+                d = gcd(d, _cofactor_det([[a[i][j] for j in cols] for i in rows]))
         out.append(d // prev if prev else 0)
         prev = d
     return out
@@ -292,3 +293,88 @@ def test_smith_diagonal_literal_cases():
 @given(a=_int_matrices())
 def test_smith_diagonal_matches_determinantal_divisors(a):
     assert smith_diagonal(a) == _determinantal_factors(a)
+
+
+def _minor_rank(a):
+    """Largest k with a nonzero k x k minor (0 for no rows or no columns)."""
+    for k in range(min(len(a), len(a[0])) if a else 0, 0, -1):
+        if any(_cofactor_det([[a[i][j] for j in cols] for i in rows])
+               for rows in combinations(range(len(a)), k)
+               for cols in combinations(range(len(a[0])), k)):
+            return k
+    return 0
+
+
+_RATS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _rat_matrices(draw, square=False):
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
+    a = [[draw(_RATS) for _ in range(n)] for _ in range(m)]
+    keep = draw(st.integers(0, m))  # rows past `keep` combine earlier ones
+    for i in range(keep, m):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(keep)]
+        a[i] = [sum((c * a[k][j] for k, c in enumerate(coeffs)), F(0)) for j in range(n)]
+    return a
+
+
+def test_linalg_literal_cases():
+    assert mat_rank([]) == 0
+    assert solve([], []) is None
+    assert nullspace([], 2) == [(1, 0), (0, 1)]
+    assert det([]) == 1
+    assert det([[0, 1], [1, 0]]) == -1  # one row swap flips the sign
+    assert det([[0, 2, 0], [3, 0, 0], [0, 0, 5]]) == -30
+    assert det([[1, 2], [2, 4]]) == 0
+    assert solve([[1, 1]], [2]) is None  # underdetermined
+    assert solve([[1], [1]], [1, 2]) is None  # inconsistent
+    assert solve([[1], [2]], [1, 2]) == (1,)  # overdetermined, consistent
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_rat_matrices(square=True))
+def test_det_matches_cofactor_expansion(a):
+    got = det(a)
+    assert type(got) is Fraction and got == _cofactor_det(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_rat_matrices())
+def test_mat_rank_is_largest_nonzero_minor(a):
+    assert mat_rank(a) == _minor_rank(a)
+    assert mat_rank([list(col) for col in zip(*a)]) == _minor_rank(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_rat_matrices(), data=st.data())
+def test_solve_solves_or_reports_none(a, data):
+    n = len(a[0])
+    if data.draw(st.booleans(), label="consistent"):
+        x0 = data.draw(st.lists(_RATS, min_size=n, max_size=n), label="x0")
+        rhs = [sum((p * q for p, q in zip(row, x0)), F(0)) for row in a]
+    else:
+        rhs = data.draw(st.lists(_RATS, min_size=len(a), max_size=len(a)), label="rhs")
+    rank = _minor_rank(a)
+    consistent = _minor_rank([row + [b] for row, b in zip(a, rhs)]) == rank
+    x = solve(a, rhs)
+    assert (x is None) == (rank < n or not consistent)
+    if x is not None:
+        assert all(type(v) is Fraction for v in x)
+        assert [sum((p * q for p, q in zip(row, x)), F(0)) for row in a] == rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_rat_matrices())
+def test_nullspace_is_the_reduced_kernel_basis(a):
+    n = len(a[0])
+    basis = nullspace(a, n)
+    assert len(basis) == n - _minor_rank(a)
+    # Column c is free when it adds nothing to the rank of the columns before it.
+    free = [c for c in range(n)
+            if _minor_rank([r[:c + 1] for r in a]) == _minor_rank([r[:c] for r in a])]
+    for v, c in zip(basis, free, strict=True):
+        assert all(type(x) is Fraction for x in v)
+        assert all(sum((p * q for p, q in zip(row, v)), F(0)) == 0 for row in a)
+        assert v[c] == 1 and all(v[d] == 0 for d in free if d != c)

@@ -12,9 +12,11 @@ from conestab.exactgeom import (
     cone_from_halfspaces,
     cone_from_rays,
     dot,
+    dual_cone,
     integrate_pl,
     second_moment,
     slice_polytope,
+    triangulate,
     volume,
 )
 from conestab.exactgeom.fan import chamber_fans, cone_fan, fan_moments
@@ -110,3 +112,55 @@ def test_kernel_equals_polytope_path(data):
         event("non-simplicial cone")
     if len(list(chamber_fans(c, covs))) < len(set(covs)):
         event("lower-dimensional chamber")
+
+
+def _pts(*texts):
+    return tuple(tuple(F(x) for x in t.split()) for t in texts)
+
+
+# Per cone: simplices of the fans of sigma and of its weight cone, and the
+# triangulation of the weight-cone slice at the sum of sigma's rays.
+PINNED_TRIANGULATIONS = [
+    ([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)],  # dP1
+     {(2, (0, 1, 3)), (2, (0, 2, 3))},
+     {(2, (0, 1, 3)), (6, (0, 2, 3))},
+     {_pts("0 0 0", "0 0 1/3", "0 1/3 0", "2/5 1/5 -2/5"),
+      _pts("0 0 0", "0 0 1/3", "2/5 -2/5 1/5", "2/5 1/5 -2/5")}),
+    ([(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)],
+     {(1, (0, 1, 2, 4)), (1, (0, 1, 3, 4)), (1, (0, 2, 3, 4))},
+     {(1, (0, 1, 2, 5)), (2, (0, 1, 4, 5)), (4, (0, 3, 4, 5))},
+     {_pts("0 0 0 0", "0 0 0 1/2", "0 0 1/2 0", "0 1/2 0 0", "1/3 1/3 -1/3 -1/3"),
+      _pts("0 0 0 0", "0 0 0 1/2", "0 0 1/2 0", "1/3 -1/3 1/3 -1/3",
+           "1/3 1/3 -1/3 -1/3"),
+      _pts("0 0 0 0", "0 0 0 1/2", "1/3 -1/3 -1/3 1/3", "1/3 -1/3 1/3 -1/3",
+           "1/3 1/3 -1/3 -1/3")}),
+    ([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)],  # cube cone
+     {(2, (0, 1, 3)), (2, (0, 2, 3))},
+     {(4, (0, 1, 3)), (4, (0, 2, 3))},
+     {_pts("-1/4 -1/4 1/4", "-1/4 1/4 1/4", "0 0 0", "1/4 1/4 1/4"),
+      _pts("-1/4 -1/4 1/4", "0 0 0", "1/4 -1/4 1/4", "1/4 1/4 1/4")}),
+]
+
+
+@pytest.mark.parametrize("rays, sigma_fan, weight_fan, slice_simplices",
+                         PINNED_TRIANGULATIONS)
+def test_triangulations_pinned_as_sets(rays, sigma_fan, weight_fan, slice_simplices):
+    c = cone_from_rays(rays)
+    w = dual_cone(c)
+    assert set(cone_fan(c).simplices) == sigma_fan
+    assert set(cone_fan(w).simplices) == weight_fan
+    assert set(triangulate(slice_polytope(w, c.interior_point(), 1))) == slice_simplices
+
+
+def test_chamber_fans_pinned_as_sets():
+    c = cone_from_rays([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)])
+    got = {z: (fan.rays, set(fan.simplices))
+           for z, fan in chamber_fans(dual_cone(c), [(1, 1, 1), (2, 0, 1), (1, 2, 0)])}
+    assert got == {
+        (1, 1, 1): (((1, 1, -1), (1, 1, 1), (2, 1, -2), (4, -1, -1)),
+                    {(3, (0, 2, 3)), (10, (0, 1, 3))}),
+        (2, 0, 1): (((0, 1, 0), (0, 1, 2), (1, 1, -1), (1, 1, 1)),
+                    {(2, (0, 1, 3)), (2, (0, 2, 3))}),
+        (1, 2, 0): (((0, 0, 1), (0, 1, 2), (1, 1, 1), (2, -2, 1), (4, -1, -1)),
+                    {(1, (0, 1, 2)), (5, (0, 2, 4)), (6, (0, 3, 4))}),
+    }
