@@ -25,6 +25,7 @@ from .exactgeom import (
     barycenter,
     cone_from_rays,
     dual_cone,
+    fractional_lp,
     integrate_pl,
     lattice_points_below,
     lp_solve,
@@ -66,7 +67,7 @@ from .invariants import (
     semistable_verdict,
     vol,
 )
-from .optimize import NvolResult, fractional_lp, kelley_minimize, minimize_nvol
+from .optimize import NvolResult, kelley_minimize, minimize_nvol
 from .singularity import (
     ConeSingularity,
     ReebVector,

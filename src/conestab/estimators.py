@@ -20,9 +20,9 @@ from operator import mul
 from .errors import EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below
 from .exactgeom.linalg import smith_diagonal
-from .filtration import MonomialFiltration, _floor_order, _reference_level, approx_orders
-from .invariants import _xi, lambda_max_closed, s_closed, vol
-from .singularity import ConeSingularity
+from .filtration import MonomialFiltration, _floor_order, approx_orders
+from .invariants import lambda_max_closed, s_closed, vol
+from .singularity import ConeSingularity, _xi
 
 CSV_HEADER = ["m", "N_m", "TS_m", "S_m", "Sp_m", "Spp_m", "lammax_m"]
 
@@ -162,7 +162,7 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
         raise EmptyInput("approximation level must be >= 1")
     levels = _levels(levels)
     pts = lattice_points_below(s.weight_cone, _xi(xi0), levels[-1] + 1, budget=budget)
-    ell = _reference_level(s)
+    ell = s.sigma.interior_point()
     wmax = max(sum(map(mul, ell, p)) for p in pts)
     window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
     orders = approx_orders(F, m_filtration, window)

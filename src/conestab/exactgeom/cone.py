@@ -8,11 +8,10 @@ and ``dual_cone`` is an involution on the class.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from ..errors import DegenerateCone, NotFullDimensional
-from .linalg import dot, is_zero, mat_rank, nullspace, primitivize, vec
+from .linalg import _row_reduce, dot, is_zero, mat_rank, nullspace, primitivize, vec
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,9 @@ class Cone:
         return all(dot(h, x) >= 0 for h in self.halfspaces)
 
     def interior_point(self):
-        """Sum of the primitive rays; interior for full-dimensional cones."""
-        pt = [Fraction(0)] * self.rank
-        for r in self.rays:
-            pt = [a + b for a, b in zip(pt, r)]
-        return tuple(pt)
+        """Sum of the primitive rays, an integer tuple; interior for
+        full-dimensional cones."""
+        return tuple(map(sum, zip(*self.rays)))
 
 
 def _facet_normals(rays, n):
@@ -49,10 +46,8 @@ def _facet_normals(rays, n):
         return [(signs.pop(),)] if len(signs) == 1 else []
     normals = set()
     for sub in combinations(rays, n - 1):
-        if mat_rank(sub) != n - 1:
-            continue
         kernel = nullspace(sub, n)
-        if len(kernel) != 1:
+        if len(kernel) != 1:  # the n - 1 rays are dependent
             continue
         h = primitivize(kernel[0])
         vals = [dot(h, r) for r in rays]
@@ -127,43 +122,26 @@ def dual_cone(c: Cone) -> Cone:
                 halfspaces=tuple(sorted(primitivize(r) for r in c.rays)))
 
 
-def _triangulate_rays(rays, ambient):
+def _triangulate_rays(rays):
     """Split cone(rays) into simplicial subcones on the same ray set.
 
     Works recursively on faces.  The apex is the lexicographically smallest
-    ray, which makes the decomposition deterministic.
+    ray, which makes the decomposition deterministic.  Facets are scanned in
+    the pivot coordinates of the row-reduced rays: projecting onto the pivot
+    columns is injective on the span of the rays, so it keeps every facet
+    and tight set.
     """
     rays = sorted(rays)
-    d = mat_rank(rays)
-    if len(rays) == d:
+    _, pivots, _ = _row_reduce(rays, len(rays[0]))
+    if len(rays) == len(pivots):
         return [tuple(rays)]
     apex = rays[0]
-    # Facets of the cone within its span: scan (d-1)-subsets in span coords.
-    basis = _span_basis(rays, ambient)
-    coords = {r: _coords_in_basis(r, basis) for r in rays}
-    normals = _facet_normals([coords[r] for r in rays], d)
+    coords = {r: tuple(r[c] for c in pivots) for r in rays}
     simplices = []
-    for h in normals:
+    for h in _facet_normals(list(coords.values()), len(pivots)):
         tight = [r for r in rays if dot(h, coords[r]) == 0]
         if apex in tight:
             continue
-        for facet_simplex in _triangulate_rays(tight, ambient):
+        for facet_simplex in _triangulate_rays(tight):
             simplices.append(tuple(sorted((apex,) + facet_simplex)))
     return simplices
-
-
-def _span_basis(rays, ambient):
-    basis = []
-    for r in rays:
-        if mat_rank(basis + [r]) > len(basis):
-            basis.append(r)
-    return basis
-
-
-def _coords_in_basis(v, basis):
-    from .linalg import solve
-    cols = list(zip(*basis))  # ambient x d
-    sol = solve(cols, v)
-    if sol is None:
-        raise DegenerateCone("vector outside span during triangulation")
-    return sol

@@ -46,7 +46,7 @@ def simplicial_fan(rays, rank) -> Fan:
     rays = tuple(sorted(rays))
     index = {r: i for i, r in enumerate(rays)}
     simplices = tuple((abs(int(det(tau))), tuple(index[r] for r in tau))
-                      for tau in _triangulate_rays(list(rays), rank))
+                      for tau in _triangulate_rays(rays))
     return Fan(rank=rank, rays=rays, simplices=simplices)
 
 

@@ -1,9 +1,14 @@
 """Small exact linear algebra over the rationals.
 
 Vectors are plain tuples of ``fractions.Fraction`` (or ints where the value
-is integral).  Nothing here is sized for large dimensions; the library
-targets rank <= 4 and these routines are written for clarity and exactness,
-not asymptotics.
+is integral).  One Gauss-Jordan pass, ``_row_reduce``, carries every
+elimination: ``mat_rank`` counts its pivots, ``det`` reads its determinant
+factor, ``solve`` reads the carried right-hand side and ``nullspace`` reads
+the free columns.  Cone triangulation reuses its pivot columns as
+coordinates on the span of a ray set.  Nothing here is sized for large
+dimensions; the library targets rank <= 4 and these routines are written
+for clarity and exactness, not asymptotics.  ``smith_diagonal`` is the one
+integer elimination: lattice indices need it over ``int``, not ``Fraction``.
 """
 
 from fractions import Fraction
@@ -68,50 +73,49 @@ def primitivize(v):
     return tuple(a // g for a in ints)
 
 
-def mat_rank(rows) -> int:
-    """Rank of a list of rational row vectors (Gaussian elimination)."""
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination of the rows over their first ``ncols`` columns.
+
+    Columns past ``ncols`` (a right-hand side) are carried along.  Returns
+    the reduced rows, the pivot columns in order and the determinant factor:
+    the product of the pivots times the sign of the row swaps.  Each pivot
+    row is scaled to a leading 1 and every other row is zero in the pivot
+    columns, so the first len(pivots) rows are the reduced row echelon form.
+    """
     m = [list(map(frac, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
+    pivots = []
+    factor = Fraction(1)
     for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
         piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            factor = -factor
         pv = m[row][col]
+        factor *= pv
+        m[row] = [a / pv for a in m[row]]
         for i in range(len(m)):
             if i != row and m[i][col] != 0:
-                f = m[i][col] / pv
+                f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+        pivots.append(col)
+    return m, pivots, factor
+
+
+def mat_rank(rows) -> int:
+    """Rank of a list of rational row vectors."""
+    rows = list(rows)
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
 def det(rows) -> Fraction:
     """Determinant of a square rational matrix."""
-    m = [list(map(frac, r)) for r in rows]
-    n = len(m)
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            result = -result
-        pv = m[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return result
+    _, pivots, factor = _row_reduce(rows, len(rows))
+    return factor if len(pivots) == len(rows) else Fraction(0)
 
 
 def solve(rows, rhs):
@@ -120,65 +124,30 @@ def solve(rows, rhs):
     Returns the unique solution as a tuple, or None when the system is
     inconsistent or underdetermined.
     """
-    m = [list(map(frac, r)) + [frac(b)] for r, b in zip(rows, rhs, strict=True)]
-    if not m:
+    if not rows:
         return None
-    ncols = len(m[0]) - 1
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [a / pv for a in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    for i in range(row, len(m)):
-        if m[i][ncols] != 0:
-            return None  # inconsistent
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    return tuple(x)
+    n = len(rows[0])
+    m, pivots, _ = _row_reduce([[*r, b] for r, b in zip(rows, rhs, strict=True)], n)
+    if len(pivots) < n or any(r[n] != 0 for r in m[n:]):
+        return None  # underdetermined or inconsistent
+    return tuple(r[n] for r in m[:n])
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the given rows (rational vectors)."""
-    m = [list(map(frac, r)) for r in rows]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [a / pv for a in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right nullspace of the given rows (rational vectors).
+
+    One vector per free (non-pivot) column: 1 there, 0 at the other free
+    columns.
+    """
+    m, pivots, _ = _row_reduce(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for r, pc in zip(m, pivots):
+            v[pc] = -r[fc]
         basis.append(tuple(v))
     return basis
 

@@ -97,7 +97,7 @@ def triangulate(p: Polytope):
     if mat_rank(list(prim)) < p.dim + 1:
         return []  # lower-dimensional: nothing of full measure to triangulate
     simplices = []
-    for simplex in _triangulate_rays(list(prim), p.dim + 1):
+    for simplex in _triangulate_rays(prim):
         simplices.append(tuple(prim[r] for r in simplex))
     return simplices
 

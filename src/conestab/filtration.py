@@ -26,7 +26,7 @@ from .errors import (
     OutsideWeightCone,
 )
 from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, lattice_points_below, lp_solve, vec
-from .singularity import ConeSingularity, ReebVector
+from .singularity import ConeSingularity, _xi
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,6 @@ class NewtonPolyhedron:
         return self.polytope.vertices
 
 
-def _reference_level(s: ConeSingularity):
-    """Canonical strictly positive integer covector on the weight cone:
-    the sum of the primitive rays of sigma."""
-    return tuple(map(sum, zip(*s.sigma.rays)))
-
-
 def _reduce_covectors(s: ConeSingularity, covectors):
     """Drop covectors that never realize the minimum on the weight cone.
 
@@ -74,7 +68,7 @@ def _reduce_covectors(s: ConeSingularity, covectors):
         z = vec(z)
         if z not in covs:
             covs.append(z)
-    ell = _reference_level(s)
+    ell = s.sigma.interior_point()
     n = s.rank
     keep = list(covs)
     j = 0
@@ -131,9 +125,7 @@ def toric_filtration(s: ConeSingularity, xi) -> MonomialFiltration:
     along part of the weight cone but whose S, lct and Ding invariants are
     still exact.
     """
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
-    return monomial_filtration(s, [vec(xi)], require_primary=False)
+    return monomial_filtration(s, [_xi(xi)], require_primary=False)
 
 
 def rescale(F: MonomialFiltration, a) -> MonomialFiltration:
@@ -153,9 +145,7 @@ def twist(F: MonomialFiltration, xi) -> MonomialFiltration:
     which is wider than the open Reeb cone and is needed to probe the
     reduced J-norm near the boundary.
     """
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
-    xi = vec(xi)
+    xi = _xi(xi)
     covs = [tuple(a + b for a, b in zip(z, xi)) for z in F.covectors]
     return monomial_filtration(F.ambient, covs)
 
@@ -217,9 +207,7 @@ def value_under(F: MonomialFiltration, xi) -> Fraction:
     Equals the minimum of <xi, .> over the Newton polyhedron; recession
     directions pair positively with xi so the minimum sits at a vertex.
     """
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
-    xi = vec(xi)
+    xi = _xi(xi)
     verts = newton_polyhedron(F).vertices
     return min(dot(xi, v) for v in verts)
 
@@ -250,7 +238,7 @@ def _blocks(F: MonomialFiltration, m: int, pts):
     pairings with the weight cone's integer halfspaces componentwise.
     """
     order = _floor_order(F)
-    ell = _reference_level(F.ambient)
+    ell = F.ambient.sigma.interior_point()
     hs = F.ambient.weight_cone.halfspaces
     cons = sorted(((gamma, v) for gamma in pts if (v := min(order(gamma), m)) >= 1),
                   key=lambda cv: (-cv[1], sum(map(mul, ell, cv[0])), cv[0]))
@@ -275,7 +263,7 @@ def approx_orders(F: MonomialFiltration, m: int, pts) -> dict:
     q = p included), in O(points x kept blocks) integer steps.
     """
     kept = _blocks(F, m, pts)
-    ell = _reference_level(F.ambient)
+    ell = F.ambient.sigma.interior_point()
     best = {}
     for p in sorted(pts, key=lambda p: sum(map(mul, ell, p))):
         value = 0
@@ -290,7 +278,7 @@ def approx_orders(F: MonomialFiltration, m: int, pts) -> dict:
 def _cone_partners(F: MonomialFiltration, alpha, budget=None):
     """Lattice points gamma in the weight cone with alpha - gamma also in it."""
     wc = F.ambient.weight_cone
-    ell = _reference_level(F.ambient)
+    ell = F.ambient.sigma.interior_point()
     pts = lattice_points_below(wc, ell, dot(ell, alpha), budget=budget, strict=False)
     tops = [dot(h, alpha) for h in wc.halfspaces]
     return [g for g in pts
@@ -330,7 +318,7 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
         raise EmptyInput("approximation level must be >= 1")
     s = F.ambient
     rays = s.weight_cone.rays
-    ell = _reference_level(s)
+    ell = s.sigma.interior_point()
     window = 2 * m * max(1, max(dot(ell, r) for r in rays))
     for doublings in range(24):
         if doublings:

@@ -27,12 +27,8 @@ from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
 from .exactgeom import dot, frac, lp_solve, primitivize, slice_polytope, vec
 from .exactgeom.fan import chamber_fans, cone_fan, fan_moments
 from .exactgeom.linalg import gram_project_out, norm_sq
-from .filtration import MonomialFiltration, newton_polyhedron, toric_filtration
-from .singularity import ConeSingularity, ReebVector, log_discrepancy, reeb_vector
-
-
-def _xi(x):
-    return x.xi if isinstance(x, ReebVector) else vec(x)
+from .filtration import MonomialFiltration, newton_polyhedron
+from .singularity import ConeSingularity, _xi, log_discrepancy
 
 
 @dataclass(frozen=True)

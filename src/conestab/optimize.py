@@ -1,4 +1,4 @@
-"""Optimization engines: fractional LP, cutting planes, volume minimization.
+"""Optimization engines: cutting planes and normalized-volume minimization.
 
 The normalized-volume minimizer works on the affine slice where the log
 discrepancy equals one.  There nvol is vol(xi) = sum_tau |det W_tau| /
@@ -20,7 +20,7 @@ from .errors import DegenerateReebCone, ToleranceNotReached
 from .exactgeom import dot, frac, vec
 from .exactgeom.fan import cone_fan, fan_moments
 from .exactgeom.linalg import nullspace, solve
-from .exactgeom.lp import fractional_lp, lp_solve
+from .exactgeom.lp import lp_solve
 from .invariants import okounkov_body
 from .singularity import ConeSingularity
 
@@ -190,7 +190,6 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 __all__ = [
     "KelleyResult",
     "NvolResult",
-    "fractional_lp",
     "kelley_minimize",
     "minimize_nvol",
 ]

@@ -99,11 +99,14 @@ def reeb_vector(s: ConeSingularity, xi) -> ReebVector:
     return ReebVector(xi=xi)
 
 
+def _xi(x):
+    """The coordinates of a ReebVector, or any vector coerced by ``vec``."""
+    return x.xi if isinstance(x, ReebVector) else vec(x)
+
+
 def log_discrepancy(s: ConeSingularity, xi) -> Fraction:
     """Log discrepancy of the toric valuation of xi: the pairing <u, xi>.
 
     Linear in xi and positive on sigma minus the origin.
     """
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
-    return dot(s.u, vec(xi))
+    return dot(s.u, _xi(xi))
