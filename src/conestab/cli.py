@@ -54,6 +54,16 @@ def _rat_vector(values, where, rank):
     return tuple(_rat(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
+def _object(payload, key, path):
+    """payload[key] as a dict, {} when absent or null."""
+    value = payload.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseError("need an object", f"{path}.{key}")
+    return value
+
+
 class InputDocument:
     """Parsed and validated problem description."""
 
@@ -79,10 +89,12 @@ class InputDocument:
                 f"reeb: boundary or exterior vector {tuple(map(str, self.reeb))} rejected",
                 f"{path}.reeb")
         self.filtrations = {}
-        for name, spec in (payload.get("filtrations") or {}).items():
+        for name, spec in _object(payload, "filtrations", path).items():
             where = f"{path}.filtrations.{name}"
             if not isinstance(spec, dict) or "covectors" not in spec:
                 raise ParseError("need an object with 'covectors'", where)
+            if not isinstance(spec["covectors"], list):
+                raise ParseError("need a list of covectors", f"{where}.covectors")
             covs = [_rat_vector(z, f"{where}.covectors[{i}]", rank)
                     for i, z in enumerate(spec["covectors"])]
             F = monomial_filtration(self.singularity, covs, require_primary=False)
@@ -90,12 +102,19 @@ class InputDocument:
             if scale != 1:
                 F = rescale(F, scale)
             self.filtrations[name] = F
-        options = payload.get("options") or {}
+        options = _object(payload, "options", path)
         self.budget = options.get("budget")
         if self.budget is not None:
             self.budget = _int(self.budget, f"{path}.options.budget")
         self.tol = _rat(options.get("tol", "1/1000000000"), f"{path}.options.tol")
         self.levels = options.get("levels")
+        if self.levels is not None:
+            where = f"{path}.options.levels"
+            if not isinstance(self.levels, list):
+                raise ParseError("need a list of positive integers", where)
+            self.levels = [_int(m, f"{where}[{i}]") for i, m in enumerate(self.levels)]
+            if any(m < 1 for m in self.levels):
+                raise ParseError("levels must be positive integers", where)
 
     @classmethod
     def load(cls, path):
@@ -225,6 +244,8 @@ def _parse_levels(expr):
             levels.append(_int(piece, "--levels"))
     if not levels:
         raise ParseError("empty level list", "--levels")
+    if min(levels) < 1:
+        raise ParseError("levels must be positive integers", "--levels")
     return levels
 
 

@@ -211,6 +211,8 @@ class SemigroupSample:
 def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
                     m: int, t, budget=None) -> SemigroupSample:
     """Lattice points of weight <= m whose order reaches m*t."""
+    if m < 1:
+        raise EmptyInput("levels must be positive integers")
     xi0 = _xi(xi0)
     t = frac(t)
     pts = lattice_points_below(s.weight_cone, xi0, m, strict=False, budget=budget)

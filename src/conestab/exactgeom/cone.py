@@ -9,9 +9,10 @@ and ``dual_cone`` is an involution on the class.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from ..errors import DegenerateCone, NotFullDimensional
-from .linalg import _row_reduce, dot, is_zero, mat_rank, nullspace, primitivize, vec
+from .linalg import _row_reduce, dot, is_zero, mat_rank, primitivize, vec
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,14 @@ class Cone:
 
 
 def _facet_normals(rays, n):
-    """Facet normals of cone(rays) in R^n by scanning (n-1)-subsets."""
+    """Facet normals of cone(rays) in R^n by scanning (n-1)-subsets.
+
+    The rays are integer vectors.  Each independent subset's kernel vector
+    comes off the integer kernel as (d at the free column, minus the rest of
+    that column), is made primitive with the sign of d, and is dotted with
+    the rays in integers; it is a normal when no ray pairs negatively with
+    it or with its negative.
+    """
     if n == 1:
         # A pointed full-dim cone in R^1 is a single ray; the facet is {0}.
         # Mixed signs span the line, which is not pointed and has no facet.
@@ -46,11 +54,17 @@ def _facet_normals(rays, n):
         return [(signs.pop(),)] if len(signs) == 1 else []
     normals = set()
     for sub in combinations(rays, n - 1):
-        kernel = nullspace(sub, n)
-        if len(kernel) != 1:  # the n - 1 rays are dependent
+        m, pivots, d, _ = _row_reduce(sub, n)
+        if len(pivots) != n - 1:  # the n - 1 rays are dependent
             continue
-        h = primitivize(kernel[0])
-        vals = [dot(h, r) for r in rays]
+        fc = next(c for c in range(n) if c not in pivots)
+        h = [0] * n
+        h[fc] = d
+        for r, pc in zip(m, pivots):
+            h[pc] = -r[fc]
+        g = gcd(*h) if d > 0 else -gcd(*h)
+        h = tuple(a // g for a in h)
+        vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
         if all(v >= 0 for v in vals):
             normals.add(h)
         elif all(v <= 0 for v in vals):
@@ -132,7 +146,7 @@ def _triangulate_rays(rays):
     and tight set.
     """
     rays = sorted(rays)
-    _, pivots, _ = _row_reduce(rays, len(rays[0]))
+    pivots = _row_reduce(rays, len(rays[0]))[1]
     if len(rays) == len(pivots):
         return [tuple(rays)]
     apex = rays[0]

@@ -1,18 +1,23 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals, computed on integers.
 
 Vectors are plain tuples of ``fractions.Fraction`` (or ints where the value
-is integral).  One Gauss-Jordan pass, ``_row_reduce``, carries every
-elimination: ``mat_rank`` counts its pivots, ``det`` reads its determinant
-factor, ``solve`` reads the carried right-hand side and ``nullspace`` reads
-the free columns.  Cone triangulation reuses its pivot columns as
-coordinates on the span of a ray set.  Nothing here is sized for large
-dimensions; the library targets rank <= 4 and these routines are written
-for clarity and exactness, not asymptotics.  ``smith_diagonal`` is the one
-integer elimination: lattice indices need it over ``int``, not ``Fraction``.
+is integral).  One fraction-free Gauss-Jordan pass, ``_row_reduce``, carries
+every elimination (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): each row is
+scaled once to integers, every update divides exactly by the previous pivot,
+and at the end every pivot entry holds the same integer d, so the reduced
+row echelon form is the integer rows over d.  ``mat_rank`` counts its
+pivots, ``det`` reads d over the row scales, ``solve`` and ``nullspace``
+read the carried right-hand side and the free columns over d; Fractions are
+built only for the values they return.  Vertex enumeration, facet scans and
+cone triangulation call the kernel directly and stay in integers.  The
+library targets rank <= 4, so these routines favour clarity and exactness
+over asymptotics.  ``smith_diagonal`` is the separate unimodular integer
+elimination that lattice indices need.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple  # tuple of Fraction/int
 
@@ -54,56 +59,74 @@ def norm_sq(u) -> Fraction:
     return dot(u, u)
 
 
+def _integer_row(v):
+    """(L*v as a list of ints, L) with L > 0 the lcm of the denominators of v.
+
+    Entries may be ints, Fractions or 'p/q' strings; floats are refused as
+    in ``frac``.
+    """
+    try:
+        L = lcm(*[x.denominator for x in v])
+    except AttributeError:  # strings, or floats for frac to refuse
+        v = vec(v)
+        L = lcm(*[x.denominator for x in v])
+    return [x.numerator * (L // x.denominator) for x in v], L
+
+
 def primitivize(v):
     """Scale a rational vector to its primitive integer form.
 
     The result is an integer tuple with gcd 1 whose direction matches v.
     The zero vector maps to itself.
     """
-    v = vec(v)
-    if is_zero(v):
-        return tuple(0 for _ in v)
-    den = 1
-    for a in v:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+    ints, _ = _integer_row(tuple(v))
+    g = gcd(*ints) or 1
     return tuple(a // g for a in ints)
 
 
 def _row_reduce(rows, ncols):
-    """Gauss-Jordan elimination of the rows over their first ``ncols`` columns.
+    """Fraction-free Gauss-Jordan elimination over the first ``ncols`` columns.
 
-    Columns past ``ncols`` (a right-hand side) are carried along.  Returns
-    the reduced rows, the pivot columns in order and the determinant factor:
-    the product of the pivots times the sign of the row swaps.  Each pivot
-    row is scaled to a leading 1 and every other row is zero in the pivot
-    columns, so the first len(pivots) rows are the reduced row echelon form.
+    Columns past ``ncols`` (a right-hand side) are carried along.  Each row
+    is first scaled to integers by the lcm of its denominators.  At a pivot
+    p in row r, every other row i becomes (p * row_i - row_i[col] * row_r)
+    // prev, prev being the previous pivot (1 at first); the division is
+    exact (Sylvester's identity), and rows with a zero in the pivot column
+    must be rescaled too for it to stay exact.
+
+    Returns (m, pivots, d, scale): the integer rows, the pivot columns in
+    order, the common value d of every pivot entry, and the product of the
+    row scales signed by the row swaps.  The first len(pivots) rows over d
+    are the reduced row echelon form; d / scale is the determinant of a
+    square nonsingular input.
     """
-    m = [list(map(frac, r)) for r in rows]
+    m = []
+    scale = 1
+    for r in rows:
+        ints, L = _integer_row(r)
+        m.append(ints)
+        scale *= L
     pivots = []
-    factor = Fraction(1)
+    d = 1
     for col in range(ncols):
         row = len(pivots)
         if row == len(m):
             break
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
-            factor = -factor
-        pv = m[row][col]
-        factor *= pv
-        m[row] = [a / pv for a in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+            scale = -scale
+        top = m[row]
+        p = top[col]
+        for i, r in enumerate(m):
+            if i != row:
+                f = r[col]
+                m[i] = [(a * p - f * b) // d for a, b in zip(r, top)]
+        d = p
         pivots.append(col)
-    return m, pivots, factor
+    return m, pivots, d, scale
 
 
 def mat_rank(rows) -> int:
@@ -114,8 +137,8 @@ def mat_rank(rows) -> int:
 
 def det(rows) -> Fraction:
     """Determinant of a square rational matrix."""
-    _, pivots, factor = _row_reduce(rows, len(rows))
-    return factor if len(pivots) == len(rows) else Fraction(0)
+    _, pivots, d, scale = _row_reduce(rows, len(rows))
+    return Fraction(d, scale) if len(pivots) == len(rows) else Fraction(0)
 
 
 def solve(rows, rhs):
@@ -127,10 +150,10 @@ def solve(rows, rhs):
     if not rows:
         return None
     n = len(rows[0])
-    m, pivots, _ = _row_reduce([[*r, b] for r, b in zip(rows, rhs, strict=True)], n)
-    if len(pivots) < n or any(r[n] != 0 for r in m[n:]):
+    m, pivots, d, _ = _row_reduce([[*r, b] for r, b in zip(rows, rhs, strict=True)], n)
+    if len(pivots) < n or any(r[n] for r in m[n:]):
         return None  # underdetermined or inconsistent
-    return tuple(r[n] for r in m[:n])
+    return tuple(Fraction(r[n], d) for r in m[:n])
 
 
 def nullspace(rows, ncols):
@@ -139,7 +162,7 @@ def nullspace(rows, ncols):
     One vector per free (non-pivot) column: 1 there, 0 at the other free
     columns.
     """
-    m, pivots, _ = _row_reduce(rows, ncols)
+    m, pivots, d, _ = _row_reduce(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -147,7 +170,7 @@ def nullspace(rows, ncols):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in zip(m, pivots):
-            v[pc] = -r[fc]
+            v[pc] = Fraction(-r[fc], d)
         basis.append(tuple(v))
     return basis
 

@@ -23,10 +23,10 @@ only at the end.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from ..errors import DenominatorVanishes, Infeasible, LPUnbounded
-from .linalg import dot, frac, vec
+from .linalg import _integer_row, dot, frac, vec
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -77,12 +77,6 @@ def lp_solve(objective, constraints, sense="min") -> LPResult:
     if sense == "max":
         value = -value
     return LPResult(value=value, point=x)
-
-
-def _integer_row(v):
-    """(L*v, L) with L the lcm of the denominators of the Fractions in v."""
-    L = lcm(*(x.denominator for x in v))
-    return [x.numerator * (L // x.denominator) for x in v], L
 
 
 def _two_phase(rows, ic, Lc, n):

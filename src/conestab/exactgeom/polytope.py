@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import mul
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
 from .cone import Cone, _triangulate_rays
-from .linalg import det, dot, frac, mat_rank, primitivize, solve, vec, vzero
+from .linalg import _integer_row, _row_reduce, det, dot, frac, mat_rank, primitivize, vec, vzero
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,25 @@ def slice_polytope(c: Cone, xi, level, equality=False) -> Polytope:
 
 
 def enumerate_vertices(halfspaces, dim):
-    """All vertices of {x : <a,x> <= b}; assumes the region is bounded."""
-    seen = set()
-    out = []
-    for sub in combinations(range(len(halfspaces)), dim):
-        rows = [halfspaces[i][0] for i in sub]
-        rhs = [halfspaces[i][1] for i in sub]
-        x = solve(rows, rhs)
-        if x is None:
+    """All vertices of {x : <a,x> <= b}; assumes the region is bounded.
+
+    Each halfspace is scaled once to an integer row (a, b).  For every
+    ``dim``-subset of rows with a unique intersection point the integer
+    kernel gives it as x = num / d with d > 0, and the point is a vertex
+    when a.num <= b * d holds for every row.  Only vertices become Fractions.
+    """
+    rows = [_integer_row((*a, b))[0] for a, b in halfspaces]
+    found = set()
+    for sub in combinations(rows, dim):
+        m, pivots, d, _ = _row_reduce(sub, dim)
+        if len(pivots) < dim:
             continue
-        if all(dot(a, x) <= b for a, b in halfspaces):
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-    return sorted(out)
+        s = 1 if d > 0 else -1
+        num = [s * r[dim] for r in m]
+        d *= s
+        if all(sum(map(mul, r, num)) <= r[dim] * d for r in rows):
+            found.add(tuple(Fraction(x, d) for x in num))
+    return sorted(found)
 
 
 def triangulate(p: Polytope):

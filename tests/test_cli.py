@@ -216,6 +216,43 @@ def test_non_integer_budget_option(doc_path, capsys, budget, shown):
     assert capsys.readouterr().err == f"error: {path}.options.budget: not an integer: {shown}\n"
 
 
+@pytest.mark.parametrize("doc, argv, where, message", [
+    (dict(C2_DOC, filtrations=[1]), ["validate"], ".filtrations", "need an object"),
+    (dict(C2_DOC, options=[1]), ["validate"], ".options", "need an object"),
+    (dict(C2_DOC, filtrations={"FEX": {"covectors": 5}}), ["validate"],
+     ".filtrations.FEX.covectors", "need a list of covectors"),
+    (dict(C2_DOC, options={"levels": "x"}), ["estimate", "--filtration", "FEX"],
+     ".options.levels", "need a list of positive integers"),
+    (dict(C2_DOC, options={"levels": [1, "a"]}), ["estimate", "--filtration", "FEX"],
+     ".options.levels[1]", "not an integer: 'a'"),
+    (dict(C2_DOC, options={"levels": [2, 0]}), ["estimate", "--filtration", "FEX"],
+     ".options.levels", "levels must be positive integers"),
+    (C2_DOC, ["okounkov", "--levels", "0"], "--levels", "levels must be positive integers"),
+], ids=["filtrations-list", "options-list", "covectors-int", "levels-string",
+        "levels-entry", "levels-zero", "okounkov-levels-zero"])
+def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where, message):
+    path = doc_path(doc)
+    assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID
+    anchor = where if where.startswith("--") else path + where
+    assert capsys.readouterr().err == f"error: {anchor}: {message}\n"
+
+
+def test_document_levels_match_option(doc_path, capsys):
+    argv = ["--filtration", "FEX"]
+    assert main(["estimate", doc_path(dict(C2_DOC, options={"levels": [3, "1", 2]}))]
+                + argv) == EXIT_OK
+    from_doc = capsys.readouterr().out
+    assert main(["estimate", doc_path(C2_DOC), "--levels", "1..3"] + argv) == EXIT_OK
+    assert from_doc == capsys.readouterr().out and from_doc.count("\n") == 4
+
+
+def test_gamma_semigroup_rejects_level_zero(c2, fex):
+    from conestab.errors import EmptyInput
+    from conestab.estimators import gamma_semigroup
+    with pytest.raises(EmptyInput, match="positive"):
+        gamma_semigroup(c2, (1, 1), fex, 0, 0)
+
+
 def test_malformed_budget_env(doc_path, capsys, monkeypatch):
     monkeypatch.setenv("CONESTAB_BUDGET", "abc")
     assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",

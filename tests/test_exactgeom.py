@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd, prod
+from math import ceil, floor, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,7 @@ from conestab.exactgeom import (
     vec,
     volume,
 )
-from conestab.exactgeom.linalg import det, mat_rank, nullspace, smith_diagonal, solve
+from conestab.exactgeom.linalg import _row_reduce, det, mat_rank, nullspace, smith_diagonal, solve
 from conftest import random_cone, random_reeb
 
 F = Fraction
@@ -378,3 +378,167 @@ def test_nullspace_is_the_reduced_kernel_basis(a):
         assert all(type(x) is Fraction for x in v)
         assert all(sum((p * q for p, q in zip(row, v)), F(0)) == 0 for row in a)
         assert v[c] == 1 and all(v[d] == 0 for d in free if d != c)
+
+
+# -- Fraction references for the integer scans --------------------------------
+# The Fraction Gauss-Jordan elimination, and the vertex and facet scans built on
+# it as the library ran them before the kernel moved to integers.  The library
+# must agree with them exactly, sign of every normal included.
+
+
+def _frac_rref(rows, ncols):
+    """Reduced row echelon form over Fraction: (rows, pivot columns)."""
+    m = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
+        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        m[row] = [a / m[row][col] for a in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+    return m, pivots
+
+
+def _ref_enumerate_vertices(halfspaces, dim):
+    out = set()
+    for sub in combinations(halfspaces, dim):
+        m, pivots = _frac_rref([[*a, b] for a, b in sub], dim)
+        if len(pivots) < dim:
+            continue
+        x = tuple(r[dim] for r in m)
+        if all(sum((p * q for p, q in zip(a, x)), F(0)) <= b for a, b in halfspaces):
+            out.add(x)
+    return sorted(out)
+
+
+def _ref_facet_normals(rays, n):
+    if n == 1:
+        signs = {1 if r[0] > 0 else -1 for r in rays}
+        return [(signs.pop(),)] if len(signs) == 1 else []
+    normals = set()
+    for sub in combinations(rays, n - 1):
+        m, pivots = _frac_rref(sub, n)
+        if len(pivots) != n - 1:
+            continue
+        fc = next(c for c in range(n) if c not in pivots)
+        v = [F(0)] * n
+        v[fc] = F(1)
+        for r, pc in zip(m, pivots):
+            v[pc] = -r[fc]
+        den = 1
+        for a in v:
+            den = den * a.denominator // gcd(den, a.denominator)
+        ints = [int(a * den) for a in v]
+        g = gcd(*ints)
+        h = tuple(a // g for a in ints)
+        vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
+        if all(x >= 0 for x in vals):
+            normals.add(h)
+        elif all(x <= 0 for x in vals):
+            normals.add(tuple(-a for a in h))
+    return sorted(normals)
+
+
+_SCALES = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _bounded_systems(draw):
+    """A box around the origin plus random and concurrent halfspaces.
+
+    Every row is rescaled by a random positive Fraction and the rows are
+    shuffled, so subsets meet with either sign of their determinant.  Rows
+    through a common point make vertices where more than dim halfspaces meet.
+    """
+    dim = draw(st.integers(1, 3))
+    hs = []
+    for i in range(dim):
+        e = tuple(F(int(j == i)) for j in range(dim))
+        hs.append((e, draw(st.integers(1, 3))))
+        hs.append((tuple(-x for x in e), draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(0, 3))):
+        a = tuple(draw(_RATS) for _ in range(dim))
+        hs.append((a, draw(_RATS)))
+    point = tuple(draw(st.fractions(-1, 1, max_denominator=3)) for _ in range(dim))
+    for _ in range(draw(st.integers(0, dim + 1))):
+        a = tuple(draw(_RATS) for _ in range(dim))
+        hs.append((a, sum((p * q for p, q in zip(a, point)), F(0))))
+    hs = [(tuple(c * x for x in a), c * b)
+          for (a, b), c in zip(hs, draw(st.lists(_SCALES, min_size=len(hs),
+                                                 max_size=len(hs))))]
+    return draw(st.permutations(hs)), dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=_bounded_systems())
+def test_enumerate_vertices_matches_fraction_reference(system):
+    from conestab.exactgeom.polytope import enumerate_vertices
+    hs, dim = system
+    got = enumerate_vertices(hs, dim)
+    assert got == _ref_enumerate_vertices(hs, dim)
+    assert all(type(x) is Fraction for v in got for x in v)
+
+
+@st.composite
+def _ray_sets(draw):
+    """Integer rays in R^n, n = 2..4, spanning a space of rank 2..n.
+
+    Some rays are integer combinations of earlier ones, so many (n-1)-subsets
+    are dependent; a rank below n makes every independent subset normal to
+    the whole set, which pins the sign of the returned normal.
+    """
+    n = draw(st.integers(2, 4))
+    rank = draw(st.integers(2, n))
+    basis = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(rank)]
+    rays = []
+    for _ in range(draw(st.integers(n, n + 3))):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(rank)]
+        rays.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)))
+    rays = [r for r in rays if any(r)]
+    for _ in range(draw(st.integers(0, 2))):
+        if len(rays) >= 2:
+            i, j = draw(st.integers(0, len(rays) - 1)), draw(st.integers(0, len(rays) - 1))
+            rays.append(tuple(a + b for a, b in zip(rays[i], rays[j])))
+    return rays, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_ray_sets())
+def test_facet_normals_match_fraction_reference(data):
+    from conestab.exactgeom.cone import _facet_normals
+    rays, n = data
+    got = _facet_normals(rays, n)
+    assert got == _ref_facet_normals(rays, n)
+    assert all(type(x) is int for h in got for x in h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_rat_matrices())
+def test_row_reduce_pivots_all_equal_the_pivot_minor(a):
+    # Every row must be rescaled at every step for the divisions to stay exact;
+    # a skipped row leaves a pivot entry, the RREF or d wrong.
+    n = len(a[0])
+    m, pivots, d, scale = _row_reduce(a, n)
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    rows = [[int(x * L) for x in row] for row, L in zip(a, scales)]
+    r = len(pivots)
+    assert all(type(x) is int for row in m for x in row)
+    assert [m[k][c] for k, c in enumerate(pivots)] == [d] * r
+    assert abs(scale) == prod(scales)
+    ref, ref_pivots = _frac_rref(a, n)
+    assert pivots == ref_pivots
+    assert [[F(x, d) for x in row] for row in m[:r]] == ref[:r]
+    assert not any(any(row) for row in m[r:])
+    if r == len(a):
+        assert abs(d) == abs(_cofactor_det([[row[c] for c in pivots] for row in rows]))
+    else:  # the kernel picked some r rows; d is their minor on the pivot columns
+        assert abs(d) in {abs(_cofactor_det([[rows[i][c] for c in pivots] for i in sub]))
+                          for sub in combinations(range(len(a)), r)}

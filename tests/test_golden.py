@@ -1,0 +1,42 @@
+"""Default-seed benchmark jobs reproduce their golden output digests.
+
+Runs the leading jobs of the ``approx``, ``invariants`` and ``sweep``
+workloads in ``perfbench/workloads.py`` on each workload's default seed and
+compares the digest of every job's exact outputs with the one stored in
+``perfbench/golden/<workload>.json``.  The golden files are only read here;
+``perfbench/record_golden.py`` re-records them when a change is meant to
+alter outputs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+JOBS = {"approx": 40, "invariants": 8, "sweep": 2}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.load_library()
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(JOBS))
+def test_default_seed_matches_golden(workloads, workload, monkeypatch):
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    golden = workloads.load_golden(workload)
+    spec = workloads.WORKLOADS[workload]
+    assert golden["seed"] == spec["default_seed"]
+    assert len(golden["digests"]) >= JOBS[workload]
+    inputs = workloads.make_inputs(workload, golden["seed"])[:JOBS[workload]]
+    assert len(inputs) == JOBS[workload]
+    for index, item in enumerate(inputs):
+        outputs, problems = spec["job"](item)
+        assert not problems, f"{workload} job {index}: {problems}"
+        assert workloads.digest(outputs) == golden["digests"][index], f"{workload} job {index}"
