@@ -6,6 +6,12 @@ statistics whose limits are the closed-form invariants: N_m against the
 volume, the order sums against S, the per-level maxima against the top
 slope.  Everything is exact rational bookkeeping; "estimation" refers only
 to the finiteness of the level, never to sampling.
+
+The basis comes as lattice runs, a prefix with a range of the last
+coordinate.  Weights and orders are integer and step linearly along a run,
+so each run, split by residue class of the grading denominator, updates
+its weight shells with strided slice assignments instead of a Python step
+per point.
 """
 
 import csv
@@ -13,14 +19,15 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below
+from .exactgeom.lattice import _lattice_runs
 from .exactgeom.linalg import smith_diagonal
-from .filtration import MonomialFiltration, _floor_order, approx_orders
+from .filtration import MonomialFiltration, _floor_run_orders, approx_orders
 from .invariants import lambda_max_closed, s_closed, vol
 from .singularity import ConeSingularity, _xi
 
@@ -59,16 +66,16 @@ class EstimatorSweep:
         for st in self.per_level:
             w.writerow([
                 st.m, st.N_m, st.TS_m,
-                "" if st.S_m is None else str(Fraction(st.S_m)),
-                "" if st.Sp_m is None else str(Fraction(st.Sp_m)),
-                str(Fraction(st.Spp_m)),
-                str(Fraction(st.lammax_m)),
+                "" if st.S_m is None else str(st.S_m),
+                "" if st.Sp_m is None else str(st.Sp_m),
+                str(st.Spp_m),
+                str(st.lammax_m),
             ])
         return buf.getvalue()
 
     def to_json(self) -> str:
         def enc(x):
-            return None if x is None else str(Fraction(x))
+            return None if x is None else str(x)
         rows = [{
             "m": st.m, "N_m": st.N_m, "TS_m": st.TS_m, "TS0_m": st.TS0_m,
             "S_m": enc(st.S_m), "Sp_m": enc(st.Sp_m), "Spp_m": enc(st.Spp_m),
@@ -80,39 +87,53 @@ class EstimatorSweep:
 
 
 def _levels(levels):
-    levels = sorted(set(int(m) for m in levels))
-    if not levels or levels[0] < 1:
+    levels = list(levels)
+    if not levels or not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1
+                             for m in levels):
         raise EmptyInput("levels must be positive integers")
-    return levels
+    return sorted(set(levels))
 
 
-def _aggregate(s, xi0, levels, order_of, budget=None, pts=None):
+def _aggregate(s, xi0, levels, runs, run_orders):
     """Shared accumulation: bucket points by floor weight, prefix-sum.
 
-    ``pts`` may pass in the points below level max(levels) + 1 of xi0, as
-    lattice_points_below returns them; by default they are enumerated.
+    ``runs`` are the lattice runs (prefix, lo, hi) below level
+    max(levels) + 1 of xi0, and ``run_orders(prefix, lo, hi)`` lists the
+    orders along one run.  Along a run the integer weight <xi0 den, a> is
+    w0 + X t.  Within one residue class of t mod den the floor weight steps
+    by exactly X and the test "weight is an integer" does not change, so a
+    class updates its shells with one strided slice per array.
     """
-    xi0 = _xi(xi0)
-    levels = _levels(levels)
     top = levels[-1] + 1  # S'_m at the last level needs one extra shell
-    if pts is None:
-        pts = lattice_points_below(s.weight_cone, xi0, top, budget=budget)
     den = lcm(*(x.denominator for x in xi0))
-    xs = [int(x * den) for x in xi0]  # integer weights <xi0 den, a>
+    *xs, X = [int(x * den) for x in xi0]  # integer weights <xi0 den, a>
     counts = [0] * (top + 1)
     sums_ord = [0] * (top + 1)
     maxs = [0] * (top + 1)
     eq_counts = [0] * (top + 2)
-    for a in pts:
-        wi = sum(map(mul, xs, a))
-        fw = wi // den
-        o = order_of(a)
-        counts[fw] += 1
-        sums_ord[fw] += o
-        if o > maxs[fw]:
-            maxs[fw] = o
-        if wi == fw * den:
-            eq_counts[fw] += 1
+    for prefix, lo, hi in runs:
+        orders = run_orders(prefix, lo, hi)
+        w0 = sum(map(mul, xs, prefix))
+        for r in range(min(den, hi - lo + 1)):
+            fw, rem = divmod(w0 + X * (lo + r), den)
+            os = orders[r::den]
+            k = len(os)
+            if X == 0:  # the whole class sits in one shell
+                counts[fw] += k
+                sums_ord[fw] += sum(os)
+                maxs[fw] = max(maxs[fw], *os)
+                if not rem:
+                    eq_counts[fw] += k
+                continue
+            if X < 0:  # walk the class from its lowest shell up
+                fw += X * (k - 1)
+                os.reverse()
+            sl = slice(fw, fw + abs(X) * k, abs(X))
+            counts[sl] = map(add, counts[sl], repeat(1))
+            sums_ord[sl] = map(add, sums_ord[sl], os)
+            maxs[sl] = map(max, maxs[sl], os)
+            if not rem:
+                eq_counts[sl] = map(add, eq_counts[sl], repeat(1))
     # Index m of each prefix array aggregates the shells below level m.
     Ns, TSs, TS0s = (list(accumulate(x, initial=0)) for x in
                      (counts, sums_ord, [fw * c for fw, c in enumerate(counts)]))
@@ -123,13 +144,13 @@ def _aggregate(s, xi0, levels, order_of, budget=None, pts=None):
         N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
         S_m = Fraction(TS, TS0) if TS0 else None
         Sp = Fraction(TS1 - TS, TS01 - TS0) if TS01 > TS0 else None
-        Spp = Fraction(s.rank + 1, s.rank) * Fraction(TS, m * N)
         per_level.append(LevelStats(
-            m=m, N_m=N, TS_m=TS, TS0_m=TS0, S_m=S_m, Sp_m=Sp, Spp_m=Spp,
+            m=m, N_m=N, TS_m=TS, TS0_m=TS0, S_m=S_m, Sp_m=Sp,
+            Spp_m=Fraction((s.rank + 1) * TS, s.rank * m * N),
             lammax_m=Fraction(lams[m], m),
             count_gamma=N + eq_counts[m],
         ))
-    return levels, per_level
+    return per_level
 
 
 def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
@@ -138,9 +159,12 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
 
     Monomials form a basis compatible with every monomial filtration at
     once, so orders are read off pointwise; orders use the integer rounding
-    floor(g), which leaves the S-limit unchanged.
+    floor(g), which leaves the S-limit unchanged.  The points are never
+    built: orders and shells are computed a lattice run at a time.
     """
-    levels, per_level = _aggregate(s, xi0, levels, _floor_order(F), budget=budget)
+    xi0, levels = _xi(xi0), _levels(levels)
+    runs = _lattice_runs(s.weight_cone, xi0, levels[-1] + 1, budget, True)
+    per_level = _aggregate(s, xi0, levels, runs, _floor_run_orders(F))
     target = {
         "S": s_closed(s, xi0, F),
         "lambda_max": lambda_max_closed(s, xi0, F),
@@ -160,13 +184,15 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     """
     if m_filtration < 1:
         raise EmptyInput("approximation level must be >= 1")
-    levels = _levels(levels)
-    pts = lattice_points_below(s.weight_cone, _xi(xi0), levels[-1] + 1, budget=budget)
+    xi0, levels = _xi(xi0), _levels(levels)
+    runs = _lattice_runs(s.weight_cone, xi0, levels[-1] + 1, budget, True)
     ell = s.sigma.interior_point()
-    wmax = max(sum(map(mul, ell, p)) for p in pts)
+    # <ell, .> is linear along a run, so its largest value sits at an end.
+    wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi) for p, lo, hi in runs)
     window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
     orders = approx_orders(F, m_filtration, window)
-    levels, per_level = _aggregate(s, xi0, levels, orders.__getitem__, pts=pts)
+    per_level = _aggregate(s, xi0, levels, runs, lambda p, lo, hi: [
+        orders[p + (t,)] for t in range(lo, hi + 1)])
     target = {
         "S": s_closed(s, xi0, F),
         "lambda_max": lambda_max_closed(s, xi0, F),

@@ -1,4 +1,11 @@
-"""Deterministic lattice-point enumeration inside sliced cones."""
+"""Deterministic lattice-point enumeration inside sliced cones.
+
+The kernel works in runs: for each prefix of the first n-1 coordinates the
+last coordinate fills an exact integer range, so a slice is a list of
+(prefix, t_lo, t_hi).  ``lattice_points_below`` lays the runs out as
+points; the estimator sweeps aggregate each run of the last coordinate at
+once, with strided slice updates, and never build the points.
+"""
 
 import os
 from itertools import product
@@ -25,11 +32,23 @@ def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):
     """All integer points a in c with <a, xi> < m, in lexicographic order.
 
     With ``strict=False`` the bound is <a, xi> <= m instead.  The covector
-    xi must be strictly positive on the cone so the region is finite.  Exact
-    integer kernel: the first n-1 coordinates run over the slice's bounding
-    box and the last one over a range solved from the integer rows.  Points
-    are tuples of int.  More than ``budget`` kept points raise BudgetExceeded
-    rather than silently truncating.
+    xi must be strictly positive on the cone so the region is finite.  The
+    points are the runs of ``_lattice_runs`` laid out one by one, as tuples
+    of int.  More than ``budget`` kept points raise BudgetExceeded rather
+    than silently truncating.
+    """
+    return [prefix + (t,) for prefix, t_lo, t_hi in _lattice_runs(c, xi, m, budget, strict)
+            for t in range(t_lo, t_hi + 1)]
+
+
+def _lattice_runs(c: Cone, xi, m, budget, strict):
+    """The points of ``lattice_points_below`` as runs (prefix, t_lo, t_hi).
+
+    Exact integer kernel: the first n-1 coordinates (the prefix, a tuple of
+    int) run over the slice's bounding box in lexicographic order, and the
+    last one over the range t_lo..t_hi solved from the integer rows; runs
+    are nonempty.  The budget counts kept points, as in
+    ``lattice_points_below``.
     """
     xi = vec(xi)
     m = frac(m)
@@ -49,7 +68,8 @@ def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):
     rows.append((tuple(-int(x * den) for x in xi[:-1]), -int(xi[-1] * den),
                  int(m * den) - (1 if strict else 0)))
 
-    out = []
+    runs = []
+    kept = 0
     for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
         t_lo, t_hi = lo[-1], hi[-1]
         for g, g_last, g0 in rows:
@@ -62,7 +82,8 @@ def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):
                 t_hi = t_lo - 1
                 break
         if t_lo <= t_hi:
-            if len(out) + t_hi - t_lo + 1 > budget:
+            kept += t_hi - t_lo + 1
+            if kept > budget:
                 raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
-            out.extend(prefix + (t,) for t in range(t_lo, t_hi + 1))
-    return out
+            runs.append((prefix, t_lo, t_hi))
+    return runs

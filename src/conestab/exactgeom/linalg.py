@@ -3,14 +3,15 @@
 Vectors are plain tuples of ``fractions.Fraction`` (or ints where the value
 is integral).  One fraction-free Gauss-Jordan pass, ``_row_reduce``, carries
 every elimination (E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968): each row is
-scaled once to integers, every update divides exactly by the previous pivot,
-and at the end every pivot entry holds the same integer d, so the reduced
-row echelon form is the integer rows over d.  ``mat_rank`` counts its
-pivots, ``det`` reads d over the row scales, ``solve`` and ``nullspace``
-read the carried right-hand side and the free columns over d; Fractions are
-built only for the values they return.  Vertex enumeration, facet scans and
-cone triangulation call the kernel directly and stay in integers.  The
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): it takes
+integer rows, every update divides exactly by the previous pivot, and at
+the end every pivot entry holds the same integer d, so the reduced row
+echelon form is the integer rows over d.  The rational entry points scale
+each row once to integers first: ``mat_rank`` counts the pivots, ``det``
+reads d over the row scales, ``solve`` and ``nullspace`` read the carried
+right-hand side and the free columns over d; Fractions are built only for
+the values they return.  Vertex enumeration, facet scans and cone
+triangulation hold integer rows already and call the kernel directly.  The
 library targets rank <= 4, so these routines favour clarity and exactness
 over asymptotics.  ``smith_diagonal`` is the separate unimodular integer
 elimination that lattice indices need.
@@ -25,6 +26,8 @@ Vec = tuple  # tuple of Fraction/int
 def frac(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction.  Floats are
     rejected: exactness is a contract, not a preference."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction or 'p/q' string")
     return Fraction(x)
@@ -84,28 +87,35 @@ def primitivize(v):
     return tuple(a // g for a in ints)
 
 
-def _row_reduce(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination over the first ``ncols`` columns.
-
-    Columns past ``ncols`` (a right-hand side) are carried along.  Each row
-    is first scaled to integers by the lcm of its denominators.  At a pivot
-    p in row r, every other row i becomes (p * row_i - row_i[col] * row_r)
-    // prev, prev being the previous pivot (1 at first); the division is
-    exact (Sylvester's identity), and rows with a zero in the pivot column
-    must be rescaled too for it to stay exact.
-
-    Returns (m, pivots, d, scale): the integer rows, the pivot columns in
-    order, the common value d of every pivot entry, and the product of the
-    row scales signed by the row swaps.  The first len(pivots) rows over d
-    are the reduced row echelon form; d / scale is the determinant of a
-    square nonsingular input.
-    """
+def _integer_rows(rows):
+    """(integer rows, scale): each rational row times the lcm of its
+    denominators, and the product of those lcms."""
     m = []
     scale = 1
     for r in rows:
         ints, L = _integer_row(r)
         m.append(ints)
         scale *= L
+    return m, scale
+
+
+def _row_reduce(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over the first ``ncols`` columns.
+
+    The rows hold ints; columns past ``ncols`` (a right-hand side) are
+    carried along.  At a pivot p in row r, every other row i becomes
+    (p * row_i - row_i[col] * row_r) // prev, prev being the previous pivot
+    (1 at first); the division is exact (Sylvester's identity), and rows
+    with a zero in the pivot column must be rescaled too for it to stay
+    exact.
+
+    Returns (m, pivots, d, sign): the integer rows, the pivot columns in
+    order, the common value d of every pivot entry, and the sign of the row
+    swaps.  The first len(pivots) rows over d are the reduced row echelon
+    form; sign * d is the determinant of a square nonsingular input.
+    """
+    m = list(rows)
+    sign = 1
     pivots = []
     d = 1
     for col in range(ncols):
@@ -117,7 +127,7 @@ def _row_reduce(rows, ncols):
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
-            scale = -scale
+            sign = -sign
         top = m[row]
         p = top[col]
         for i, r in enumerate(m):
@@ -126,19 +136,20 @@ def _row_reduce(rows, ncols):
                 m[i] = [(a * p - f * b) // d for a, b in zip(r, top)]
         d = p
         pivots.append(col)
-    return m, pivots, d, scale
+    return m, pivots, d, sign
 
 
 def mat_rank(rows) -> int:
     """Rank of a list of rational row vectors."""
-    rows = list(rows)
+    rows = _integer_rows(rows)[0]
     return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
 def det(rows) -> Fraction:
     """Determinant of a square rational matrix."""
-    _, pivots, d, scale = _row_reduce(rows, len(rows))
-    return Fraction(d, scale) if len(pivots) == len(rows) else Fraction(0)
+    rows, scale = _integer_rows(rows)
+    _, pivots, d, sign = _row_reduce(rows, len(rows))
+    return Fraction(sign * d, scale) if len(pivots) == len(rows) else Fraction(0)
 
 
 def solve(rows, rhs):
@@ -150,7 +161,8 @@ def solve(rows, rhs):
     if not rows:
         return None
     n = len(rows[0])
-    m, pivots, d, _ = _row_reduce([[*r, b] for r, b in zip(rows, rhs, strict=True)], n)
+    m, _ = _integer_rows([*r, b] for r, b in zip(rows, rhs, strict=True))
+    m, pivots, d, _ = _row_reduce(m, n)
     if len(pivots) < n or any(r[n] for r in m[n:]):
         return None  # underdetermined or inconsistent
     return tuple(Fraction(r[n], d) for r in m[:n])
@@ -162,7 +174,7 @@ def nullspace(rows, ncols):
     One vector per free (non-pivot) column: 1 there, 0 at the other free
     columns.
     """
-    m, pivots, d, _ = _row_reduce(rows, ncols)
+    m, pivots, d, _ = _row_reduce(_integer_rows(rows)[0], ncols)
     basis = []
     for fc in range(ncols):
         if fc in pivots:

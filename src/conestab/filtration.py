@@ -14,8 +14,9 @@ approximating filtration as a concave transform of its own.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import le, mul, sub
+from operator import floordiv, le, mul, sub
 
 from .errors import (
     AmbientMismatch,
@@ -220,11 +221,37 @@ def ord_of(F: MonomialFiltration, alpha) -> Fraction:
     return F.ord(alpha)
 
 
-def _floor_order(F: MonomialFiltration):
-    """floor(g) as integer arithmetic: F's covectors scaled to integers."""
+def _integer_covectors(F: MonomialFiltration):
+    """(zs, den): F's covectors times den, as ints, so g = min_j <zs_j, .> / den."""
     den = lcm(*(x.denominator for z in F.covectors for x in z))
-    zs = [[int(x * den) for x in z] for z in F.covectors]
+    return [[int(x * den) for x in z] for z in F.covectors], den
+
+
+def _floor_order(F: MonomialFiltration):
+    """floor(g) of a point, in integer arithmetic."""
+    zs, den = _integer_covectors(F)
     return lambda a: min(sum(map(mul, z, a)) for z in zs) // den
+
+
+def _floor_run_orders(F: MonomialFiltration):
+    """floor(g) along a lattice run: (prefix, lo, hi) -> the list over t = lo..hi.
+
+    Each covector's pairing with prefix + (t,) steps by its last entry d
+    as t grows, so its column is a range (a repeat when d is 0); the
+    elementwise min of the columns, floor-divided by den, is floor(g).
+    """
+    zs, den = _integer_covectors(F)
+    heads = [(z[:-1], z[-1]) for z in zs]
+
+    def orders(prefix, lo, hi):
+        k = hi - lo + 1
+        cols = []
+        for z, d in heads:
+            c = sum(map(mul, z, prefix)) + d * lo
+            cols.append(range(c, c + d * k, d) if d else repeat(c, k))
+        g = cols[0] if len(cols) == 1 else map(min, *cols)
+        return list(g if den == 1 else map(floordiv, g, repeat(den)))
+    return orders
 
 
 def _blocks(F: MonomialFiltration, m: int, pts):

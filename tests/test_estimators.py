@@ -1,11 +1,21 @@
 import random
 from fractions import Fraction
-from math import floor
+from itertools import accumulate
+from math import floor, lcm
+from operator import mul
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from conestab import estimators
-from conestab.errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
+from conestab.errors import (
+    BudgetExceeded,
+    DegenerateCone,
+    EmptyInput,
+    LatticeNotGenerated,
+    NotQGorenstein,
+)
 from conestab.estimators import (
     CSV_HEADER,
     bj_bound_check,
@@ -15,7 +25,8 @@ from conestab.estimators import (
     sweep_approx,
 )
 from conestab.exactgeom import dot, lattice_points_below
-from conestab.filtration import monomial_filtration, toric_filtration
+from conestab.exactgeom.linalg import det
+from conestab.filtration import approx_orders, monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
 from conestab.singularity import from_rays
 from conftest import c2_battery
@@ -77,9 +88,36 @@ def test_sweep_rejects_bad_levels(c2, fex):
         sweep(c2, (1, 1), fex, [0])
 
 
+def test_sweep_refuses_non_integer_levels(c2, fex):
+    for bad in ([F(2)], [2.7, True], [True], ["3"], [3, 2.0]):
+        with pytest.raises(EmptyInput, match="^levels must be positive integers$"):
+            sweep(c2, (1, 1), fex, bad)
+        with pytest.raises(EmptyInput, match="^levels must be positive integers$"):
+            sweep_approx(c2, (1, 1), fex, 2, bad)
+    assert sweep(c2, (1, 1), fex, [3, 1, 3]).levels == [1, 3]
+
+
 def test_sweep_budget(c2, fex):
     with pytest.raises(BudgetExceeded):
         sweep(c2, (1, 1), fex, [50], budget=100)
+
+
+def test_sweep_budget_counts_points_below_top_level():
+    # The sweeps enumerate the points below the last level + 1: a budget one
+    # short of that count must raise, the count itself must pass.
+    s = from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    G = monomial_filtration(s, [(3, 2, 2), (2, 3, F(5, 2))])
+    for xi0, levels in (((1, 1, 1), [4, 7]), ((F(3, 2), 1, F(5, 4)), [6])):
+        n_top = len(lattice_points_below(s.weight_cone, xi0, levels[-1] + 1))
+        with pytest.raises(BudgetExceeded, match=f"budget {n_top - 1}$"):
+            sweep(s, xi0, G, levels, budget=n_top - 1)
+        assert sweep(s, xi0, G, levels, budget=n_top).row(levels[-1]).N_m < n_top
+    c2 = from_rays([(1, 0), (0, 1)])
+    fex = monomial_filtration(c2, [(2, 1), (1, 2)])
+    n_top = 51 * 52 // 2  # a + b < 51; the window a + b <= 50 has as many
+    with pytest.raises(BudgetExceeded, match=f"budget {n_top - 1}$"):
+        sweep_approx(c2, (1, 1), fex, 3, [50], budget=n_top - 1)
+    assert sweep_approx(c2, (1, 1), fex, 3, [50], budget=n_top).row(50).N_m == 50 * 51 // 2
 
 
 def test_sweep_approx_matches_once_generated(c2, fex):
@@ -198,3 +236,128 @@ def test_good_valuation_proper_sublattice_message(c2, monkeypatch):
     with pytest.raises(LatticeNotGenerated) as exc:
         good_valuation_check(c2, (1, 1))
     assert str(exc.value) == "weight semigroup generates a proper sublattice (SNF [1, 2])"
+
+
+# ---------------------------------------------------------------------------
+# Run-based aggregation against the per-point reference.
+
+def _reference_aggregate(s, xi0, levels, order_of, pts):
+    """Per-point aggregation: one Python step per lattice point.
+
+    The sweeps' original accumulation, kept as the reference that the
+    run-based aggregation must reproduce exactly.
+    """
+    xi0 = tuple(F(x) for x in xi0)
+    levels = sorted(set(levels))
+    top = levels[-1] + 1
+    den = lcm(*(x.denominator for x in xi0))
+    xs = [int(x * den) for x in xi0]
+    counts = [0] * (top + 1)
+    sums_ord = [0] * (top + 1)
+    maxs = [0] * (top + 1)
+    eq_counts = [0] * (top + 2)
+    for a in pts:
+        wi = sum(map(mul, xs, a))
+        fw = wi // den
+        o = order_of(a)
+        counts[fw] += 1
+        sums_ord[fw] += o
+        if o > maxs[fw]:
+            maxs[fw] = o
+        if wi == fw * den:
+            eq_counts[fw] += 1
+    Ns, TSs, TS0s = (list(accumulate(x, initial=0)) for x in
+                     (counts, sums_ord, [fw * c for fw, c in enumerate(counts)]))
+    lams = list(accumulate(maxs, max, initial=0))
+    per_level = []
+    for m in levels:
+        N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
+        per_level.append(estimators.LevelStats(
+            m=m, N_m=N, TS_m=TS, TS0_m=TS0,
+            S_m=F(TS, TS0) if TS0 else None,
+            Sp_m=F(TS1 - TS, TS01 - TS0) if TS01 > TS0 else None,
+            Spp_m=F(s.rank + 1, s.rank) * F(TS, m * N),
+            lammax_m=F(lams[m], m), count_gamma=N + eq_counts[m]))
+    return estimators.EstimatorSweep(levels=levels, per_level=per_level)
+
+
+def _reference_points(s, xi0, levels, budget):
+    return lattice_points_below(s.weight_cone, xi0, max(levels) + 1, budget=budget)
+
+
+def _reference_sweep(s, xi0, G, levels, budget):
+    """Rows of sweep: floor(G.ord) per point."""
+    pts = _reference_points(s, xi0, levels, budget)
+    return _reference_aggregate(s, xi0, levels, lambda a: floor(G.ord(a)), pts)
+
+
+def _reference_sweep_approx(s, xi0, G, m_filt, levels, budget):
+    """Rows of sweep_approx: approx_orders over the reference-weight window."""
+    pts = _reference_points(s, xi0, levels, budget)
+    ell = s.sigma.interior_point()
+    wmax = max(sum(map(mul, ell, p)) for p in pts)
+    window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
+    orders = approx_orders(G, m_filt, window)
+    return _reference_aggregate(s, xi0, levels, orders.__getitem__, pts)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A cone around an integer direction v, xi0 = q v, and rational covectors.
+
+    The rays are k v + w_i for deviations w_i summing to zero, so v is
+    interior; v's last coordinate takes each sign, and q = a / b makes the
+    denominator of xi0 exceed 1 whenever b does not divide a.
+    """
+    rank = draw(st.sampled_from([2, 3]))
+    sign = draw(st.sampled_from([-1, 0, 1]))
+    small = st.integers(-2, 2)
+    v = [draw(small) for _ in range(rank - 1)] + [sign * draw(st.integers(1, 2))]
+    w = [[draw(small) for _ in range(rank)] for _ in range(rank - 1)]
+    assume(det([v] + w) != 0)
+    if rank == 3 and draw(st.booleans()):
+        devs = [w[0], w[1], [-x for x in w[0]], [-x for x in w[1]]]  # 4 rays
+    else:
+        devs = w + [[-sum(col) for col in zip(*w)]]
+    k = draw(st.integers(1, 2))
+    rays = [tuple(k * a + b for a, b in zip(v, d)) for d in devs]
+    try:
+        s = from_rays(rays)
+    except (NotQGorenstein, DegenerateCone):
+        assume(False)
+    assume(len(s.sigma.rays) == len(rays))
+    q = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    xi0 = tuple(q * x for x in v)
+    coef = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
+    covs = []
+    for _ in range(draw(st.integers(1, 3))):
+        cs = [draw(coef) for _ in s.sigma.rays]
+        covs.append(tuple(sum(c * r[i] for c, r in zip(cs, s.sigma.rays)) for i in range(rank)))
+    G = monomial_filtration(s, covs)
+    levels = draw(st.lists(st.integers(1, 8 if rank == 2 else 5), min_size=1, max_size=4))
+    event(f"{len(rays)} rays in rank {rank}, xi0 last sign {sign}")
+    event(f"den(xi0) > 1: {any(x.denominator > 1 for x in xi0)}")
+    return s, xi0, G, levels, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sweep_cases())
+def test_sweeps_match_per_point_reference(case):
+    s, xi0, G, levels, m_filt = case
+    budget = 400
+    for reference, library in (
+            (lambda: _reference_sweep(s, xi0, G, levels, budget),
+             lambda: sweep(s, xi0, G, levels, budget=budget)),
+            (lambda: _reference_sweep_approx(s, xi0, G, m_filt, levels, budget),
+             lambda: sweep_approx(s, xi0, G, m_filt, levels, budget=budget))):
+        try:
+            ref = reference()
+        except BudgetExceeded:
+            event("budget exceeded")
+            with pytest.raises(BudgetExceeded):
+                library()
+            continue
+        got = library()
+        got = estimators.EstimatorSweep(levels=got.levels, per_level=got.per_level)
+        assert got.to_json() == ref.to_json()
+        assert got.to_csv() == ref.to_csv()

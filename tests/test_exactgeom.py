@@ -27,7 +27,15 @@ from conestab.exactgeom import (
     vec,
     volume,
 )
-from conestab.exactgeom.linalg import _row_reduce, det, mat_rank, nullspace, smith_diagonal, solve
+from conestab.exactgeom.linalg import (
+    _integer_rows,
+    _row_reduce,
+    det,
+    mat_rank,
+    nullspace,
+    smith_diagonal,
+    solve,
+)
 from conftest import random_cone, random_reeb
 
 F = Fraction
@@ -526,19 +534,20 @@ def test_row_reduce_pivots_all_equal_the_pivot_minor(a):
     # Every row must be rescaled at every step for the divisions to stay exact;
     # a skipped row leaves a pivot entry, the RREF or d wrong.
     n = len(a[0])
-    m, pivots, d, scale = _row_reduce(a, n)
     scales = [lcm(*(x.denominator for x in row)) for row in a]
     rows = [[int(x * L) for x in row] for row, L in zip(a, scales)]
+    assert _integer_rows(a) == (rows, prod(scales))
+    m, pivots, d, sign = _row_reduce(rows, n)
     r = len(pivots)
     assert all(type(x) is int for row in m for x in row)
     assert [m[k][c] for k, c in enumerate(pivots)] == [d] * r
-    assert abs(scale) == prod(scales)
+    assert sign in (1, -1)
     ref, ref_pivots = _frac_rref(a, n)
     assert pivots == ref_pivots
     assert [[F(x, d) for x in row] for row in m[:r]] == ref[:r]
     assert not any(any(row) for row in m[r:])
-    if r == len(a):
-        assert abs(d) == abs(_cofactor_det([[row[c] for c in pivots] for row in rows]))
+    if r == len(a):  # the swaps' sign turns d into the minor itself
+        assert sign * d == _cofactor_det([[row[c] for c in pivots] for row in rows])
     else:  # the kernel picked some r rows; d is their minor on the pivot columns
         assert abs(d) in {abs(_cofactor_det([[rows[i][c] for c in pivots] for i in sub]))
                           for sub in combinations(range(len(a)), r)}

@@ -3,18 +3,22 @@
 Runs the leading jobs of the ``approx``, ``invariants`` and ``sweep``
 workloads in ``perfbench/workloads.py`` on each workload's default seed and
 compares the digest of every job's exact outputs with the one stored in
-``perfbench/golden/<workload>.json``.  The golden files are only read here;
-``perfbench/record_golden.py`` re-records them when a change is meant to
-alter outputs.
+``perfbench/golden/<workload>.json``.  The ``cli_cold`` cases run through
+``conestab.cli.main`` in this process and must print the stored
+``perfbench/golden/cli/*.out`` and exit with the stored code.  The golden
+files are only read here; ``perfbench/record_golden.py`` re-records them
+when a change is meant to alter outputs.
 """
 
 import importlib.util
 from pathlib import Path
 
+from conestab.cli import main
+
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-JOBS = {"approx": 40, "invariants": 8, "sweep": 2}
+JOBS = {"approx": 40, "invariants": 8, "sweep": 12}
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +44,13 @@ def test_default_seed_matches_golden(workloads, workload, monkeypatch):
         outputs, problems = spec["job"](item)
         assert not problems, f"{workload} job {index}: {problems}"
         assert workloads.digest(outputs) == golden["digests"][index], f"{workload} job {index}"
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_cli_case_matches_golden_stdout(workloads, case, monkeypatch, capsys):
+    assert len(workloads.CLI_CASES) == 14
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    monkeypatch.chdir(PERFBENCH.parent)
+    name, argv, expected = workloads.cli_argv(case, [])
+    assert main(argv) == expected, name
+    assert capsys.readouterr().out.encode() == workloads.cli_golden_stdout(case), name
