@@ -106,6 +106,9 @@ class InputDocument:
         self.budget = options.get("budget")
         if self.budget is not None:
             self.budget = _int(self.budget, f"{path}.options.budget")
+            if self.budget < 0:
+                raise ParseError(f"budget must be nonnegative, got {self.budget}",
+                                 f"{path}.options.budget")
         self.tol = _rat(options.get("tol", "1/1000000000"), f"{path}.options.tol")
         self.levels = options.get("levels")
         if self.levels is not None:
@@ -119,10 +122,12 @@ class InputDocument:
     @classmethod
     def load(cls, path):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
         except OSError as exc:
             raise ParseError(str(exc), path)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", path)
         return cls(payload, path=path)
@@ -260,8 +265,11 @@ def cmd_estimate(args):
         sw = estimators.sweep(doc.singularity, doc.reeb, F, levels, budget=doc.budget)
     payload = sw.to_json() if args.json else sw.to_csv()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ParseError(str(exc), "--out")
     else:
         sys.stdout.write(payload)
     return EXIT_OK

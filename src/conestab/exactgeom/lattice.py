@@ -23,9 +23,12 @@ def enumeration_budget() -> int:
     """Point budget for enumerations; CONESTAB_BUDGET overrides the default."""
     raw = os.environ.get("CONESTAB_BUDGET")
     try:
-        return int(raw) if raw else DEFAULT_BUDGET
+        budget = int(raw) if raw else DEFAULT_BUDGET
     except ValueError as exc:
         raise ParseError(f"not an integer: {raw!r}", "CONESTAB_BUDGET") from exc
+    if budget < 0:
+        raise ParseError(f"budget must be nonnegative, got {budget}", "CONESTAB_BUDGET")
+    return budget
 
 
 def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):

@@ -3,8 +3,8 @@
 A torus-invariant, linearly bounded monomial filtration is captured by its
 concave transform g = min_j <zeta_j, .> on the weight cone: the level-lambda
 ideal is spanned by the monomials with g(exponent) >= lambda.  Construction
-reduces the covector list to the unique irredundant form (via exact LPs), so
-filtration equality is decidable by comparing tuples.
+reduces the covector list to the unique irredundant form (via exact vertex
+tests and LPs), so filtration equality is decidable by comparing tuples.
 
 Besides the algebra of filtrations (rescale, twist, geodesic, intersection)
 this module computes Newton polyhedra, exact orders, the orders of the
@@ -60,40 +60,61 @@ def _reduce_covectors(s: ConeSingularity, covectors):
     """Drop covectors that never realize the minimum on the weight cone.
 
     zeta_j is redundant when max over the reference slice of
-    min_{i != j} <zeta_i - zeta_j, alpha> is <= 0; that maximum is an exact
-    epigraph LP.  Re-testing after each removal yields the unique minimal
-    list for a full-dimensional weight cone.
+    min_{i != j} <zeta_i - zeta_j, alpha> is <= 0.  The slice is a polytope
+    whose vertices are the weight-cone rays r, up to positive scale, so two
+    vertex tests settle most covectors: zeta_j is redundant when some
+    other zeta_i has <zeta_i - zeta_j, r> <= 0 at every ray (then the
+    minimum is <= 0 on the whole cone), and irredundant when zeta_j is the
+    strict minimum at some ray (then the maximum is > 0 at that vertex).
+    Otherwise the maximum is an exact epigraph LP.  Re-testing after each
+    removal yields the unique minimal list for a full-dimensional weight
+    cone.
     """
     covs = []
     for z in covectors:
         z = vec(z)
         if z not in covs:
             covs.append(z)
-    ell = s.sigma.interior_point()
-    n = s.rank
+    rays = s.weight_cone.rays
+    pairings = {z: [dot(z, r) for r in rays] for z in covs}
     keep = list(covs)
     j = 0
     while j < len(keep):
         if len(keep) == 1:
             break
         others = [z for i, z in enumerate(keep) if i != j]
-        # Variables (alpha, t): maximize t subject to
-        # t <= <z_i - z_j, alpha>, alpha in weight cone, <ell, alpha> = 1.
-        cons = []
         zj = keep[j]
-        for zi in others:
-            row = tuple(a - b for a, b in zip(zi, zj)) + (Fraction(-1),)
-            cons.append((row, ">=", Fraction(0)))
-        for v in s.sigma.rays:  # halfspaces of the weight cone
-            cons.append((tuple(v) + (Fraction(0),), ">=", Fraction(0)))
-        cons.append((tuple(ell) + (Fraction(0),), "==", Fraction(1)))
-        objective = (Fraction(0),) * n + (Fraction(1),)
-        res = lp_solve(objective, cons, sense="max")
-        if res.value <= 0:
+        pj = pairings[zj]
+        gaps = [[a - b for a, b in zip(pairings[zi], pj)] for zi in others]
+        if any(all(g <= 0 for g in row) for row in gaps):
+            redundant = True
+        elif any(all(g > 0 for g in col) for col in zip(*gaps)):
+            redundant = False
+        else:
+            redundant = _max_min_gap(s, zj, others) <= 0
+        if redundant:
             keep.pop(j)
         else:
             j += 1
     return tuple(sorted(keep))
+
+
+def _max_min_gap(s: ConeSingularity, zj, others):
+    """max of min_{zi in others} <zi - zj, alpha> over the weight cone
+    sliced by <ell, alpha> = 1, ell the interior point of sigma.
+
+    Variables (alpha, t): maximize t subject to t <= <zi - zj, alpha>,
+    alpha in the weight cone, <ell, alpha> = 1.
+    """
+    cons = []
+    for zi in others:
+        row = tuple(a - b for a, b in zip(zi, zj)) + (Fraction(-1),)
+        cons.append((row, ">=", Fraction(0)))
+    for v in s.sigma.rays:  # halfspaces of the weight cone
+        cons.append((tuple(v) + (Fraction(0),), ">=", Fraction(0)))
+    cons.append((tuple(s.sigma.interior_point()) + (Fraction(0),), "==", Fraction(1)))
+    objective = (Fraction(0),) * s.rank + (Fraction(1),)
+    return lp_solve(objective, cons, sense="max").value
 
 
 def monomial_filtration(s: ConeSingularity, covectors,

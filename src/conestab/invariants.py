@@ -1,9 +1,9 @@
 """Closed-form scalar invariants of a polarized toric cone singularity.
 
 Everything here reduces to exact polyhedral data of the weight cone sliced
-by the polarization, epigraph LPs for extremal slopes, a Newton-polyhedron
-LP for the log canonical threshold, and linear-fractional programs over
-the cone for the delta invariant.  The slice integrals all come from one
+by the polarization, vertex bounds or epigraph LPs for extremal slopes, a
+Newton-polyhedron LP for the log canonical threshold, and
+linear-fractional programs over the cone for the delta invariant.  The slice integrals all come from one
 simplicial fan of the weight cone (``exactgeom.fan``, Lawrence's formula):
 vol(xi) = sum_tau |det W_tau| / prod_i <w_i, xi> and its gradient are
 rational functions of xi on a triangulation built once per cone, so the
@@ -111,6 +111,11 @@ def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
 
 @lru_cache(maxsize=16384)
 def _lambda_max_cached(s, xi0, F) -> Fraction:
+    verts = _slice_vertices(s, xi0)
+    pairings = [[dot(z, a) for a in verts] for z in F.covectors]
+    lower = max(map(min, zip(*pairings)))
+    if lower == min(map(max, pairings)):
+        return lower
     n = s.rank
     cons = []
     for z in F.covectors:
@@ -123,7 +128,13 @@ def _lambda_max_cached(s, xi0, F) -> Fraction:
 
 
 def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
-    """Max of the concave transform on the level-one slice (epigraph LP)."""
+    """Max of the concave transform g on the level-one slice.
+
+    The largest value of g at a slice vertex bounds the maximum from below;
+    g is at most each covector, whose maximum is at a vertex, so the
+    smallest such vertex maximum bounds it from above.  Where the two meet
+    that is the maximum; otherwise an exact epigraph LP decides.
+    """
     return _lambda_max_cached(s, _xi(xi0), F)
 
 
@@ -158,8 +169,18 @@ def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
 
     The infimum of A(xi)/wt_xi(F) over toric valuations is the LP
     min <u, xi> over xi in sigma with <alpha, xi> >= 1 at every vertex
-    alpha of the Newton polyhedron.  For torus-invariant data on toric
-    pairs this toric infimum is the threshold itself.
+    alpha of the Newton polyhedron P = {g >= 1}.  For torus-invariant data
+    on toric pairs this toric infimum is the threshold itself.
+
+    Its value is g(u) = F.ord(u).  The recession cone of P is the weight
+    cone, on which every xi in sigma is nonnegative, so the constraints
+    say <alpha, xi> >= 1 on all of P.  The LP dual takes weights
+    lambda_v >= 0 on the vertices and w in the weight cone with
+    sum_v lambda_v alpha_v + w = u, and maximizes c = sum_v lambda_v; that
+    is max{c : u in c P}.  P is the superlevel set {g >= 1} of the
+    concave, positively homogeneous g, whose gauge is g itself, so u lies
+    in c P exactly when g(u) >= c, and the maximum is g(u).  The LP stays
+    because its vertex, the minimizer, is an output.
     """
     verts = newton_polyhedron(F).vertices
     cons = [(v, ">=", Fraction(1)) for v in verts]

@@ -9,8 +9,9 @@ The search takes exact Newton steps, converts each trial point to float
 only to round it to a nearby rational with a capped denominator, and
 verifies descent exactly.  It stops as soon as the reduced gradient is
 exactly zero, since by strict convexity no candidate can then descend.  A
-final linear-programming bound certifies the gap, which collapses to zero
-whenever the rounded iterate is exactly stationary.
+final convexity bound, minimized over the vertices of the slice,
+certifies the gap, which collapses to zero whenever the rounded iterate is
+exactly stationary.
 """
 
 from dataclasses import dataclass
@@ -102,6 +103,16 @@ def _round_to_slice(s, x, max_den):
     return tuple(c / a for c in cand)
 
 
+def _slice_min(s, c):
+    """min <c, y> over the slice {y in sigma : <u, y> = 1}.
+
+    The slice is the polytope spanned by the rays v of sigma scaled to
+    v / <u, v> (u is positive on them), and a linear form is least at a
+    vertex.
+    """
+    return min(dot(c, v) / dot(s.u, v) for v in s.sigma.rays)
+
+
 def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
                   max_iter=80, raise_on_gap=False) -> NvolResult:
     """Minimize the normalized volume over the Reeb cone.
@@ -112,8 +123,10 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     singular), rational rounding of the float trial point (denominators
     capped), exact descent check; the loop ends at once where the reduced
     gradient is exactly zero.  The certificate is the convexity bound
-    vol(x*) + <grad, y - x*> minimized over the slice polytope by one LP;
-    at an exactly stationary rounded point it is exactly zero.
+    vol(x*) + <grad, y - x*> minimized over the slice polytope
+    {y in sigma : <u, y> = 1}, which is linear in y and so least at a
+    vertex v / <u, v>, v a ray of sigma (no LP is needed); at an exactly
+    stationary rounded point the gap is exactly zero.
     """
     tol = frac(tol)
     n = s.rank
@@ -173,10 +186,7 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
             break
 
     # Certificate: convexity lower bound minimized over the slice polytope.
-    cons = [(h, ">=", Fraction(0)) for h in s.sigma.halfspaces]
-    cons.append((s.u, "==", Fraction(1)))
-    res = lp_solve(grad, cons, sense="min")
-    gap = dot(grad, xi) - res.value
+    gap = dot(grad, xi) - _slice_min(s, grad)
     alpha0 = okounkov_body(s, xi).alpha0
     residual = tuple(a - u for a, u in zip(alpha0, s.u))
     result = NvolResult(minimizer=xi, nvol_value=fx, certificate_gap=gap,

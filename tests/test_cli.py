@@ -260,6 +260,49 @@ def test_malformed_budget_env(doc_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: CONESTAB_BUDGET: not an integer")
 
 
+def test_negative_budget_option_exits_2(doc_path, capsys):
+    doc = json.loads(json.dumps(C2_DOC))
+    doc["options"] = {"budget": -5}
+    path = doc_path(doc)
+    assert main(["estimate", path, "--filtration", "FEX", "--levels", "1..3"]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {path}.options.budget: budget must be nonnegative, got -5\n")
+
+
+def test_negative_budget_env_exits_2(doc_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONESTAB_BUDGET", "-5")
+    assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",
+                 "--levels", "1..3"]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: CONESTAB_BUDGET: budget must be nonnegative, got -5\n")
+
+
+def test_zero_budget_is_a_cap_not_an_error(doc_path, capsys):
+    doc = json.loads(json.dumps(C2_DOC))
+    doc["options"] = {"budget": 0}
+    assert main(["estimate", doc_path(doc), "--filtration", "FEX",
+                 "--levels", "1..3"]) == EXIT_BUDGET
+
+
+def test_estimate_unwritable_out_exits_2(doc_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",
+                 "--levels", "1..3", "--out", str(target)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and "No such file or directory" in err
+    assert err.count("\n") == 1
+
+
+def test_validate_non_utf8_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    data = json.dumps(dict(C2_DOC, note="caf\u00e9"), ensure_ascii=False).encode("latin-1")
+    path.write_bytes(data)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    at = data.index("\u00e9".encode("latin-1"))
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: invalid continuation byte at byte {at}\n")
+
+
 def test_estimate_out_file(doc_path, tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conestab.errors import FutakiNonvanishing, IdentityViolated
 from conestab.exactgeom import dot
@@ -36,7 +38,7 @@ from conestab.invariants import (
     vol_derivative,
 )
 from conestab.singularity import from_rays, log_discrepancy
-from conftest import random_filtration, random_instance, random_reeb
+from conftest import random_cone, random_filtration, random_instance, random_reeb
 
 F = Fraction
 
@@ -127,6 +129,23 @@ def test_lct_toric_minimizer_beats_sampling(c2, fex):
         xi = (F(rnd.randint(1, 40)), F(rnd.randint(1, 40)))
         value = min(dot(xi, v) for v in verts)
         assert dot(c2.u, xi) / value >= best
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), rank=st.sampled_from([2, 3]))
+def test_lct_equals_order_of_discrepancy_covector(seed, rank):
+    # LP duality (see lct_monomial): the Newton-polyhedron LP equals g(u),
+    # for twists, geodesics and divisor filtrations on the boundary of sigma.
+    rnd = random.Random(seed)
+    s = random_cone(rnd, rank)
+    event(f"boundary coefficients: {any(s.coefficients)}")
+    fa, fb = random_filtration(rnd, s), random_filtration(rnd, s)
+    t = F(rnd.randint(1, 4), 5)
+    face = rnd.sample(s.sigma.rays, rnd.randint(1, rank - 1))
+    boundary = tuple(map(sum, zip(*face)))
+    for G in (fa, twist(fa, random_reeb(rnd, s)), geodesic([fa, fb], [1 - t, t]),
+              toric_filtration(s, boundary)):
+        assert lct_monomial(s, G).value == G.ord(s.u)
 
 
 def test_ding_examples(c2, fex):
