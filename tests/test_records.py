@@ -1,0 +1,76 @@
+"""Value semantics of the model records.
+
+The invariant caches key on these records, so hashing and equality must be
+those of the tuple of fields, and the records must not change after they
+are built.
+"""
+
+import pytest
+
+from conestab.estimators import EstimatorSweep
+from conestab.exactgeom import PLConcave, slice_polytope
+from conestab.exactgeom.fan import cone_fan
+from conestab.filtration import monomial_filtration
+from conestab.invariants import InvariantReport
+from conestab.singularity import from_rays
+
+FIELDS = {
+    "Cone": ("rank", "rays", "halfspaces"),
+    "ConeSingularity": ("rank", "sigma", "coefficients", "u", "weight_cone"),
+    "MonomialFiltration": ("ambient", "transform"),
+    "PLConcave": ("covectors",),
+    "Polytope": ("dim", "vertices", "recession_rays", "halfspaces"),
+    "Fan": ("rank", "rays", "simplices"),
+}
+
+
+def _records():
+    s = from_rays([(1, 0), (1, 2)], [0, "1/3"])
+    F = monomial_filtration(s, [(2, 3), (3, 1)])
+    return [s.sigma, s, F, F.transform, slice_polytope(s.weight_cone, (1, 1), 1),
+            cone_fan(s.weight_cone)]
+
+
+@pytest.mark.parametrize("index", range(len(FIELDS)))
+def test_record_is_a_value_of_its_fields(index):
+    x = _records()[index]
+    names = FIELDS[type(x).__name__]
+    values = tuple(getattr(x, name) for name in names)
+    assert hash(x) == hash(values)
+    copy = type(x)(**dict(zip(names, values)))
+    assert copy is not x and copy == x and hash(copy) == hash(x)
+    assert repr(x) == (type(x).__name__ + "("
+                       + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")")
+    with pytest.raises(AttributeError):
+        setattr(x, names[0], values[0])
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert tuple(getattr(x, name) for name in names) == values
+
+
+def test_record_kinds_covered():
+    assert sorted(type(x).__name__ for x in _records()) == sorted(FIELDS)
+
+
+def test_pl_concave_needs_a_covector():
+    with pytest.raises(ValueError, match="at least one covector"):
+        PLConcave(())
+
+
+def test_default_containers_are_not_shared():
+    a = EstimatorSweep(levels=[1], per_level=[])
+    b = EstimatorSweep(levels=[1], per_level=[])
+    try:
+        a.target["S"] = 1
+    except TypeError:
+        pass
+    assert dict(b.target) == {}
+    report = InvariantReport(entries={})
+    report.add("S", exact=1)
+    first = report.entries["S"]
+    try:
+        first.params["k"] = 1
+    except TypeError:
+        pass
+    report.add("T", exact=2)
+    assert dict(report.entries["T"].params) == {}
