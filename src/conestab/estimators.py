@@ -17,11 +17,12 @@ per point.
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
 from operator import add, mul
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below
@@ -34,8 +35,7 @@ from .singularity import ConeSingularity, _xi
 CSV_HEADER = ["m", "N_m", "TS_m", "S_m", "Sp_m", "Spp_m", "lammax_m"]
 
 
-@dataclass
-class LevelStats:
+class LevelStats(NamedTuple):
     m: int
     N_m: int
     TS_m: int          # order sum of F over the basis below level m
@@ -47,11 +47,10 @@ class LevelStats:
     count_gamma: int    # points at weight <= m
 
 
-@dataclass
-class EstimatorSweep:
+class EstimatorSweep(NamedTuple):
     levels: list
     per_level: list
-    target: dict = field(default_factory=dict)
+    target: dict = MappingProxyType({})  # empty and read-only unless given
 
     def row(self, m) -> LevelStats:
         for st in self.per_level:
@@ -202,8 +201,7 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     return EstimatorSweep(levels=levels, per_level=per_level, target=target)
 
 
-@dataclass
-class SemigroupSample:
+class SemigroupSample(NamedTuple):
     """Finite slice of the graded value semigroup of a filtration level."""
 
     m: int
@@ -263,8 +261,7 @@ def bj_bound_check(s: ConeSingularity, xi0, F: MonomialFiltration,
     return all(st.Spp_m <= bound for st in sw.per_level)
 
 
-@dataclass
-class GoodValuationReport:
+class GoodValuationReport(NamedTuple):
     ok: bool
     r0: Fraction
     ell: tuple

@@ -7,16 +7,15 @@ pointed and full-dimensional; the dual of such a cone is again of that kind,
 and ``dual_cone`` is an involution on the class.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from ..errors import DegenerateCone, NotFullDimensional
 from .linalg import _row_reduce, dot, is_zero, mat_rank, primitivize, vec
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Pointed full-dimensional rational cone with both representations.
 
     rays:       primitive integer generators (V-representation)

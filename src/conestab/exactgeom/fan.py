@@ -18,18 +18,17 @@ p_i cleared to the common denominator Q = prod of the pairings of all rays,
 and forms one Fraction per output entry.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from typing import NamedTuple
 
 from ..errors import UnboundedSlice
 from .cone import Cone, _facet_normals, _triangulate_rays
 from .linalg import det, mat_rank, primitivize, vec, vsub
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Simplicial subdivision of a full-dimensional cone in R^rank.
 
     rays:      primitive integer rays, sorted

@@ -38,7 +38,7 @@ def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):
     xi must be strictly positive on the cone so the region is finite.  The
     points are the runs of ``_lattice_runs`` laid out one by one, as tuples
     of int.  More than ``budget`` kept points raise BudgetExceeded rather
-    than silently truncating.
+    than silently truncating; a negative budget is a ParseError.
     """
     return [prefix + (t,) for prefix, t_lo, t_hi in _lattice_runs(c, xi, m, budget, strict)
             for t in range(t_lo, t_hi + 1)]
@@ -55,7 +55,10 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
     """
     xi = vec(xi)
     m = frac(m)
-    budget = enumeration_budget() if budget is None else budget
+    if budget is None:
+        budget = enumeration_budget()
+    elif budget < 0:
+        raise ParseError(f"budget must be nonnegative, got {budget}", "budget")
     pairings = [dot(xi, r) for r in c.rays]
     if any(p <= 0 for p in pairings):
         raise UnboundedSlice("enumeration region is unbounded")

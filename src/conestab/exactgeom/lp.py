@@ -35,9 +35,9 @@ zd, so the primitive parts, the signs and the ratios Bland's rule reads
 are those of the full tableau: the pivot path is unchanged.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from ..errors import DenominatorVanishes, Infeasible, LPUnbounded
 from .linalg import _integer_row, dot, vec
@@ -45,8 +45,7 @@ from .linalg import _integer_row, dot, vec
 LE, GE, EQ = "<=", ">=", "=="
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     value: Fraction
     point: tuple
 

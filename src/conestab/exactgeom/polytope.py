@@ -9,19 +9,19 @@ simplicial fan of the weight cone (``fan.py``); ``volume``, ``barycenter``,
 stay as the direct reference for that kernel.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
 from .cone import Cone, _triangulate_rays
 from .linalg import _integer_row, _row_reduce, det, dot, frac, mat_rank, primitivize, vec, vzero
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     """Convex rational polyhedron with explicit V- and H-representations.
 
     vertices:       tuple of rational points
@@ -169,8 +169,7 @@ def second_moment(p: Polytope):
     return tuple(tuple(row) for row in M)
 
 
-@dataclass(frozen=True)
-class PLConcave:
+class PLConcave(namedtuple("PLConcave", "covectors")):
     """Min of finitely many linear forms: g(x) = min_j <covectors[j], x>.
 
     Positively homogeneous, concave and superadditive wherever all covectors
@@ -178,14 +177,15 @@ class PLConcave:
     happens against a reference cone in the filtration layer.
     """
 
-    covectors: tuple
+    __slots__ = ()
+
+    def __new__(cls, covectors):
+        if not covectors:
+            raise ValueError("PLConcave needs at least one covector")
+        return super().__new__(cls, covectors)
 
     def value(self, x) -> Fraction:
         return min(dot(z, x) for z in self.covectors)
-
-    def __post_init__(self):
-        if not self.covectors:
-            raise ValueError("PLConcave needs at least one covector")
 
 
 def integrate_pl(p: Polytope, g: PLConcave) -> Fraction:

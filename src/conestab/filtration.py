@@ -12,11 +12,11 @@ degree-m approximating filtrations, and the saturated closure of an
 approximating filtration as a concave transform of its own.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import floordiv, le, mul, sub
+from typing import NamedTuple
 
 from .errors import (
     AmbientMismatch,
@@ -30,8 +30,7 @@ from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, latti
 from .singularity import ConeSingularity, _xi
 
 
-@dataclass(frozen=True)
-class MonomialFiltration:
+class MonomialFiltration(NamedTuple):
     """Reduced monomial filtration over a fixed singularity."""
 
     ambient: ConeSingularity
@@ -45,8 +44,7 @@ class MonomialFiltration:
         return self.transform.covectors
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(NamedTuple):
     """Region {g >= 1} in the weight cone: vertices plus recession cone."""
 
     polytope: Polytope

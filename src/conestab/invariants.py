@@ -19,11 +19,12 @@ which each covector of F is the minimum.
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
+from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary, UnboundedSlice
 from .exactgeom import dot, frac, lp_solve, primitivize, slice_polytope, vec
 from .exactgeom.fan import chamber_fans, cone_fan, fan_moments
 from .exactgeom.linalg import gram_project_out, norm_sq
@@ -31,8 +32,7 @@ from .filtration import MonomialFiltration, newton_polyhedron
 from .singularity import ConeSingularity, _xi, log_discrepancy
 
 
-@dataclass(frozen=True)
-class OkounkovBody:
+class OkounkovBody(NamedTuple):
     """Weight-cone slice at level one with its exact volume statistics.
 
     alpha0 = (n+1)/n * barycenter represents the linear form S(xi0; .) on
@@ -140,11 +140,10 @@ def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
 
 def _slice_vertices(s: ConeSingularity, xi0):
     xi0 = _xi(xi0)
-    out = []
-    for r in s.weight_cone.rays:
-        p = dot(xi0, r)
-        out.append(tuple(frac(x) / p for x in r))
-    return out
+    pairings = [dot(xi0, r) for r in s.weight_cone.rays]
+    if any(p <= 0 for p in pairings):
+        raise UnboundedSlice("slicing covector vanishes on a ray")
+    return [tuple(frac(x) / p for x in r) for r, p in zip(s.weight_cone.rays, pairings)]
 
 
 def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -157,8 +156,7 @@ def j_norm(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     return lambda_max_closed(s, xi0, F) - s_closed(s, xi0, F)
 
 
-@dataclass(frozen=True)
-class LctResult:
+class LctResult(NamedTuple):
     value: Fraction
     minimizer: tuple  # optimal toric valuation direction
 
@@ -256,8 +254,7 @@ def semistable_verdict(s: ConeSingularity, xi0):
     return all(c == 0 for c in cert), cert
 
 
-@dataclass(frozen=True)
-class ReducedJResult:
+class ReducedJResult(NamedTuple):
     value: Fraction
     minimizer_twist: tuple
     lower: Fraction
@@ -402,13 +399,12 @@ ESTIMATOR = "estimator"
 OPTIMIZER = "optimizer"
 
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     exact: Fraction | None
     method: str
     lower: Fraction | None = None
     upper: Fraction | None = None
-    params: dict = field(default_factory=dict)
+    params: dict = MappingProxyType({})  # empty and read-only unless given
 
     def to_json(self):
         def enc(x):
@@ -425,8 +421,7 @@ class ReportEntry:
         return out
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Named invariant values with provenance of the computing method."""
 
     entries: dict

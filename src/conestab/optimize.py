@@ -14,8 +14,8 @@ certifies the gap, which collapses to zero whenever the rounded iterate is
 exactly stationary.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateReebCone, ToleranceNotReached
 from .exactgeom import dot, frac, vec
@@ -26,8 +26,7 @@ from .invariants import okounkov_body
 from .singularity import ConeSingularity
 
 
-@dataclass(frozen=True)
-class KelleyResult:
+class KelleyResult(NamedTuple):
     upper: Fraction
     lower: Fraction
     arg: tuple
@@ -85,8 +84,7 @@ def kelley_minimize(oracle, halfspaces, dim, tol, max_iter=200,
                             iterations=max_iter))
 
 
-@dataclass(frozen=True)
-class NvolResult:
+class NvolResult(NamedTuple):
     minimizer: tuple          # rational Reeb vector on the A = 1 slice
     nvol_value: Fraction      # exact normalized volume at the minimizer
     certificate_gap: Fraction  # exact upper bound on nvol - inf nvol

@@ -8,16 +8,15 @@ the interior of sigma; its points index the toric valuations centered at
 the vertex.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateCone, NotKlt, NotQGorenstein
 from .exactgeom import Cone, cone_from_rays, dot, dual_cone, frac, vec
 from .exactgeom.linalg import solve
 
 
-@dataclass(frozen=True)
-class ConeSingularity:
+class ConeSingularity(NamedTuple):
     """Validated toric cone singularity.
 
     rank:         ambient rank n
@@ -34,8 +33,7 @@ class ConeSingularity:
     weight_cone: Cone
 
 
-@dataclass(frozen=True)
-class ReebVector:
+class ReebVector(NamedTuple):
     """Rational point of the open Reeb cone (= interior of sigma)."""
 
     xi: tuple

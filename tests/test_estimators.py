@@ -15,6 +15,7 @@ from conestab.errors import (
     EmptyInput,
     LatticeNotGenerated,
     NotQGorenstein,
+    ParseError,
 )
 from conestab.estimators import (
     CSV_HEADER,
@@ -100,6 +101,19 @@ def test_sweep_refuses_non_integer_levels(c2, fex):
 def test_sweep_budget(c2, fex):
     with pytest.raises(BudgetExceeded):
         sweep(c2, (1, 1), fex, [50], budget=100)
+
+
+def test_negative_budget_keyword_is_a_parse_error(c2, fex):
+    # Every enumeration entry point takes budget=; 0 stays a cap.
+    calls = (lambda b: sweep(c2, (1, 1), fex, [1, 2], budget=b),
+             lambda b: sweep_approx(c2, (1, 1), fex, 2, [1, 2], budget=b),
+             lambda b: gamma_semigroup(c2, (1, 1), fex, 2, 1, budget=b),
+             lambda b: lattice_points_below(c2.weight_cone, (1, 1), 2, budget=b))
+    for call in calls:
+        with pytest.raises(ParseError, match="^budget: budget must be nonnegative, got -5$"):
+            call(-5)
+        with pytest.raises(BudgetExceeded, match="budget 0$"):
+            call(0)
 
 
 def test_sweep_budget_counts_points_below_top_level():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conestab.errors import FutakiNonvanishing, IdentityViolated
+from conestab.errors import FutakiNonvanishing, IdentityViolated, UnboundedSlice
 from conestab.exactgeom import dot
 from conestab.filtration import (
     geodesic,
@@ -100,6 +100,16 @@ def test_lambda_extremes(c2, fex):
     assert lambda_min_closed(c2, (1, 1), fex) == 1
     assert lambda_min_closed(c2, (1, 1), toric_filtration(c2, (1, 1))) == 1
     assert lambda_min_closed(c2, (1, 1), toric_filtration(c2, (1, 2))) == 1
+
+
+@pytest.mark.parametrize("invariant", [lambda_max_closed, lambda_min_closed, j_norm,
+                                       reduced_j])
+def test_boundary_polarization_is_unbounded_slice(invariant):
+    # xi0 = 2 * (-2, 1) lies on a ray of sigma, so the slice is unbounded.
+    s = from_rays([(-2, 1), (0, 1)])
+    F = monomial_filtration(s, [(-1, 1), (-2, 3)])
+    with pytest.raises(UnboundedSlice):
+        invariant(s, (-4, 2), F)
 
 
 def test_lct_examples(c2, fex, half_boundary):

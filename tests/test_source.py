@@ -1,6 +1,9 @@
 """Source-level guards on the library package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import conestab
@@ -17,3 +20,15 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # Every CLI call is a fresh process, so import cost is paid per request;
+    # dataclasses (and the inspect, ast, dis and tokenize it pulls in) cost
+    # about 30 ms there.
+    probe = ("import sys; before = set(sys.modules); import conestab, conestab.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
