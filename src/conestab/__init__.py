@@ -67,7 +67,7 @@ from .invariants import (
     semistable_verdict,
     vol,
 )
-from .optimize import NvolResult, kelley_minimize, minimize_nvol
+from .optimize import NvolResult, minimize_nvol
 from .singularity import (
     ConeSingularity,
     ReebVector,

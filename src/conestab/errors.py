@@ -116,10 +116,6 @@ class LatticeNotGenerated(ConestabError):
     """Weight semigroup fails to generate the full lattice as a group."""
 
 
-class DegenerateReebCone(ConestabError):
-    """Internal error: descent left the Reeb cone."""
-
-
 class IdentityViolated(ConestabError):
     """Internal error: an exact identity a computation relies on failed."""
 

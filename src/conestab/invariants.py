@@ -1,9 +1,13 @@
 """Closed-form scalar invariants of a polarized toric cone singularity.
 
 Everything here reduces to exact polyhedral data of the weight cone sliced
-by the polarization, vertex bounds or epigraph LPs for extremal slopes, a
-Newton-polyhedron LP for the log canonical threshold, and
-linear-fractional programs over the cone for the delta invariant.  The slice integrals all come from one
+by the polarization, with g = min_j <z_j, .> the concave transform of a
+filtration: vertex bounds or an epigraph LP for the extremal slopes, and
+closed forms for the log canonical threshold g(u), the reduced J-norm
+g(alpha0) - S and the delta invariant, a minimum over the rays of sigma.
+Each of these three returns an optimal point as well (a minimizer, a
+twist, a ray), and its LP runs only on the exact ties where the closed
+form leaves that point open.  The slice integrals all come from one
 simplicial fan of the weight cone (``exactgeom.fan``, Lawrence's formula):
 vol(xi) = sum_tau |det W_tau| / prod_i <w_i, xi> and its gradient are
 rational functions of xi on a triangulation built once per cone, so the
@@ -177,9 +181,18 @@ def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
     sum_v lambda_v alpha_v + w = u, and maximizes c = sum_v lambda_v; that
     is max{c : u in c P}.  P is the superlevel set {g >= 1} of the
     concave, positively homogeneous g, whose gauge is g itself, so u lies
-    in c P exactly when g(u) >= c, and the maximum is g(u).  The LP stays
-    because its vertex, the minimizer, is an output.
+    in c P exactly when g(u) >= c, and the maximum is g(u).
+
+    The LP's optimal set is the superdifferential of g at u, which is
+    interior to the weight cone.  Where one covector z_j alone attains
+    g(u), g is smooth at u and z_j is the only optimum, so it is returned
+    with no LP.  Where several tie, the optima form their convex hull and
+    the LP is solved for the vertex it picks.
     """
+    pairings = [dot(z, s.u) for z in F.covectors]
+    value = min(pairings)
+    if pairings.count(value) == 1:
+        return LctResult(value=value, minimizer=F.covectors[pairings.index(value)])
     verts = newton_polyhedron(F).vertices
     cons = [(v, ">=", Fraction(1)) for v in verts]
     for h in s.sigma.halfspaces:
@@ -225,18 +238,25 @@ def futaki_derivative(s: ConeSingularity, xi0, eta) -> Fraction:
 def delta_T(s: ConeSingularity, xi0):
     """Delta invariant over toric valuations, with a minimizing ray.
 
-    Both A and S(xi0; .) are linear on the cone, so the infimum of the
-    linear-fractional ratio is attained on an extreme ray; solved by a
-    Charnes-Cooper LP and always <= 1 (the polarization itself has ratio 1).
+    Both A and S(xi0; .) are linear on the cone, so the ratio
+    A / (A(xi0) S) is least on an extreme ray of sigma: the value is the
+    minimum over the rays, always <= 1 (the polarization itself has ratio
+    1).  A unique minimizing ray is returned as it is; where several tie,
+    the Charnes-Cooper LP picks the ray.
     """
     xi0 = _xi(xi0)
     alpha0 = okounkov_body(s, xi0).alpha0
     a0 = log_discrepancy(s, xi0)
     den = tuple(a0 * x for x in alpha0)
-    from .exactgeom.lp import fractional_lp
-    value, y = fractional_lp(s.u, den, s.sigma.halfspaces, sense="min")
+    ratios = [dot(s.u, r) / dot(den, r) for r in s.sigma.rays]
+    value = min(ratios)
+    if ratios.count(value) == 1:
+        y = s.sigma.rays[ratios.index(value)]
+    else:
+        from .exactgeom.lp import fractional_lp
+        value, y = fractional_lp(s.u, den, s.sigma.halfspaces, sense="min")
     if value > 1:
-        raise IdentityViolated(f"delta_T LP returned {value} > 1")
+        raise IdentityViolated(f"delta_T returned {value} > 1")
     return value, primitivize(y)
 
 
@@ -268,23 +288,61 @@ class ReducedJResult(NamedTuple):
 def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     """Reduced J-norm: the infimum of J(xi0; F twisted by xi) over twists.
 
-    The twisted max slope is max over the slice P of g(alpha) + <alpha, xi>,
-    which by minimax equals min over convex combinations lam of the
-    covectors of max over vertices of P of <zeta(lam) + xi, .>.  The whole
-    infimum therefore collapses to one exact LP in (lam, xi, t):
+    With g = min_j <z_j, .>, P the level-one slice and alpha0 in P the
+    point with S(xi0; toric xi) = <alpha0, xi>, the value is exactly
+    g(alpha0) - S(xi0; F):
+
+    - lower bound: the twist by xi in sigma has transform g + <., xi>, so
+      its J is max_P (g + <., xi>) - <alpha0, xi> - S(xi0; F), at least
+      its value at alpha0, which is g(alpha0) - S(xi0; F);
+    - upper bound: for a covector z_j active at alpha0 (<z_j, alpha0> =
+      g(alpha0)) take xi = c xi0 - z_j, with c so large that xi lies in
+      sigma (xi0 is interior).  Then g + <., xi> <= c on P, with equality
+      at alpha0, and J of the twist is c - <alpha0, xi> - S(xi0; F) =
+      g(alpha0) - S(xi0; F).
+
+    S is the mean of the concave g for a measure on P with barycenter
+    alpha0, so by Jensen the value is >= 0, and 0 exactly when g is linear,
+    i.e. when F has one covector.
+
+    The twist is an optimal xi of the minimax LP in (lam, xi, t)
 
         minimize  t - <alpha0, xi>
-        subject to t >= <sum_j lam_j zeta_j + xi, alpha_v>  (vertices of P)
-                   lam in the simplex, xi in the closed Reeb cone,
+        subject to t >= <sum_j lam_j z_j + xi, alpha_v>  (vertices of P)
+                   lam in the simplex, xi in the closed Reeb cone.
 
-    minus S(xi0; F).  The value is exact, so lower = upper = value.
+    Its optima put lam on the covectors active at alpha0 and take
+    xi = c xi0 - sum_j lam_j z_j for any c that keeps xi in sigma; the
+    canonical twist is the one with the smallest c.  When g is maximal on
+    P at alpha0, some lam gives sum_j lam_j z_j = lambda_max xi0 and the
+    twist is 0.  Otherwise, with one active covector z_j, it is
+    c* xi0 - z_j with c* = max_h <h, z_j> / <h, xi0> over the halfspaces
+    h of sigma, the LP's only optimal vertex.  With several active
+    covectors the LP is solved and its vertex returned.  The value is
+    exact, so lower = upper = value.
     """
     xi0 = _xi(xi0)
+    alpha0 = okounkov_body(s, xi0).alpha0
+    pairings = [dot(z, alpha0) for z in F.covectors]
+    g0 = min(pairings)
+    value = g0 - s_closed(s, xi0, F)
+    if pairings.count(g0) == 1:
+        z = F.covectors[pairings.index(g0)]
+        c = max(dot(h, z) / dot(h, xi0) for h in s.sigma.halfspaces)
+        twist_xi = tuple(c * x - y for x, y in zip(xi0, z))
+    elif lambda_max_closed(s, xi0, F) == g0:
+        twist_xi = (Fraction(0),) * s.rank
+    else:
+        twist_xi = _reduced_j_twist_lp(s, xi0, F, alpha0)
+    return ReducedJResult(value=value, minimizer_twist=twist_xi,
+                          lower=value, upper=value)
+
+
+def _reduced_j_twist_lp(s, xi0, F, alpha0):
+    """The xi of the vertex the minimax LP of ``reduced_j`` picks."""
     n = s.rank
     covs = F.covectors
     k = len(covs)
-    verts = _slice_vertices(s, xi0)
-    alpha0 = okounkov_body(s, xi0).alpha0
     # Variables: lam (k), xi (n), t (1).
     zeros = lambda j: (Fraction(0),) * j
     cons = []
@@ -295,15 +353,11 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
         cons.append((tuple(e), ">=", Fraction(0)))
     for h in s.sigma.halfspaces:
         cons.append((zeros(k) + tuple(h) + zeros(1), ">=", Fraction(0)))
-    for av in verts:
+    for av in _slice_vertices(s, xi0):
         row = [dot(z, av) for z in covs] + list(av) + [Fraction(-1)]
         cons.append((tuple(row), "<=", Fraction(0)))
     objective = zeros(k) + tuple(-a for a in alpha0) + (Fraction(1),)
-    res = lp_solve(objective, cons, sense="min")
-    value = res.value - s_closed(s, xi0, F)
-    twist_xi = res.point[k:k + n]
-    return ReducedJResult(value=value, minimizer_twist=twist_xi,
-                          lower=value, upper=value)
+    return lp_solve(objective, cons, sense="min").point[k:k + n]
 
 
 def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):

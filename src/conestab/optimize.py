@@ -1,4 +1,4 @@
-"""Optimization engines: cutting planes and normalized-volume minimization.
+"""Normalized-volume minimization over the Reeb cone.
 
 The normalized-volume minimizer works on the affine slice where the log
 discrepancy equals one.  There nvol is vol(xi) = sum_tau |det W_tau| /
@@ -17,71 +17,12 @@ exactly stationary.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateReebCone, ToleranceNotReached
-from .exactgeom import dot, frac, vec
+from .errors import ToleranceNotReached
+from .exactgeom import dot, frac
 from .exactgeom.fan import cone_fan, fan_moments
 from .exactgeom.linalg import nullspace, solve
-from .exactgeom.lp import lp_solve
 from .invariants import okounkov_body
 from .singularity import ConeSingularity
-
-
-class KelleyResult(NamedTuple):
-    upper: Fraction
-    lower: Fraction
-    arg: tuple
-    iterations: int
-
-    @property
-    def gap(self) -> Fraction:
-        return self.upper - self.lower
-
-
-def kelley_minimize(oracle, halfspaces, dim, tol, max_iter=200,
-                    start=None) -> KelleyResult:
-    """Cutting-plane minimization of a convex function over a bounded
-    H-polytope {x : <a, x> <= b}.
-
-    ``oracle(x)`` must return (value, subgradient) exactly (Fractions); the
-    model lower bound and the incumbent upper bound bracket the optimum and
-    the loop stops when they close to within tol.  Deterministic given a
-    deterministic oracle.
-    """
-    tol = frac(tol)
-    halfspaces = [(vec(a), frac(b)) for a, b in halfspaces]
-    if start is None:
-        from .exactgeom import enumerate_vertices
-        verts = enumerate_vertices(halfspaces, dim)
-        if not verts:
-            raise DegenerateReebCone("empty cutting-plane feasible region")
-        start = tuple(sum(v[i] for v in verts) / len(verts) for i in range(dim))
-    x = vec(start)
-    cuts = []
-    best_val = None
-    best_arg = None
-    lower = None
-    for it in range(1, max_iter + 1):
-        val, sub = oracle(x)
-        if best_val is None or val < best_val:
-            best_val, best_arg = val, x
-        cuts.append((val, vec(sub), x))
-        # Model LP: minimize t subject to t >= val_i + <g_i, y - x_i>, y feasible.
-        cons = []
-        for v, g, xi in cuts:
-            row = tuple(-a for a in g) + (Fraction(1),)
-            cons.append((row, ">=", v - dot(g, xi)))
-        for a, b in halfspaces:
-            cons.append((tuple(a) + (Fraction(0),), "<=", b))
-        res = lp_solve((Fraction(0),) * dim + (Fraction(1),), cons, sense="min")
-        lower = res.value
-        if best_val - lower <= tol:
-            return KelleyResult(upper=best_val, lower=lower, arg=best_arg,
-                                iterations=it)
-        x = res.point[:dim]
-    raise ToleranceNotReached(
-        f"cutting planes stopped at gap {best_val - lower}",
-        result=KelleyResult(upper=best_val, lower=lower, arg=best_arg,
-                            iterations=max_iter))
 
 
 class NvolResult(NamedTuple):
@@ -196,8 +137,6 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 
 
 __all__ = [
-    "KelleyResult",
     "NvolResult",
-    "kelley_minimize",
     "minimize_nvol",
 ]

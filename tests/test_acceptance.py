@@ -27,12 +27,12 @@ from conestab.invariants import (
     ding,
     futaki_derivative,
     futaki_product,
-    inf_twist_s,
     j_norm,
     lambda_max_closed,
     lambda_min_closed,
     lct_monomial,
     nvol,
+    okounkov_body,
     quotient_norm_sq,
     reduced_j,
     s_closed,
@@ -100,10 +100,14 @@ def test_criterion_1_exact_identity_suite():
         assert F(1, n) * (lmax - lmin) <= mid <= (1 - F(1, n)) * (lmax - lmin)
         assert F(1, n - 1) * (lmax - sv) <= mid <= (n - 1) * (lmax - sv)
 
-        # reduced-J / twisted-S sandwich for the same toric datum, exact
-        rj = reduced_j(s, xi0, Fw).value
-        its, _ = inf_twist_s(s, xi0, w)
-        assert F(1, n - 1) * rj <= its <= (n - 1) * rj
+        # reduced J in closed form: D - A J_red = g(u) - g(A alpha0) at any
+        # polarization, and J_red = 0 exactly for a single covector
+        a0 = log_discrepancy(s, xi0)
+        a_alpha0 = tuple(a0 * x for x in okounkov_body(s, xi0).alpha0)
+        rj = reduced_j(s, xi0, Ft).value
+        assert ding(s, xi0, Ft) - a0 * rj == Ft.ord(s.u) - Ft.ord(a_alpha0)
+        assert (rj == 0) == (len(Ft.covectors) == 1)
+        assert reduced_j(s, xi0, Fw).value == 0
 
         # Ding = A * reduced J at the semistable polarization
         # xi* = (1/n) sum_i v_i / (1 - a_i), exact

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conestab.errors import ToleranceNotReached
-from conestab.exactgeom import dot
 from conestab.invariants import semistable_verdict, vol, vol_derivative
 from conestab import optimize
-from conestab.optimize import kelley_minimize, minimize_nvol
+from conestab.optimize import minimize_nvol
 from conestab.singularity import from_rays
 from conftest import random_cone, random_reeb
 
@@ -195,40 +194,3 @@ def test_minimize_nvol_pinned_results(rays, coeffs, minimizer, iterations, diges
     assert r.minimizer == tuple(F(x) for x in minimizer)
     assert r.iterations == iterations
     assert hashlib.sha256(repr(r).encode()).hexdigest()[:16] == digest
-
-
-def test_kelley_linear_oracle_one_cut():
-    c = (F(2), F(-1))
-
-    def oracle(x):
-        return dot(c, x), c
-
-    box = [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1)),
-           ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(1))]
-    r = kelley_minimize(oracle, box, 2, F(1, 10 ** 9))
-    assert r.upper == r.lower == -3
-    assert r.iterations <= 2
-
-
-def test_kelley_l1_oracle():
-    def oracle(x):
-        return sum(abs(v) for v in x), tuple(F(1) if v >= 0 else F(-1) for v in x)
-
-    box = [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1)),
-           ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(1))]
-    r = kelley_minimize(oracle, box, 2, F(1, 10 ** 9))
-    assert 0 <= r.upper <= F(1, 10 ** 9)
-
-
-def test_kelley_iteration_cap():
-    center = (F(1, 3), F(-1, 2))
-
-    def oracle(x):
-        d = tuple(a - b for a, b in zip(x, center))
-        return dot(d, d) + F(1, 7), (2 * d[0], 2 * d[1])
-
-    box = [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(1)),
-           ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(1))]
-    with pytest.raises(ToleranceNotReached) as exc:
-        kelley_minimize(oracle, box, 2, F(0), max_iter=5)
-    assert exc.value.result.upper >= exc.value.result.lower
