@@ -11,16 +11,22 @@ each row once to integers first: ``mat_rank`` counts the pivots, ``det``
 reads d over the row scales, ``solve`` and ``nullspace`` read the carried
 right-hand side and the free columns over d; Fractions are built only for
 the values they return.  Vertex enumeration, facet scans and cone
-triangulation hold integer rows already and call the kernel directly.  The
-library targets rank <= 4, so these routines favour clarity and exactness
-over asymptotics.  ``smith_diagonal`` is the separate unimodular integer
-elimination that lattice indices need.
+triangulation hold integer rows already and call the kernel directly.
+Pairings run on integers as well: ``dot`` sums integer numerators over a
+running denominator and builds one Fraction for its result, and ``frac``
+parses each distinct 'p/q' string once.  The library targets rank <= 4, so
+these routines favour clarity and exactness over asymptotics.
+``smith_diagonal`` is the separate unimodular integer elimination that
+lattice indices need.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 Vec = tuple  # tuple of Fraction/int
+
+_PARSED_STRINGS = 4096  # distinct 'p/q' strings kept parsed
 
 
 def frac(x) -> Fraction:
@@ -28,9 +34,16 @@ def frac(x) -> Fraction:
     rejected: exactness is a contract, not a preference."""
     if type(x) is Fraction:
         return x
+    if type(x) is str:
+        return _parse(x)
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction or 'p/q' string")
     return Fraction(x)
+
+
+@lru_cache(maxsize=_PARSED_STRINGS)
+def _parse(text) -> Fraction:
+    return Fraction(text)
 
 
 def vec(xs) -> Vec:
@@ -38,7 +51,25 @@ def vec(xs) -> Vec:
 
 
 def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+    """<u, v> for vectors of ints and Fractions, as one Fraction.
+
+    The terms are summed as an integer numerator over a running
+    denominator; integral terms add without rescaling.
+    """
+    num, den = 0, 1
+    try:
+        for a, b in zip(u, v, strict=True):
+            d = a.denominator * b.denominator
+            if d == 1:
+                num += a.numerator * b.numerator * den
+            else:
+                num = num * d + a.numerator * b.numerator * den
+                den *= d
+    except AttributeError:
+        bad = b if hasattr(a, "denominator") else a
+        raise TypeError(f"refusing {type(bad).__name__} {bad!r}; "
+                        "pass ints or Fractions") from None
+    return Fraction(num, den)
 
 
 def vsub(u, v) -> Vec:

@@ -28,8 +28,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary, UnboundedSlice
-from .exactgeom import dot, frac, lp_solve, primitivize, slice_polytope, vec
+from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
+from .exactgeom import dot, lp_solve, primitivize, slice_polytope, vec
 from .exactgeom.fan import chamber_fans, cone_fan, fan_moments
 from .exactgeom.linalg import gram_project_out, norm_sq
 from .filtration import MonomialFiltration, newton_polyhedron
@@ -143,11 +143,9 @@ def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
 
 
 def _slice_vertices(s: ConeSingularity, xi0):
-    xi0 = _xi(xi0)
-    pairings = [dot(xi0, r) for r in s.weight_cone.rays]
-    if any(p <= 0 for p in pairings):
-        raise UnboundedSlice("slicing covector vanishes on a ray")
-    return [tuple(frac(x) / p for x in r) for r, p in zip(s.weight_cone.rays, pairings)]
+    """Vertices of the level-one slice: the weight-cone rays, in order,
+    each scaled onto <., xi0> = 1 (the Okounkov body without its apex)."""
+    return _okounkov_cached(s, _xi(xi0)).body.vertices[1:]
 
 
 def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:

@@ -21,6 +21,7 @@ from conestab.exactgeom import (
     cone_from_rays,
     dot,
     dual_cone,
+    frac,
     integrate_pl,
     lattice_points_below,
     slice_polytope,
@@ -551,3 +552,55 @@ def test_row_reduce_pivots_all_equal_the_pivot_minor(a):
     else:  # the kernel picked some r rows; d is their minor on the pivot columns
         assert abs(d) in {abs(_cofactor_det([[rows[i][c] for c in pivots] for i in sub]))
                           for sub in combinations(range(len(a)), r)}
+
+
+# --- pairings and parsing ------------------------------------------------------
+
+_ENTRIES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-10 ** 3, max_value=10 ** 3, max_denominator=10 ** 6))
+
+
+@st.composite
+def _vector_pairs(draw):
+    n = draw(st.integers(0, 4))
+    return ([draw(_ENTRIES) for _ in range(n)],
+            tuple(draw(_ENTRIES) for _ in range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_vector_pairs())
+def test_dot_matches_fraction_sum(pair):
+    # int, Fraction and mixed entries; the integer accumulation must give the
+    # reference sum, always as a Fraction (Fraction(0) for empty vectors).
+    u, v = pair
+    got = dot(u, v)
+    assert got == sum((a * b for a, b in zip(u, v)), F(0))
+    assert type(got) is F
+
+
+def test_dot_literal_cases():
+    assert dot((), ()) == 0 and type(dot((), ())) is F
+    assert dot((2, 3), (F(1, 2), F(1, 3))) == 2
+    assert dot([F(1, 6), F(1, 10)], [F(3, 4), 5]) == F(5, 8)
+    with pytest.raises(ValueError):
+        dot((1, 2), (1,))
+    for bad in ((1.5,), ("1/2",)):
+        with pytest.raises(TypeError, match="refusing"):
+            dot(bad, (1,))
+        with pytest.raises(TypeError, match="refusing"):
+            dot((1,), bad)
+    with pytest.raises(TypeError, match="refusing float"):
+        dot((1, F(1, 2)), (F(1, 3), 0.25))
+
+
+def test_frac_parses_strings_once_and_refuses_floats():
+    assert frac("3/12") == F(1, 4) and type(frac("3/12")) is F
+    assert frac("3/12") == frac("3/12") == frac("1/4")
+    assert frac(" -7 ") == -7
+    for _ in range(2):  # failures are not cached: every call raises
+        with pytest.raises(ValueError):
+            frac("1/0x")
+    with pytest.raises(TypeError, match="refusing float"):
+        frac(0.5)
+    assert frac(3) == 3 and frac(F(2, 3)) == F(2, 3)

@@ -102,7 +102,7 @@ def test_lambda_extremes(c2, fex):
 
 
 @pytest.mark.parametrize("invariant", [lambda_max_closed, lambda_min_closed, j_norm,
-                                       reduced_j])
+                                       reduced_j, s_closed, ding])
 def test_boundary_polarization_is_unbounded_slice(invariant):
     # xi0 = 2 * (-2, 1) lies on a ray of sigma, so the slice is unbounded.
     s = from_rays([(-2, 1), (0, 1)])
@@ -259,7 +259,7 @@ def test_j_coercivity_bound():
         assert lhs * lhs >= c_sq * quotient_norm_sq(xi, xi0)
 
 
-# --- norm equivalence and sandwich -------------------------------------------
+# --- norm equivalence and toric vanishing -----------------------------------
 
 def test_norm_equivalence_toric_valuations():
     rnd = random.Random(107)
@@ -277,17 +277,19 @@ def test_norm_equivalence_toric_valuations():
         assert F(1, n - 1) * j <= mid <= (n - 1) * j
 
 
-def test_sandwich_reduced_j_vs_twisted_s_infimum():
-    # for toric data both collapse to zero: exact two-sided check
+def test_toric_reduced_j_and_twisted_s_infimum_vanish():
+    # A toric filtration is linear, so its reduced J is exactly 0; twisting a
+    # toric valuation moves its vector over all of the closed cone sigma,
+    # where S(xi0; .) = <alpha0, .> is least, 0, at the origin.
     rnd = random.Random(109)
     for _ in range(40):
         s, xi0, _ = random_instance(rnd, rnd.choice([2, 3]))
-        n = s.rank
         w = random_reeb(rnd, s)
-        rj = reduced_j(s, xi0, toric_filtration(s, w)).value
-        its, _ = inf_twist_s(s, xi0, w)
-        assert F(1, n - 1) * rj <= its <= (n - 1) * rj
-        assert its <= s_closed(s, xi0, toric_filtration(s, w))
+        Fw = toric_filtration(s, w)
+        rj = reduced_j(s, xi0, Fw)
+        assert rj.value == rj.lower == rj.upper == 0
+        assert inf_twist_s(s, xi0, w)[0] == 0
+        assert 0 <= s_closed(s, xi0, Fw)
 
 
 # --- Futaki -------------------------------------------------------------------
