@@ -259,8 +259,10 @@ def cmd_estimate(args):
     F = doc.filtration(args.filtration)
     levels = _parse_levels(args.levels) if args.levels else (doc.levels or list(range(1, 51)))
     if args.approx:
-        sw = estimators.sweep_approx(doc.singularity, doc.reeb, F, _int(args.approx, "--approx"),
-                                     levels, budget=doc.budget)
+        m_filt = _int(args.approx, "--approx")
+        if m_filt < 1:
+            raise ParseError("approximation level must be >= 1", "--approx")
+        sw = estimators.sweep_approx(doc.singularity, doc.reeb, F, m_filt, levels, budget=doc.budget)
     else:
         sw = estimators.sweep(doc.singularity, doc.reeb, F, levels, budget=doc.budget)
     payload = sw.to_json() if args.json else sw.to_csv()

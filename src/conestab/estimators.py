@@ -8,19 +8,19 @@ slope.  Everything is exact rational bookkeeping; "estimation" refers only
 to the finiteness of the level, never to sampling.
 
 The basis comes as lattice runs, a prefix with a range of the last
-coordinate.  Weights and orders are integer and step linearly along a run,
-so each run, split by residue class of the grading denominator, updates
-its weight shells with strided slice assignments instead of a Python step
-per point.
+coordinate.  Along a run the weights step linearly and the orders are
+integers.  Split by residue class of the grading denominator, a run adds
+its counts to the weight shells as one +1/-1 pair in a strided difference
+array; only its order sums and maxima are updated per point, by slices.
 """
 
 import csv
 import io
 import json
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -100,16 +100,19 @@ def _aggregate(s, xi0, levels, runs, run_orders):
     max(levels) + 1 of xi0, and ``run_orders(prefix, lo, hi)`` lists the
     orders along one run.  Along a run the integer weight <xi0 den, a> is
     w0 + X t.  Within one residue class of t mod den the floor weight steps
-    by exactly X and the test "weight is an integer" does not change, so a
-    class updates its shells with one strided slice per array.
+    by exactly X and the test "weight is an integer" does not change, so
+    the counts of a class are one +1/-1 pair in a difference array of
+    stride |X|; only its order sums and maxima take a strided slice each.
     """
     top = levels[-1] + 1  # S'_m at the last level needs one extra shell
     den = lcm(*(x.denominator for x in xi0))
     *xs, X = [int(x * den) for x in xi0]  # integer weights <xi0 den, a>
-    counts = [0] * (top + 1)
+    step = abs(X)
+    # Difference arrays: the -1 of a class lands one stride past its last shell.
+    counts = [0] * (top + 1 + step)
+    eq_counts = [0] * (top + 1 + step)
     sums_ord = [0] * (top + 1)
     maxs = [0] * (top + 1)
-    eq_counts = [0] * (top + 2)
     for prefix, lo, hi in runs:
         orders = run_orders(prefix, lo, hi)
         w0 = sum(map(mul, xs, prefix))
@@ -127,12 +130,16 @@ def _aggregate(s, xi0, levels, runs, run_orders):
             if X < 0:  # walk the class from its lowest shell up
                 fw += X * (k - 1)
                 os.reverse()
-            sl = slice(fw, fw + abs(X) * k, abs(X))
-            counts[sl] = map(add, counts[sl], repeat(1))
+            end = fw + step * k
+            for diffs in (counts,) if rem else (counts, eq_counts):
+                diffs[fw] += 1
+                diffs[end] -= 1
+            sl = slice(fw, end, step)
             sums_ord[sl] = map(add, sums_ord[sl], os)
-            maxs[sl] = map(max, maxs[sl], os)
-            if not rem:
-                eq_counts[sl] = map(add, eq_counts[sl], repeat(1))
+            maxs[sl] = [o if o > m else m for m, o in zip(maxs[sl], os)]
+    for r in range(step):  # prefix sums of stride |X| turn differences into counts
+        counts[r::step] = accumulate(counts[r::step])
+        eq_counts[r::step] = accumulate(eq_counts[r::step])
     # Index m of each prefix array aggregates the shells below level m.
     Ns, TSs, TS0s = (list(accumulate(x, initial=0)) for x in
                      (counts, sums_ord, [fw * c for fw, c in enumerate(counts)]))
@@ -152,6 +159,12 @@ def _aggregate(s, xi0, levels, runs, run_orders):
     return per_level
 
 
+def _target(s, xi0, F):
+    """The closed forms a sweep's statistics converge to."""
+    return {"S": s_closed(s, xi0, F), "lambda_max": lambda_max_closed(s, xi0, F),
+            "vol": vol(s, xi0)}
+
+
 def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
           budget=None) -> EstimatorSweep:
     """Exact counting statistics of F at the given weight levels.
@@ -164,12 +177,7 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     xi0, levels = _xi(xi0), _levels(levels)
     runs = _lattice_runs(s.weight_cone, xi0, levels[-1] + 1, budget, True)
     per_level = _aggregate(s, xi0, levels, runs, _floor_run_orders(F))
-    target = {
-        "S": s_closed(s, xi0, F),
-        "lambda_max": lambda_max_closed(s, xi0, F),
-        "vol": vol(s, xi0),
-    }
-    return EstimatorSweep(levels=levels, per_level=per_level, target=target)
+    return EstimatorSweep(levels=levels, per_level=per_level, target=_target(s, xi0, F))
 
 
 def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
@@ -192,12 +200,7 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     orders = approx_orders(F, m_filtration, window)
     per_level = _aggregate(s, xi0, levels, runs, lambda p, lo, hi: [
         orders[p + (t,)] for t in range(lo, hi + 1)])
-    target = {
-        "S": s_closed(s, xi0, F),
-        "lambda_max": lambda_max_closed(s, xi0, F),
-        "vol": vol(s, xi0),
-        "m_filtration": Fraction(m_filtration),
-    }
+    target = {**_target(s, xi0, F), "m_filtration": Fraction(m_filtration)}
     return EstimatorSweep(levels=levels, per_level=per_level, target=target)
 
 
@@ -292,16 +295,8 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     pts = lattice_points_below(wc, xi0, bound, strict=False)
     nonzero = [p for p in pts if any(x != 0 for x in p)]
     members = set(nonzero)
-    gens = []
-    for p in nonzero:  # irreducible = not a sum of two nonzero members
-        reducible = False
-        for q in nonzero:
-            rest = tuple(a - b for a, b in zip(p, q))
-            if rest != p and rest in members and any(x != 0 for x in rest):
-                reducible = True
-                break
-        if not reducible:
-            gens.append(p)
+    # Irreducible: p - q is not a nonzero member for any nonzero member q.
+    gens = [p for p in nonzero if not any(tuple(map(sub, p, q)) in members for q in nonzero)]
     diag = smith_diagonal(gens)
     if diag != [1] * s.rank:
         raise LatticeNotGenerated(

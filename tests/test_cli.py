@@ -197,6 +197,13 @@ def test_malformed_numeric_option(doc_path, capsys, argv, where):
     assert err.startswith(f"error: {where}: not ")
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_estimate_nonpositive_approx_names_option(doc_path, capsys, value):
+    assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX", "--levels", "1..5",
+                 "--approx", value]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: --approx: approximation level must be >= 1\n"
+
+
 def test_malformed_budget_option(doc_path, capsys):
     doc = json.loads(json.dumps(C2_DOC))
     doc["options"] = {"budget": "abc"}

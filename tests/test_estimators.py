@@ -5,7 +5,7 @@ from math import floor, lcm
 from operator import mul
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conestab import estimators
@@ -351,14 +351,30 @@ def _sweep_cases(draw):
     levels = draw(st.lists(st.integers(1, 8 if rank == 2 else 5), min_size=1, max_size=4))
     event(f"{len(rays)} rays in rank {rank}, xi0 last sign {sign}")
     event(f"den(xi0) > 1: {any(x.denominator > 1 for x in xi0)}")
-    return s, xi0, G, levels, draw(st.integers(1, 3))
+    return s, xi0, G, levels, draw(st.integers(1, 3)), 400
+
+
+# One fixed case per stride branch of the aggregation, with top levels of
+# 20-40 so that classes end at the last shells of the difference arrays.
+_WEDGE = from_rays([(1, 1), (1, -1)])
+_Z3_LOW = from_rays([(1, 0), (1, -3)])
+_C2 = from_rays([(1, 0), (0, 1)])
+_RANK3 = from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_sweep_cases())
+@example(case=(_WEDGE, (1, 0), monomial_filtration(_WEDGE, [(3, 1), (F(5, 2), F(-1, 2))]),
+               [7, 30], 2, None))  # X = 0
+@example(case=(_Z3_LOW, (3, -2), monomial_filtration(_Z3_LOW, [(2, -1), (3, -5)]),
+               [11, 40], 3, None))  # X = -2
+@example(case=(_C2, (2, 3), monomial_filtration(_C2, [(2, 1), (F(3, 2), 3)]),
+               [4, 40], 2, None))  # X = 3
+@example(case=(_RANK3, (F(3, 2), 1, F(5, 4)),
+               monomial_filtration(_RANK3, [(3, 2, 2), (2, 3, F(5, 2))]),
+               [9, 24], 3, None))  # den(xi0) = 4, X = 5
 def test_sweeps_match_per_point_reference(case):
-    s, xi0, G, levels, m_filt = case
-    budget = 400
+    s, xi0, G, levels, m_filt, budget = case
     for reference, library in (
             (lambda: _reference_sweep(s, xi0, G, levels, budget),
              lambda: sweep(s, xi0, G, levels, budget=budget)),
