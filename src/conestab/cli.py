@@ -22,7 +22,7 @@ from .errors import (
     UnknownFiltration,
 )
 from .exactgeom import dot
-from .filtration import monomial_filtration, rescale
+from .filtration import monomial_filtration, rescale, toric_filtration
 from .singularity import from_rays, log_discrepancy, reeb_contains
 
 EXIT_OK = 0
@@ -280,6 +280,8 @@ def cmd_estimate(args):
 def cmd_okounkov(args):
     doc = InputDocument.load(args.document)
     s = doc.singularity
+    F = doc.filtration(args.filtration) if args.filtration else None
+    t = _rat(args.t, "--t") if args.t else Fraction(0)
     body = invariants.okounkov_body(s, doc.reeb)
     out = {
         "vertices": [[str(Fraction(x)) for x in v] for v in body.body.vertices],
@@ -289,18 +291,11 @@ def cmd_okounkov(args):
     }
     if args.levels:
         levels = _parse_levels(args.levels)
-        F = doc.filtration(args.filtration) if args.filtration else None
-        t = _rat(args.t, "--t") if args.t else Fraction(0)
+        if F is None:
+            F, t = toric_filtration(s, doc.reeb), Fraction(0)
         clouds = {}
         for m in levels:
-            if F is None:
-                from .filtration import toric_filtration
-                Fm = toric_filtration(s, doc.reeb)
-                sample = estimators.gamma_semigroup(s, doc.reeb, Fm, m, 0,
-                                                    budget=doc.budget)
-            else:
-                sample = estimators.gamma_semigroup(s, doc.reeb, F, m, t,
-                                                    budget=doc.budget)
+            sample = estimators.gamma_semigroup(s, doc.reeb, F, m, t, budget=doc.budget)
             clouds[str(m)] = [list(p) for p in sample.points]
         out["gamma"] = clouds
     print(json.dumps(out, indent=2))

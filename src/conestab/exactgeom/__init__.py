@@ -12,6 +12,7 @@ from .polytope import (
     integrate_pl,
     second_moment,
     slice_polytope,
+    slice_vertices,
     triangulate,
     volume,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "primitivize",
     "second_moment",
     "slice_polytope",
+    "slice_vertices",
     "triangulate",
     "vec",
     "volume",

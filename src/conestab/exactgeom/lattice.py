@@ -12,9 +12,10 @@ from itertools import product
 from math import ceil, floor, lcm
 from operator import mul
 
-from ..errors import BudgetExceeded, ParseError, UnboundedSlice
+from ..errors import BudgetExceeded, ParseError
 from .cone import Cone
-from .linalg import dot, frac, vec
+from .linalg import frac, vec
+from .polytope import slice_vertices
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -35,10 +36,11 @@ def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):
     """All integer points a in c with <a, xi> < m, in lexicographic order.
 
     With ``strict=False`` the bound is <a, xi> <= m instead.  The covector
-    xi must be strictly positive on the cone so the region is finite.  The
-    points are the runs of ``_lattice_runs`` laid out one by one, as tuples
-    of int.  More than ``budget`` kept points raise BudgetExceeded rather
-    than silently truncating; a negative budget is a ParseError.
+    xi must be strictly positive on the cone so the region is finite
+    (UnboundedSlice otherwise).  The points are the runs of
+    ``_lattice_runs`` laid out one by one, as tuples of int.  More than
+    ``budget`` kept points raise BudgetExceeded rather than silently
+    truncating; a negative budget is a ParseError.
     """
     return [prefix + (t,) for prefix, t_lo, t_hi in _lattice_runs(c, xi, m, budget, strict)
             for t in range(t_lo, t_hi + 1)]
@@ -59,13 +61,10 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
         budget = enumeration_budget()
     elif budget < 0:
         raise ParseError(f"budget must be nonnegative, got {budget}", "budget")
-    pairings = [dot(xi, r) for r in c.rays]
-    if any(p <= 0 for p in pairings):
-        raise UnboundedSlice("enumeration region is unbounded")
     n = c.rank
     # Coordinate bounds come from the vertices of the <= m slice: the origin
     # and each ray scaled onto the bounding hyperplane.
-    verts = [(0,) * n] + [tuple(m * x / p for x in r) for r, p in zip(c.rays, pairings)]
+    verts = ((0,) * n,) + slice_vertices(c, xi, m)
     lo = [ceil(min(v[i] for v in verts)) for i in range(n)]
     hi = [floor(max(v[i] for v in verts)) for i in range(n)]
     # Rows <g, a> + g0 >= 0: the halfspaces, then <xi D, a> <= m D (- 1 if strict).

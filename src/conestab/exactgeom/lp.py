@@ -257,7 +257,7 @@ def _ray_from_column(T, basis, cols, col, ncols, n_orig):
     return tuple(d[j] - d[n_orig + j] for j in range(n_orig))
 
 
-def fractional_lp(num, den, halfspaces, sense="min", normalization=Fraction(1)):
+def fractional_lp(num, den, halfspaces, sense="min"):
     """Optimize <num,x>/<den,x> over the cone {x : <h,x> >= 0 for h in halfspaces}.
 
     Uses the Charnes-Cooper substitution y = x / <den,x>: the program becomes
@@ -267,14 +267,13 @@ def fractional_lp(num, den, halfspaces, sense="min", normalization=Fraction(1)):
     """
     num = vec(num)
     den = vec(den)
-    n = len(num)
     from .cone import cone_from_halfspaces
     feasible = cone_from_halfspaces(halfspaces)
     for r in feasible.rays:
         if dot(den, r) <= 0:
             raise DenominatorVanishes(
                 f"denominator not strictly positive on feasible ray {r}")
-    cons = [(den, EQ, normalization)]
+    cons = [(den, EQ, Fraction(1))]
     for h in halfspaces:
         cons.append((vec(h), GE, Fraction(0)))
     try:
@@ -286,4 +285,4 @@ def fractional_lp(num, den, halfspaces, sense="min", normalization=Fraction(1)):
     d = dot(den, y)
     if d <= 0:
         raise DenominatorVanishes("denominator vanishes at the optimum")
-    return res.value / normalization, y
+    return res.value, y

@@ -42,28 +42,35 @@ class Polytope(NamedTuple):
         return all(dot(a, x) <= b for a, b in self.halfspaces)
 
 
-def slice_polytope(c: Cone, xi, level, equality=False) -> Polytope:
-    """Cut a cone by <x, xi> <= level (or = level when ``equality``).
+def slice_vertices(c: Cone, xi, level=1):
+    """The rays of c, in order, each scaled onto <xi, .> = level.
 
-    Requires <xi, r> > 0 on every ray of c, which makes the slice bounded.
-    Vertices are the apex (inequality case only) together with each ray
-    scaled onto the cutting hyperplane.
+    These are the vertices of the slice {x in c : <xi, x> = level}, which
+    is bounded exactly when <xi, r> > 0 on every ray r of c; otherwise
+    UnboundedSlice.
     """
     xi = vec(xi)
     level = frac(level)
     pairings = [dot(xi, r) for r in c.rays]
     if any(p <= 0 for p in pairings):
         raise UnboundedSlice("slicing covector vanishes on a ray")
-    scaled = [tuple(level * x / p for x in r) for r, p in zip(c.rays, pairings)]
-    hs = [(tuple(-x for x in h), Fraction(0)) for h in c.halfspaces]
-    if equality:
-        verts = scaled
-        hs += [(xi, level), (tuple(-x for x in xi), -level)]
-    else:
-        verts = [vzero(c.rank)] + scaled
-        hs += [(xi, level)]
-    return Polytope(dim=c.rank, vertices=tuple(verts), recession_rays=(),
-                    halfspaces=tuple(hs))
+    # x * level / p as one Fraction(int, int): cheaper than two Fraction operations
+    scales = [(level.numerator * p.denominator, level.denominator * p.numerator)
+              for p in pairings]
+    return tuple(tuple(Fraction(x * a, b) for x in r) for r, (a, b) in zip(c.rays, scales))
+
+
+def slice_polytope(c: Cone, xi, level) -> Polytope:
+    """Cut a cone by <x, xi> <= level.
+
+    Requires <xi, r> > 0 on every ray of c, which makes the slice bounded.
+    Vertices are the apex followed by ``slice_vertices``.
+    """
+    xi = vec(xi)
+    level = frac(level)
+    verts = (vzero(c.rank),) + slice_vertices(c, xi, level)
+    hs = tuple((tuple(-x for x in h), Fraction(0)) for h in c.halfspaces) + ((xi, level),)
+    return Polytope(dim=c.rank, vertices=verts, recession_rays=(), halfspaces=hs)
 
 
 def enumerate_vertices(halfspaces, dim):

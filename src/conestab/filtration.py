@@ -26,7 +26,8 @@ from .errors import (
     NotPrimary,
     OutsideWeightCone,
 )
-from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, lattice_points_below, lp_solve, vec
+from .exactgeom import (PLConcave, Polytope, dot, enumerate_vertices, frac, lattice_points_below,
+                        lp_solve, slice_vertices, vec)
 from .singularity import ConeSingularity, _xi
 
 
@@ -54,19 +55,38 @@ class NewtonPolyhedron(NamedTuple):
         return self.polytope.vertices
 
 
+def _max_min_bounds(pairings):
+    """(lower, upper) on the max over a slice of min_j <z_j, .>, from
+    pairings[j][v] = <z_j, a_v> at its vertices a_v: the best vertex value
+    max_v min_j, and min_j max_v, as min_j <z_j, .> is at most each
+    <z_j, .>, which peaks at a vertex.  Positive scales of the a_v keep
+    the signs."""
+    return max(map(min, zip(*pairings))), min(map(max, pairings))
+
+
+def _epigraph_lp(s: ConeSingularity, covectors, xi):
+    """Epigraph LP of max min_j <z_j, alpha> over the weight cone sliced by
+    <xi, alpha> = 1, in (alpha, t): maximize t subject to t <= <z_j, alpha>,
+    then alpha in the weight cone (whose halfspaces are the rays of sigma),
+    then <xi, alpha> = 1; this row order fixes the vertex Bland's rule picks."""
+    cons = [(tuple(z) + (Fraction(-1),), ">=", Fraction(0)) for z in covectors]
+    for v in s.sigma.rays:
+        cons.append((tuple(v) + (Fraction(0),), ">=", Fraction(0)))
+    cons.append((tuple(xi) + (Fraction(0),), "==", Fraction(1)))
+    return lp_solve((Fraction(0),) * s.rank + (Fraction(1),), cons, sense="max")
+
+
 def _reduce_covectors(s: ConeSingularity, covectors):
     """Drop covectors that never realize the minimum on the weight cone.
 
-    zeta_j is redundant when max over the reference slice of
-    min_{i != j} <zeta_i - zeta_j, alpha> is <= 0.  The slice is a polytope
-    whose vertices are the weight-cone rays r, up to positive scale, so two
-    vertex tests settle most covectors: zeta_j is redundant when some
-    other zeta_i has <zeta_i - zeta_j, r> <= 0 at every ray (then the
-    minimum is <= 0 on the whole cone), and irredundant when zeta_j is the
-    strict minimum at some ray (then the maximum is > 0 at that vertex).
-    Otherwise the maximum is an exact epigraph LP.  Re-testing after each
-    removal yields the unique minimal list for a full-dimensional weight
-    cone.
+    zeta_j is redundant when min_{i != j} <zeta_i - zeta_j, .> has max <= 0
+    on the weight cone sliced by <ell, .> = 1, ell the interior point of
+    sigma.  The slice's vertices are the weight-cone rays up to positive
+    scale, so the ``_max_min_bounds`` of the pairings with the rays settle
+    most covectors: redundant when the upper bound is <= 0, irredundant
+    when the lower bound is > 0 (zeta_j is the strict minimum at some ray).
+    Otherwise ``_epigraph_lp`` decides.  Re-testing after each removal
+    yields the unique minimal list for a full-dimensional weight cone.
     """
     covs = []
     for z in covectors:
@@ -84,35 +104,15 @@ def _reduce_covectors(s: ConeSingularity, covectors):
         zj = keep[j]
         pj = pairings[zj]
         gaps = [[a - b for a, b in zip(pairings[zi], pj)] for zi in others]
-        if any(all(g <= 0 for g in row) for row in gaps):
-            redundant = True
-        elif any(all(g > 0 for g in col) for col in zip(*gaps)):
-            redundant = False
-        else:
-            redundant = _max_min_gap(s, zj, others) <= 0
-        if redundant:
+        lower, upper = _max_min_bounds(gaps)
+        if upper > 0 >= lower:  # the vertex bounds leave the sign open
+            diffs = [tuple(a - b for a, b in zip(zi, zj)) for zi in others]
+            upper = _epigraph_lp(s, diffs, s.sigma.interior_point()).value
+        if upper <= 0:
             keep.pop(j)
         else:
             j += 1
     return tuple(sorted(keep))
-
-
-def _max_min_gap(s: ConeSingularity, zj, others):
-    """max of min_{zi in others} <zi - zj, alpha> over the weight cone
-    sliced by <ell, alpha> = 1, ell the interior point of sigma.
-
-    Variables (alpha, t): maximize t subject to t <= <zi - zj, alpha>,
-    alpha in the weight cone, <ell, alpha> = 1.
-    """
-    cons = []
-    for zi in others:
-        row = tuple(a - b for a, b in zip(zi, zj)) + (Fraction(-1),)
-        cons.append((row, ">=", Fraction(0)))
-    for v in s.sigma.rays:  # halfspaces of the weight cone
-        cons.append((tuple(v) + (Fraction(0),), ">=", Fraction(0)))
-    cons.append((tuple(s.sigma.interior_point()) + (Fraction(0),), "==", Fraction(1)))
-    objective = (Fraction(0),) * s.rank + (Fraction(1),)
-    return lp_solve(objective, cons, sense="max").value
 
 
 def monomial_filtration(s: ConeSingularity, covectors,
@@ -357,14 +357,16 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
     Theta = {theta in sigma : <theta, gamma> >= v(gamma) for the blocks
     kept by _blocks}, whose dropped blocks are implied by their dominators.
     A window <ell, gamma> <= w suffices once every vertex theta satisfies
-    <theta, .> >= m outside it, which is certified on the rays; otherwise
-    w doubles.  A BudgetExceeded names the last window and the doublings.
+    <theta, .> >= m outside it, which is certified at the vertices of the
+    slice <ell, .> = 1; otherwise w doubles.  A BudgetExceeded names the
+    last window and the doublings.
     """
     if m < 1:
         raise EmptyInput("approximation level must be >= 1")
     s = F.ambient
     rays = s.weight_cone.rays
     ell = s.sigma.interior_point()
+    unit = slice_vertices(s.weight_cone, ell)
     window = 2 * m * max(1, max(dot(ell, r) for r in rays))
     for doublings in range(24):
         if doublings:
@@ -376,10 +378,10 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
             raise BudgetExceeded(f"approximant window {window} after "
                                  f"{doublings} doublings: {exc}") from exc
         kept = _blocks(F, m, pts)
-        hs = [(tuple(-frac(x) for x in gamma), frac(-v)) for gamma, v in kept]
-        hs += [(tuple(-frac(x) for x in r), Fraction(0)) for r in rays]
+        hs = [(tuple(-x for x in gamma), -v) for gamma, v in kept]
+        hs += [(tuple(-x for x in r), 0) for r in rays]
         thetas = enumerate_vertices(hs, s.rank)
-        if kept and all(min(dot(theta, r) / dot(ell, r) for r in rays) * window >= m
+        if kept and all(min(dot(theta, a) for a in unit) * window >= m
                         for theta in thetas):
             return monomial_filtration(s, thetas)
     raise BudgetExceeded(f"approximant window {window} after {doublings} "

@@ -29,10 +29,10 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
-from .exactgeom import dot, lp_solve, primitivize, slice_polytope, vec
+from .exactgeom import dot, lp_solve, primitivize, slice_polytope, slice_vertices, vec
 from .exactgeom.fan import chamber_fans, cone_fan, fan_moments
 from .exactgeom.linalg import gram_project_out, norm_sq
-from .filtration import MonomialFiltration, newton_polyhedron
+from .filtration import MonomialFiltration, _epigraph_lp, _max_min_bounds, newton_polyhedron
 from .singularity import ConeSingularity, _xi, log_discrepancy
 
 
@@ -116,35 +116,23 @@ def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
 @lru_cache(maxsize=16384)
 def _lambda_max_cached(s, xi0, F) -> Fraction:
     verts = _slice_vertices(s, xi0)
-    pairings = [[dot(z, a) for a in verts] for z in F.covectors]
-    lower = max(map(min, zip(*pairings)))
-    if lower == min(map(max, pairings)):
-        return lower
-    n = s.rank
-    cons = []
-    for z in F.covectors:
-        cons.append((tuple(z) + (Fraction(-1),), ">=", Fraction(0)))
-    for v in s.sigma.rays:
-        cons.append((tuple(v) + (Fraction(0),), ">=", Fraction(0)))
-    cons.append((tuple(xi0) + (Fraction(0),), "==", Fraction(1)))
-    res = lp_solve((Fraction(0),) * n + (Fraction(1),), cons, sense="max")
-    return res.value
+    lower, upper = _max_min_bounds([[dot(z, a) for a in verts] for z in F.covectors])
+    return lower if lower == upper else _epigraph_lp(s, F.covectors, xi0).value
 
 
 def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """Max of the concave transform g on the level-one slice.
 
-    The largest value of g at a slice vertex bounds the maximum from below;
-    g is at most each covector, whose maximum is at a vertex, so the
-    smallest such vertex maximum bounds it from above.  Where the two meet
-    that is the maximum; otherwise an exact epigraph LP decides.
+    The vertex bounds of ``filtration._max_min_bounds`` give the maximum
+    where they meet; otherwise the epigraph LP ``filtration._epigraph_lp``
+    decides.
     """
     return _lambda_max_cached(s, _xi(xi0), F)
 
 
 def _slice_vertices(s: ConeSingularity, xi0):
-    """Vertices of the level-one slice: the weight-cone rays, in order,
-    each scaled onto <., xi0> = 1 (the Okounkov body without its apex)."""
+    """``slice_vertices`` of the weight cone at xi0, read from the cached
+    Okounkov body (its vertices without the apex)."""
     return _okounkov_cached(s, _xi(xi0)).body.vertices[1:]
 
 
@@ -238,15 +226,15 @@ def delta_T(s: ConeSingularity, xi0):
 
     Both A and S(xi0; .) are linear on the cone, so the ratio
     A / (A(xi0) S) is least on an extreme ray of sigma: the value is the
-    minimum over the rays, always <= 1 (the polarization itself has ratio
-    1).  A unique minimizing ray is returned as it is; where several tie,
-    the Charnes-Cooper LP picks the ray.
+    minimum of A over the rays scaled onto A(xi0) S = 1, always <= 1 (the
+    polarization itself has ratio 1).  A unique minimizing ray is returned
+    as it is; where several tie, the Charnes-Cooper LP picks the ray.
     """
     xi0 = _xi(xi0)
     alpha0 = okounkov_body(s, xi0).alpha0
     a0 = log_discrepancy(s, xi0)
     den = tuple(a0 * x for x in alpha0)
-    ratios = [dot(s.u, r) / dot(den, r) for r in s.sigma.rays]
+    ratios = [dot(s.u, a) for a in slice_vertices(s.sigma, den)]
     value = min(ratios)
     if ratios.count(value) == 1:
         y = s.sigma.rays[ratios.index(value)]
@@ -315,18 +303,20 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     P at alpha0, some lam gives sum_j lam_j z_j = lambda_max xi0 and the
     twist is 0.  Otherwise, with one active covector z_j, it is
     c* xi0 - z_j with c* = max_h <h, z_j> / <h, xi0> over the halfspaces
-    h of sigma, the LP's only optimal vertex.  With several active
-    covectors the LP is solved and its vertex returned.  The value is
-    exact, so lower = upper = value.
+    h of sigma, the LP's only optimal vertex; those halfspaces are the
+    weight-cone rays, so c* is the max of <z_j, .> over the vertices of P.
+    With several active covectors the LP is solved and its vertex
+    returned.  The value is exact, so lower = upper = value.
     """
     xi0 = _xi(xi0)
-    alpha0 = okounkov_body(s, xi0).alpha0
+    body = okounkov_body(s, xi0)
+    alpha0 = body.alpha0
     pairings = [dot(z, alpha0) for z in F.covectors]
     g0 = min(pairings)
     value = g0 - s_closed(s, xi0, F)
     if pairings.count(g0) == 1:
         z = F.covectors[pairings.index(g0)]
-        c = max(dot(h, z) / dot(h, xi0) for h in s.sigma.halfspaces)
+        c = max(dot(z, a) for a in body.body.vertices[1:])  # the slice_vertices of P
         twist_xi = tuple(c * x - y for x, y in zip(xi0, z))
     elif lambda_max_closed(s, xi0, F) == g0:
         twist_xi = (Fraction(0),) * s.rank
@@ -361,22 +351,17 @@ def _reduced_j_twist_lp(s, xi0, F, alpha0):
 def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):
     """Max slope of the xi-twist of F, with a maximizing slice point.
 
-    Works directly on the shifted covectors, so xi may sit anywhere (even
-    where the twisted transform loses positivity); the maximizer is a
-    subgradient anchor for the convex function xi -> lambda_max(F twisted).
+    The epigraph LP of ``lambda_max_closed`` run directly on the shifted
+    covectors z_j + xi, so xi may sit anywhere (even where the twisted
+    transform loses positivity); at xi = 0 its value is lambda_max.  The
+    maximizer is a subgradient anchor for the convex function
+    xi -> lambda_max(F twisted).
     """
     xi0 = _xi(xi0)
     xi = vec(xi)
-    n = s.rank
-    cons = []
-    for z in F.covectors:
-        shifted = tuple(a + b for a, b in zip(z, xi))
-        cons.append((shifted + (Fraction(-1),), ">=", Fraction(0)))
-    for v in s.sigma.rays:
-        cons.append((tuple(v) + (Fraction(0),), ">=", Fraction(0)))
-    cons.append((tuple(xi0) + (Fraction(0),), "==", Fraction(1)))
-    res = lp_solve((Fraction(0),) * n + (Fraction(1),), cons, sense="max")
-    return res.value, res.point[:n]
+    shifted = [tuple(a + b for a, b in zip(z, xi)) for z in F.covectors]
+    res = _epigraph_lp(s, shifted, xi0)
+    return res.value, res.point[:s.rank]
 
 
 def inf_twist_s(s: ConeSingularity, xi0, eta):

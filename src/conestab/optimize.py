@@ -18,11 +18,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ToleranceNotReached
-from .exactgeom import dot, frac
+from .exactgeom import dot, frac, slice_vertices
 from .exactgeom.fan import cone_fan, fan_moments
 from .exactgeom.linalg import nullspace, solve
 from .invariants import okounkov_body
 from .singularity import ConeSingularity
+
+MAX_NEWTON_STEPS = 80
 
 
 class NvolResult(NamedTuple):
@@ -45,15 +47,14 @@ def _round_to_slice(s, x, max_den):
 def _slice_min(s, c):
     """min <c, y> over the slice {y in sigma : <u, y> = 1}.
 
-    The slice is the polytope spanned by the rays v of sigma scaled to
-    v / <u, v> (u is positive on them), and a linear form is least at a
-    vertex.
+    A linear form is least at a vertex of the slice, a ray of sigma scaled
+    onto <u, .> = 1 (u is positive on the rays).
     """
-    return min(dot(c, v) / dot(s.u, v) for v in s.sigma.rays)
+    return min(dot(c, v) for v in slice_vertices(s.sigma, s.u))
 
 
 def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
-                  max_iter=80, raise_on_gap=False) -> NvolResult:
+                  raise_on_gap=False) -> NvolResult:
     """Minimize the normalized volume over the Reeb cone.
 
     Works on {A = 1}: there nvol equals vol, and vol with its gradient and
@@ -81,7 +82,7 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     tangent = nullspace([s.u], n)
 
     iterations = 0
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_STEPS):
         iterations = it + 1
         neg_gt = [-dot(t, grad) for t in tangent]
         if not any(neg_gt):

@@ -235,8 +235,9 @@ def test_non_integer_budget_option(doc_path, capsys, budget, shown):
     (dict(C2_DOC, options={"levels": [2, 0]}), ["estimate", "--filtration", "FEX"],
      ".options.levels", "levels must be positive integers"),
     (C2_DOC, ["okounkov", "--levels", "0"], "--levels", "levels must be positive integers"),
+    (C2_DOC, ["okounkov", "--t", "banana"], "--t", "not a rational 'p/q': 'banana'"),
 ], ids=["filtrations-list", "options-list", "covectors-int", "levels-string",
-        "levels-entry", "levels-zero", "okounkov-levels-zero"])
+        "levels-entry", "levels-zero", "okounkov-levels-zero", "okounkov-t-without-levels"])
 def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where, message):
     path = doc_path(doc)
     assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID
@@ -325,6 +326,11 @@ def test_okounkov_json(doc_path, capsys):
     assert payload["vol"] == "1/2"
     assert payload["alpha0"] == ["1/2", "1/2"]
     assert sorted(map(tuple, payload["gamma"]["2"])) == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_okounkov_unknown_filtration_without_levels(doc_path, capsys):
+    assert main(["okounkov", doc_path(C2_DOC), "--filtration", "NOPE"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: no filtration named 'NOPE'; have ['FEX', 'triv']\n"
 
 
 def test_library_loads_no_numpy_or_sympy():

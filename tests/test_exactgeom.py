@@ -25,6 +25,7 @@ from conestab.exactgeom import (
     integrate_pl,
     lattice_points_below,
     slice_polytope,
+    slice_vertices,
     vec,
     volume,
 )
@@ -94,12 +95,18 @@ def test_slice_rejects_unbounded():
         slice_polytope(orthant, (1, -1), 1)
 
 
-def test_equality_slice():
+def test_slice_vertices():
     orthant = cone_from_rays([(1, 0), (0, 1)])
-    p = slice_polytope(orthant, (1, 2), 1, equality=True)
-    assert set(p.vertices) == {(1, 0), (0, F(1, 2))}
+    assert set(slice_vertices(orthant, (1, 2))) == {(1, 0), (0, F(1, 2))}
+    skew = cone_from_rays([(0, 1), (2, -1)])
+    verts = slice_vertices(skew, (1, 1), F(3, 2))
+    assert verts == tuple(tuple(F(3, 2) * x for x in r) for r in skew.rays)
+    p = slice_polytope(orthant, (1, 2), 1)
+    assert p.vertices == ((0, 0),) + slice_vertices(orthant, (1, 2))
     assert p.contains((F(1, 2), F(1, 4)))
     assert not p.contains((F(1, 2), F(1, 2)))
+    with pytest.raises(UnboundedSlice, match="slicing covector vanishes on a ray"):
+        slice_vertices(orthant, (1, 0))
 
 
 def test_volume_examples():
@@ -184,6 +191,14 @@ def test_lattice_points_lex_order_and_budget():
     assert pts == sorted(pts)
     with pytest.raises(BudgetExceeded):
         lattice_points_below(orthant, (1, 1), 100, budget=10)
+
+
+def test_lattice_rejects_unbounded_region():
+    # (1, -1) pairs negatively with the ray (0, 1), so {<a, xi> < m} is
+    # unbounded in the orthant.
+    orthant = cone_from_rays([(1, 0), (0, 1)])
+    with pytest.raises(UnboundedSlice, match="slicing covector vanishes on a ray"):
+        lattice_points_below(orthant, (1, -1), 3)
 
 
 def test_lattice_budget_counts_kept_points():

@@ -21,7 +21,7 @@ from conestab import filtration, invariants
 from conestab.exactgeom import dot, lp_solve, vec
 from conestab.exactgeom.fan import cone_fan, fan_moments
 from conestab.filtration import _reduce_covectors, monomial_filtration
-from conestab.invariants import _lambda_max_cached
+from conestab.invariants import _lambda_max_cached, lambda_max_closed, twisted_lambda_max
 from conestab.optimize import _slice_min, minimize_nvol
 from conestab.singularity import from_rays
 from conftest import random_cone, random_reeb
@@ -123,19 +123,24 @@ def _reduction_path(seed):
     rnd = random.Random(seed)
     s = _cone(rnd)
     covs = _covectors(rnd, s)
-    with mock.patch.object(filtration, "_max_min_gap",
-                           wraps=filtration._max_min_gap) as lp:
+    with mock.patch.object(filtration, "_epigraph_lp",
+                           wraps=filtration._epigraph_lp) as lp:
         reduced = _reduce_covectors(s, covs)
     assert reduced == _ref_reduce_covectors(s, covs)
     return reduced, lp.call_count
 
 
-def _lambda_max_path(seed):
+def _lambda_max_draw(seed):
     rnd = random.Random(seed)
     s = _cone(rnd)
     xi0 = random_reeb(rnd, s)
-    G = monomial_filtration(s, _covectors(rnd, s), require_primary=False)
-    with mock.patch.object(invariants, "lp_solve", wraps=lp_solve) as lp:
+    return s, xi0, monomial_filtration(s, _covectors(rnd, s), require_primary=False)
+
+
+def _lambda_max_path(seed):
+    s, xi0, G = _lambda_max_draw(seed)
+    with mock.patch.object(invariants, "_epigraph_lp",
+                           wraps=invariants._epigraph_lp) as lp:
         value = _lambda_max_cached.__wrapped__(s, xi0, G)
     assert value == _ref_lambda_max(s, xi0, G.covectors)
     return value, lp.call_count
@@ -163,8 +168,8 @@ def test_reduction_ties_are_decided_without_lp():
     # ties with both at e1 of C^3 and needs the LP.
     c2 = from_rays([(1, 0), (0, 1)])
     c3 = from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with mock.patch.object(filtration, "_max_min_gap",
-                           wraps=filtration._max_min_gap) as lp:
+    with mock.patch.object(filtration, "_epigraph_lp",
+                           wraps=filtration._epigraph_lp) as lp:
         assert _reduce_covectors(c2, [(1, 1), (1, 2)]) == ((1, 1),)
         assert _reduce_covectors(c2, [(1, 3), (2, 1)]) == ((1, 3), (2, 1))
         assert lp.call_count == 0
@@ -186,6 +191,13 @@ def test_lambda_max_draws_reach_both_paths():
     paths = [_lambda_max_path(seed)[1] for seed in range(120)]
     assert sum(c > 0 for c in paths) >= 20
     assert sum(c == 0 for c in paths) >= 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_untwisted_lambda_max_is_lambda_max(seed):
+    s, xi0, G = _lambda_max_draw(seed)
+    assert twisted_lambda_max(s, xi0, G, (0,) * s.rank)[0] == lambda_max_closed(s, xi0, G)
 
 
 # --- nvol certificate ----------------------------------------------------------
