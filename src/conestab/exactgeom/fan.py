@@ -15,7 +15,9 @@ in the toric form Martelli, Sparks and Yau use for the volume of a Sasakian
 link (hep-th/0503183).  The fan depends on the cone alone, so it is built
 once per cone; each evaluation then runs over integers, with the pairings
 p_i cleared to the common denominator Q = prod of the pairings of all rays,
-and forms one Fraction per output entry.
+and forms one Fraction per output entry.  For g = min_j <z_j, .>,
+``chambers`` splits C into the cones on which g is linear; their fans give
+S, and their rays give lambda_max and the irredundant covectors.
 """
 
 from fractions import Fraction
@@ -55,24 +57,40 @@ def cone_fan(c: Cone) -> Fan:
     return simplicial_fan(c.rays, c.rank)
 
 
-def chamber_fans(c: Cone, covectors):
-    """Yield (z_j, fan of chamber j) for g = min_j <z_j, .> on the cone c.
+@lru_cache(maxsize=256)
+def chambers(c: Cone, covectors):
+    """((z_j, rays of chamber j), ...) for g = min_j <z_j, .> on the cone c.
 
     Chamber j is {alpha in c : <z_j - z_i, alpha> <= 0 for all i}, where
-    z_j attains the minimum.  Duplicated covectors are dropped first, and
-    chambers of lower dimension (ties) carry no volume and are skipped.
+    z_j attains the minimum; its rays are the facet normals of the cone on
+    those halfspaces.  Duplicated covectors are dropped first, and only the
+    full-dimensional chambers are kept, in input order: z_j has one
+    exactly when it is irredundant, for the chambers of lower dimension
+    (ties) carry no volume.  Cached per (cone, covector tuple), so
+    covector reduction, S and lambda_max share one decomposition.
     """
     covs = list(dict.fromkeys(vec(z) for z in covectors))
     if len(covs) == 1:  # one chamber: the whole cone
-        yield covs[0], cone_fan(c)
-        return
+        return ((covs[0], c.rays),)
     n = c.rank
+    out = []
     for j, zj in enumerate(covs):
         hs = list(c.halfspaces) + [primitivize(vsub(zi, zj))
                                    for i, zi in enumerate(covs) if i != j]
         rays = _facet_normals(hs, n)  # duality: rays of the chamber
         if mat_rank(rays) == n:
-            yield zj, simplicial_fan(rays, n)
+            out.append((zj, tuple(rays)))
+    return tuple(out)
+
+
+def chamber_fans(c: Cone, covectors):
+    """Yield (z_j, simplicial fan of chamber j) for each of ``chambers``."""
+    found = chambers(c, tuple(covectors))
+    if len(found) == 1:  # the whole cone, whose fan is cached
+        yield found[0][0], cone_fan(c)
+        return
+    for z, rays in found:
+        yield z, simplicial_fan(rays, c.rank)
 
 
 def fan_moments(fan: Fan, xi, order=2):

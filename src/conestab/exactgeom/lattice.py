@@ -64,7 +64,7 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
     n = c.rank
     # Coordinate bounds come from the vertices of the <= m slice: the origin
     # and each ray scaled onto the bounding hyperplane.
-    verts = ((0,) * n,) + slice_vertices(c, xi, m)
+    verts = ((0,) * n,) + slice_vertices(c.rays, xi, m)
     lo = [ceil(min(v[i] for v in verts)) for i in range(n)]
     hi = [floor(max(v[i] for v in verts)) for i in range(n)]
     # Rows <g, a> + g0 >= 0: the halfspaces, then <xi D, a> <= m D (- 1 if strict).

@@ -42,22 +42,23 @@ class Polytope(NamedTuple):
         return all(dot(a, x) <= b for a, b in self.halfspaces)
 
 
-def slice_vertices(c: Cone, xi, level=1):
-    """The rays of c, in order, each scaled onto <xi, .> = level.
+def slice_vertices(rays, xi, level=1):
+    """The rays of a cone, in order, each scaled onto <xi, .> = level.
 
-    These are the vertices of the slice {x in c : <xi, x> = level}, which
-    is bounded exactly when <xi, r> > 0 on every ray r of c; otherwise
-    UnboundedSlice.
+    These are the vertices of the slice {x in cone(rays) : <xi, x> = level},
+    which is bounded exactly when <xi, r> > 0 on every ray r; otherwise
+    UnboundedSlice.  Callers pass ``c.rays`` for a Cone c, or the rays of
+    one chamber (``fan.chambers``).
     """
     xi = vec(xi)
     level = frac(level)
-    pairings = [dot(xi, r) for r in c.rays]
+    pairings = [dot(xi, r) for r in rays]
     if any(p <= 0 for p in pairings):
         raise UnboundedSlice("slicing covector vanishes on a ray")
     # x * level / p as one Fraction(int, int): cheaper than two Fraction operations
     scales = [(level.numerator * p.denominator, level.denominator * p.numerator)
               for p in pairings]
-    return tuple(tuple(Fraction(x * a, b) for x in r) for r, (a, b) in zip(c.rays, scales))
+    return tuple(tuple(Fraction(x * a, b) for x in r) for r, (a, b) in zip(rays, scales))
 
 
 def slice_polytope(c: Cone, xi, level) -> Polytope:
@@ -68,7 +69,7 @@ def slice_polytope(c: Cone, xi, level) -> Polytope:
     """
     xi = vec(xi)
     level = frac(level)
-    verts = (vzero(c.rank),) + slice_vertices(c, xi, level)
+    verts = (vzero(c.rank),) + slice_vertices(c.rays, xi, level)
     hs = tuple((tuple(-x for x in h), Fraction(0)) for h in c.halfspaces) + ((xi, level),)
     return Polytope(dim=c.rank, vertices=verts, recession_rays=(), halfspaces=hs)
 

@@ -3,8 +3,9 @@
 A torus-invariant, linearly bounded monomial filtration is captured by its
 concave transform g = min_j <zeta_j, .> on the weight cone: the level-lambda
 ideal is spanned by the monomials with g(exponent) >= lambda.  Construction
-reduces the covector list to the unique irredundant form (via exact vertex
-tests and LPs), so filtration equality is decidable by comparing tuples.
+reduces the covector list to the unique irredundant form (the covectors
+with a full-dimensional chamber), so filtration equality is decidable by
+comparing tuples.
 
 Besides the algebra of filtrations (rescale, twist, geodesic, intersection)
 this module computes Newton polyhedra, exact orders, the orders of the
@@ -27,7 +28,8 @@ from .errors import (
     OutsideWeightCone,
 )
 from .exactgeom import (PLConcave, Polytope, dot, enumerate_vertices, frac, lattice_points_below,
-                        lp_solve, slice_vertices, vec)
+                        slice_vertices, vec)
+from .exactgeom.fan import chambers
 from .singularity import ConeSingularity, _xi
 
 
@@ -55,64 +57,18 @@ class NewtonPolyhedron(NamedTuple):
         return self.polytope.vertices
 
 
-def _max_min_bounds(pairings):
-    """(lower, upper) on the max over a slice of min_j <z_j, .>, from
-    pairings[j][v] = <z_j, a_v> at its vertices a_v: the best vertex value
-    max_v min_j, and min_j max_v, as min_j <z_j, .> is at most each
-    <z_j, .>, which peaks at a vertex.  Positive scales of the a_v keep
-    the signs."""
-    return max(map(min, zip(*pairings))), min(map(max, pairings))
-
-
-def _epigraph_lp(s: ConeSingularity, covectors, xi):
-    """Epigraph LP of max min_j <z_j, alpha> over the weight cone sliced by
-    <xi, alpha> = 1, in (alpha, t): maximize t subject to t <= <z_j, alpha>,
-    then alpha in the weight cone (whose halfspaces are the rays of sigma),
-    then <xi, alpha> = 1; this row order fixes the vertex Bland's rule picks."""
-    cons = [(tuple(z) + (Fraction(-1),), ">=", Fraction(0)) for z in covectors]
-    for v in s.sigma.rays:
-        cons.append((tuple(v) + (Fraction(0),), ">=", Fraction(0)))
-    cons.append((tuple(xi) + (Fraction(0),), "==", Fraction(1)))
-    return lp_solve((Fraction(0),) * s.rank + (Fraction(1),), cons, sense="max")
-
-
 def _reduce_covectors(s: ConeSingularity, covectors):
     """Drop covectors that never realize the minimum on the weight cone.
 
-    zeta_j is redundant when min_{i != j} <zeta_i - zeta_j, .> has max <= 0
-    on the weight cone sliced by <ell, .> = 1, ell the interior point of
-    sigma.  The slice's vertices are the weight-cone rays up to positive
-    scale, so the ``_max_min_bounds`` of the pairings with the rays settle
-    most covectors: redundant when the upper bound is <= 0, irredundant
-    when the lower bound is > 0 (zeta_j is the strict minimum at some ray).
-    Otherwise ``_epigraph_lp`` decides.  Re-testing after each removal
-    yields the unique minimal list for a full-dimensional weight cone.
+    zeta_j is irredundant exactly when its chamber {g = <zeta_j, .>} is
+    full-dimensional, so the reduced list is the covectors of
+    ``fan.chambers`` on the sorted, deduplicated input: the unique
+    minimal list for a full-dimensional weight cone.  When nothing is
+    redundant that key is the filtration's own covector tuple, so S and
+    lambda_max find the same decomposition in the cache.
     """
-    covs = []
-    for z in covectors:
-        z = vec(z)
-        if z not in covs:
-            covs.append(z)
-    rays = s.weight_cone.rays
-    pairings = {z: [dot(z, r) for r in rays] for z in covs}
-    keep = list(covs)
-    j = 0
-    while j < len(keep):
-        if len(keep) == 1:
-            break
-        others = [z for i, z in enumerate(keep) if i != j]
-        zj = keep[j]
-        pj = pairings[zj]
-        gaps = [[a - b for a, b in zip(pairings[zi], pj)] for zi in others]
-        lower, upper = _max_min_bounds(gaps)
-        if upper > 0 >= lower:  # the vertex bounds leave the sign open
-            diffs = [tuple(a - b for a, b in zip(zi, zj)) for zi in others]
-            upper = _epigraph_lp(s, diffs, s.sigma.interior_point()).value
-        if upper <= 0:
-            keep.pop(j)
-        else:
-            j += 1
-    return tuple(sorted(keep))
+    key = tuple(sorted(set(map(vec, covectors))))
+    return tuple(z for z, _ in chambers(s.weight_cone, key))
 
 
 def monomial_filtration(s: ConeSingularity, covectors,
@@ -366,7 +322,7 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
     s = F.ambient
     rays = s.weight_cone.rays
     ell = s.sigma.interior_point()
-    unit = slice_vertices(s.weight_cone, ell)
+    unit = slice_vertices(s.weight_cone.rays, ell)
     window = 2 * m * max(1, max(dot(ell, r) for r in rays))
     for doublings in range(24):
         if doublings:

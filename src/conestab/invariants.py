@@ -2,7 +2,8 @@
 
 Everything here reduces to exact polyhedral data of the weight cone sliced
 by the polarization, with g = min_j <z_j, .> the concave transform of a
-filtration: vertex bounds or an epigraph LP for the extremal slopes, and
+filtration: the extremal slopes are extreme values of g at the slice
+vertices and at the chamber rays scaled onto the slice, and there are
 closed forms for the log canonical threshold g(u), the reduced J-norm
 g(alpha0) - S and the delta invariant, a minimum over the rays of sigma.
 Each of these three returns an optimal point as well (a minimizer, a
@@ -17,8 +18,10 @@ volume derivative has the closed form
 
 which turns the Futaki invariant of a product configuration into a single
 pairing and stationarity of the normalized volume into barycenter
-alignment.  S(xi0; F) sums the same first moment over the chamber fan on
-which each covector of F is the minimum.
+alignment.  S(xi0; F) sums the same first moment over the fans of the
+chambers on which each covector of F is the minimum; lambda_max and the
+covector reduction read those chambers (``exactgeom.fan.chambers``) from
+the same cache.
 """
 
 import json
@@ -30,9 +33,9 @@ from typing import NamedTuple
 
 from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
 from .exactgeom import dot, lp_solve, primitivize, slice_polytope, slice_vertices, vec
-from .exactgeom.fan import chamber_fans, cone_fan, fan_moments
+from .exactgeom.fan import chamber_fans, chambers, cone_fan, fan_moments
 from .exactgeom.linalg import gram_project_out, norm_sq
-from .filtration import MonomialFiltration, _epigraph_lp, _max_min_bounds, newton_polyhedron
+from .filtration import MonomialFiltration, newton_polyhedron
 from .singularity import ConeSingularity, _xi, log_discrepancy
 
 
@@ -113,19 +116,25 @@ def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     return _s_closed_cached(s, _xi(xi0), F)
 
 
+def _chamber_points(s: ConeSingularity, xi0, F: MonomialFiltration):
+    """(z_j, vertices of chamber j's slice) over the chambers of F: the
+    chamber rays scaled onto <xi0, .> = 1.  g = <z_j, .> on chamber j, so
+    max g on the slice is attained at one of these points."""
+    for z, rays in chambers(s.weight_cone, F.covectors):
+        yield z, slice_vertices(rays, xi0)
+
+
 @lru_cache(maxsize=16384)
 def _lambda_max_cached(s, xi0, F) -> Fraction:
-    verts = _slice_vertices(s, xi0)
-    lower, upper = _max_min_bounds([[dot(z, a) for a in verts] for z in F.covectors])
-    return lower if lower == upper else _epigraph_lp(s, F.covectors, xi0).value
+    return max(dot(z, a) for z, pts in _chamber_points(s, xi0, F) for a in pts)
 
 
 def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """Max of the concave transform g on the level-one slice.
 
-    The vertex bounds of ``filtration._max_min_bounds`` give the maximum
-    where they meet; otherwise the epigraph LP ``filtration._epigraph_lp``
-    decides.
+    g is linear on each chamber {g = <z_j, .>} of ``fan.chambers``, so the
+    maximum is that of <z_j, .> over the chamber rays scaled onto the
+    slice.
     """
     return _lambda_max_cached(s, _xi(xi0), F)
 
@@ -234,7 +243,7 @@ def delta_T(s: ConeSingularity, xi0):
     alpha0 = okounkov_body(s, xi0).alpha0
     a0 = log_discrepancy(s, xi0)
     den = tuple(a0 * x for x in alpha0)
-    ratios = [dot(s.u, a) for a in slice_vertices(s.sigma, den)]
+    ratios = [dot(s.u, a) for a in slice_vertices(s.sigma.rays, den)]
     value = min(ratios)
     if ratios.count(value) == 1:
         y = s.sigma.rays[ratios.index(value)]
@@ -351,17 +360,18 @@ def _reduced_j_twist_lp(s, xi0, F, alpha0):
 def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):
     """Max slope of the xi-twist of F, with a maximizing slice point.
 
-    The epigraph LP of ``lambda_max_closed`` run directly on the shifted
-    covectors z_j + xi, so xi may sit anywhere (even where the twisted
-    transform loses positivity); at xi = 0 its value is lambda_max.  The
-    maximizer is a subgradient anchor for the convex function
-    xi -> lambda_max(F twisted).
+    The maximum of min_j <z_j + xi, .> on the level-one slice.  Shifting
+    every covector by xi leaves the chambers of F unchanged, so this is
+    ``lambda_max_closed`` over the same scaled chamber rays with z_j + xi,
+    for any xi (even where the twisted transform loses positivity); at
+    xi = 0 its value is lambda_max.  The maximizing point, the first
+    scaled chamber ray that attains the value, is a subgradient anchor for
+    the convex function xi -> lambda_max(F twisted).
     """
     xi0 = _xi(xi0)
     xi = vec(xi)
-    shifted = [tuple(a + b for a, b in zip(z, xi)) for z in F.covectors]
-    res = _epigraph_lp(s, shifted, xi0)
-    return res.value, res.point[:s.rank]
+    return max(((dot(z, a) + dot(xi, a), a) for z, pts in _chamber_points(s, xi0, F)
+                for a in pts), key=lambda va: va[0])
 
 
 def inf_twist_s(s: ConeSingularity, xi0, eta):

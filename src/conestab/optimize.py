@@ -50,7 +50,7 @@ def _slice_min(s, c):
     A linear form is least at a vertex of the slice, a ray of sigma scaled
     onto <u, .> = 1 (u is positive on the rays).
     """
-    return min(dot(c, v) for v in slice_vertices(s.sigma, s.u))
+    return min(dot(c, v) for v in slice_vertices(s.sigma.rays, s.u))
 
 
 def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),

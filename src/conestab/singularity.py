@@ -48,7 +48,7 @@ def from_rays(rays, coefficients=None) -> ConeSingularity:
     sigma = cone_from_rays(rays)
     n = sigma.rank
     if coefficients is None:
-        coefficients = [Fraction(0)] * len(sigma.rays)
+        coefficients = [Fraction(0)] * len(rays)
     coefficients = [frac(a) for a in coefficients]
     if len(coefficients) != len(rays):
         raise DegenerateCone("need one coefficient per input ray")

@@ -40,6 +40,12 @@ def test_validate_ok(doc_path, capsys):
     assert "u=(1, 1)" in out and "klt: yes" in out
 
 
+def test_validate_without_coefficients_accepts_non_extreme_ray(doc_path, capsys):
+    doc = {"rank": 2, "rays": [[1, 0], [1, 3], [2, -1]], "reeb": ["1", "0"]}
+    assert main(["validate", doc_path(doc)]) == EXIT_OK
+    assert "klt: yes" in capsys.readouterr().out
+
+
 def test_validate_rejects_coefficient_one(doc_path, capsys):
     bad = dict(C2_DOC, coefficients=["1", "0"])
     assert main(["validate", doc_path(bad)]) == EXIT_INVALID

@@ -97,16 +97,16 @@ def test_slice_rejects_unbounded():
 
 def test_slice_vertices():
     orthant = cone_from_rays([(1, 0), (0, 1)])
-    assert set(slice_vertices(orthant, (1, 2))) == {(1, 0), (0, F(1, 2))}
+    assert set(slice_vertices(orthant.rays, (1, 2))) == {(1, 0), (0, F(1, 2))}
     skew = cone_from_rays([(0, 1), (2, -1)])
-    verts = slice_vertices(skew, (1, 1), F(3, 2))
+    verts = slice_vertices(skew.rays, (1, 1), F(3, 2))
     assert verts == tuple(tuple(F(3, 2) * x for x in r) for r in skew.rays)
     p = slice_polytope(orthant, (1, 2), 1)
-    assert p.vertices == ((0, 0),) + slice_vertices(orthant, (1, 2))
+    assert p.vertices == ((0, 0),) + slice_vertices(orthant.rays, (1, 2))
     assert p.contains((F(1, 2), F(1, 4)))
     assert not p.contains((F(1, 2), F(1, 2)))
     with pytest.raises(UnboundedSlice, match="slicing covector vanishes on a ray"):
-        slice_vertices(orthant, (1, 0))
+        slice_vertices(orthant.rays, (1, 0))
 
 
 def test_volume_examples():

@@ -1,24 +1,24 @@
-"""The vertex tests that replace LPs returning only a value, pinned against
-the LPs they replaced.
+"""The LP-free kernels, pinned against the LPs they replaced.
 
-Each reference below is the LP-only code as it stood before the shortcut:
-the covector-reduction loop with one epigraph LP per test, the lambda_max
-epigraph LP and the nvol certificate LP.  The draws mix simplicial cones
-(with boundary coefficients) and non-simplicial ones, and covector lists
-with duplicates, single-covector dominance, ties at weight-cone rays and
-redundancy only through a combination of covectors, so that both the
-vertex tests and the LP fallback decide some of them.
+Covector reduction, lambda_max and the twisted lambda_max read the chambers
+of ``exactgeom.fan.chambers``, and the nvol certificate reads the vertices
+of the slice of sigma.  Each reference below is the LP-only code as it
+stood before: the covector-reduction loop with one epigraph LP per test,
+the lambda_max epigraph LP and the nvol certificate LP.  The draws mix
+simplicial cones (with boundary coefficients) and non-simplicial ones, and
+covector lists with duplicates, single-covector dominance, ties at
+weight-cone rays and redundancy only through a combination of covectors.
 """
 
 import random
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import event, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conestab import filtration, invariants
-from conestab.exactgeom import dot, lp_solve, vec
+from conestab.exactgeom import dot, lp, lp_solve, vec
 from conestab.exactgeom.fan import cone_fan, fan_moments
 from conestab.filtration import _reduce_covectors, monomial_filtration
 from conestab.invariants import _lambda_max_cached, lambda_max_closed, twisted_lambda_max
@@ -33,6 +33,8 @@ NON_SIMPLICIAL = [
     [(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)],            # dP1
     [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -2, 1)],
 ]
+PENTAGON = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1)]
+RANK_FOUR = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)]
 
 
 # --- LP-only references --------------------------------------------------------
@@ -117,19 +119,6 @@ def _covectors(rnd, s):
     return covs
 
 
-def _reduction_path(seed):
-    """(reduced covectors, LP fallbacks taken) for one draw, checked against
-    the reference."""
-    rnd = random.Random(seed)
-    s = _cone(rnd)
-    covs = _covectors(rnd, s)
-    with mock.patch.object(filtration, "_epigraph_lp",
-                           wraps=filtration._epigraph_lp) as lp:
-        reduced = _reduce_covectors(s, covs)
-    assert reduced == _ref_reduce_covectors(s, covs)
-    return reduced, lp.call_count
-
-
 def _lambda_max_draw(seed):
     rnd = random.Random(seed)
     s = _cone(rnd)
@@ -137,45 +126,29 @@ def _lambda_max_draw(seed):
     return s, xi0, monomial_filtration(s, _covectors(rnd, s), require_primary=False)
 
 
-def _lambda_max_path(seed):
-    s, xi0, G = _lambda_max_draw(seed)
-    with mock.patch.object(invariants, "_epigraph_lp",
-                           wraps=invariants._epigraph_lp) as lp:
-        value = _lambda_max_cached.__wrapped__(s, xi0, G)
-    assert value == _ref_lambda_max(s, xi0, G.covectors)
-    return value, lp.call_count
-
-
 # --- covector reduction --------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32))
 def test_reduce_covectors_matches_lp_only_reference(seed):
-    _, fallbacks = _reduction_path(seed)
-    event("LP fallback" if fallbacks else "vertex tests only")
-
-
-def test_reduction_draws_reach_both_paths():
-    paths = [_reduction_path(seed)[1] for seed in range(120)]
-    assert sum(f > 0 for f in paths) >= 10
-    assert sum(f == 0 for f in paths) >= 40
+    rnd = random.Random(seed)
+    s = _cone(rnd)
+    covs = _covectors(rnd, s)
+    assert _reduce_covectors(s, covs) == _ref_reduce_covectors(s, covs)
 
 
 def test_reduction_ties_are_decided_without_lp():
-    # (1, 2) >= (1, 1) at both rays of C^2 with a tie at (1, 0), so the
-    # dominance test drops it; (2, 1) is the strict minimum at (0, 1) in
-    # (1, 3), (2, 1), so it stays.  (1, 2, 2) = ((1, 1, 3) + (1, 3, 1)) / 2
-    # ties with both at e1 of C^3 and needs the LP.
+    # (1, 2) >= (1, 1) at both rays of C^2 with a tie at (1, 0), so it is
+    # dropped; (2, 1) is the strict minimum at (0, 1) in (1, 3), (2, 1), so
+    # it stays.  (1, 2, 2) = ((1, 1, 3) + (1, 3, 1)) / 2 ties with both at
+    # e1 of C^3 and is minimal only where they meet, a lower-dimensional
+    # chamber.
     c2 = from_rays([(1, 0), (0, 1)])
     c3 = from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with mock.patch.object(filtration, "_epigraph_lp",
-                           wraps=filtration._epigraph_lp) as lp:
-        assert _reduce_covectors(c2, [(1, 1), (1, 2)]) == ((1, 1),)
-        assert _reduce_covectors(c2, [(1, 3), (2, 1)]) == ((1, 3), (2, 1))
-        assert lp.call_count == 0
-        assert _reduce_covectors(c3, [(1, 1, 3), (1, 3, 1), (1, 2, 2)]) == \
-            ((1, 1, 3), (1, 3, 1))
-        assert lp.call_count == 1
+    assert _reduce_covectors(c2, [(1, 1), (1, 2)]) == ((1, 1),)
+    assert _reduce_covectors(c2, [(1, 3), (2, 1)]) == ((1, 3), (2, 1))
+    assert _reduce_covectors(c3, [(1, 1, 3), (1, 3, 1), (1, 2, 2)]) == \
+        ((1, 1, 3), (1, 3, 1))
 
 
 # --- lambda_max ----------------------------------------------------------------
@@ -183,14 +156,8 @@ def test_reduction_ties_are_decided_without_lp():
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32))
 def test_lambda_max_matches_epigraph_lp(seed):
-    _, calls = _lambda_max_path(seed)
-    event("LP fallback" if calls else "vertex bounds meet")
-
-
-def test_lambda_max_draws_reach_both_paths():
-    paths = [_lambda_max_path(seed)[1] for seed in range(120)]
-    assert sum(c > 0 for c in paths) >= 20
-    assert sum(c == 0 for c in paths) >= 20
+    s, xi0, G = _lambda_max_draw(seed)
+    assert _lambda_max_cached.__wrapped__(s, xi0, G) == _ref_lambda_max(s, xi0, G.covectors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -198,6 +165,68 @@ def test_lambda_max_draws_reach_both_paths():
 def test_untwisted_lambda_max_is_lambda_max(seed):
     s, xi0, G = _lambda_max_draw(seed)
     assert twisted_lambda_max(s, xi0, G, (0,) * s.rank)[0] == lambda_max_closed(s, xi0, G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), scale=st.integers(1, 4))
+def test_twisted_lambda_max_matches_epigraph_lp(seed, scale):
+    # xi = -scale * (a covector) makes the shifted transform vanish or go
+    # negative on part of the slice; the chambers do not depend on xi.
+    s, xi0, G = _lambda_max_draw(seed)
+    rnd = random.Random(seed + 1)
+    xi = tuple(-scale * x for x in rnd.choice(G.covectors))
+    if rnd.random() < 0.5:
+        xi = tuple(rnd.randint(-3, 3) for _ in range(s.rank))
+    shifted = [tuple(a + b for a, b in zip(z, xi)) for z in G.covectors]
+    value, point = twisted_lambda_max(s, xi0, G, xi)
+    assert value == _ref_lambda_max(s, xi0, shifted)
+    assert dot(xi0, point) == 1 and s.weight_cone.contains(point)
+    assert min(dot(z, point) for z in shifted) == value
+
+
+def test_twisted_lambda_max_below_zero():
+    # g = min(<(2,1), .>, <(1,2), .>) on C^2 at xi0 = (1, 1), twisted by
+    # xi = (-3, -3): the shifted transform is negative on the whole slice,
+    # and its maximum -3/2 is at the diagonal point, where the two tie.
+    s = from_rays([(1, 0), (0, 1)])
+    G = monomial_filtration(s, [(2, 1), (1, 2)])
+    assert twisted_lambda_max(s, (1, 1), G, (-3, -3)) == (F(-3, 2), (F(1, 2), F(1, 2)))
+
+
+# --- non-simplicial cones --------------------------------------------------------
+
+@pytest.mark.parametrize("rays", [NON_SIMPLICIAL[1], PENTAGON, RANK_FOUR],
+                         ids=["dP1", "pentagon", "rank4"])
+def test_reduction_and_lambda_max_on_non_simplicial_cones(rays):
+    s = from_rays(rays)
+    assert len(s.sigma.rays) > s.rank
+    dropped = kept_several = 0
+    for seed in range(25):
+        rnd = random.Random(seed)
+        covs = _covectors(rnd, s)
+        reduced = _reduce_covectors(s, covs)
+        assert reduced == _ref_reduce_covectors(s, covs)
+        dropped += len(reduced) < len(set(map(vec, covs)))
+        kept_several += len(reduced) > 1
+        G = monomial_filtration(s, covs, require_primary=False)
+        xi0 = random_reeb(rnd, s)
+        assert lambda_max_closed(s, xi0, G) == _ref_lambda_max(s, xi0, G.covectors)
+    assert dropped and kept_several
+
+
+def test_reduction_and_lambda_max_solve_no_lp():
+    # Each of these needed an LP before the chamber kernel: the C^3 list
+    # ties at a ray, and on C^2 the vertex values of FEX at xi0 = (1, 1)
+    # bound lambda_max only to [1, 2].
+    c2 = from_rays([(1, 0), (0, 1)])
+    c3 = from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    G = monomial_filtration(c2, [(2, 1), (1, 2)])
+    with mock.patch.object(lp, "_two_phase", wraps=lp._two_phase) as solves:
+        assert _reduce_covectors(c3, [(1, 1, 4), (1, 4, 1), (1, F(5, 2), F(5, 2))]) == \
+            ((1, 1, 4), (1, 4, 1))
+        assert _lambda_max_cached.__wrapped__(c2, (F(1), F(1)), G) == F(3, 2)
+        assert twisted_lambda_max(c2, (1, 1), G, (1, -1))[0] == F(2)
+    assert solves.call_count == 0
 
 
 # --- nvol certificate ----------------------------------------------------------

@@ -24,6 +24,15 @@ def test_coefficient_order_follows_input_rays():
     assert log_discrepancy(s, (1, 0)) == F(1, 2)
 
 
+def test_default_coefficients_cover_non_extreme_input_rays():
+    # (1, 3) is not extreme, so sigma has two rays but the input has three.
+    rays = [(1, 0), (1, 3), (2, -1)]
+    s = from_rays(rays)
+    assert s == from_rays(rays, ["0", "0", "0"])
+    assert s.sigma.rays == ((1, 3), (2, -1))
+    assert s.coefficients == (0, 0)
+
+
 def test_not_klt_coefficient_one():
     with pytest.raises(NotKlt):
         from_rays([(1, 0), (0, 1)], [1, 0])
