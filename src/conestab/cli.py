@@ -17,6 +17,9 @@ from . import estimators, invariants, optimize
 from .errors import (
     BudgetExceeded,
     ConestabError,
+    EmptyInput,
+    NonpositiveScale,
+    NotPrimary,
     ParseError,
     ToleranceNotReached,
     UnknownFiltration,
@@ -37,6 +40,13 @@ def _rat(value, where):
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational 'p/q': {value!r}", where) from exc
+
+
+def _tol(value, where):
+    tol = _rat(value, where)
+    if tol < 0:
+        raise ParseError(f"tolerance must be nonnegative, got {tol}", where)
+    return tol
 
 
 def _int(value, where):
@@ -97,10 +107,16 @@ class InputDocument:
                 raise ParseError("need a list of covectors", f"{where}.covectors")
             covs = [_rat_vector(z, f"{where}.covectors[{i}]", rank)
                     for i, z in enumerate(spec["covectors"])]
-            F = monomial_filtration(self.singularity, covs, require_primary=False)
+            try:
+                F = monomial_filtration(self.singularity, covs, require_primary=False)
+            except (EmptyInput, NotPrimary) as exc:
+                raise ParseError(str(exc), f"{where}.covectors") from exc
             scale = _rat(spec.get("scale", 1), f"{where}.scale")
             if scale != 1:
-                F = rescale(F, scale)
+                try:
+                    F = rescale(F, scale)
+                except NonpositiveScale as exc:
+                    raise ParseError(str(exc), f"{where}.scale") from exc
             self.filtrations[name] = F
         options = _object(payload, "options", path)
         self.budget = options.get("budget")
@@ -109,7 +125,7 @@ class InputDocument:
             if self.budget < 0:
                 raise ParseError(f"budget must be nonnegative, got {self.budget}",
                                  f"{path}.options.budget")
-        self.tol = _rat(options.get("tol", "1/1000000000"), f"{path}.options.tol")
+        self.tol = _tol(options.get("tol", "1/1000000000"), f"{path}.options.tol")
         self.levels = options.get("levels")
         if self.levels is not None:
             where = f"{path}.options.levels"
@@ -219,7 +235,7 @@ def cmd_stability(args):
 
 def cmd_nvolmin(args):
     doc = InputDocument.load(args.document)
-    tol = _rat(args.tol, "--tol") if args.tol else doc.tol
+    tol = _tol(args.tol, "--tol") if args.tol else doc.tol
     result = optimize.minimize_nvol(doc.singularity, tol=tol, raise_on_gap=True)
     if args.json:
         rep = invariants.InvariantReport(entries={})

@@ -9,6 +9,7 @@ and ``dual_cone`` is an involution on the class.
 
 from itertools import combinations
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from ..errors import DegenerateCone, NotFullDimensional
@@ -63,7 +64,7 @@ def _facet_normals(rays, n):
             h[pc] = -r[fc]
         g = gcd(*h) if d > 0 else -gcd(*h)
         h = tuple(a // g for a in h)
-        vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
+        vals = [sum(map(mul, h, r)) for r in rays]
         if all(v >= 0 for v in vals):
             normals.add(h)
         elif all(v <= 0 for v in vals):

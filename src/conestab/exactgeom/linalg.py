@@ -47,7 +47,7 @@ def _parse(text) -> Fraction:
 
 
 def vec(xs) -> Vec:
-    return tuple(frac(x) for x in xs)
+    return tuple(map(frac, xs))
 
 
 def dot(u, v) -> Fraction:

@@ -21,7 +21,11 @@ pairing and stationarity of the normalized volume into barycenter
 alignment.  S(xi0; F) sums the same first moment over the fans of the
 chambers on which each covector of F is the minimum; lambda_max and the
 covector reduction read those chambers (``exactgeom.fan.chambers``) from
-the same cache.
+the same cache.  The caches of slice data (Okounkov body, vol, S and
+lambda_max) key on the weight cone, xi0 and the covectors, the only data
+their values depend on, so singularities that differ only in their
+boundary share entries; ``lct_monomial``, which reads u, keys on the
+singularity and the filtration.
 """
 
 import json
@@ -53,30 +57,42 @@ class OkounkovBody(NamedTuple):
     alpha0: tuple
 
 
-@lru_cache(maxsize=4096)
-def _okounkov_cached(s: ConeSingularity, xi0: tuple) -> OkounkovBody:
-    n = s.rank
-    v, grad, _ = fan_moments(cone_fan(s.weight_cone), xi0, order=1)
+def _barycenter(v, grad, xi0):
+    """(bary, alpha0) of the level-one slice at xi0 from vol and grad there.
+
+    bary = -grad / ((n+1) vol) and alpha0 = (n+1)/n bary.  The barycenter
+    must pair to n/(n+1) with xi0 (Euler's identity for the degree -n
+    function vol); IdentityViolated is raised when it does not.
+    """
+    n = len(xi0)
     b = tuple(-g / ((n + 1) * v) for g in grad)
     if dot(b, xi0) != Fraction(n, n + 1):
         raise IdentityViolated(f"barycenter pairs to {dot(b, xi0)} with xi0, not {n}/{n + 1}")
-    alpha0 = tuple(Fraction(n + 1, n) * x for x in b)
-    return OkounkovBody(body=slice_polytope(s.weight_cone, xi0, 1),
-                        vol=v / math.factorial(n), bary=b, alpha0=alpha0)
+    return b, tuple(Fraction(n + 1, n) * x for x in b)
+
+
+@lru_cache(maxsize=4096)
+def _okounkov_cached(wc, xi0: tuple) -> OkounkovBody:
+    """Keyed on (weight cone, xi0): the body depends on nothing else."""
+    v, grad, _ = fan_moments(cone_fan(wc), xi0, order=1)
+    b, alpha0 = _barycenter(v, grad, xi0)
+    return OkounkovBody(body=slice_polytope(wc, xi0, 1),
+                        vol=v / math.factorial(wc.rank), bary=b, alpha0=alpha0)
 
 
 def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
-    return _okounkov_cached(s, _xi(xi0))
+    return _okounkov_cached(s.weight_cone, _xi(xi0))
 
 
 @lru_cache(maxsize=8192)
-def _vol_cached(s: ConeSingularity, xi: tuple) -> Fraction:
-    return fan_moments(cone_fan(s.weight_cone), xi, order=0)[0]
+def _vol_cached(wc, xi: tuple) -> Fraction:
+    """Keyed on (weight cone, xi)."""
+    return fan_moments(cone_fan(wc), xi, order=0)[0]
 
 
 def vol(s: ConeSingularity, xi) -> Fraction:
     """Volume of the toric valuation of xi: n! times the slice volume."""
-    return _vol_cached(s, _xi(xi))
+    return _vol_cached(s.weight_cone, _xi(xi))
 
 
 def nvol(s: ConeSingularity, xi) -> Fraction:
@@ -92,13 +108,15 @@ def vol_derivative(s: ConeSingularity, xi, eta) -> Fraction:
 
 
 @lru_cache(maxsize=16384)
-def _s_closed_cached(s, xi0, F) -> Fraction:
-    n = s.rank
+def _s_closed_cached(wc, xi0, covectors) -> Fraction:
+    """Keyed on (weight cone, xi0, covectors): singularities that share a
+    weight cone share entries, whatever their boundary."""
+    n = wc.rank
     total = Fraction(0)
-    for z, fan in chamber_fans(s.weight_cone, F.covectors):
+    for z, fan in chamber_fans(wc, covectors):
         _, grad, _ = fan_moments(fan, xi0, order=1)
         total -= dot(z, grad)
-    return total / (n * math.factorial(n) * _okounkov_cached(s, xi0).vol)
+    return total / (n * math.factorial(n) * _okounkov_cached(wc, xi0).vol)
 
 
 def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -113,20 +131,22 @@ def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
         S = sum_tau |det W_tau| / prod_i p_i * <z_j, sum_i w_i / p_i>
             / (n * vol(xi0)).
     """
-    return _s_closed_cached(s, _xi(xi0), F)
+    return _s_closed_cached(s.weight_cone, _xi(xi0), F.covectors)
 
 
-def _chamber_points(s: ConeSingularity, xi0, F: MonomialFiltration):
-    """(z_j, vertices of chamber j's slice) over the chambers of F: the
-    chamber rays scaled onto <xi0, .> = 1.  g = <z_j, .> on chamber j, so
-    max g on the slice is attained at one of these points."""
-    for z, rays in chambers(s.weight_cone, F.covectors):
+def _chamber_points(wc, xi0, covectors):
+    """(z_j, vertices of chamber j's slice) over the chambers of the
+    covectors on the weight cone wc: the chamber rays scaled onto
+    <xi0, .> = 1.  g = <z_j, .> on chamber j, so max g on the slice is
+    attained at one of these points."""
+    for z, rays in chambers(wc, covectors):
         yield z, slice_vertices(rays, xi0)
 
 
 @lru_cache(maxsize=16384)
-def _lambda_max_cached(s, xi0, F) -> Fraction:
-    return max(dot(z, a) for z, pts in _chamber_points(s, xi0, F) for a in pts)
+def _lambda_max_cached(wc, xi0, covectors) -> Fraction:
+    """Keyed on (weight cone, xi0, covectors)."""
+    return max(dot(z, a) for z, pts in _chamber_points(wc, xi0, covectors) for a in pts)
 
 
 def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -136,13 +156,13 @@ def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
     maximum is that of <z_j, .> over the chamber rays scaled onto the
     slice.
     """
-    return _lambda_max_cached(s, _xi(xi0), F)
+    return _lambda_max_cached(s.weight_cone, _xi(xi0), F.covectors)
 
 
 def _slice_vertices(s: ConeSingularity, xi0):
     """``slice_vertices`` of the weight cone at xi0, read from the cached
     Okounkov body (its vertices without the apex)."""
-    return _okounkov_cached(s, _xi(xi0)).body.vertices[1:]
+    return _okounkov_cached(s.weight_cone, _xi(xi0)).body.vertices[1:]
 
 
 def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -162,7 +182,7 @@ class LctResult(NamedTuple):
 
 @lru_cache(maxsize=16384)
 def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
-    """Log canonical threshold of a monomial filtration.
+    """Log canonical threshold of a monomial filtration, cached per (s, F).
 
     The infimum of A(xi)/wt_xi(F) over toric valuations is the LP
     min <u, xi> over xi in sigma with <alpha, xi> >= 1 at every vertex
@@ -370,8 +390,9 @@ def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):
     """
     xi0 = _xi(xi0)
     xi = vec(xi)
-    return max(((dot(z, a) + dot(xi, a), a) for z, pts in _chamber_points(s, xi0, F)
-                for a in pts), key=lambda va: va[0])
+    chamber_points = _chamber_points(s.weight_cone, xi0, F.covectors)
+    return max(((dot(z, a) + dot(xi, a), a) for z, pts in chamber_points for a in pts),
+               key=lambda va: va[0])
 
 
 def inf_twist_s(s: ConeSingularity, xi0, eta):

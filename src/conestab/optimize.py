@@ -8,20 +8,23 @@ Reeb vector whose gradient and Hessian are exact sums over the same fan.
 The search takes exact Newton steps, converts each trial point to float
 only to round it to a nearby rational with a capped denominator, and
 verifies descent exactly.  It stops as soon as the reduced gradient is
-exactly zero, since by strict convexity no candidate can then descend.  A
-final convexity bound, minimized over the vertices of the slice,
-certifies the gap, which collapses to zero whenever the rounded iterate is
-exactly stationary.
+exactly zero, since by strict convexity no candidate can then descend, and
+such an iterate is returned with no final rounding; otherwise a last
+rounding ladder looks for a simpler point that does not increase the
+value.  A final convexity bound, minimized over the vertices of the slice,
+certifies the gap, which collapses to zero whenever the iterate is exactly
+stationary.  The alignment residual alpha0 - u reads alpha0 off the volume
+and gradient already held at the iterate.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ToleranceNotReached
+from .errors import ParseError, ToleranceNotReached
 from .exactgeom import dot, frac, slice_vertices
 from .exactgeom.fan import cone_fan, fan_moments
 from .exactgeom.linalg import nullspace, solve
-from .invariants import okounkov_body
+from .invariants import _barycenter
 from .singularity import ConeSingularity
 
 MAX_NEWTON_STEPS = 80
@@ -62,13 +65,16 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     exact Newton direction (steepest descent if the reduced Hessian is
     singular), rational rounding of the float trial point (denominators
     capped), exact descent check; the loop ends at once where the reduced
-    gradient is exactly zero.  The certificate is the convexity bound
-    vol(x*) + <grad, y - x*> minimized over the slice polytope
-    {y in sigma : <u, y> = 1}, which is linear in y and so least at a
-    vertex v / <u, v>, v a ray of sigma (no LP is needed); at an exactly
-    stationary rounded point the gap is exactly zero.
+    gradient is exactly zero, and that iterate is returned unrounded.  The
+    certificate is the convexity bound vol(x*) + <grad, y - x*> minimized
+    over the slice polytope {y in sigma : <u, y> = 1}, which is linear in y
+    and so least at a vertex v / <u, v>, v a ray of sigma (no LP is
+    needed); at an exactly stationary point the gap is exactly zero.  A
+    negative ``tol`` raises ParseError.
     """
     tol = frac(tol)
+    if tol < 0:
+        raise ParseError(f"tolerance must be nonnegative, got {tol}", "tol")
     n = s.rank
     fan = cone_fan(s.weight_cone)
 
@@ -82,11 +88,13 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     tangent = nullspace([s.u], n)
 
     iterations = 0
+    stationary = False
     for it in range(MAX_NEWTON_STEPS):
         iterations = it + 1
         neg_gt = [-dot(t, grad) for t in tangent]
-        if not any(neg_gt):
-            break  # exactly stationary: by strict convexity nothing descends
+        stationary = not any(neg_gt)
+        if stationary:
+            break  # by strict convexity nothing descends, not even a rounding
         # Newton direction in the slice: solve (T^t H T) d = -T^t g exactly.
         Ht = [[dot(ti, [dot(row, tj) for row in hess]) for tj in tangent]
               for ti in tangent]
@@ -115,7 +123,10 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 
     # Prefer the simplest rational point near the iterate that does not
     # increase the value; exact minimizers of small height are recovered.
-    for max_den in (1, 2, 3, 4, 6, 10, 100, 10 ** 4):
+    # An exactly stationary iterate is kept as it is: every other point of
+    # the slice has a larger value, so the ladder could only return it.
+    ladder = () if stationary else (1, 2, 3, 4, 6, 10, 100, 10 ** 4)
+    for max_den in ladder:
         cand = _round_to_slice(s, xi, max_den)
         if cand is None or not s.sigma.contains(cand, strict=True):
             continue
@@ -127,7 +138,7 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 
     # Certificate: convexity lower bound minimized over the slice polytope.
     gap = dot(grad, xi) - _slice_min(s, grad)
-    alpha0 = okounkov_body(s, xi).alpha0
+    alpha0 = _barycenter(fx, grad, xi)[1]
     residual = tuple(a - u for a, u in zip(alpha0, s.u))
     result = NvolResult(minimizer=xi, nvol_value=fx, certificate_gap=gap,
                         alignment_residual=residual, iterations=iterations)

@@ -143,6 +143,19 @@ def test_nvolmin_json_report(doc_path, capsys):
     assert payload["nvol"]["lower"] == "4" and payload["nvol"]["upper"] == "4"
 
 
+def test_nvolmin_negative_tol_option_exits_2(doc_path, capsys):
+    assert main(["nvolmin", doc_path(C2_DOC), "--tol", "-1"]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: --tol: tolerance must be nonnegative, got -1\n"
+    assert main(["nvolmin", doc_path(C2_DOC), "--tol", "0"]) == EXIT_OK  # zero stays allowed
+
+
+def test_nvolmin_negative_tol_document_exits_2(doc_path, capsys):
+    path = doc_path(dict(C2_DOC, options={"tol": "-1/2"}))
+    assert main(["nvolmin", path]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {path}.options.tol: tolerance must be nonnegative, got -1/2\n")
+
+
 def test_estimate_csv(doc_path, capsys):
     assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",
                  "--levels", "1..50"]) == EXIT_OK
@@ -242,8 +255,15 @@ def test_non_integer_budget_option(doc_path, capsys, budget, shown):
      ".options.levels", "levels must be positive integers"),
     (C2_DOC, ["okounkov", "--levels", "0"], "--levels", "levels must be positive integers"),
     (C2_DOC, ["okounkov", "--t", "banana"], "--t", "not a rational 'p/q': 'banana'"),
+    (dict(C2_DOC, filtrations={"FEX": {"covectors": [["2", "1"], ["1", "2"]], "scale": "0"}}),
+     ["validate"], ".filtrations.FEX.scale", "rescale factor must be positive, got 0"),
+    (dict(C2_DOC, filtrations={"N": {"covectors": [["-1", "1"]]}}), ["validate"],
+     ".filtrations.N.covectors", "transform not positive on weight-cone ray (1, 0)"),
+    (dict(C2_DOC, filtrations={"E": {"covectors": []}}), ["validate"],
+     ".filtrations.E.covectors", "a filtration needs at least one covector"),
 ], ids=["filtrations-list", "options-list", "covectors-int", "levels-string",
-        "levels-entry", "levels-zero", "okounkov-levels-zero", "okounkov-t-without-levels"])
+        "levels-entry", "levels-zero", "okounkov-levels-zero", "okounkov-t-without-levels",
+        "scale-zero", "covector-negative", "covectors-empty"])
 def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where, message):
     path = doc_path(doc)
     assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID

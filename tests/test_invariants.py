@@ -129,6 +129,39 @@ def test_lct_memoized_per_filtration(c2):
     assert first.value == 4 and first.minimizer == (1, 3)
 
 
+def test_slice_caches_shared_across_boundaries():
+    # Okounkov body, S and lambda_max depend on the weight cone, xi0 and
+    # the covectors alone, so a second boundary on the same cone hits all
+    # three caches; lct, Ding and delta_T read u and must not leak across.
+    import conestab.invariants as inv
+    caches = (inv._okounkov_cached, inv._s_closed_cached, inv._lambda_max_cached)
+    rays = [(1, 0, 0), (0, 1, 0), (1, 1, 3)]
+    plain, bounded = from_rays(rays), from_rays(rays, [F(1, 2), 0, F(1, 3)])
+    assert plain.weight_cone == bounded.weight_cone and plain.u != bounded.u
+    xi0, covs = (1, 1, 1), [(1, 2, 1), (2, 1, 1), (1, 1, 2)]
+
+    def slice_values(s):
+        G = monomial_filtration(s, covs)
+        return okounkov_body(s, xi0), s_closed(s, xi0, G), lambda_max_closed(s, xi0, G)
+
+    def u_values(s):
+        G = monomial_filtration(s, covs)
+        return lct_monomial(s, G), ding(s, xi0, G), delta_T(s, xi0)
+
+    first = slice_values(plain)
+    before = [c.cache_info() for c in caches]
+    assert slice_values(bounded) == first
+    after = [c.cache_info() for c in caches]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1, 1]
+    assert [a.misses for a in after] == [b.misses for b in before]
+
+    warm = u_values(bounded)
+    assert all(w != p for w, p in zip(warm, u_values(plain)))
+    for cache in caches + (inv._vol_cached, lct_monomial):
+        cache.cache_clear()
+    assert u_values(bounded) == warm
+
+
 def test_lct_toric_minimizer_beats_sampling(c2, fex):
     # 10^4 random interior directions never beat the LP optimum
     rnd = random.Random(73)

@@ -157,7 +157,8 @@ def test_reduction_ties_are_decided_without_lp():
 @given(seed=st.integers(0, 2 ** 32))
 def test_lambda_max_matches_epigraph_lp(seed):
     s, xi0, G = _lambda_max_draw(seed)
-    assert _lambda_max_cached.__wrapped__(s, xi0, G) == _ref_lambda_max(s, xi0, G.covectors)
+    assert _lambda_max_cached.__wrapped__(s.weight_cone, xi0, G.covectors) == \
+        _ref_lambda_max(s, xi0, G.covectors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,7 +225,8 @@ def test_reduction_and_lambda_max_solve_no_lp():
     with mock.patch.object(lp, "_two_phase", wraps=lp._two_phase) as solves:
         assert _reduce_covectors(c3, [(1, 1, 4), (1, 4, 1), (1, F(5, 2), F(5, 2))]) == \
             ((1, 1, 4), (1, 4, 1))
-        assert _lambda_max_cached.__wrapped__(c2, (F(1), F(1)), G) == F(3, 2)
+        assert _lambda_max_cached.__wrapped__(c2.weight_cone, (F(1), F(1)),
+                                              G.covectors) == F(3, 2)
         assert twisted_lambda_max(c2, (1, 1), G, (1, -1))[0] == F(2)
     assert solves.call_count == 0
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conestab.errors import ToleranceNotReached
-from conestab.invariants import semistable_verdict, vol, vol_derivative
+from conestab.errors import ParseError, ToleranceNotReached
+from conestab.invariants import okounkov_body, semistable_verdict, vol, vol_derivative
 from conestab import optimize
 from conestab.optimize import minimize_nvol
 from conestab.singularity import from_rays
@@ -55,19 +55,35 @@ def test_minimize_nvol_simplicial_oracle():
 ])
 def test_minimize_nvol_stops_at_exact_stationarity(monkeypatch, rays, coeffs):
     # Once the reduced gradient is exactly zero no rounded candidate can
-    # descend, so the line search must not try them all (40 x 4 roundings).
-    calls = 0
-    round_to_slice = optimize._round_to_slice
+    # descend: neither the line search nor the final rounding ladder may
+    # round anything after the last Hessian evaluation, which is the one at
+    # the returned point.
+    events = []
+    round_to_slice, fan_moments = optimize._round_to_slice, optimize.fan_moments
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
+    def rounding(*args):
+        events.append(("round", None))
         return round_to_slice(*args)
 
-    monkeypatch.setattr(optimize, "_round_to_slice", counted)
+    def moments(fan, xi, order=2):
+        events.append((f"order{order}", tuple(xi)))
+        return fan_moments(fan, xi, order)
+
+    monkeypatch.setattr(optimize, "_round_to_slice", rounding)
+    monkeypatch.setattr(optimize, "fan_moments", moments)
     r = minimize_nvol(from_rays(rays, coeffs))
     assert r.certificate_gap == 0
-    assert calls <= 4 * r.iterations + 8
+    last = max(i for i, (kind, _) in enumerate(events) if kind == "order2")
+    assert events[last][1] == r.minimizer
+    assert events[last + 1:] == []
+
+
+def test_minimize_nvol_rejects_negative_tol(c2):
+    with pytest.raises(ParseError) as exc:
+        minimize_nvol(c2, tol=-1)
+    assert exc.value.where == "tol"
+    assert str(exc.value) == "tol: tolerance must be nonnegative, got -1"
+    assert minimize_nvol(c2, tol=0).certificate_gap == 0
 
 
 def test_stationarity_matches_verdict():
@@ -194,3 +210,7 @@ def test_minimize_nvol_pinned_results(rays, coeffs, minimizer, iterations, diges
     assert r.minimizer == tuple(F(x) for x in minimizer)
     assert r.iterations == iterations
     assert hashlib.sha256(repr(r).encode()).hexdigest()[:16] == digest
+    # The minimizer reads alpha0 off the volume and gradient it holds; the
+    # Okounkov body computes it anew from the weight cone's fan.
+    alpha0 = okounkov_body(s, r.minimizer).alpha0
+    assert r.alignment_residual == tuple(a - u for a, u in zip(alpha0, s.u))
