@@ -24,7 +24,7 @@ from .errors import (
     ToleranceNotReached,
     UnknownFiltration,
 )
-from .exactgeom import dot
+from .exactgeom import dot, enumeration_budget
 from .filtration import monomial_filtration, rescale, toric_filtration
 from .singularity import from_rays, log_discrepancy, reeb_contains
 
@@ -146,6 +146,10 @@ class InputDocument:
             raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}", path)
+        except ValueError:  # json's only other one: an int over the max-str-digits limit
+            raise ParseError(f"integer literal over {sys.get_int_max_str_digits()} digits", path)
+        except RecursionError:
+            raise ParseError("JSON nested too deeply", path)
         return cls(payload, path=path)
 
     def filtration(self, name):
@@ -254,13 +258,20 @@ def cmd_nvolmin(args):
     return EXIT_OK
 
 
-def _parse_levels(expr):
+def _parse_levels(expr, budget):
+    """Levels from '1..200' or '1,2,5,10'; a range longer than the budget in
+    force (the document's, else ``enumeration_budget()``) is never expanded."""
+    budget = enumeration_budget() if budget is None else budget
     levels = []
     for piece in expr.split(","):
         piece = piece.strip()
         if ".." in piece:
             lo, hi = piece.split("..", 1)
-            levels.extend(range(_int(lo, "--levels"), _int(hi, "--levels") + 1))
+            lo, hi = _int(lo, "--levels"), _int(hi, "--levels")
+            if hi - lo + 1 > budget:
+                raise BudgetExceeded(f"--levels: range {lo}..{hi} has {hi - lo + 1} levels, "
+                                     f"more than the budget {budget}")
+            levels.extend(range(lo, hi + 1))
         elif piece:
             levels.append(_int(piece, "--levels"))
     if not levels:
@@ -273,7 +284,8 @@ def _parse_levels(expr):
 def cmd_estimate(args):
     doc = InputDocument.load(args.document)
     F = doc.filtration(args.filtration)
-    levels = _parse_levels(args.levels) if args.levels else (doc.levels or list(range(1, 51)))
+    levels = (_parse_levels(args.levels, doc.budget) if args.levels
+              else doc.levels or list(range(1, 51)))
     if args.approx:
         m_filt = _int(args.approx, "--approx")
         if m_filt < 1:
@@ -306,7 +318,7 @@ def cmd_okounkov(args):
         "alpha0": [str(Fraction(x)) for x in body.alpha0],
     }
     if args.levels:
-        levels = _parse_levels(args.levels)
+        levels = _parse_levels(args.levels, doc.budget)
         if F is None:
             F, t = toric_filtration(s, doc.reeb), Fraction(0)
         clouds = {}

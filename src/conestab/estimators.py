@@ -19,7 +19,6 @@ import io
 import json
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
@@ -27,7 +26,7 @@ from typing import NamedTuple
 from .errors import EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below
 from .exactgeom.lattice import _lattice_runs
-from .exactgeom.linalg import smith_diagonal
+from .exactgeom.linalg import _integer_row, smith_diagonal
 from .filtration import MonomialFiltration, _floor_run_orders, approx_orders
 from .invariants import lambda_max_closed, s_closed, vol
 from .singularity import ConeSingularity, _xi
@@ -105,8 +104,7 @@ def _aggregate(s, xi0, levels, runs, run_orders):
     stride |X|; only its order sums and maxima take a strided slice each.
     """
     top = levels[-1] + 1  # S'_m at the last level needs one extra shell
-    den = lcm(*(x.denominator for x in xi0))
-    *xs, X = [int(x * den) for x in xi0]  # integer weights <xi0 den, a>
+    (*xs, X), den = _integer_row(xi0)  # integer weights <xi0 den, a>
     step = abs(X)
     # Difference arrays: the -1 of a class lands one stride past its last shell.
     counts = [0] * (top + 1 + step)

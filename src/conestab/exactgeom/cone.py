@@ -41,42 +41,46 @@ class Cone(NamedTuple):
 def _facet_normals(rays, n):
     """Facet normals of cone(rays) in R^n by scanning (n-1)-subsets.
 
-    The rays are integer vectors.  Each independent subset's kernel vector
-    comes off the integer kernel as (d at the free column, minus the rest of
-    that column), is made primitive with the sign of d, and is dotted with
-    the rays in integers; it is a normal when no ray pairs negatively with
-    it or with its negative.
+    This is the one conversion between generators and inequalities: the
+    same scan of a cone's facet normals gives its extreme rays (duality),
+    and of the rows (a, b) of {x : <a,x> <= b} its vertices
+    (``enumerate_vertices``).  The rays are integer vectors.  Each
+    independent subset's kernel vector comes off the integer kernel as (d
+    at the free column, minus the rest of that column), oriented so that
+    its free entry is positive, and is dotted with the rays in integers; it
+    is a normal, made primitive, when no ray pairs negatively with it, or
+    with its negative (then negated).
     """
-    if n == 1:
-        # A pointed full-dim cone in R^1 is a single ray; the facet is {0}.
-        # Mixed signs span the line, which is not pointed and has no facet.
-        signs = {1 if r[0] > 0 else -1 for r in rays}
-        return [(signs.pop(),)] if len(signs) == 1 else []
     normals = set()
     for sub in combinations(rays, n - 1):
         m, pivots, d, _ = _row_reduce(sub, n)
         if len(pivots) != n - 1:  # the n - 1 rays are dependent
             continue
-        fc = next(c for c in range(n) if c not in pivots)
+        fc = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
+        s = 1 if d > 0 else -1
         h = [0] * n
-        h[fc] = d
+        h[fc] = s * d
         for r, pc in zip(m, pivots):
-            h[pc] = -r[fc]
-        g = gcd(*h) if d > 0 else -gcd(*h)
-        h = tuple(a // g for a in h)
-        vals = [sum(map(mul, h, r)) for r in rays]
-        if all(v >= 0 for v in vals):
-            normals.add(h)
-        elif all(v <= 0 for v in vals):
-            normals.add(tuple(-a for a in h))
+            h[pc] = -s * r[fc]
+        side = 0  # the first nonzero pairing; one of the other sign rejects h
+        for r in rays:
+            v = sum(map(mul, h, r))
+            if v * side < 0:
+                break
+            if not side:
+                side = v
+        else:
+            g = gcd(*h) if side >= 0 else -gcd(*h)
+            normals.add(tuple(a // g for a in h))
     return sorted(normals)
 
 
 def cone_from_rays(rays) -> Cone:
     """Build a validated cone from generators.
 
-    Rays are primitivized and deduplicated.  Raises DegenerateCone when the
-    rays do not span R^n or span a non-pointed cone.
+    Rays are primitivized and deduplicated, and only the extreme ones (the
+    facet normals of the dual cone) are kept.  Raises DegenerateCone when
+    the rays do not span R^n or span a non-pointed cone.
     """
     rays = [primitivize(vec(r)) for r in rays]
     rays = sorted({r for r in rays if not is_zero(r)})
@@ -89,13 +93,7 @@ def cone_from_rays(rays) -> Cone:
     if mat_rank(normals) < n:
         # The normals span less than R^n exactly when the cone contains a line.
         raise DegenerateCone("cone is not pointed")
-    # Drop generators that are not extreme (positive combinations of others).
-    extreme = []
-    for r in rays:
-        tight = [h for h in normals if dot(h, r) == 0]
-        if mat_rank(tight) == n - 1:
-            extreme.append(r)
-    cone = Cone(rank=n, rays=tuple(sorted(extreme)), halfspaces=tuple(normals))
+    cone = Cone(rank=n, rays=tuple(_facet_normals(normals, n)), halfspaces=tuple(normals))
     _validate(cone)
     return cone
 

@@ -22,12 +22,12 @@ S, and their rays give lambda_max and the irredundant covectors.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import NamedTuple
 
 from ..errors import UnboundedSlice
 from .cone import Cone, _facet_normals, _triangulate_rays
-from .linalg import det, mat_rank, primitivize, vec, vsub
+from .linalg import _integer_row, det, mat_rank, primitivize, vec, vsub
 
 
 class Fan(NamedTuple):
@@ -103,8 +103,7 @@ def fan_moments(fan: Fan, xi, order=2):
     """
     xi = vec(xi)
     n = fan.rank
-    L = lcm(*(a.denominator for a in xi))
-    x = [int(a * L) for a in xi]
+    x, L = _integer_row(xi)
     P = [sum(a * b for a, b in zip(w, x)) for w in fan.rays]
     if any(p <= 0 for p in P):
         raise UnboundedSlice("slicing covector vanishes on a ray")

@@ -9,12 +9,12 @@ once, with strided slice updates, and never build the points.
 
 import os
 from itertools import product
-from math import ceil, floor, lcm
+from math import ceil, floor
 from operator import mul
 
 from ..errors import BudgetExceeded, ParseError
 from .cone import Cone
-from .linalg import frac, vec
+from .linalg import _integer_row, frac, vec
 from .polytope import slice_vertices
 
 DEFAULT_BUDGET = 10 ** 7
@@ -68,10 +68,9 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
     lo = [ceil(min(v[i] for v in verts)) for i in range(n)]
     hi = [floor(max(v[i] for v in verts)) for i in range(n)]
     # Rows <g, a> + g0 >= 0: the halfspaces, then <xi D, a> <= m D (- 1 if strict).
-    den = lcm(m.denominator, *(x.denominator for x in xi))
+    *ixs, ixl, im = _integer_row((*xi, m))[0]
     rows = [(h[:-1], h[-1], 0) for h in c.halfspaces]
-    rows.append((tuple(-int(x * den) for x in xi[:-1]), -int(xi[-1] * den),
-                 int(m * den) - (1 if strict else 0)))
+    rows.append((tuple(-x for x in ixs), -ixl, im - (1 if strict else 0)))
 
     runs = []
     kept = 0

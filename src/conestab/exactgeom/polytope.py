@@ -11,14 +11,12 @@ stay as the direct reference for that kernel.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
-from operator import mul
 from typing import NamedTuple
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
-from .cone import Cone, _triangulate_rays
-from .linalg import _integer_row, _row_reduce, det, dot, frac, mat_rank, primitivize, vec, vzero
+from .cone import Cone, _facet_normals, _triangulate_rays
+from .linalg import _integer_row, det, dot, frac, mat_rank, primitivize, vec, vzero
 
 
 class Polytope(NamedTuple):
@@ -75,25 +73,18 @@ def slice_polytope(c: Cone, xi, level) -> Polytope:
 
 
 def enumerate_vertices(halfspaces, dim):
-    """All vertices of {x : <a,x> <= b}; assumes the region is bounded.
+    """All vertices of {x : <a,x> <= b}, sorted; the region may be unbounded.
 
-    Each halfspace is scaled once to an integer row (a, b).  For every
-    ``dim``-subset of rows with a unique intersection point the integer
-    kernel gives it as x = num / d with d > 0, and the point is a vertex
-    when a.num <= b * d holds for every row.  Only vertices become Fractions.
+    Each halfspace is scaled once to an integer row (a, b).  The facet scan
+    of these rows in R^(dim+1) returns the vectors (y, t) with
+    <a,y> + b t >= 0 on every row and equality on ``dim`` independent ones:
+    the homogenization of the region at x = -y / t.  Those with t > 0 give
+    the vertices -y / t, and those with t = 0 recession directions, which
+    are dropped.  Only vertices become Fractions.
     """
     rows = [_integer_row((*a, b))[0] for a, b in halfspaces]
-    found = set()
-    for sub in combinations(rows, dim):
-        m, pivots, d, _ = _row_reduce(sub, dim)
-        if len(pivots) < dim:
-            continue
-        s = 1 if d > 0 else -1
-        num = [s * r[dim] for r in m]
-        d *= s
-        if all(sum(map(mul, r, num)) <= r[dim] * d for r in rows):
-            found.add(tuple(Fraction(x, d) for x in num))
-    return sorted(found)
+    return sorted(tuple(Fraction(-y, h[dim]) for y in h[:dim])
+                  for h in _facet_normals(rows, dim + 1) if h[dim] > 0)
 
 
 def triangulate(p: Polytope):

@@ -15,7 +15,6 @@ approximating filtration as a concave transform of its own.
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import floordiv, le, mul, sub
 from typing import NamedTuple
 
@@ -30,6 +29,7 @@ from .errors import (
 from .exactgeom import (PLConcave, Polytope, dot, enumerate_vertices, frac, lattice_points_below,
                         slice_vertices, vec)
 from .exactgeom.fan import chambers
+from .exactgeom.linalg import _integer_row
 from .singularity import ConeSingularity, _xi
 
 
@@ -198,8 +198,9 @@ def ord_of(F: MonomialFiltration, alpha) -> Fraction:
 
 def _integer_covectors(F: MonomialFiltration):
     """(zs, den): F's covectors times den, as ints, so g = min_j <zs_j, .> / den."""
-    den = lcm(*(x.denominator for z in F.covectors for x in z))
-    return [[int(x * den) for x in z] for z in F.covectors], den
+    n = len(F.covectors[0])
+    flat, den = _integer_row([x for z in F.covectors for x in z])
+    return [flat[i:i + n] for i in range(0, len(flat), n)], den
 
 
 def _floor_order(F: MonomialFiltration):

@@ -463,7 +463,6 @@ def quotient_norm_sq(xi, xi0) -> Fraction:
 # Reports
 
 CLOSED_FORM = "closed-form"
-ESTIMATOR = "estimator"
 OPTIMIZER = "optimizer"
 
 

@@ -196,6 +196,8 @@ def test_estimate_budget_exit_code(doc_path, capsys, monkeypatch):
     doc["options"] = {"budget": 10}
     assert main(["estimate", doc_path(doc), "--filtration", "FEX",
                  "--levels", "1..50"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "error: --levels: range 1..50 has 50 levels, more than the budget 10\n")
 
 
 def test_budget_env_override(doc_path, monkeypatch):
@@ -327,14 +329,25 @@ def test_estimate_unwritable_out_exits_2(doc_path, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_validate_non_utf8_document_exits_2(tmp_path, capsys):
-    path = tmp_path / "latin1.json"
-    data = json.dumps(dict(C2_DOC, note="caf\u00e9"), ensure_ascii=False).encode("latin-1")
+_LATIN1_DOC = json.dumps(dict(C2_DOC, note="caf\u00e9"), ensure_ascii=False).encode("latin-1")
+_LATIN1_AT = _LATIN1_DOC.index("\u00e9".encode("latin-1"))
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(_LATIN1_DOC, f"not UTF-8 text: invalid continuation byte at byte {_LATIN1_AT}",
+                 id="latin1"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply", id="deep"),
+    pytest.param(b'{"rank": ' + b"1" * 5000 + b"}",
+                 f"integer literal over {_MAX_DIGITS} digits", id="digits",
+                 marks=pytest.mark.skipif(not 0 < _MAX_DIGITS < 5000,
+                                          reason="no int max-str-digits limit below 5000")),
+])
+def test_validate_unparsable_document_exits_2(tmp_path, capsys, data, message):
+    path = tmp_path / "doc.json"
     path.write_bytes(data)
     assert main(["validate", str(path)]) == EXIT_INVALID
-    at = data.index("\u00e9".encode("latin-1"))
-    assert capsys.readouterr().err == (
-        f"error: {path}: not UTF-8 text: invalid continuation byte at byte {at}\n")
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_estimate_out_file(doc_path, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conestab.errors import (
     BudgetExceeded,
+    DegenerateCone,
     NotFullDimensional,
     ParseError,
     Unbounded,
@@ -258,7 +259,6 @@ def test_lattice_count_matches_volume():
 
 
 def test_dual_rejects_lower_dimensional():
-    from conestab.errors import DegenerateCone
     with pytest.raises(DegenerateCone):
         cone_from_rays([(1, 0), (2, 0)])
     with pytest.raises(DegenerateCone):
@@ -501,8 +501,35 @@ def _bounded_systems(draw):
     return draw(st.permutations(hs)), dim
 
 
-@settings(max_examples=100, deadline=None)
-@given(system=_bounded_systems())
+@st.composite
+def _pointed_systems(draw):
+    """Unbounded pointed regions shaped like a Newton polyhedron.
+
+    Weight-cone rows <w, a> >= 0 with the w independent (plus redundant
+    nonnegative combinations of them, which make the apex degenerate), and
+    rows <z, a> >= 1 for nonnegative combinations z of the w, rescaled and
+    shuffled like the bounded systems.
+    """
+    dim = draw(st.integers(1, 3))
+    ints = st.integers(-3, 3)
+    ws = draw(st.lists(st.lists(ints, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+              .filter(lambda w: len(_frac_rref(w, dim)[1]) == dim))
+
+    def combo():
+        cs = [draw(st.fractions(0, 2, max_denominator=3)) for _ in ws]
+        return tuple(sum((c * w[j] for c, w in zip(cs, ws)), F(0)) for j in range(dim))
+
+    hs = [(tuple(F(-x) for x in w), F(0)) for w in ws]
+    hs += [(tuple(-x for x in combo()), F(0)) for _ in range(draw(st.integers(0, 2)))]
+    hs += [(tuple(-x for x in combo()), F(-1)) for _ in range(draw(st.integers(1, 4)))]
+    hs = [(tuple(c * x for x in a), c * b)
+          for (a, b), c in zip(hs, draw(st.lists(_SCALES, min_size=len(hs),
+                                                 max_size=len(hs))))]
+    return draw(st.permutations(hs)), dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=st.one_of(_bounded_systems(), _pointed_systems()))
 def test_enumerate_vertices_matches_fraction_reference(system):
     from conestab.exactgeom.polytope import enumerate_vertices
     hs, dim = system
@@ -542,6 +569,38 @@ def test_facet_normals_match_fraction_reference(data):
     got = _facet_normals(rays, n)
     assert got == _ref_facet_normals(rays, n)
     assert all(type(x) is int for h in got for x in h)
+
+
+@st.composite
+def _pointed_ray_sets(draw):
+    """Rays with first entry >= 1, so the cone they span is pointed, plus
+    multiples and sums of drawn rays: duplicates after primitivization and
+    members that are not extreme."""
+    n = draw(st.integers(1, 4))
+    rays = [(draw(st.integers(1, 3)), *(draw(st.integers(-3, 3)) for _ in range(n - 1)))
+            for _ in range(draw(st.integers(n, n + 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(rays) - 1)), draw(st.integers(0, len(rays) - 1))
+        k = draw(st.integers(1, 3))
+        rays.append(tuple(k * a + b for a, b in zip(rays[i], rays[j])))
+    return rays, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_pointed_ray_sets())
+def test_cone_from_rays_keeps_the_tight_rank_extreme_rays(data):
+    """A ray is extreme when the facet normals it lies on have rank n - 1."""
+    rays, n = data
+    prim = sorted({tuple(x // gcd(*r) for x in r) for r in rays})
+    if len(_frac_rref(prim, n)[1]) < n:
+        with pytest.raises(DegenerateCone):
+            cone_from_rays(rays)
+        return
+    c = cone_from_rays(rays)
+    assert c.halfspaces == tuple(_ref_facet_normals(prim, n))
+    extreme = [r for r in prim
+               if len(_frac_rref([h for h in c.halfspaces if dot(h, r) == 0], n)[1]) == n - 1]
+    assert c.rays == tuple(extreme)
 
 
 @settings(max_examples=150, deadline=None)
