@@ -260,9 +260,11 @@ def cmd_nvolmin(args):
 
 def _parse_levels(expr, budget):
     """Levels from '1..200' or '1,2,5,10'; a range longer than the budget in
-    force (the document's, else ``enumeration_budget()``) is never expanded."""
+    force (the document's, else ``enumeration_budget()``) is never expanded,
+    and a lone range is returned as a ``range``, so the sweep's lattice
+    budget is checked before its levels are listed."""
     budget = enumeration_budget() if budget is None else budget
-    levels = []
+    pieces = []
     for piece in expr.split(","):
         piece = piece.strip()
         if ".." in piece:
@@ -271,12 +273,14 @@ def _parse_levels(expr, budget):
             if hi - lo + 1 > budget:
                 raise BudgetExceeded(f"--levels: range {lo}..{hi} has {hi - lo + 1} levels, "
                                      f"more than the budget {budget}")
-            levels.extend(range(lo, hi + 1))
+            pieces.append(range(lo, hi + 1))
         elif piece:
-            levels.append(_int(piece, "--levels"))
+            level = _int(piece, "--levels")
+            pieces.append(range(level, level + 1))
+    levels = pieces[0] if len(pieces) == 1 else [m for r in pieces for m in r]
     if not levels:
         raise ParseError("empty level list", "--levels")
-    if min(levels) < 1:
+    if any(r and r.start < 1 for r in pieces):
         raise ParseError("levels must be positive integers", "--levels")
     return levels
 

@@ -72,19 +72,46 @@ class EstimatorSweep(NamedTuple):
         return buf.getvalue()
 
     def to_json(self) -> str:
-        def enc(x):
-            return None if x is None else str(x)
-        rows = [{
-            "m": st.m, "N_m": st.N_m, "TS_m": st.TS_m, "TS0_m": st.TS0_m,
-            "S_m": enc(st.S_m), "Sp_m": enc(st.Sp_m), "Spp_m": enc(st.Spp_m),
-            "lammax_m": enc(st.lammax_m), "count_gamma": st.count_gamma,
-        } for st in self.per_level]
-        return json.dumps({"levels": self.levels, "rows": rows,
-                           "target": {k: enc(v) for k, v in self.target.items()}},
-                          indent=2)
+        """{"levels", "rows", "target"}, byte for byte what
+        ``json.dumps(..., indent=2)`` writes for it, with the rationals as
+        "p/q" strings and missing ratios as null.  The rows have a fixed
+        schema (ints, rationals and None), so each is one f-string; the
+        small target goes through ``json.dumps`` and is indented one level.
+        """
+        def q(x):
+            return "null" if x is None else f'"{x}"'
+        levels = ",".join(f"\n    {m}" for m in self.levels)
+        rows = ",".join(f"""
+    {{
+      "m": {st.m},
+      "N_m": {st.N_m},
+      "TS_m": {st.TS_m},
+      "TS0_m": {st.TS0_m},
+      "S_m": {q(st.S_m)},
+      "Sp_m": {q(st.Sp_m)},
+      "Spp_m": {q(st.Spp_m)},
+      "lammax_m": {q(st.lammax_m)},
+      "count_gamma": {st.count_gamma}
+    }}""" for st in self.per_level)
+        target = json.dumps({k: None if v is None else str(v) for k, v in self.target.items()},
+                            indent=2).replace("\n", "\n  ")
+        return (f'{{\n  "levels": {_json_list(levels)},\n  "rows": {_json_list(rows)},\n'
+                f'  "target": {target}\n}}')
+
+
+def _json_list(items):
+    """A list of pre-indented items at depth one, as json.dumps(indent=2) closes it."""
+    return f"[{items}\n  ]" if items else "[]"
 
 
 def _levels(levels):
+    """The levels sorted and distinct.  A range with a positive step already
+    is, and stays a range, so that a long one is never listed before the
+    lattice budget has been checked."""
+    if isinstance(levels, range) and levels.step > 0:
+        if not levels or levels.start < 1:
+            raise EmptyInput("levels must be positive integers")
+        return levels
     levels = list(levels)
     if not levels or not all(isinstance(m, int) and not isinstance(m, bool) and m >= 1
                              for m in levels):
@@ -175,7 +202,7 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     xi0, levels = _xi(xi0), _levels(levels)
     runs = _lattice_runs(s.weight_cone, xi0, levels[-1] + 1, budget, True)
     per_level = _aggregate(s, xi0, levels, runs, _floor_run_orders(F))
-    return EstimatorSweep(levels=levels, per_level=per_level, target=_target(s, xi0, F))
+    return EstimatorSweep(levels=list(levels), per_level=per_level, target=_target(s, xi0, F))
 
 
 def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
@@ -199,7 +226,7 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     per_level = _aggregate(s, xi0, levels, runs, lambda p, lo, hi: [
         orders[p + (t,)] for t in range(lo, hi + 1)])
     target = {**_target(s, xi0, F), "m_filtration": Fraction(m_filtration)}
-    return EstimatorSweep(levels=levels, per_level=per_level, target=target)
+    return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 
 
 class SemigroupSample(NamedTuple):

@@ -2,9 +2,13 @@
 
 The kernel works in runs: for each prefix of the first n-1 coordinates the
 last coordinate fills an exact integer range, so a slice is a list of
-(prefix, t_lo, t_hi).  ``lattice_points_below`` lays the runs out as
-points; the estimator sweeps aggregate each run of the last coordinate at
-once, with strided slice updates, and never build the points.
+(prefix, t_lo, t_hi).  The ranges are bounded a prefix row at a time:
+with the first n-2 coordinates fixed, every integer row is linear in
+coordinate n-1, so its bound on the last coordinate along the row is one
+list comprehension over a range.  ``lattice_points_below`` lays the runs
+out as points; the estimator sweeps aggregate each run of the last
+coordinate at once, with strided slice updates, and never build the
+points.
 """
 
 import os
@@ -46,14 +50,23 @@ def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):
             for t in range(t_lo, t_hi + 1)]
 
 
+# Prefix rows are bounded in blocks of this many values of coordinate n-1,
+# so a budget stop in a long row allocates only one block.
+_BLOCK = 1024
+
+
 def _lattice_runs(c: Cone, xi, m, budget, strict):
     """The points of ``lattice_points_below`` as runs (prefix, t_lo, t_hi).
 
     Exact integer kernel: the first n-1 coordinates (the prefix, a tuple of
     int) run over the slice's bounding box in lexicographic order, and the
     last one over the range t_lo..t_hi solved from the integer rows; runs
-    are nonempty.  The budget counts kept points, as in
-    ``lattice_points_below``.
+    are nonempty.  The bounds are computed a prefix row at a time: once the
+    first n-2 coordinates are fixed, each row is linear along coordinate
+    n-1, so its bound on t over that coordinate's range is one list.  The
+    budget counts kept points, as in ``lattice_points_below``; the count is
+    checked once per block of a row, so the enumeration stops at the end
+    of the block in which it first passes the budget.
     """
     xi = vec(xi)
     m = frac(m)
@@ -68,26 +81,52 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
     lo = [ceil(min(v[i] for v in verts)) for i in range(n)]
     hi = [floor(max(v[i] for v in verts)) for i in range(n)]
     # Rows <g, a> + g0 >= 0: the halfspaces, then <xi D, a> <= m D (- 1 if strict).
-    *ixs, ixl, im = _integer_row((*xi, m))[0]
-    rows = [(h[:-1], h[-1], 0) for h in c.halfspaces]
-    rows.append((tuple(-x for x in ixs), -ixl, im - (1 if strict else 0)))
+    *ixs, im = _integer_row((*xi, m))[0]
+    rows = [(h, 0) for h in c.halfspaces]
+    rows.append((tuple(-x for x in ixs), im - (1 if strict else 0)))
+    if n == 1:  # no coordinate n-1: give every row and the box a zero one
+        rows = [((0, *g), g0) for g, g0 in rows]
+        lo, hi = [0, *lo], [0, *hi]
 
     runs = []
     kept = 0
-    for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-        t_lo, t_hi = lo[-1], hi[-1]
-        for g, g_last, g0 in rows:
-            s = g0 + sum(map(mul, g, prefix))
-            if g_last > 0:
-                t_lo = max(t_lo, -(s // g_last))
-            elif g_last < 0:
-                t_hi = min(t_hi, s // -g_last)
-            elif s < 0:
-                t_hi = t_lo - 1
-                break
-        if t_lo <= t_hi:
-            kept += t_hi - t_lo + 1
+    for outer in product(*(range(a, b + 1) for a, b in zip(lo[:-2], hi[:-2]))):
+        # Row values along (u, t) = coordinates n-1 and n are s0 + gu u + gt t.
+        # A row with gt = 0 cuts the range of u; the others bound t, from
+        # below where gt > 0 and from above where gt < 0.  The slice is
+        # bounded, so rows of both signs exist.
+        u_lo, u_hi = lo[-2], hi[-2]
+        lows, highs = [], []
+        for (*go, gu, gt), g0 in rows:
+            s0 = g0 + sum(map(mul, go, outer))
+            if gt:
+                (lows if gt > 0 else highs).append((s0, gu, gt))
+            elif gu > 0:
+                u_lo = max(u_lo, -(s0 // gu))
+            elif gu < 0:
+                u_hi = min(u_hi, s0 // -gu)
+            elif s0 < 0:
+                u_hi = u_lo - 1
+        for start in range(u_lo, u_hi + 1, _BLOCK):
+            us = range(start, min(start + _BLOCK, u_hi + 1))
+            t_lo = _bound(lows, us, max)
+            t_hi = _bound(highs, us, min)
+            prefixes = [outer + (u,) for u in us] if n > 1 else [()]
+            block = [(p, a, b) for p, a, b in zip(prefixes, t_lo, t_hi) if a <= b]
+            kept += sum(b - a for _, a, b in block) + len(block)
             if kept > budget:
                 raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
-            runs.append((prefix, t_lo, t_hi))
+            runs += block
     return runs
+
+
+def _bound(rows, us, pick):
+    """t bound along u in us from rows (s0, gu, gt) with gt of one sign:
+    ceil(-(s0 + gu u) / gt) from below (gt > 0, pick=max), floor of the same
+    from above (gt < 0, pick=min), the tightest over the rows."""
+    out = None
+    for s0, gu, gt in rows:
+        vals = range(s0 + gu * us.start, s0 + gu * us.stop, gu) if gu else [s0] * len(us)
+        b = [-(s // gt) for s in vals] if gt > 0 else [s // -gt for s in vals]
+        out = b if out is None else list(map(pick, out, b))
+    return out

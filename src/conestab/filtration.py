@@ -159,6 +159,13 @@ def intersect(F: MonomialFiltration, G: MonomialFiltration) -> MonomialFiltratio
     return monomial_filtration(F.ambient, list(F.covectors) + list(G.covectors))
 
 
+def _newton_halfspaces(sigma, covectors):
+    """Halfspaces of {g >= 1}: <z, a> >= 1 per covector z, then a in the
+    weight cone (<v, a> >= 0 on the rays v of sigma)."""
+    return ([(tuple(-x for x in z), Fraction(-1)) for z in covectors]
+            + [(tuple(-x for x in v), Fraction(0)) for v in sigma.rays])
+
+
 def newton_polyhedron(F: MonomialFiltration) -> NewtonPolyhedron:
     """Vertices of {alpha in weight cone : g(alpha) >= 1}.
 
@@ -166,11 +173,7 @@ def newton_polyhedron(F: MonomialFiltration) -> NewtonPolyhedron:
     reproduces g, which is the saturation identity for monomial data.
     """
     s = F.ambient
-    hs = []
-    for z in F.covectors:
-        hs.append((tuple(-x for x in z), Fraction(-1)))  # <z, a> >= 1
-    for v in s.sigma.rays:
-        hs.append((tuple(-x for x in v), Fraction(0)))   # a in weight cone
+    hs = _newton_halfspaces(s.sigma, F.covectors)
     verts = enumerate_vertices(hs, s.rank)
     poly = Polytope(dim=s.rank, vertices=tuple(verts),
                     recession_rays=tuple(s.weight_cone.rays), halfspaces=tuple(hs))

@@ -24,8 +24,8 @@ covector reduction read those chambers (``exactgeom.fan.chambers``) from
 the same cache.  The caches of slice data (Okounkov body, vol, S and
 lambda_max) key on the weight cone, xi0 and the covectors, the only data
 their values depend on, so singularities that differ only in their
-boundary share entries; ``lct_monomial``, which reads u, keys on the
-singularity and the filtration.
+boundary share entries; ``lct_monomial``, which reads u, keys on u, sigma
+and the covectors.
 """
 
 import json
@@ -36,10 +36,11 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import FutakiNonvanishing, IdentityViolated, NotPrimary
-from .exactgeom import dot, lp_solve, primitivize, slice_polytope, slice_vertices, vec
+from .exactgeom import (dot, enumerate_vertices, lp_solve, primitivize, slice_polytope,
+                         slice_vertices, vec)
 from .exactgeom.fan import chamber_fans, chambers, cone_fan, fan_moments
 from .exactgeom.linalg import gram_project_out, norm_sq
-from .filtration import MonomialFiltration, newton_polyhedron
+from .filtration import MonomialFiltration, _newton_halfspaces
 from .singularity import ConeSingularity, _xi, log_discrepancy
 
 
@@ -180,9 +181,8 @@ class LctResult(NamedTuple):
     minimizer: tuple  # optimal toric valuation direction
 
 
-@lru_cache(maxsize=16384)
 def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
-    """Log canonical threshold of a monomial filtration, cached per (s, F).
+    """Log canonical threshold of a monomial filtration.
 
     The infimum of A(xi)/wt_xi(F) over toric valuations is the LP
     min <u, xi> over xi in sigma with <alpha, xi> >= 1 at every vertex
@@ -204,15 +204,22 @@ def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
     with no LP.  Where several tie, the optima form their convex hull and
     the LP is solved for the vertex it picks.
     """
-    pairings = [dot(z, s.u) for z in F.covectors]
+    return _lct_cached(s.u, s.sigma, F.covectors)
+
+
+@lru_cache(maxsize=16384)
+def _lct_cached(u, sigma, covectors) -> LctResult:
+    """Keyed on (u, sigma, covectors), the only data the lct reads; the
+    singularity itself is not hashed."""
+    pairings = [dot(z, u) for z in covectors]
     value = min(pairings)
     if pairings.count(value) == 1:
-        return LctResult(value=value, minimizer=F.covectors[pairings.index(value)])
-    verts = newton_polyhedron(F).vertices
+        return LctResult(value=value, minimizer=covectors[pairings.index(value)])
+    verts = enumerate_vertices(_newton_halfspaces(sigma, covectors), sigma.rank)
     cons = [(v, ">=", Fraction(1)) for v in verts]
-    for h in s.sigma.halfspaces:
+    for h in sigma.halfspaces:
         cons.append((h, ">=", Fraction(0)))
-    res = lp_solve(s.u, cons, sense="min")
+    res = lp_solve(u, cons, sense="min")
     return LctResult(value=res.value, minimizer=res.point)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conestab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
+from conestab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _parse_levels, main
 from conestab.invariants import InvariantReport
 
 F = Fraction
@@ -204,6 +204,32 @@ def test_budget_env_override(doc_path, monkeypatch):
     monkeypatch.setenv("CONESTAB_BUDGET", "10")
     assert main(["estimate", doc_path(C2_DOC), "--filtration", "FEX",
                  "--levels", "1..50"]) == EXIT_BUDGET
+
+
+def test_lone_level_range_stays_a_range():
+    assert _parse_levels("1..2000000", None) == range(1, 2000001)
+    assert _parse_levels(" 7 ", None) == range(7, 8)
+    assert _parse_levels("4,1..2,2", None) == [4, 1, 2, 2]
+
+
+def test_long_level_range_stops_on_lattice_budget_in_little_memory(doc_path):
+    # 1..2000000 is shorter than the default budget of 10^7 levels, so it
+    # parses; the sweep's lattice budget must stop it before two million
+    # levels are listed, which once took 204 MB.  ru_maxrss is in kB on Linux.
+    code = ("import resource, sys\n"
+            "from conestab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "CONESTAB_BUDGET"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", code, "estimate", doc_path(C2_DOC),
+                           "--filtration", "FEX", "--levels", "1..2000000"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    exit_code, maxrss = proc.stdout.split()
+    assert exit_code == str(EXIT_BUDGET)
+    assert proc.stderr == "error: lattice enumeration exceeded budget 10000000\n"
+    assert int(maxrss) < 100 * 1024
 
 
 @pytest.mark.parametrize("argv, where", [

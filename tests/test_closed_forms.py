@@ -26,7 +26,6 @@ from conestab.exactgeom import lp as lp_module
 from conestab.filtration import monomial_filtration, newton_polyhedron
 from conestab.invariants import (
     ding,
-    lct_monomial,
     okounkov_body,
     reduced_j,
     s_closed,
@@ -170,7 +169,7 @@ def _reduced_j_path(s, xi0, G):
 
 def _lct_path(s, G):
     with mock.patch.object(invariants, "lp_solve", wraps=lp_solve) as lp:
-        res = lct_monomial.__wrapped__(s, G)
+        res = invariants._lct_cached.__wrapped__(s.u, s.sigma, G.covectors)
     value, minimizer = _ref_lct(s, G)
     assert res.value == value == G.ord(s.u)
     if not lp.called:

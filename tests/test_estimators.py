@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -40,6 +41,15 @@ def test_sweep_worked_example(c2, fex):
     st = sw.row(2)
     assert st.N_m == 3 and st.TS_m == 2
     assert st.S_m == 1 and st.Spp_m == F(1, 2)
+
+
+def test_sweep_rank_one_pinned():
+    # The line: the points below level m are 0..m-1 with orders 2a.
+    s = from_rays([[1]])
+    sw = sweep(s, (1,), monomial_filtration(s, [(2,)]), [1, 2, 3])
+    assert [(st.N_m, st.TS_m, st.TS0_m, st.lammax_m, st.count_gamma) for st in sw.per_level] \
+        == [(1, 0, 0, 0, 2), (2, 2, 1, 1, 3), (3, 6, 3, F(4, 3), 4)]
+    assert sw.row(1).S_m is None and sw.row(3).S_m == 2 and sw.row(3).Spp_m == F(4, 3)
 
 
 def test_sweep_trivial_filtration_constant(c2):
@@ -96,6 +106,21 @@ def test_sweep_refuses_non_integer_levels(c2, fex):
         with pytest.raises(EmptyInput, match="^levels must be positive integers$"):
             sweep_approx(c2, (1, 1), fex, 2, bad)
     assert sweep(c2, (1, 1), fex, [3, 1, 3]).levels == [1, 3]
+
+
+def test_level_range_stays_lazy(c2, fex):
+    # A range is sorted and distinct already: it is never listed, so the
+    # lattice budget stops a sweep to level 10^18 at once.
+    huge = range(1, 10 ** 18)
+    assert estimators._levels(huge) is huge
+    with pytest.raises(BudgetExceeded, match="^lattice enumeration exceeded budget 1000$"):
+        sweep(c2, (1, 1), fex, huge, budget=1000)
+    for bad in (range(0, 4), range(5, 5)):
+        with pytest.raises(EmptyInput, match="^levels must be positive integers$"):
+            sweep(c2, (1, 1), fex, bad)
+    assert sweep(c2, (1, 1), fex, range(3, 0, -1)).levels == [1, 2, 3]
+    assert (sweep(c2, (1, 1), fex, range(1, 4)).to_json()
+            == sweep(c2, (1, 1), fex, [3, 1, 2]).to_json())
 
 
 def test_sweep_budget(c2, fex):
@@ -296,7 +321,24 @@ def _reference_aggregate(s, xi0, levels, order_of, pts):
 
 
 def _reference_points(s, xi0, levels, budget):
+    """The points below the top level + 1.  The kernel itself is pinned
+    against a box scan that shares none of its code in
+    ``test_exactgeom.py::test_lattice_points_match_fraction_box_scan``."""
     return lattice_points_below(s.weight_cone, xi0, max(levels) + 1, budget=budget)
+
+
+def _reference_json(sw):
+    """The sweep's JSON as ``json.dumps(indent=2)`` writes it: the encoder
+    ``EstimatorSweep.to_json`` must reproduce byte for byte."""
+    def enc(x):
+        return None if x is None else str(x)
+    rows = [{
+        "m": st.m, "N_m": st.N_m, "TS_m": st.TS_m, "TS0_m": st.TS0_m,
+        "S_m": enc(st.S_m), "Sp_m": enc(st.Sp_m), "Spp_m": enc(st.Spp_m),
+        "lammax_m": enc(st.lammax_m), "count_gamma": st.count_gamma,
+    } for st in sw.per_level]
+    return json.dumps({"levels": sw.levels, "rows": rows,
+                       "target": {k: enc(v) for k, v in sw.target.items()}}, indent=2)
 
 
 def _reference_sweep(s, xi0, G, levels, budget):
@@ -387,7 +429,27 @@ def test_sweeps_match_per_point_reference(case):
             with pytest.raises(BudgetExceeded):
                 library()
             continue
-        got = library()
-        got = estimators.EstimatorSweep(levels=got.levels, per_level=got.per_level)
-        assert got.to_json() == ref.to_json()
+        full = library()
+        assert full.to_json() == _reference_json(full)
+        got = estimators.EstimatorSweep(levels=full.levels, per_level=full.per_level)
+        assert got.to_json() == _reference_json(ref)
         assert got.to_csv() == ref.to_csv()
+
+
+def test_to_json_matches_json_dumps_byte_for_byte(c2, fex):
+    # None in S_m and Sp_m (the line at level 1, and the cone at level 1
+    # below its first nonzero weight), the default empty target, the
+    # m_filtration target of sweep_approx, and an empty sweep.
+    line = from_rays([[1]])
+    sweeps = [sweep(line, (1,), monomial_filtration(line, [(2,)]), [1, 2, 3]),
+              sweep(c2, (3, 5), fex, [1, 2, 9]),
+              sweep_approx(c2, (1, 1), fex, 3, [1, 4, 7])]
+    sweeps += [estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
+               for sw in sweeps]
+    sweeps.append(estimators.EstimatorSweep(levels=[], per_level=[]))
+    assert any(st.S_m is None for st in sweeps[0].per_level)
+    assert any(st.Sp_m is None for sw in sweeps for st in sw.per_level)
+    assert "m_filtration" in sweeps[2].target and sweeps[3].target == {}
+    for sw in sweeps:
+        assert sw.to_json() == _reference_json(sw)
+        assert json.loads(sw.to_json())["levels"] == sw.levels

@@ -39,7 +39,8 @@ from conestab.exactgeom.linalg import (
     smith_diagonal,
     solve,
 )
-from conftest import random_cone, random_reeb
+from conestab.exactgeom.lattice import _lattice_runs
+from conftest import random_cone
 
 F = Fraction
 
@@ -221,32 +222,91 @@ def test_lattice_budget_env_malformed(monkeypatch):
         lattice_points_below(orthant, (1, 1), 3)
 
 
-@settings(max_examples=80, deadline=None)
+_NON_SIMPLICIAL = (((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
+                   ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1)),
+                   ((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)))
+
+
+def _box_scan(c, xi, m, strict):
+    """Every integer a in the cone c with <a, xi> < m (<= m unless strict),
+    in lexicographic order, or None when the region is unbounded.
+
+    The reference for the lattice kernel, sharing none of its code: a box
+    one wider on every side than the hull of the origin and the rays
+    scaled onto <xi, .> = m is scanned point by point with
+    ``Cone.contains`` and the Fraction pairing.  The region is bounded
+    exactly when xi pairs positively with every ray.
+    """
+    pairings = [dot(xi, r) for r in c.rays]
+    if min(pairings) <= 0:
+        return None
+    hull = [(0,) * c.rank] + [tuple(m * x / p for x in r) for r, p in zip(c.rays, pairings)]
+    box = [range(floor(min(v[i] for v in hull)) - 1, ceil(max(v[i] for v in hull)) + 2)
+           for i in range(c.rank)]
+    return [a for a in product(*box) if c.contains(a)
+            and (dot(xi, a) < m if strict else dot(xi, a) <= m)]
+
+
+def _runs_of(points):
+    """Maximal runs (prefix, t_lo, t_hi) of consecutive last coordinates."""
+    runs = []
+    for *prefix, t in points:
+        prefix = tuple(prefix)
+        if runs and runs[-1][0] == prefix and runs[-1][2] == t - 1:
+            runs[-1] = (prefix, runs[-1][1], t)
+        else:
+            runs.append((prefix, t, t))
+    return runs
+
+
+@settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), strict=st.booleans())
 def test_lattice_points_match_fraction_box_scan(seed, strict):
-    # Ranks 2-4 and the level's numerator are drawn uniformly from the seed.
+    # Ranks 1-4, simplicial and not; xi a positive rational combination of
+    # the facet normals (so bounded), or one time in five an integer vector
+    # that may vanish or turn negative on a ray.
     rnd = random.Random(seed)
-    rank, num = 2 + seed % 3, rnd.randint(0, 24)
-    m_den, xi_den = rnd.randint(1, 3), rnd.randint(1, 3)
-    s = random_cone(rnd, rank)
-    c = s.weight_cone
-    xi = tuple(x / xi_den for x in random_reeb(rnd, s))
-    # The slice lies in the hull of the origin and the rays scaled onto <xi, .> = m.
-    # Measure that hull at m = 1, divide the level until a box one wider than the
-    # hull on every side holds at most 8000 points, and scan that box.
-    unit = [(0,) * rank] + [tuple(x / dot(xi, r) for x in r) for r in c.rays]
-    lo = [min(v[i] for v in unit) for i in range(rank)]
-    hi = [max(v[i] for v in unit) for i in range(rank)]
-    k = 1
-    while prod(ceil(F(num, m_den * k) * (b - a)) + 3 for a, b in zip(lo, hi)) > 8000:
-        k += 1
+    rank = 1 + seed % 4
+    if rank == 1:
+        c = cone_from_rays([(rnd.choice([-1, 1]),)])
+    elif rank > 2 and rnd.random() < 0.3:
+        c = cone_from_rays(rnd.choice([r for r in _NON_SIMPLICIAL if len(r[0]) == rank]))
+    else:
+        c = random_cone(rnd, rank).weight_cone
+    if rnd.random() < 0.2:
+        xi = tuple(rnd.randint(-2, 2) for _ in range(rank))
+    else:
+        xi = [F(0)] * rank
+        for h in c.halfspaces:
+            w = F(rnd.randint(1, 3), rnd.randint(1, 3))
+            xi = [x + w * hx for x, hx in zip(xi, h)]
+        xi = tuple(xi)
+    # Divide the level until the reference box holds at most 6000 points.
+    num, m_den, k = rnd.randint(-3, 30), rnd.randint(1, 3), 1
+    if all(dot(xi, r) > 0 for r in c.rays):
+        unit = [(0,) * rank] + [tuple(x / dot(xi, r) for x in r) for r in c.rays]
+        widths = [max(v[i] for v in unit) - min(v[i] for v in unit) for i in range(rank)]
+        while prod(ceil(F(abs(num), m_den * k) * w) + 3 for w in widths) > 6000:
+            k += 1
     m = F(num, m_den * k)
-    box = [range(floor(m * a) - 1, ceil(m * b) + 2) for a, b in zip(lo, hi)]
-    expected = [p for p in product(*box) if c.contains(p)
-                and (dot(xi, p) < m if strict else dot(xi, p) <= m)]
+    expected = _box_scan(c, xi, m, strict)
+    if expected is None:
+        for enumerate_ in (lambda: lattice_points_below(c, xi, m, strict=strict),
+                           lambda: _lattice_runs(c, xi, m, None, strict)):
+            with pytest.raises(UnboundedSlice, match="^slicing covector vanishes on a ray$"):
+                enumerate_()
+        return
+    n = len(expected)
+    assert _lattice_runs(c, xi, m, n, strict) == _runs_of(expected)
     pts = lattice_points_below(c, xi, m, strict=strict)
-    assert pts == expected
+    assert pts == expected == lattice_points_below(c, xi, m, strict=strict, budget=n)
     assert all(type(p) is tuple and all(type(x) is int for x in p) for p in pts)
+    if n:  # one point short of the count must raise, on both entry points
+        for enumerate_ in (lambda: lattice_points_below(c, xi, m, strict=strict, budget=n - 1),
+                           lambda: _lattice_runs(c, xi, m, n - 1, strict)):
+            with pytest.raises(BudgetExceeded,
+                               match=f"^lattice enumeration exceeded budget {n - 1}$"):
+                enumerate_()
 
 
 def test_lattice_count_matches_volume():

@@ -122,10 +122,11 @@ def test_lct_examples(c2, fex, half_boundary):
 def test_lct_memoized_per_filtration(c2):
     # ding asks again for the lct of a filtration it has seen: an equal
     # filtration built anew hits the cache and shares the frozen result.
+    import conestab.invariants as inv
     first = lct_monomial(c2, monomial_filtration(c2, [(3, 1), (1, 3)]))
-    hits = lct_monomial.cache_info().hits
+    hits = inv._lct_cached.cache_info().hits
     assert lct_monomial(c2, monomial_filtration(c2, [(3, 1), (1, 3)])) is first
-    assert lct_monomial.cache_info().hits == hits + 1
+    assert inv._lct_cached.cache_info().hits == hits + 1
     assert first.value == 4 and first.minimizer == (1, 3)
 
 
@@ -157,7 +158,7 @@ def test_slice_caches_shared_across_boundaries():
 
     warm = u_values(bounded)
     assert all(w != p for w, p in zip(warm, u_values(plain)))
-    for cache in caches + (inv._vol_cached, lct_monomial):
+    for cache in caches + (inv._vol_cached, inv._lct_cached):
         cache.cache_clear()
     assert u_values(bounded) == warm
 
