@@ -9,25 +9,32 @@ to the finiteness of the level, never to sampling.
 
 The basis comes as lattice runs, a prefix with a range of the last
 coordinate.  Along a run the weights step linearly and the orders are
-integers.  Split by residue class of the grading denominator, a run adds
-its counts to the weight shells as one +1/-1 pair in a strided difference
-array; only its order sums and maxima are updated per point, by slices.
+integers.  A sweep has two parts.  The shell table depends only on the
+weight cone, xi0 and the top level: the runs, each run's residue classes
+of the grading denominator with the strided slice of weight shells each
+fills, and the counts N_m, count_gamma and reference-order sums TS0_m.  A
+class adds its counts as one +1/-1 pair in a strided difference array.
+The table is cached, so sweeps of many filtrations on one (weight cone,
+xi0, top) enumerate the lattice once.  The per-filtration pass reads the
+orders along each run and adds their sums and maxima onto the stored
+slices; nothing of it is cached.
 """
 
 import csv
 import io
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import EmptyInput, LatticeNotGenerated
+from .errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below
-from .exactgeom.lattice import _lattice_runs
+from .exactgeom.lattice import _checked_budget, _lattice_runs
 from .exactgeom.linalg import _integer_row, smith_diagonal
-from .filtration import MonomialFiltration, _floor_run_orders, approx_orders
+from .filtration import MonomialFiltration, _floor_run_orders, _integer_covectors, approx_orders
 from .invariants import lambda_max_closed, s_closed, vol
 from .singularity import ConeSingularity, _xi
 
@@ -119,57 +126,123 @@ def _levels(levels):
     return sorted(set(levels))
 
 
-def _aggregate(s, xi0, levels, runs, run_orders):
-    """Shared accumulation: bucket points by floor weight, prefix-sum.
+# Shell tables kept by ``_shell_table``; a table holds its runs and its
+# per-shell counts alive until it is evicted.
+_TABLES = 8
 
-    ``runs`` are the lattice runs (prefix, lo, hi) below level
-    max(levels) + 1 of xi0, and ``run_orders(prefix, lo, hi)`` lists the
-    orders along one run.  Along a run the integer weight <xi0 den, a> is
-    w0 + X t.  Within one residue class of t mod den the floor weight steps
-    by exactly X and the test "weight is an integer" does not change, so
-    the counts of a class are one +1/-1 pair in a difference array of
-    stride |X|; only its order sums and maxima take a strided slice each.
+
+class _TableKey(tuple):
+    """(weight cone, xi0, top), the key of ``_shell_table``.  It carries the
+    budget of the sweep that asks as an attribute, which equality and hash
+    ignore: only a miss reads it, to enumerate under that budget."""
+
+
+class _ShellTable(NamedTuple):
+    """The filtration-independent part of a sweep below level ``top``."""
+
+    runs: tuple      # (prefix, lo, hi, at): at is the run's shell when X = 0,
+                     # else its classes as (orders slice, shell slice) pairs
+    flat: bool       # X = 0: every run sits in one shell
+    top: int
+    kept: int        # lattice points below top
+    Ns: tuple        # index m: points below level m
+    TS0s: tuple      # index m: their reference-order sum
+    gammas: tuple    # index m: points at weight <= m
+
+
+@lru_cache(maxsize=_TABLES)
+def _shell_table(key):
+    """Runs, shell slices and counts of the lattice below ``top``.
+
+    Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
+    residue class of t mod den the floor weight steps by exactly X and the
+    test "weight is an integer" does not change, so the counts of a class
+    are one +1/-1 pair in a difference array of stride |X|, and its orders
+    land on one strided slice of shells.  When X = 0 the whole run sits in
+    one shell.
     """
-    top = levels[-1] + 1  # S'_m at the last level needs one extra shell
+    wc, xi0, top = key
+    runs = _lattice_runs(wc, xi0, top, key.budget, True)
     (*xs, X), den = _integer_row(xi0)  # integer weights <xi0 den, a>
     step = abs(X)
     # Difference arrays: the -1 of a class lands one stride past its last shell.
     counts = [0] * (top + 1 + step)
     eq_counts = [0] * (top + 1 + step)
-    sums_ord = [0] * (top + 1)
-    maxs = [0] * (top + 1)
+    table = []
     for prefix, lo, hi in runs:
-        orders = run_orders(prefix, lo, hi)
         w0 = sum(map(mul, xs, prefix))
+        if not X:
+            fw, rem = divmod(w0, den)
+            counts[fw] += hi - lo + 1
+            if not rem:
+                eq_counts[fw] += hi - lo + 1
+            table.append((prefix, lo, hi, fw))
+            continue
+        classes = []
         for r in range(min(den, hi - lo + 1)):
             fw, rem = divmod(w0 + X * (lo + r), den)
-            os = orders[r::den]
-            k = len(os)
-            if X == 0:  # the whole class sits in one shell
-                counts[fw] += k
-                sums_ord[fw] += sum(os)
-                maxs[fw] = max(maxs[fw], *os)
-                if not rem:
-                    eq_counts[fw] += k
-                continue
+            k = (hi - lo - r) // den + 1
+            src = slice(r, None, den)
             if X < 0:  # walk the class from its lowest shell up
                 fw += X * (k - 1)
-                os.reverse()
+                src = slice(r + den * (k - 1), r - 1 if r else None, -den)
             end = fw + step * k
             for diffs in (counts,) if rem else (counts, eq_counts):
                 diffs[fw] += 1
                 diffs[end] -= 1
-            sl = slice(fw, end, step)
-            sums_ord[sl] = map(add, sums_ord[sl], os)
-            maxs[sl] = [o if o > m else m for m, o in zip(maxs[sl], os)]
+            classes.append((src, slice(fw, end, step)))
+        table.append((prefix, lo, hi, tuple(classes)))
     for r in range(step):  # prefix sums of stride |X| turn differences into counts
         counts[r::step] = accumulate(counts[r::step])
         eq_counts[r::step] = accumulate(eq_counts[r::step])
     # Index m of each prefix array aggregates the shells below level m.
-    Ns, TSs, TS0s = (list(accumulate(x, initial=0)) for x in
-                     (counts, sums_ord, [fw * c for fw, c in enumerate(counts)]))
-    lams = list(accumulate(maxs, max, initial=0))
+    Ns, TS0s = (tuple(accumulate(x, initial=0)) for x in
+                (counts, [fw * c for fw, c in enumerate(counts)]))
+    return _ShellTable(runs=tuple(table), flat=not X, top=top, kept=Ns[-1], Ns=Ns, TS0s=TS0s,
+                       gammas=tuple(map(add, Ns, eq_counts + [0])))
 
+
+def _table(s, xi0, levels, budget):
+    """The shell table below max(levels) + 1, checked against ``budget``.
+
+    The budget is resolved first (CONESTAB_BUDGET when None; negative is a
+    ParseError).  A miss enumerates under it and stores only a complete
+    table; a hit compares the table's point count with it, so both raise
+    the same BudgetExceeded.
+    """
+    budget = _checked_budget(budget)
+    key = _TableKey((s.weight_cone, xi0, levels[-1] + 1))
+    key.budget = budget
+    table = _shell_table(key)
+    if table.kept > budget:
+        raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+    return table
+
+
+def _aggregate(s, table, levels, run_orders):
+    """The per-filtration pass over a shell table.
+
+    ``run_orders(prefix, lo, hi)`` lists the orders along one run; their
+    sums and maxima go onto the table's shell slices, and the per-level rows
+    read them next to the table's counts.
+    """
+    sums_ord = [0] * (table.top + 1)  # S'_m at the last level needs one extra shell
+    maxs = [0] * (table.top + 1)
+    if table.flat:
+        for prefix, lo, hi, fw in table.runs:
+            os = run_orders(prefix, lo, hi)
+            sums_ord[fw] += sum(os)
+            maxs[fw] = max(maxs[fw], *os)
+    else:
+        for prefix, lo, hi, classes in table.runs:
+            orders = run_orders(prefix, lo, hi)
+            for src, dst in classes:
+                os = orders[src]
+                sums_ord[dst] = map(add, sums_ord[dst], os)
+                maxs[dst] = [o if o > m else m for m, o in zip(maxs[dst], os)]
+    TSs = list(accumulate(sums_ord, initial=0))
+    lams = list(accumulate(maxs, max, initial=0))
+    Ns, TS0s = table.Ns, table.TS0s
     per_level = []
     for m in levels:
         N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
@@ -179,7 +252,7 @@ def _aggregate(s, xi0, levels, runs, run_orders):
             m=m, N_m=N, TS_m=TS, TS0_m=TS0, S_m=S_m, Sp_m=Sp,
             Spp_m=Fraction((s.rank + 1) * TS, s.rank * m * N),
             lammax_m=Fraction(lams[m], m),
-            count_gamma=N + eq_counts[m],
+            count_gamma=table.gammas[m],
         ))
     return per_level
 
@@ -200,8 +273,7 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     built: orders and shells are computed a lattice run at a time.
     """
     xi0, levels = _xi(xi0), _levels(levels)
-    runs = _lattice_runs(s.weight_cone, xi0, levels[-1] + 1, budget, True)
-    per_level = _aggregate(s, xi0, levels, runs, _floor_run_orders(F))
+    per_level = _aggregate(s, _table(s, xi0, levels, budget), levels, _floor_run_orders(F))
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=_target(s, xi0, F))
 
 
@@ -217,13 +289,14 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     if m_filtration < 1:
         raise EmptyInput("approximation level must be >= 1")
     xi0, levels = _xi(xi0), _levels(levels)
-    runs = _lattice_runs(s.weight_cone, xi0, levels[-1] + 1, budget, True)
+    table = _table(s, xi0, levels, budget)
     ell = s.sigma.interior_point()
     # <ell, .> is linear along a run, so its largest value sits at an end.
-    wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi) for p, lo, hi in runs)
+    wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)
+               for p, lo, hi, _ in table.runs)
     window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
     orders = approx_orders(F, m_filtration, window)
-    per_level = _aggregate(s, xi0, levels, runs, lambda p, lo, hi: [
+    per_level = _aggregate(s, table, levels, lambda p, lo, hi: [
         orders[p + (t,)] for t in range(lo, hi + 1)])
     target = {**_target(s, xi0, F), "m_filtration": Fraction(m_filtration)}
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
@@ -268,7 +341,10 @@ def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
     xi0 = _xi(xi0)
     t = frac(t)
     pts = lattice_points_below(s.weight_cone, xi0, m, strict=False, budget=budget)
-    keep = [p for p in pts if F.ord(p) >= m * t]
+    # g(p) >= m t in integers: g = min_j <zs_j, .> / den and t = tn / td.
+    zs, den = _integer_covectors(F)
+    td, bound = t.denominator, den * m * t.numerator
+    keep = [p for p in pts if min(sum(map(mul, z, p)) for z in zs) * td >= bound]
     cloud = [tuple(Fraction(x, m) for x in p) for p in keep]
     return SemigroupSample(m=m, t=t, points=keep, cloud=cloud)
 
@@ -276,6 +352,8 @@ def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
 def bj_bound_check(s: ConeSingularity, xi0, F: MonomialFiltration,
                    eps, m0: int, levels=None) -> bool:
     """Do all levels m >= m0 in the window satisfy S''_m <= (1+eps) S?"""
+    if not isinstance(m0, int) or isinstance(m0, bool) or m0 < 1:
+        raise EmptyInput(f"m0 must be a positive integer, got {m0!r}")
     eps = frac(eps)
     if eps <= 0:
         raise EmptyInput("eps must be positive")

@@ -36,6 +36,16 @@ def enumeration_budget() -> int:
     return budget
 
 
+def _checked_budget(budget):
+    """``budget``, or ``enumeration_budget()`` when it is None; a negative
+    budget is a ParseError."""
+    if budget is None:
+        return enumeration_budget()
+    if budget < 0:
+        raise ParseError(f"budget must be nonnegative, got {budget}", "budget")
+    return budget
+
+
 def lattice_points_below(c: Cone, xi, m, budget=None, strict=True):
     """All integer points a in c with <a, xi> < m, in lexicographic order.
 
@@ -70,10 +80,7 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
     """
     xi = vec(xi)
     m = frac(m)
-    if budget is None:
-        budget = enumeration_budget()
-    elif budget < 0:
-        raise ParseError(f"budget must be nonnegative, got {budget}", "budget")
+    budget = _checked_budget(budget)
     n = c.rank
     # Coordinate bounds come from the vertices of the <= m slice: the origin
     # and each ray scaled onto the bounding hyperplane.

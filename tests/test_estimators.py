@@ -358,6 +358,19 @@ def _reference_sweep_approx(s, xi0, G, m_filt, levels, budget):
 
 
 @st.composite
+def _filtrations(draw, s):
+    """1-3 covectors, nonnegative combinations of the rays of sigma with
+    coefficients of denominator up to 3."""
+    coef = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
+    covs = []
+    for _ in range(draw(st.integers(1, 3))):
+        cs = [draw(coef) for _ in s.sigma.rays]
+        covs.append(tuple(sum(c * r[i] for c, r in zip(cs, s.sigma.rays))
+                          for i in range(s.rank)))
+    return monomial_filtration(s, covs)
+
+
+@st.composite
 def _sweep_cases(draw):
     """A cone around an integer direction v, xi0 = q v, and rational covectors.
 
@@ -384,12 +397,7 @@ def _sweep_cases(draw):
     assume(len(s.sigma.rays) == len(rays))
     q = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
     xi0 = tuple(q * x for x in v)
-    coef = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3)
-    covs = []
-    for _ in range(draw(st.integers(1, 3))):
-        cs = [draw(coef) for _ in s.sigma.rays]
-        covs.append(tuple(sum(c * r[i] for c, r in zip(cs, s.sigma.rays)) for i in range(rank)))
-    G = monomial_filtration(s, covs)
+    G = draw(_filtrations(s))
     levels = draw(st.lists(st.integers(1, 8 if rank == 2 else 5), min_size=1, max_size=4))
     event(f"{len(rays)} rays in rank {rank}, xi0 last sign {sign}")
     event(f"den(xi0) > 1: {any(x.denominator > 1 for x in xi0)}")
@@ -453,3 +461,131 @@ def test_to_json_matches_json_dumps_byte_for_byte(c2, fex):
     for sw in sweeps:
         assert sw.to_json() == _reference_json(sw)
         assert json.loads(sw.to_json())["levels"] == sw.levels
+
+
+@st.composite
+def _rank_one_cases(draw):
+    """The line a >= 0 or a <= 0, xi0 of the matching sign (X > 0 or X < 0)
+    with a denominator up to 3, and levels up to 30."""
+    sign = draw(st.sampled_from([-1, 1]))
+    s = from_rays([(sign,)])
+    xi0 = (sign * F(draw(st.integers(1, 4)), draw(st.integers(1, 3))),)
+    levels = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    event(f"rank 1, X sign {sign}")
+    return s, xi0, draw(_filtrations(s)), levels, draw(st.integers(1, 3)), 400
+
+
+def _json_or_error(call):
+    try:
+        return call().to_json()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def _table_pairs(draw):
+    """A sweep case of rank 1-3 and a second filtration on its singularity."""
+    case = draw(st.one_of(_rank_one_cases(), _sweep_cases()))
+    return (*case, draw(_filtrations(case[0])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=_table_pairs())
+@example(pair=(_WEDGE, (1, 0), monomial_filtration(_WEDGE, [(3, 1), (F(5, 2), F(-1, 2))]),
+               [7, 30], 2, None, monomial_filtration(_WEDGE, [(1, 0)])))  # X = 0
+@example(pair=(_Z3_LOW, (3, -2), monomial_filtration(_Z3_LOW, [(2, -1), (3, -5)]),
+               [11, 40], 3, None, monomial_filtration(_Z3_LOW, [(1, -1)])))  # X = -2
+@example(pair=(_RANK3, (F(3, 2), 1, F(5, 4)),
+               monomial_filtration(_RANK3, [(3, 2, 2), (2, 3, F(5, 2))]),
+               [9, 24], 3, None, monomial_filtration(_RANK3, [(1, 1, 1)])))  # den(xi0) = 4
+def test_second_filtration_on_a_table_matches_a_cold_sweep(pair):
+    # F0 warms the table of (weight cone, xi0, top) under the default
+    # budget; the sweeps of G then read it (and check it against their own
+    # budget) and must print what they print from a cold cache.
+    s, xi0, G, levels, m_filt, budget, F0 = pair
+    table = estimators._shell_table
+    for call in (lambda H: sweep(s, xi0, H, levels, budget=budget),
+                 lambda H: sweep_approx(s, xi0, H, m_filt, levels, budget=budget)):
+        table.cache_clear()
+        cold = _json_or_error(lambda: call(G))
+        table.cache_clear()
+        sweep(s, xi0, F0, levels)
+        warm = _json_or_error(lambda: call(G))
+        assert warm == cold
+        assert (table.cache_info().hits, table.cache_info().misses) == (1, 1)
+        event("budget exceeded" if cold.startswith("lattice") else "swept")
+
+
+def test_sweeps_of_one_key_share_one_table(c2, fex, monkeypatch):
+    # sweep, sweep_approx and bj_bound_check on one (weight cone, xi0, top)
+    # enumerate the lattice once; a new top is a new table.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return lattice_runs(*args)
+    lattice_runs = estimators._lattice_runs
+    monkeypatch.setattr(estimators, "_lattice_runs", counted)
+    estimators._shell_table.cache_clear()
+    G = monomial_filtration(c2, [(1, 3), (2, 1)])
+    sweep(c2, (1, 1), fex, range(1, 21))
+    sweep(c2, (1, 1), G, [3, 20])
+    sweep_approx(c2, (1, 1), G, 2, range(1, 21))
+    assert bj_bound_check(c2, (1, 1), G, 10, 1, levels=range(1, 21))
+    info = estimators._shell_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    assert calls == [21]
+    sweep(c2, (1, 1), G, [3, 19])
+    assert estimators._shell_table.cache_info().misses == 2 and calls == [21, 20]
+
+
+def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
+    # A hit resolves the budget as a miss does and compares it with the
+    # stored point count, so both raise the same errors.
+    levels = [4, 9]
+    kept = len(lattice_points_below(c2.weight_cone, (1, 1), 10))
+    G = monomial_filtration(c2, [(1, 3)])
+    estimators._shell_table.cache_clear()
+    cold = sweep(c2, (1, 1), G, levels).to_json()
+    sweep(c2, (1, 1), fex, levels)
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {kept - 1}$"):
+        sweep(c2, (1, 1), G, levels, budget=kept - 1)
+    assert sweep(c2, (1, 1), G, levels, budget=kept).to_json() == cold
+    monkeypatch.setenv("CONESTAB_BUDGET", str(kept - 1))
+    with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {kept - 1}$"):
+        sweep_approx(c2, (1, 1), G, 2, levels)
+    monkeypatch.setenv("CONESTAB_BUDGET", str(kept))
+    assert sweep(c2, (1, 1), G, levels).to_json() == cold
+    with pytest.raises(ParseError, match="^budget: budget must be nonnegative, got -1$"):
+        sweep(c2, (1, 1), G, levels, budget=-1)
+    monkeypatch.setenv("CONESTAB_BUDGET", "-3")
+    with pytest.raises(ParseError, match="^CONESTAB_BUDGET: budget must be nonnegative, got -3$"):
+        sweep(c2, (1, 1), G, levels)
+    info = estimators._shell_table.cache_info()
+    assert (info.hits, info.misses) == (5, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_sweep_cases(), m=st.integers(1, 6),
+       t=st.fractions(min_value=-2, max_value=4, max_denominator=5))
+def test_gamma_semigroup_matches_fraction_orders(case, m, t):
+    # The integer membership test keeps exactly the points g(p) >= m t.
+    s, xi0, G, *_ = case
+    try:
+        pts = lattice_points_below(s.weight_cone, xi0, m, strict=False, budget=3000)
+    except BudgetExceeded:
+        assume(False)
+    sample = gamma_semigroup(s, xi0, G, m, t)
+    assert sample.points == [p for p in pts if G.ord(p) >= m * t]
+    assert sample.cloud == [tuple(F(x, m) for x in p) for p in sample.points]
+    event(f"t <= 0: {t <= 0}, covector denominator > 1: "
+          f"{any(x.denominator > 1 for z in G.covectors for x in z)}")
+
+
+def test_bj_bound_check_validates_m0(c2, fex):
+    # A bad m0 is named, with or without levels, not reported as bad levels.
+    for bad in (0, -2, 1.5, True, "3"):
+        for levels in (None, [1, 2, 3]):
+            with pytest.raises(EmptyInput, match=f"^m0 must be a positive integer, got {bad!r}$"):
+                bj_bound_check(c2, (1, 1), fex, "1/10", bad, levels=levels)
