@@ -342,7 +342,7 @@ def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
     t = frac(t)
     pts = lattice_points_below(s.weight_cone, xi0, m, strict=False, budget=budget)
     # g(p) >= m t in integers: g = min_j <zs_j, .> / den and t = tn / td.
-    zs, den = _integer_covectors(F)
+    zs, den = _integer_covectors(F.covectors)
     td, bound = t.denominator, den * m * t.numerator
     keep = [p for p in pts if min(sum(map(mul, z, p)) for z in zs) * td >= bound]
     cloud = [tuple(Fraction(x, m) for x in p) for p in keep]

@@ -114,10 +114,10 @@ def cone_from_halfspaces(halfspaces) -> Cone:
 def _validate(cone: Cone):
     for r in cone.rays:
         for h in cone.halfspaces:
-            if dot(h, r) < 0:
+            if sum(map(mul, h, r)) < 0:
                 raise DegenerateCone("V/H cross-check failed")
     interior = cone.interior_point()
-    if any(dot(h, interior) <= 0 for h in cone.halfspaces):
+    if any(sum(map(mul, h, interior)) <= 0 for h in cone.halfspaces):
         raise NotFullDimensional("cone has empty interior")
 
 
@@ -128,7 +128,7 @@ def dual_cone(c: Cone) -> Cone:
     representations, and applying it twice returns the original cone.
     """
     interior = c.interior_point()
-    if any(dot(h, interior) <= 0 for h in c.halfspaces):
+    if any(sum(map(mul, h, interior)) <= 0 for h in c.halfspaces):
         raise NotFullDimensional("dual of a lower-dimensional cone is not pointed")
     return Cone(rank=c.rank, rays=tuple(sorted(primitivize(h) for h in c.halfspaces)),
                 halfspaces=tuple(sorted(primitivize(r) for r in c.rays)))
@@ -151,7 +151,7 @@ def _triangulate_rays(rays):
     coords = {r: tuple(r[c] for c in pivots) for r in rays}
     simplices = []
     for h in _facet_normals(list(coords.values()), len(pivots)):
-        tight = [r for r in rays if dot(h, coords[r]) == 0]
+        tight = [r for r in rays if not sum(map(mul, h, coords[r]))]
         if apex in tight:
             continue
         for facet_simplex in _triangulate_rays(tight):

@@ -13,21 +13,23 @@ and the slice barycenter is -grad / ((n+1) vol).  This is Lawrence's
 formula (J. Lawrence, "Polytope volume computation", Math. Comp. 57, 1991)
 in the toric form Martelli, Sparks and Yau use for the volume of a Sasakian
 link (hep-th/0503183).  The fan depends on the cone alone, so it is built
-once per cone; each evaluation then runs over integers, with the pairings
-p_i cleared to the common denominator Q = prod of the pairings of all rays,
-and forms one Fraction per output entry.  For g = min_j <z_j, .>,
-``chambers`` splits C into the cones on which g is linear; their fans give
-S, and their rays give lambda_max and the irredundant covectors.
+once per cone; each evaluation then runs over integers (``_fan_sums``) at
+x = L xi, with the pairings p_i cleared to the common denominator Q =
+prod of the pairings of all rays; ``fan_moments`` forms one Fraction per
+output entry, and S one per value.  For g = min_j <z_j, .>, ``chambers``
+splits C into the cones on which g is linear; their fans give S, and their
+rays give lambda_max and the irredundant covectors.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
+from operator import mul
 from typing import NamedTuple
 
 from ..errors import UnboundedSlice
 from .cone import Cone, _facet_normals, _triangulate_rays
-from .linalg import _integer_row, det, mat_rank, primitivize, vec, vsub
+from .linalg import _integer_row, _row_reduce, det, primitivize, vsub
 
 
 class Fan(NamedTuple):
@@ -66,10 +68,12 @@ def chambers(c: Cone, covectors):
     those halfspaces.  Duplicated covectors are dropped first, and only the
     full-dimensional chambers are kept, in input order: z_j has one
     exactly when it is irredundant, for the chambers of lower dimension
-    (ties) carry no volume.  Cached per (cone, covector tuple), so
-    covector reduction, S and lambda_max share one decomposition.
+    (ties) carry no volume.  The library passes integer rows over one
+    denominator, which moves no chamber, and gets them back as the z_j.
+    Cached per (cone, covector tuple), so covector reduction, S and
+    lambda_max share one decomposition.
     """
-    covs = list(dict.fromkeys(vec(z) for z in covectors))
+    covs = list(dict.fromkeys(covectors))
     if len(covs) == 1:  # one chamber: the whole cone
         return ((covs[0], c.rays),)
     n = c.rank
@@ -78,7 +82,7 @@ def chambers(c: Cone, covectors):
         hs = list(c.halfspaces) + [primitivize(vsub(zi, zj))
                                    for i, zi in enumerate(covs) if i != j]
         rays = _facet_normals(hs, n)  # duality: rays of the chamber
-        if mat_rank(rays) == n:
+        if len(_row_reduce(rays, n)[1]) == n:
             out.append((zj, tuple(rays)))
     return tuple(out)
 
@@ -93,18 +97,12 @@ def chamber_fans(c: Cone, covectors):
         yield z, simplicial_fan(rays, c.rank)
 
 
-def fan_moments(fan: Fan, xi, order=2):
-    """(vol, grad, hess) of sum_tau |det W_tau| / prod_i <w_i, xi> at xi.
-
-    Exact Fractions; grad is None for order 0 and hess None below order 2.
-    Requires <w, xi> > 0 on every ray of the fan.  The value is computed at
-    the integer vector x = L xi and rescaled by the homogeneity degrees -n,
-    -n-1 and -n-2.
-    """
-    xi = vec(xi)
+def _fan_sums(fan: Fan, x, order):
+    """(Q, vol, grad, hess) at the integer vector x, as ints: Q the product
+    of the pairings <w, x> over the rays, and the moments of ``fan_moments``
+    times Q, -Q^2 and Q^3 (hess only its lower triangle)."""
     n = fan.rank
-    x, L = _integer_row(xi)
-    P = [sum(a * b for a, b in zip(w, x)) for w in fan.rays]
+    P = [sum(map(mul, w, x)) for w in fan.rays]
     if any(p <= 0 for p in P):
         raise UnboundedSlice("slicing covector vanishes on a ray")
     Q = prod(P)
@@ -127,18 +125,36 @@ def fan_moments(fan: Fan, xi, order=2):
             for k in range(n):
                 for m in range(k + 1):
                     hess[k][m] += c * s[k] * s[m]
-    vol_q = Fraction(L ** n * vol, Q)
     if order == 0:
-        return vol_q, None, None
-    grad_q = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in grad)
+        return Q, vol, None, None
     if order == 1:
-        return vol_q, grad_q, None
+        return Q, vol, grad, None
     for i, w in enumerate(fan.rays):
         if weight[i]:
             f = weight[i] * R[i] * R[i]
             for k in range(n):
                 for m in range(k + 1):
                     hess[k][m] += f * w[k] * w[m]
+    return Q, vol, grad, hess
+
+
+def fan_moments(fan: Fan, xi, order=2):
+    """(vol, grad, hess) of sum_tau |det W_tau| / prod_i <w_i, xi> at xi.
+
+    Exact Fractions; grad is None for order 0 and hess None below order 2.
+    Requires <w, xi> > 0 on every ray of the fan.  The value is computed at
+    the integer vector x = L xi (``_fan_sums``) and rescaled by the
+    homogeneity degrees -n, -n-1 and -n-2.
+    """
+    n = fan.rank
+    x, L = _integer_row(xi)
+    Q, vol, grad, hess = _fan_sums(fan, x, order)
+    vol_q = Fraction(L ** n * vol, Q)
+    if order == 0:
+        return vol_q, None, None
+    grad_q = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in grad)
+    if order == 1:
+        return vol_q, grad_q, None
     scale = L ** (n + 2)
     lower = [[Fraction(scale * hess[k][m], Q ** 3) for m in range(k + 1)] for k in range(n)]
     hess_q = tuple(tuple(lower[max(k, m)][min(k, m)] for m in range(n)) for k in range(n))

@@ -1,23 +1,30 @@
 """Small exact linear algebra over the rationals, computed on integers.
 
-Vectors are plain tuples of ``fractions.Fraction`` (or ints where the value
-is integral).  One fraction-free Gauss-Jordan pass, ``_row_reduce``, carries
-every elimination (E. H. Bareiss, "Sylvester's identity and multistep
+Cone rays and halfspaces are primitive integer tuples.  Rational vectors
+(a Reeb vector, the discrepancy covector u, filtration covectors) are
+tuples of ``fractions.Fraction`` wherever they are stored, returned or
+used as cache keys; ``vec`` and ``frac`` make them, parsing each distinct
+'p/q' string once.  Computation runs on their integer forms: a rational
+row v becomes (L v as ints, L), L the lcm of its denominators
+(``_integer_row``; ``filtration._integer_covectors`` does the same for a
+list of covectors over one denominator), where a kernel starts, and a
+Fraction is built only for a value it returns.  ``dot`` is the one
+Fraction-valued pairing: it sums integer numerators over a running
+denominator and builds one Fraction for its result.
+
+One fraction-free Gauss-Jordan pass, ``_row_reduce``, carries every
+elimination (E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968): it takes
 integer rows, every update divides exactly by the previous pivot, and at
 the end every pivot entry holds the same integer d, so the reduced row
 echelon form is the integer rows over d.  The rational entry points scale
 each row once to integers first: ``mat_rank`` counts the pivots, ``det``
 reads d over the row scales, ``solve`` and ``nullspace`` read the carried
-right-hand side and the free columns over d; Fractions are built only for
-the values they return.  Vertex enumeration, facet scans and cone
-triangulation hold integer rows already and call the kernel directly.
-Pairings run on integers as well: ``dot`` sums integer numerators over a
-running denominator and builds one Fraction for its result, and ``frac``
-parses each distinct 'p/q' string once.  The library targets rank <= 4, so
-these routines favour clarity and exactness over asymptotics.
-``smith_diagonal`` is the separate unimodular integer elimination that
-lattice indices need.
+right-hand side and the free columns over d.  Vertex enumeration, facet
+scans, chambers and cone triangulation hold integer rows already and call
+the kernel directly.  The library targets rank <= 4, so these routines
+favour clarity and exactness over asymptotics.  ``smith_diagonal`` is the
+separate unimodular integer elimination that lattice indices need.
 """
 
 from fractions import Fraction

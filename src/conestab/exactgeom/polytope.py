@@ -12,6 +12,7 @@ stay as the direct reference for that kernel.
 from collections import namedtuple
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
@@ -57,6 +58,33 @@ def slice_vertices(rays, xi, level=1):
     scales = [(level.numerator * p.denominator, level.denominator * p.numerator)
               for p in pairings]
     return tuple(tuple(Fraction(x * a, b) for x in r) for r, (a, b) in zip(rays, scales))
+
+
+def _slice_extreme(groups, x, largest):
+    """The largest (or least) <z, r> / <x, r> over groups (zs, rays) of
+    integer rows: the extreme of <z, .> at the points ``slice_vertices``
+    makes of the rays, compared by cross-multiplication.
+
+    Returns (num, den, first, count): the value num / den (den > 0), the
+    position of the first (z, r) pair that attains it (rays outer,
+    covectors inner) and how many do.  Raises the UnboundedSlice of
+    ``slice_vertices`` when <x, r> <= 0 on a ray.
+    """
+    best, bden, first, count, i = None, 1, 0, 0, 0
+    for zs, rays in groups:
+        for r in rays:
+            p = sum(map(mul, x, r))
+            if p <= 0:
+                raise UnboundedSlice("slicing covector vanishes on a ray")
+            for z in zs:
+                v = sum(map(mul, z, r))
+                c = None if best is None else v * bden - best * p
+                if c == 0:
+                    count += 1
+                elif c is None or (c > 0) == largest:
+                    best, bden, first, count = v, p, i, 1
+                i += 1
+    return best, bden, first, count
 
 
 def slice_polytope(c: Cone, xi, level) -> Polytope:

@@ -57,18 +57,31 @@ class NewtonPolyhedron(NamedTuple):
         return self.polytope.vertices
 
 
-def _reduce_covectors(s: ConeSingularity, covectors):
+def _covector_rows(covectors, n):
+    """{integer row: Fraction covector} for covectors of n rationals; the
+    rows share one denominator (``_integer_covectors``), so equal
+    covectors share a row and the rows keep their signs and order."""
+    covs = [vec(z) for z in covectors]
+    if not covs:
+        raise EmptyInput("a filtration needs at least one covector")
+    for z in covs:
+        if len(z) != n:
+            raise AmbientMismatch(f"covector of length {len(z)} on a rank-{n} cone")
+    return dict(zip(_integer_covectors(covs)[0], covs))
+
+
+def _reduce_covectors(s: ConeSingularity, rows):
     """Drop covectors that never realize the minimum on the weight cone.
 
     zeta_j is irredundant exactly when its chamber {g = <zeta_j, .>} is
     full-dimensional, so the reduced list is the covectors of
-    ``fan.chambers`` on the sorted, deduplicated input: the unique
+    ``fan.chambers`` on the sorted rows of ``_covector_rows``: the unique
     minimal list for a full-dimensional weight cone.  When nothing is
-    redundant that key is the filtration's own covector tuple, so S and
-    lambda_max find the same decomposition in the cache.
+    redundant that key is the integer form of the filtration's own
+    covectors, so S and lambda_max find the same decomposition in the
+    cache.
     """
-    key = tuple(sorted(set(map(vec, covectors))))
-    return tuple(z for z, _ in chambers(s.weight_cone, key))
+    return tuple(rows[z] for z, _ in chambers(s.weight_cone, tuple(sorted(rows))))
 
 
 def monomial_filtration(s: ConeSingularity, covectors,
@@ -78,19 +91,17 @@ def monomial_filtration(s: ConeSingularity, covectors,
     ``require_primary=False`` admits transforms that vanish along the
     boundary of the weight cone, e.g. filtrations cut out by an effective
     divisor; those still have exact S and lct but no finite rescaling
-    duality.
+    duality.  Primarity is tested on the integer rows of the covectors.
     """
-    covs = [vec(z) for z in covectors]
-    if not covs:
-        raise EmptyInput("a filtration needs at least one covector")
-    for z in covs:
+    rows = _covector_rows(covectors, s.rank)
+    for z in rows:
         for alpha in s.weight_cone.rays:
-            val = dot(z, alpha)
+            val = sum(map(mul, z, alpha))
             if val < 0 or (require_primary and val == 0):
                 raise NotPrimary(
                     f"transform not positive on weight-cone ray {alpha}")
-    reduced = _reduce_covectors(s, covs)
-    return MonomialFiltration(ambient=s, transform=PLConcave(covectors=reduced))
+    return MonomialFiltration(ambient=s,
+                              transform=PLConcave(covectors=_reduce_covectors(s, rows)))
 
 
 def toric_filtration(s: ConeSingularity, xi) -> MonomialFiltration:
@@ -199,16 +210,17 @@ def ord_of(F: MonomialFiltration, alpha) -> Fraction:
     return F.ord(alpha)
 
 
-def _integer_covectors(F: MonomialFiltration):
-    """(zs, den): F's covectors times den, as ints, so g = min_j <zs_j, .> / den."""
-    n = len(F.covectors[0])
-    flat, den = _integer_row([x for z in F.covectors for x in z])
-    return [flat[i:i + n] for i in range(0, len(flat), n)], den
+def _integer_covectors(covectors):
+    """(zs, den): the covectors times den, the lcm of all their denominators,
+    as int tuples, so g = min_j <zs_j, .> / den."""
+    n = len(covectors[0])
+    flat, den = _integer_row([x for z in covectors for x in z])
+    return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
 
 
 def _floor_order(F: MonomialFiltration):
     """floor(g) of a point, in integer arithmetic."""
-    zs, den = _integer_covectors(F)
+    zs, den = _integer_covectors(F.covectors)
     return lambda a: min(sum(map(mul, z, a)) for z in zs) // den
 
 
@@ -219,7 +231,7 @@ def _floor_run_orders(F: MonomialFiltration):
     as t grows, so its column is a range (a repeat when d is 0); the
     elementwise min of the columns, floor-divided by den, is floor(g).
     """
-    zs, den = _integer_covectors(F)
+    zs, den = _integer_covectors(F.covectors)
     heads = [(z[:-1], z[-1]) for z in zs]
 
     def orders(prefix, lo, hi):

@@ -21,9 +21,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError, ToleranceNotReached
-from .exactgeom import dot, frac, slice_vertices
+from .exactgeom import dot, frac
 from .exactgeom.fan import cone_fan, fan_moments
-from .exactgeom.linalg import nullspace, solve
+from .exactgeom.linalg import _integer_row, nullspace, solve
+from .exactgeom.polytope import _slice_extreme
 from .invariants import _barycenter
 from .singularity import ConeSingularity
 
@@ -50,10 +51,14 @@ def _round_to_slice(s, x, max_den):
 def _slice_min(s, c):
     """min <c, y> over the slice {y in sigma : <u, y> = 1}.
 
-    A linear form is least at a vertex of the slice, a ray of sigma scaled
-    onto <u, .> = 1 (u is positive on the rays).
+    A linear form is least at a vertex of the slice, a ray r of sigma
+    scaled onto <u, .> = 1 (u is positive on the rays), so the value is the
+    least <c, r> / <u, r>, compared on integers.
     """
-    return min(dot(c, v) for v in slice_vertices(s.sigma.rays, s.u))
+    ci, Lc = _integer_row(c)
+    u, Lu = _integer_row(s.u)
+    num, p, _, _ = _slice_extreme((((ci,), s.sigma.rays),), u, False)
+    return Fraction(Lu * num, Lc * p)
 
 
 def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
@@ -143,9 +148,15 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     result = NvolResult(minimizer=xi, nvol_value=fx, certificate_gap=gap,
                         alignment_residual=residual, iterations=iterations)
     if raise_on_gap and gap > tol:
-        raise ToleranceNotReached(f"certificate gap {gap} above {tol}",
-                                  result=result)
+        raise ToleranceNotReached(f"certificate gap {_decimal(gap)} above the tolerance "
+                                  f"tol = {_decimal(tol)}; exact gap {gap}", result=result)
     return result
+
+
+def _decimal(q):
+    """A Fraction q >= 0 to three significant digits, with no float."""
+    from decimal import Decimal
+    return f"{Decimal(q.numerator) / q.denominator:.3g}"
 
 
 __all__ = [

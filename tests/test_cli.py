@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,6 +155,22 @@ def test_nvolmin_negative_tol_document_exits_2(doc_path, capsys):
     assert main(["nvolmin", path]) == EXIT_INVALID
     assert capsys.readouterr().err == (
         f"error: {path}.options.tol: tolerance must be nonnegative, got -1/2\n")
+
+
+def test_nvolmin_zero_tol_on_irrational_minimizer_exits_3(doc_path, capsys):
+    # The cone of test_optimize.py::test_minimize_nvol_tolerance_error has an
+    # irrational minimizer, so no rational iterate closes the certificate gap.
+    doc = {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -2, 1]],
+           "reeb": ["0", "0", "1"]}
+    assert main(["nvolmin", doc_path(doc), "--tol", "0"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    # One line: the gap as a decimal, the tolerance missed, the exact gap last.
+    assert re.fullmatch(r"error: certificate gap \d(\.\d+)?e-\d+ above the tolerance "
+                        r"tol = 0; exact gap \d+/\d+\n", err)
+    decimal, exact = re.search(r"gap (\S+) .* exact gap (\S+)", err).groups()
+    assert abs(Fraction(decimal) / Fraction(exact) - 1) < Fraction(1, 100)
+    assert main(["nvolmin", doc_path(doc), "--tol", "1/10000000000000000"]) == EXIT_BUDGET
+    assert f"above the tolerance tol = 1e-16; exact gap {exact}\n" in capsys.readouterr().err
 
 
 def test_estimate_csv(doc_path, capsys):

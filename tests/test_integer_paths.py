@@ -1,0 +1,240 @@
+"""Integer pairings in the fan, filtration and invariant layers against the
+Fraction expressions they replaced.
+
+Each ``_old_*`` helper below is the earlier Fraction form of one integer
+path, kept as the reference: the slopes, reduced J's twist and delta_T's ray
+ratios scaled rays onto the slice with ``slice_vertices`` and paired them
+with ``dot``; S summed ``dot(z, grad)`` over ``fan_moments`` of each chamber
+fan; the lct paired its covectors with u by ``dot``; the primarity test
+paired each covector with the weight-cone rays by ``dot``; and covector
+reduction keyed ``chambers`` on sorted Fraction tuples.
+"""
+
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from conestab import invariants as inv
+from conestab.errors import NotPrimary, UnboundedSlice
+from conestab.exactgeom import dot, primitivize, slice_vertices, vec
+from conestab.exactgeom.fan import chambers, cone_fan, fan_moments, simplicial_fan
+from conestab.exactgeom.polytope import _slice_extreme
+from conestab.filtration import monomial_filtration
+from conestab.singularity import from_rays, reeb_vector
+from conftest import random_cone, random_reeb
+
+F = Fraction
+
+NON_SIMPLICIAL = [
+    [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)],                           # conifold
+    [(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)],                           # dP1
+    [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1)],              # pentagon
+    [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)],  # rank 4
+]
+MESSAGE = "^slicing covector vanishes on a ray$"
+
+
+# --- the Fraction references -----------------------------------------------------
+
+def _old_chambers(s, covectors):
+    return chambers.__wrapped__(s.weight_cone, tuple(sorted(set(map(vec, covectors)))))
+
+
+def _old_primarity(s, covectors, require_primary):
+    """The NotPrimary message of the Fraction test, or None when it passes."""
+    for z in map(vec, covectors):
+        for alpha in s.weight_cone.rays:
+            val = dot(z, alpha)
+            if val < 0 or (require_primary and val == 0):
+                return f"transform not positive on weight-cone ray {alpha}"
+    return None
+
+
+def _old_lambda_max(s, xi0, covectors):
+    return max(dot(z, a) for z, rays in chambers.__wrapped__(s.weight_cone, covectors)
+               for a in slice_vertices(rays, xi0))
+
+
+def _old_lambda_min(s, xi0, G):
+    return min(G.ord(v) for v in inv.okounkov_body(s, xi0).body.vertices[1:])
+
+
+def _old_s(s, xi0, covectors):
+    n = s.rank
+    found = chambers.__wrapped__(s.weight_cone, covectors)
+    total = F(0)
+    for z, rays in found:
+        fan = cone_fan(s.weight_cone) if len(found) == 1 else simplicial_fan(rays, n)
+        total -= dot(z, fan_moments(fan, xi0, order=1)[1])
+    return total / (n * factorial(n) * inv.okounkov_body(s, xi0).vol)
+
+
+def _old_reduced_j(s, xi0, G):
+    """(value, twist or None when several covectors are active)."""
+    body = inv.okounkov_body(s, xi0)
+    pairings = [dot(z, body.alpha0) for z in G.covectors]
+    g0 = min(pairings)
+    value = g0 - inv.s_closed(s, xi0, G)
+    if pairings.count(g0) != 1:
+        return value, None
+    z = G.covectors[pairings.index(g0)]
+    c = max(dot(z, a) for a in body.body.vertices[1:])
+    return value, tuple(c * x - y for x, y in zip(xi0, z))
+
+
+def _old_delta_ratios(s, xi0):
+    alpha0 = inv.okounkov_body(s, xi0).alpha0
+    a0 = dot(s.u, xi0)
+    return [dot(s.u, a) for a in slice_vertices(s.sigma.rays, tuple(a0 * x for x in alpha0))]
+
+
+# --- draws ---------------------------------------------------------------------------
+
+def _instance(rnd):
+    """A cone of rank 1-4 (simplicial or not, with or without boundary), a
+    Reeb vector with den > 1 half the time, and 1-4 covectors: interior
+    ones (primary), or nonnegative combinations of the rays of sigma with
+    zero coefficients (boundary-divisor type)."""
+    kind = rnd.random()
+    if kind < 0.15:
+        s = from_rays([(rnd.choice([1, -1]),)], rnd.choice([None, [F(1, 2)]]))
+    elif kind < 0.4:
+        s = from_rays(rnd.choice(NON_SIMPLICIAL))
+    else:
+        s = random_cone(rnd, rnd.choice([2, 3, 4]))
+    scale = F(1, rnd.choice([1, 3, 4]))
+    xi0 = tuple(x * scale for x in random_reeb(rnd, s))
+    primary = rnd.random() < 0.6
+    covs = []
+    for _ in range(rnd.randint(1, 4)):
+        coeffs = [F(rnd.randint(1 if primary else 0, 3), rnd.randint(1, 3))
+                  for _ in s.sigma.rays]
+        coeffs[rnd.randrange(len(coeffs))] += 1
+        covs.append(tuple(sum(c * r[i] for c, r in zip(coeffs, s.sigma.rays))
+                          for i in range(s.rank)))
+    if covs and rnd.random() < 0.3:
+        covs.append(rnd.choice(covs))
+    event(f"rank {s.rank}")
+    event("non-simplicial" if len(s.sigma.rays) > s.rank else "simplicial")
+    event("boundary" if any(s.coefficients) else "no boundary")
+    event("den(xi0) > 1" if any(F(x).denominator > 1 for x in xi0) else "integral xi0")
+    return s, xi0, covs, primary
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_integer_paths_match_fraction_references(seed):
+    rnd = random.Random(seed)
+    s, xi0, covs, primary = _instance(rnd)
+    wc = s.weight_cone
+    # Primarity: the same verdict and message (boundary covectors fail it).
+    message = _old_primarity(s, covs, True)
+    if message is not None:
+        with pytest.raises(NotPrimary) as exc:
+            monomial_filtration(s, covs)
+        assert str(exc.value) == message
+        event("not primary")
+    G = monomial_filtration(s, covs, require_primary=False)
+    assert _old_primarity(s, covs, False) is None
+    assert G.covectors == tuple(z for z, _ in _old_chambers(s, covs))
+    event(f"{len(G.covectors)} covectors kept of {len(set(covs))}")
+
+    lmax = inv._lambda_max_cached.__wrapped__(wc, xi0, G.covectors)
+    assert lmax == _old_lambda_max(s, xi0, G.covectors)
+    assert inv.lambda_max_closed(s, xi0, G) == lmax
+    assert inv.lambda_min_closed(s, xi0, G) == _old_lambda_min(s, xi0, G)
+    S = inv._s_closed_cached.__wrapped__(wc, xi0, G.covectors)
+    assert S == _old_s(s, xi0, G.covectors) == inv.s_closed(s, xi0, G)
+    assert type(S) is type(lmax) is F
+
+    value, twist = _old_reduced_j(s, xi0, G)
+    rj = inv.reduced_j(s, xi0, G)
+    assert rj.value == value
+    if twist is not None:
+        assert rj.minimizer_twist == twist
+        assert all(type(x) is F for x in rj.minimizer_twist)
+        event("reduced J twist without LP")
+
+    pairings = [dot(z, s.u) for z in G.covectors]
+    lct = inv._lct_cached.__wrapped__(s.u, s.sigma, G.covectors)
+    assert lct.value == min(pairings) and type(lct.value) is F
+    if pairings.count(lct.value) == 1:
+        assert lct.minimizer == G.covectors[pairings.index(lct.value)]
+
+    ratios = _old_delta_ratios(s, xi0)
+    value, ray = inv.delta_T(s, xi0)
+    assert value == min(ratios) and type(value) is F
+    if ratios.count(value) == 1:
+        assert ray == primitivize(s.sigma.rays[ratios.index(value)])
+        event("delta_T without LP")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_slice_outside_the_reeb_cone_raises_the_same_error(seed):
+    # xi0 on a ray of sigma vanishes on a weight-cone ray in rank >= 2, and
+    # its negative is negative there: every slice path raises UnboundedSlice.
+    rnd = random.Random(seed)
+    s, _, covs, _ = _instance(rnd)
+    G = monomial_filtration(s, covs, require_primary=False)
+    ray = rnd.choice(s.sigma.rays)
+    sign = rnd.choice([1, -1]) if s.rank > 1 else -1
+    xi0 = tuple(sign * x for x in ray)
+    old = [lambda: _old_lambda_max(s, xi0, G.covectors),
+           lambda: _old_lambda_min(s, xi0, G),
+           lambda: _old_s(s, xi0, G.covectors)]
+    new = [lambda: inv._lambda_max_cached.__wrapped__(s.weight_cone, xi0, G.covectors),
+           lambda: inv.lambda_min_closed(s, xi0, G),
+           lambda: inv._s_closed_cached.__wrapped__(s.weight_cone, xi0, G.covectors),
+           lambda: inv.reduced_j(s, xi0, G),
+           lambda: inv.delta_T(s, xi0)]
+    for call in old + new:
+        with pytest.raises(UnboundedSlice, match=MESSAGE):
+            call()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+                     min_size=1, max_size=5),
+       zs=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+                   min_size=1, max_size=3),
+       x=st.tuples(st.integers(-2, 4), st.integers(-2, 4), st.integers(-2, 4)),
+       largest=st.booleans())
+def test_slice_extreme_is_the_fraction_extreme(rows, zs, x, largest):
+    if any(dot(x, r) <= 0 for r in rows):
+        with pytest.raises(UnboundedSlice, match=MESSAGE):
+            slice_vertices(rows, x)
+        with pytest.raises(UnboundedSlice, match=MESSAGE):
+            _slice_extreme(((zs, rows),), x, largest)
+        return
+    values = [dot(z, a) for a in slice_vertices(rows, x) for z in zs]  # rays outer
+    best = max(values) if largest else min(values)
+    num, den, first, count = _slice_extreme(((zs, rows),), x, largest)
+    assert F(num, den) == best and den > 0
+    assert (first, count) == (values.index(best), values.count(best))
+
+
+def test_equal_inputs_share_one_cache_entry():
+    # xi0 = (2, 3) and the covectors (1/2, 3/4) and (2, 1/2), each given as
+    # ints, 'p/q' strings (non-reduced ones too), Fractions and a ReebVector.
+    s = from_rays([(1, 0), (1, 3)])
+    reebs = [(2, 3), ("2", "3"), ("4/2", "6/2"), (F(2), F(3)), reeb_vector(s, (2, 3))]
+    covectors = [[("1/2", "3/4"), ("2", "1/2")], [("2/4", "6/8"), ("4/2", "2/4")],
+                 [(F(1, 2), F(3, 4)), (F(2), F(1, 2))], [(F(2, 4), F(3, 4)), (2, "1/2")]]
+    caches = [inv._okounkov_cached, inv._vol_cached, inv._s_closed_cached,
+              inv._lambda_max_cached, inv._lct_cached, chambers]
+    for cache in caches:
+        cache.cache_clear()
+    filtrations = [monomial_filtration(s, covs) for covs in covectors]
+    assert len(set(filtrations)) == 1 and len(filtrations[0].covectors) == 2
+    for G in filtrations:
+        for xi0 in reebs:
+            inv.vol(s, xi0)
+            inv.s_closed(s, xi0, G)
+            inv.lambda_max_closed(s, xi0, G)
+            inv.lct_monomial(s, G)
+    assert [cache.cache_info().misses for cache in caches] == [1] * len(caches)

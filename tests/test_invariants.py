@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conestab.errors import FutakiNonvanishing, IdentityViolated, UnboundedSlice
+from conestab.errors import DegenerateCone, FutakiNonvanishing, IdentityViolated, UnboundedSlice
 from conestab.exactgeom import dot
 from conestab.filtration import (
     geodesic,
@@ -291,6 +291,13 @@ def test_j_coercivity_bound():
         assert lhs >= 0
         # J(F_xi) + S(F) >= C |xi mod xi0|, compared in squares
         assert lhs * lhs >= c_sq * quotient_norm_sq(xi, xi0)
+
+
+def test_coercivity_constant_rank_one_is_degenerate():
+    # The only ray is parallel to xi0, so it has no component inside the slice.
+    with pytest.raises(DegenerateCone, match="^coercivity constant: the level-one slice "
+                                             "of a rank-1 cone is a point"):
+        coercivity_constant_sq(from_rays([[1]]), [1])
 
 
 # --- norm equivalence and toric vanishing -----------------------------------
