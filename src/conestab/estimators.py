@@ -14,17 +14,16 @@ weight cone, xi0 and the top level: the runs, each run's residue classes
 of the grading denominator with the strided slice of weight shells each
 fills, and the counts N_m, count_gamma and reference-order sums TS0_m.  A
 class adds its counts as one +1/-1 pair in a strided difference array.
-The table is cached, so sweeps of many filtrations on one (weight cone,
-xi0, top) enumerate the lattice once.  The per-filtration pass reads the
-orders along each run and adds their sums and maxima onto the stored
-slices; nothing of it is cached.
+The table is cached unless it is too large to keep, so sweeps of many
+filtrations on one (weight cone, xi0, top) enumerate the lattice once.
+The per-filtration pass reads the orders along each run and adds their
+sums and maxima onto the stored slices; nothing of it is cached.
 """
 
 import csv
 import io
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -32,9 +31,10 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
 from .exactgeom import dot, frac, lattice_points_below
-from .exactgeom.lattice import _checked_budget, _lattice_runs
+from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
 from .exactgeom.linalg import _integer_row, smith_diagonal
-from .filtration import MonomialFiltration, _floor_run_orders, _integer_covectors, approx_orders
+from .filtration import (MonomialFiltration, _approx_key, _approx_table, _floor_run_orders,
+                         _integer_covectors)
 from .invariants import lambda_max_closed, s_closed, vol
 from .singularity import ConeSingularity, _xi
 
@@ -126,17 +126,6 @@ def _levels(levels):
     return sorted(set(levels))
 
 
-# Shell tables kept by ``_shell_table``; a table holds its runs and its
-# per-shell counts alive until it is evicted.
-_TABLES = 8
-
-
-class _TableKey(tuple):
-    """(weight cone, xi0, top), the key of ``_shell_table``.  It carries the
-    budget of the sweep that asks as an attribute, which equality and hash
-    ignore: only a miss reads it, to enumerate under that budget."""
-
-
 class _ShellTable(NamedTuple):
     """The filtration-independent part of a sweep below level ``top``."""
 
@@ -150,8 +139,7 @@ class _ShellTable(NamedTuple):
     gammas: tuple    # index m: points at weight <= m
 
 
-@lru_cache(maxsize=_TABLES)
-def _shell_table(key):
+def _build_shell_table(wc, xi0, top, budget):
     """Runs, shell slices and counts of the lattice below ``top``.
 
     Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
@@ -161,8 +149,7 @@ def _shell_table(key):
     land on one strided slice of shells.  When X = 0 the whole run sits in
     one shell.
     """
-    wc, xi0, top = key
-    runs = _lattice_runs(wc, xi0, top, key.budget, True)
+    runs = _lattice_runs(wc, xi0, top, budget, True)
     (*xs, X), den = _integer_row(xi0)  # integer weights <xi0 den, a>
     step = abs(X)
     # Difference arrays: the -1 of a class lands one stride past its last shell.
@@ -202,6 +189,14 @@ def _shell_table(key):
                        gammas=tuple(map(add, Ns, eq_counts + [0])))
 
 
+# Shell tables, keyed on (weight cone, xi0, top): at most _TABLES of them,
+# holding at most _TABLE_ENTRIES runs and shells together.  A larger table
+# is built for its sweep and dropped after it.
+_TABLES = 8
+_TABLE_ENTRIES = 1 << 16
+_shell_table = _TableCache(_TABLES, _TABLE_ENTRIES, lambda table: len(table.runs) + table.top)
+
+
 def _table(s, xi0, levels, budget):
     """The shell table below max(levels) + 1, checked against ``budget``.
 
@@ -211,9 +206,10 @@ def _table(s, xi0, levels, budget):
     the same BudgetExceeded.
     """
     budget = _checked_budget(budget)
-    key = _TableKey((s.weight_cone, xi0, levels[-1] + 1))
-    key.budget = budget
-    table = _shell_table(key)
+    key = (s.weight_cone, xi0, levels[-1] + 1)
+    table = _shell_table.get(key)
+    if table is None:
+        table = _shell_table.put(key, _build_shell_table(*key, budget))
     if table.kept > budget:
         raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
     return table
@@ -281,23 +277,26 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
                  m_filtration: int, levels, budget=None) -> EstimatorSweep:
     """Sweep of the degree-m approximating filtration of F.
 
-    The points below the top level are enumerated once; their orders come
-    from one approx_orders pass over the reference-weight window that
-    holds them all.  Statistics are pointwise below those of the sweep of
-    F and close the gap once the level exceeds the generation degree.
+    The orders along each run of the shell table are a slice of one run
+    of F's approximation table, whose reference-weight window holds every
+    point below the top level.  Statistics are pointwise below those of the
+    sweep of F and close the gap once the level exceeds the generation
+    degree.
     """
-    if m_filtration < 1:
-        raise EmptyInput("approximation level must be >= 1")
+    key = _approx_key(F, m_filtration)
     xi0, levels = _xi(xi0), _levels(levels)
+    budget = _checked_budget(budget)
     table = _table(s, xi0, levels, budget)
     ell = s.sigma.interior_point()
     # <ell, .> is linear along a run, so its largest value sits at an end.
     wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)
                for p, lo, hi, _ in table.runs)
-    window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
-    orders = approx_orders(F, m_filtration, window)
-    per_level = _aggregate(s, table, levels, lambda p, lo, hi: [
-        orders[p + (t,)] for t in range(lo, hi + 1)])
+    runs = _approx_table(F, key, wmax, budget).runs
+
+    def run_orders(prefix, lo, hi):
+        start, orders = runs[prefix]
+        return orders[lo - start:hi - start + 1]
+    per_level = _aggregate(s, table, levels, run_orders)
     target = {**_target(s, xi0, F), "m_filtration": Fraction(m_filtration)}
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 

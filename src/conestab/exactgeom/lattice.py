@@ -8,13 +8,16 @@ coordinate n-1, so its bound on the last coordinate along the row is one
 list comprehension over a range.  ``lattice_points_below`` lays the runs
 out as points; the estimator sweeps aggregate each run of the last
 coordinate at once, with strided slice updates, and never build the
-points.
+points.  The tables built from runs (the sweeps' shell tables, the
+approximation tables) are cached in a ``_TableCache``, which bounds what
+it keeps by the size of the tables as well as by their number.
 """
 
 import os
 from itertools import product
 from math import ceil, floor
 from operator import mul
+from typing import NamedTuple
 
 from ..errors import BudgetExceeded, ParseError
 from .cone import Cone
@@ -125,6 +128,55 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
                 raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
             runs += block
     return runs
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _TableCache:
+    """Least-recently-used store of lattice tables, bounded by entry count
+    and by the summed ``size`` of what the entries hold.
+
+    Storing a table evicts the oldest entries until both bounds hold; a
+    table larger than ``maxweight`` on its own is returned to its caller
+    and never kept.  The caller builds a table when ``get`` finds none
+    that will do, and stores it with ``put``.
+    """
+
+    def __init__(self, maxsize, maxweight, size):
+        self.maxsize, self.maxweight, self.size = maxsize, maxweight, size
+        self.cache_clear()
+
+    def get(self, key):
+        table = self.tables.pop(key, None)
+        if table is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.tables[key] = table  # now the most recent
+        return table
+
+    def put(self, key, table):
+        old = self.tables.pop(key, None)
+        if old is not None:
+            self.weight -= self.size(old)
+        size = self.size(table)
+        if size <= self.maxweight:
+            self.tables[key] = table
+            self.weight += size
+            while len(self.tables) > self.maxsize or self.weight > self.maxweight:
+                self.weight -= self.size(self.tables.pop(next(iter(self.tables))))
+        return table
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.tables))
+
+    def cache_clear(self):
+        self.tables, self.weight, self.hits, self.misses = {}, 0, 0, 0
 
 
 def _bound(rows, us, pick):

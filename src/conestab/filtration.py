@@ -11,11 +11,23 @@ Besides the algebra of filtrations (rescale, twist, geodesic, intersection)
 this module computes Newton polyhedra, exact orders, the orders of the
 degree-m approximating filtrations, and the saturated closure of an
 approximating filtration as a concave transform of its own.
+
+The approximations of one filtration at level m share one table, keyed on
+(weight cone, integer covector rows, m).  It covers the reference-weight
+window <ell, .> <= w, with ell = sigma.interior_point(), the sum of the
+weight cone's facet normals, and holds the kept blocks, the order of
+every window point per lattice run, the point count at each weight and,
+once found, the approximant's certified window.  A window is down-closed
+in every larger one, so a request for a window up to w reads the table
+and a larger one rebuilds it there.  Either way the caller's budget is
+checked against the point count of the window it asked for, so a hit
+raises the same BudgetExceeded as a fresh enumeration.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, le, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -26,9 +38,9 @@ from .errors import (
     NotPrimary,
     OutsideWeightCone,
 )
-from .exactgeom import (PLConcave, Polytope, dot, enumerate_vertices, frac, lattice_points_below,
-                        slice_vertices, vec)
+from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, slice_vertices, vec
 from .exactgeom.fan import chambers
+from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
 from .exactgeom.linalg import _integer_row
 from .singularity import ConeSingularity, _xi
 
@@ -245,28 +257,71 @@ def _floor_run_orders(F: MonomialFiltration):
     return orders
 
 
-def _blocks(F: MonomialFiltration, m: int, pts):
-    """Non-dominated blocks (gamma, v) of the degree-m approximation in pts.
+def _approx_key(F: MonomialFiltration, m):
+    """The key of F's approximation tables at level m: (weight cone, integer
+    covector rows, their denominator, m).  m must be a positive int."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise EmptyInput(f"approximation level must be a positive integer, got {m!r}")
+    if m < 1:
+        raise EmptyInput("approximation level must be >= 1")
+    return (F.ambient.weight_cone, *_integer_covectors(F.covectors), m)
 
-    v(gamma) = min(floor(g(gamma)), m), and only blocks with v >= 1 count.
-    (gamma, v) is dropped when a kept (gamma', v') has v' >= v and
-    gamma - gamma' in the weight cone.  Blocks are scanned, and returned,
-    by decreasing v, then reference weight, then lexicographically, so
-    v' >= v holds for every earlier block; the cone test compares the
-    pairings with the weight cone's integer halfspaces componentwise.
+
+def _block_dp(m, codes, weights, values):
+    """(kept, best) of the degree-m approximation on a down-closed point set.
+
+    The points are given by integer codes, linear and injective on the
+    differences of two points, with their reference weights <ell, .> and
+    block values v = min(floor(g), m); the code of p - q is then
+    code(p) - code(q), and p - q lies in the set exactly when that code
+    does.  kept lists the non-dominated blocks as (code, v, weight): a
+    block (gamma, v) is dropped when a kept (gamma', v') has v' >= v and
+    gamma - gamma' in the weight cone, which inside a down-closed set
+    means in the set.  Blocks are scanned, and kept, by decreasing v, then
+    weight, then code (the lexicographic order of the points), so v' >= v
+    holds for every earlier block.  Swapping a block for its dominator
+    moves the leftover into the remainder and never lowers the total, so
+    the best decomposition is best[p] = max(0, v(q) + best[p - q] over
+    kept q with p - q in the set, q = p included), taken by increasing
+    weight.
     """
-    order = _floor_order(F)
-    ell = F.ambient.sigma.interior_point()
-    hs = F.ambient.weight_cone.halfspaces
-    cons = sorted(((gamma, v) for gamma in pts if (v := min(order(gamma), m)) >= 1),
-                  key=lambda cv: (-cv[1], sum(map(mul, ell, cv[0])), cv[0]))
-    kept, keys = [], []
-    for gamma, v in cons:
-        key = [sum(map(mul, h, gamma)) for h in hs]
-        if not any(all(map(le, k, key)) for k in keys):
-            kept.append((gamma, v))
-            keys.append(key)
-    return kept
+    members = set(codes)
+    kept, kept_v, kept_w = [], [], []
+    for nv, w, c in sorted((-v, w, c) for c, w, v in zip(codes, weights, values) if v >= 1):
+        if not any(map(members.__contains__, map(sub, repeat(c), kept))):
+            kept.append(c)
+            kept_v.append(-nv)
+            kept_w.append(w)
+    best = {}
+    get, missing = best.get, repeat(-m - 1)  # a missing rest leaves v - m - 1 < 0
+    for _, c in sorted(zip(weights, codes)):
+        v = max(map(add, kept_v, map(get, map(sub, repeat(c), kept), missing)), default=0)
+        best[c] = v if v > 0 else 0
+    return list(zip(kept, kept_v, kept_w)), best
+
+
+def _coder(n, bound):
+    """(code, decode) for points of rank n with coordinates of size <= bound:
+    base 4 bound + 1 with digits in [-2 bound, 2 bound], which also holds
+    the differences of two such points, so code is linear and injective on
+    them and orders them lexicographically."""
+    base = 4 * bound + 1
+
+    def code(p):
+        c = 0
+        for x in p:
+            c = c * base + x
+        return c
+
+    def decode(c):
+        out = []
+        for _ in range(n):
+            c, d = divmod(c, base)
+            if d > 2 * bound:
+                c, d = c + 1, d - base
+            out.append(d)
+        return tuple(reversed(out))
+    return code, decode
 
 
 def approx_orders(F: MonomialFiltration, m: int, pts) -> dict:
@@ -275,48 +330,116 @@ def approx_orders(F: MonomialFiltration, m: int, pts) -> dict:
     pts must be down-closed in the weight cone: with p it holds every
     lattice q with p - q in the cone.  The order of p is its best
     decomposition into nonzero lattice blocks, each worth
-    v = min(floor(g), m).  Swapping a block for its dominator from _blocks
-    moves the leftover into the remainder and never lowers the total, so
-    best[p] = max(0, v(q) + best[p - q] over kept q with p - q in pts,
-    q = p included), in O(points x kept blocks) integer steps.
+    v = min(floor(g), m), computed by the block DP of ``_block_dp`` in
+    O(points x kept blocks) integer steps.
     """
-    kept = _blocks(F, m, pts)
+    pts = list(pts)
     ell = F.ambient.sigma.interior_point()
-    best = {}
-    for p in sorted(pts, key=lambda p: sum(map(mul, ell, p))):
-        value = 0
-        for q, v in kept:
-            rest = best.get(tuple(map(sub, p, q)))
-            if rest is not None and v + rest > value:
-                value = v + rest
-        best[p] = value
-    return best
+    order = _floor_order(F)
+    code, _ = _coder(F.ambient.rank, max((abs(x) for p in pts for x in p), default=0))
+    codes = list(map(code, pts))
+    _, best = _block_dp(m, codes, [sum(map(mul, ell, p)) for p in pts],
+                        [min(order(p), m) for p in pts])
+    return dict(zip(pts, map(best.__getitem__, codes)))
 
 
-def _cone_partners(F: MonomialFiltration, alpha, budget=None):
-    """Lattice points gamma in the weight cone with alpha - gamma also in it."""
-    wc = F.ambient.weight_cone
-    ell = F.ambient.sigma.interior_point()
-    pts = lattice_points_below(wc, ell, dot(ell, alpha), budget=budget, strict=False)
-    tops = [dot(h, alpha) for h in wc.halfspaces]
-    return [g for g in pts
-            if all(sum(map(mul, h, g)) <= t for h, t in zip(wc.halfspaces, tops))]
+class _ApproxTable:
+    """The degree-m approximation of one filtration on the reference-weight
+    window <ell, .> <= window, with ell = sigma.interior_point()."""
+
+    __slots__ = ("window", "runs", "blocks", "counts", "certified")
+
+    def __init__(self, window, runs, blocks, counts):
+        self.window = window
+        self.runs = runs            # {prefix: (t_lo, approximate orders along the run)}
+        self.blocks = blocks        # kept (gamma, v, <ell, gamma>), in scan order
+        self.counts = counts        # index k: window points with <ell, .> <= k
+        self.certified = None       # approximant's (window, transform), once found
+
+
+def _build_approx_table(F: MonomialFiltration, m, window, budget):
+    """The table of F at level m below ``window``, enumerated under ``budget``.
+
+    Along a lattice run the codes and weights are ranges and the block
+    values come from ``_floor_run_orders``; one ``_block_dp`` gives the
+    blocks and the order of every point, which are stored per run.
+    """
+    s = F.ambient
+    ell = s.sigma.interior_point()
+    *head, last = ell
+    runs = _lattice_runs(s.weight_cone, ell, window, budget, False)
+    code, decode = _coder(s.rank, max((max(map(abs, (*p, lo, hi))) for p, lo, hi in runs),
+                                      default=0))
+    floor_orders = _floor_run_orders(F)
+    codes, weights, values, spans = [], [], [], []
+    for prefix, lo, hi in runs:
+        c0, w0 = code((*prefix, 0)), sum(map(mul, head, prefix))
+        spans.append(range(c0 + lo, c0 + hi + 1))
+        codes += spans[-1]
+        weights += range(w0 + last * lo, w0 + last * (hi + 1), last) if last else \
+            repeat(w0, hi - lo + 1)
+        values += [v if v < m else m for v in floor_orders(prefix, lo, hi)]
+    kept, best = _block_dp(m, codes, weights, values)
+    table_runs = {prefix: (lo, list(map(best.__getitem__, span)))
+                  for (prefix, lo, _), span in zip(runs, spans)}
+    blocks = tuple((decode(c), v, w) for c, v, w in kept)
+    weights.sort()
+    counts = [bisect_right(weights, k) for k in range(window + 1)]
+    return _ApproxTable(window, table_runs, blocks, counts)
+
+
+# Approximation tables kept by ``_approx_table``: at most _APPROX_TABLES of
+# them, holding at most _APPROX_POINTS window points together.  A larger
+# table is built for its call and dropped after it.
+_APPROX_TABLES = 256
+_APPROX_POINTS = 1 << 16
+_approx_tables = _TableCache(_APPROX_TABLES, _APPROX_POINTS,
+                             lambda table: table.counts[-1] + len(table.runs))
+
+
+def _approx_table(F: MonomialFiltration, key, window, budget) -> _ApproxTable:
+    """The approximation table of ``key`` (from ``_approx_key``) covering
+    the window <ell, .> <= window, checked against the resolved ``budget``.
+
+    A stored table of a window at least as large is read: every point of
+    the smaller window, its blocks' dominators and its DP partners lie
+    below it in the weight cone, so they are the same in both windows.
+    Its point count at ``window`` is compared with the budget, so a hit
+    raises the BudgetExceeded of a fresh enumeration.  A larger window is
+    enumerated under the budget, and the complete table replaces the
+    stored one, keeping the approximant's certificate.
+    """
+    table = _approx_tables.get(key)
+    if table is not None and table.window >= window:
+        if table.counts[window] > budget:
+            raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+        return table
+    grown = _build_approx_table(F, key[-1], window, budget)
+    if table is not None:
+        grown.certified = table.certified
+    return _approx_tables.put(key, grown)
 
 
 def approx_ord(F: MonomialFiltration, m: int, alpha, budget=None) -> int:
     """Order of the monomial under the degree-m approximating filtration.
 
     The value is the best decomposition of alpha into nonzero lattice
-    blocks, each worth min(floor(g(block)), m): approx_orders on the
-    lattice points below alpha in the weight-cone order, read at alpha.
-    Bounded above by floor(g(alpha)), with equality whenever g(alpha) <= m.
+    blocks, each worth min(floor(g(block)), m), read from the approximation
+    table of the window <ell, .> <= <ell, alpha>, which holds every point
+    below alpha in the weight-cone order.  Bounded above by
+    floor(g(alpha)), with equality whenever g(alpha) <= m.
     """
-    if m < 1:
-        raise EmptyInput("approximation level must be >= 1")
+    key = _approx_key(F, m)
     alpha = vec(alpha)
     if not F.ambient.weight_cone.contains(alpha):
         raise OutsideWeightCone(f"{alpha} is not in the weight cone")
-    return approx_orders(F, m, _cone_partners(F, alpha, budget=budget))[alpha]
+    if any(x.denominator != 1 for x in alpha):
+        raise OutsideWeightCone(f"exponent ({', '.join(map(str, alpha))}) is not a lattice point")
+    alpha = tuple(map(int, alpha))
+    ell = F.ambient.sigma.interior_point()
+    table = _approx_table(F, key, sum(map(mul, ell, alpha)), _checked_budget(budget))
+    lo, orders = table.runs[alpha[:-1]]
+    return orders[alpha[-1] - lo]
 
 
 def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltration:
@@ -326,35 +449,43 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
     transform is the homogeneous concave envelope of the block values
     v(gamma) = min(floor(g(gamma)), m) over lattice gamma.  The envelope is
     computed dually: it is the minimum over the vertices of
-    Theta = {theta in sigma : <theta, gamma> >= v(gamma) for the blocks
-    kept by _blocks}, whose dropped blocks are implied by their dominators.
-    A window <ell, gamma> <= w suffices once every vertex theta satisfies
-    <theta, .> >= m outside it, which is certified at the vertices of the
-    slice <ell, .> = 1; otherwise w doubles.  A BudgetExceeded names the
+    Theta = {theta in sigma : <theta, gamma> >= v(gamma) for the kept
+    blocks}, whose dropped blocks are implied by their dominators.  The
+    blocks of a window <ell, gamma> <= w are the approximation table's
+    blocks of weight <= w.  That window suffices once every vertex theta
+    satisfies <theta, .> >= m outside it, which is certified at the
+    vertices of the slice <ell, .> = 1; otherwise w doubles.  The table
+    keeps the certified window and transform, and a later call checks its
+    budget against each window up to that one.  A BudgetExceeded names the
     last window and the doublings.
     """
-    if m < 1:
-        raise EmptyInput("approximation level must be >= 1")
+    key = _approx_key(F, m)
+    budget = _checked_budget(budget)
     s = F.ambient
     rays = s.weight_cone.rays
     ell = s.sigma.interior_point()
-    unit = slice_vertices(s.weight_cone.rays, ell)
-    window = 2 * m * max(1, max(dot(ell, r) for r in rays))
+    window = 2 * m * max(1, max(sum(map(mul, ell, r)) for r in rays))
     for doublings in range(24):
         if doublings:
             window *= 2
         try:
-            pts = lattice_points_below(s.weight_cone, ell, window,
-                                       budget=budget, strict=False)
+            table = _approx_table(F, key, window, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"approximant window {window} after "
                                  f"{doublings} doublings: {exc}") from exc
-        kept = _blocks(F, m, pts)
+        if table.certified is not None:
+            if table.certified[0] > window:  # a window already found too small
+                continue
+            return MonomialFiltration(ambient=s, transform=table.certified[1])
+        kept = [(gamma, v) for gamma, v, w in table.blocks if w <= window]
         hs = [(tuple(-x for x in gamma), -v) for gamma, v in kept]
         hs += [(tuple(-x for x in r), 0) for r in rays]
         thetas = enumerate_vertices(hs, s.rank)
+        unit = slice_vertices(rays, ell)
         if kept and all(min(dot(theta, a) for a in unit) * window >= m
                         for theta in thetas):
-            return monomial_filtration(s, thetas)
+            approx = monomial_filtration(s, thetas)
+            table.certified = (window, approx.transform)
+            return approx
     raise BudgetExceeded(f"approximant window {window} after {doublings} "
                          "doublings still uncertified")

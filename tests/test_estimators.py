@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from math import floor, lcm
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conestab import estimators
+from conestab import estimators, filtration
 from conestab.errors import (
     BudgetExceeded,
     DegenerateCone,
@@ -28,7 +29,7 @@ from conestab.estimators import (
 )
 from conestab.exactgeom import dot, lattice_points_below
 from conestab.exactgeom.linalg import det
-from conestab.filtration import approx_orders, monomial_filtration, toric_filtration
+from conestab.filtration import approx_ord, approx_orders, monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
 from conestab.singularity import from_rays
 from conftest import c2_battery
@@ -589,3 +590,29 @@ def test_bj_bound_check_validates_m0(c2, fex):
         for levels in (None, [1, 2, 3]):
             with pytest.raises(EmptyInput, match=f"^m0 must be a positive integer, got {bad!r}$"):
                 bj_bound_check(c2, (1, 1), fex, "1/10", bad, levels=levels)
+
+
+def test_table_caches_keep_no_table_above_their_bound(c2, fex):
+    # A table holding more than the bound (runs and shells for a shell
+    # table, points for an approximation table) is built for its call and
+    # dropped after it, so the memory held between calls stays bounded.
+    line = from_rays([[1]])
+    G = monomial_filtration(line, [(2,)])
+    estimators._shell_table.cache_clear()
+    filtration._approx_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert sweep(line, (1,), G, [10, 70000]).row(70000).N_m == 70000
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 10 ** 6
+    assert approx_ord(G, 1, (70000,)) == 70000
+    assert estimators._shell_table.cache_info().currsize == 0
+    assert filtration._approx_tables.cache_info().currsize == 0
+    # The sweeps of C^2 to level 200 and their approximation stay cached.
+    sweep(c2, (1, 1), fex, range(1, 201))
+    sweep_approx(c2, (1, 1), fex, 3, range(1, 61))
+    assert estimators._shell_table.cache_info().currsize == 2
+    assert filtration._approx_tables.cache_info().currsize == 1

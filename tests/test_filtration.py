@@ -1,6 +1,8 @@
 import random
+import re
 from fractions import Fraction
 from math import floor
+from operator import le, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from conestab.errors import (
     NotPrimary,
     OutsideWeightCone,
 )
-from conestab.exactgeom import dot, lattice_points_below
+from conestab import estimators, filtration
+from conestab.estimators import sweep_approx
+from conestab.exactgeom import dot, enumerate_vertices, lattice_points_below, slice_vertices
 from conestab.filtration import (
     approx_ord,
     approx_orders,
@@ -328,3 +332,215 @@ def test_saturation_rigidity_strict_inclusion_increases_s(c2):
             dropped = monomial_filtration(c2, Ft.covectors[:-1])
             if dropped != Ft:
                 assert s_closed(c2, (1, 1), dropped) > s_closed(c2, (1, 1), Ft)
+
+
+def test_approximation_level_must_be_a_positive_int(c2, fex):
+    # A float, Fraction or bool level is named before any table is read;
+    # an int below 1 keeps its own message.
+    calls = (lambda m: approx_ord(fex, m, (1, 1)),
+             lambda m: approximant(fex, m),
+             lambda m: sweep_approx(c2, (1, 1), fex, m, [1, 2]))
+    for call in calls:
+        for bad in (2.5, 1.5, F(3), True):
+            with pytest.raises(EmptyInput, match=rf"^approximation level must be a positive "
+                               rf"integer, got {re.escape(repr(bad))}$"):
+                call(bad)
+        for low in (0, -3):
+            with pytest.raises(EmptyInput, match=r"^approximation level must be >= 1$"):
+                call(low)
+
+
+def test_approx_ord_names_a_rational_exponent(c2, fex):
+    # (1/2, 1/2) lies in the weight cone but is no lattice point.
+    with pytest.raises(OutsideWeightCone, match=r"^exponent \(1/2, 1/2\) is not a lattice point$"):
+        approx_ord(fex, 2, ("1/2", "1/2"))
+    with pytest.raises(OutsideWeightCone, match="is not in the weight cone$"):
+        approx_ord(fex, 2, ("-1/2", 1))
+    assert approx_ord(fex, 2, ("2", "1/1")) == _old_approx_ord(fex, 2, (2, 1)) == 3
+
+
+# The approximation before the shared tables, kept as the cold reference:
+# each call enumerates its own window and runs its own block scan.
+
+def _old_blocks(F_, m, pts):
+    order = filtration._floor_order(F_)
+    ell = F_.ambient.sigma.interior_point()
+    hs = F_.ambient.weight_cone.halfspaces
+    cons = sorted(((gamma, v) for gamma in pts if (v := min(order(gamma), m)) >= 1),
+                  key=lambda cv: (-cv[1], sum(map(mul, ell, cv[0])), cv[0]))
+    kept, keys = [], []
+    for gamma, v in cons:
+        key = [sum(map(mul, h, gamma)) for h in hs]
+        if not any(all(map(le, k, key)) for k in keys):
+            kept.append((gamma, v))
+            keys.append(key)
+    return kept
+
+
+def _old_approx_orders(F_, m, pts):
+    kept = _old_blocks(F_, m, pts)
+    ell = F_.ambient.sigma.interior_point()
+    best = {}
+    for p in sorted(pts, key=lambda p: sum(map(mul, ell, p))):
+        value = 0
+        for q, v in kept:
+            rest = best.get(tuple(map(sub, p, q)))
+            if rest is not None and v + rest > value:
+                value = v + rest
+        best[p] = value
+    return best
+
+
+def _old_approx_ord(F_, m, alpha, budget=None):
+    wc = F_.ambient.weight_cone
+    ell = F_.ambient.sigma.interior_point()
+    pts = lattice_points_below(wc, ell, dot(ell, alpha), budget=budget, strict=False)
+    tops = [dot(h, alpha) for h in wc.halfspaces]
+    partners = [g for g in pts
+                if all(sum(map(mul, h, g)) <= t for h, t in zip(wc.halfspaces, tops))]
+    return _old_approx_orders(F_, m, partners)[tuple(alpha)]
+
+
+def _old_approximant(F_, m, budget=None):
+    s = F_.ambient
+    rays = s.weight_cone.rays
+    ell = s.sigma.interior_point()
+    unit = slice_vertices(s.weight_cone.rays, ell)
+    window = 2 * m * max(1, max(dot(ell, r) for r in rays))
+    for doublings in range(24):
+        if doublings:
+            window *= 2
+        try:
+            pts = lattice_points_below(s.weight_cone, ell, window, budget=budget, strict=False)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"approximant window {window} after "
+                                 f"{doublings} doublings: {exc}") from exc
+        kept = _old_blocks(F_, m, pts)
+        hs = [(tuple(-x for x in gamma), -v) for gamma, v in kept]
+        hs += [(tuple(-x for x in r), 0) for r in rays]
+        thetas = enumerate_vertices(hs, s.rank)
+        if kept and all(min(dot(theta, a) for a in unit) * window >= m for theta in thetas):
+            return monomial_filtration(s, thetas)
+    raise AssertionError("uncertified")
+
+
+def _old_sweep_approx(s, xi0, F_, m, levels, budget=None):
+    levels = sorted(set(levels))
+    table = estimators._table(s, xi0, levels, budget)
+    ell = s.sigma.interior_point()
+    pts = lattice_points_below(s.weight_cone, xi0, levels[-1] + 1, budget=budget)
+    window = lattice_points_below(s.weight_cone, ell, max(dot(ell, p) for p in pts),
+                                  strict=False, budget=budget)
+    orders = _old_approx_orders(F_, m, window)
+    rows = estimators._aggregate(s, table, levels, lambda p, lo, hi: [
+        orders[p + (t,)] for t in range(lo, hi + 1)])
+    return _rows_json(estimators.EstimatorSweep(levels=levels, per_level=rows))
+
+
+def _rows_json(sw):
+    return estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level).to_json()
+
+
+def _message(call):
+    try:
+        call()
+    except BudgetExceeded as exc:
+        return str(exc)
+    raise AssertionError("no BudgetExceeded")
+
+
+_CONES = {1: from_rays([(1,)]), 2: from_rays([(1, 0), (0, 1)]), 3: from_rays(R3_RAYS)}
+
+
+@st.composite
+def _table_sequences(draw):
+    """A filtration of rank 1-3 (covector denominators above 1 through
+    rescale), a level m and a shuffled sequence of calls on (F, m) whose
+    windows grow and shrink.  Rank 3 keeps m <= 2 when rescaled, where
+    the approximant's vertex enumeration stays small."""
+    rank = draw(st.sampled_from([1, 2, 3]))
+    s = _CONES[rank]
+    k = draw(st.integers(1, 3 if rank < 3 else 2))
+    F_ = rescale(random_filtration(random.Random(draw(st.integers(0, 2 ** 32))), s), F(1, k))
+    m = draw(st.integers(1, 5 if rank < 3 or k == 1 else 2))
+    top = 8 if rank < 3 else 4
+    point = st.tuples(*[st.integers(0, top)] * rank).filter(s.weight_cone.contains)
+    op = st.one_of(st.tuples(st.just("approx_ord"), point),
+                   st.tuples(st.just("sweep_approx"), st.integers(1, top)),
+                   st.just(("approximant", None)))
+    ops = draw(st.lists(op, min_size=1, max_size=6))
+    return s, F_, m, ops
+
+
+def _window_count(s, w):
+    return len(lattice_points_below(s.weight_cone, s.sigma.interior_point(), w, strict=False))
+
+
+def _entry_and_reference(s, F_, m, name, arg):
+    """The call named ``name`` and its cold reference, as functions of the budget."""
+    xi0 = s.sigma.interior_point()
+    if name == "approx_ord":
+        return (lambda b: approx_ord(F_, m, arg, budget=b),
+                lambda b: _old_approx_ord(F_, m, arg, budget=b))
+    if name == "sweep_approx":
+        return (lambda b: _rows_json(sweep_approx(s, xi0, F_, m, [1, arg], budget=b)),
+                lambda b: _old_sweep_approx(s, xi0, F_, m, [1, arg], budget=b))
+    return (lambda b: approximant(F_, m, budget=b),
+            lambda b: _old_approximant(F_, m, budget=b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_table_sequences())
+def test_shared_tables_match_cold_reference(case):
+    # Each call reads or grows the (F, m) table left by the calls before it
+    # and must return what the per-call reference computes cold; one short
+    # of its window's point count it must raise the reference's message,
+    # and at the count it must pass.
+    s, F_, m, ops = case
+    xi0 = s.sigma.interior_point()
+    filtration._approx_tables.cache_clear()
+    for name, arg in ops:
+        new, old = _entry_and_reference(s, F_, m, name, arg)
+        assert new(None) == old(None)
+        if name == "approx_ord":
+            count = _window_count(s, dot(xi0, arg))
+        elif name == "sweep_approx":  # xi0 = ell: the points of weight < arg + 1
+            count = _window_count(s, arg)
+        else:  # the approximant's: that of its certified window
+            key = filtration._approx_key(F_, m)
+            count = _window_count(s, filtration._approx_tables.tables[key].certified[0])
+        assert _message(lambda: new(count - 1)) == _message(lambda: old(count - 1))
+        assert new(count) == old(count)
+    windows = [lattice_points_below(s.weight_cone, xi0, w, strict=False) for w in (0, 3, 6)]
+    for window in windows:
+        orders = approx_orders(F_, m, window)
+        assert orders == _old_approx_orders(F_, m, window)
+        assert orders == _pairwise_dp_orders(F_, m, window, xi0)
+
+
+def test_one_key_builds_one_table(c2, fex, monkeypatch):
+    # sweep_approx, approximant and approx_ord on one (F, m) share one
+    # table: the first call's window holds the others', and a budget
+    # failure on a hit names the same window and doublings as a cold call.
+    builds = []
+
+    def counted(*args):
+        builds.append(args[2])
+        return build(*args)
+    build = filtration._build_approx_table
+    monkeypatch.setattr(filtration, "_build_approx_table", counted)
+    filtration._approx_tables.cache_clear()
+    G = monomial_filtration(c2, [(F(1, 5), F(1, 5))])
+    sweep_approx(c2, (1, 1), G, 1, range(1, 21))
+    assert approximant(G, 1) == toric_filtration(c2, (F(1, 5), F(1, 5)))
+    assert approx_ord(G, 1, (3, 4)) == _old_approx_ord(G, 1, (3, 4)) == 1
+    assert builds == [20]
+    with pytest.raises(BudgetExceeded, match=r"^approximant window 8 after 2 doublings: "
+                       r"lattice enumeration exceeded budget 20$"):
+        approximant(G, 1, budget=20)
+    with pytest.raises(BudgetExceeded, match=r"^lattice enumeration exceeded budget 35$"):
+        approx_ord(G, 1, (3, 4), budget=35)
+    assert approx_ord(G, 1, (3, 4), budget=36) == 1
+    approx_ord(G, 1, (30, 0))  # a larger window replaces the table
+    assert builds == [20, 30]
+    assert approximant(fex, 3) == fex and builds == [20, 30, 6]
