@@ -8,32 +8,33 @@ slope.  Everything is exact rational bookkeeping; "estimation" refers only
 to the finiteness of the level, never to sampling.
 
 The basis comes as lattice runs, a prefix with a range of the last
-coordinate.  Along a run the weights step linearly and the orders are
-integers.  A sweep has two parts.  The shell table depends only on the
-weight cone, xi0 and the top level: the runs, each run's residue classes
-of the grading denominator with the strided slice of weight shells each
-fills, and the counts N_m, count_gamma and reference-order sums TS0_m.  A
-class adds its counts as one +1/-1 pair in a strided difference array.
-The table is cached unless it is too large to keep, so sweeps of many
-filtrations on one (weight cone, xi0, top) enumerate the lattice once.
-The per-filtration pass reads the orders along each run and adds their
-sums and maxima onto the stored slices; nothing of it is cached.
+coordinate.  The cached shell table holds the runs, their weight shells
+and the counts N_m, count_gamma and TS0_m.  In rank >= 2 ``sweep`` takes
+level coordinates y = U a (U unimodular, its first row the primitive form
+of xi0) when the slice's prefix box is no larger there: every run lies in
+one shell, and the per-filtration pass reads its order sum and maximum in
+closed form (``filtration._floor_runs``).  In the original coordinates,
+which ``sweep_approx`` always uses, a run's residue classes of the grading
+denominator fill strided slices of shells, counted by +1/-1 pairs in
+strided difference arrays, and the pass adds its orders onto them.
 """
 
 import csv
 import io
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
+from math import gcd, prod
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
-from .exactgeom import dot, frac, lattice_points_below
-from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
-from .exactgeom.linalg import _integer_row, smith_diagonal
-from .filtration import (MonomialFiltration, _approx_key, _approx_table, _floor_run_orders,
+from .exactgeom import Cone, dot, frac, lattice_points_below
+from .exactgeom.lattice import _box, _checked_budget, _lattice_runs, _TableCache
+from .exactgeom.linalg import _integer_row, _unimodular_completion, smith_diagonal
+from .filtration import (MonomialFiltration, _approx_key, _approx_table, _floor_runs,
                          _integer_covectors)
 from .invariants import lambda_max_closed, s_closed, vol
 from .singularity import ConeSingularity, _xi
@@ -137,24 +138,47 @@ class _ShellTable(NamedTuple):
     Ns: tuple        # index m: points below level m
     TS0s: tuple      # index m: their reference-order sum
     gammas: tuple    # index m: points at weight <= m
+    W: tuple | None  # runs in level coordinates y, a = W y; None: in a itself
 
 
-def _build_shell_table(wc, xi0, top, budget):
+def _level_frame(wc, xi0):
+    """(cone, xi, W): the weight cone and xi0 = (g / den) p, p primitive, in
+    level coordinates y = U a, U unimodular with first row p and W = U^-1:
+    rays r go to U r, halfspaces h to h W and xi0 to (g / den, 0, ..., 0)."""
+    xs, den = _integer_row(xi0)
+    g = gcd(*xs)
+    U, W = _unimodular_completion([x // g for x in xs])
+    cone = Cone(wc.rank, tuple(tuple(sum(map(mul, u, r)) for u in U) for r in wc.rays),
+                tuple(tuple(sum(map(mul, h, col)) for col in zip(*W)) for h in wc.halfspaces))
+    return cone, (Fraction(g, den),) + (0,) * (wc.rank - 1), tuple(map(tuple, W))
+
+
+@lru_cache(maxsize=64)
+def _level_coordinates(wc, xi0, top):
+    """Whether a sweep below ``top`` takes level coordinates: in rank >= 2, if
+    the slice's bounding box over the prefix coordinates is no larger there."""
+    def prefixes(c, xi):
+        return prod(b - a + 1 for a, b in list(zip(*_box(c, xi, top)))[:-1])
+    return wc.rank > 1 and prefixes(*_level_frame(wc, xi0)[:2]) <= prefixes(wc, xi0)
+
+
+def _build_shell_table(wc, xi0, top, level, budget):
     """Runs, shell slices and counts of the lattice below ``top``.
 
     Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
     residue class of t mod den the floor weight steps by exactly X and the
     test "weight is an integer" does not change, so the counts of a class
     are one +1/-1 pair in a difference array of stride |X|, and its orders
-    land on one strided slice of shells.  When X = 0 the whole run sits in
-    one shell.
+    land on one strided slice of shells (only shells up to top + 1 are
+    stored).  When X = 0, as in level coordinates, a run sits in one shell.
     """
+    wc, xi0, W = _level_frame(wc, xi0) if level else (wc, xi0, None)
     runs = _lattice_runs(wc, xi0, top, budget, True)
     (*xs, X), den = _integer_row(xi0)  # integer weights <xi0 den, a>
     step = abs(X)
-    # Difference arrays: the -1 of a class lands one stride past its last shell.
-    counts = [0] * (top + 1 + step)
-    eq_counts = [0] * (top + 1 + step)
+    # Difference arrays: a class's -1 lands one stride past its last shell.
+    counts = [0] * (top + 2)
+    eq_counts = [0] * (top + 2)
     table = []
     for prefix, lo, hi in runs:
         w0 = sum(map(mul, xs, prefix))
@@ -176,29 +200,31 @@ def _build_shell_table(wc, xi0, top, budget):
             end = fw + step * k
             for diffs in (counts,) if rem else (counts, eq_counts):
                 diffs[fw] += 1
-                diffs[end] -= 1
+                if end <= top + 1:
+                    diffs[end] -= 1
             classes.append((src, slice(fw, end, step)))
         table.append((prefix, lo, hi, tuple(classes)))
-    for r in range(step):  # prefix sums of stride |X| turn differences into counts
+    for r in range(min(step, top + 2)):  # prefix sums of stride |X| turn differences into counts
         counts[r::step] = accumulate(counts[r::step])
         eq_counts[r::step] = accumulate(eq_counts[r::step])
     # Index m of each prefix array aggregates the shells below level m.
     Ns, TS0s = (tuple(accumulate(x, initial=0)) for x in
                 (counts, [fw * c for fw, c in enumerate(counts)]))
     return _ShellTable(runs=tuple(table), flat=not X, top=top, kept=Ns[-1], Ns=Ns, TS0s=TS0s,
-                       gammas=tuple(map(add, Ns, eq_counts + [0])))
+                       gammas=tuple(map(add, Ns, eq_counts + [0])), W=W)
 
 
-# Shell tables, keyed on (weight cone, xi0, top): at most _TABLES of them,
-# holding at most _TABLE_ENTRIES runs and shells together.  A larger table
-# is built for its sweep and dropped after it.
+# Shell tables, keyed on (weight cone, xi0, top, level coordinates): at most
+# _TABLES of them, holding at most _TABLE_ENTRIES runs and shells together.
+# A larger table is built for its sweep and dropped after it.
 _TABLES = 8
 _TABLE_ENTRIES = 1 << 16
 _shell_table = _TableCache(_TABLES, _TABLE_ENTRIES, lambda table: len(table.runs) + table.top)
 
 
-def _table(s, xi0, levels, budget):
-    """The shell table below max(levels) + 1, checked against ``budget``.
+def _table(s, xi0, levels, budget, level=None):
+    """The shell table below max(levels) + 1, checked against ``budget``, in
+    level coordinates if ``level`` (None: if ``_level_coordinates`` says so).
 
     The budget is resolved first (CONESTAB_BUDGET when None; negative is a
     ParseError).  A miss enumerates under it and stores only a complete
@@ -206,7 +232,9 @@ def _table(s, xi0, levels, budget):
     the same BudgetExceeded.
     """
     budget = _checked_budget(budget)
-    key = (s.weight_cone, xi0, levels[-1] + 1)
+    top = levels[-1] + 1
+    level = _level_coordinates(s.weight_cone, xi0, top) if level is None else level
+    key = (s.weight_cone, xi0, top, level)
     table = _shell_table.get(key)
     if table is None:
         table = _shell_table.put(key, _build_shell_table(*key, budget))
@@ -215,20 +243,23 @@ def _table(s, xi0, levels, budget):
     return table
 
 
-def _aggregate(s, table, levels, run_orders):
+def _aggregate(s, table, levels, run_orders, run_stats=None):
     """The per-filtration pass over a shell table.
 
-    ``run_orders(prefix, lo, hi)`` lists the orders along one run; their
-    sums and maxima go onto the table's shell slices, and the per-level rows
+    ``run_orders(prefix, lo, hi)`` lists the orders along one run; they go
+    onto its shell slices, or ``run_stats`` (default: from that list) gives
+    their sum and maximum for a flat table's one shell.  The per-level rows
     read them next to the table's counts.
     """
+    if run_stats is None:
+        run_stats = lambda *run: (sum(os := run_orders(*run)), max(os))
     sums_ord = [0] * (table.top + 1)  # S'_m at the last level needs one extra shell
     maxs = [0] * (table.top + 1)
     if table.flat:
         for prefix, lo, hi, fw in table.runs:
-            os = run_orders(prefix, lo, hi)
-            sums_ord[fw] += sum(os)
-            maxs[fw] = max(maxs[fw], *os)
+            total, top = run_stats(prefix, lo, hi)
+            sums_ord[fw] += total
+            maxs[fw] = max(maxs[fw], top)
     else:
         for prefix, lo, hi, classes in table.runs:
             orders = run_orders(prefix, lo, hi)
@@ -269,7 +300,8 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     built: orders and shells are computed a lattice run at a time.
     """
     xi0, levels = _xi(xi0), _levels(levels)
-    per_level = _aggregate(s, _table(s, xi0, levels, budget), levels, _floor_run_orders(F))
+    table = _table(s, xi0, levels, budget)
+    per_level = _aggregate(s, table, levels, *_floor_runs(F, table.W))
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=_target(s, xi0, F))
 
 
@@ -286,7 +318,7 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     key = _approx_key(F, m_filtration)
     xi0, levels = _xi(xi0), _levels(levels)
     budget = _checked_budget(budget)
-    table = _table(s, xi0, levels, budget)
+    table = _table(s, xi0, levels, budget, level=False)
     ell = s.sigma.interior_point()
     # <ell, .> is linear along a run, so its largest value sits at an end.
     wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)
@@ -335,8 +367,7 @@ class SemigroupSample(NamedTuple):
 def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
                     m: int, t, budget=None) -> SemigroupSample:
     """Lattice points of weight <= m whose order reaches m*t."""
-    if m < 1:
-        raise EmptyInput("levels must be positive integers")
+    _levels([m])
     xi0 = _xi(xi0)
     t = frac(t)
     pts = lattice_points_below(s.weight_cone, xi0, m, strict=False, budget=budget)

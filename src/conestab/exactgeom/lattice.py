@@ -6,11 +6,10 @@ last coordinate fills an exact integer range, so a slice is a list of
 with the first n-2 coordinates fixed, every integer row is linear in
 coordinate n-1, so its bound on the last coordinate along the row is one
 list comprehension over a range.  ``lattice_points_below`` lays the runs
-out as points; the estimator sweeps aggregate each run of the last
-coordinate at once, with strided slice updates, and never build the
-points.  The tables built from runs (the sweeps' shell tables, the
-approximation tables) are cached in a ``_TableCache``, which bounds what
-it keeps by the size of the tables as well as by their number.
+out as points; the estimator sweeps aggregate each run at once and never
+build the points.  The tables built from runs (the sweeps' shell tables,
+the approximation tables) are cached in a ``_TableCache``, which bounds
+what it keeps by the size of the tables as well as by their number.
 """
 
 import os
@@ -85,11 +84,7 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
     m = frac(m)
     budget = _checked_budget(budget)
     n = c.rank
-    # Coordinate bounds come from the vertices of the <= m slice: the origin
-    # and each ray scaled onto the bounding hyperplane.
-    verts = ((0,) * n,) + slice_vertices(c.rays, xi, m)
-    lo = [ceil(min(v[i] for v in verts)) for i in range(n)]
-    hi = [floor(max(v[i] for v in verts)) for i in range(n)]
+    lo, hi = _box(c, xi, m)
     # Rows <g, a> + g0 >= 0: the halfspaces, then <xi D, a> <= m D (- 1 if strict).
     *ixs, im = _integer_row((*xi, m))[0]
     rows = [(h, 0) for h in c.halfspaces]
@@ -128,6 +123,13 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
                 raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
             runs += block
     return runs
+
+
+def _box(c: Cone, xi, m):
+    """(lo, hi), the integer box around the origin and c's rays scaled to <xi, .> = m."""
+    verts = ((0,) * c.rank,) + slice_vertices(c.rays, xi, m)
+    return ([ceil(min(v[i] for v in verts)) for i in range(c.rank)],
+            [floor(max(v[i] for v in verts)) for i in range(c.rank)])
 
 
 class _CacheInfo(NamedTuple):

@@ -27,7 +27,7 @@ raises the same BudgetExceeded as a fresh enumeration.
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -230,31 +230,58 @@ def _integer_covectors(covectors):
     return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
 
 
-def _floor_order(F: MonomialFiltration):
-    """floor(g) of a point, in integer arithmetic."""
+def _envelope(lines, lo, hi):
+    """The lower envelope of the lines c + d t on the integers lo..hi: pieces
+    (t0, t1, c, d), each the least line at t0 (of least slope on a tie) up to
+    where one of smaller slope is no larger, so at most len(lines) pieces."""
+    pieces = []
+    while lo <= hi:
+        c, d = lines[0]
+        for c1, d1 in lines:
+            if c1 + d1 * lo < c + d * lo or c1 + d1 * lo == c + d * lo and d1 < d:
+                c, d = c1, d1
+        end = hi + 1
+        for c1, d1 in lines:  # c1 + d1 t <= c + d t from t = ceil((c1 - c) / (d - d1)) on
+            if d1 < d and -((c - c1) // (d - d1)) < end:
+                end = -((c - c1) // (d - d1))
+        pieces.append((lo, end - 1, c, d))
+        lo = end
+    return pieces
+
+
+def _floor_sum(n, m, a, b):
+    """The sum of (a i + b) // m over i = 0..n-1 (m >= 1), in Euclid-like steps."""
+    total = 0
+    while n:
+        (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        (n, b), m, a = divmod(a * n + b, m), a, m
+    return total
+
+
+def _floor_runs(F: MonomialFiltration, W=None):
+    """(orders, stats) of floor(g) along a run (prefix, lo, hi) of y, a = W y
+    (y = a if W is None): the covectors pair as lines c + d t, g is their
+    ``_envelope``, ``orders`` lists floor(g) over t = lo..hi and ``stats``
+    gives its sum (floor sums per piece) and maximum (at a piece end)."""
     zs, den = _integer_covectors(F.covectors)
-    return lambda a: min(sum(map(mul, z, a)) for z in zs) // den
-
-
-def _floor_run_orders(F: MonomialFiltration):
-    """floor(g) along a lattice run: (prefix, lo, hi) -> the list over t = lo..hi.
-
-    Each covector's pairing with prefix + (t,) steps by its last entry d
-    as t grows, so its column is a range (a repeat when d is 0); the
-    elementwise min of the columns, floor-divided by den, is floor(g).
-    """
-    zs, den = _integer_covectors(F.covectors)
+    zs = [tuple(sum(map(mul, z, col)) for col in zip(*W)) for z in zs] if W else zs
     heads = [(z[:-1], z[-1]) for z in zs]
 
+    def pieces(prefix, lo, hi):
+        return _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads], lo, hi)
+
     def orders(prefix, lo, hi):
-        k = hi - lo + 1
-        cols = []
-        for z, d in heads:
-            c = sum(map(mul, z, prefix)) + d * lo
-            cols.append(range(c, c + d * k, d) if d else repeat(c, k))
-        g = cols[0] if len(cols) == 1 else map(min, *cols)
-        return list(g if den == 1 else map(floordiv, g, repeat(den)))
-    return orders
+        return [(c + d * t) // den for t0, t1, c, d in pieces(prefix, lo, hi)
+                for t in range(t0, t1 + 1)]
+
+    def stats(prefix, lo, hi):
+        total, ends = 0, []
+        for t0, t1, c, d in pieces(prefix, lo, hi):
+            total += _floor_sum(t1 - t0 + 1, den, d, c + d * t0)
+            ends += c + d * t0, c + d * t1
+        return total, max(ends) // den
+    return orders, stats
 
 
 def _approx_key(F: MonomialFiltration, m):
@@ -327,19 +354,19 @@ def _coder(n, bound):
 def approx_orders(F: MonomialFiltration, m: int, pts) -> dict:
     """Order of every point of pts under the degree-m approximating filtration.
 
-    pts must be down-closed in the weight cone: with p it holds every
-    lattice q with p - q in the cone.  The order of p is its best
+    pts, int tuples, must be down-closed in the weight cone: with p it holds
+    every lattice q with p - q in the cone.  The order of p is its best
     decomposition into nonzero lattice blocks, each worth
     v = min(floor(g), m), computed by the block DP of ``_block_dp`` in
     O(points x kept blocks) integer steps.
     """
     pts = list(pts)
     ell = F.ambient.sigma.interior_point()
-    order = _floor_order(F)
+    orders, _ = _floor_runs(F)
     code, _ = _coder(F.ambient.rank, max((abs(x) for p in pts for x in p), default=0))
     codes = list(map(code, pts))
     _, best = _block_dp(m, codes, [sum(map(mul, ell, p)) for p in pts],
-                        [min(order(p), m) for p in pts])
+                        [min(*orders(p[:-1], p[-1], p[-1]), m) for p in pts])
     return dict(zip(pts, map(best.__getitem__, codes)))
 
 
@@ -361,7 +388,7 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
     """The table of F at level m below ``window``, enumerated under ``budget``.
 
     Along a lattice run the codes and weights are ranges and the block
-    values come from ``_floor_run_orders``; one ``_block_dp`` gives the
+    values come from ``_floor_runs``; one ``_block_dp`` gives the
     blocks and the order of every point, which are stored per run.
     """
     s = F.ambient
@@ -370,7 +397,7 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
     runs = _lattice_runs(s.weight_cone, ell, window, budget, False)
     code, decode = _coder(s.rank, max((max(map(abs, (*p, lo, hi))) for p, lo, hi in runs),
                                       default=0))
-    floor_orders = _floor_run_orders(F)
+    floor_orders, _ = _floor_runs(F)
     codes, weights, values, spans = [], [], [], []
     for prefix, lo, hi in runs:
         c0, w0 = code((*prefix, 0)), sum(map(mul, head, prefix))

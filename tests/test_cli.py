@@ -232,21 +232,24 @@ def test_lone_level_range_stays_a_range():
 def test_long_level_range_stops_on_lattice_budget_in_little_memory(doc_path):
     # 1..2000000 is shorter than the default budget of 10^7 levels, so it
     # parses; the sweep's lattice budget must stop it before two million
-    # levels are listed, which once took 204 MB.  ru_maxrss is in kB on Linux.
-    code = ("import resource, sys\n"
+    # levels are listed, which once took 204 MB.  The child reports the
+    # tracemalloc peak of main() itself: a forked child's ru_maxrss starts at
+    # the resident set of its parent, so it would measure the test process.
+    code = ("import sys, tracemalloc\n"
             "from conestab.cli import main\n"
+            "tracemalloc.start()\n"
             "code = main(sys.argv[1:])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "print(code, tracemalloc.get_traced_memory()[1])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "CONESTAB_BUDGET"}
     env["PYTHONPATH"] = src
     proc = subprocess.run([sys.executable, "-c", code, "estimate", doc_path(C2_DOC),
                            "--filtration", "FEX", "--levels", "1..2000000"],
                           env=env, capture_output=True, text=True, timeout=120)
-    exit_code, maxrss = proc.stdout.split()
+    exit_code, peak = proc.stdout.split()
     assert exit_code == str(EXIT_BUDGET)
     assert proc.stderr == "error: lattice enumeration exceeded budget 10000000\n"
-    assert int(maxrss) < 100 * 1024
+    assert int(peak) < 16 * 2 ** 20  # a list of two million levels takes 76 MB
 
 
 @pytest.mark.parametrize("argv, where", [

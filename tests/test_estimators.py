@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -5,6 +6,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import floor, lcm
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -27,7 +29,8 @@ from conestab.estimators import (
     sweep,
     sweep_approx,
 )
-from conestab.exactgeom import dot, lattice_points_below
+from conestab.exactgeom import dot, lattice_points_below, vec
+from conestab.exactgeom.lattice import _box
 from conestab.exactgeom.linalg import det
 from conestab.filtration import approx_ord, approx_orders, monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
@@ -186,6 +189,13 @@ def test_gamma_semigroup_examples(c2, fex):
     assert sorted(gf.points) == [(0, 2), (1, 1), (2, 0)]
     assert gamma_semigroup(c2, (1, 1), fex, 4, 2).points == []  # t above the top slope
     assert gs.cloud[1] == (0, F(1, 2))
+
+
+def test_gamma_semigroup_validates_m(c2, fex):
+    for bad in (0, -1, True, False, "3", 2.0, F(2)):
+        with pytest.raises(EmptyInput, match="^levels must be positive integers$"):
+            gamma_semigroup(c2, (1, 1), fex, bad, 1)
+    assert gamma_semigroup(c2, (1, 1), fex, 2, 1).m == 2
 
 
 def test_gamma_semigroup_verifiers(c2, fex):
@@ -372,14 +382,15 @@ def _filtrations(draw, s):
 
 
 @st.composite
-def _sweep_cases(draw):
-    """A cone around an integer direction v, xi0 = q v, and rational covectors.
+def _sweep_cases(draw, ranks=(2, 3)):
+    """A cone of one of the ``ranks`` around an integer direction v, xi0 = q v,
+    and rational covectors.
 
     The rays are k v + w_i for deviations w_i summing to zero, so v is
     interior; v's last coordinate takes each sign, and q = a / b makes the
     denominator of xi0 exceed 1 whenever b does not divide a.
     """
-    rank = draw(st.sampled_from([2, 3]))
+    rank = draw(st.sampled_from(ranks))
     sign = draw(st.sampled_from([-1, 0, 1]))
     small = st.integers(-2, 2)
     v = [draw(small) for _ in range(rank - 1)] + [sign * draw(st.integers(1, 2))]
@@ -399,7 +410,7 @@ def _sweep_cases(draw):
     q = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
     xi0 = tuple(q * x for x in v)
     G = draw(_filtrations(s))
-    levels = draw(st.lists(st.integers(1, 8 if rank == 2 else 5), min_size=1, max_size=4))
+    levels = draw(st.lists(st.integers(1, {2: 8, 3: 5, 4: 4}[rank]), min_size=1, max_size=4))
     event(f"{len(rays)} rays in rank {rank}, xi0 last sign {sign}")
     event(f"den(xi0) > 1: {any(x.denominator > 1 for x in xi0)}")
     return s, xi0, G, levels, draw(st.integers(1, 3)), 400
@@ -476,6 +487,124 @@ def _rank_one_cases(draw):
     return s, xi0, draw(_filtrations(s)), levels, draw(st.integers(1, 3)), 400
 
 
+_RANK4 = from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)])
+_G4 = monomial_filtration(_RANK4, [(3, 2, 2, 2), (2, F(5, 2), 3, 2), (F(5, 2), 2, 2, 3)])
+_BOUNDARY = monomial_filtration(_Z3_LOW, [(3, -1), (1, 0)], require_primary=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(1, 4).flatmap(
+    lambda rank: _rank_one_cases() if rank == 1 else _sweep_cases(ranks=(rank,))),
+    level=st.booleans())
+@example(case=(_RANK4, (1, 1, 1, 1), _G4, [5, 12], 2, None), level=True)
+@example(case=(_RANK4, (1, 1, 1, 1), _G4, [5, 12], 2, None), level=False)
+@example(case=(_RANK4, (F(3, 2), 2, F(5, 3), 1), _G4, [3, 12], 2, None), level=True)
+@example(case=(_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, [7, 40], 2, None), level=True)
+@example(case=(_WEDGE, (1, 0), monomial_filtration(_WEDGE, [(3, 1), (F(5, 2), F(-1, 2))]),
+               [7, 30], 2, None), level=True)
+@example(case=(from_rays([(-1,)]), (F(-4, 3),), monomial_filtration(
+    from_rays([(-1,)]), [(F(-5, 2),)]), [29], 2, None), level=True)
+def test_sweep_in_either_coordinates_matches_per_point_reference(case, level):
+    # The coordinate choice is forced, in ranks 1-4: level coordinates put
+    # every run of rank >= 2 in one shell, where the closed forms give its
+    # sums and maxima; rank 1 in level coordinates crosses shells.
+    s, xi0, G, levels, _, budget = case
+    estimators._shell_table.cache_clear()
+    with mock.patch.object(estimators, "_level_coordinates", lambda *key: level):
+        try:
+            ref = _reference_sweep(s, xi0, G, levels, budget)
+        except BudgetExceeded:
+            event("budget exceeded")
+            with pytest.raises(BudgetExceeded):
+                sweep(s, xi0, G, levels, budget=budget)
+            return
+        full = sweep(s, xi0, G, levels, budget=budget)
+        table = estimators._table(s, vec(xi0), sorted(set(levels)), budget)
+    assert estimators._shell_table.cache_info().hits == 1  # the table the sweep built
+    assert (table.W is not None) == level
+    assert table.flat or s.rank == 1 or not level
+    got = estimators.EstimatorSweep(levels=full.levels, per_level=full.per_level)
+    assert got.to_json() == _reference_json(ref)
+    event(f"rank {s.rank}, level coordinates {level}")
+
+
+# sha256 of to_json() for sweep and sweep_approx(m_filtration=2), recorded
+# before the sweeps moved to level coordinates; the first case takes level
+# coordinates, the others the original ones.
+_PINNED_SWEEPS = [
+    (_RANK4, (1, 1, 1, 1), _G4, range(1, 13),
+     "0c38a7ea72f807759d4533cac007bc4e339386b816ac102c35412792e13c2d3c",
+     "f3c5670a81f75182b7bc743ca965b7f35382e95817b88bdba5b53fe26ee70890"),
+    (_RANK4, (F(3, 2), 2, F(5, 3), 1), _G4, range(1, 13),
+     "2c859f4e4d57f48de33324d34ff09b83f745126d1497cab5fe151a8c774dec55",
+     "7b72fe223801143d60c5583eab2ba2988cdcb9d9af42f0093a52290f7f341612"),
+    (_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, range(1, 41),
+     "1194a1f50fab64fe1354651ab5cc6e0b80b0ed349570d585c3d55844112e0fcd",
+     "1e94d091f8237b33150e317c99df5428778076b38ae926dd8a5755880ec10feb"),
+    (_Z3_LOW, (2, -1), _BOUNDARY, range(1, 41),
+     "c0d8c187682249be52b43dd389acead2a728e2b7a08d0101cb644c36b40b0807",
+     "b8d09e0f1ecc7ac0ebcd43fe9a94ecb6c0748ce5cd146f61d726506a354e8ba7"),
+    (from_rays([[1]]), (F(3, 2),), monomial_filtration(from_rays([[1]]), [(F(7, 3),)]),
+     range(1, 31),
+     "a87d678195608388ffae9d2ce6eeb3d9217b7e2a9237fa3c002b364fc0b24e42",
+     "c0c2a1fd8cc0242e649ac61de46ab712600cba1ac4310b46ffdddaf8a8fbdcc7"),
+]
+
+
+@pytest.mark.parametrize("s, xi0, G, levels, plain, approx", _PINNED_SWEEPS,
+                         ids=["rank4-level", "rank4-original", "boundary-a", "boundary-b",
+                              "line"])
+def test_sweep_digests_pinned(s, xi0, G, levels, plain, approx):
+    assert estimators._level_coordinates(s.weight_cone, vec(xi0), levels[-1] + 1) \
+        == (xi0 == (1, 1, 1, 1))
+    assert hashlib.sha256(sweep(s, xi0, G, levels).to_json().encode()).hexdigest() == plain
+    assert hashlib.sha256(
+        sweep_approx(s, xi0, G, 2, levels).to_json().encode()).hexdigest() == approx
+
+
+def test_shell_table_work_is_bounded_by_the_points(c2, fex):
+    # At xi0 = (1, 10000019/1000000) the integer weight steps by
+    # X = 10000019 along a run of the last coordinate; the table stores only
+    # the shells up to the top, so ten points take kilobytes, not a
+    # difference array of |X| entries.  Level coordinates would scan a
+    # prefix box of 11000001 levels, so the original ones are chosen.
+    xi0 = (1, F(10000019, 10 ** 6))
+    estimators._shell_table.cache_clear()
+    tracemalloc.start()
+    try:
+        sw = sweep(c2, xi0, fex, [5, 10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    assert not estimators._level_coordinates(c2.weight_cone, vec(xi0), 11)
+    assert sw.row(10).N_m == 10
+    got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
+    assert got.to_json() == _reference_json(_reference_sweep(c2, xi0, fex, [5, 10], None))
+
+
+def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
+    # xi0 = (1, 1234567/10^6) below level 150: level coordinates would scan
+    # 150000001 prefixes against 151, so the table is built on the exponents.
+    xi0 = (1, F(1234567, 10 ** 6))
+    built = []
+
+    def counted(*args):
+        built.append(args[0].rays)
+        return lattice_runs(*args)
+    lattice_runs = estimators._lattice_runs
+    monkeypatch.setattr(estimators, "_lattice_runs", counted)
+    estimators._shell_table.cache_clear()
+    cone, xi, _ = estimators._level_frame(c2.weight_cone, vec(xi0))
+    for c, x, prefixes in ((cone, xi, 150000001), (c2.weight_cone, xi0, 151)):
+        lo, hi = _box(c, x, 150)
+        assert hi[0] - lo[0] + 1 == prefixes
+    sw = sweep(c2, xi0, fex, range(1, 150))
+    assert built == [c2.weight_cone.rays]
+    got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
+    assert got.to_json() == _reference_json(_reference_sweep(c2, xi0, fex, range(1, 150), None))
+
+
 def _json_or_error(call):
     try:
         return call().to_json()
@@ -503,41 +632,49 @@ def test_second_filtration_on_a_table_matches_a_cold_sweep(pair):
     # F0 warms the table of (weight cone, xi0, top) under the default
     # budget; the sweeps of G then read it (and check it against their own
     # budget) and must print what they print from a cold cache.
+    # sweep_approx reads the original-coordinate table, which sweep may
+    # not build, so each kind of sweep warms its own.
     s, xi0, G, levels, m_filt, budget, F0 = pair
     table = estimators._shell_table
-    for call in (lambda H: sweep(s, xi0, H, levels, budget=budget),
-                 lambda H: sweep_approx(s, xi0, H, m_filt, levels, budget=budget)):
+    for call in (lambda H, b: sweep(s, xi0, H, levels, budget=b),
+                 lambda H, b: sweep_approx(s, xi0, H, m_filt, levels, budget=b)):
         table.cache_clear()
-        cold = _json_or_error(lambda: call(G))
+        cold = _json_or_error(lambda: call(G, budget))
         table.cache_clear()
-        sweep(s, xi0, F0, levels)
-        warm = _json_or_error(lambda: call(G))
+        call(F0, None)
+        warm = _json_or_error(lambda: call(G, budget))
         assert warm == cold
         assert (table.cache_info().hits, table.cache_info().misses) == (1, 1)
         event("budget exceeded" if cold.startswith("lattice") else "swept")
 
 
 def test_sweeps_of_one_key_share_one_table(c2, fex, monkeypatch):
-    # sweep, sweep_approx and bj_bound_check on one (weight cone, xi0, top)
-    # enumerate the lattice once; a new top is a new table.
+    # sweep and bj_bound_check on one (weight cone, xi0, top) enumerate the
+    # lattice once, in level coordinates (C^2 at (1, 1): the prefix boxes
+    # are equal), and sweep_approx once more in the original ones; a second
+    # sweep_approx and a new top are a hit and a new table.
     calls = []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append((args[0].rays, args[2]))
         return lattice_runs(*args)
     lattice_runs = estimators._lattice_runs
     monkeypatch.setattr(estimators, "_lattice_runs", counted)
     estimators._shell_table.cache_clear()
     G = monomial_filtration(c2, [(1, 3), (2, 1)])
+    level_rays = estimators._level_frame(c2.weight_cone, (1, 1))[0].rays
+    assert level_rays != c2.weight_cone.rays
     sweep(c2, (1, 1), fex, range(1, 21))
     sweep(c2, (1, 1), G, [3, 20])
     sweep_approx(c2, (1, 1), G, 2, range(1, 21))
     assert bj_bound_check(c2, (1, 1), G, 10, 1, levels=range(1, 21))
+    sweep_approx(c2, (1, 1), fex, 3, [20])
     info = estimators._shell_table.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
-    assert calls == [21]
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+    assert calls == [(level_rays, 21), (c2.weight_cone.rays, 21)]
     sweep(c2, (1, 1), G, [3, 19])
-    assert estimators._shell_table.cache_info().misses == 2 and calls == [21, 20]
+    assert estimators._shell_table.cache_info().misses == 3
+    assert calls[2:] == [(level_rays, 20)]
 
 
 def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
@@ -548,6 +685,7 @@ def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
     G = monomial_filtration(c2, [(1, 3)])
     estimators._shell_table.cache_clear()
     cold = sweep(c2, (1, 1), G, levels).to_json()
+    sweep_approx(c2, (1, 1), fex, 2, levels)  # the original-coordinate table
     sweep(c2, (1, 1), fex, levels)
     monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {kept - 1}$"):
@@ -564,7 +702,7 @@ def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
     with pytest.raises(ParseError, match="^CONESTAB_BUDGET: budget must be nonnegative, got -3$"):
         sweep(c2, (1, 1), G, levels)
     info = estimators._shell_table.cache_info()
-    assert (info.hits, info.misses) == (5, 1)
+    assert (info.hits, info.misses) == (5, 2)
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conestab.errors import (
@@ -33,6 +33,7 @@ from conestab.exactgeom import (
 from conestab.exactgeom.linalg import (
     _integer_rows,
     _row_reduce,
+    _unimodular_completion,
     det,
     mat_rank,
     nullspace,
@@ -377,6 +378,25 @@ def test_smith_diagonal_literal_cases():
 @given(a=_int_matrices())
 def test_smith_diagonal_matches_determinantal_divisors(a):
     assert smith_diagonal(a) == _determinantal_factors(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda p: gcd(*p) == 1))
+@example(p=[-1])
+@example(p=[0, 0, -1])
+@example(p=[0, -4, 0, 7, 0])
+@example(p=[6, 10, 15])
+@example(p=[1000000, 1234567])
+def test_unimodular_completion_inverts_with_first_row_p(p):
+    # Integer U and W with U W = I and U's first row p, for primitive p with
+    # zero and negative entries; W then has determinant +-1 as well.
+    n = len(p)
+    U, W = _unimodular_completion(p)
+    assert all(type(x) is int for row in U + W for x in row)
+    assert U[0] == p
+    assert [[sum(U[i][k] * W[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert abs(det(W)) == 1
 
 
 def _minor_rank(a):

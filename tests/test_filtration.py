@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 from operator import le, mul, sub
 
 import pytest
@@ -18,7 +18,9 @@ from conestab.errors import (
 )
 from conestab import estimators, filtration
 from conestab.estimators import sweep_approx
-from conestab.exactgeom import dot, enumerate_vertices, lattice_points_below, slice_vertices
+from conestab.exactgeom import (PLConcave, dot, enumerate_vertices, lattice_points_below,
+                                slice_vertices)
+from conestab.exactgeom.linalg import _unimodular_completion
 from conestab.filtration import (
     approx_ord,
     approx_orders,
@@ -363,7 +365,8 @@ def test_approx_ord_names_a_rational_exponent(c2, fex):
 # each call enumerates its own window and runs its own block scan.
 
 def _old_blocks(F_, m, pts):
-    order = filtration._floor_order(F_)
+    def order(gamma):
+        return floor(F_.ord(gamma))
     ell = F_.ambient.sigma.interior_point()
     hs = F_.ambient.weight_cone.halfspaces
     cons = sorted(((gamma, v) for gamma in pts if (v := min(order(gamma), m)) >= 1),
@@ -426,7 +429,7 @@ def _old_approximant(F_, m, budget=None):
 
 def _old_sweep_approx(s, xi0, F_, m, levels, budget=None):
     levels = sorted(set(levels))
-    table = estimators._table(s, xi0, levels, budget)
+    table = estimators._table(s, xi0, levels, budget, level=False)  # runs keyed on exponents
     ell = s.sigma.interior_point()
     pts = lattice_points_below(s.weight_cone, xi0, levels[-1] + 1, budget=budget)
     window = lattice_points_below(s.weight_cone, ell, max(dot(ell, p) for p in pts),
@@ -544,3 +547,65 @@ def test_one_key_builds_one_table(c2, fex, monkeypatch):
     approx_ord(G, 1, (30, 0))  # a larger window replaces the table
     assert builds == [20, 30]
     assert approximant(fex, 3) == fex and builds == [20, 30, 6]
+
+
+# ---------------------------------------------------------------------------
+# Closed forms along a lattice run: the lower envelope of the covector lines
+# and the floor sums over its pieces, against brute force.
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 40), m=st.integers(1, 12), a=st.integers(-60, 60),
+       b=st.integers(-200, 200))
+def test_floor_sum_matches_brute_force(n, m, a, b):
+    assert filtration._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+_LINES = st.lists(st.tuples(st.integers(-30, 30), st.integers(-6, 6)), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_LINES, lo=st.integers(-20, 20), length=st.integers(1, 40))
+def test_envelope_pieces_are_the_least_line(lines, lo, length):
+    # Consecutive nonempty pieces cover lo..hi, at most one per line, and
+    # on each the piece's line takes the minimum of all lines.
+    hi = lo + length - 1
+    pieces = filtration._envelope(lines, lo, hi)
+    assert len(pieces) <= len(lines)
+    assert pieces[0][0] == lo and pieces[-1][1] == hi
+    assert all(a[1] + 1 == b[0] for a, b in zip(pieces, pieces[1:]))
+    for t0, t1, c, d in pieces:
+        assert t0 <= t1 and (c, d) in lines
+        assert all(c + d * t == min(c2 + d2 * t for c2, d2 in lines) for t in range(t0, t1 + 1))
+
+
+@st.composite
+def _run_cases(draw):
+    """A rank-2 or rank-3 filtration with covectors of denominator up to 3,
+    a coordinate change W (None, or the inverse of a completion of a
+    primitive vector) and a run (prefix, lo, hi)."""
+    n = draw(st.integers(2, 3))
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    covs = draw(st.lists(st.tuples(*[coef] * n), min_size=1, max_size=4))
+    F_ = filtration.MonomialFiltration(ambient=None, transform=PLConcave(covectors=tuple(covs)))
+    W = None
+    if draw(st.booleans()):
+        p = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(
+            lambda p: gcd(*p) == 1))
+        W = _unimodular_completion(p)[1]
+    prefix = tuple(draw(st.integers(-8, 8)) for _ in range(n - 1))
+    lo = draw(st.integers(-15, 15))
+    return F_, W, prefix, lo, lo + draw(st.integers(0, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_run_cases())
+def test_run_orders_and_stats_match_per_point_floor(case):
+    # orders lists floor(g(a)) at a = W y along the run, and stats gives its
+    # sum and maximum from the envelope's pieces alone.
+    F_, W, prefix, lo, hi = case
+    orders, stats = filtration._floor_runs(F_, W)
+    W = W or [[int(i == j) for j in range(len(prefix) + 1)] for i in range(len(prefix) + 1)]
+    brute = [floor(F_.ord(tuple(sum(map(mul, row, prefix + (t,))) for row in W)))
+             for t in range(lo, hi + 1)]
+    assert orders(prefix, lo, hi) == brute
+    assert stats(prefix, lo, hi) == (sum(brute), max(brute))
