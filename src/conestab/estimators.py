@@ -31,13 +31,12 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
-from .exactgeom import Cone, dot, frac, lattice_points_below
+from .exactgeom import Cone, frac, lattice_points_below
 from .exactgeom.lattice import _box, _checked_budget, _lattice_runs, _TableCache
-from .exactgeom.linalg import _integer_row, _unimodular_completion, smith_diagonal
-from .filtration import (MonomialFiltration, _approx_key, _approx_table, _floor_runs,
-                         _integer_covectors)
-from .invariants import lambda_max_closed, s_closed, vol
-from .singularity import ConeSingularity, _xi
+from .exactgeom.linalg import _unimodular_completion, smith_diagonal
+from .filtration import MonomialFiltration, _approx_key, _approx_table, _floor_runs
+from .invariants import _lambda_max_cached, _s_closed_cached, _vol_cached
+from .singularity import ConeSingularity, _xi_row
 
 CSV_HEADER = ["m", "N_m", "TS_m", "S_m", "Sp_m", "Spp_m", "lammax_m"]
 
@@ -141,28 +140,27 @@ class _ShellTable(NamedTuple):
     W: tuple | None  # runs in level coordinates y, a = W y; None: in a itself
 
 
-def _level_frame(wc, xi0):
-    """(cone, xi, W): the weight cone and xi0 = (g / den) p, p primitive, in
-    level coordinates y = U a, U unimodular with first row p and W = U^-1:
-    rays r go to U r, halfspaces h to h W and xi0 to (g / den, 0, ..., 0)."""
-    xs, den = _integer_row(xi0)
+def _level_frame(wc, xs):
+    """(cone, x, W): the weight cone and the integer row xs = g p of xi0, p
+    primitive, in level coordinates y = U a, U unimodular with first row p
+    and W = U^-1: rays r go to U r, halfspaces h to h W, xs to (g, 0, ...)."""
     g = gcd(*xs)
     U, W = _unimodular_completion([x // g for x in xs])
     cone = Cone(wc.rank, tuple(tuple(sum(map(mul, u, r)) for u in U) for r in wc.rays),
                 tuple(tuple(sum(map(mul, h, col)) for col in zip(*W)) for h in wc.halfspaces))
-    return cone, (Fraction(g, den),) + (0,) * (wc.rank - 1), tuple(map(tuple, W))
+    return cone, (g,) + (0,) * (wc.rank - 1), tuple(map(tuple, W))
 
 
 @lru_cache(maxsize=64)
-def _level_coordinates(wc, xi0, top):
-    """Whether a sweep below ``top`` takes level coordinates: in rank >= 2, if
-    the slice's bounding box over the prefix coordinates is no larger there."""
-    def prefixes(c, xi):
-        return prod(b - a + 1 for a, b in list(zip(*_box(c, xi, top)))[:-1])
-    return wc.rank > 1 and prefixes(*_level_frame(wc, xi0)[:2]) <= prefixes(wc, xi0)
+def _level_coordinates(wc, xs, den, top):
+    """Whether a sweep of xs / den below ``top`` takes level coordinates: in
+    rank >= 2, if the slice's bounding box over the prefix ones is no larger."""
+    def prefixes(c, x):
+        return prod(b - a + 1 for a, b in list(zip(*_box(c, x, top * den)))[:-1])
+    return wc.rank > 1 and prefixes(*_level_frame(wc, xs)[:2]) <= prefixes(wc, xs)
 
 
-def _build_shell_table(wc, xi0, top, level, budget):
+def _build_shell_table(wc, xs, den, top, level, budget):
     """Runs, shell slices and counts of the lattice below ``top``.
 
     Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
@@ -172,9 +170,9 @@ def _build_shell_table(wc, xi0, top, level, budget):
     land on one strided slice of shells (only shells up to top + 1 are
     stored).  When X = 0, as in level coordinates, a run sits in one shell.
     """
-    wc, xi0, W = _level_frame(wc, xi0) if level else (wc, xi0, None)
-    runs = _lattice_runs(wc, xi0, top, budget, True)
-    (*xs, X), den = _integer_row(xi0)  # integer weights <xi0 den, a>
+    wc, xs, W = _level_frame(wc, xs) if level else (wc, xs, None)
+    runs = _lattice_runs(wc, xs, top * den, budget, True)
+    *xs, X = xs  # integer weights <xi0 den, a>
     step = abs(X)
     # Difference arrays: a class's -1 lands one stride past its last shell.
     counts = [0] * (top + 2)
@@ -214,7 +212,7 @@ def _build_shell_table(wc, xi0, top, level, budget):
                        gammas=tuple(map(add, Ns, eq_counts + [0])), W=W)
 
 
-# Shell tables, keyed on (weight cone, xi0, top, level coordinates): at most
+# Shell tables, keyed on (weight cone, x, L, top, level coordinates): at most
 # _TABLES of them, holding at most _TABLE_ENTRIES runs and shells together.
 # A larger table is built for its sweep and dropped after it.
 _TABLES = 8
@@ -222,9 +220,10 @@ _TABLE_ENTRIES = 1 << 16
 _shell_table = _TableCache(_TABLES, _TABLE_ENTRIES, lambda table: len(table.runs) + table.top)
 
 
-def _table(s, xi0, levels, budget, level=None):
-    """The shell table below max(levels) + 1, checked against ``budget``, in
-    level coordinates if ``level`` (None: if ``_level_coordinates`` says so).
+def _table(s, x, L, levels, budget, level=None):
+    """The shell table of xi0 = x / L below max(levels) + 1, checked against
+    ``budget``, in level coordinates if ``level`` (None: if
+    ``_level_coordinates`` says so).
 
     The budget is resolved first (CONESTAB_BUDGET when None; negative is a
     ParseError).  A miss enumerates under it and stores only a complete
@@ -233,8 +232,8 @@ def _table(s, xi0, levels, budget, level=None):
     """
     budget = _checked_budget(budget)
     top = levels[-1] + 1
-    level = _level_coordinates(s.weight_cone, xi0, top) if level is None else level
-    key = (s.weight_cone, xi0, top, level)
+    level = _level_coordinates(s.weight_cone, x, L, top) if level is None else level
+    key = (s.weight_cone, x, L, top, level)
     table = _shell_table.get(key)
     if table is None:
         table = _shell_table.put(key, _build_shell_table(*key, budget))
@@ -284,10 +283,11 @@ def _aggregate(s, table, levels, run_orders, run_stats=None):
     return per_level
 
 
-def _target(s, xi0, F):
-    """The closed forms a sweep's statistics converge to."""
-    return {"S": s_closed(s, xi0, F), "lambda_max": lambda_max_closed(s, xi0, F),
-            "vol": vol(s, xi0)}
+def _target(s, x, L, F):
+    """The closed forms a sweep's statistics converge to, at xi0 = x / L."""
+    key = (s.weight_cone, x, L, F.transform.rows, F.transform.den)
+    return {"S": _s_closed_cached(*key), "lambda_max": _lambda_max_cached(*key),
+            "vol": _vol_cached(s.weight_cone, x, L)}
 
 
 def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
@@ -299,10 +299,10 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     floor(g), which leaves the S-limit unchanged.  The points are never
     built: orders and shells are computed a lattice run at a time.
     """
-    xi0, levels = _xi(xi0), _levels(levels)
-    table = _table(s, xi0, levels, budget)
+    (x, L), levels = _xi_row(xi0, s.rank), _levels(levels)
+    table = _table(s, x, L, levels, budget)
     per_level = _aggregate(s, table, levels, *_floor_runs(F, table.W))
-    return EstimatorSweep(levels=list(levels), per_level=per_level, target=_target(s, xi0, F))
+    return EstimatorSweep(levels=list(levels), per_level=per_level, target=_target(s, x, L, F))
 
 
 def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
@@ -316,9 +316,9 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     degree.
     """
     key = _approx_key(F, m_filtration)
-    xi0, levels = _xi(xi0), _levels(levels)
+    (x, L), levels = _xi_row(xi0, s.rank), _levels(levels)
     budget = _checked_budget(budget)
-    table = _table(s, xi0, levels, budget, level=False)
+    table = _table(s, x, L, levels, budget, level=False)
     ell = s.sigma.interior_point()
     # <ell, .> is linear along a run, so its largest value sits at an end.
     wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)
@@ -329,7 +329,7 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
         start, orders = runs[prefix]
         return orders[lo - start:hi - start + 1]
     per_level = _aggregate(s, table, levels, run_orders)
-    target = {**_target(s, xi0, F), "m_filtration": Fraction(m_filtration)}
+    target = {**_target(s, x, L, F), "m_filtration": Fraction(m_filtration)}
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 
 
@@ -343,18 +343,18 @@ class SemigroupSample(NamedTuple):
 
     def verify_origin_level(self, s, xi0) -> bool:
         """Level zero of the graded semigroup holds only the origin."""
-        xi0 = _xi(xi0)
-        zero_level = lattice_points_below(s.weight_cone, xi0, 0, strict=False)
+        zero_level = lattice_points_below(s.weight_cone, _xi_row(xi0, s.rank)[0], 0,
+                                          strict=False)
         return zero_level == [tuple(0 for _ in range(s.rank))]
 
     def verify_closure(self, s, xi0, F, limit=200) -> bool:
         """Sampled additive closure: sums of members land in the level-2m slice."""
-        xi0 = _xi(xi0)
+        x, L = _xi_row(xi0, s.rank)
         checked = 0
         for i, p in enumerate(self.points):
             for q in self.points[i:]:
                 total = tuple(a + b for a, b in zip(p, q))
-                if dot(xi0, total) > 2 * self.m:
+                if sum(map(mul, x, total)) > 2 * self.m * L:
                     return False
                 if F.ord(total) < 2 * self.m * self.t:
                     return False
@@ -368,11 +368,11 @@ def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
                     m: int, t, budget=None) -> SemigroupSample:
     """Lattice points of weight <= m whose order reaches m*t."""
     _levels([m])
-    xi0 = _xi(xi0)
+    x, L = _xi_row(xi0, s.rank)
     t = frac(t)
-    pts = lattice_points_below(s.weight_cone, xi0, m, strict=False, budget=budget)
+    pts = lattice_points_below(s.weight_cone, x, m * L, strict=False, budget=budget)
     # g(p) >= m t in integers: g = min_j <zs_j, .> / den and t = tn / td.
-    zs, den = _integer_covectors(F.covectors)
+    zs, den = F.transform.rows, F.transform.den
     td, bound = t.denominator, den * m * t.numerator
     keep = [p for p in pts if min(sum(map(mul, z, p)) for z in zs) * td >= bound]
     cloud = [tuple(Fraction(x, m) for x in p) for p in keep]
@@ -418,14 +418,14 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     cone; and the vertex-order bound ord_m(x^a) >= r0 * ell(a) with the
     certified constant r0 = 1 / max generator weight.
     """
-    xi0 = _xi(xi0)
+    x, L = _xi_row(xi0, s.rank)  # <xi0, .> = <x, .> / L
     wc = s.weight_cone
     for r in wc.rays:
-        if dot(xi0, r) <= 0:
+        if sum(map(mul, x, r)) <= 0:
             raise LatticeNotGenerated("grading functional vanishes on the weight cone")
     # Generators inside the zonotope bound of Gordan's lemma.
-    bound = sum(dot(xi0, r) for r in wc.rays)
-    pts = lattice_points_below(wc, xi0, bound, strict=False)
+    bound = sum(sum(map(mul, x, r)) for r in wc.rays)
+    pts = lattice_points_below(wc, x, bound, strict=False)
     nonzero = [p for p in pts if any(x != 0 for x in p)]
     members = set(nonzero)
     # Irreducible: p - q is not a nonzero member for any nonzero member q.
@@ -434,7 +434,6 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     if diag != [1] * s.rank:
         raise LatticeNotGenerated(
             f"weight semigroup generates a proper sublattice (SNF {diag})")
-    wmax = max(dot(xi0, g) for g in gens)
-    r0 = Fraction(1) / wmax
-    return GoodValuationReport(ok=True, r0=r0, ell=tuple(xi0),
+    r0 = Fraction(L, max(sum(map(mul, x, g)) for g in gens))
+    return GoodValuationReport(ok=True, r0=r0, ell=tuple(Fraction(a, L) for a in x),
                                generators=sorted(gens), snf_diagonal=diag)

@@ -13,7 +13,7 @@ from operator import mul
 from typing import NamedTuple
 
 from ..errors import DegenerateCone, NotFullDimensional
-from .linalg import _row_reduce, dot, is_zero, mat_rank, primitivize, vec
+from .linalg import _row_reduce, dot, is_zero, primitivize
 
 
 class Cone(NamedTuple):
@@ -82,15 +82,19 @@ def cone_from_rays(rays) -> Cone:
     facet normals of the dual cone) are kept.  Raises DegenerateCone when
     the rays do not span R^n or span a non-pointed cone.
     """
-    rays = [primitivize(vec(r)) for r in rays]
+    return _cone(primitivize(r) for r in rays)
+
+
+def _cone(rays) -> Cone:
+    """``cone_from_rays`` on primitive integer rays."""
     rays = sorted({r for r in rays if not is_zero(r)})
     if not rays:
         raise DegenerateCone("no nonzero rays")
     n = len(rays[0])
-    if mat_rank(rays) < n:
+    if len(_row_reduce(rays, n)[1]) < n:
         raise DegenerateCone("rays do not span the ambient space")
     normals = _facet_normals(rays, n)
-    if mat_rank(normals) < n:
+    if len(_row_reduce(normals, n)[1]) < n:
         # The normals span less than R^n exactly when the cone contains a line.
         raise DegenerateCone("cone is not pointed")
     cone = Cone(rank=n, rays=tuple(_facet_normals(normals, n)), halfspaces=tuple(normals))
@@ -100,15 +104,15 @@ def cone_from_rays(rays) -> Cone:
 
 def cone_from_halfspaces(halfspaces) -> Cone:
     """Build a cone from covectors {x : <h,x> >= 0}; dual scan for rays."""
-    hs = [primitivize(vec(h)) for h in halfspaces]
+    hs = [primitivize(h) for h in halfspaces]
     hs = sorted({h for h in hs if not is_zero(h)})
     if not hs:
         raise DegenerateCone("no halfspaces")
     n = len(hs[0])
     rays = _facet_normals(hs, n)  # duality: rays of C are facet normals of C^v
-    if mat_rank(rays) < n:
+    if len(_row_reduce(rays, n)[1]) < n:
         raise DegenerateCone("halfspace cone is not full-dimensional")
-    return cone_from_rays(rays)
+    return _cone(rays)
 
 
 def _validate(cone: Cone):
@@ -125,13 +129,13 @@ def dual_cone(c: Cone) -> Cone:
     """Dual cone {a : <a,v> >= 0 for every v in c}.
 
     For pointed full-dimensional cones the dual swaps the two
-    representations, and applying it twice returns the original cone.
+    representations, sorted primitive integer tuples both, and applying it
+    twice returns the original cone.
     """
     interior = c.interior_point()
     if any(sum(map(mul, h, interior)) <= 0 for h in c.halfspaces):
         raise NotFullDimensional("dual of a lower-dimensional cone is not pointed")
-    return Cone(rank=c.rank, rays=tuple(sorted(primitivize(h) for h in c.halfspaces)),
-                halfspaces=tuple(sorted(primitivize(r) for r in c.rays)))
+    return Cone(rank=c.rank, rays=c.halfspaces, halfspaces=c.rays)
 
 
 def _triangulate_rays(rays):

@@ -23,13 +23,13 @@ rays give lambda_max and the irredundant covectors.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
 from ..errors import UnboundedSlice
 from .cone import Cone, _facet_normals, _triangulate_rays
-from .linalg import _integer_row, _row_reduce, det, primitivize, vsub
+from .linalg import _integer_covectors, _integer_row, _row_reduce, det, primitivize, vsub
 
 
 class Fan(NamedTuple):
@@ -68,10 +68,10 @@ def chambers(c: Cone, covectors):
     those halfspaces.  Duplicated covectors are dropped first, and only the
     full-dimensional chambers are kept, in input order: z_j has one
     exactly when it is irredundant, for the chambers of lower dimension
-    (ties) carry no volume.  The library passes integer rows over one
-    denominator, which moves no chamber, and gets them back as the z_j.
-    Cached per (cone, covector tuple), so covector reduction, S and
-    lambda_max share one decomposition.
+    (ties) carry no volume.  Cached per (cone, covector tuple); the library
+    asks through ``_chamber_rows``, whose key is translation and scale
+    free, so covector reduction, S and lambda_max of a filtration and of
+    its twists share one decomposition.
     """
     covs = list(dict.fromkeys(covectors))
     if len(covs) == 1:  # one chamber: the whole cone
@@ -87,9 +87,24 @@ def chambers(c: Cone, covectors):
     return tuple(out)
 
 
-def chamber_fans(c: Cone, covectors):
-    """Yield (z_j, simplicial fan of chamber j) for each of ``chambers``."""
-    found = chambers(c, tuple(covectors))
+def _chamber_rows(c: Cone, rows):
+    """``chambers`` of covector rows (the library's are integer), cached
+    under their differences from the first row over one scale: a chamber
+    depends only on the directions of the differences, so the twists and
+    rescalings of a transform share its decomposition."""
+    zs = [[a - b for a, b in zip(z, rows[0])] for z in rows]
+    try:
+        g = gcd(*(a for z in zs for a in z)) or 1
+    except TypeError:  # rational rows: over one denominator first
+        zs, _ = _integer_covectors(zs)
+        g = gcd(*(a for z in zs for a in z)) or 1
+    back = {tuple(a // g for a in d): z for d, z in zip(zs, rows)}
+    return tuple((back[d], rays) for d, rays in chambers(c, tuple(back)))
+
+
+def chamber_fans(c: Cone, rows):
+    """Yield (z_j, simplicial fan of chamber j) for each of ``_chamber_rows``."""
+    found = _chamber_rows(c, rows)
     if len(found) == 1:  # the whole cone, whose fan is cached
         yield found[0][0], cone_fan(c)
         return
@@ -143,11 +158,15 @@ def fan_moments(fan: Fan, xi, order=2):
 
     Exact Fractions; grad is None for order 0 and hess None below order 2.
     Requires <w, xi> > 0 on every ray of the fan.  The value is computed at
-    the integer vector x = L xi (``_fan_sums``) and rescaled by the
-    homogeneity degrees -n, -n-1 and -n-2.
+    the integer vector x = L xi (``_moments``).
     """
+    return _moments(fan, *_integer_row(xi), order)
+
+
+def _moments(fan: Fan, x, L, order=2):
+    """``fan_moments`` at xi = x / L: ``_fan_sums`` at x over the degrees
+    -n, -n-1 and -n-2 of homogeneity."""
     n = fan.rank
-    x, L = _integer_row(xi)
     Q, vol, grad, hess = _fan_sums(fan, x, order)
     vol_q = Fraction(L ** n * vol, Q)
     if order == 0:

@@ -2,15 +2,14 @@
 
 Cone rays and halfspaces are primitive integer tuples.  Rational vectors
 (a Reeb vector, the discrepancy covector u, filtration covectors) are
-tuples of ``fractions.Fraction`` wherever they are stored, returned or
-used as cache keys; ``vec`` and ``frac`` make them, parsing each distinct
-'p/q' string once.  Computation runs on their integer forms: a rational
-row v becomes (L v as ints, L), L the lcm of its denominators
-(``_integer_row``; ``filtration._integer_covectors`` does the same for a
-list of covectors over one denominator), where a kernel starts, and a
-Fraction is built only for a value it returns.  ``dot`` is the one
-Fraction-valued pairing: it sums integer numerators over a running
-denominator and builds one Fraction for its result.
+returned as tuples of ``fractions.Fraction``, which ``vec`` and ``frac``
+make, parsing each distinct 'p/q' string once; cache keys and kernels
+read their integer forms, made once where the vector enters: a row v
+becomes (L v as ints, L), L the lcm of its denominators
+(``_integer_row``), and a list of covectors shares one denominator
+(``_integer_covectors``).  A Fraction is built only for a value a kernel
+returns.  ``dot`` is the one Fraction-valued pairing: it sums integer
+numerators over a running denominator and builds one Fraction.
 
 One fraction-free Gauss-Jordan pass, ``_row_reduce``, carries every
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -114,6 +113,14 @@ def _integer_row(v):
     return [x.numerator * (L // x.denominator) for x in v], L
 
 
+def _integer_covectors(covectors):
+    """(zs, den): the covectors times den, the lcm of all their
+    denominators, as int tuples, so that covectors[j] = zs[j] / den."""
+    n = len(covectors[0])
+    flat, den = _integer_row([x for z in covectors for x in z])
+    return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
+
+
 def primitivize(v):
     """Scale a rational vector to its primitive integer form.
 
@@ -198,8 +205,12 @@ def solve(rows, rhs):
     """
     if not rows:
         return None
-    n = len(rows[0])
-    m, _ = _integer_rows([*r, b] for r, b in zip(rows, rhs, strict=True))
+    return _solve_rows(_integer_rows([*r, b] for r, b in zip(rows, rhs, strict=True))[0],
+                       len(rows[0]))
+
+
+def _solve_rows(m, n):
+    """``solve`` on the equations as integer rows (a, b)."""
     m, pivots, d, _ = _row_reduce(m, n)
     if len(pivots) < n or any(r[n] for r in m[n:]):
         return None  # underdetermined or inconsistent

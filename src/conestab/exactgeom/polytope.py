@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
 from .cone import Cone, _facet_normals, _triangulate_rays
-from .linalg import _integer_row, det, dot, frac, mat_rank, primitivize, vec, vzero
+from .linalg import (_integer_covectors, _integer_row, det, dot, frac, mat_rank, primitivize,
+                     vec, vzero)
 
 
 class Polytope(NamedTuple):
@@ -196,12 +197,15 @@ def second_moment(p: Polytope):
     return tuple(tuple(row) for row in M)
 
 
-class PLConcave(namedtuple("PLConcave", "covectors")):
+class PLConcave(namedtuple("PLConcave", "covectors rows den")):
     """Min of finitely many linear forms: g(x) = min_j <covectors[j], x>.
 
     Positively homogeneous, concave and superadditive wherever all covectors
     are nonnegative together; the reduction to an irredundant covector list
-    happens against a reference cone in the filtration layer.
+    happens against a reference cone in the filtration layer.  The
+    constructor derives the other fields, the integer form the caches key
+    on and the kernels read: den > 0 is the lcm of all the denominators and
+    rows[j] = den * covectors[j] as ints, so g = min_j <rows[j], .> / den.
     """
 
     __slots__ = ()
@@ -209,7 +213,7 @@ class PLConcave(namedtuple("PLConcave", "covectors")):
     def __new__(cls, covectors):
         if not covectors:
             raise ValueError("PLConcave needs at least one covector")
-        return super().__new__(cls, covectors)
+        return super().__new__(cls, covectors, *_integer_covectors(covectors))
 
     def value(self, x) -> Fraction:
         return min(dot(z, x) for z in self.covectors)

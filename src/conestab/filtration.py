@@ -27,6 +27,7 @@ raises the same BudgetExceeded as a fresh enumeration.
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -39,10 +40,10 @@ from .errors import (
     OutsideWeightCone,
 )
 from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, slice_vertices, vec
-from .exactgeom.fan import chambers
+from .exactgeom.fan import _chamber_rows
 from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
-from .exactgeom.linalg import _integer_row
-from .singularity import ConeSingularity, _xi
+from .exactgeom.linalg import _integer_covectors, _integer_row
+from .singularity import ConeSingularity, _xi_row
 
 
 class MonomialFiltration(NamedTuple):
@@ -86,14 +87,14 @@ def _reduce_covectors(s: ConeSingularity, rows):
     """Drop covectors that never realize the minimum on the weight cone.
 
     zeta_j is irredundant exactly when its chamber {g = <zeta_j, .>} is
-    full-dimensional, so the reduced list is the covectors of
-    ``fan.chambers`` on the sorted rows of ``_covector_rows``: the unique
-    minimal list for a full-dimensional weight cone.  When nothing is
-    redundant that key is the integer form of the filtration's own
-    covectors, so S and lambda_max find the same decomposition in the
-    cache.
+    full-dimensional, so the reduced list is the covectors of the chambers
+    (``fan._chamber_rows``) of the sorted rows of ``_covector_rows``: the
+    unique minimal list for a full-dimensional weight cone.  The chambers
+    are cached under the differences of the rows, so S and lambda_max of
+    the filtration, and the reduction of its twists, find the same
+    decomposition.
     """
-    return tuple(rows[z] for z, _ in chambers(s.weight_cone, tuple(sorted(rows))))
+    return tuple(rows[z] for z, _ in _chamber_rows(s.weight_cone, tuple(sorted(rows))))
 
 
 def monomial_filtration(s: ConeSingularity, covectors,
@@ -124,7 +125,8 @@ def toric_filtration(s: ConeSingularity, xi) -> MonomialFiltration:
     along part of the weight cone but whose S, lct and Ding invariants are
     still exact.
     """
-    return monomial_filtration(s, [_xi(xi)], require_primary=False)
+    x, L = _xi_row(xi, s.rank)
+    return monomial_filtration(s, [tuple(Fraction(a, L) for a in x)], require_primary=False)
 
 
 def rescale(F: MonomialFiltration, a) -> MonomialFiltration:
@@ -142,11 +144,12 @@ def twist(F: MonomialFiltration, xi) -> MonomialFiltration:
 
     Any xi keeping the transform positive on the weight cone is accepted,
     which is wider than the open Reeb cone and is needed to probe the
-    reduced J-norm near the boundary.
+    reduced J-norm near the boundary.  The rows z / den shift in integers,
+    to (L z + den x) / (den L) for xi = x / L, and keep F's chambers.
     """
-    xi = _xi(xi)
-    covs = [tuple(a + b for a, b in zip(z, xi)) for z in F.covectors]
-    return monomial_filtration(F.ambient, covs)
+    (x, L), den = _xi_row(xi, F.ambient.rank), F.transform.den
+    return monomial_filtration(F.ambient, [tuple(Fraction(L * a + den * b, den * L)
+                                                 for a, b in zip(z, x)) for z in F.transform.rows])
 
 
 def geodesic(filtrations, weights) -> MonomialFiltration:
@@ -165,14 +168,15 @@ def geodesic(filtrations, weights) -> MonomialFiltration:
     for F in filtrations:
         if F.ambient != ambient:
             raise AmbientMismatch("geodesic across different singularities")
-    combos = [tuple(Fraction(0) for _ in range(ambient.rank))]
-    for F, w in zip(filtrations, weights):
-        new = []
-        for base in combos:
-            for z in F.covectors:
-                new.append(tuple(b + w * x for b, x in zip(base, z)))
-        combos = new
-    return monomial_filtration(ambient, combos)
+    # The combinations have integer rows over den = W lam (weights ws / W).
+    ws, W = _integer_row(weights)
+    lam = lcm(*(F.transform.den for F in filtrations))
+    combos = [(0,) * ambient.rank]
+    for F, w in zip(filtrations, ws):
+        c = w * (lam // F.transform.den)
+        combos = [tuple(b + c * x for b, x in zip(base, z))
+                  for base in combos for z in F.transform.rows]
+    return monomial_filtration(ambient, [tuple(Fraction(a, W * lam) for a in z) for z in combos])
 
 
 def intersect(F: MonomialFiltration, G: MonomialFiltration) -> MonomialFiltration:
@@ -182,10 +186,11 @@ def intersect(F: MonomialFiltration, G: MonomialFiltration) -> MonomialFiltratio
     return monomial_filtration(F.ambient, list(F.covectors) + list(G.covectors))
 
 
-def _newton_halfspaces(sigma, covectors):
-    """Halfspaces of {g >= 1}: <z, a> >= 1 per covector z, then a in the
-    weight cone (<v, a> >= 0 on the rays v of sigma)."""
-    return ([(tuple(-x for x in z), Fraction(-1)) for z in covectors]
+def _newton_halfspaces(sigma, covectors, level=Fraction(1)):
+    """Halfspaces of {g >= 1}: <z, a> >= level per covector z (level = den
+    for integer rows over den), then a in the weight cone (<v, a> >= 0 on
+    the rays v of sigma)."""
+    return ([(tuple(-x for x in z), -level) for z in covectors]
             + [(tuple(-x for x in v), Fraction(0)) for v in sigma.rays])
 
 
@@ -209,9 +214,9 @@ def value_under(F: MonomialFiltration, xi) -> Fraction:
     Equals the minimum of <xi, .> over the Newton polyhedron; recession
     directions pair positively with xi so the minimum sits at a vertex.
     """
-    xi = _xi(xi)
+    x, L = _xi_row(xi, F.ambient.rank)
     verts = newton_polyhedron(F).vertices
-    return min(dot(xi, v) for v in verts)
+    return min(dot(x, v) for v in verts) / L
 
 
 def ord_of(F: MonomialFiltration, alpha) -> Fraction:
@@ -220,14 +225,6 @@ def ord_of(F: MonomialFiltration, alpha) -> Fraction:
     if not F.ambient.weight_cone.contains(alpha):
         raise OutsideWeightCone(f"{alpha} is not in the weight cone")
     return F.ord(alpha)
-
-
-def _integer_covectors(covectors):
-    """(zs, den): the covectors times den, the lcm of all their denominators,
-    as int tuples, so g = min_j <zs_j, .> / den."""
-    n = len(covectors[0])
-    flat, den = _integer_row([x for z in covectors for x in z])
-    return tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n)), den
 
 
 def _envelope(lines, lo, hi):
@@ -264,7 +261,7 @@ def _floor_runs(F: MonomialFiltration, W=None):
     (y = a if W is None): the covectors pair as lines c + d t, g is their
     ``_envelope``, ``orders`` lists floor(g) over t = lo..hi and ``stats``
     gives its sum (floor sums per piece) and maximum (at a piece end)."""
-    zs, den = _integer_covectors(F.covectors)
+    zs, den = F.transform.rows, F.transform.den
     zs = [tuple(sum(map(mul, z, col)) for col in zip(*W)) for z in zs] if W else zs
     heads = [(z[:-1], z[-1]) for z in zs]
 
@@ -291,7 +288,7 @@ def _approx_key(F: MonomialFiltration, m):
         raise EmptyInput(f"approximation level must be a positive integer, got {m!r}")
     if m < 1:
         raise EmptyInput("approximation level must be >= 1")
-    return (F.ambient.weight_cone, *_integer_covectors(F.covectors), m)
+    return (F.ambient.weight_cone, F.transform.rows, F.transform.den, m)
 
 
 def _block_dp(m, codes, weights, values):

@@ -9,28 +9,22 @@ g(alpha0) - S and the delta invariant, a minimum over the rays of sigma.
 Each of these three returns an optimal point as well (a minimizer, a
 twist, a ray), and its LP runs only on the exact ties where the closed
 form leaves that point open.  The slice integrals all come from one
-simplicial fan of the weight cone (``exactgeom.fan``, Lawrence's formula):
-vol(xi) = sum_tau |det W_tau| / prod_i <w_i, xi> and its gradient are
-rational functions of xi on a triangulation built once per cone, so the
-volume derivative has the closed form
+simplicial fan of the weight cone (``exactgeom.fan``, Lawrence's formula),
+whose gradient gives D_eta vol(xi) = -(n+1) vol(xi) <bary(xi), eta>: the
+Futaki invariant of a product configuration is a single pairing.  S(xi0; F)
+sums the same first moment over the fans of F's chambers, which
+lambda_max and the covector reduction read from one cache
+(``exactgeom.fan.chambers``).
 
-    D_eta vol(xi) = <grad vol(xi), eta> = -(n+1) * vol(xi) * <bary(xi), eta>,
-
-which turns the Futaki invariant of a product configuration into a single
-pairing and stationarity of the normalized volume into barycenter
-alignment.  S(xi0; F) sums the same first moment over the fans of the
-chambers on which each covector of F is the minimum; lambda_max and the
-covector reduction read those chambers (``exactgeom.fan.chambers``) from
-the same cache.  The caches of slice data (Okounkov body, vol, S and
-lambda_max) key on the weight cone, xi0 and the covectors, the only data
-their values depend on, so singularities that differ only in their
-boundary share entries; ``lct_monomial``, which reads u, keys on u, sigma
-and the covectors.
-
-The keys hold Fraction tuples; behind them xi0 is an integer row over one
-denominator, as are the covectors, pairings are compared by
-cross-multiplication (``polytope._slice_extreme``), S sums integer moments
-(``fan._fan_sums``), and each returned value is built as one Fraction.
+The caches key on the integer forms of the only data their values depend
+on: the weight cone (so singularities that differ only in their boundary
+share entries), xi0 = x / L as (x, L), made once by each public function
+(``singularity._xi_row``) and passed on to the kernels it calls, and the
+covector rows over one denominator that a transform carries
+(``PLConcave.rows``, ``PLConcave.den``); the lct keys on u's form and
+sigma.  Pairings are compared by cross-multiplication
+(``polytope._slice_extreme``), S sums integer moments (``fan._fan_sums``),
+and each returned value is built as one Fraction.
 """
 
 import json
@@ -44,11 +38,11 @@ from typing import NamedTuple
 from .errors import DegenerateCone, FutakiNonvanishing, IdentityViolated, NotPrimary
 from .exactgeom import (dot, enumerate_vertices, lp_solve, primitivize, slice_polytope,
                          slice_vertices, vec)
-from .exactgeom.fan import _fan_sums, chamber_fans, chambers, cone_fan, fan_moments
+from .exactgeom.fan import _chamber_rows, _fan_sums, _moments, chamber_fans, cone_fan
 from .exactgeom.linalg import _integer_row, gram_project_out, norm_sq
 from .exactgeom.polytope import _slice_extreme
-from .filtration import MonomialFiltration, _integer_covectors, _newton_halfspaces
-from .singularity import ConeSingularity, _xi, log_discrepancy
+from .filtration import MonomialFiltration, _newton_halfspaces
+from .singularity import ConeSingularity, _log_discrepancy, _xi_row
 
 
 class OkounkovBody(NamedTuple):
@@ -79,58 +73,62 @@ def _barycenter(v, grad, xi0):
     return b, tuple(Fraction(n + 1, n) * x for x in b)
 
 
+def _rows(F: MonomialFiltration):
+    """(rows, den), the integer form F's transform carries."""
+    return F.transform.rows, F.transform.den
+
+
 @lru_cache(maxsize=4096)
-def _okounkov_cached(wc, xi0: tuple) -> OkounkovBody:
-    """Keyed on (weight cone, xi0): the body depends on nothing else."""
-    v, grad, _ = fan_moments(cone_fan(wc), xi0, order=1)
+def _okounkov_cached(wc, x, L) -> OkounkovBody:
+    """Keyed on (weight cone, x, L), xi0 = x / L: all the body depends on."""
+    xi0 = tuple(Fraction(a, L) for a in x)
+    v, grad, _ = _moments(cone_fan(wc), x, L, order=1)
     b, alpha0 = _barycenter(v, grad, xi0)
     return OkounkovBody(body=slice_polytope(wc, xi0, 1),
                         vol=v / math.factorial(wc.rank), bary=b, alpha0=alpha0)
 
 
 def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
-    return _okounkov_cached(s.weight_cone, _xi(xi0))
+    return _okounkov_cached(s.weight_cone, *_xi_row(xi0, s.rank))
 
 
 @lru_cache(maxsize=8192)
-def _vol_cached(wc, xi: tuple) -> Fraction:
-    """Keyed on (weight cone, xi)."""
-    return fan_moments(cone_fan(wc), xi, order=0)[0]
+def _vol_cached(wc, x, L) -> Fraction:
+    """Keyed on (weight cone, x, L), xi = x / L."""
+    return _moments(cone_fan(wc), x, L, order=0)[0]
 
 
 def vol(s: ConeSingularity, xi) -> Fraction:
     """Volume of the toric valuation of xi: n! times the slice volume."""
-    return _vol_cached(s.weight_cone, _xi(xi))
+    return _vol_cached(s.weight_cone, *_xi_row(xi, s.rank))
 
 
 def nvol(s: ConeSingularity, xi) -> Fraction:
     """Normalized volume A(xi)^n vol(xi); invariant under rescaling xi."""
-    xi = _xi(xi)
-    return log_discrepancy(s, xi) ** s.rank * vol(s, xi)
+    x, L = _xi_row(xi, s.rank)
+    return _log_discrepancy(s, x, L) ** s.rank * _vol_cached(s.weight_cone, x, L)
 
 
 def vol_derivative(s: ConeSingularity, xi, eta) -> Fraction:
     """Directional derivative of vol at xi along eta (exact closed form)."""
-    _, grad, _ = fan_moments(cone_fan(s.weight_cone), _xi(xi), order=1)
-    return dot(grad, vec(eta))
+    e, Le = _xi_row(eta, s.rank)
+    _, grad, _ = _moments(cone_fan(s.weight_cone), *_xi_row(xi, s.rank), order=1)
+    return dot(grad, e) / Le
 
 
 @lru_cache(maxsize=16384)
-def _s_closed_cached(wc, xi0, covectors) -> Fraction:
-    """Keyed on (weight cone, xi0, covectors): singularities that share a
-    weight cone share entries, whatever their boundary.  With xi0 = x / L
-    and covectors zs_j / den, S = L^(n+1) sum_j <zs_j, G_j> / Q_j^2 over
+def _s_closed_cached(wc, x, L, zs, den) -> Fraction:
+    """Keyed on (weight cone, x, L, zs, den), xi0 = x / L and the
+    covectors zs_j / den: S = L^(n+1) sum_j <zs_j, G_j> / Q_j^2 over
     den n vol(xi0), G_j / Q_j^2 the integer first moment of chamber j."""
     n = wc.rank
-    x, L = _integer_row(xi0)
-    zs, den = _integer_covectors(covectors)
     num, q = 0, 1  # sum_j <zs_j, G_j> / Q_j^2 as num / q
     for z, fan in chamber_fans(wc, zs):
         Q, _, grad, _ = _fan_sums(fan, x, 1)
         Q2 = Q * Q
         num = num * Q2 + sum(map(mul, z, grad)) * q
         q *= Q2
-    v = _okounkov_cached(wc, xi0).vol  # the slice volume, vol(xi0) / n!
+    v = _okounkov_cached(wc, x, L).vol  # the slice volume, vol(xi0) / n!
     return Fraction(L ** (n + 1) * num * v.denominator,
                     den * n * math.factorial(n) * q * v.numerator)
 
@@ -147,23 +145,21 @@ def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
         S = sum_tau |det W_tau| / prod_i p_i * <z_j, sum_i w_i / p_i>
             / (n * vol(xi0)).
     """
-    return _s_closed_cached(s.weight_cone, _xi(xi0), F.covectors)
+    return _s_closed_cached(s.weight_cone, *_xi_row(xi0, s.rank), *_rows(F))
 
 
-def _slice_value(groups, xi0, den, largest):
+def _slice_value(groups, x, L, den, largest):
     """The extreme of <z, .> / den over groups (integer rows z, rays) at
-    the rays scaled onto <xi0, .> = 1 (``polytope._slice_extreme``), as
+    the rays scaled onto <x / L, .> = 1 (``polytope._slice_extreme``), as
     one Fraction."""
-    x, L = _integer_row(xi0)
     num, p, _, _ = _slice_extreme(groups, x, largest)
     return Fraction(L * num, den * p)
 
 
 @lru_cache(maxsize=16384)
-def _lambda_max_cached(wc, xi0, covectors) -> Fraction:
-    """Keyed on (weight cone, xi0, covectors)."""
-    zs, den = _integer_covectors(covectors)
-    return _slice_value((((z,), rays) for z, rays in chambers(wc, zs)), xi0, den, True)
+def _lambda_max_cached(wc, x, L, zs, den) -> Fraction:
+    """Keyed on (weight cone, x, L, zs, den)."""
+    return _slice_value((((z,), rays) for z, rays in _chamber_rows(wc, zs)), x, L, den, True)
 
 
 def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -173,7 +169,7 @@ def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
     maximum is that of <z_j, .> over the chamber rays scaled onto the
     slice.
     """
-    return _lambda_max_cached(s.weight_cone, _xi(xi0), F.covectors)
+    return _lambda_max_cached(s.weight_cone, *_xi_row(xi0, s.rank), *_rows(F))
 
 
 def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -183,16 +179,17 @@ def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
     rays r scaled onto the slice, so the value is the least
     <z_j, r> / <xi0, r>, taken over integers.
     """
-    xi0 = _xi(xi0)
+    x, L = _xi_row(xi0, s.rank)
     wc = s.weight_cone
-    _okounkov_cached(wc, xi0)  # unread; perfbench's cache_hit_ratio counts this lookup
-    zs, den = _integer_covectors(F.covectors)
-    return _slice_value(((zs, wc.rays),), xi0, den, False)
+    _okounkov_cached(wc, x, L)  # unread; perfbench's cache_hit_ratio counts this lookup
+    zs, den = _rows(F)
+    return _slice_value(((zs, wc.rays),), x, L, den, False)
 
 
 def j_norm(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """lambda_max - S; nonnegative, zero exactly on rescaled polarizations."""
-    return lambda_max_closed(s, xi0, F) - s_closed(s, xi0, F)
+    key = (s.weight_cone, *_xi_row(xi0, s.rank), *_rows(F))
+    return _lambda_max_cached(*key) - _s_closed_cached(*key)
 
 
 class LctResult(NamedTuple):
@@ -223,32 +220,32 @@ def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
     with no LP.  Where several tie, the optima form their convex hull and
     the LP is solved for the vertex it picks.
     """
-    return _lct_cached(s.u, s.sigma, F.covectors)
+    return _lct_cached(s.u_row, s.u_den, s.sigma, *_rows(F))
 
 
 @lru_cache(maxsize=16384)
-def _lct_cached(u, sigma, covectors) -> LctResult:
-    """Keyed on (u, sigma, covectors), the only data the lct reads; the
-    singularity itself is not hashed."""
-    zs, den = _integer_covectors(covectors)
-    x, L = _integer_row(u)
-    pairings = [sum(map(mul, z, x)) for z in zs]
+def _lct_cached(u, Lu, sigma, zs, den) -> LctResult:
+    """Keyed on (u, Lu, sigma, zs, den), u / Lu and the covectors zs_j /
+    den: the only data the lct reads; the singularity is not hashed."""
+    pairings = [sum(map(mul, z, u)) for z in zs]
     low = min(pairings)
     if pairings.count(low) == 1:
-        return LctResult(value=Fraction(low, den * L),
-                         minimizer=covectors[pairings.index(low)])
-    verts = enumerate_vertices(_newton_halfspaces(sigma, covectors), sigma.rank)
+        return LctResult(value=Fraction(low, den * Lu),
+                         minimizer=tuple(Fraction(a, den) for a in zs[pairings.index(low)]))
+    verts = enumerate_vertices(_newton_halfspaces(sigma, zs, den), sigma.rank)
     cons = [(v, ">=", Fraction(1)) for v in verts]
     for h in sigma.halfspaces:
         cons.append((h, ">=", Fraction(0)))
-    res = lp_solve(u, cons, sense="min")
+    res = lp_solve(tuple(Fraction(a, Lu) for a in u), cons, sense="min")
     return LctResult(value=res.value, minimizer=res.point)
 
 
 def ding(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """Ding invariant: lct(F) - A(xi0) S(xi0; F)."""
-    xi0 = _xi(xi0)
-    return lct_monomial(s, F).value - log_discrepancy(s, xi0) * s_closed(s, xi0, F)
+    x, L = _xi_row(xi0, s.rank)
+    zs, den = _rows(F)
+    return (_lct_cached(s.u_row, s.u_den, s.sigma, zs, den).value
+            - _log_discrepancy(s, x, L) * _s_closed_cached(s.weight_cone, x, L, zs, den))
 
 
 def futaki_product(s: ConeSingularity, xi0, eta) -> Fraction:
@@ -257,10 +254,11 @@ def futaki_product(s: ConeSingularity, xi0, eta) -> Fraction:
     Linear in eta: A(eta) - A(xi0) <alpha0, eta>, extended from the Reeb
     cone to all coweights.
     """
-    xi0 = _xi(xi0)
-    eta = vec(eta)
-    alpha0 = okounkov_body(s, xi0).alpha0
-    return log_discrepancy(s, eta) - log_discrepancy(s, xi0) * dot(alpha0, eta)
+    x, L = _xi_row(xi0, s.rank)
+    e, Le = _xi_row(eta, s.rank)
+    alpha0 = _okounkov_cached(s.weight_cone, x, L).alpha0
+    return (_log_discrepancy(s, e, Le)
+            - _log_discrepancy(s, x, L) * dot(alpha0, e) / Le)
 
 
 def futaki_derivative(s: ConeSingularity, xi0, eta) -> Fraction:
@@ -268,15 +266,15 @@ def futaki_derivative(s: ConeSingularity, xi0, eta) -> Fraction:
 
     Evaluates D_T vol / vol at xi0 with T = (A(xi0) eta - A(eta) xi0)/n,
     using the exact barycenter form of the derivative.  Must agree with
-    futaki_product identically.
+    futaki_product identically; n L Le u_den T is an integer vector.
     """
-    xi0 = _xi(xi0)
-    eta = vec(eta)
-    n = s.rank
-    a_xi0 = log_discrepancy(s, xi0)
-    a_eta = log_discrepancy(s, eta)
-    T = tuple((a_xi0 * e - a_eta * x) / n for e, x in zip(eta, xi0))
-    return vol_derivative(s, xi0, T) / vol(s, xi0)
+    n, wc = s.rank, s.weight_cone
+    x, L = _xi_row(xi0, n)
+    e, Le = _xi_row(eta, n)
+    ux, ue = sum(map(mul, s.u_row, x)), sum(map(mul, s.u_row, e))
+    T = [ux * a - ue * b for a, b in zip(e, x)]
+    v, grad, _ = _moments(cone_fan(wc), x, L, order=1)
+    return dot(grad, T) / (n * L * Le * s.u_den * v)
 
 
 def delta_T(s: ConeSingularity, xi0):
@@ -288,11 +286,11 @@ def delta_T(s: ConeSingularity, xi0):
     polarization itself has ratio 1).  A unique minimizing ray is returned
     as it is; where several tie, the Charnes-Cooper LP picks the ray.
     """
-    xi0 = _xi(xi0)
-    alpha0 = okounkov_body(s, xi0).alpha0
-    a0 = log_discrepancy(s, xi0)  # positive: xi0 is interior, as the body checked
+    x, L = _xi_row(xi0, s.rank)
+    alpha0 = _okounkov_cached(s.weight_cone, x, L).alpha0
+    a0 = _log_discrepancy(s, x, L)  # positive: xi0 is interior, as the body checked
     d, Ld = _integer_row(alpha0)
-    u, Lu = _integer_row(s.u)
+    u, Lu = s.u_row, s.u_den
     # A / (A(xi0) S) at a ray r is <u, r> / (a0 <alpha0, r>).
     num, p, first, ties = _slice_extreme((((u,), s.sigma.rays),), d, False)
     if ties == 1:
@@ -300,7 +298,7 @@ def delta_T(s: ConeSingularity, xi0):
         y = s.sigma.rays[first]
     else:
         from .exactgeom.lp import fractional_lp
-        den = tuple(a0 * x for x in alpha0)
+        den = tuple(a0 * ai for ai in alpha0)
         value, y = fractional_lp(s.u, den, s.sigma.halfspaces, sense="min")
     if value > 1:
         raise IdentityViolated(f"delta_T returned {value} > 1")
@@ -314,9 +312,9 @@ def semistable_verdict(s: ConeSingularity, xi0):
     coweights and to delta_T = 1.  Returns (verdict, certificate) where the
     certificate u - A(xi0) alpha0 is a destabilizing direction when nonzero.
     """
-    xi0 = _xi(xi0)
-    alpha0 = okounkov_body(s, xi0).alpha0
-    a0 = log_discrepancy(s, xi0)
+    x, L = _xi_row(xi0, s.rank)
+    alpha0 = _okounkov_cached(s.weight_cone, x, L).alpha0
+    a0 = _log_discrepancy(s, x, L)
     cert = tuple(ui - a0 * ai for ui, ai in zip(s.u, alpha0))
     return all(c == 0 for c in cert), cert
 
@@ -369,31 +367,30 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     With several active covectors the LP is solved and its vertex
     returned.  The value is exact, so lower = upper = value.
     """
-    xi0 = _xi(xi0)
-    body = okounkov_body(s, xi0)
-    alpha0 = body.alpha0
-    zs, den = _integer_covectors(F.covectors)
+    wc = s.weight_cone
+    x, L = _xi_row(xi0, s.rank)
+    zs, den = _rows(F)
+    alpha0 = _okounkov_cached(wc, x, L).alpha0
     a, La = _integer_row(alpha0)
     pairings = [sum(map(mul, z, a)) for z in zs]
     low = min(pairings)
     g0 = Fraction(low, den * La)
-    value = g0 - s_closed(s, xi0, F)
+    value = g0 - _s_closed_cached(wc, x, L, zs, den)
     if pairings.count(low) == 1:
         # With xi0 = x / L, c* = L num / (den p), so
         # c* xi0 - z_j = (num x - p zs_j) / (den p).
         z = zs[pairings.index(low)]
-        x, _ = _integer_row(xi0)
-        num, p, _, _ = _slice_extreme((((z,), s.weight_cone.rays),), x, True)
+        num, p, _, _ = _slice_extreme((((z,), wc.rays),), x, True)
         twist_xi = tuple(Fraction(num * xk - p * zk, den * p) for xk, zk in zip(x, z))
-    elif lambda_max_closed(s, xi0, F) == g0:
+    elif _lambda_max_cached(wc, x, L, zs, den) == g0:
         twist_xi = (Fraction(0),) * s.rank
     else:
-        twist_xi = _reduced_j_twist_lp(s, xi0, F, alpha0)
+        twist_xi = _reduced_j_twist_lp(s, x, L, F, alpha0)
     return ReducedJResult(value=value, minimizer_twist=twist_xi,
                           lower=value, upper=value)
 
 
-def _reduced_j_twist_lp(s, xi0, F, alpha0):
+def _reduced_j_twist_lp(s, x, L, F, alpha0):
     """The xi of the vertex the minimax LP of ``reduced_j`` picks."""
     n = s.rank
     covs = F.covectors
@@ -408,7 +405,7 @@ def _reduced_j_twist_lp(s, xi0, F, alpha0):
         cons.append((tuple(e), ">=", Fraction(0)))
     for h in s.sigma.halfspaces:
         cons.append((zeros(k) + tuple(h) + zeros(1), ">=", Fraction(0)))
-    for av in _okounkov_cached(s.weight_cone, xi0).body.vertices[1:]:  # slice vertices
+    for av in _okounkov_cached(s.weight_cone, x, L).body.vertices[1:]:  # slice vertices
         row = [dot(z, av) for z in covs] + list(av) + [Fraction(-1)]
         cons.append((tuple(row), "<=", Fraction(0)))
     objective = zeros(k) + tuple(-a for a in alpha0) + (Fraction(1),)
@@ -426,11 +423,12 @@ def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):
     scaled chamber ray that attains the value, is a subgradient anchor for
     the convex function xi -> lambda_max(F twisted).
     """
-    xi0 = _xi(xi0)
-    xi = vec(xi)
-    zs, den = _integer_covectors(F.covectors)
-    return max(((dot(z, a) / den + dot(xi, a), a) for z, rays in chambers(s.weight_cone, zs)
-                for a in slice_vertices(rays, xi0)),
+    x, L = _xi_row(xi0, s.rank)
+    e, Le = _xi_row(xi, s.rank)
+    zs, den = _rows(F)
+    return max(((dot(z, a) / den + dot(e, a) / Le, a)
+                for z, rays in _chamber_rows(s.weight_cone, zs)
+                for a in slice_vertices(rays, x, L)),
                key=lambda va: va[0])
 
 
@@ -442,8 +440,7 @@ def inf_twist_s(s: ConeSingularity, xi0, eta):
     whole cone and the infimum is an LP over its closure.  Returns
     (value, minimizing twisted vector).
     """
-    xi0 = _xi(xi0)
-    eta = vec(eta)
+    _xi_row(eta, s.rank)
     alpha0 = okounkov_body(s, xi0).alpha0
     cons = [(h, ">=", Fraction(0)) for h in s.sigma.halfspaces]
     res = lp_solve(alpha0, cons, sense="min")
@@ -457,19 +454,16 @@ def delta_red_objective(s: ConeSingularity, xi0, eta) -> Fraction:
     u = A(xi0) alpha0 and the ratio A / (A(xi0) S) is identically 1 on the
     cone, which the Charnes-Cooper LP confirms.
     """
-    xi0 = _xi(xi0)
-    eta = vec(eta)
+    e, _ = _xi_row(eta, s.rank)
     ok, cert = semistable_verdict(s, xi0)
     if not ok:
         raise FutakiNonvanishing(
             f"Futaki character does not vanish; certificate {cert}")
-    if not s.sigma.contains(eta, strict=True):
+    if not s.sigma.contains(e, strict=True):
         raise NotPrimary("direction must lie in the open Reeb cone")
-    alpha0 = okounkov_body(s, xi0).alpha0
-    a0 = log_discrepancy(s, xi0)
-    den = tuple(a0 * x for x in alpha0)
     from .exactgeom.lp import fractional_lp
-    value, _ = fractional_lp(s.u, den, s.sigma.halfspaces, sense="max")
+    # The verdict holds: A(xi0) alpha0 - u = 0, so the denominator is u.
+    value, _ = fractional_lp(s.u, s.u, s.sigma.halfspaces, sense="max")
     if value != 1:
         raise IdentityViolated(f"reduced delta ratio LP returned {value}, not 1")
     return Fraction(1)
@@ -483,24 +477,20 @@ def coercivity_constant_sq(s: ConeSingularity, xi0) -> Fraction:
     rank-1 cone has no such constant: its slice is the point alpha0
     (DegenerateCone).
     """
+    x, L = _xi_row(xi0, s.rank)
     if s.rank == 1:
         raise DegenerateCone("coercivity constant: the level-one slice of a rank-1 cone "
                              "is a point, with no boundary to measure to")
-    xi0 = _xi(xi0)
-    alpha0 = okounkov_body(s, xi0).alpha0
-    best = None
-    for v in s.sigma.rays:  # facet normals of the weight cone
-        p = dot(alpha0, v)
-        vbar = gram_project_out(vec(v), xi0)
-        d2 = p * p / norm_sq(vbar)
-        if best is None or d2 < best:
-            best = d2
-    return best
+    alpha0 = _okounkov_cached(s.weight_cone, x, L).alpha0
+    # Over the facet normals v of the weight cone; projecting out x or xi0 is the same.
+    return min(dot(alpha0, v) ** 2 / norm_sq(gram_project_out(vec(v), x)) for v in s.sigma.rays)
 
 
 def quotient_norm_sq(xi, xi0) -> Fraction:
     """Squared Euclidean norm of xi modulo the line through xi0."""
-    return norm_sq(gram_project_out(vec(xi), vec(xi0)))
+    xi0 = vec(xi0)
+    _xi_row(xi, len(xi0))
+    return norm_sq(gram_project_out(vec(xi), xi0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ discrepancy equals one.  There nvol is vol(xi) = sum_tau |det W_tau| /
 prod_i <w_i, xi> over one simplicial fan of the weight cone (Lawrence's
 formula, ``exactgeom.fan``), a strictly convex rational function of the
 Reeb vector whose gradient and Hessian are exact sums over the same fan.
-The search takes exact Newton steps, converts each trial point to float
-only to round it to a nearby rational with a capped denominator, and
-verifies descent exactly.  It stops as soon as the reduced gradient is
+The search takes exact Newton steps on the integer fan sums
+(``fan._fan_sums``), asking for the Hessian only where it steps, converts
+each trial point to float only to round it to a nearby rational with a
+capped denominator, and verifies descent exactly, at most once per
+candidate and step.  It stops as soon as the reduced gradient is
 exactly zero, since by strict convexity no candidate can then descend, and
 such an iterate is returned with no final rounding; otherwise a last
 rounding ladder looks for a simpler point that does not increase the
@@ -18,14 +20,14 @@ and gradient already held at the iterate.
 """
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import ParseError, ToleranceNotReached
 from .exactgeom import dot, frac
-from .exactgeom.fan import cone_fan, fan_moments
-from .exactgeom.linalg import _integer_row, nullspace, solve
-from .exactgeom.polytope import _slice_extreme
-from .invariants import _barycenter
+from .exactgeom.fan import _fan_sums, cone_fan, fan_moments
+from .exactgeom.linalg import _integer_row, solve
+from .invariants import _barycenter, _slice_value
 from .singularity import ConeSingularity
 
 MAX_NEWTON_STEPS = 80
@@ -56,9 +58,7 @@ def _slice_min(s, c):
     least <c, r> / <u, r>, compared on integers.
     """
     ci, Lc = _integer_row(c)
-    u, Lu = _integer_row(s.u)
-    num, p, _, _ = _slice_extreme((((ci,), s.sigma.rays),), u, False)
-    return Fraction(Lu * num, Lc * p)
+    return _slice_value((((ci,), s.sigma.rays),), s.u_row, s.u_den, Lc, False)
 
 
 def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
@@ -86,41 +86,57 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     def f(xi):
         return fan_moments(fan, xi, order=0)[0]
 
+    def sums(xi, order):
+        """(L, Q, vol, grad, hess) of ``_fan_sums`` at xi = x / L."""
+        x, L = _integer_row(xi)
+        return (L, *_fan_sums(fan, x, order))
+
+    # Integer tangent basis of the slice: u_p e_j - u_j e_p, p the first
+    # column where u is nonzero (``nullspace`` of u scaled by u_p).
+    u = s.u_row
+    p = next(k for k, a in enumerate(u) if a)
+    tangent = [tuple(u[p] if k == j else -u[j] if k == p else 0 for k in range(n))
+               for j in range(n) if j != p]
+
     # Interior start on the slice.
     xi = s.sigma.interior_point()
     xi = tuple(frac(x) / dot(s.u, xi) for x in xi)
-    fx, grad, hess = fan_moments(fan, xi)
-    tangent = nullspace([s.u], n)
+    L, Q, V, G, _ = sums(xi, 1)
+    fx = Fraction(L ** n * V, Q)
 
     iterations = 0
     stationary = False
     for it in range(MAX_NEWTON_STEPS):
         iterations = it + 1
-        neg_gt = [-dot(t, grad) for t in tangent]
-        stationary = not any(neg_gt)
+        b = [sum(map(mul, t, G)) for t in tangent]  # -Q^2 / L^(n+1) times T^t grad
+        stationary = not any(b)
         if stationary:
             break  # by strict convexity nothing descends, not even a rounding
-        # Newton direction in the slice: solve (T^t H T) d = -T^t g exactly.
-        Ht = [[dot(ti, [dot(row, tj) for row in hess]) for tj in tangent]
-              for ti in tangent]
-        d = solve(Ht, neg_gt) or neg_gt
-        step_dir = [dot(d, col) for col in zip(*tangent)]
+        # Newton direction in the slice: with hess = L^(n+2) H / Q^3, the
+        # exact step -T (T^t hess T)^-1 T^t grad is (Q / L) T y for
+        # (T^t H T) y = b; a singular T^t H T falls back to -T T^t grad.
+        H = sums(xi, 2)[-1]
+        y = solve([[sum(a * H[max(i, j)][min(i, j)] * c for i, a in enumerate(ti)
+                        for j, c in enumerate(tj)) for tj in tangent] for ti in tangent], b)
+        step_dir = ([Q * dot(y, col) / L for col in zip(*tangent)] if y else
+                    [L ** (n + 1) * dot(b, col) / (u[p] * Q) ** 2 for col in zip(*tangent)])
         moved = False
-        for k in range(40):
-            scale = Fraction(1, 2 ** k)
-            trial = [x + scale * v for x, v in zip(xi, step_dir)]
+        rejected = []  # fx is fixed until a candidate descends, so none is evaluated twice
+        for e in range(40):
+            scale = Fraction(1, 2 ** e)
+            trial = [a + scale * v for a, v in zip(xi, step_dir)]
             for max_den in (10 ** 6, 10 ** 4, 100, 10):
                 cand = _round_to_slice(s, trial, max_den)
-                if cand is None or not s.sigma.contains(cand, strict=True):
-                    continue
-                if cand == xi:
+                if cand is None or cand == xi or cand in rejected \
+                        or not s.sigma.contains(cand, strict=True):
                     continue
                 fc = f(cand)
                 if fc < fx:
-                    xi = cand
-                    fx, grad, hess = fan_moments(fan, xi)
+                    xi, fx = cand, fc
+                    L, Q, V, G, _ = sums(xi, 1)
                     moved = True
                     break
+                rejected.append(cand)
             if moved:
                 break
         if not moved:
@@ -138,8 +154,9 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
         fc = f(cand)
         if fc <= fx:
             xi, fx = cand, fc
-            _, grad, _ = fan_moments(fan, xi, order=1)
+            L, Q, V, G, _ = sums(xi, 1)
             break
+    grad = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in G)
 
     # Certificate: convexity lower bound minimized over the slice polytope.
     gap = dot(grad, xi) - _slice_min(s, grad)

@@ -9,11 +9,13 @@ the vertex.
 """
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from .errors import DegenerateCone, NotKlt, NotQGorenstein
-from .exactgeom import Cone, cone_from_rays, dot, dual_cone, frac, vec
-from .exactgeom.linalg import solve
+from .errors import AmbientMismatch, DegenerateCone, NotKlt, NotQGorenstein
+from .exactgeom import Cone, dot, dual_cone, frac, primitivize, vec
+from .exactgeom.cone import _cone
+from .exactgeom.linalg import _integer_row, _solve_rows
 
 
 class ConeSingularity(NamedTuple):
@@ -24,6 +26,8 @@ class ConeSingularity(NamedTuple):
     coefficients: boundary coefficient per ray of sigma, each in [0,1)
     u:            discrepancy covector, <u, v_i> = 1 - a_i on the rays
     weight_cone:  dual cone of sigma (where the monomial exponents live)
+    u_row, u_den: u = u_row / u_den as ints, u_den > 0 the lcm of the
+                  denominators: the form the kernels and cache keys read
     """
 
     rank: int
@@ -31,6 +35,8 @@ class ConeSingularity(NamedTuple):
     coefficients: tuple
     u: tuple
     weight_cone: Cone
+    u_row: tuple
+    u_den: int
 
 
 class ReebVector(NamedTuple):
@@ -44,19 +50,19 @@ def from_rays(rays, coefficients=None) -> ConeSingularity:
 
     Coefficients default to zero (no boundary).  Raises DegenerateCone,
     NotQGorenstein (no exact solution for u) or NotKlt (u not interior).
+    The rays are made primitive once, for the cone, coefficients and u.
     """
-    sigma = cone_from_rays(rays)
+    prim = [primitivize(r) for r in rays]
+    sigma = _cone(prim)
     n = sigma.rank
     if coefficients is None:
-        coefficients = [Fraction(0)] * len(rays)
+        coefficients = [Fraction(0)] * len(prim)
     coefficients = [frac(a) for a in coefficients]
-    if len(coefficients) != len(rays):
+    if len(coefficients) != len(prim):
         raise DegenerateCone("need one coefficient per input ray")
     # Match coefficients to the canonical (sorted, primitivized) ray order.
-    from .exactgeom import primitivize
     pairs = {}
-    for r, a in zip(rays, coefficients):
-        key = primitivize(vec(r))
+    for key, a in zip(prim, coefficients):
         if key in pairs and pairs[key] != a:
             raise NotQGorenstein(f"conflicting coefficients on ray {key}")
         pairs[key] = a
@@ -68,16 +74,29 @@ def from_rays(rays, coefficients=None) -> ConeSingularity:
     for a in coefficients:
         if not (0 <= a < 1):
             raise NotKlt(f"boundary coefficient {a} outside [0, 1)")
-    rhs = [1 - a for a in coefficients]
-    u = solve(list(sigma.rays), rhs)
+    # <u, v> = 1 - a = (q - p) / q for a = p / q, scaled by q: integer rows.
+    u = _solve_rows([[*(q * x for x in r), q - p] for r, (p, q) in
+                     zip(sigma.rays, (a.as_integer_ratio() for a in coefficients))], n)
     if u is None:
         raise NotQGorenstein(
             "no covector satisfies <u, v_i> = 1 - a_i on all rays")
     wc = dual_cone(sigma)
     if any(dot(u, v) <= 0 for v in sigma.rays):
         raise NotKlt("discrepancy covector not positive on the cone")
+    u_row, u_den = _integer_row(u)
     return ConeSingularity(rank=n, sigma=sigma, coefficients=tuple(coefficients),
-                           u=tuple(u), weight_cone=wc)
+                           u=u, weight_cone=wc, u_row=tuple(u_row), u_den=u_den)
+
+
+def _xi_row(x, n):
+    """(L x as ints, L > 0 the lcm of its denominators) for a ReebVector or
+    a vector of ints, Fractions or 'p/q' strings of length n (else
+    AmbientMismatch): the form each public function passes on."""
+    v = x.xi if isinstance(x, ReebVector) else tuple(x)
+    if len(v) != n:
+        raise AmbientMismatch(f"vector of length {len(v)} on a rank-{n} cone")
+    ints, L = _integer_row(v)
+    return tuple(ints), L
 
 
 def reeb_contains(s: ConeSingularity, xi) -> bool:
@@ -86,20 +105,19 @@ def reeb_contains(s: ConeSingularity, xi) -> bool:
     Membership means <alpha, xi> > 0 for every extreme ray alpha of the
     weight cone, i.e. xi is interior to sigma.
     """
-    xi = vec(xi)
-    return all(dot(alpha, xi) > 0 for alpha in s.weight_cone.rays)
+    x, _ = _xi_row(xi, s.rank)
+    return all(sum(map(mul, alpha, x)) > 0 for alpha in s.weight_cone.rays)
 
 
 def reeb_vector(s: ConeSingularity, xi) -> ReebVector:
-    xi = vec(xi)
     if not reeb_contains(s, xi):
-        raise NotKlt(f"{xi} is not in the open Reeb cone")
-    return ReebVector(xi=xi)
+        raise NotKlt(f"{vec(xi)} is not in the open Reeb cone")
+    return ReebVector(xi=vec(xi))
 
 
-def _xi(x):
-    """The coordinates of a ReebVector, or any vector coerced by ``vec``."""
-    return x.xi if isinstance(x, ReebVector) else vec(x)
+def _log_discrepancy(s: ConeSingularity, x, L) -> Fraction:
+    """<u, x / L> for the integer form (x, L) of a vector."""
+    return Fraction(sum(map(mul, s.u_row, x)), s.u_den * L)
 
 
 def log_discrepancy(s: ConeSingularity, xi) -> Fraction:
@@ -107,4 +125,4 @@ def log_discrepancy(s: ConeSingularity, xi) -> Fraction:
 
     Linear in xi and positive on sigma minus the origin.
     """
-    return dot(s.u, _xi(xi))
+    return _log_discrepancy(s, *_xi_row(xi, s.rank))

@@ -169,7 +169,8 @@ def _reduced_j_path(s, xi0, G):
 
 def _lct_path(s, G):
     with mock.patch.object(invariants, "lp_solve", wraps=lp_solve) as lp:
-        res = invariants._lct_cached.__wrapped__(s.u, s.sigma, G.covectors)
+        res = invariants._lct_cached.__wrapped__(s.u_row, s.u_den, s.sigma,
+                                                 G.transform.rows, G.transform.den)
     value, minimizer = _ref_lct(s, G)
     assert res.value == value == G.ord(s.u)
     if not lp.called:

@@ -29,12 +29,12 @@ from conestab.estimators import (
     sweep,
     sweep_approx,
 )
-from conestab.exactgeom import dot, lattice_points_below, vec
+from conestab.exactgeom import dot, lattice_points_below
 from conestab.exactgeom.lattice import _box
 from conestab.exactgeom.linalg import det
 from conestab.filtration import approx_ord, approx_orders, monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
-from conestab.singularity import from_rays
+from conestab.singularity import _xi_row, from_rays
 from conftest import c2_battery
 
 F = Fraction
@@ -519,7 +519,7 @@ def test_sweep_in_either_coordinates_matches_per_point_reference(case, level):
                 sweep(s, xi0, G, levels, budget=budget)
             return
         full = sweep(s, xi0, G, levels, budget=budget)
-        table = estimators._table(s, vec(xi0), sorted(set(levels)), budget)
+        table = estimators._table(s, *_xi_row(xi0, s.rank), sorted(set(levels)), budget)
     assert estimators._shell_table.cache_info().hits == 1  # the table the sweep built
     assert (table.W is not None) == level
     assert table.flat or s.rank == 1 or not level
@@ -555,7 +555,7 @@ _PINNED_SWEEPS = [
                          ids=["rank4-level", "rank4-original", "boundary-a", "boundary-b",
                               "line"])
 def test_sweep_digests_pinned(s, xi0, G, levels, plain, approx):
-    assert estimators._level_coordinates(s.weight_cone, vec(xi0), levels[-1] + 1) \
+    assert estimators._level_coordinates(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1) \
         == (xi0 == (1, 1, 1, 1))
     assert hashlib.sha256(sweep(s, xi0, G, levels).to_json().encode()).hexdigest() == plain
     assert hashlib.sha256(
@@ -577,7 +577,7 @@ def test_shell_table_work_is_bounded_by_the_points(c2, fex):
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
-    assert not estimators._level_coordinates(c2.weight_cone, vec(xi0), 11)
+    assert not estimators._level_coordinates(c2.weight_cone, *_xi_row(xi0, 2), 11)
     assert sw.row(10).N_m == 10
     got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
     assert got.to_json() == _reference_json(_reference_sweep(c2, xi0, fex, [5, 10], None))
@@ -595,9 +595,10 @@ def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
     lattice_runs = estimators._lattice_runs
     monkeypatch.setattr(estimators, "_lattice_runs", counted)
     estimators._shell_table.cache_clear()
-    cone, xi, _ = estimators._level_frame(c2.weight_cone, vec(xi0))
-    for c, x, prefixes in ((cone, xi, 150000001), (c2.weight_cone, xi0, 151)):
-        lo, hi = _box(c, x, 150)
+    xs, den = _xi_row(xi0, 2)
+    cone, x0, _ = estimators._level_frame(c2.weight_cone, xs)
+    for c, x, prefixes in ((cone, x0, 150000001), (c2.weight_cone, xs, 151)):
+        lo, hi = _box(c, x, 150 * den)
         assert hi[0] - lo[0] + 1 == prefixes
     sw = sweep(c2, xi0, fex, range(1, 150))
     assert built == [c2.weight_cone.rays]

@@ -36,7 +36,7 @@ from conestab.filtration import (
     value_under,
 )
 from conestab.invariants import s_closed
-from conestab.singularity import from_rays
+from conestab.singularity import _xi_row, from_rays
 from conftest import random_cone, random_filtration, random_reeb
 
 F = Fraction
@@ -429,7 +429,7 @@ def _old_approximant(F_, m, budget=None):
 
 def _old_sweep_approx(s, xi0, F_, m, levels, budget=None):
     levels = sorted(set(levels))
-    table = estimators._table(s, xi0, levels, budget, level=False)  # runs keyed on exponents
+    table = estimators._table(s, *_xi_row(xi0, s.rank), levels, budget, level=False)  # on exponents
     ell = s.sigma.interior_point()
     pts = lattice_points_below(s.weight_cone, xi0, levels[-1] + 1, budget=budget)
     window = lattice_points_below(s.weight_cone, ell, max(dot(ell, p) for p in pts),

@@ -24,7 +24,7 @@ from conestab.exactgeom import dot, primitivize, slice_vertices, vec
 from conestab.exactgeom.fan import chambers, cone_fan, fan_moments, simplicial_fan
 from conestab.exactgeom.polytope import _slice_extreme
 from conestab.filtration import monomial_filtration
-from conestab.singularity import from_rays, reeb_vector
+from conestab.singularity import _xi_row, from_rays, reeb_vector
 from conftest import random_cone, random_reeb
 
 F = Fraction
@@ -143,11 +143,12 @@ def test_integer_paths_match_fraction_references(seed):
     assert G.covectors == tuple(z for z, _ in _old_chambers(s, covs))
     event(f"{len(G.covectors)} covectors kept of {len(set(covs))}")
 
-    lmax = inv._lambda_max_cached.__wrapped__(wc, xi0, G.covectors)
+    key = (wc, *_xi_row(xi0, s.rank), *inv._rows(G))
+    lmax = inv._lambda_max_cached.__wrapped__(*key)
     assert lmax == _old_lambda_max(s, xi0, G.covectors)
     assert inv.lambda_max_closed(s, xi0, G) == lmax
     assert inv.lambda_min_closed(s, xi0, G) == _old_lambda_min(s, xi0, G)
-    S = inv._s_closed_cached.__wrapped__(wc, xi0, G.covectors)
+    S = inv._s_closed_cached.__wrapped__(*key)
     assert S == _old_s(s, xi0, G.covectors) == inv.s_closed(s, xi0, G)
     assert type(S) is type(lmax) is F
 
@@ -160,7 +161,7 @@ def test_integer_paths_match_fraction_references(seed):
         event("reduced J twist without LP")
 
     pairings = [dot(z, s.u) for z in G.covectors]
-    lct = inv._lct_cached.__wrapped__(s.u, s.sigma, G.covectors)
+    lct = inv._lct_cached.__wrapped__(s.u_row, s.u_den, s.sigma, *inv._rows(G))
     assert lct.value == min(pairings) and type(lct.value) is F
     if pairings.count(lct.value) == 1:
         assert lct.minimizer == G.covectors[pairings.index(lct.value)]
@@ -187,9 +188,10 @@ def test_slice_outside_the_reeb_cone_raises_the_same_error(seed):
     old = [lambda: _old_lambda_max(s, xi0, G.covectors),
            lambda: _old_lambda_min(s, xi0, G),
            lambda: _old_s(s, xi0, G.covectors)]
-    new = [lambda: inv._lambda_max_cached.__wrapped__(s.weight_cone, xi0, G.covectors),
+    key = (s.weight_cone, *_xi_row(xi0, s.rank), *inv._rows(G))
+    new = [lambda: inv._lambda_max_cached.__wrapped__(*key),
            lambda: inv.lambda_min_closed(s, xi0, G),
-           lambda: inv._s_closed_cached.__wrapped__(s.weight_cone, xi0, G.covectors),
+           lambda: inv._s_closed_cached.__wrapped__(*key),
            lambda: inv.reduced_j(s, xi0, G),
            lambda: inv.delta_T(s, xi0)]
     for call in old + new:

@@ -515,10 +515,10 @@ def test_delta_T_identity_check_on_ray_path(c2, monkeypatch):
     # LP runs.  Halving alpha0 doubles every ratio, and the least is 4/3.
     import conestab.exactgeom.lp as lp
     import conestab.invariants as inv
-    real = inv.okounkov_body
+    real = inv._okounkov_cached
 
-    def halved(s, xi0):
-        body = real(s, xi0)
+    def halved(wc, x, L):
+        body = real(wc, x, L)
         return body._replace(alpha0=tuple(x / 2 for x in body.alpha0))
 
     def no_lp(*args, **kwargs):
@@ -526,7 +526,7 @@ def test_delta_T_identity_check_on_ray_path(c2, monkeypatch):
 
     monkeypatch.setattr(lp, "fractional_lp", no_lp)
     assert delta_T(c2, (1, 2)) == (F(2, 3), (1, 0))
-    monkeypatch.setattr(inv, "okounkov_body", halved)
+    monkeypatch.setattr(inv, "_okounkov_cached", halved)
     with pytest.raises(IdentityViolated, match="4/3"):
         delta_T(c2, (1, 2))
 

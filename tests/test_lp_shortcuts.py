@@ -23,7 +23,7 @@ from conestab.exactgeom.fan import cone_fan, fan_moments
 from conestab.filtration import _covector_rows, _reduce_covectors, monomial_filtration
 from conestab.invariants import _lambda_max_cached, lambda_max_closed, twisted_lambda_max
 from conestab.optimize import _slice_min, minimize_nvol
-from conestab.singularity import from_rays
+from conestab.singularity import _xi_row, from_rays
 from conftest import random_cone, random_reeb
 
 F = Fraction
@@ -158,7 +158,8 @@ def test_reduction_ties_are_decided_without_lp():
 @given(seed=st.integers(0, 2 ** 32))
 def test_lambda_max_matches_epigraph_lp(seed):
     s, xi0, G = _lambda_max_draw(seed)
-    assert _lambda_max_cached.__wrapped__(s.weight_cone, xi0, G.covectors) == \
+    key = (s.weight_cone, *_xi_row(xi0, s.rank), G.transform.rows, G.transform.den)
+    assert _lambda_max_cached.__wrapped__(*key) == \
         _ref_lambda_max(s, xi0, G.covectors)
 
 
@@ -227,8 +228,8 @@ def test_reduction_and_lambda_max_solve_no_lp():
         rows = _covector_rows([(1, 1, 4), (1, 4, 1), (1, F(5, 2), F(5, 2))], 3)
         assert _reduce_covectors(c3, rows) == \
             ((1, 1, 4), (1, 4, 1))
-        assert _lambda_max_cached.__wrapped__(c2.weight_cone, (F(1), F(1)),
-                                              G.covectors) == F(3, 2)
+        assert _lambda_max_cached.__wrapped__(c2.weight_cone, (1, 1), 1, G.transform.rows,
+                                              G.transform.den) == F(3, 2)
         assert twisted_lambda_max(c2, (1, 1), G, (1, -1))[0] == F(2)
     assert solves.call_count == 0
 

@@ -7,6 +7,7 @@ import pytest
 from conestab.errors import ParseError, ToleranceNotReached
 from conestab.invariants import okounkov_body, semistable_verdict, vol, vol_derivative
 from conestab import optimize
+from conestab.exactgeom.linalg import _integer_row
 from conestab.optimize import minimize_nvol
 from conestab.singularity import from_rays
 from conftest import random_cone, random_reeb
@@ -56,26 +57,69 @@ def test_minimize_nvol_simplicial_oracle():
 def test_minimize_nvol_stops_at_exact_stationarity(monkeypatch, rays, coeffs):
     # Once the reduced gradient is exactly zero no rounded candidate can
     # descend: neither the line search nor the final rounding ladder may
-    # round anything after the last Hessian evaluation, which is the one at
-    # the returned point.
+    # round anything after the last gradient evaluation, which is the one at
+    # the returned point, and no Hessian is asked for there.
     events = []
-    round_to_slice, fan_moments = optimize._round_to_slice, optimize.fan_moments
+    round_to_slice, fan_sums = optimize._round_to_slice, optimize._fan_sums
 
     def rounding(*args):
-        events.append(("round", None))
+        events.append(("round", None, None))
         return round_to_slice(*args)
 
+    def sums(fan, x, order):
+        events.append(("sums", order, tuple(x)))
+        return fan_sums(fan, x, order)
+
+    monkeypatch.setattr(optimize, "_round_to_slice", rounding)
+    monkeypatch.setattr(optimize, "_fan_sums", sums)
+    r = minimize_nvol(from_rays(rays, coeffs))
+    assert r.certificate_gap == 0
+    x = tuple(_integer_row(r.minimizer)[0])
+    last = max(i for i, (kind, _, _) in enumerate(events) if kind == "sums")
+    assert events[last] == ("sums", 1, x)
+    assert events[last + 1:] == []
+    assert ("sums", 2, x) not in events
+
+
+def test_minimize_nvol_evaluates_no_candidate_twice_in_an_iteration(monkeypatch):
+    # On dP1 the line search used to round 172 times and evaluate the volume
+    # 132 times on only 10 distinct points.  The value to beat is fixed
+    # until a candidate descends, so a rejected one is not evaluated again
+    # in that iteration; the pinned results stay as they were.
+    events = []
+    round_to_slice, fan_sums, fan_moments = (optimize._round_to_slice, optimize._fan_sums,
+                                             optimize.fan_moments)
+
+    def rounding(s, point, max_den):
+        events.append(("round", tuple(_integer_row(point)[0])))
+        return round_to_slice(s, point, max_den)
+
+    def sums(fan, x, order):
+        if order == 1:
+            events.append(("iterate", tuple(x)))
+        return fan_sums(fan, x, order)
+
     def moments(fan, xi, order=2):
-        events.append((f"order{order}", tuple(xi)))
+        events.append(("f", tuple(xi)))
         return fan_moments(fan, xi, order)
 
     monkeypatch.setattr(optimize, "_round_to_slice", rounding)
+    monkeypatch.setattr(optimize, "_fan_sums", sums)
     monkeypatch.setattr(optimize, "fan_moments", moments)
-    r = minimize_nvol(from_rays(rays, coeffs))
-    assert r.certificate_gap == 0
-    last = max(i for i, (kind, _) in enumerate(events) if kind == "order2")
-    assert events[last][1] == r.minimizer
-    assert events[last + 1:] == []
+    r = minimize_nvol(from_rays([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)]))
+    iterations, iterate = [], None
+    for kind, point in events:
+        if kind == "iterate":
+            iterate = point
+            iterations.append([])
+        elif kind == "round" and point == iterate:
+            break  # the final rounding ladder rounds the iterate itself
+        elif kind == "f":
+            iterations[-1].append(point)
+    # Some iteration rejects candidates before one descends: 7 evaluations in 5.
+    assert len(iterations) == r.iterations and sum(map(len, iterations)) > len(iterations)
+    for evaluated in iterations:
+        assert len(evaluated) == len(set(evaluated))
 
 
 def test_minimize_nvol_rejects_negative_tol(c2):

@@ -16,9 +16,9 @@ from conestab.singularity import from_rays
 
 FIELDS = {
     "Cone": ("rank", "rays", "halfspaces"),
-    "ConeSingularity": ("rank", "sigma", "coefficients", "u", "weight_cone"),
+    "ConeSingularity": ("rank", "sigma", "coefficients", "u", "weight_cone", "u_row", "u_den"),
     "MonomialFiltration": ("ambient", "transform"),
-    "PLConcave": ("covectors",),
+    "PLConcave": ("covectors", "rows", "den"),
     "Polytope": ("dim", "vertices", "recession_rays", "halfspaces"),
     "Fan": ("rank", "rays", "simplices"),
 }
@@ -37,7 +37,9 @@ def test_record_is_a_value_of_its_fields(index):
     names = FIELDS[type(x).__name__]
     values = tuple(getattr(x, name) for name in names)
     assert hash(x) == hash(values)
-    copy = type(x)(**dict(zip(names, values)))
+    # PLConcave derives its integer rows and denominator from the covectors.
+    copy = PLConcave(x.covectors) if isinstance(x, PLConcave) else \
+        type(x)(**dict(zip(names, values)))
     assert copy is not x and copy == x and hash(copy) == hash(x)
     assert repr(x) == (type(x).__name__ + "("
                        + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")")
