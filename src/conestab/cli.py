@@ -175,29 +175,21 @@ def cmd_validate(args):
     print(f"klt: yes (coefficients {[str(c) for c in s.coefficients]})")
     print(f"reeb: {_fmt_vec(doc.reeb)} interior, A = {_fmt(log_discrepancy(s, doc.reeb))}")
     for name, F in sorted(doc.filtrations.items()):
-        primary = all(
-            dot(z, r) > 0 for z in F.covectors for r in s.weight_cone.rays)
+        primary = all(dot(z, r) > 0 for z in F.covectors for r in s.weight_cone.rays)
         kind = "primary" if primary else "boundary-divisor type"
         print(f"filtration {name}: {kind}, covectors "
               + " ".join(_fmt_vec(z) for z in F.covectors))
     return EXIT_OK
 
 
-def _invariant_report(doc):
+def cmd_invariants(args):
+    doc = InputDocument.load(args.document)
     s = doc.singularity
     xi0 = doc.reeb
     rep = invariants.InvariantReport(entries={})
     rep.add("A", exact=log_discrepancy(s, xi0))
     rep.add("vol", exact=invariants.vol(s, xi0))
     rep.add("nvol", exact=invariants.nvol(s, xi0))
-    return rep
-
-
-def cmd_invariants(args):
-    doc = InputDocument.load(args.document)
-    s = doc.singularity
-    xi0 = doc.reeb
-    rep = _invariant_report(doc)
     F = doc.filtration(args.filtration)
     rep.add("S", exact=invariants.s_closed(s, xi0, F))
     rep.add("lambda_max", exact=invariants.lambda_max_closed(s, xi0, F))

@@ -69,13 +69,8 @@ class EstimatorSweep(NamedTuple):
         w = csv.writer(buf)
         w.writerow(CSV_HEADER)
         for st in self.per_level:
-            w.writerow([
-                st.m, st.N_m, st.TS_m,
-                "" if st.S_m is None else str(st.S_m),
-                "" if st.Sp_m is None else str(st.Sp_m),
-                str(st.Spp_m),
-                str(st.lammax_m),
-            ])
+            w.writerow([st.m, st.N_m, st.TS_m, *("" if x is None else str(x) for x in
+                                                  (st.S_m, st.Sp_m, st.Spp_m, st.lammax_m))])
         return buf.getvalue()
 
     def to_json(self) -> str:

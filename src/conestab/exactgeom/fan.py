@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from ..errors import UnboundedSlice
 from .cone import Cone, _facet_normals, _triangulate_rays
-from .linalg import _integer_covectors, _integer_row, _row_reduce, det, primitivize, vsub
+from .linalg import _integer_row, _row_reduce, det, primitivize, vsub
 
 
 class Fan(NamedTuple):
@@ -88,22 +88,19 @@ def chambers(c: Cone, covectors):
 
 
 def _chamber_rows(c: Cone, rows):
-    """``chambers`` of covector rows (the library's are integer), cached
-    under their differences from the first row over one scale: a chamber
-    depends only on the directions of the differences, so the twists and
-    rescalings of a transform share its decomposition."""
+    """``chambers`` of integer covector rows, cached under their differences
+    from the first row over their gcd: a chamber depends only on the
+    directions of the differences, so the twists and rescalings of a
+    transform share its decomposition."""
     zs = [[a - b for a, b in zip(z, rows[0])] for z in rows]
-    try:
-        g = gcd(*(a for z in zs for a in z)) or 1
-    except TypeError:  # rational rows: over one denominator first
-        zs, _ = _integer_covectors(zs)
-        g = gcd(*(a for z in zs for a in z)) or 1
+    g = gcd(*(a for z in zs for a in z)) or 1
     back = {tuple(a // g for a in d): z for d, z in zip(zs, rows)}
     return tuple((back[d], rays) for d, rays in chambers(c, tuple(back)))
 
 
 def chamber_fans(c: Cone, rows):
-    """Yield (z_j, simplicial fan of chamber j) for each of ``_chamber_rows``."""
+    """Yield (z_j, simplicial fan of chamber j) for each of ``_chamber_rows``
+    of the integer covector rows."""
     found = _chamber_rows(c, rows)
     if len(found) == 1:  # the whole cone, whose fan is cached
         yield found[0][0], cone_fan(c)
@@ -140,10 +137,8 @@ def _fan_sums(fan: Fan, x, order):
             for k in range(n):
                 for m in range(k + 1):
                     hess[k][m] += c * s[k] * s[m]
-    if order == 0:
-        return Q, vol, None, None
-    if order == 1:
-        return Q, vol, grad, None
+    if order < 2:
+        return Q, vol, grad if order else None, None
     for i, w in enumerate(fan.rays):
         if weight[i]:
             f = weight[i] * R[i] * R[i]

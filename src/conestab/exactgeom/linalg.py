@@ -28,7 +28,7 @@ separate unimodular integer elimination that lattice indices need.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 Vec = tuple  # tuple of Fraction/int
 
@@ -82,11 +82,6 @@ def vsub(u, v) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vscale(c, u) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in u)
-
-
 def vzero(n) -> Vec:
     return (Fraction(0),) * n
 
@@ -135,13 +130,8 @@ def primitivize(v):
 def _integer_rows(rows):
     """(integer rows, scale): each rational row times the lcm of its
     denominators, and the product of those lcms."""
-    m = []
-    scale = 1
-    for r in rows:
-        ints, L = _integer_row(r)
-        m.append(ints)
-        scale *= L
-    return m, scale
+    pairs = [_integer_row(r) for r in rows]
+    return [ints for ints, _ in pairs], prod(L for _, L in pairs)
 
 
 def _row_reduce(rows, ncols):
@@ -297,4 +287,4 @@ def gram_project_out(v, direction):
     if d2 == 0:
         return vec(v)
     c = dot(v, direction) / d2
-    return vsub(vec(v), vscale(c, direction))
+    return vsub(vec(v), tuple(c * a for a in direction))

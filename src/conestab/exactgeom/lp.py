@@ -211,9 +211,7 @@ def fractional_lp(num, den, halfspaces, sense="min"):
         if dot(den, r) <= 0:
             raise DenominatorVanishes(
                 f"denominator not strictly positive on feasible ray {r}")
-    cons = [(den, EQ, Fraction(1))]
-    for h in halfspaces:
-        cons.append((vec(h), GE, Fraction(0)))
+    cons = [(den, EQ, Fraction(1))] + [(vec(h), GE, Fraction(0)) for h in halfspaces]
     try:
         res = lp_solve(num, cons, sense=sense)
     except LPUnbounded as exc:

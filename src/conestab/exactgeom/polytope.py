@@ -124,23 +124,16 @@ def triangulate(p: Polytope):
     """
     if not p.bounded:
         raise Unbounded("cannot triangulate an unbounded polyhedron")
-    lifted = [tuple(v) + (Fraction(1),) for v in p.vertices]
-    prim = {}
-    for v, lift in zip(p.vertices, lifted):
-        prim[primitivize(lift)] = v
+    prim = {primitivize(tuple(v) + (Fraction(1),)): v for v in p.vertices}
     if mat_rank(list(prim)) < p.dim + 1:
         return []  # lower-dimensional: nothing of full measure to triangulate
-    simplices = []
-    for simplex in _triangulate_rays(prim):
-        simplices.append(tuple(prim[r] for r in simplex))
-    return simplices
+    return [tuple(prim[r] for r in simplex) for simplex in _triangulate_rays(prim)]
 
 
 def _simplex_volume(verts):
     v0 = verts[0]
     edges = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
-    n = len(edges)
-    return abs(det(edges)) / factorial(n)
+    return abs(det(edges)) / factorial(len(edges))
 
 
 def volume(p: Polytope) -> Fraction:
@@ -151,10 +144,7 @@ def volume(p: Polytope) -> Fraction:
         return Fraction(0)
     if mat_rank([[x - y for x, y in zip(v, p.vertices[0])] for v in p.vertices[1:]]) < p.dim:
         return Fraction(0)
-    total = Fraction(0)
-    for s in triangulate(p):
-        total += _simplex_volume(s)
-    return total
+    return sum(map(_simplex_volume, triangulate(p)), Fraction(0))
 
 
 def barycenter(p: Polytope):
@@ -214,6 +204,13 @@ class PLConcave(namedtuple("PLConcave", "covectors rows den")):
         if not covectors:
             raise ValueError("PLConcave needs at least one covector")
         return super().__new__(cls, covectors, *_integer_covectors(covectors))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return (self.covectors,)
+
+    @classmethod
+    def _make(cls, fields):  # and so does _replace, which cannot set rows or den
+        return cls(next(iter(fields)))
 
     def value(self, x) -> Fraction:
         return min(dot(z, x) for z in self.covectors)

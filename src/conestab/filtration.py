@@ -12,16 +12,12 @@ this module computes Newton polyhedra, exact orders, the orders of the
 degree-m approximating filtrations, and the saturated closure of an
 approximating filtration as a concave transform of its own.
 
-The approximations of one filtration at level m share one table, keyed on
-(weight cone, integer covector rows, m).  It covers the reference-weight
-window <ell, .> <= w, with ell = sigma.interior_point(), the sum of the
-weight cone's facet normals, and holds the kept blocks, the order of
+The approximations of one filtration at level m share one table
+(``_approx_table``), keyed on (weight cone, integer covector rows, m), over
+the reference-weight window <ell, .> <= w with ell = sigma.interior_point(),
+the sum of the weight cone's facet normals: the kept blocks, the order of
 every window point per lattice run, the point count at each weight and,
-once found, the approximant's certified window.  A window is down-closed
-in every larger one, so a request for a window up to w reads the table
-and a larger one rebuilds it there.  Either way the caller's budget is
-checked against the point count of the window it asked for, so a hit
-raises the same BudgetExceeded as a fresh enumeration.
+once found, the approximant's certified window.
 """
 
 from bisect import bisect_right
@@ -87,12 +83,10 @@ def _reduce_covectors(s: ConeSingularity, rows):
     """Drop covectors that never realize the minimum on the weight cone.
 
     zeta_j is irredundant exactly when its chamber {g = <zeta_j, .>} is
-    full-dimensional, so the reduced list is the covectors of the chambers
-    (``fan._chamber_rows``) of the sorted rows of ``_covector_rows``: the
-    unique minimal list for a full-dimensional weight cone.  The chambers
-    are cached under the differences of the rows, so S and lambda_max of
-    the filtration, and the reduction of its twists, find the same
-    decomposition.
+    full-dimensional, so the reduced list, unique and minimal for a
+    full-dimensional weight cone, is the covectors of the chambers
+    (``fan._chamber_rows``, shared with S, lambda_max and the twists) of
+    the sorted rows of ``_covector_rows``.
     """
     return tuple(rows[z] for z, _ in _chamber_rows(s.weight_cone, tuple(sorted(rows))))
 

@@ -73,11 +73,6 @@ def _barycenter(v, grad, xi0):
     return b, tuple(Fraction(n + 1, n) * x for x in b)
 
 
-def _rows(F: MonomialFiltration):
-    """(rows, den), the integer form F's transform carries."""
-    return F.transform.rows, F.transform.den
-
-
 @lru_cache(maxsize=4096)
 def _okounkov_cached(wc, x, L) -> OkounkovBody:
     """Keyed on (weight cone, x, L), xi0 = x / L: all the body depends on."""
@@ -145,7 +140,8 @@ def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
         S = sum_tau |det W_tau| / prod_i p_i * <z_j, sum_i w_i / p_i>
             / (n * vol(xi0)).
     """
-    return _s_closed_cached(s.weight_cone, *_xi_row(xi0, s.rank), *_rows(F))
+    return _s_closed_cached(s.weight_cone, *_xi_row(xi0, s.rank),
+                            F.transform.rows, F.transform.den)
 
 
 def _slice_value(groups, x, L, den, largest):
@@ -169,7 +165,8 @@ def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
     maximum is that of <z_j, .> over the chamber rays scaled onto the
     slice.
     """
-    return _lambda_max_cached(s.weight_cone, *_xi_row(xi0, s.rank), *_rows(F))
+    return _lambda_max_cached(s.weight_cone, *_xi_row(xi0, s.rank),
+                              F.transform.rows, F.transform.den)
 
 
 def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -182,13 +179,13 @@ def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
     x, L = _xi_row(xi0, s.rank)
     wc = s.weight_cone
     _okounkov_cached(wc, x, L)  # unread; perfbench's cache_hit_ratio counts this lookup
-    zs, den = _rows(F)
+    zs, den = F.transform.rows, F.transform.den
     return _slice_value(((zs, wc.rays),), x, L, den, False)
 
 
 def j_norm(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """lambda_max - S; nonnegative, zero exactly on rescaled polarizations."""
-    key = (s.weight_cone, *_xi_row(xi0, s.rank), *_rows(F))
+    key = (s.weight_cone, *_xi_row(xi0, s.rank), F.transform.rows, F.transform.den)
     return _lambda_max_cached(*key) - _s_closed_cached(*key)
 
 
@@ -220,7 +217,7 @@ def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
     with no LP.  Where several tie, the optima form their convex hull and
     the LP is solved for the vertex it picks.
     """
-    return _lct_cached(s.u_row, s.u_den, s.sigma, *_rows(F))
+    return _lct_cached(s.u_row, s.u_den, s.sigma, F.transform.rows, F.transform.den)
 
 
 @lru_cache(maxsize=16384)
@@ -233,9 +230,8 @@ def _lct_cached(u, Lu, sigma, zs, den) -> LctResult:
         return LctResult(value=Fraction(low, den * Lu),
                          minimizer=tuple(Fraction(a, den) for a in zs[pairings.index(low)]))
     verts = enumerate_vertices(_newton_halfspaces(sigma, zs, den), sigma.rank)
-    cons = [(v, ">=", Fraction(1)) for v in verts]
-    for h in sigma.halfspaces:
-        cons.append((h, ">=", Fraction(0)))
+    cons = ([(v, ">=", Fraction(1)) for v in verts]
+            + [(h, ">=", Fraction(0)) for h in sigma.halfspaces])
     res = lp_solve(tuple(Fraction(a, Lu) for a in u), cons, sense="min")
     return LctResult(value=res.value, minimizer=res.point)
 
@@ -243,7 +239,7 @@ def _lct_cached(u, Lu, sigma, zs, den) -> LctResult:
 def ding(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """Ding invariant: lct(F) - A(xi0) S(xi0; F)."""
     x, L = _xi_row(xi0, s.rank)
-    zs, den = _rows(F)
+    zs, den = F.transform.rows, F.transform.den
     return (_lct_cached(s.u_row, s.u_den, s.sigma, zs, den).value
             - _log_discrepancy(s, x, L) * _s_closed_cached(s.weight_cone, x, L, zs, den))
 
@@ -369,7 +365,7 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     """
     wc = s.weight_cone
     x, L = _xi_row(xi0, s.rank)
-    zs, den = _rows(F)
+    zs, den = F.transform.rows, F.transform.den
     alpha0 = _okounkov_cached(wc, x, L).alpha0
     a, La = _integer_row(alpha0)
     pairings = [sum(map(mul, z, a)) for z in zs]
@@ -397,14 +393,9 @@ def _reduced_j_twist_lp(s, x, L, F, alpha0):
     k = len(covs)
     # Variables: lam (k), xi (n), t (1).
     zeros = lambda j: (Fraction(0),) * j
-    cons = []
-    cons.append(((Fraction(1),) * k + zeros(n + 1), "==", Fraction(1)))
-    for i in range(k):
-        e = [Fraction(0)] * (k + n + 1)
-        e[i] = Fraction(1)
-        cons.append((tuple(e), ">=", Fraction(0)))
-    for h in s.sigma.halfspaces:
-        cons.append((zeros(k) + tuple(h) + zeros(1), ">=", Fraction(0)))
+    cons = [((Fraction(1),) * k + zeros(n + 1), "==", Fraction(1))]
+    cons += [(zeros(i) + (Fraction(1),) + zeros(k + n - i), ">=", Fraction(0)) for i in range(k)]
+    cons += [(zeros(k) + tuple(h) + zeros(1), ">=", Fraction(0)) for h in s.sigma.halfspaces]
     for av in _okounkov_cached(s.weight_cone, x, L).body.vertices[1:]:  # slice vertices
         row = [dot(z, av) for z in covs] + list(av) + [Fraction(-1)]
         cons.append((tuple(row), "<=", Fraction(0)))
@@ -425,7 +416,7 @@ def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):
     """
     x, L = _xi_row(xi0, s.rank)
     e, Le = _xi_row(xi, s.rank)
-    zs, den = _rows(F)
+    zs, den = F.transform.rows, F.transform.den
     return max(((dot(z, a) / den + dot(e, a) / Le, a)
                 for z, rays in _chamber_rows(s.weight_cone, zs)
                 for a in slice_vertices(rays, x, L)),
@@ -538,9 +529,5 @@ class InvariantReport(NamedTuple):
     @staticmethod
     def parse_exact(payload: str):
         """Recover the exact fractions from a serialized report."""
-        data = json.loads(payload)
-        out = {}
-        for name, entry in data.items():
-            if "exact" in entry:
-                out[name] = Fraction(entry["exact"])
-        return out
+        return {name: Fraction(entry["exact"])
+                for name, entry in json.loads(payload).items() if "exact" in entry}

@@ -1,22 +1,11 @@
 """Normalized-volume minimization over the Reeb cone.
 
-The normalized-volume minimizer works on the affine slice where the log
-discrepancy equals one.  There nvol is vol(xi) = sum_tau |det W_tau| /
-prod_i <w_i, xi> over one simplicial fan of the weight cone (Lawrence's
-formula, ``exactgeom.fan``), a strictly convex rational function of the
-Reeb vector whose gradient and Hessian are exact sums over the same fan.
-The search takes exact Newton steps on the integer fan sums
-(``fan._fan_sums``), asking for the Hessian only where it steps, converts
-each trial point to float only to round it to a nearby rational with a
-capped denominator, and verifies descent exactly, at most once per
-candidate and step.  It stops as soon as the reduced gradient is
-exactly zero, since by strict convexity no candidate can then descend, and
-such an iterate is returned with no final rounding; otherwise a last
-rounding ladder looks for a simpler point that does not increase the
-value.  A final convexity bound, minimized over the vertices of the slice,
-certifies the gap, which collapses to zero whenever the iterate is exactly
-stationary.  The alignment residual alpha0 - u reads alpha0 off the volume
-and gradient already held at the iterate.
+On the slice where the log discrepancy is one, nvol is vol(xi) =
+sum_tau |det W_tau| / prod_i <w_i, xi> over one simplicial fan of the
+weight cone (Lawrence's formula, ``exactgeom.fan``), a strictly convex
+rational function whose gradient and Hessian are exact sums over the same
+fan.  ``minimize_nvol`` takes exact Newton steps on it and certifies the
+result.
 """
 
 from fractions import Fraction
@@ -65,17 +54,20 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
                   raise_on_gap=False) -> NvolResult:
     """Minimize the normalized volume over the Reeb cone.
 
-    Works on {A = 1}: there nvol equals vol, and vol with its gradient and
-    Hessian are exact sums over the weight cone's simplicial fan.  Steps:
-    exact Newton direction (steepest descent if the reduced Hessian is
+    Works on {A = 1}, where nvol equals vol.  Steps: exact Newton direction
+    from the integer fan sums (``fan._fan_sums``; the reduced Hessian is
+    asked for only where a step is taken, steepest descent if it is
     singular), rational rounding of the float trial point (denominators
-    capped), exact descent check; the loop ends at once where the reduced
-    gradient is exactly zero, and that iterate is returned unrounded.  The
-    certificate is the convexity bound vol(x*) + <grad, y - x*> minimized
-    over the slice polytope {y in sigma : <u, y> = 1}, which is linear in y
-    and so least at a vertex v / <u, v>, v a ray of sigma (no LP is
-    needed); at an exactly stationary point the gap is exactly zero.  A
-    negative ``tol`` raises ParseError.
+    capped), exact descent check, at most once per candidate and step.  The
+    loop ends at once where the reduced gradient is exactly zero, and that
+    iterate is returned unrounded; otherwise a rounding ladder looks for a
+    simpler point that does not increase the value.  The certificate is the
+    convexity bound vol(x*) + <grad, y - x*> minimized over the slice
+    polytope {y in sigma : <u, y> = 1}, which is linear in y and so least
+    at a vertex v / <u, v>, v a ray of sigma (no LP is needed); at an
+    exactly stationary point the gap is exactly zero.  The alignment
+    residual alpha0 - u reads alpha0 off the volume and gradient held at
+    the iterate.  A negative ``tol`` raises ParseError.
     """
     tol = frac(tol)
     if tol < 0:

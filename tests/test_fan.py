@@ -20,20 +20,22 @@ from conestab.exactgeom import (
     volume,
 )
 from conestab.exactgeom.fan import chamber_fans, cone_fan, fan_moments
-from conestab.exactgeom.linalg import mat_rank
+from conestab.exactgeom.linalg import _integer_covectors, mat_rank
 
 F = Fraction
 
 
 def chamber_s(c, xi, covectors):
     """S = sum over chamber simplices of |det| / prod p_i * <z_j, sum w_i / p_i>,
-    over n * vol, as ``invariants.s_closed`` computes it."""
+    over n * vol, as ``invariants.s_closed`` computes it on the covectors'
+    integer rows zs_j / den."""
     n = c.rank
+    zs, den = _integer_covectors(covectors)
     total = F(0)
-    for z, fan in chamber_fans(c, covectors):
+    for z, fan in chamber_fans(c, zs):
         _, grad, _ = fan_moments(fan, xi, order=1)
         total -= dot(z, grad)
-    return total / (n * fan_moments(cone_fan(c), xi, order=0)[0])
+    return total / (den * n * fan_moments(cone_fan(c), xi, order=0)[0])
 
 
 def test_orthant_moments():
@@ -55,7 +57,8 @@ def test_chambers_skip_duplicates_and_ties():
     orthant = cone_from_rays([(1, 0), (0, 1)])
     covs = [(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2)), (F(1), F(0))]
     # The midpoint covector is minimal only on the diagonal ray.
-    assert [z for z, _ in chamber_fans(orthant, covs)] == covs[:2]
+    rows, _ = _integer_covectors(covs)  # (2, 0), (0, 2), (1, 1), (2, 0)
+    assert [z for z, _ in chamber_fans(orthant, rows)] == list(rows[:2])
     body = slice_polytope(orthant, (1, 1), 1)
     assert integrate_pl(body, PLConcave(tuple(covs))) == F(1, 12)
     assert chamber_s(orthant, (1, 1), covs) == F(3, 2) * F(1, 12) / volume(body)
@@ -110,7 +113,7 @@ def test_kernel_equals_polytope_path(data):
     event(f"rank {n}")
     if len(c.rays) > n:
         event("non-simplicial cone")
-    if len(list(chamber_fans(c, covs))) < len(set(covs)):
+    if len(list(chamber_fans(c, _integer_covectors(covs)[0]))) < len(set(covs)):
         event("lower-dimensional chamber")
 
 

@@ -143,7 +143,7 @@ def test_integer_paths_match_fraction_references(seed):
     assert G.covectors == tuple(z for z, _ in _old_chambers(s, covs))
     event(f"{len(G.covectors)} covectors kept of {len(set(covs))}")
 
-    key = (wc, *_xi_row(xi0, s.rank), *inv._rows(G))
+    key = (wc, *_xi_row(xi0, s.rank), G.transform.rows, G.transform.den)
     lmax = inv._lambda_max_cached.__wrapped__(*key)
     assert lmax == _old_lambda_max(s, xi0, G.covectors)
     assert inv.lambda_max_closed(s, xi0, G) == lmax
@@ -161,7 +161,8 @@ def test_integer_paths_match_fraction_references(seed):
         event("reduced J twist without LP")
 
     pairings = [dot(z, s.u) for z in G.covectors]
-    lct = inv._lct_cached.__wrapped__(s.u_row, s.u_den, s.sigma, *inv._rows(G))
+    lct = inv._lct_cached.__wrapped__(s.u_row, s.u_den, s.sigma,
+                                      G.transform.rows, G.transform.den)
     assert lct.value == min(pairings) and type(lct.value) is F
     if pairings.count(lct.value) == 1:
         assert lct.minimizer == G.covectors[pairings.index(lct.value)]
@@ -188,7 +189,7 @@ def test_slice_outside_the_reeb_cone_raises_the_same_error(seed):
     old = [lambda: _old_lambda_max(s, xi0, G.covectors),
            lambda: _old_lambda_min(s, xi0, G),
            lambda: _old_s(s, xi0, G.covectors)]
-    key = (s.weight_cone, *_xi_row(xi0, s.rank), *inv._rows(G))
+    key = (s.weight_cone, *_xi_row(xi0, s.rank), G.transform.rows, G.transform.den)
     new = [lambda: inv._lambda_max_cached.__wrapped__(*key),
            lambda: inv.lambda_min_closed(s, xi0, G),
            lambda: inv._s_closed_cached.__wrapped__(*key),

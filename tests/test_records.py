@@ -5,6 +5,10 @@ those of the tuple of fields, and the records must not change after they
 are built.
 """
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 
 from conestab.estimators import EstimatorSweep
@@ -37,10 +41,11 @@ def test_record_is_a_value_of_its_fields(index):
     names = FIELDS[type(x).__name__]
     values = tuple(getattr(x, name) for name in names)
     assert hash(x) == hash(values)
-    # PLConcave derives its integer rows and denominator from the covectors.
-    copy = PLConcave(x.covectors) if isinstance(x, PLConcave) else \
-        type(x)(**dict(zip(names, values)))
-    assert copy is not x and copy == x and hash(copy) == hash(x)
+    # Rebuilt from its constructor's arguments (for PLConcave the covectors
+    # alone, from which it derives rows and den), as copies and pickles are.
+    for twin in (type(x)(*x.__getnewargs__()), copy.copy(x), copy.deepcopy(x),
+                 pickle.loads(pickle.dumps(x))):
+        assert twin is not x and twin == x and hash(twin) == hash(x)
     assert repr(x) == (type(x).__name__ + "("
                        + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")")
     with pytest.raises(AttributeError):
@@ -57,6 +62,16 @@ def test_record_kinds_covered():
 def test_pl_concave_needs_a_covector():
     with pytest.raises(ValueError, match="at least one covector"):
         PLConcave(())
+
+
+def test_pl_concave_fields_follow_the_covectors():
+    g = PLConcave(((Fraction(1, 2), 0), (0, Fraction(1, 3))))
+    assert (g.rows, g.den) == (((3, 0), (0, 2)), 6)
+    h = g._replace(covectors=((1, 1),))
+    assert h == PLConcave(((1, 1),)) and (h.rows, h.den) == (((1, 1),), 1)
+    assert PLConcave._make(g) == g
+    with pytest.raises(ValueError, match="rows"):
+        g._replace(rows=((1, 1), (1, 1)))
 
 
 def test_default_containers_are_not_shared():
