@@ -24,8 +24,8 @@ from .errors import (
     ToleranceNotReached,
     UnknownFiltration,
 )
-from .exactgeom import dot, enumeration_budget
-from .filtration import monomial_filtration, rescale, toric_filtration
+from .exactgeom import enumeration_budget
+from .filtration import _primary, monomial_filtration, rescale, toric_filtration
 from .singularity import from_rays, log_discrepancy, reeb_contains
 
 EXIT_OK = 0
@@ -175,8 +175,7 @@ def cmd_validate(args):
     print(f"klt: yes (coefficients {[str(c) for c in s.coefficients]})")
     print(f"reeb: {_fmt_vec(doc.reeb)} interior, A = {_fmt(log_discrepancy(s, doc.reeb))}")
     for name, F in sorted(doc.filtrations.items()):
-        primary = all(dot(z, r) > 0 for z in F.covectors for r in s.weight_cone.rays)
-        kind = "primary" if primary else "boundary-divisor type"
+        kind = "primary" if _primary(F) else "boundary-divisor type"
         print(f"filtration {name}: {kind}, covectors "
               + " ".join(_fmt_vec(z) for z in F.covectors))
     return EXIT_OK

@@ -9,7 +9,6 @@ simplicial fan of the weight cone (``fan.py``); ``volume``, ``barycenter``,
 stay as the direct reference for that kernel.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -17,8 +16,7 @@ from typing import NamedTuple
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
 from .cone import Cone, _facet_normals, _triangulate_rays
-from .linalg import (_integer_covectors, _integer_row, det, dot, frac, mat_rank, primitivize,
-                     vec, vzero)
+from .linalg import _integer_row, det, dot, frac, mat_rank, primitivize, vec, vzero
 
 
 class Polytope(NamedTuple):
@@ -187,33 +185,25 @@ def second_moment(p: Polytope):
     return tuple(tuple(row) for row in M)
 
 
-class PLConcave(namedtuple("PLConcave", "covectors rows den")):
-    """Min of finitely many linear forms: g(x) = min_j <covectors[j], x>.
+class PLConcave(NamedTuple):
+    """Min of finitely many linear forms: g(x) = min_j <rows[j], x> / den.
 
-    Positively homogeneous, concave and superadditive wherever all covectors
-    are nonnegative together; the reduction to an irredundant covector list
-    happens against a reference cone in the filtration layer.  The
-    constructor derives the other fields, the integer form the caches key
-    on and the kernels read: den > 0 is the lcm of all the denominators and
-    rows[j] = den * covectors[j] as ints, so g = min_j <rows[j], .> / den.
+    rows are int tuples and den > 0 an int.  Positively homogeneous,
+    concave and superadditive wherever all rows are nonnegative together;
+    the reduction to irredundant rows, sorted, with gcd(den, every entry)
+    = 1, happens against a reference cone in the filtration layer.
     """
 
-    __slots__ = ()
+    rows: tuple
+    den: int
 
-    def __new__(cls, covectors):
-        if not covectors:
-            raise ValueError("PLConcave needs at least one covector")
-        return super().__new__(cls, covectors, *_integer_covectors(covectors))
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return (self.covectors,)
-
-    @classmethod
-    def _make(cls, fields):  # and so does _replace, which cannot set rows or den
-        return cls(next(iter(fields)))
+    @property
+    def covectors(self):
+        """The linear forms rows[j] / den as Fraction tuples."""
+        return tuple(tuple(Fraction(a, self.den) for a in z) for z in self.rows)
 
     def value(self, x) -> Fraction:
-        return min(dot(z, x) for z in self.covectors)
+        return min(dot(z, x) for z in self.rows) / self.den
 
 
 def integrate_pl(p: Polytope, g: PLConcave) -> Fraction:

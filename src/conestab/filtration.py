@@ -2,10 +2,11 @@
 
 A torus-invariant, linearly bounded monomial filtration is captured by its
 concave transform g = min_j <zeta_j, .> on the weight cone: the level-lambda
-ideal is spanned by the monomials with g(exponent) >= lambda.  Construction
-reduces the covector list to the unique irredundant form (the covectors
-with a full-dimensional chamber), so filtration equality is decidable by
-comparing tuples.
+ideal is spanned by the monomials with g(exponent) >= lambda.  Every
+constructor ends in one integer entry, ``_filtration``, which reduces the
+covectors, as integer rows over one denominator, to the unique irredundant
+form (the rows with a full-dimensional chamber) over the least denominator,
+so filtration equality is decidable by comparing tuples.
 
 Besides the algebra of filtrations (rescale, twist, geodesic, intersection)
 this module computes Newton polyhedra, exact orders, the orders of the
@@ -23,7 +24,7 @@ once found, the approximant's certified window.
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -66,29 +67,33 @@ class NewtonPolyhedron(NamedTuple):
         return self.polytope.vertices
 
 
-def _covector_rows(covectors, n):
-    """{integer row: Fraction covector} for covectors of n rationals; the
-    rows share one denominator (``_integer_covectors``), so equal
-    covectors share a row and the rows keep their signs and order."""
-    covs = [vec(z) for z in covectors]
-    if not covs:
-        raise EmptyInput("a filtration needs at least one covector")
-    for z in covs:
-        if len(z) != n:
-            raise AmbientMismatch(f"covector of length {len(z)} on a rank-{n} cone")
-    return dict(zip(_integer_covectors(covs)[0], covs))
+def _primary(F: MonomialFiltration) -> bool:
+    """True when F's transform is positive on every weight-cone ray."""
+    rays = F.ambient.weight_cone.rays
+    return all(sum(map(mul, z, a)) > 0 for z in F.transform.rows for a in rays)
 
 
-def _reduce_covectors(s: ConeSingularity, rows):
-    """Drop covectors that never realize the minimum on the weight cone.
+def _filtration(s: ConeSingularity, rows, den, require_primary) -> MonomialFiltration:
+    """The filtration of the covectors rows[j] / den (int tuples, den > 0).
 
-    zeta_j is irredundant exactly when its chamber {g = <zeta_j, .>} is
-    full-dimensional, so the reduced list, unique and minimal for a
-    full-dimensional weight cone, is the covectors of the chambers
-    (``fan._chamber_rows``, shared with S, lambda_max and the twists) of
-    the sorted rows of ``_covector_rows``.
+    Every row is tested for primarity, in order.  zeta_j is irredundant
+    exactly when its chamber {g = <zeta_j, .>} is full-dimensional, so the
+    reduced list, unique and minimal for a full-dimensional weight cone, is
+    the rows of the chambers (``fan._chamber_rows``, shared with S,
+    lambda_max and the twists) of the sorted distinct rows; they and den
+    are then divided by gcd(den, all their entries).  So each filtration
+    has one record, and equality is decidable by comparing tuples.
     """
-    return tuple(rows[z] for z, _ in _chamber_rows(s.weight_cone, tuple(sorted(rows))))
+    for z in rows:
+        for alpha in s.weight_cone.rays:
+            val = sum(map(mul, z, alpha))
+            if val < 0 or (require_primary and val == 0):
+                raise NotPrimary(
+                    f"transform not positive on weight-cone ray {alpha}")
+    kept = [z for z, _ in _chamber_rows(s.weight_cone, tuple(sorted(set(rows))))]
+    g = gcd(den, *(a for z in kept for a in z))
+    return MonomialFiltration(ambient=s, transform=PLConcave(
+        rows=tuple(tuple(a // g for a in z) for z in kept), den=den // g))
 
 
 def monomial_filtration(s: ConeSingularity, covectors,
@@ -98,17 +103,16 @@ def monomial_filtration(s: ConeSingularity, covectors,
     ``require_primary=False`` admits transforms that vanish along the
     boundary of the weight cone, e.g. filtrations cut out by an effective
     divisor; those still have exact S and lct but no finite rescaling
-    duality.  Primarity is tested on the integer rows of the covectors.
+    duality.  The covectors share one denominator (``_integer_covectors``)
+    and go to ``_filtration`` as integer rows.
     """
-    rows = _covector_rows(covectors, s.rank)
-    for z in rows:
-        for alpha in s.weight_cone.rays:
-            val = sum(map(mul, z, alpha))
-            if val < 0 or (require_primary and val == 0):
-                raise NotPrimary(
-                    f"transform not positive on weight-cone ray {alpha}")
-    return MonomialFiltration(ambient=s,
-                              transform=PLConcave(covectors=_reduce_covectors(s, rows)))
+    covs = [vec(z) for z in covectors]
+    if not covs:
+        raise EmptyInput("a filtration needs at least one covector")
+    for z in covs:
+        if len(z) != s.rank:
+            raise AmbientMismatch(f"covector of length {len(z)} on a rank-{s.rank} cone")
+    return _filtration(s, *_integer_covectors(covs), require_primary)
 
 
 def toric_filtration(s: ConeSingularity, xi) -> MonomialFiltration:
@@ -120,30 +124,32 @@ def toric_filtration(s: ConeSingularity, xi) -> MonomialFiltration:
     still exact.
     """
     x, L = _xi_row(xi, s.rank)
-    return monomial_filtration(s, [tuple(Fraction(a, L) for a in x)], require_primary=False)
+    return _filtration(s, (x,), L, False)
 
+
+# The combinations below are primary exactly when all their inputs are.
 
 def rescale(F: MonomialFiltration, a) -> MonomialFiltration:
     """a-rescaling: orders multiply by a; transform covectors scale by a."""
     a = frac(a)
     if a <= 0:
         raise NonpositiveScale(f"rescale factor must be positive, got {a}")
-    covs = [tuple(a * x for x in z) for z in F.covectors]
-    return MonomialFiltration(ambient=F.ambient,
-                              transform=PLConcave(covectors=tuple(sorted(covs))))
+    rows = [tuple(a.numerator * x for x in z) for z in F.transform.rows]
+    return _filtration(F.ambient, rows, a.denominator * F.transform.den, _primary(F))
 
 
 def twist(F: MonomialFiltration, xi) -> MonomialFiltration:
     """Twist by a coweight: every covector shifts by xi.
 
-    Any xi keeping the transform positive on the weight cone is accepted,
-    which is wider than the open Reeb cone and is needed to probe the
-    reduced J-norm near the boundary.  The rows z / den shift in integers,
-    to (L z + den x) / (den L) for xi = x / L, and keep F's chambers.
+    Any xi keeping the transform positive on the weight cone (nonnegative
+    if F is not primary) is accepted, which is wider than the open Reeb
+    cone and is needed to probe the reduced J-norm near the boundary.  The
+    rows z / den shift in integers, to (L z + den x) / (den L) for
+    xi = x / L, and keep F's chambers.
     """
     (x, L), den = _xi_row(xi, F.ambient.rank), F.transform.den
-    return monomial_filtration(F.ambient, [tuple(Fraction(L * a + den * b, den * L)
-                                                 for a, b in zip(z, x)) for z in F.transform.rows])
+    rows = [tuple(L * a + den * b for a, b in zip(z, x)) for z in F.transform.rows]
+    return _filtration(F.ambient, rows, den * L, _primary(F))
 
 
 def geodesic(filtrations, weights) -> MonomialFiltration:
@@ -170,22 +176,25 @@ def geodesic(filtrations, weights) -> MonomialFiltration:
         c = w * (lam // F.transform.den)
         combos = [tuple(b + c * x for b, x in zip(base, z))
                   for base in combos for z in F.transform.rows]
-    return monomial_filtration(ambient, [tuple(Fraction(a, W * lam) for a in z) for z in combos])
+    return _filtration(ambient, combos, W * lam, all(map(_primary, filtrations)))
 
 
 def intersect(F: MonomialFiltration, G: MonomialFiltration) -> MonomialFiltration:
     """Intersection of filtrations: ord = min(ord_F, ord_G)."""
     if F.ambient != G.ambient:
         raise AmbientMismatch("intersection across different singularities")
-    return monomial_filtration(F.ambient, list(F.covectors) + list(G.covectors))
+    lam = lcm(F.transform.den, G.transform.den)
+    rows = [tuple(lam // H.transform.den * a for a in z)
+            for H in (F, G) for z in H.transform.rows]
+    return _filtration(F.ambient, rows, lam, _primary(F) and _primary(G))
 
 
-def _newton_halfspaces(sigma, covectors, level=Fraction(1)):
-    """Halfspaces of {g >= 1}: <z, a> >= level per covector z (level = den
-    for integer rows over den), then a in the weight cone (<v, a> >= 0 on
-    the rays v of sigma)."""
-    return ([(tuple(-x for x in z), -level) for z in covectors]
-            + [(tuple(-x for x in v), Fraction(0)) for v in sigma.rays])
+def _newton_halfspaces(sigma, zs, den):
+    """Halfspaces of {g >= 1} for the covectors zs_j / den: <z, a> >= den
+    per row z, then a in the weight cone (<v, a> >= 0 on the rays v of
+    sigma)."""
+    return ([(tuple(-x for x in z), -den) for z in zs]
+            + [(tuple(-x for x in v), 0) for v in sigma.rays])
 
 
 def newton_polyhedron(F: MonomialFiltration) -> NewtonPolyhedron:
@@ -195,7 +204,7 @@ def newton_polyhedron(F: MonomialFiltration) -> NewtonPolyhedron:
     reproduces g, which is the saturation identity for monomial data.
     """
     s = F.ambient
-    hs = _newton_halfspaces(s.sigma, F.covectors)
+    hs = _newton_halfspaces(s.sigma, F.transform.rows, F.transform.den)
     verts = enumerate_vertices(hs, s.rank)
     poly = Polytope(dim=s.rank, vertices=tuple(verts),
                     recession_rays=tuple(s.weight_cone.rays), halfspaces=tuple(hs))
@@ -342,25 +351,6 @@ def _coder(n, bound):
     return code, decode
 
 
-def approx_orders(F: MonomialFiltration, m: int, pts) -> dict:
-    """Order of every point of pts under the degree-m approximating filtration.
-
-    pts, int tuples, must be down-closed in the weight cone: with p it holds
-    every lattice q with p - q in the cone.  The order of p is its best
-    decomposition into nonzero lattice blocks, each worth
-    v = min(floor(g), m), computed by the block DP of ``_block_dp`` in
-    O(points x kept blocks) integer steps.
-    """
-    pts = list(pts)
-    ell = F.ambient.sigma.interior_point()
-    orders, _ = _floor_runs(F)
-    code, _ = _coder(F.ambient.rank, max((abs(x) for p in pts for x in p), default=0))
-    codes = list(map(code, pts))
-    _, best = _block_dp(m, codes, [sum(map(mul, ell, p)) for p in pts],
-                        [min(*orders(p[:-1], p[-1], p[-1]), m) for p in pts])
-    return dict(zip(pts, map(best.__getitem__, codes)))
-
-
 class _ApproxTable:
     """The degree-m approximation of one filtration on the reference-weight
     window <ell, .> <= window, with ell = sigma.interior_point()."""
@@ -475,10 +465,15 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
     vertices of the slice <ell, .> = 1; otherwise w doubles.  The table
     keeps the certified window and transform, and a later call checks its
     budget against each window up to that one.  A BudgetExceeded names the
-    last window and the doublings.
+    last window and the doublings.  A non-primary F raises NotPrimary at
+    once: its g, and so every envelope below it, vanishes on a weight-cone
+    ray, where no window is ever certified.
     """
     key = _approx_key(F, m)
     budget = _checked_budget(budget)
+    if not _primary(F):
+        raise NotPrimary("approximant needs a primary filtration: its transform "
+                         "vanishes on a weight-cone ray")
     s = F.ambient
     rays = s.weight_cone.rays
     ell = s.sigma.interior_point()

@@ -309,9 +309,11 @@ def semistable_verdict(s: ConeSingularity, xi0):
     certificate u - A(xi0) alpha0 is a destabilizing direction when nonzero.
     """
     x, L = _xi_row(xi0, s.rank)
-    alpha0 = _okounkov_cached(s.weight_cone, x, L).alpha0
-    a0 = _log_discrepancy(s, x, L)
-    cert = tuple(ui - a0 * ai for ui, ai in zip(s.u, alpha0))
+    d, Ld = _integer_row(_okounkov_cached(s.weight_cone, x, L).alpha0)
+    # A(xi0) = <u_row, x> / (u_den L), so the certificate is
+    # (L Ld u_row - <u_row, x> d) / (u_den L Ld).
+    ux, q = sum(map(mul, s.u_row, x)), s.u_den * L * Ld
+    cert = tuple(Fraction(L * Ld * ui - ux * di, q) for ui, di in zip(s.u_row, d))
     return all(c == 0 for c in cert), cert
 
 

@@ -32,11 +32,11 @@ class NvolResult(NamedTuple):
 
 def _round_to_slice(s, x, max_den):
     """Continued-fraction rounding, then exact renormalization to A = 1."""
-    cand = [Fraction(float(v)).limit_denominator(max_den) for v in x]
-    a = dot(s.u, cand)
+    c, _ = _integer_row([Fraction(float(v)).limit_denominator(max_den) for v in x])
+    a = sum(map(mul, s.u_row, c))  # <u, cand> = a / (u_den L) for cand = c / L
     if a <= 0:
         return None
-    return tuple(c / a for c in cand)
+    return tuple(Fraction(s.u_den * ci, a) for ci in c)
 
 
 def _slice_min(s, c):
@@ -92,7 +92,8 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 
     # Interior start on the slice.
     xi = s.sigma.interior_point()
-    xi = tuple(frac(x) / dot(s.u, xi) for x in xi)
+    a = sum(map(mul, u, xi))
+    xi = tuple(Fraction(s.u_den * x, a) for x in xi)
     L, Q, V, G, _ = sums(xi, 1)
     fx = Fraction(L ** n * V, Q)
 

@@ -13,7 +13,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import AmbientMismatch, DegenerateCone, NotKlt, NotQGorenstein
-from .exactgeom import Cone, dot, dual_cone, frac, primitivize, vec
+from .exactgeom import Cone, dual_cone, frac, primitivize, vec
 from .exactgeom.cone import _cone
 from .exactgeom.linalg import _integer_row, _solve_rows
 
@@ -24,19 +24,23 @@ class ConeSingularity(NamedTuple):
     rank:         ambient rank n
     sigma:        the defining cone (rays carry the boundary divisors)
     coefficients: boundary coefficient per ray of sigma, each in [0,1)
-    u:            discrepancy covector, <u, v_i> = 1 - a_i on the rays
     weight_cone:  dual cone of sigma (where the monomial exponents live)
-    u_row, u_den: u = u_row / u_den as ints, u_den > 0 the lcm of the
-                  denominators: the form the kernels and cache keys read
+    u_row, u_den: the discrepancy covector u, <u, v_i> = 1 - a_i on the
+                  rays, as u = u_row / u_den: ints, u_den > 0 the lcm of
+                  u's denominators
     """
 
     rank: int
     sigma: Cone
     coefficients: tuple
-    u: tuple
     weight_cone: Cone
     u_row: tuple
     u_den: int
+
+    @property
+    def u(self):
+        """The discrepancy covector u_row / u_den as a Fraction tuple."""
+        return tuple(Fraction(a, self.u_den) for a in self.u_row)
 
 
 class ReebVector(NamedTuple):
@@ -81,11 +85,11 @@ def from_rays(rays, coefficients=None) -> ConeSingularity:
         raise NotQGorenstein(
             "no covector satisfies <u, v_i> = 1 - a_i on all rays")
     wc = dual_cone(sigma)
-    if any(dot(u, v) <= 0 for v in sigma.rays):
-        raise NotKlt("discrepancy covector not positive on the cone")
     u_row, u_den = _integer_row(u)
+    if any(sum(map(mul, u_row, v)) <= 0 for v in sigma.rays):
+        raise NotKlt("discrepancy covector not positive on the cone")
     return ConeSingularity(rank=n, sigma=sigma, coefficients=tuple(coefficients),
-                           u=u, weight_cone=wc, u_row=tuple(u_row), u_den=u_den)
+                           weight_cone=wc, u_row=tuple(u_row), u_den=u_den)
 
 
 def _xi_row(x, n):

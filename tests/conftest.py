@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import floor
+from operator import mul, sub
 
 import pytest
 
@@ -82,3 +84,17 @@ def c2_battery(seed=20, count=20):
         covs = [(rnd.randint(1, 3), rnd.randint(1, 3)) for _ in range(k)]
         battery.append(monomial_filtration(s, covs))
     return s, battery
+
+
+def pairwise_dp_orders(F_, m, pts, ell):
+    """Reference orders of the degree-m approximation of F_ on a down-closed
+    point set: the O(P^2) DP trying every earlier nonzero point (by
+    <ell, .>) as a block worth min(floor(g), m)."""
+    order = sorted(pts, key=lambda p: (sum(map(mul, ell, p)), p))
+    value = {p: min(floor(F_.ord(p)), m) for p in order}
+    best = {}
+    for i, p in enumerate(order):
+        best[p] = max([value[p] if any(p) else 0]
+                      + [value[q] + best[r] for q in order[:i]
+                         if any(q) and (r := tuple(map(sub, p, q))) in best])
+    return best

@@ -32,10 +32,10 @@ from conestab.estimators import (
 from conestab.exactgeom import dot, lattice_points_below
 from conestab.exactgeom.lattice import _box
 from conestab.exactgeom.linalg import det
-from conestab.filtration import approx_ord, approx_orders, monomial_filtration, toric_filtration
+from conestab.filtration import approx_ord, monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
-from conftest import c2_battery
+from conftest import c2_battery, pairwise_dp_orders
 
 F = Fraction
 
@@ -359,12 +359,12 @@ def _reference_sweep(s, xi0, G, levels, budget):
 
 
 def _reference_sweep_approx(s, xi0, G, m_filt, levels, budget):
-    """Rows of sweep_approx: approx_orders over the reference-weight window."""
+    """Rows of sweep_approx: the pairwise DP over the reference-weight window."""
     pts = _reference_points(s, xi0, levels, budget)
     ell = s.sigma.interior_point()
     wmax = max(sum(map(mul, ell, p)) for p in pts)
     window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
-    orders = approx_orders(G, m_filt, window)
+    orders = pairwise_dp_orders(G, m_filt, window, ell)
     return _reference_aggregate(s, xi0, levels, orders.__getitem__, pts)
 
 

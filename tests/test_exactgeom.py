@@ -27,7 +27,6 @@ from conestab.exactgeom import (
     lattice_points_below,
     slice_polytope,
     slice_vertices,
-    vec,
     volume,
 )
 from conestab.exactgeom.linalg import (
@@ -154,8 +153,8 @@ def test_volume_homogeneity_and_centroid_law():
 def test_integrate_pl_examples():
     orthant = cone_from_rays([(1, 0), (0, 1)])
     tri = slice_polytope(orthant, (1, 1), 1)
-    assert integrate_pl(tri, PLConcave(covectors=(vec((1, 1)),))) == F(1, 3)
-    g = PLConcave(covectors=(vec((2, 1)), vec((1, 2))))
+    assert integrate_pl(tri, PLConcave(rows=((1, 1),), den=1)) == F(1, 3)
+    g = PLConcave(rows=((2, 1), (1, 2)), den=1)
     assert integrate_pl(tri, g) == F(5, 12)
     point = Polytope(dim=2, vertices=((F(0), F(0)),), recession_rays=(),
                      halfspaces=())
@@ -168,15 +167,15 @@ def test_integrate_single_covector_is_volume_times_pairing():
         s = random_cone(rnd, rnd.choice([2, 3]))
         xi = tuple(sum(r[i] for r in s.sigma.rays) for i in range(s.rank))
         p = slice_polytope(s.weight_cone, xi, 1)
-        zeta = vec([rnd.randint(-2, 4) for _ in range(s.rank)])
-        got = integrate_pl(p, PLConcave(covectors=(zeta,)))
+        zeta = tuple(rnd.randint(-2, 4) for _ in range(s.rank))
+        got = integrate_pl(p, PLConcave(rows=(zeta,), den=1))
         assert got == volume(p) * dot(zeta, barycenter(p))
 
 
 def test_integrate_duplicate_covectors_no_double_count():
     orthant = cone_from_rays([(1, 0), (0, 1)])
     tri = slice_polytope(orthant, (1, 1), 1)
-    g = PLConcave(covectors=(vec((1, 1)), vec((1, 1))))
+    g = PLConcave(rows=((1, 1), (1, 1)), den=1)
     assert integrate_pl(tri, g) == F(1, 3)
 
 

@@ -5,7 +5,7 @@ from math import floor, gcd
 from operator import le, mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conestab.errors import (
@@ -20,10 +20,9 @@ from conestab import estimators, filtration
 from conestab.estimators import sweep_approx
 from conestab.exactgeom import (PLConcave, dot, enumerate_vertices, lattice_points_below,
                                 slice_vertices)
-from conestab.exactgeom.linalg import _unimodular_completion
+from conestab.exactgeom.linalg import _integer_covectors, _unimodular_completion
 from conestab.filtration import (
     approx_ord,
-    approx_orders,
     approximant,
     geodesic,
     intersect,
@@ -37,7 +36,7 @@ from conestab.filtration import (
 )
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
-from conftest import random_cone, random_filtration, random_reeb
+from conftest import pairwise_dp_orders, random_cone, random_filtration, random_reeb
 
 F = Fraction
 
@@ -133,6 +132,90 @@ def test_intersect_ambient_mismatch(c2, a1):
         intersect(toric_filtration(c2, (1, 1)), toric_filtration(a1, (1, 1)))
 
 
+# A cone whose divisor filtration D = <(1, 0), .> vanishes on the weight-cone
+# ray (0, 1): accepted as a non-primary filtration.
+_BOUNDARY = from_rays([(1, 0), (1, 2)])
+
+
+def _points(s):
+    return lattice_points_below(s.weight_cone, (1, 1), 6)
+
+
+def test_intersect_accepts_non_primary_inputs():
+    s = _BOUNDARY
+    F_, D = monomial_filtration(s, [(2, 1), (1, 1)]), toric_filtration(s, (1, 0))
+    G = intersect(F_, D)
+    assert G == intersect(D, F_) and intersect(D, D) == D
+    assert all(G.ord(a) == min(F_.ord(a), D.ord(a)) for a in _points(s))
+
+
+def test_geodesic_accepts_non_primary_inputs():
+    s = _BOUNDARY
+    F_, D = monomial_filtration(s, [(2, 1), (1, 1)]), toric_filtration(s, (1, 0))
+    assert geodesic([D], [1]) == D
+    G = geodesic([F_, D], [F(1, 3), F(2, 3)])
+    assert all(G.ord(a) == F(1, 3) * F_.ord(a) + F(2, 3) * D.ord(a) for a in _points(s))
+
+
+def test_twist_accepts_non_primary_inputs():
+    # A non-primary transform may stay zero on a ray, never go negative.
+    s = _BOUNDARY
+    D = toric_filtration(s, (1, 0))
+    assert twist(D, (0, 0)) == D
+    assert twist(D, (1, 0)) == toric_filtration(s, (2, 0))
+    assert twist(D, (1, 1)) == toric_filtration(s, (2, 1))
+    with pytest.raises(NotPrimary, match=r"weight-cone ray \(0, 1\)"):
+        twist(D, (0, -1))
+
+
+def test_approximant_refuses_a_non_primary_filtration():
+    # g vanishes on the weight-cone ray (0, 1), and so does every g_m <= g,
+    # so no window is ever certified: NotPrimary comes before any enumeration.
+    D = toric_filtration(_BOUNDARY, (1, 0))
+    with pytest.raises(NotPrimary, match="approximant needs a primary filtration"):
+        approximant(D, 2, budget=1000)
+
+
+def _assert_canonical(F_):
+    """den > 0 coprime to every entry, strictly sorted rows, and the record
+    rebuilt from its own covectors."""
+    rows, den = F_.transform
+    assert den > 0 and gcd(den, *(a for z in rows for a in z)) == 1
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert F_ == monomial_filtration(F_.ambient, F_.covectors, require_primary=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), rank=st.sampled_from([2, 3]))
+def test_every_constructor_gives_one_canonical_record(seed, rank):
+    rnd = random.Random(seed)
+    s = random_cone(rnd, rank)
+    covs = [random_reeb(rnd, s) for _ in range(rnd.randint(1, 3))]  # interior: primary
+    k, perm = rnd.randint(2, 6), rnd.sample(covs, len(covs))
+    G = monomial_filtration(s, covs)
+    for spelling in (perm, perm + perm[:1],
+                     [tuple(f"{k * x.numerator}/{k * x.denominator}" for x in z) for z in perm]):
+        assert monomial_filtration(s, spelling) == G
+    H = toric_filtration(s, random_reeb(rnd, s))
+    D = toric_filtration(s, rnd.choice(s.sigma.rays))  # a divisor: not primary
+    weights = [F(rnd.randint(0, 3), rnd.randint(1, 3)) for _ in range(2)] + [F(1, 2)]
+    made = [G, H, D, rescale(G, F(rnd.randint(1, 5), rnd.randint(1, 5))),
+            geodesic([G, H, D], weights), intersect(G, D), intersect(G, H),
+            twist(D, random_reeb(rnd, s))]
+    try:
+        made.append(twist(G, tuple(F(rnd.randint(-3, 3), rnd.randint(1, 3))
+                                   for _ in range(rank))))
+    except NotPrimary:
+        event("twist left the primary filtrations")
+    if rank == 2:
+        try:
+            made.append(approximant(G, rnd.randint(1, 2), budget=2000))
+        except BudgetExceeded:
+            event("approximant over budget")
+    for F_ in made:
+        _assert_canonical(F_)
+
+
 def test_newton_polyhedron(c2, fex):
     assert sorted(newton_polyhedron(toric_filtration(c2, (1, 1))).vertices) == \
         [(0, 1), (1, 0)]
@@ -198,34 +281,6 @@ def test_approx_ord_bounds_and_monotone(c2):
             prev = vals
 
 
-def _pairwise_dp_orders(F_, m, pts, ell):
-    """Reference: the O(P^2) DP trying every earlier point as a block."""
-    pts = sorted(pts, key=lambda p: (dot(ell, p), p))
-    best = {}
-    order = []
-    for p in pts:
-        if all(x == 0 for x in p):
-            best[p] = 0
-            order.append(p)
-            continue
-        value = min(floor(F_.ord(p)), m)
-        wp = dot(ell, p)
-        for q in order:
-            if all(x == 0 for x in q):
-                continue
-            if dot(ell, q) > wp:
-                break
-            rest = tuple(a - b for a, b in zip(p, q))
-            prev = best.get(rest)
-            if prev is not None:
-                cand = min(floor(F_.ord(q)), m) + prev
-                if cand > value:
-                    value = cand
-        best[p] = value
-        order.append(p)
-    return best
-
-
 def _random_window(seed):
     """C^2 (even seeds) or the rank-3 non-simplicial cone (odd seeds), a
     filtration with rational covectors, rescaled down so that blocks of
@@ -242,17 +297,20 @@ def _random_window(seed):
 @given(seed=st.integers(0, 2 ** 32), m=st.integers(1, 5))
 def test_approx_orders_match_pairwise_dp(seed, m):
     F_, ell, window = _random_window(seed)
-    assert approx_orders(F_, m, window) == _pairwise_dp_orders(F_, m, window, ell)
+    orders = pairwise_dp_orders(F_, m, window, ell)
+    assert {p: approx_ord(F_, m, p) for p in window} == orders
 
 
 def test_approx_ord_reads_approx_orders():
-    # approx_ord runs the DP on the points below alpha only; a down-closed
-    # window holding alpha must give alpha the same order.
+    # approx_ord runs the DP on the points below alpha only (a cold table
+    # covers the window up to alpha's weight); a down-closed window holding
+    # alpha must give alpha the same order.
     for seed in range(6):
-        F_, _, window = _random_window(seed)
+        F_, ell, window = _random_window(seed)
         for m in (1, 2, 4):
-            orders = approx_orders(F_, m, window)
+            orders = pairwise_dp_orders(F_, m, window, ell)
             for a in random.Random(seed).sample(window, min(6, len(window))):
+                filtration._approx_tables.cache_clear()
                 assert approx_ord(F_, m, a) == orders[a]
 
 
@@ -516,9 +574,9 @@ def test_shared_tables_match_cold_reference(case):
         assert new(count) == old(count)
     windows = [lattice_points_below(s.weight_cone, xi0, w, strict=False) for w in (0, 3, 6)]
     for window in windows:
-        orders = approx_orders(F_, m, window)
+        orders = {p: approx_ord(F_, m, p) for p in window}
         assert orders == _old_approx_orders(F_, m, window)
-        assert orders == _pairwise_dp_orders(F_, m, window, xi0)
+        assert orders == pairwise_dp_orders(F_, m, window, xi0)
 
 
 def test_one_key_builds_one_table(c2, fex, monkeypatch):
@@ -586,7 +644,7 @@ def _run_cases(draw):
     n = draw(st.integers(2, 3))
     coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     covs = draw(st.lists(st.tuples(*[coef] * n), min_size=1, max_size=4))
-    F_ = filtration.MonomialFiltration(ambient=None, transform=PLConcave(covectors=tuple(covs)))
+    F_ = filtration.MonomialFiltration(ambient=None, transform=PLConcave(*_integer_covectors(covs)))
     W = None
     if draw(st.booleans()):
         p = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conestab.exactgeom import dot, lp, lp_solve, vec
 from conestab.exactgeom.fan import cone_fan, fan_moments
-from conestab.filtration import _covector_rows, _reduce_covectors, monomial_filtration
+from conestab.filtration import monomial_filtration
 from conestab.invariants import _lambda_max_cached, lambda_max_closed, twisted_lambda_max
 from conestab.optimize import _slice_min, minimize_nvol
 from conestab.singularity import _xi_row, from_rays
@@ -35,6 +35,11 @@ NON_SIMPLICIAL = [
 ]
 PENTAGON = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1)]
 RANK_FOUR = [(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)]
+
+
+def _reduced(s, covectors):
+    """The covectors the library keeps: those of the reduced transform."""
+    return monomial_filtration(s, covectors, require_primary=False).covectors
 
 
 # --- LP-only references --------------------------------------------------------
@@ -134,8 +139,7 @@ def test_reduce_covectors_matches_lp_only_reference(seed):
     rnd = random.Random(seed)
     s = _cone(rnd)
     covs = _covectors(rnd, s)
-    assert _reduce_covectors(s, _covector_rows(covs, s.rank)) == \
-        _ref_reduce_covectors(s, covs)
+    assert _reduced(s, covs) == _ref_reduce_covectors(s, covs)
 
 
 def test_reduction_ties_are_decided_without_lp():
@@ -146,9 +150,9 @@ def test_reduction_ties_are_decided_without_lp():
     # chamber.
     c2 = from_rays([(1, 0), (0, 1)])
     c3 = from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert _reduce_covectors(c2, _covector_rows([(1, 1), (1, 2)], 2)) == ((1, 1),)
-    assert _reduce_covectors(c2, _covector_rows([(1, 3), (2, 1)], 2)) == ((1, 3), (2, 1))
-    assert _reduce_covectors(c3, _covector_rows([(1, 1, 3), (1, 3, 1), (1, 2, 2)], 3)) == \
+    assert _reduced(c2, [(1, 1), (1, 2)]) == ((1, 1),)
+    assert _reduced(c2, [(1, 3), (2, 1)]) == ((1, 3), (2, 1))
+    assert _reduced(c3, [(1, 1, 3), (1, 3, 1), (1, 2, 2)]) == \
         ((1, 1, 3), (1, 3, 1))
 
 
@@ -207,7 +211,7 @@ def test_reduction_and_lambda_max_on_non_simplicial_cones(rays):
     for seed in range(25):
         rnd = random.Random(seed)
         covs = _covectors(rnd, s)
-        reduced = _reduce_covectors(s, _covector_rows(covs, s.rank))
+        reduced = _reduced(s, covs)
         assert reduced == _ref_reduce_covectors(s, covs)
         dropped += len(reduced) < len(set(map(vec, covs)))
         kept_several += len(reduced) > 1
@@ -225,8 +229,7 @@ def test_reduction_and_lambda_max_solve_no_lp():
     c3 = from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     G = monomial_filtration(c2, [(2, 1), (1, 2)])
     with mock.patch.object(lp, "_two_phase", wraps=lp._two_phase) as solves:
-        rows = _covector_rows([(1, 1, 4), (1, 4, 1), (1, F(5, 2), F(5, 2))], 3)
-        assert _reduce_covectors(c3, rows) == \
+        assert _reduced(c3, [(1, 1, 4), (1, 4, 1), (1, F(5, 2), F(5, 2))]) == \
             ((1, 1, 4), (1, 4, 1))
         assert _lambda_max_cached.__wrapped__(c2.weight_cone, (1, 1), 1, G.transform.rows,
                                               G.transform.den) == F(3, 2)

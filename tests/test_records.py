@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from conestab.errors import EmptyInput
 from conestab.estimators import EstimatorSweep
 from conestab.exactgeom import PLConcave, slice_polytope
 from conestab.exactgeom.fan import cone_fan
@@ -20,9 +21,9 @@ from conestab.singularity import from_rays
 
 FIELDS = {
     "Cone": ("rank", "rays", "halfspaces"),
-    "ConeSingularity": ("rank", "sigma", "coefficients", "u", "weight_cone", "u_row", "u_den"),
+    "ConeSingularity": ("rank", "sigma", "coefficients", "weight_cone", "u_row", "u_den"),
     "MonomialFiltration": ("ambient", "transform"),
-    "PLConcave": ("covectors", "rows", "den"),
+    "PLConcave": ("rows", "den"),
     "Polytope": ("dim", "vertices", "recession_rays", "halfspaces"),
     "Fan": ("rank", "rays", "simplices"),
 }
@@ -39,10 +40,10 @@ def _records():
 def test_record_is_a_value_of_its_fields(index):
     x = _records()[index]
     names = FIELDS[type(x).__name__]
+    assert type(x)._fields == names
     values = tuple(getattr(x, name) for name in names)
     assert hash(x) == hash(values)
-    # Rebuilt from its constructor's arguments (for PLConcave the covectors
-    # alone, from which it derives rows and den), as copies and pickles are.
+    # Rebuilt from its fields, as copies and pickles are.
     for twin in (type(x)(*x.__getnewargs__()), copy.copy(x), copy.deepcopy(x),
                  pickle.loads(pickle.dumps(x))):
         assert twin is not x and twin == x and hash(twin) == hash(x)
@@ -60,18 +61,16 @@ def test_record_kinds_covered():
 
 
 def test_pl_concave_needs_a_covector():
-    with pytest.raises(ValueError, match="at least one covector"):
-        PLConcave(())
+    with pytest.raises(EmptyInput, match="at least one covector"):
+        monomial_filtration(from_rays([(1, 0), (0, 1)]), ())
 
 
-def test_pl_concave_fields_follow_the_covectors():
-    g = PLConcave(((Fraction(1, 2), 0), (0, Fraction(1, 3))))
-    assert (g.rows, g.den) == (((3, 0), (0, 2)), 6)
-    h = g._replace(covectors=((1, 1),))
-    assert h == PLConcave(((1, 1),)) and (h.rows, h.den) == (((1, 1),), 1)
-    assert PLConcave._make(g) == g
-    with pytest.raises(ValueError, match="rows"):
-        g._replace(rows=((1, 1), (1, 1)))
+def test_fraction_views_are_derived_from_the_integer_forms():
+    s = from_rays([(1, 0), (1, 2)], [0, "1/3"])
+    g = PLConcave(rows=((3, 0), (0, 2)), den=6)
+    assert g.covectors == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+    assert g.value((2, 3)) == 1
+    assert s.u == tuple(Fraction(a, s.u_den) for a in s.u_row) == (1, Fraction(-1, 6))
 
 
 def test_default_containers_are_not_shared():

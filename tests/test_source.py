@@ -34,22 +34,36 @@ def test_cold_import_skips_dataclasses_and_inspect():
     assert out.stdout.strip() == "[]"
 
 
+def _call_scopes(name):
+    """(file, enclosing function) of every call of ``name`` in the package."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                scope = node
+                while scope in parent and not isinstance(scope, ast.FunctionDef):
+                    scope = parent[scope]
+                found.append((path.name, getattr(scope, "name", "<module>")))
+    return sorted(found)
+
+
 def test_float_is_called_only_to_format_or_round():
     # Every result is exact.  float(...) may only print a value as a decimal
     # (cli._fmt, the `invariants --csv` decimal column, ReportEntry.to_json)
     # or feed the minimizer's rounding of a trial point
     # (optimize._round_to_slice), so integer kernels cannot leak a float into
     # a returned value.
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                    and node.func.id == "float":
-                scope = node
-                while scope in parent and not isinstance(scope, ast.FunctionDef):
-                    scope = parent[scope]
-                found.append((path.name, getattr(scope, "name", "<module>")))
-    assert sorted(found) == [("cli.py", "_fmt"), ("cli.py", "cmd_invariants"),
-                             ("invariants.py", "to_json"), ("optimize.py", "_round_to_slice")]
+    assert _call_scopes("float") == [("cli.py", "_fmt"), ("cli.py", "cmd_invariants"),
+                                     ("invariants.py", "to_json"),
+                                     ("optimize.py", "_round_to_slice")]
+
+
+def test_records_are_built_in_one_place():
+    # A transform is built only by the one integer entry of the filtration
+    # layer, which reduces it to its canonical rows over the least
+    # denominator, and a singularity only by the validating from_rays.
+    assert _call_scopes("PLConcave") == [("filtration.py", "_filtration")]
+    assert _call_scopes("ConeSingularity") == [("singularity.py", "from_rays")]
