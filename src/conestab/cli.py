@@ -81,6 +81,8 @@ class InputDocument:
         if not isinstance(payload, dict):
             raise ParseError("top level must be an object", path)
         rank = _int(payload.get("rank"), f"{path}.rank")
+        if rank < 1:
+            raise ParseError(f"rank must be a positive integer, got {rank}", f"{path}.rank")
         rays = payload.get("rays")
         if not isinstance(rays, list) or not rays:
             raise ParseError("need a nonempty list of rays", f"{path}.rays")
@@ -90,7 +92,11 @@ class InputDocument:
             if not isinstance(coeffs, list) or len(coeffs) != len(rays):
                 raise ParseError("need one coefficient per ray", f"{path}.coefficients")
             coeffs = [_rat(c, f"{path}.coefficients[{i}]") for i, c in enumerate(coeffs)]
-        self.singularity = from_rays(rays, coeffs)
+        try:
+            self.singularity = from_rays(rays, coeffs)
+        except ConestabError as exc:
+            key = "coefficients" if "coefficient" in str(exc) else "rays"
+            raise ParseError(str(exc), f"{path}.{key}") from exc
         if "reeb" not in payload:
             raise ParseError("missing field", f"{path}.reeb")
         self.reeb = _rat_vector(payload["reeb"], f"{path}.reeb", rank)

@@ -12,8 +12,8 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from ..errors import DegenerateCone, NotFullDimensional
-from .linalg import _row_reduce, dot, is_zero, primitivize
+from ..errors import AmbientMismatch, DegenerateCone, NotFullDimensional
+from .linalg import _row_reduce, dot, primitivize
 
 
 class Cone(NamedTuple):
@@ -36,6 +36,14 @@ class Cone(NamedTuple):
         """Sum of the primitive rays, an integer tuple; interior for
         full-dimensional cones."""
         return tuple(map(sum, zip(*self.rays)))
+
+
+def _of_length(v, n) -> tuple:
+    """v as a tuple, refused with AmbientMismatch unless its length is n."""
+    v = tuple(v)
+    if len(v) != n:
+        raise AmbientMismatch(f"vector of length {len(v)} on a rank-{n} cone")
+    return v
 
 
 def _facet_normals(rays, n):
@@ -80,17 +88,26 @@ def cone_from_rays(rays) -> Cone:
 
     Rays are primitivized and deduplicated, and only the extreme ones (the
     facet normals of the dual cone) are kept.  Raises DegenerateCone when
-    the rays do not span R^n or span a non-pointed cone.
+    the rays differ in length, do not span R^n or span a non-pointed cone.
     """
     return _cone(primitivize(r) for r in rays)
 
 
+def _distinct(vectors, what):
+    """(the distinct nonzero vectors, sorted, their length), else DegenerateCone."""
+    vectors = set(vectors)
+    lengths = sorted({len(v) for v in vectors})
+    if len(lengths) > 1:
+        raise DegenerateCone(f"{what} of lengths {lengths[0]} and {lengths[-1]}")
+    vectors = sorted(v for v in vectors if any(v))
+    if not vectors:
+        raise DegenerateCone(f"no nonzero {what}")
+    return vectors, len(vectors[0])
+
+
 def _cone(rays) -> Cone:
     """``cone_from_rays`` on primitive integer rays."""
-    rays = sorted({r for r in rays if not is_zero(r)})
-    if not rays:
-        raise DegenerateCone("no nonzero rays")
-    n = len(rays[0])
+    rays, n = _distinct(rays, "rays")
     if len(_row_reduce(rays, n)[1]) < n:
         raise DegenerateCone("rays do not span the ambient space")
     normals = _facet_normals(rays, n)
@@ -104,11 +121,7 @@ def _cone(rays) -> Cone:
 
 def cone_from_halfspaces(halfspaces) -> Cone:
     """Build a cone from covectors {x : <h,x> >= 0}; dual scan for rays."""
-    hs = [primitivize(h) for h in halfspaces]
-    hs = sorted({h for h in hs if not is_zero(h)})
-    if not hs:
-        raise DegenerateCone("no halfspaces")
-    n = len(hs[0])
+    hs, n = _distinct((primitivize(h) for h in halfspaces), "halfspaces")
     rays = _facet_normals(hs, n)  # duality: rays of C are facet normals of C^v
     if len(_row_reduce(rays, n)[1]) < n:
         raise DegenerateCone("halfspace cone is not full-dimensional")

@@ -17,8 +17,8 @@ once per cone; each evaluation then runs over integers (``_fan_sums``) at
 x = L xi, with the pairings p_i cleared to the common denominator Q =
 prod of the pairings of all rays; ``fan_moments`` forms one Fraction per
 output entry, and S one per value.  For g = min_j <z_j, .>, ``chambers``
-splits C into the cones on which g is linear; their fans give S, and their
-rays give lambda_max and the irredundant covectors.
+splits C into the cones on which g is linear, each with its fan; the fans
+give S, and their rays lambda_max and the irredundant covectors.
 """
 
 from fractions import Fraction
@@ -61,30 +61,29 @@ def cone_fan(c: Cone) -> Fan:
 
 @lru_cache(maxsize=256)
 def chambers(c: Cone, covectors):
-    """((z_j, rays of chamber j), ...) for g = min_j <z_j, .> on the cone c.
+    """((z_j, Fan of chamber j), ...) for g = min_j <z_j, .> on the cone c.
 
     Chamber j is {alpha in c : <z_j - z_i, alpha> <= 0 for all i}, where
-    z_j attains the minimum; its rays are the facet normals of the cone on
-    those halfspaces.  Duplicated covectors are dropped first, and only the
-    full-dimensional chambers are kept, in input order: z_j has one
-    exactly when it is irredundant, for the chambers of lower dimension
+    z_j attains the minimum; its fan is built here, once, on its rays, the
+    facet normals of the cone on those halfspaces.  Duplicated covectors
+    are dropped first, and only the full-dimensional chambers are kept, in
+    input order (a lone one is the whole cone, with ``cone_fan``): z_j has
+    one exactly when it is irredundant, for the chambers of lower dimension
     (ties) carry no volume.  Cached per (cone, covector tuple); the library
-    asks through ``_chamber_rows``, whose key is translation and scale
-    free, so covector reduction, S and lambda_max of a filtration and of
-    its twists share one decomposition.
+    asks through ``_chamber_rows``, whose key is translation and scale free,
+    so the reduction, S and lambda_max of a transform and its twists share it.
     """
     covs = list(dict.fromkeys(covectors))
-    if len(covs) == 1:  # one chamber: the whole cone
-        return ((covs[0], c.rays),)
     n = c.rank
-    out = []
+    found = []
     for j, zj in enumerate(covs):
-        hs = list(c.halfspaces) + [primitivize(vsub(zi, zj))
-                                   for i, zi in enumerate(covs) if i != j]
-        rays = _facet_normals(hs, n)  # duality: rays of the chamber
+        hs = [primitivize(vsub(zi, zj)) for i, zi in enumerate(covs) if i != j]
+        rays = _facet_normals(list(c.halfspaces) + hs, n) if hs else c.rays  # by duality
         if len(_row_reduce(rays, n)[1]) == n:
-            out.append((zj, tuple(rays)))
-    return tuple(out)
+            found.append((zj, rays))
+    if len(found) == 1:
+        return ((found[0][0], cone_fan(c)),)
+    return tuple((z, simplicial_fan(rays, n)) for z, rays in found)
 
 
 def _chamber_rows(c: Cone, rows):
@@ -95,18 +94,7 @@ def _chamber_rows(c: Cone, rows):
     zs = [[a - b for a, b in zip(z, rows[0])] for z in rows]
     g = gcd(*(a for z in zs for a in z)) or 1
     back = {tuple(a // g for a in d): z for d, z in zip(zs, rows)}
-    return tuple((back[d], rays) for d, rays in chambers(c, tuple(back)))
-
-
-def chamber_fans(c: Cone, rows):
-    """Yield (z_j, simplicial fan of chamber j) for each of ``_chamber_rows``
-    of the integer covector rows."""
-    found = _chamber_rows(c, rows)
-    if len(found) == 1:  # the whole cone, whose fan is cached
-        yield found[0][0], cone_fan(c)
-        return
-    for z, rays in found:
-        yield z, simplicial_fan(rays, c.rank)
+    return tuple((back[d], fan) for d, fan in chambers(c, tuple(back)))
 
 
 def _fan_sums(fan: Fan, x, order):

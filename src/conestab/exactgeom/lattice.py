@@ -19,7 +19,7 @@ from operator import mul
 from typing import NamedTuple
 
 from ..errors import BudgetExceeded, ParseError
-from .cone import Cone
+from .cone import Cone, _of_length
 from .linalg import _integer_row, frac, vec
 from .polytope import slice_vertices
 
@@ -80,7 +80,7 @@ def _lattice_runs(c: Cone, xi, m, budget, strict):
     checked once per block of a row, so the enumeration stops at the end
     of the block in which it first passes the budget.
     """
-    xi = vec(xi)
+    xi = vec(_of_length(xi, c.rank))
     m = frac(m)
     budget = _checked_budget(budget)
     n = c.rank

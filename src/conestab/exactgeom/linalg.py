@@ -86,10 +86,6 @@ def vzero(n) -> Vec:
     return (Fraction(0),) * n
 
 
-def is_zero(u) -> bool:
-    return all(a == 0 for a in u)
-
-
 def norm_sq(u) -> Fraction:
     return dot(u, u)
 

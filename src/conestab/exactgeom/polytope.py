@@ -15,7 +15,7 @@ from operator import mul
 from typing import NamedTuple
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
-from .cone import Cone, _facet_normals, _triangulate_rays
+from .cone import Cone, _facet_normals, _of_length, _triangulate_rays
 from .linalg import _integer_row, det, dot, frac, mat_rank, primitivize, vec, vzero
 
 
@@ -203,6 +203,7 @@ class PLConcave(NamedTuple):
         return tuple(tuple(Fraction(a, self.den) for a in z) for z in self.rows)
 
     def value(self, x) -> Fraction:
+        x = _of_length(x, len(self.rows[0]))
         return min(dot(z, x) for z in self.rows) / self.den
 
 

@@ -37,6 +37,7 @@ from .errors import (
     OutsideWeightCone,
 )
 from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, slice_vertices, vec
+from .exactgeom.cone import _of_length
 from .exactgeom.fan import _chamber_rows
 from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
 from .exactgeom.linalg import _integer_covectors, _integer_row
@@ -106,12 +107,9 @@ def monomial_filtration(s: ConeSingularity, covectors,
     duality.  The covectors share one denominator (``_integer_covectors``)
     and go to ``_filtration`` as integer rows.
     """
-    covs = [vec(z) for z in covectors]
+    covs = [vec(_of_length(z, s.rank)) for z in covectors]
     if not covs:
         raise EmptyInput("a filtration needs at least one covector")
-    for z in covs:
-        if len(z) != s.rank:
-            raise AmbientMismatch(f"covector of length {len(z)} on a rank-{s.rank} cone")
     return _filtration(s, *_integer_covectors(covs), require_primary)
 
 
@@ -224,7 +222,7 @@ def value_under(F: MonomialFiltration, xi) -> Fraction:
 
 def ord_of(F: MonomialFiltration, alpha) -> Fraction:
     """Exact order of the monomial with exponent alpha: g(alpha)."""
-    alpha = vec(alpha)
+    alpha = vec(_of_length(alpha, F.ambient.rank))
     if not F.ambient.weight_cone.contains(alpha):
         raise OutsideWeightCone(f"{alpha} is not in the weight cone")
     return F.ord(alpha)
@@ -438,7 +436,7 @@ def approx_ord(F: MonomialFiltration, m: int, alpha, budget=None) -> int:
     floor(g(alpha)), with equality whenever g(alpha) <= m.
     """
     key = _approx_key(F, m)
-    alpha = vec(alpha)
+    alpha = vec(_of_length(alpha, F.ambient.rank))
     if not F.ambient.weight_cone.contains(alpha):
         raise OutsideWeightCone(f"{alpha} is not in the weight cone")
     if any(x.denominator != 1 for x in alpha):

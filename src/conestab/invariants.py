@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .errors import DegenerateCone, FutakiNonvanishing, IdentityViolated, NotPrimary
 from .exactgeom import (dot, enumerate_vertices, lp_solve, primitivize, slice_polytope,
                          slice_vertices, vec)
-from .exactgeom.fan import _chamber_rows, _fan_sums, _moments, chamber_fans, cone_fan
+from .exactgeom.fan import _chamber_rows, _fan_sums, _moments, cone_fan
 from .exactgeom.linalg import _integer_row, gram_project_out, norm_sq
 from .exactgeom.polytope import _slice_extreme
 from .filtration import MonomialFiltration, _newton_halfspaces
@@ -118,7 +118,7 @@ def _s_closed_cached(wc, x, L, zs, den) -> Fraction:
     den n vol(xi0), G_j / Q_j^2 the integer first moment of chamber j."""
     n = wc.rank
     num, q = 0, 1  # sum_j <zs_j, G_j> / Q_j^2 as num / q
-    for z, fan in chamber_fans(wc, zs):
+    for z, fan in _chamber_rows(wc, zs):
         Q, _, grad, _ = _fan_sums(fan, x, 1)
         Q2 = Q * Q
         num = num * Q2 + sum(map(mul, z, grad)) * q
@@ -155,7 +155,7 @@ def _slice_value(groups, x, L, den, largest):
 @lru_cache(maxsize=16384)
 def _lambda_max_cached(wc, x, L, zs, den) -> Fraction:
     """Keyed on (weight cone, x, L, zs, den)."""
-    return _slice_value((((z,), rays) for z, rays in _chamber_rows(wc, zs)), x, L, den, True)
+    return _slice_value((((z,), fan.rays) for z, fan in _chamber_rows(wc, zs)), x, L, den, True)
 
 
 def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -420,8 +420,8 @@ def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):
     e, Le = _xi_row(xi, s.rank)
     zs, den = F.transform.rows, F.transform.den
     return max(((dot(z, a) / den + dot(e, a) / Le, a)
-                for z, rays in _chamber_rows(s.weight_cone, zs)
-                for a in slice_vertices(rays, x, L)),
+                for z, fan in _chamber_rows(s.weight_cone, zs)
+                for a in slice_vertices(fan.rays, x, L)),
                key=lambda va: va[0])
 
 

@@ -12,9 +12,9 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import AmbientMismatch, DegenerateCone, NotKlt, NotQGorenstein
+from .errors import DegenerateCone, NotKlt, NotQGorenstein
 from .exactgeom import Cone, dual_cone, frac, primitivize, vec
-from .exactgeom.cone import _cone
+from .exactgeom.cone import _cone, _of_length
 from .exactgeom.linalg import _integer_row, _solve_rows
 
 
@@ -96,10 +96,7 @@ def _xi_row(x, n):
     """(L x as ints, L > 0 the lcm of its denominators) for a ReebVector or
     a vector of ints, Fractions or 'p/q' strings of length n (else
     AmbientMismatch): the form each public function passes on."""
-    v = x.xi if isinstance(x, ReebVector) else tuple(x)
-    if len(v) != n:
-        raise AmbientMismatch(f"vector of length {len(v)} on a rank-{n} cone")
-    ints, L = _integer_row(v)
+    ints, L = _integer_row(_of_length(x.xi if isinstance(x, ReebVector) else x, n))
     return tuple(ints), L
 
 

@@ -309,9 +309,22 @@ def test_non_integer_budget_option(doc_path, capsys, budget, shown):
      ".filtrations.N.covectors", "transform not positive on weight-cone ray (1, 0)"),
     (dict(C2_DOC, filtrations={"E": {"covectors": []}}), ["validate"],
      ".filtrations.E.covectors", "a filtration needs at least one covector"),
+    (dict(C2_DOC, rank=0, rays=[[]], reeb=[]), ["validate"], ".rank",
+     "rank must be a positive integer, got 0"),
+    (dict(C2_DOC, rank=-1), ["validate"], ".rank", "rank must be a positive integer, got -1"),
+    (dict(C2_DOC, rays=[[1, 0], [-1, 0], [0, 1]], coefficients=None), ["validate"], ".rays",
+     "cone is not pointed"),
+    (dict(C2_DOC, rays=[[1, 0], [2, 0]]), ["validate"], ".rays",
+     "rays do not span the ambient space"),
+    (dict(C2_DOC, rays=[[1, 0], [2, 0], [0, 1]], coefficients=["1/2", "0", "0"]), ["validate"],
+     ".coefficients", "conflicting coefficients on ray (1, 0)"),
+    (dict(C2_DOC, coefficients=["1", "0"]), ["validate"], ".coefficients",
+     "boundary coefficient 1 outside [0, 1)"),
 ], ids=["filtrations-list", "options-list", "covectors-int", "levels-string",
         "levels-entry", "levels-zero", "okounkov-levels-zero", "okounkov-t-without-levels",
-        "scale-zero", "covector-negative", "covectors-empty"])
+        "scale-zero", "covector-negative", "covectors-empty", "rank-zero", "rank-negative",
+        "rays-not-pointed", "rays-not-spanning", "coefficients-conflicting",
+        "coefficient-not-klt"])
 def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where, message):
     path = doc_path(doc)
     assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID

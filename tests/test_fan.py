@@ -19,7 +19,7 @@ from conestab.exactgeom import (
     triangulate,
     volume,
 )
-from conestab.exactgeom.fan import chamber_fans, cone_fan, fan_moments
+from conestab.exactgeom.fan import _chamber_rows, cone_fan, fan_moments
 from conestab.exactgeom.linalg import _integer_covectors, mat_rank
 
 F = Fraction
@@ -32,7 +32,7 @@ def chamber_s(c, xi, covectors):
     n = c.rank
     zs, den = _integer_covectors(covectors)
     total = F(0)
-    for z, fan in chamber_fans(c, zs):
+    for z, fan in _chamber_rows(c, zs):
         _, grad, _ = fan_moments(fan, xi, order=1)
         total -= dot(z, grad)
     return total / (den * n * fan_moments(cone_fan(c), xi, order=0)[0])
@@ -58,7 +58,7 @@ def test_chambers_skip_duplicates_and_ties():
     covs = [(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2)), (F(1), F(0))]
     # The midpoint covector is minimal only on the diagonal ray.
     rows, _ = _integer_covectors(covs)  # (2, 0), (0, 2), (1, 1), (2, 0)
-    assert [z for z, _ in chamber_fans(orthant, rows)] == list(rows[:2])
+    assert [z for z, _ in _chamber_rows(orthant, rows)] == list(rows[:2])
     body = slice_polytope(orthant, (1, 1), 1)
     assert integrate_pl(body, PLConcave(rows, 2)) == F(1, 12)
     assert chamber_s(orthant, (1, 1), covs) == F(3, 2) * F(1, 12) / volume(body)
@@ -66,7 +66,7 @@ def test_chambers_skip_duplicates_and_ties():
 
 def test_rank_one_chambers():
     ray = cone_from_rays([(1,)])
-    assert [z for z, _ in chamber_fans(ray, [(3,), (2,)])] == [(2,)]
+    assert [z for z, _ in _chamber_rows(ray, [(3,), (2,)])] == [(2,)]
     assert chamber_s(ray, (1,), [(3,), (2,)]) == 2
     with pytest.raises(DegenerateCone):
         cone_from_halfspaces([(1,), (-1,)])
@@ -113,7 +113,7 @@ def test_kernel_equals_polytope_path(data):
     event(f"rank {n}")
     if len(c.rays) > n:
         event("non-simplicial cone")
-    if len(list(chamber_fans(c, _integer_covectors(covs)[0]))) < len(set(covs)):
+    if len(_chamber_rows(c, _integer_covectors(covs)[0])) < len(set(covs)):
         event("lower-dimensional chamber")
 
 
@@ -158,7 +158,7 @@ def test_triangulations_pinned_as_sets(rays, sigma_fan, weight_fan, slice_simpli
 def test_chamber_fans_pinned_as_sets():
     c = cone_from_rays([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)])
     got = {z: (fan.rays, set(fan.simplices))
-           for z, fan in chamber_fans(dual_cone(c), [(1, 1, 1), (2, 0, 1), (1, 2, 0)])}
+           for z, fan in _chamber_rows(dual_cone(c), [(1, 1, 1), (2, 0, 1), (1, 2, 0)])}
     assert got == {
         (1, 1, 1): (((1, 1, -1), (1, 1, 1), (2, 1, -2), (4, -1, -1)),
                     {(3, (0, 2, 3)), (10, (0, 1, 3))}),

@@ -21,8 +21,10 @@ from conestab import invariants as inv
 from conestab.errors import AmbientMismatch
 from conestab.estimators import (bj_bound_check, gamma_semigroup, good_valuation_check,
                                  sweep, sweep_approx)
+from conestab.exactgeom import lattice_points_below
 from conestab.exactgeom.fan import chambers
-from conestab.filtration import monomial_filtration, toric_filtration, twist, value_under
+from conestab.filtration import (approx_ord, monomial_filtration, ord_of, toric_filtration,
+                                 twist, value_under)
 from conestab.singularity import (ReebVector, log_discrepancy, reeb_contains, reeb_vector)
 from conftest import random_cone, random_reeb
 
@@ -86,6 +88,27 @@ def test_vectors_of_the_wrong_length_raise_ambient_mismatch(c2, v):
         with pytest.raises(AmbientMismatch, match=f"^vector of length {n} on a rank-2 cone$"):
             call(v)
         assert call((1, 1)) is not None, name  # the right length still works
+
+
+def _exponent_calls(s, G):
+    """(name, call) for every function taking an exponent alpha or a
+    slicing covector xi, with the vector under test in that place."""
+    return [
+        ("ord_of", lambda v: ord_of(G, v)),
+        ("approx_ord", lambda v: approx_ord(G, 2, v)),
+        ("MonomialFiltration.ord", lambda v: G.ord(v)),
+        ("lattice_points_below", lambda v: lattice_points_below(s.weight_cone, v, 3)),
+    ]
+
+
+@pytest.mark.parametrize("v", [(1, 2, 3), (1,)], ids=["long", "short"])
+def test_exponents_of_the_wrong_length_raise_ambient_mismatch(c2, v):
+    # Before, each of these raised a bare ValueError from zip(strict=True).
+    G = monomial_filtration(c2, [(1, 2), (2, 1)])
+    for name, call in _exponent_calls(c2, G):
+        with pytest.raises(AmbientMismatch, match=f"^vector of length {len(v)} on a rank-2 cone$"):
+            call(v)
+        assert call((1, 1)) is not None, name
 
 
 # --- one key, one value -----------------------------------------------------------

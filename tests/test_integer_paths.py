@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conestab import invariants as inv
 from conestab.errors import NotPrimary, UnboundedSlice
 from conestab.exactgeom import dot, primitivize, slice_vertices, vec
-from conestab.exactgeom.fan import chambers, cone_fan, fan_moments, simplicial_fan
+from conestab.exactgeom.fan import chambers, fan_moments
 from conestab.exactgeom.polytope import _slice_extreme
 from conestab.filtration import monomial_filtration
 from conestab.singularity import _xi_row, from_rays, reeb_vector
@@ -55,8 +55,8 @@ def _old_primarity(s, covectors, require_primary):
 
 
 def _old_lambda_max(s, xi0, covectors):
-    return max(dot(z, a) for z, rays in chambers.__wrapped__(s.weight_cone, covectors)
-               for a in slice_vertices(rays, xi0))
+    return max(dot(z, a) for z, fan in chambers.__wrapped__(s.weight_cone, covectors)
+               for a in slice_vertices(fan.rays, xi0))
 
 
 def _old_lambda_min(s, xi0, G):
@@ -65,10 +65,8 @@ def _old_lambda_min(s, xi0, G):
 
 def _old_s(s, xi0, covectors):
     n = s.rank
-    found = chambers.__wrapped__(s.weight_cone, covectors)
     total = F(0)
-    for z, rays in found:
-        fan = cone_fan(s.weight_cone) if len(found) == 1 else simplicial_fan(rays, n)
+    for z, fan in chambers.__wrapped__(s.weight_cone, covectors):
         total -= dot(z, fan_moments(fan, xi0, order=1)[1])
     return total / (n * factorial(n) * inv.okounkov_body(s, xi0).vol)
 

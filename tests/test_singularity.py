@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conestab.errors import DegenerateCone, NotKlt, NotQGorenstein
+from conestab.exactgeom import cone_from_halfspaces, cone_from_rays
 from conestab.singularity import from_rays, log_discrepancy, reeb_contains, reeb_vector
 from conftest import random_cone, random_reeb
 
@@ -49,6 +50,17 @@ def test_not_q_gorenstein():
 def test_degenerate_cone():
     with pytest.raises(DegenerateCone):
         from_rays([(1, 0), (2, 0)])
+
+
+@pytest.mark.parametrize("vectors", [[(1, 0, 0), (0, 1)], [(2, 1), (1, 2), (1, 1, 1)]],
+                         ids=["longer-first", "longer-last"])
+def test_vectors_of_mixed_lengths_raise_degenerate_cone(vectors):
+    # Before, the first list built C^2 (the third coordinate dropped) and
+    # the second raised a bare IndexError.
+    for build, what in [(from_rays, "rays"), (cone_from_rays, "rays"),
+                        (cone_from_halfspaces, "halfspaces")]:
+        with pytest.raises(DegenerateCone, match=f"^{what} of lengths 2 and 3$"):
+            build(vectors)
 
 
 def test_log_discrepancy_examples(c2, a1):

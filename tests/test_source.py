@@ -1,6 +1,8 @@
 """Source-level guards on the library package."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import conestab
 
 SRC = Path(conestab.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_library_has_no_assert_statements():
@@ -67,3 +70,23 @@ def test_records_are_built_in_one_place():
     # denominator, and a singularity only by the validating from_rays.
     assert _call_scopes("PLConcave") == [("filtration.py", "_filtration")]
     assert _call_scopes("ConeSingularity") == [("singularity.py", "from_rays")]
+
+
+def test_fans_are_triangulated_in_one_place():
+    # A cone's fan is built once per cone and a chamber's once per cached
+    # decomposition, so S, lambda_max and the twists never re-triangulate.
+    assert _call_scopes("simplicial_fan") == [("fan.py", "chambers"), ("fan.py", "cone_fan")]
+
+
+def test_tracer_names_resolve():
+    # perfbench/tracer.py wraps the LAYERS functions and reads the
+    # INVARIANT_CACHES by name; a renamed or deleted one would otherwise
+    # fail only the benchmark's own traced run.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, names in tracer.LAYERS.values():
+        module = importlib.import_module(module_name)
+        assert [name for name in names if not callable(getattr(module, name, None))] == []
+    inv = importlib.import_module("conestab.invariants")
+    assert all(getattr(inv, name).cache_info() for name in tracer.INVARIANT_CACHES)
