@@ -138,6 +138,8 @@ class InputDocument:
             if not isinstance(self.levels, list):
                 raise ParseError("need a list of positive integers", where)
             self.levels = [_int(m, f"{where}[{i}]") for i, m in enumerate(self.levels)]
+            if not self.levels:
+                raise ParseError("empty level list", where)
             if any(m < 1 for m in self.levels):
                 raise ParseError("levels must be positive integers", where)
 
@@ -236,7 +238,7 @@ def cmd_stability(args):
 
 def cmd_nvolmin(args):
     doc = InputDocument.load(args.document)
-    tol = _tol(args.tol, "--tol") if args.tol else doc.tol
+    tol = _tol(args.tol, "--tol") if args.tol is not None else doc.tol
     result = optimize.minimize_nvol(doc.singularity, tol=tol, raise_on_gap=True)
     if args.json:
         rep = invariants.InvariantReport(entries={})
@@ -285,9 +287,9 @@ def _parse_levels(expr, budget):
 def cmd_estimate(args):
     doc = InputDocument.load(args.document)
     F = doc.filtration(args.filtration)
-    levels = (_parse_levels(args.levels, doc.budget) if args.levels
+    levels = (_parse_levels(args.levels, doc.budget) if args.levels is not None
               else doc.levels or list(range(1, 51)))
-    if args.approx:
+    if args.approx is not None:
         m_filt = _int(args.approx, "--approx")
         if m_filt < 1:
             raise ParseError("approximation level must be >= 1", "--approx")
@@ -309,8 +311,8 @@ def cmd_estimate(args):
 def cmd_okounkov(args):
     doc = InputDocument.load(args.document)
     s = doc.singularity
-    F = doc.filtration(args.filtration) if args.filtration else None
-    t = _rat(args.t, "--t") if args.t else Fraction(0)
+    F = doc.filtration(args.filtration) if args.filtration is not None else None
+    t = _rat(args.t, "--t") if args.t is not None else Fraction(0)
     body = invariants.okounkov_body(s, doc.reeb)
     out = {
         "vertices": [[str(Fraction(x)) for x in v] for v in body.body.vertices],
@@ -318,7 +320,7 @@ def cmd_okounkov(args):
         "bary": [str(Fraction(x)) for x in body.bary],
         "alpha0": [str(Fraction(x)) for x in body.alpha0],
     }
-    if args.levels:
+    if args.levels is not None:
         levels = _parse_levels(args.levels, doc.budget)
         if F is None:
             F, t = toric_filtration(s, doc.reeb), Fraction(0)

@@ -34,7 +34,7 @@ from .errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
 from .exactgeom import Cone, frac, lattice_points_below
 from .exactgeom.lattice import _box, _checked_budget, _lattice_runs, _TableCache
 from .exactgeom.linalg import _unimodular_completion, smith_diagonal
-from .filtration import MonomialFiltration, _approx_key, _approx_table, _floor_runs
+from .filtration import MonomialFiltration, _approx_key, _approx_table, _floor_runs, _rows
 from .invariants import _lambda_max_cached, _s_closed_cached, _vol_cached
 from .singularity import ConeSingularity, _xi_row
 
@@ -280,7 +280,7 @@ def _aggregate(s, table, levels, run_orders, run_stats=None):
 
 def _target(s, x, L, F):
     """The closed forms a sweep's statistics converge to, at xi0 = x / L."""
-    key = (s.weight_cone, x, L, F.transform.rows, F.transform.den)
+    key = (s.weight_cone, x, L, *_rows(s, F))
     return {"S": _s_closed_cached(*key), "lambda_max": _lambda_max_cached(*key),
             "vol": _vol_cached(s.weight_cone, x, L)}
 
@@ -295,9 +295,10 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
     built: orders and shells are computed a lattice run at a time.
     """
     (x, L), levels = _xi_row(xi0, s.rank), _levels(levels)
+    target = _target(s, x, L, F)  # checks F's ambient before any enumeration
     table = _table(s, x, L, levels, budget)
     per_level = _aggregate(s, table, levels, *_floor_runs(F, table.W))
-    return EstimatorSweep(levels=list(levels), per_level=per_level, target=_target(s, x, L, F))
+    return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 
 
 def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
@@ -313,6 +314,7 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     key = _approx_key(F, m_filtration)
     (x, L), levels = _xi_row(xi0, s.rank), _levels(levels)
     budget = _checked_budget(budget)
+    target = {**_target(s, x, L, F), "m_filtration": Fraction(m_filtration)}
     table = _table(s, x, L, levels, budget, level=False)
     ell = s.sigma.interior_point()
     # <ell, .> is linear along a run, so its largest value sits at an end.
@@ -324,7 +326,6 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
         start, orders = runs[prefix]
         return orders[lo - start:hi - start + 1]
     per_level = _aggregate(s, table, levels, run_orders)
-    target = {**_target(s, x, L, F), "m_filtration": Fraction(m_filtration)}
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 
 
@@ -345,6 +346,7 @@ class SemigroupSample(NamedTuple):
     def verify_closure(self, s, xi0, F, limit=200) -> bool:
         """Sampled additive closure: sums of members land in the level-2m slice."""
         x, L = _xi_row(xi0, s.rank)
+        _rows(s, F)  # F must be over s
         checked = 0
         for i, p in enumerate(self.points):
             for q in self.points[i:]:
@@ -365,9 +367,9 @@ def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
     _levels([m])
     x, L = _xi_row(xi0, s.rank)
     t = frac(t)
+    zs, den = _rows(s, F)
     pts = lattice_points_below(s.weight_cone, x, m * L, strict=False, budget=budget)
     # g(p) >= m t in integers: g = min_j <zs_j, .> / den and t = tn / td.
-    zs, den = F.transform.rows, F.transform.den
     td, bound = t.denominator, den * m * t.numerator
     keep = [p for p in pts if min(sum(map(mul, z, p)) for z in zs) * td >= bound]
     cloud = [tuple(Fraction(x, m) for x in p) for p in keep]

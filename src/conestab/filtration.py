@@ -17,8 +17,8 @@ The approximations of one filtration at level m share one table
 (``_approx_table``), keyed on (weight cone, integer covector rows, m), over
 the reference-weight window <ell, .> <= w with ell = sigma.interior_point(),
 the sum of the weight cone's facet normals: the kept blocks, the order of
-every window point per lattice run, the point count at each weight and,
-once found, the approximant's certified window.
+every window point per lattice run, the point count at each weight and
+the approximant's transform, built once on a window computed from F and m.
 """
 
 from bisect import bisect_right
@@ -32,6 +32,7 @@ from .errors import (
     AmbientMismatch,
     BudgetExceeded,
     EmptyInput,
+    IdentityViolated,
     NonpositiveScale,
     NotPrimary,
     OutsideWeightCone,
@@ -72,6 +73,13 @@ def _primary(F: MonomialFiltration) -> bool:
     """True when F's transform is positive on every weight-cone ray."""
     rays = F.ambient.weight_cone.rays
     return all(sum(map(mul, z, a)) > 0 for z in F.transform.rows for a in rays)
+
+
+def _rows(s: ConeSingularity, F: MonomialFiltration):
+    """(rows, den) of F's transform, which must be over the singularity s."""
+    if F.ambient != s:
+        raise AmbientMismatch("filtration over a different singularity")
+    return F.transform.rows, F.transform.den
 
 
 def _filtration(s: ConeSingularity, rows, den, require_primary) -> MonomialFiltration:
@@ -360,7 +368,7 @@ class _ApproxTable:
         self.runs = runs            # {prefix: (t_lo, approximate orders along the run)}
         self.blocks = blocks        # kept (gamma, v, <ell, gamma>), in scan order
         self.counts = counts        # index k: window points with <ell, .> <= k
-        self.certified = None       # approximant's (window, transform), once found
+        self.certified = None       # the approximant's transform, once built
 
 
 def _build_approx_table(F: MonomialFiltration, m, window, budget):
@@ -413,7 +421,7 @@ def _approx_table(F: MonomialFiltration, key, window, budget) -> _ApproxTable:
     Its point count at ``window`` is compared with the budget, so a hit
     raises the BudgetExceeded of a fresh enumeration.  A larger window is
     enumerated under the budget, and the complete table replaces the
-    stored one, keeping the approximant's certificate.
+    stored one, keeping the approximant's transform.
     """
     table = _approx_tables.get(key)
     if table is not None and table.window >= window:
@@ -456,47 +464,36 @@ def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltratio
     v(gamma) = min(floor(g(gamma)), m) over lattice gamma.  The envelope is
     computed dually: it is the minimum over the vertices of
     Theta = {theta in sigma : <theta, gamma> >= v(gamma) for the kept
-    blocks}, whose dropped blocks are implied by their dominators.  The
-    blocks of a window <ell, gamma> <= w are the approximation table's
-    blocks of weight <= w.  That window suffices once every vertex theta
-    satisfies <theta, .> >= m outside it, which is certified at the
-    vertices of the slice <ell, .> = 1; otherwise w doubles.  The table
-    keeps the certified window and transform, and a later call checks its
-    budget against each window up to that one.  A BudgetExceeded names the
-    last window and the doublings.  A non-primary F raises NotPrimary at
-    once: its g, and so every envelope below it, vanishes on a weight-cone
-    ray, where no window is ever certified.
+    blocks}, whose dropped blocks are implied by their dominators.  They
+    are the table's blocks of weight <ell, gamma> <= W, W the max over the
+    weight-cone rays r of k_r <ell, r> with k_r = ceil(m / g(r)): the block
+    k_r r has value m, so every vertex has <theta, .> >= m, the most a
+    block is worth, outside the window.  That certificate is checked at the
+    vertices of the slice <ell, .> = 1 (else IdentityViolated), and the
+    table keeps the transform.  A BudgetExceeded names W, before any vertex
+    enumeration.  A non-primary F raises NotPrimary at once: its g, and
+    every envelope below it, vanishes on a weight-cone ray.
     """
     key = _approx_key(F, m)
     budget = _checked_budget(budget)
     if not _primary(F):
         raise NotPrimary("approximant needs a primary filtration: its transform "
                          "vanishes on a weight-cone ray")
-    s = F.ambient
+    s, (zs, den) = F.ambient, F.transform
     rays = s.weight_cone.rays
     ell = s.sigma.interior_point()
-    window = 2 * m * max(1, max(sum(map(mul, ell, r)) for r in rays))
-    for doublings in range(24):
-        if doublings:
-            window *= 2
-        try:
-            table = _approx_table(F, key, window, budget)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(f"approximant window {window} after "
-                                 f"{doublings} doublings: {exc}") from exc
-        if table.certified is not None:
-            if table.certified[0] > window:  # a window already found too small
-                continue
-            return MonomialFiltration(ambient=s, transform=table.certified[1])
-        kept = [(gamma, v) for gamma, v, w in table.blocks if w <= window]
-        hs = [(tuple(-x for x in gamma), -v) for gamma, v in kept]
+    window = max(-(-m * den // min(sum(map(mul, z, r)) for z in zs)) * sum(map(mul, ell, r))
+                 for r in rays)
+    try:
+        table = _approx_table(F, key, window, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"approximant window {window}: {exc}") from exc
+    if table.certified is None:
+        hs = [(tuple(-x for x in gamma), -v) for gamma, v, w in table.blocks if w <= window]
         hs += [(tuple(-x for x in r), 0) for r in rays]
         thetas = enumerate_vertices(hs, s.rank)
         unit = slice_vertices(rays, ell)
-        if kept and all(min(dot(theta, a) for a in unit) * window >= m
-                        for theta in thetas):
-            approx = monomial_filtration(s, thetas)
-            table.certified = (window, approx.transform)
-            return approx
-    raise BudgetExceeded(f"approximant window {window} after {doublings} "
-                         "doublings still uncertified")
+        if any(min(dot(theta, a) for a in unit) * window < m for theta in thetas):
+            raise IdentityViolated(f"approximant window {window} is not certified at level {m}")
+        table.certified = monomial_filtration(s, thetas).transform
+    return MonomialFiltration(ambient=s, transform=table.certified)

@@ -41,7 +41,7 @@ from .exactgeom import (dot, enumerate_vertices, lp_solve, primitivize, slice_po
 from .exactgeom.fan import _chamber_rows, _fan_sums, _moments, cone_fan
 from .exactgeom.linalg import _integer_row, gram_project_out, norm_sq
 from .exactgeom.polytope import _slice_extreme
-from .filtration import MonomialFiltration, _newton_halfspaces
+from .filtration import MonomialFiltration, _newton_halfspaces, _rows
 from .singularity import ConeSingularity, _log_discrepancy, _xi_row
 
 
@@ -140,8 +140,7 @@ def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
         S = sum_tau |det W_tau| / prod_i p_i * <z_j, sum_i w_i / p_i>
             / (n * vol(xi0)).
     """
-    return _s_closed_cached(s.weight_cone, *_xi_row(xi0, s.rank),
-                            F.transform.rows, F.transform.den)
+    return _s_closed_cached(s.weight_cone, *_xi_row(xi0, s.rank), *_rows(s, F))
 
 
 def _slice_value(groups, x, L, den, largest):
@@ -165,8 +164,7 @@ def lambda_max_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
     maximum is that of <z_j, .> over the chamber rays scaled onto the
     slice.
     """
-    return _lambda_max_cached(s.weight_cone, *_xi_row(xi0, s.rank),
-                              F.transform.rows, F.transform.den)
+    return _lambda_max_cached(s.weight_cone, *_xi_row(xi0, s.rank), *_rows(s, F))
 
 
 def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -179,13 +177,13 @@ def lambda_min_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fractio
     x, L = _xi_row(xi0, s.rank)
     wc = s.weight_cone
     _okounkov_cached(wc, x, L)  # unread; perfbench's cache_hit_ratio counts this lookup
-    zs, den = F.transform.rows, F.transform.den
+    zs, den = _rows(s, F)
     return _slice_value(((zs, wc.rays),), x, L, den, False)
 
 
 def j_norm(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """lambda_max - S; nonnegative, zero exactly on rescaled polarizations."""
-    key = (s.weight_cone, *_xi_row(xi0, s.rank), F.transform.rows, F.transform.den)
+    key = (s.weight_cone, *_xi_row(xi0, s.rank), *_rows(s, F))
     return _lambda_max_cached(*key) - _s_closed_cached(*key)
 
 
@@ -217,7 +215,7 @@ def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
     with no LP.  Where several tie, the optima form their convex hull and
     the LP is solved for the vertex it picks.
     """
-    return _lct_cached(s.u_row, s.u_den, s.sigma, F.transform.rows, F.transform.den)
+    return _lct_cached(s.u_row, s.u_den, s.sigma, *_rows(s, F))
 
 
 @lru_cache(maxsize=16384)
@@ -239,7 +237,7 @@ def _lct_cached(u, Lu, sigma, zs, den) -> LctResult:
 def ding(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
     """Ding invariant: lct(F) - A(xi0) S(xi0; F)."""
     x, L = _xi_row(xi0, s.rank)
-    zs, den = F.transform.rows, F.transform.den
+    zs, den = _rows(s, F)
     return (_lct_cached(s.u_row, s.u_den, s.sigma, zs, den).value
             - _log_discrepancy(s, x, L) * _s_closed_cached(s.weight_cone, x, L, zs, den))
 
@@ -367,7 +365,7 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     """
     wc = s.weight_cone
     x, L = _xi_row(xi0, s.rank)
-    zs, den = F.transform.rows, F.transform.den
+    zs, den = _rows(s, F)
     alpha0 = _okounkov_cached(wc, x, L).alpha0
     a, La = _integer_row(alpha0)
     pairings = [sum(map(mul, z, a)) for z in zs]
@@ -418,7 +416,7 @@ def twisted_lambda_max(s: ConeSingularity, xi0, F: MonomialFiltration, xi):
     """
     x, L = _xi_row(xi0, s.rank)
     e, Le = _xi_row(xi, s.rank)
-    zs, den = F.transform.rows, F.transform.den
+    zs, den = _rows(s, F)
     return max(((dot(z, a) / den + dot(e, a) / Le, a)
                 for z, fan in _chamber_rows(s.weight_cone, zs)
                 for a in slice_vertices(fan.rays, x, L)),

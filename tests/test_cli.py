@@ -320,11 +320,21 @@ def test_non_integer_budget_option(doc_path, capsys, budget, shown):
      ".coefficients", "conflicting coefficients on ray (1, 0)"),
     (dict(C2_DOC, coefficients=["1", "0"]), ["validate"], ".coefficients",
      "boundary coefficient 1 outside [0, 1)"),
+    # An empty option value or level list is an error, not the default.
+    (C2_DOC, ["estimate", "--filtration", "FEX", "--levels", "1..5", "--approx", ""], "--approx",
+     "not an integer: ''"),
+    (C2_DOC, ["estimate", "--filtration", "FEX", "--levels", ""], "--levels", "empty level list"),
+    (C2_DOC, ["okounkov", "--levels", ""], "--levels", "empty level list"),
+    (C2_DOC, ["nvolmin", "--tol", ""], "--tol", "not a rational 'p/q': ''"),
+    (C2_DOC, ["okounkov", "--levels", "2", "--t", ""], "--t", "not a rational 'p/q': ''"),
+    (dict(C2_DOC, options={"levels": []}), ["estimate", "--filtration", "FEX"],
+     ".options.levels", "empty level list"),
 ], ids=["filtrations-list", "options-list", "covectors-int", "levels-string",
         "levels-entry", "levels-zero", "okounkov-levels-zero", "okounkov-t-without-levels",
         "scale-zero", "covector-negative", "covectors-empty", "rank-zero", "rank-negative",
         "rays-not-pointed", "rays-not-spanning", "coefficients-conflicting",
-        "coefficient-not-klt"])
+        "coefficient-not-klt", "approx-empty", "levels-empty", "okounkov-levels-empty",
+        "tol-empty", "t-empty", "document-levels-empty"])
 def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where, message):
     path = doc_path(doc)
     assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID
@@ -429,6 +439,11 @@ def test_okounkov_json(doc_path, capsys):
 def test_okounkov_unknown_filtration_without_levels(doc_path, capsys):
     assert main(["okounkov", doc_path(C2_DOC), "--filtration", "NOPE"]) == EXIT_INVALID
     assert capsys.readouterr().err == "error: no filtration named 'NOPE'; have ['FEX', 'triv']\n"
+
+
+def test_okounkov_empty_filtration_name_is_unknown(doc_path, capsys):
+    assert main(["okounkov", doc_path(C2_DOC), "--filtration", ""]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: no filtration named ''; have ['FEX', 'triv']\n"
 
 
 def test_library_loads_no_numpy_or_sympy():

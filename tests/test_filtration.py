@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import floor, gcd
+from math import ceil, floor, gcd
 from operator import le, mul, sub
 
 import pytest
@@ -12,6 +12,7 @@ from conestab.errors import (
     AmbientMismatch,
     BudgetExceeded,
     EmptyInput,
+    IdentityViolated,
     NonpositiveScale,
     NotPrimary,
     OutsideWeightCone,
@@ -315,13 +316,60 @@ def test_approx_ord_reads_approx_orders():
 
 
 def test_approximant_budget_names_window(c2):
-    # g = (a + b) / 5 keeps every block below weight 5, so the window
-    # doubles 2 -> 4 -> 8 before the 45 points at weight <= 8 hit budget 20.
+    # g = (a + b) / 5 is 1/5 on both rays, so the window is W = 5 * 1 and
+    # its 21 points at weight <= 5 hit budget 20.
     thin = monomial_filtration(c2, [(F(1, 5), F(1, 5))])
-    with pytest.raises(BudgetExceeded, match=r"^approximant window 8 after 2 doublings: "
+    with pytest.raises(BudgetExceeded, match=r"^approximant window 5: "
                        r"lattice enumeration exceeded budget 20$"):
         approximant(thin, 1, budget=20)
     assert approximant(thin, 1, budget=45) == toric_filtration(c2, (F(1, 5), F(1, 5)))
+
+
+def _counted_vertex_scans(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+    scan = filtration.enumerate_vertices
+    monkeypatch.setattr(filtration, "enumerate_vertices", counted)
+    filtration._approx_tables.cache_clear()
+    return calls
+
+
+def test_approximant_scans_its_computed_window_once(c2, monkeypatch):
+    # W = 5 is computed from g and m, so one table and one vertex scan
+    # suffice, and the 21 points at weight <= 5 fit budget 21.
+    calls = _counted_vertex_scans(monkeypatch)
+    thin = monomial_filtration(c2, [(F(1, 5), F(1, 5))])
+    assert approximant(thin, 1, budget=21) == toric_filtration(c2, (F(1, 5), F(1, 5)))
+    assert len(calls) == 1
+
+
+def test_approximant_budget_stops_before_any_vertex_scan(monkeypatch):
+    # Rank 3: g = <(7/6, 1/3, 2/3), .> is 2/3, 1/3, 7/6, 5/6 on the
+    # weight-cone rays, each of weight 2, so W = ceil(6 / (1/3)) * 2 = 36 at
+    # m = 6, and its points exceed budget 2000 before any vertex scan.
+    calls = _counted_vertex_scans(monkeypatch)
+    s = from_rays(R3_RAYS)
+    G = monomial_filtration(s, [(F(7, 6), F(1, 3), F(2, 3))])
+    with pytest.raises(BudgetExceeded, match=r"^approximant window 36: "
+                       r"lattice enumeration exceeded budget 2000$"):
+        approximant(G, 6, budget=2000)
+    assert calls == []
+
+
+def test_approximant_missing_blocks_raise_identity_violated(c2, monkeypatch):
+    # W = 4 for g = <(2/3, 1/4), .> at m = 1.  A table one weight short of
+    # it keeps the blocks (2, 0) and (1, 2) but misses (0, 4), so the vertex
+    # (1, 0) of their Theta pairs to 0 < m / W with the ray (0, 1).
+    filtration._approx_tables.cache_clear()
+    monkeypatch.setattr(filtration, "_approx_table", lambda F_, key, window, budget:
+                        filtration._build_approx_table(F_, key[-1], window - 1, budget))
+    G = monomial_filtration(c2, [(F(2, 3), F(1, 4))])
+    with pytest.raises(IdentityViolated, match=r"^approximant window 4 is not certified "
+                       r"at level 1$"):
+        approximant(G, 1)
 
 
 def _ideal(F_, m, lam, window_pts):
@@ -533,6 +581,13 @@ def _table_sequences(draw):
     return s, F_, m, ops
 
 
+def _approximant_window(F_, m):
+    """W = max over the weight-cone rays r of ceil(m / g(r)) <ell, r>."""
+    s = F_.ambient
+    ell = s.sigma.interior_point()
+    return max(ceil(m / F_.ord(r)) * dot(ell, r) for r in s.weight_cone.rays)
+
+
 def _window_count(s, w):
     return len(lattice_points_below(s.weight_cone, s.sigma.interior_point(), w, strict=False))
 
@@ -567,9 +622,13 @@ def test_shared_tables_match_cold_reference(case):
             count = _window_count(s, dot(xi0, arg))
         elif name == "sweep_approx":  # xi0 = ell: the points of weight < arg + 1
             count = _window_count(s, arg)
-        else:  # the approximant's: that of its certified window
-            key = filtration._approx_key(F_, m)
-            count = _window_count(s, filtration._approx_tables.tables[key].certified[0])
+        else:  # the approximant's: that of the window W computed from F_ and m
+            W = _approximant_window(F_, m)
+            count = _window_count(s, W)
+            assert _message(lambda: new(count - 1)) == (
+                f"approximant window {W}: lattice enumeration exceeded budget {count - 1}")
+            assert new(count) == old(None)
+            continue
         assert _message(lambda: new(count - 1)) == _message(lambda: old(count - 1))
         assert new(count) == old(count)
     windows = [lattice_points_below(s.weight_cone, xi0, w, strict=False) for w in (0, 3, 6)]
@@ -582,7 +641,7 @@ def test_shared_tables_match_cold_reference(case):
 def test_one_key_builds_one_table(c2, fex, monkeypatch):
     # sweep_approx, approximant and approx_ord on one (F, m) share one
     # table: the first call's window holds the others', and a budget
-    # failure on a hit names the same window and doublings as a cold call.
+    # failure on a hit names the same window as a cold call.
     builds = []
 
     def counted(*args):
@@ -596,7 +655,7 @@ def test_one_key_builds_one_table(c2, fex, monkeypatch):
     assert approximant(G, 1) == toric_filtration(c2, (F(1, 5), F(1, 5)))
     assert approx_ord(G, 1, (3, 4)) == _old_approx_ord(G, 1, (3, 4)) == 1
     assert builds == [20]
-    with pytest.raises(BudgetExceeded, match=r"^approximant window 8 after 2 doublings: "
+    with pytest.raises(BudgetExceeded, match=r"^approximant window 5: "
                        r"lattice enumeration exceeded budget 20$"):
         approximant(G, 1, budget=20)
     with pytest.raises(BudgetExceeded, match=r"^lattice enumeration exceeded budget 35$"):
@@ -604,7 +663,7 @@ def test_one_key_builds_one_table(c2, fex, monkeypatch):
     assert approx_ord(G, 1, (3, 4), budget=36) == 1
     approx_ord(G, 1, (30, 0))  # a larger window replaces the table
     assert builds == [20, 30]
-    assert approximant(fex, 3) == fex and builds == [20, 30, 6]
+    assert approximant(fex, 3) == fex and builds == [20, 30, 3]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conestab import invariants as inv
-from conestab.errors import AmbientMismatch
+from conestab.errors import AmbientMismatch, BudgetExceeded
 from conestab.estimators import (bj_bound_check, gamma_semigroup, good_valuation_check,
                                  sweep, sweep_approx)
 from conestab.exactgeom import lattice_points_below
@@ -109,6 +109,43 @@ def test_exponents_of_the_wrong_length_raise_ambient_mismatch(c2, v):
         with pytest.raises(AmbientMismatch, match=f"^vector of length {len(v)} on a rank-2 cone$"):
             call(v)
         assert call((1, 1)) is not None, name
+
+
+def _filtration_calls(s, G):
+    """(name, call) for every public function taking both s and a
+    filtration; the enumerating ones get budget 0, so a check that came
+    after their enumeration would raise BudgetExceeded instead."""
+    xi0 = (1, 1)
+    sample = gamma_semigroup(s, xi0, toric_filtration(s, xi0), 2, 1)
+    return [
+        ("s_closed", lambda: inv.s_closed(s, xi0, G)),
+        ("lambda_max_closed", lambda: inv.lambda_max_closed(s, xi0, G)),
+        ("lambda_min_closed", lambda: inv.lambda_min_closed(s, xi0, G)),
+        ("j_norm", lambda: inv.j_norm(s, xi0, G)),
+        ("lct_monomial", lambda: inv.lct_monomial(s, G)),
+        ("ding", lambda: inv.ding(s, xi0, G)),
+        ("reduced_j", lambda: inv.reduced_j(s, xi0, G)),
+        ("twisted_lambda_max", lambda: inv.twisted_lambda_max(s, xi0, G, xi0)),
+        ("sweep", lambda: sweep(s, xi0, G, [2], budget=0)),
+        ("sweep_approx", lambda: sweep_approx(s, xi0, G, 2, [2], budget=0)),
+        ("bj_bound_check", lambda: bj_bound_check(s, xi0, G, 1, 1, levels=[2])),
+        ("gamma_semigroup", lambda: gamma_semigroup(s, xi0, G, 2, 1, budget=0)),
+        ("verify_closure", lambda: sample.verify_closure(s, xi0, G)),
+    ]
+
+
+def test_a_filtration_over_another_singularity_raises_ambient_mismatch(c2, a1):
+    # Before, s_closed(c2, (1, 1), G) read G's rows as if they were over c2.
+    G = monomial_filtration(a1, [(1, 1), (2, 1)])
+    for name, call in _filtration_calls(c2, G):
+        with pytest.raises(AmbientMismatch, match="^filtration over a different singularity$"):
+            call()
+    H = monomial_filtration(c2, [(1, 1), (2, 1)])
+    for name, call in _filtration_calls(c2, H):
+        try:
+            assert call() is not None, name
+        except BudgetExceeded:
+            assert name in ("sweep", "sweep_approx", "gamma_semigroup"), name
 
 
 # --- one key, one value -----------------------------------------------------------

@@ -78,6 +78,17 @@ def test_fans_are_triangulated_in_one_place():
     assert _call_scopes("simplicial_fan") == [("fan.py", "chambers"), ("fan.py", "cone_fan")]
 
 
+def test_transform_rows_are_read_only_in_the_filtration_layer():
+    # Every other module reads a filtration's integer rows through
+    # filtration._rows(s, F), which checks that F is over s, so a new
+    # entry point taking both cannot read the rows of another singularity.
+    found = sorted({path.name for path in SRC.rglob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                    if isinstance(node, ast.Attribute) and node.attr in ("rows", "den")
+                    and getattr(node.value, "attr", None) == "transform"})
+    assert found == ["filtration.py"]
+
+
 def test_tracer_names_resolve():
     # perfbench/tracer.py wraps the LAYERS functions and reads the
     # INVARIANT_CACHES by name; a renamed or deleted one would otherwise
