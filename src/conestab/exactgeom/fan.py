@@ -15,21 +15,22 @@ in the toric form Martelli, Sparks and Yau use for the volume of a Sasakian
 link (hep-th/0503183).  The fan depends on the cone alone, so it is built
 once per cone; each evaluation then runs over integers (``_fan_sums``) at
 x = L xi, with the pairings p_i cleared to the common denominator Q =
-prod of the pairings of all rays; ``fan_moments`` forms one Fraction per
+prod of the pairings of all rays; ``_moments`` forms one Fraction per
 output entry, and S one per value.  For g = min_j <z_j, .>, ``chambers``
 splits C into the cones on which g is linear, each with its fan; the fans
 give S, and their rays lambda_max and the irredundant covectors.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
 from ..errors import UnboundedSlice
 from .cone import Cone, _facet_normals, _triangulate_rays
-from .linalg import _integer_row, _row_reduce, det, primitivize, vsub
+from .lattice import _TableCache
+from .linalg import _row_reduce, det, primitivize, vsub
 
 
 class Fan(NamedTuple):
@@ -59,7 +60,9 @@ def cone_fan(c: Cone) -> Fan:
     return simplicial_fan(c.rays, c.rank)
 
 
-@lru_cache(maxsize=256)
+# At most 256 decompositions, whose fans hold at most 4096 simplices: a
+# filtration's are read while it is in use, so a short store keeps the hits.
+@partial(_TableCache, 256, 1 << 12, lambda found: sum(len(fan.simplices) for _, fan in found))
 def chambers(c: Cone, covectors):
     """((z_j, Fan of chamber j), ...) for g = min_j <z_j, .> on the cone c.
 
@@ -86,20 +89,31 @@ def chambers(c: Cone, covectors):
     return tuple((z, simplicial_fan(rays, n)) for z, rays in found)
 
 
+def _chamber_key(rows):
+    """{difference from the first row over their gcd: row}, in order."""
+    zs = [[a - b for a, b in zip(z, rows[0])] for z in rows]
+    g = gcd(*(a for z in zs for a in z)) or 1
+    return {tuple(a // g for a in d): z for d, z in zip(zs, rows)}
+
+
 def _chamber_rows(c: Cone, rows):
     """``chambers`` of integer covector rows, cached under their differences
     from the first row over their gcd: a chamber depends only on the
     directions of the differences, so the twists and rescalings of a
-    transform share its decomposition."""
-    zs = [[a - b for a, b in zip(z, rows[0])] for z in rows]
-    g = gcd(*(a for z in zs for a in z)) or 1
-    back = {tuple(a // g for a in d): z for d, z in zip(zs, rows)}
-    return tuple((back[d], fan) for d, fan in chambers(c, tuple(back)))
+    transform share its decomposition.  A redundant row attains the minimum
+    on no open set, so the kept rows have the same chambers; the record is
+    stored under their key as well, which the reduced transform asks for."""
+    back = _chamber_key(rows)
+    found = chambers(c, tuple(back))
+    if len(found) < len(back):
+        kept = tuple(_chamber_key([back[d] for d, _ in found]))
+        chambers.put((c, kept), tuple(zip(kept, (fan for _, fan in found))))
+    return tuple((back[d], fan) for d, fan in found)
 
 
 def _fan_sums(fan: Fan, x, order):
     """(Q, vol, grad, hess) at the integer vector x, as ints: Q the product
-    of the pairings <w, x> over the rays, and the moments of ``fan_moments``
+    of the pairings <w, x> over the rays, and the moments of ``_moments``
     times Q, -Q^2 and Q^3 (hess only its lower triangle)."""
     n = fan.rank
     P = [sum(map(mul, w, x)) for w in fan.rays]
@@ -136,19 +150,9 @@ def _fan_sums(fan: Fan, x, order):
     return Q, vol, grad, hess
 
 
-def fan_moments(fan: Fan, xi, order=2):
-    """(vol, grad, hess) of sum_tau |det W_tau| / prod_i <w_i, xi> at xi.
-
-    Exact Fractions; grad is None for order 0 and hess None below order 2.
-    Requires <w, xi> > 0 on every ray of the fan.  The value is computed at
-    the integer vector x = L xi (``_moments``).
-    """
-    return _moments(fan, *_integer_row(xi), order)
-
-
 def _moments(fan: Fan, x, L, order=2):
-    """``fan_moments`` at xi = x / L: ``_fan_sums`` at x over the degrees
-    -n, -n-1 and -n-2 of homogeneity."""
+    """(vol, grad, hess) at xi = x / L as Fractions (grad None at order 0,
+    hess None below 2): ``_fan_sums`` at x over the degrees -n, -n-1, -n-2."""
     n = fan.rank
     Q, vol, grad, hess = _fan_sums(fan, x, order)
     vol_q = Fraction(L ** n * vol, Q)

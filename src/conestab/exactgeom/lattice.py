@@ -140,18 +140,24 @@ class _CacheInfo(NamedTuple):
 
 
 class _TableCache:
-    """Least-recently-used store of lattice tables, bounded by entry count
-    and by the summed ``size`` of what the entries hold.
+    """Least-recently-used store of tables, bounded by entry count and by
+    the summed ``size`` of what the entries hold.
 
     Storing a table evicts the oldest entries until both bounds hold; a
     table larger than ``maxweight`` on its own is returned to its caller
     and never kept.  The caller builds a table when ``get`` finds none
-    that will do, and stores it with ``put``.
+    that will do, and stores it with ``put``.  A store given ``build`` is
+    called like it, as an ``lru_cache``, with the cold builder ``__wrapped__``.
     """
 
-    def __init__(self, maxsize, maxweight, size):
+    def __init__(self, maxsize, maxweight, size, build=None):
         self.maxsize, self.maxweight, self.size = maxsize, maxweight, size
+        self.__wrapped__ = build
         self.cache_clear()
+
+    def __call__(self, *key):
+        table = self.get(key)
+        return self.put(key, self.__wrapped__(*key)) if table is None else table
 
     def get(self, key):
         table = self.tables.pop(key, None)

@@ -191,16 +191,19 @@ def solve(rows, rhs):
     """
     if not rows:
         return None
-    return _solve_rows(_integer_rows([*r, b] for r, b in zip(rows, rhs, strict=True))[0],
-                       len(rows[0]))
+    x = _solve_rows(_integer_rows([*r, b] for r, b in zip(rows, rhs, strict=True))[0],
+                    len(rows[0]))
+    return None if x is None else tuple(Fraction(a, x[1]) for a in x[0])
 
 
 def _solve_rows(m, n):
-    """``solve`` on the equations as integer rows (a, b)."""
+    """``solve`` on the equations as integer rows (a, b): the solution as
+    (ints, den), den > 0 the lcm of its denominators, or None."""
     m, pivots, d, _ = _row_reduce(m, n)
     if len(pivots) < n or any(r[n] for r in m[n:]):
         return None  # underdetermined or inconsistent
-    return tuple(Fraction(r[n], d) for r in m[:n])
+    g = gcd(d, *(row := [r[n] for r in m[:n]])) * (1 if d > 0 else -1)
+    return tuple(a // g for a in row), d // g
 
 
 def nullspace(rows, ncols):

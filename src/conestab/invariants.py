@@ -39,7 +39,7 @@ from .errors import DegenerateCone, FutakiNonvanishing, IdentityViolated, NotPri
 from .exactgeom import (dot, enumerate_vertices, lp_solve, primitivize, slice_polytope,
                          slice_vertices, vec)
 from .exactgeom.fan import _chamber_rows, _fan_sums, _moments, cone_fan
-from .exactgeom.linalg import _integer_row, gram_project_out, norm_sq
+from .exactgeom.linalg import gram_project_out, norm_sq
 from .exactgeom.polytope import _slice_extreme
 from .filtration import MonomialFiltration, _newton_halfspaces, _rows
 from .singularity import ConeSingularity, _log_discrepancy, _xi_row
@@ -50,37 +50,41 @@ class OkounkovBody(NamedTuple):
 
     alpha0 = (n+1)/n * barycenter represents the linear form S(xi0; .) on
     coweights; it pairs to 1 with xi0 and lies in the relative interior of
-    the level-one slice.
+    the level-one slice.  alpha0_ints = (row, den), alpha0 = row / den in
+    lowest terms, is the form the kernels read.
     """
 
     body: object
     vol: Fraction
     bary: tuple
     alpha0: tuple
+    alpha0_ints: tuple
 
 
-def _barycenter(v, grad, xi0):
-    """(bary, alpha0) of the level-one slice at xi0 from vol and grad there.
-
-    bary = -grad / ((n+1) vol) and alpha0 = (n+1)/n bary.  The barycenter
-    must pair to n/(n+1) with xi0 (Euler's identity for the degree -n
-    function vol); IdentityViolated is raised when it does not.
-    """
-    n = len(xi0)
-    b = tuple(-g / ((n + 1) * v) for g in grad)
-    if dot(b, xi0) != Fraction(n, n + 1):
-        raise IdentityViolated(f"barycenter pairs to {dot(b, xi0)} with xi0, not {n}/{n + 1}")
-    return b, tuple(Fraction(n + 1, n) * x for x in b)
+def _alpha0_ints(x, L, Q, V, G):
+    """(row, den) of alpha0 = -grad / (n vol) = L G / (n Q V) at xi0 = x / L
+    from the integer sums (Q, V, G) of ``fan._fan_sums`` there.  It must pair
+    to 1 with xi0 (Euler's identity for vol, of degree -n), else IdentityViolated."""
+    n = len(x)
+    d, p = n * Q * V, sum(map(mul, G, x))
+    if p != d:
+        raise IdentityViolated(f"barycenter pairs to {Fraction(p, (n + 1) * Q * V)} "
+                               f"with xi0, not {n}/{n + 1}")
+    row = [L * a for a in G]
+    g = math.gcd(d, *row)
+    return tuple(a // g for a in row), d // g
 
 
 @lru_cache(maxsize=4096)
 def _okounkov_cached(wc, x, L) -> OkounkovBody:
     """Keyed on (weight cone, x, L), xi0 = x / L: all the body depends on."""
-    xi0 = tuple(Fraction(a, L) for a in x)
-    v, grad, _ = _moments(cone_fan(wc), x, L, order=1)
-    b, alpha0 = _barycenter(v, grad, xi0)
-    return OkounkovBody(body=slice_polytope(wc, xi0, 1),
-                        vol=v / math.factorial(wc.rank), bary=b, alpha0=alpha0)
+    n = wc.rank
+    Q, V, G, _ = _fan_sums(cone_fan(wc), x, 1)
+    a, d = _alpha0_ints(x, L, Q, V, G)
+    return OkounkovBody(body=slice_polytope(wc, tuple(Fraction(b, L) for b in x), 1),
+                        vol=Fraction(L ** n * V, Q * math.factorial(n)),
+                        bary=tuple(Fraction(n * b, (n + 1) * d) for b in a),
+                        alpha0=tuple(Fraction(b, d) for b in a), alpha0_ints=(a, d))
 
 
 def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
@@ -281,9 +285,8 @@ def delta_T(s: ConeSingularity, xi0):
     as it is; where several tie, the Charnes-Cooper LP picks the ray.
     """
     x, L = _xi_row(xi0, s.rank)
-    alpha0 = _okounkov_cached(s.weight_cone, x, L).alpha0
+    d, Ld = _okounkov_cached(s.weight_cone, x, L).alpha0_ints
     a0 = _log_discrepancy(s, x, L)  # positive: xi0 is interior, as the body checked
-    d, Ld = _integer_row(alpha0)
     u, Lu = s.u_row, s.u_den
     # A / (A(xi0) S) at a ray r is <u, r> / (a0 <alpha0, r>).
     num, p, first, ties = _slice_extreme((((u,), s.sigma.rays),), d, False)
@@ -292,7 +295,7 @@ def delta_T(s: ConeSingularity, xi0):
         y = s.sigma.rays[first]
     else:
         from .exactgeom.lp import fractional_lp
-        den = tuple(a0 * ai for ai in alpha0)
+        den = tuple(a0 * Fraction(ai, Ld) for ai in d)
         value, y = fractional_lp(s.u, den, s.sigma.halfspaces, sense="min")
     if value > 1:
         raise IdentityViolated(f"delta_T returned {value} > 1")
@@ -307,7 +310,7 @@ def semistable_verdict(s: ConeSingularity, xi0):
     certificate u - A(xi0) alpha0 is a destabilizing direction when nonzero.
     """
     x, L = _xi_row(xi0, s.rank)
-    d, Ld = _integer_row(_okounkov_cached(s.weight_cone, x, L).alpha0)
+    d, Ld = _okounkov_cached(s.weight_cone, x, L).alpha0_ints
     # A(xi0) = <u_row, x> / (u_den L), so the certificate is
     # (L Ld u_row - <u_row, x> d) / (u_den L Ld).
     ux, q = sum(map(mul, s.u_row, x)), s.u_den * L * Ld
@@ -366,8 +369,7 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     wc = s.weight_cone
     x, L = _xi_row(xi0, s.rank)
     zs, den = _rows(s, F)
-    alpha0 = _okounkov_cached(wc, x, L).alpha0
-    a, La = _integer_row(alpha0)
+    a, La = _okounkov_cached(wc, x, L).alpha0_ints
     pairings = [sum(map(mul, z, a)) for z in zs]
     low = min(pairings)
     g0 = Fraction(low, den * La)
@@ -381,7 +383,7 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     elif _lambda_max_cached(wc, x, L, zs, den) == g0:
         twist_xi = (Fraction(0),) * s.rank
     else:
-        twist_xi = _reduced_j_twist_lp(s, x, L, F, alpha0)
+        twist_xi = _reduced_j_twist_lp(s, x, L, F, _okounkov_cached(wc, x, L).alpha0)
     return ReducedJResult(value=value, minimizer_twist=twist_xi,
                           lower=value, upper=value)
 

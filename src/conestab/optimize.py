@@ -5,21 +5,24 @@ sum_tau |det W_tau| / prod_i <w_i, xi> over one simplicial fan of the
 weight cone (Lawrence's formula, ``exactgeom.fan``), a strictly convex
 rational function whose gradient and Hessian are exact sums over the same
 fan.  ``minimize_nvol`` takes exact Newton steps on it and certifies the
-result.
+result, on integer rows (x, L) for xi = x / L; only the result is Fractions.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
 from .errors import ParseError, ToleranceNotReached
-from .exactgeom import dot, frac
-from .exactgeom.fan import _fan_sums, cone_fan, fan_moments
-from .exactgeom.linalg import _integer_row, solve
-from .invariants import _barycenter, _slice_value
+from .exactgeom import frac
+from .exactgeom.fan import _fan_sums, cone_fan
+from .exactgeom.linalg import _integer_row, _solve_rows
+from .invariants import _alpha0_ints, _slice_value
 from .singularity import ConeSingularity
 
 MAX_NEWTON_STEPS = 80
+POLISH_ROUNDS = 4
 
 
 class NvolResult(NamedTuple):
@@ -30,13 +33,36 @@ class NvolResult(NamedTuple):
     iterations: int
 
 
-def _round_to_slice(s, x, max_den):
-    """Continued-fraction rounding, then exact renormalization to A = 1."""
-    c, _ = _integer_row([Fraction(float(v)).limit_denominator(max_den) for v in x])
-    a = sum(map(mul, s.u_row, c))  # <u, cand> = a / (u_den L) for cand = c / L
+def _limit(n, d, max_den):
+    """(p, q) = Fraction(n, d).limit_denominator(max_den) for d > 0, on
+    integers: the last convergent p1 / q1 of n / d within the bound, or the
+    semiconvergent past it when strictly closer, 2 b (q0 + k q1) > d for the
+    last remainder b (3.12's form of the distance test of 3.10 and 3.11)."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1, b = 0, 1, 1, 0, d
+    while (q2 := q0 + (a := n // b) * q1) <= max_den:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, b = b, n - a * b
+    k = (max_den - q0) // q1
+    return (p1, q1) if 2 * b * (q0 + k * q1) <= d else (p0 + k * p1, q0 + k * q1)
+
+
+def _round_to_slice(s, x, den, max_den, exact=False):
+    """x / den rounded entry by entry by ``_limit``, from the float a / den (an
+    int / int division, correctly rounded) unless ``exact``, then renormalized
+    exactly to A = 1 in lowest terms; None where A <= 0."""
+    q = [_limit(a, den, max_den) if exact else
+         _limit(*float(a / den).as_integer_ratio(), max_den) for a in x]
+    m = lcm(*(b for _, b in q))
+    c = [a * (m // b) for a, b in q]
+    a = sum(map(mul, s.u_row, c))  # <u, cand> = a / (u_den m) for cand = c / m
     if a <= 0:
         return None
-    return tuple(Fraction(s.u_den * ci, a) for ci in c)
+    g = gcd(a, *(c := [s.u_den * ci for ci in c]))
+    return tuple(ci // g for ci in c), a // g
 
 
 def _slice_min(s, c):
@@ -65,9 +91,11 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     convexity bound vol(x*) + <grad, y - x*> minimized over the slice
     polytope {y in sigma : <u, y> = 1}, which is linear in y and so least
     at a vertex v / <u, v>, v a ray of sigma (no LP is needed); at an
-    exactly stationary point the gap is exactly zero.  The alignment
-    residual alpha0 - u reads alpha0 off the volume and gradient held at
-    the iterate.  A negative ``tol`` raises ParseError.
+    exactly stationary point the gap is exactly zero.  A gap still above a
+    positive ``tol`` is polished by exact Newton steps, each rounded with
+    no float at denominators 10^3 / tol, 10^6 / tol, ... (POLISH_ROUNDS).
+    The alignment residual alpha0 - u reads alpha0 off the volume and
+    gradient held at the iterate.  A negative ``tol`` raises ParseError.
     """
     tol = frac(tol)
     if tol < 0:
@@ -75,13 +103,13 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     n = s.rank
     fan = cone_fan(s.weight_cone)
 
-    def f(xi):
-        return fan_moments(fan, xi, order=0)[0]
-
-    def sums(xi, order):
-        """(L, Q, vol, grad, hess) of ``_fan_sums`` at xi = x / L."""
-        x, L = _integer_row(xi)
-        return (L, *_fan_sums(fan, x, order))
+    def below(cand, fx, strict):
+        """cand = (c, m) is in the open cone with m^n V / Q < fx (<= unless strict)."""
+        if cand is None or any(sum(map(mul, h, cand[0])) <= 0 for h in s.sigma.halfspaces):
+            return False
+        Qc, Vc, _, _ = _fan_sums(fan, cand[0], 0)
+        d = cand[1] ** n * Vc * fx[1] - fx[0] * Qc
+        return d < 0 or d == 0 and not strict
 
     # Integer tangent basis of the slice: u_p e_j - u_j e_p, p the first
     # column where u is nonzero (``nullspace`` of u scaled by u_p).
@@ -90,72 +118,76 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     tangent = [tuple(u[p] if k == j else -u[j] if k == p else 0 for k in range(n))
                for j in range(n) if j != p]
 
-    # Interior start on the slice.
-    xi = s.sigma.interior_point()
-    a = sum(map(mul, u, xi))
-    xi = tuple(Fraction(s.u_den * x, a) for x in xi)
-    L, Q, V, G, _ = sums(xi, 1)
-    fx = Fraction(L ** n * V, Q)
+    def newton(x, L, Q, b):
+        """The step at x / L as (w, D), w / D.  With hess = L^(n+2) H / Q^3,
+        -T (T^t hess T)^-1 T^t grad is (Q / L) T y for (T^t H T) y = b; a
+        singular T^t H T falls back to -T T^t grad = L^(n+1) T b / (u_p Q)^2."""
+        H = _fan_sums(fan, x, 2)[3]
+        y = _solve_rows([[*(sum(a * H[max(i, j)][min(i, j)] * c for i, a in enumerate(ti)
+                                for j, c in enumerate(tj)) for tj in tangent), bi]
+                         for ti, bi in zip(tangent, b)], n - 1)
+        if y is not None:
+            return [Q * sum(map(mul, y[0], col)) for col in zip(*tangent)], L * y[1]
+        return [L ** (n + 1) * sum(map(mul, b, col)) for col in zip(*tangent)], (u[p] * Q) ** 2
 
-    iterations = 0
-    stationary = False
-    for it in range(MAX_NEWTON_STEPS):
-        iterations = it + 1
+    # Interior start on the slice.  The iterate is point = (x, L), with the
+    # order-1 sums (Q, V, G) there; its value is L^n V / Q.
+    point = _round_to_slice(s, s.sigma.interior_point(), 1, 1, exact=True)
+    Q, V, G, _ = _fan_sums(fan, point[0], 1)
+    for iterations in range(1, MAX_NEWTON_STEPS + 1):
         b = [sum(map(mul, t, G)) for t in tangent]  # -Q^2 / L^(n+1) times T^t grad
         stationary = not any(b)
         if stationary:
             break  # by strict convexity nothing descends, not even a rounding
-        # Newton direction in the slice: with hess = L^(n+2) H / Q^3, the
-        # exact step -T (T^t hess T)^-1 T^t grad is (Q / L) T y for
-        # (T^t H T) y = b; a singular T^t H T falls back to -T T^t grad.
-        H = sums(xi, 2)[-1]
-        y = solve([[sum(a * H[max(i, j)][min(i, j)] * c for i, a in enumerate(ti)
-                        for j, c in enumerate(tj)) for tj in tangent] for ti in tangent], b)
-        step_dir = ([Q * dot(y, col) / L for col in zip(*tangent)] if y else
-                    [L ** (n + 1) * dot(b, col) / (u[p] * Q) ** 2 for col in zip(*tangent)])
-        moved = False
-        rejected = []  # fx is fixed until a candidate descends, so none is evaluated twice
-        for e in range(40):
-            scale = Fraction(1, 2 ** e)
-            trial = [a + scale * v for a, v in zip(xi, step_dir)]
-            for max_den in (10 ** 6, 10 ** 4, 100, 10):
-                cand = _round_to_slice(s, trial, max_den)
-                if cand is None or cand == xi or cand in rejected \
-                        or not s.sigma.contains(cand, strict=True):
-                    continue
-                fc = f(cand)
-                if fc < fx:
-                    xi, fx = cand, fc
-                    L, Q, V, G, _ = sums(xi, 1)
-                    moved = True
+        (x, L), fx = point, (point[1] ** n * V, Q)
+        w, D = newton(x, L, Q, b)
+        rejected = [point]  # fx is fixed until a candidate descends, so none is evaluated twice
+        for e, max_den in product(range(40), (10 ** 6, 10 ** 4, 100, 10)):
+            cand = _round_to_slice(s, [a * (D << e) + L * v for a, v in zip(x, w)],
+                                   L * (D << e), max_den)  # x / L + w / (D 2^e)
+            if cand not in rejected:
+                if below(cand, fx, True):
                     break
                 rejected.append(cand)
-            if moved:
-                break
-        if not moved:
+        else:
             break
+        point = cand
+        Q, V, G, _ = _fan_sums(fan, point[0], 1)
 
     # Prefer the simplest rational point near the iterate that does not
     # increase the value; exact minimizers of small height are recovered.
     # An exactly stationary iterate is kept as it is: every other point of
     # the slice has a larger value, so the ladder could only return it.
-    ladder = () if stationary else (1, 2, 3, 4, 6, 10, 100, 10 ** 4)
-    for max_den in ladder:
-        cand = _round_to_slice(s, xi, max_den)
-        if cand is None or not s.sigma.contains(cand, strict=True):
-            continue
-        fc = f(cand)
-        if fc <= fx:
-            xi, fx = cand, fc
-            L, Q, V, G, _ = sums(xi, 1)
+    for max_den in () if stationary else (1, 2, 3, 4, 6, 10, 100, 10 ** 4):
+        cand = _round_to_slice(s, *point, max_den)
+        if below(cand, (point[1] ** n * V, Q), False):
+            point = cand
+            Q, V, G, _ = _fan_sums(fan, point[0], 1)
             break
-    grad = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in G)
 
-    # Certificate: convexity lower bound minimized over the slice polytope.
-    gap = dot(grad, xi) - _slice_min(s, grad)
-    alpha0 = _barycenter(fx, grad, xi)[1]
-    residual = tuple(a - u for a, u in zip(alpha0, s.u))
-    result = NvolResult(minimizer=xi, nvol_value=fx, certificate_gap=gap,
+    def gap_at(x, L):  # <grad, xi> - _slice_min(s, grad) for grad = -L^(n+1) G / Q^2
+        return (Fraction(-sum(map(mul, G, x)), L) - _slice_min(s, [-g for g in G])) \
+            * L ** (n + 1) / (Q * Q)
+
+    gap = gap_at(*point)
+    for k in range(POLISH_ROUNDS if 0 < tol < gap else 0):
+        x, L = point
+        w, D = newton(x, L, Q, [sum(map(mul, t, G)) for t in tangent])
+        max_den = -(-10 ** (3 * k + 3) * tol.denominator // tol.numerator)  # ceil(10^(3k+3)/tol)
+        cand = _round_to_slice(s, [a * D + L * v for a, v in zip(x, w)], L * D, max_den, exact=True)
+        if not below(cand, (L ** n * V, Q), False):
+            break
+        iterations, point = iterations + 1, cand
+        Q, V, G, _ = _fan_sums(fan, point[0], 1)
+        gap = gap_at(*point)
+        if gap <= tol:
+            break
+
+    x, L = point
+    alpha, ad = _alpha0_ints(x, L, Q, V, G)
+    residual = tuple(Fraction(a * s.u_den - ui * ad, ad * s.u_den) for a, ui in zip(alpha, u))
+    result = NvolResult(minimizer=tuple(Fraction(a, L) for a in x),
+                        nvol_value=Fraction(L ** n * V, Q), certificate_gap=gap,
                         alignment_residual=residual, iterations=iterations)
     if raise_on_gap and gap > tol:
         raise ToleranceNotReached(f"certificate gap {_decimal(gap)} above the tolerance "

@@ -9,6 +9,7 @@ the vertex.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
@@ -85,18 +86,29 @@ def from_rays(rays, coefficients=None) -> ConeSingularity:
         raise NotQGorenstein(
             "no covector satisfies <u, v_i> = 1 - a_i on all rays")
     wc = dual_cone(sigma)
-    u_row, u_den = _integer_row(u)
+    u_row, u_den = u
     if any(sum(map(mul, u_row, v)) <= 0 for v in sigma.rays):
         raise NotKlt("discrepancy covector not positive on the cone")
     return ConeSingularity(rank=n, sigma=sigma, coefficients=tuple(coefficients),
-                           weight_cone=wc, u_row=tuple(u_row), u_den=u_den)
+                           weight_cone=wc, u_row=u_row, u_den=u_den)
 
 
 def _xi_row(x, n):
     """(L x as ints, L > 0 the lcm of its denominators) for a ReebVector or
     a vector of ints, Fractions or 'p/q' strings of length n (else
-    AmbientMismatch): the form each public function passes on."""
-    ints, L = _integer_row(_of_length(x.xi if isinstance(x, ReebVector) else x, n))
+    AmbientMismatch): the form each public function passes on.  Floats and
+    bools raise TypeError, and no Fraction is hashed."""
+    v = _of_length(x.xi if isinstance(x, ReebVector) else x, n)
+    if {int, str}.issuperset(map(type, v)):  # parsed once
+        return _parsed_row(v)
+    if bool in map(type, v):
+        raise TypeError("refusing bool; pass ints, Fractions or 'p/q' strings")
+    return _parsed_row.__wrapped__(v)
+
+
+@lru_cache(maxsize=1024)
+def _parsed_row(v):
+    ints, L = _integer_row(v)
     return tuple(ints), L
 
 

@@ -6,6 +6,8 @@ from operator import mul, sub
 import pytest
 
 from conestab import from_rays, monomial_filtration, toric_filtration
+from conestab.exactgeom.fan import _moments
+from conestab.exactgeom.linalg import _integer_row
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +33,12 @@ def half_boundary():
 @pytest.fixture(scope="session")
 def fex(c2):
     return monomial_filtration(c2, [(2, 1), (1, 2)])
+
+
+def fan_moments(fan, xi, order=2):
+    """(vol, grad, hess) of sum_tau |det W_tau| / prod_i <w_i, xi> over a
+    fan at the rational xi, as Fractions: the reference the tests read."""
+    return _moments(fan, *_integer_row(xi), order)
 
 
 def random_cone(rnd, rank):

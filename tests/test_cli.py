@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conestab import optimize
 from conestab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _parse_levels, main
 from conestab.invariants import InvariantReport
 
@@ -157,7 +158,7 @@ def test_nvolmin_negative_tol_document_exits_2(doc_path, capsys):
         f"error: {path}.options.tol: tolerance must be nonnegative, got -1/2\n")
 
 
-def test_nvolmin_zero_tol_on_irrational_minimizer_exits_3(doc_path, capsys):
+def test_nvolmin_zero_tol_on_irrational_minimizer_exits_3(doc_path, capsys, monkeypatch):
     # The cone of test_optimize.py::test_minimize_nvol_tolerance_error has an
     # irrational minimizer, so no rational iterate closes the certificate gap.
     doc = {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -2, 1]],
@@ -169,8 +170,27 @@ def test_nvolmin_zero_tol_on_irrational_minimizer_exits_3(doc_path, capsys):
                         r"tol = 0; exact gap \d+/\d+\n", err)
     decimal, exact = re.search(r"gap (\S+) .* exact gap (\S+)", err).groups()
     assert abs(Fraction(decimal) / Fraction(exact) - 1) < Fraction(1, 100)
+    # A positive tolerance below the gap is met by polishing; unpolished,
+    # the same gap is reported against it.
+    assert main(["nvolmin", doc_path(doc), "--tol", "1/10000000000000000"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(optimize, "POLISH_ROUNDS", 0)
     assert main(["nvolmin", doc_path(doc), "--tol", "1/10000000000000000"]) == EXIT_BUDGET
     assert f"above the tolerance tol = 1e-16; exact gap {exact}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, gap", [("nvol_rank4.json", "1.51e-9"),
+                                       ("nvol_rank5.json", "1.04e-9")])
+def test_nvolmin_polishes_a_gap_above_the_default_tol(name, gap, capsys, monkeypatch):
+    # The line search stops above tol = 1e-9 on these two cones; exact Newton
+    # steps, rounded with no float, take the gap below it.
+    path = str(Path(__file__).parent / "docs" / name)
+    assert main(["nvolmin", path]) == EXIT_OK
+    exact = F(re.search(r"certificate gap = (\S+)", capsys.readouterr().out).group(1))
+    assert 0 < exact <= F(1, 10 ** 9)
+    monkeypatch.setattr(optimize, "POLISH_ROUNDS", 0)
+    assert main(["nvolmin", path]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith(f"error: certificate gap {gap} above the tolerance")
 
 
 def test_estimate_csv(doc_path, capsys):

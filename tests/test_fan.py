@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -19,8 +20,11 @@ from conestab.exactgeom import (
     triangulate,
     volume,
 )
-from conestab.exactgeom.fan import _chamber_rows, cone_fan, fan_moments
+from conestab.exactgeom.fan import _chamber_key, _chamber_rows, chambers, cone_fan
 from conestab.exactgeom.linalg import _integer_covectors, mat_rank
+from conestab.filtration import monomial_filtration
+from conestab.singularity import from_rays
+from conftest import fan_moments, random_cone, random_filtration
 
 F = Fraction
 
@@ -167,3 +171,36 @@ def test_chamber_fans_pinned_as_sets():
         (1, 2, 0): (((0, 0, 1), (0, 1, 2), (1, 1, 1), (2, -2, 1), (4, -1, -1)),
                     {(1, (0, 1, 2)), (5, (0, 2, 4)), (6, (0, 3, 4))}),
     }
+
+
+def test_chambers_store_reports_hits_and_misses():
+    c = from_rays([(1, 0), (1, 3)]).weight_cone
+    chambers.cache_clear()
+    assert chambers.cache_info() == (0, 0, 256, 0)
+    first = chambers(c, ((1, 2), (2, 1)))
+    assert chambers(c, ((1, 2), (2, 1))) is first
+    assert chambers.cache_info() == (1, 1, 256, 1)
+    chambers.cache_clear()
+    assert chambers.cache_info() == (0, 0, 256, 0)
+
+
+def test_reduction_stores_the_decomposition_of_the_reduced_rows():
+    # A redundant covector changes no full-dimensional chamber, so the
+    # decomposition built while reducing is stored under the reduced rows'
+    # key too: S, lambda_max and the twists then read it with no miss, and
+    # it equals a cold build of that key (the store's cold builder).
+    rnd = random.Random(61)
+    for _ in range(30):
+        s = random_cone(rnd, rnd.choice([2, 3]))
+        G = random_filtration(rnd, s)
+        z = G.covectors
+        redundant = [tuple(a + b for a, b in zip(z[0], s.sigma.rays[0])),
+                     tuple((a + b) / 2 for a, b in zip(z[0], z[-1]))]
+        chambers.cache_clear()
+        assert monomial_filtration(s, [*z, *redundant]) == G
+        misses = chambers.cache_info().misses
+        assert [r for r, _ in _chamber_rows(s.weight_cone, G.transform.rows)] == \
+            list(G.transform.rows)
+        assert chambers.cache_info().misses == misses
+        key = tuple(_chamber_key(G.transform.rows))
+        assert chambers(s.weight_cone, key) == chambers.__wrapped__(s.weight_cone, key)

@@ -25,7 +25,8 @@ from conestab.exactgeom import lattice_points_below
 from conestab.exactgeom.fan import chambers
 from conestab.filtration import (approx_ord, monomial_filtration, ord_of, toric_filtration,
                                  twist, value_under)
-from conestab.singularity import (ReebVector, log_discrepancy, reeb_contains, reeb_vector)
+from conestab.singularity import (ReebVector, _parsed_row, _xi_row, from_rays, log_discrepancy,
+                                  reeb_contains, reeb_vector)
 from conftest import random_cone, random_reeb
 
 F = Fraction
@@ -257,3 +258,32 @@ def test_warm_calls_hash_no_fraction(monkeypatch):
     with pytest.raises(AssertionError, match="hashed"):
         hash(F(1, 2))
     assert [call() for call in calls] == warm
+
+
+# --- xi0 parsed once ---------------------------------------------------------------
+
+def test_each_xi0_is_parsed_once_and_bad_ones_still_raise(monkeypatch):
+    # The memo keys on the vector itself, so it must not take (1.0, 1) or
+    # (True, 1) for the cached (1, 1): equal and equally hashed, but a float
+    # and a bool are refused.  The wrong length is refused before the memo.
+    s = from_rays([(1, 0), (1, 3)])
+    _parsed_row.cache_clear()
+    assert inv.vol(s, [1, 1]) == inv.vol(s, (1, 1)) == F(3, 2)
+    assert _parsed_row.cache_info()[:2] == (1, 1)
+    with pytest.raises(TypeError, match=r"^refusing float 1\.0; "):
+        inv.vol(s, [1.0, 1])
+    with pytest.raises(TypeError, match="^refusing bool; "):
+        inv.vol(s, [True, 1])
+    with pytest.raises(TypeError, match="^refusing bool; "):
+        inv.vol(s, [F(1), True])
+    with pytest.raises(AmbientMismatch, match="^vector of length 3 on a rank-2 cone$"):
+        inv.vol(s, [1, 1, 1])
+    # One (row, den) for every spelling of one xi0; ints and strings are
+    # parsed once per spelling, and a vector holding a Fraction never meets
+    # the memo, so no Fraction is hashed.
+    spellings = [[F(1, 2), 1], (F(1, 2), 1), ReebVector(xi=(F(1, 2), F(1))), ("1/2", "1"),
+                 ["2/4", 1], ("1/2", 1), reeb_vector(s, ("1/2", 1)), [F(1, 2), "1"]]
+    _parsed_row.cache_clear()
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: pytest.fail("a Fraction was hashed"))
+    assert {_xi_row(v, 2) for v in spellings * 2} == {((1, 2), 2)}
+    assert _parsed_row.cache_info()[:2] == (3, 3)  # three spellings of ints and strings

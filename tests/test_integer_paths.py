@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from conestab import invariants as inv
 from conestab.errors import NotPrimary, UnboundedSlice
 from conestab.exactgeom import dot, primitivize, slice_vertices, vec
-from conestab.exactgeom.fan import chambers, fan_moments
+from conestab.exactgeom.fan import chambers
 from conestab.exactgeom.polytope import _slice_extreme
 from conestab.filtration import monomial_filtration
 from conestab.singularity import _xi_row, from_rays, reeb_vector
-from conftest import random_cone, random_reeb
+from conftest import fan_moments, random_cone, random_reeb
 
 F = Fraction
 

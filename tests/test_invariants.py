@@ -519,7 +519,8 @@ def test_delta_T_identity_check_on_ray_path(c2, monkeypatch):
 
     def halved(wc, x, L):
         body = real(wc, x, L)
-        return body._replace(alpha0=tuple(x / 2 for x in body.alpha0))
+        row, den = body.alpha0_ints
+        return body._replace(alpha0=tuple(x / 2 for x in body.alpha0), alpha0_ints=(row, 2 * den))
 
     def no_lp(*args, **kwargs):
         raise AssertionError("delta_T ran the LP on a unique minimizing ray")

@@ -1,0 +1,98 @@
+"""Values from the literature, pinned against the library.
+
+Every other pinned value in the tests was produced by this library; these
+come from closed forms in published work, so a formula that is wrong the
+same way on every path cannot pass them.  Rational values compare with
+``==``; the irrational Y^{p,q} volumes a + b sqrt(d) are placed in the
+certified interval [nvol - gap, nvol] exactly, by squaring.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from conestab.invariants import delta_T
+from conestab.optimize import minimize_nvol
+from conestab.singularity import from_rays
+
+F = Fraction
+
+# Reflexive polygons of the toric del Pezzo surfaces: the canonical cone
+# over one has rays (1, v) for its vertices v, u = (1, 0, 0).
+P2 = [(1, 0), (0, 1), (-1, -1)]
+P1xP1 = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+BL1 = [(1, 0), (1, 1), (0, 1), (-1, -1)]
+BL2 = [(1, 0), (1, 1), (0, 1), (-1, -1), (0, -1)]
+DP3 = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def _cone_over(polygon):
+    return from_rays([(1, *v) for v in polygon])
+
+
+# n^n / |G| for C^n / G: Li-Liu-Xu, "A guided tour to normalized volume" (2018).
+# The degree K^2 of a Kaehler-Einstein del Pezzo surface, whose regular
+# Sasaki-Einstein link has volume K^2 / 27 of S^5's: Bergman-Herzog,
+# hep-th/0112176.
+MINIMAL_NVOL = [
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 27),  # C^3; Li-Liu-Xu
+    *[([(1, 0), (1, k)], F(4, k)) for k in range(2, 7)],  # C^2 / Z_k; Li-Liu-Xu
+    ([(1, 0, 0), (0, 1, 0), (-1, -1, 3)], 9),  # C^3 / Z_3, weights (1, 1, 1); Li-Liu-Xu
+    # the conifold: 27 vol(T^{1,1}) / vol(S^5) = 27 * 16/27; Gubser, hep-th/9807164
+    ([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)], 16),
+    ([(1, *v) for v in P1xP1], 8),  # K^2 of P^1 x P^1; Bergman-Herzog
+    ([(1, *v) for v in DP3], 6),  # K^2 of dP3; Bergman-Herzog
+]
+
+
+@pytest.mark.parametrize("rays, value", MINIMAL_NVOL)
+def test_minimal_normalized_volume(rays, value):
+    r = minimize_nvol(from_rays(rays))
+    assert r.nvol_value == value and r.certificate_gap == 0
+
+
+# delta of a toric del Pezzo surface, the delta_T of its canonical cone at
+# xi0 = (3, 0, 0): Blum-Jonsson, "Thresholds, valuations, and K-stability",
+# Adv. Math. 365 (2020); Cheltsov-Rubinstein-Zhang, "Basis log canonical
+# thresholds, local intersection estimates, and asymptotically log del Pezzo
+# surfaces", Selecta Math. 25 (2019).
+DELTA_T = [
+    (BL1, F(6, 7)),  # Bl_1 P^2; Blum-Jonsson, Cheltsov-Rubinstein-Zhang
+    (BL2, F(21, 25)),  # Bl_2 P^2; Cheltsov-Rubinstein-Zhang
+    (P2, 1),  # Kaehler-Einstein; Blum-Jonsson
+    (P1xP1, 1),  # Kaehler-Einstein; Blum-Jonsson
+    (DP3, 1),  # Kaehler-Einstein; Blum-Jonsson
+]
+
+
+@pytest.mark.parametrize("polygon, value", DELTA_T)
+def test_delta_T_of_toric_del_pezzo_surfaces(polygon, value):
+    assert delta_T(_cone_over(polygon), (3, 0, 0))[0] == value
+
+
+def _at_most(a, b, d, t):
+    """a + b sqrt(d) <= t for rationals a, b, t and an integer d >= 0."""
+    r = t - a
+    if b >= 0:
+        return r >= 0 and b * b * d <= r * r
+    return r >= 0 or b * b * d >= r * r
+
+
+# Y^{p,q}: 27 times Martelli-Sparks-Yau's volume ratio
+# q^2 (2p + s) / (3p^2 (3q^2 - 2p^2 + p s)), s = sqrt(4p^2 - 3q^2)
+# (Gauntlett-Martelli-Sparks-Waldram, hep-th/0403002; Martelli-Sparks-Yau,
+# hep-th/0503183)
+Y_PQ = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("p, q", Y_PQ)
+def test_ypq_volume_lies_in_the_certified_interval(p, q):
+    s = from_rays([(1, 0, 0), (1, 1, 0), (1, 0, p), (1, -1, p - q)])
+    r = minimize_nvol(s)
+    # 9 q^2 (2p + s) / (p^2 (c + p s)), c = 3q^2 - 2p^2, times (c - p s) / (c - p s)
+    d, c = 4 * p * p - 3 * q * q, 3 * q * q - 2 * p * p
+    e = p * p * (c * c - p * p * d)
+    a, b = F(9 * q * q * (2 * p * c - p * d), e), F(9 * q * q * (c - 2 * p * p), e)
+    assert 0 < r.certificate_gap <= F(1, 10 ** 9)
+    assert _at_most(a, b, d, r.nvol_value)
+    assert _at_most(-a, -b, d, r.certificate_gap - r.nvol_value)  # nvol - gap <= a + b s

@@ -19,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conestab.exactgeom import dot, lp, lp_solve, vec
-from conestab.exactgeom.fan import cone_fan, fan_moments
+from conestab.exactgeom.fan import cone_fan
 from conestab.filtration import monomial_filtration
 from conestab.invariants import _lambda_max_cached, lambda_max_closed, twisted_lambda_max
 from conestab.optimize import _slice_min, minimize_nvol
 from conestab.singularity import _xi_row, from_rays
-from conftest import random_cone, random_reeb
+from conftest import fan_moments, random_cone, random_reeb
 
 F = Fraction
 

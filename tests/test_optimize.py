@@ -1,18 +1,193 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from conestab.errors import ParseError, ToleranceNotReached
+from conestab.errors import DegenerateCone, NotKlt, NotQGorenstein, ParseError, ToleranceNotReached
 from conestab.invariants import okounkov_body, semistable_verdict, vol, vol_derivative
 from conestab import optimize
-from conestab.exactgeom.linalg import _integer_row
-from conestab.optimize import minimize_nvol
+from conestab.exactgeom import dot
+from conestab.exactgeom.fan import cone_fan
+from conestab.exactgeom.linalg import _integer_row, solve
+from conestab.optimize import _limit, _slice_min, minimize_nvol
 from conestab.singularity import from_rays
-from conftest import random_cone, random_reeb
+from conftest import fan_moments, random_cone, random_reeb
 
 F = Fraction
+
+
+# --- the Fraction line search, kept as the reference ---------------------------
+
+def _ref_round_to_slice(s, x, max_den):
+    """Continued-fraction rounding, then exact renormalization to A = 1."""
+    c, _ = _integer_row([Fraction(float(v)).limit_denominator(max_den) for v in x])
+    a = sum(map(mul, s.u_row, c))  # <u, cand> = a / (u_den L) for cand = c / L
+    if a <= 0:
+        return None
+    return tuple(Fraction(s.u_den * ci, a) for ci in c)
+
+
+def _ref_minimize_nvol(s):
+    """``minimize_nvol`` as it was on Fractions: the same Newton steps,
+    float trial points rounded by ``Fraction.limit_denominator``, the same
+    rounding ladder and certificate, and no polishing."""
+    n = s.rank
+    fan = cone_fan(s.weight_cone)
+
+    def f(xi):
+        return fan_moments(fan, xi, order=0)[0]
+
+    def sums(xi, order):
+        x, L = _integer_row(xi)
+        return (L, *optimize._fan_sums(fan, x, order))
+
+    u = s.u_row
+    p = next(k for k, a in enumerate(u) if a)
+    tangent = [tuple(u[p] if k == j else -u[j] if k == p else 0 for k in range(n))
+               for j in range(n) if j != p]
+    xi = s.sigma.interior_point()
+    a = sum(map(mul, u, xi))
+    xi = tuple(Fraction(s.u_den * x, a) for x in xi)
+    L, Q, V, G, _ = sums(xi, 1)
+    fx = Fraction(L ** n * V, Q)
+    iterations = 0
+    stationary = False
+    for it in range(optimize.MAX_NEWTON_STEPS):
+        iterations = it + 1
+        b = [sum(map(mul, t, G)) for t in tangent]
+        stationary = not any(b)
+        if stationary:
+            break
+        H = sums(xi, 2)[-1]
+        y = solve([[sum(a * H[max(i, j)][min(i, j)] * c for i, a in enumerate(ti)
+                        for j, c in enumerate(tj)) for tj in tangent] for ti in tangent], b)
+        step_dir = ([Q * dot(y, col) / L for col in zip(*tangent)] if y else
+                    [L ** (n + 1) * dot(b, col) / (u[p] * Q) ** 2 for col in zip(*tangent)])
+        moved = False
+        rejected = []
+        for e in range(40):
+            scale = Fraction(1, 2 ** e)
+            trial = [a + scale * v for a, v in zip(xi, step_dir)]
+            for max_den in (10 ** 6, 10 ** 4, 100, 10):
+                cand = _ref_round_to_slice(s, trial, max_den)
+                if cand is None or cand == xi or cand in rejected \
+                        or not s.sigma.contains(cand, strict=True):
+                    continue
+                fc = f(cand)
+                if fc < fx:
+                    xi, fx = cand, fc
+                    L, Q, V, G, _ = sums(xi, 1)
+                    moved = True
+                    break
+                rejected.append(cand)
+            if moved:
+                break
+        if not moved:
+            break
+    for max_den in () if stationary else (1, 2, 3, 4, 6, 10, 100, 10 ** 4):
+        cand = _ref_round_to_slice(s, xi, max_den)
+        if cand is None or not s.sigma.contains(cand, strict=True):
+            continue
+        fc = f(cand)
+        if fc <= fx:
+            xi, fx = cand, fc
+            L, Q, V, G, _ = sums(xi, 1)
+            break
+    grad = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in G)
+    gap = dot(grad, xi) - _slice_min(s, grad)
+    alpha0 = tuple(-g / (n * fx) for g in grad)
+    residual = tuple(a - u for a, u in zip(alpha0, s.u))
+    return optimize.NvolResult(minimizer=xi, nvol_value=fx, certificate_gap=gap,
+                               alignment_residual=residual, iterations=iterations)
+
+
+@st.composite
+def _nvol_cones(draw):
+    """A cone of rank 2-4.  Simplicial: n random rays, with or without
+    boundary coefficients.  Not: rank 3 or 4 and n + 1 or n + 2 rays (h, v)
+    at height h = 1, or h in {1, 2} with coefficient 1 - h / 2 on each
+    extreme ray (u = (1/2, 0, ...)).  None where the rays span no cone."""
+    if draw(st.booleans()):
+        return random_cone(random.Random(draw(st.integers(0, 2 ** 32))), draw(st.integers(2, 4)))
+    n, boundary = draw(st.integers(3, 4)), draw(st.booleans())
+    tail = st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1)
+    rays = draw(st.lists(st.tuples(st.sampled_from([1, 2] if boundary else [1]), tail),
+                         min_size=n + 1, max_size=n + 2))
+    try:
+        sigma = from_rays([(h, *v) for h, v in rays if gcd(h, *v) == 1]).sigma
+    except (DegenerateCone, NotKlt, NotQGorenstein):
+        return None
+    return from_rays(sigma.rays, [F(2 - r[0], 2) for r in sigma.rays])
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_nvol_cones())
+def test_integer_line_search_matches_fraction_reference(s):
+    # Every field bit for bit.  With tol = 0 nothing is polished; at the
+    # default tolerance a result whose gap meets it is the same as well.
+    if s is None:
+        event("no cone")
+        return
+    event(f"rank {s.rank}, {len(s.sigma.rays)} rays, boundary {any(s.coefficients)}")
+    ref = _ref_minimize_nvol(s)
+    assert minimize_nvol(s, tol=0) == ref
+    if ref.certificate_gap <= F(1, 10 ** 9):
+        assert minimize_nvol(s) == ref
+    else:
+        event("polished")
+        assert minimize_nvol(s).certificate_gap <= F(1, 10 ** 9)
+
+
+def _ref_limit(x, max_den):
+    f = x.limit_denominator(max_den)
+    return f.numerator, f.denominator
+
+
+MAX_DENS = st.sampled_from([1, 10, 100, 10 ** 4, 10 ** 6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-10 ** 15, 10 ** 15), d=st.integers(1, 10 ** 15), k=st.integers(1, 5),
+       max_den=MAX_DENS)
+def test_limit_matches_limit_denominator(n, d, k, max_den):
+    # Any input form, reduced or not, and floats' exact ratios.
+    assert _limit(k * n, k * d, max_den) == _ref_limit(F(n, d), max_den)
+    ratio = (n / d).as_integer_ratio()
+    assert _limit(*ratio, max_den) == _ref_limit(F(*ratio), max_den)
+
+
+def _candidates(x, max_den):
+    """The two fractions limit_denominator chooses between for x (its
+    denominator above max_den): the semiconvergent and the last convergent,
+    neighbours in the Farey sequence of order max_den on either side of x."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = x.numerator, x.denominator
+    while q0 + n // d * q1 <= max_den:
+        p0, q0, p1, q1 = p1, q1, p0 + n // d * p1, q0 + n // d * q1
+        n, d = d, n - n // d * d
+    k = (max_den - q0) // q1
+    return F(p0 + k * p1, q0 + k * q1), F(p1, q1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-10 ** 9, 10 ** 9), d=st.integers(1, 10 ** 9), max_den=MAX_DENS)
+def test_limit_breaks_ties_as_limit_denominator(n, d, max_den):
+    # At the midpoint of the two candidates both are equally close: 3.10 and
+    # 3.11 compare the distances, 3.12 on compares 2 b (q0 + k q1) with the
+    # denominator, and both keep the convergent.  CI runs this under both.
+    x = F(n, d)
+    if x.denominator <= max_den:
+        x += F(1, 2 * max_den ** 2 + 1)
+    mid = sum(_candidates(x, max_den)) / 2
+    semi, last = _candidates(mid, max_den)
+    assert semi + last == 2 * mid  # the same two, equally close to mid
+    assert _limit(mid.numerator, mid.denominator, max_den) == _ref_limit(mid, max_den) \
+        == (last.numerator, last.denominator)
 
 
 def test_minimize_nvol_worked_cones(c2, a1, z3):
@@ -62,9 +237,9 @@ def test_minimize_nvol_stops_at_exact_stationarity(monkeypatch, rays, coeffs):
     events = []
     round_to_slice, fan_sums = optimize._round_to_slice, optimize._fan_sums
 
-    def rounding(*args):
+    def rounding(*args, **kwargs):
         events.append(("round", None, None))
-        return round_to_slice(*args)
+        return round_to_slice(*args, **kwargs)
 
     def sums(fan, x, order):
         events.append(("sums", order, tuple(x)))
@@ -85,27 +260,26 @@ def test_minimize_nvol_evaluates_no_candidate_twice_in_an_iteration(monkeypatch)
     # On dP1 the line search used to round 172 times and evaluate the volume
     # 132 times on only 10 distinct points.  The value to beat is fixed
     # until a candidate descends, so a rejected one is not evaluated again
-    # in that iteration; the pinned results stay as they were.
+    # in that iteration; the pinned results stay as they were.  A point is
+    # rounded as x / den and recorded as x in lowest terms; an evaluation
+    # is the volume alone, the order-0 fan sums.
     events = []
-    round_to_slice, fan_sums, fan_moments = (optimize._round_to_slice, optimize._fan_sums,
-                                             optimize.fan_moments)
+    round_to_slice, fan_sums = optimize._round_to_slice, optimize._fan_sums
 
-    def rounding(s, point, max_den):
-        events.append(("round", tuple(_integer_row(point)[0])))
-        return round_to_slice(s, point, max_den)
+    def rounding(s, x, den, max_den, **kwargs):
+        g = gcd(den, *x)
+        events.append(("round", tuple(a // g for a in x)))
+        return round_to_slice(s, x, den, max_den, **kwargs)
 
     def sums(fan, x, order):
         if order == 1:
             events.append(("iterate", tuple(x)))
+        elif order == 0:
+            events.append(("f", tuple(x)))
         return fan_sums(fan, x, order)
-
-    def moments(fan, xi, order=2):
-        events.append(("f", tuple(xi)))
-        return fan_moments(fan, xi, order)
 
     monkeypatch.setattr(optimize, "_round_to_slice", rounding)
     monkeypatch.setattr(optimize, "_fan_sums", sums)
-    monkeypatch.setattr(optimize, "fan_moments", moments)
     r = minimize_nvol(from_rays([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)]))
     iterations, iterate = [], None
     for kind, point in events:
@@ -193,7 +367,8 @@ def test_minimize_nvol_tolerance_error():
 # over lattice polygons at height one, four of which have an irrational
 # minimizer.  Then two non-simplicial cones with irrational minimizers: dP1
 # and the rank-4 cone over a triangular bipyramid, whose certificate gap
-# (about 1.5e-9) sits above the default tolerance.  Each row: rays, boundary
+# after the line search (about 1.5e-9) sits above the default tolerance, so
+# one polishing Newton step takes it to about 1.1e-20.  Each row: rays, boundary
 # coefficients, the minimizer, the Newton iterations and a digest of
 # repr(NvolResult).  They pin the rounding path, not only the optimum: where
 # a run stops short of an irrational minimizer, and after how many
@@ -242,7 +417,8 @@ PINNED_NVOL = [
     ([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)], None,
      ('1', '608761/700920', '608761/700920'), 5, '639deff6a0021c3b'),
     ([(1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)], None,
-     ('1', '66161/153136', '66161/153136', '66161/153136'), 5, '1dda13b75f3e0423'),
+     ('1', '427698311023/989948890691', '427698311023/989948890691',
+      '427698311023/989948890691'), 6, '2e0dda5d4c9d9ebb'),
 ]
 
 
