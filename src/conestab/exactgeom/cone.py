@@ -4,7 +4,8 @@ A cone is stored with both generators (primitive integer rays) and a
 halfspace description (primitive integer covectors h with <h,x> >= 0), and
 the two are cross-checked at construction time.  All cones handled here are
 pointed and full-dimensional; the dual of such a cone is again of that kind,
-and ``dual_cone`` is an involution on the class.
+and ``dual_cone`` is an involution on the class.  On n rays the facet
+normals are the columns of R^-1, off one elimination, else a facet scan.
 """
 
 from itertools import combinations
@@ -49,10 +50,11 @@ def _of_length(v, n) -> tuple:
 def _facet_normals(rays, n):
     """Facet normals of cone(rays) in R^n by scanning (n-1)-subsets.
 
-    This is the one conversion between generators and inequalities: the
-    same scan of a cone's facet normals gives its extreme rays (duality),
-    and of the rows (a, b) of {x : <a,x> <= b} its vertices
-    (``enumerate_vertices``).  The rays are integer vectors.  Each
+    This is the one general conversion between generators and inequalities
+    (``_cone`` on n rays and ``fan._cut`` skip it): the same scan of a
+    cone's facet normals gives its extreme rays (duality), and of the rows
+    (a, b) of {x : <a,x> <= b} its vertices (``enumerate_vertices``).  The
+    rays are integer vectors.  Each
     independent subset's kernel vector comes off the integer kernel as (d
     at the free column, minus the rest of that column), oriented so that
     its free entry is positive, and is dotted with the rays in integers; it
@@ -108,13 +110,20 @@ def _distinct(vectors, what):
 def _cone(rays) -> Cone:
     """``cone_from_rays`` on primitive integer rays."""
     rays, n = _distinct(rays, "rays")
-    if len(_row_reduce(rays, n)[1]) < n:
+    simplicial = len(rays) == n  # the normals are then the columns of R^-1
+    m, pivots, d, _ = _row_reduce([(*r, *(int(i == k) for k in range(n)))
+                                   for i, r in enumerate(rays)] if simplicial else rays, n)
+    if len(pivots) < n:
         raise DegenerateCone("rays do not span the ambient space")
-    normals = _facet_normals(rays, n)
-    if len(_row_reduce(normals, n)[1]) < n:
-        # The normals span less than R^n exactly when the cone contains a line.
-        raise DegenerateCone("cone is not pointed")
-    cone = Cone(rank=n, rays=tuple(_facet_normals(normals, n)), halfspaces=tuple(normals))
+    if simplicial:  # [R | I] reduces to d [I | R^-1]
+        normals = sorted(primitivize([row[k] * d for row in m]) for k in range(n, 2 * n))
+    else:
+        normals = _facet_normals(rays, n)
+        if len(_row_reduce(normals, n)[1]) < n:
+            # The normals span less than R^n exactly when the cone contains a line.
+            raise DegenerateCone("cone is not pointed")
+        rays = _facet_normals(normals, n)
+    cone = Cone(rank=n, rays=tuple(rays), halfspaces=tuple(normals))
     _validate(cone)
     return cone
 

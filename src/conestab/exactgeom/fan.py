@@ -17,8 +17,9 @@ once per cone; each evaluation then runs over integers (``_fan_sums``) at
 x = L xi, with the pairings p_i cleared to the common denominator Q =
 prod of the pairings of all rays; ``_moments`` forms one Fraction per
 output entry, and S one per value.  For g = min_j <z_j, .>, ``chambers``
-splits C into the cones on which g is linear, each with its fan; the fans
-give S, and their rays lambda_max and the irredundant covectors.
+splits C into the cones on which g is linear, cut from C's rays by double
+description steps (``_cut``), each with its fan; the fans give S, and their
+rays lambda_max and the irredundant covectors.
 """
 
 from fractions import Fraction
@@ -28,9 +29,9 @@ from operator import mul
 from typing import NamedTuple
 
 from ..errors import UnboundedSlice
-from .cone import Cone, _facet_normals, _triangulate_rays
+from .cone import Cone, _triangulate_rays
 from .lattice import _TableCache
-from .linalg import _row_reduce, det, primitivize, vsub
+from .linalg import _row_reduce, primitivize, vsub
 
 
 class Fan(NamedTuple):
@@ -46,11 +47,11 @@ class Fan(NamedTuple):
 
 
 def simplicial_fan(rays, rank) -> Fan:
-    """Triangulate cone(rays), which must span R^rank, on its own rays."""
+    """Triangulate cone(rays), spanning R^rank, on its own rays (n are one simplex)."""
     rays = tuple(sorted(rays))
     index = {r: i for i, r in enumerate(rays)}
-    simplices = tuple((abs(int(det(tau))), tuple(index[r] for r in tau))
-                      for tau in _triangulate_rays(rays))
+    simplices = tuple((abs(_row_reduce(tau, rank)[2]), tuple(index[r] for r in tau))
+                      for tau in ([rays] if len(rays) == rank else _triangulate_rays(rays)))
     return Fan(rank=rank, rays=rays, simplices=simplices)
 
 
@@ -66,29 +67,55 @@ def cone_fan(c: Cone) -> Fan:
 def chambers(c: Cone, covectors):
     """((z_j, Fan of chamber j), ...) for g = min_j <z_j, .> on the cone c.
 
-    Chamber j is {alpha in c : <z_j - z_i, alpha> <= 0 for all i}, where
-    z_j attains the minimum; its fan is built here, once, on its rays, the
-    facet normals of the cone on those halfspaces.  Duplicated covectors
-    are dropped first, and only the full-dimensional chambers are kept, in
-    input order (a lone one is the whole cone, with ``cone_fan``): z_j has
-    one exactly when it is irredundant, for the chambers of lower dimension
-    (ties) carry no volume.  Cached per (cone, covector tuple); the library
-    asks through ``_chamber_rows``, whose key is translation and scale free,
-    so the reduction, S and lambda_max of a transform and its twists share it.
+    Chamber j is {alpha in c : <z_i - z_j, alpha> >= 0 for all i}, where
+    z_j attains the minimum; its rays are c's cut by each halfspace
+    (``_cut``), and its fan is built here, once, on them.  Duplicated
+    covectors are dropped first, and only the full-dimensional chambers are
+    kept, in input order (a lone one is the whole cone, with ``cone_fan``):
+    z_j has one exactly when it is irredundant, for the chambers of lower
+    dimension (ties) carry no volume.  Cached per (cone, covector tuple);
+    the library asks through ``_chamber_rows``, whose key is translation
+    and scale free, so the reduction, S and lambda_max of a transform and
+    its twists share it.
     """
     covs = list(dict.fromkeys(covectors))
-    n = c.rank
+    n, m = c.rank, len(c.halfspaces)
+    start = [(r, sum(1 << k for k, h in enumerate(c.halfspaces) if not sum(map(mul, h, r))))
+             for r in c.rays]
     found = []
     for j, zj in enumerate(covs):
-        hs = [primitivize(vsub(zi, zj)) for i, zi in enumerate(covs) if i != j]
-        rays = _facet_normals(list(c.halfspaces) + hs, n) if hs else c.rays  # by duality
-        if len(_row_reduce(rays, n)[1]) == n:
-            found.append((zj, rays))
+        rays = start
+        for i, zi in enumerate(covs):
+            if i != j and not (rays := _cut(rays, primitivize(vsub(zi, zj)), 1 << (m + i), n)):
+                break
+        else:
+            found.append((zj, [r for r, _ in rays]))
     if len(found) == 1:
         return ((found[0][0], cone_fan(c)),)
     return tuple((z, simplicial_fan(rays, n)) for z, rays in found)
 
 
+def _cut(rays, h, bit, n):
+    """One step of Motzkin's double description (K. Fukuda and A. Prodon,
+    "Double description method revisited", LNCS 1120, 1996): the extreme
+    rays, with the bitsets of their tight halfspaces, of a pointed cone cut
+    by <h, .> >= 0; [] when no ray has <h, r> > 0, the cut of lower
+    dimension.  Rays with <h, r> >= 0 stay (gaining ``bit`` at 0), and each
+    adjacent (+, -) pair, which no other ray is tight on all that both are
+    (at least n - 2), is joined into a primitive ray on <h, .> = 0."""
+    signed = [(r, z, sum(map(mul, h, r))) for r, z in rays]
+    if all(v <= 0 for _, _, v in signed):
+        return []
+    out = [(r, z | bit if v == 0 else z) for r, z, v in signed if v >= 0]
+    for p, zp, vp in signed:
+        for q, zq, vq in signed:
+            if vp > 0 > vq and (z := zp & zq).bit_count() >= n - 2 and not any(
+                    z & zr == z for r, zr in rays if r is not p and r is not q):
+                out.append((primitivize([vp * b - vq * a for a, b in zip(p, q)]), z | bit))
+    return out
+
+
+@lru_cache(maxsize=256)  # a filtration's rows are asked for again and again
 def _chamber_key(rows):
     """{difference from the first row over their gcd: row}, in order."""
     zs = [[a - b for a, b in zip(z, rows[0])] for z in rows]
@@ -103,10 +130,10 @@ def _chamber_rows(c: Cone, rows):
     transform share its decomposition.  A redundant row attains the minimum
     on no open set, so the kept rows have the same chambers; the record is
     stored under their key as well, which the reduced transform asks for."""
-    back = _chamber_key(rows)
+    back = _chamber_key(tuple(rows))
     found = chambers(c, tuple(back))
     if len(found) < len(back):
-        kept = tuple(_chamber_key([back[d] for d, _ in found]))
+        kept = tuple(_chamber_key(tuple(back[d] for d, _ in found)))
         chambers.put((c, kept), tuple(zip(kept, (fan for _, fan in found))))
     return tuple((back[d], fan) for d, fan in found)
 

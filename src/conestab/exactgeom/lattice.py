@@ -40,9 +40,11 @@ def enumeration_budget() -> int:
 
 def _checked_budget(budget):
     """``budget``, or ``enumeration_budget()`` when it is None; a negative
-    budget is a ParseError."""
+    budget, or one that is not an int (bool, float, str), is a ParseError."""
     if budget is None:
         return enumeration_budget()
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise ParseError(f"budget must be a nonnegative integer, got {budget!r}", "budget")
     if budget < 0:
         raise ParseError(f"budget must be nonnegative, got {budget}", "budget")
     return budget
@@ -145,9 +147,10 @@ class _TableCache:
 
     Storing a table evicts the oldest entries until both bounds hold; a
     table larger than ``maxweight`` on its own is returned to its caller
-    and never kept.  The caller builds a table when ``get`` finds none
-    that will do, and stores it with ``put``.  A store given ``build`` is
-    called like it, as an ``lru_cache``, with the cold builder ``__wrapped__``.
+    and never kept, and the table stored under its key stays.  The caller
+    builds a table when ``get`` finds none that will do, and stores it with
+    ``put``.  A store given ``build`` is called like it, as an
+    ``lru_cache``, with the cold builder ``__wrapped__``.
     """
 
     def __init__(self, maxsize, maxweight, size, build=None):
@@ -169,11 +172,11 @@ class _TableCache:
         return table
 
     def put(self, key, table):
-        old = self.tables.pop(key, None)
-        if old is not None:
-            self.weight -= self.size(old)
         size = self.size(table)
         if size <= self.maxweight:
+            old = self.tables.pop(key, None)
+            if old is not None:
+                self.weight -= self.size(old)
             self.tables[key] = table
             self.weight += size
             while len(self.tables) > self.maxsize or self.weight > self.maxweight:

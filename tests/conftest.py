@@ -6,8 +6,10 @@ from operator import mul, sub
 import pytest
 
 from conestab import from_rays, monomial_filtration, toric_filtration
-from conestab.exactgeom.fan import _moments
-from conestab.exactgeom.linalg import _integer_row
+from conestab.errors import DegenerateCone
+from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _triangulate_rays, _validate
+from conestab.exactgeom.fan import Fan, _moments
+from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +41,44 @@ def fan_moments(fan, xi, order=2):
     """(vol, grad, hess) of sum_tau |det W_tau| / prod_i <w_i, xi> over a
     fan at the rational xi, as Fractions: the reference the tests read."""
     return _moments(fan, *_integer_row(xi), order)
+
+
+def scan_fan(rays, rank):
+    """Cold reference of ``fan.simplicial_fan``: every simplex of
+    ``_triangulate_rays``, with |det| from the Fraction ``det``."""
+    rays = tuple(sorted(rays))
+    index = {r: i for i, r in enumerate(rays)}
+    return Fan(rank, rays, tuple((abs(int(det(tau))), tuple(index[r] for r in tau))
+                                 for tau in _triangulate_rays(rays)))
+
+
+def scan_chambers(c, covectors):
+    """Cold reference of ``fan.chambers``: the rays of chamber j are the
+    facet normals of c's halfspaces and the z_i - z_j (duality), and it is
+    kept when they span R^n."""
+    covs = list(dict.fromkeys(covectors))
+    n = c.rank
+    found = []
+    for j, zj in enumerate(covs):
+        hs = [primitivize(vsub(zi, zj)) for i, zi in enumerate(covs) if i != j]
+        rays = _facet_normals(list(c.halfspaces) + hs, n) if hs else c.rays
+        if len(_row_reduce(rays, n)[1]) == n:
+            found.append((zj, scan_fan(rays, n)))
+    return tuple(found)
+
+
+def scan_cone(rays):
+    """Cold reference of ``cone._cone``: the facet normals by one scan of
+    the rays, and the extreme rays by a second scan of the normals."""
+    rays, n = _distinct(rays, "rays")
+    if len(_row_reduce(rays, n)[1]) < n:
+        raise DegenerateCone("rays do not span the ambient space")
+    normals = _facet_normals(rays, n)
+    if len(_row_reduce(normals, n)[1]) < n:
+        raise DegenerateCone("cone is not pointed")
+    cone = Cone(rank=n, rays=tuple(_facet_normals(normals, n)), halfspaces=tuple(normals))
+    _validate(cone)
+    return cone
 
 
 def random_cone(rnd, rank):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -32,7 +33,7 @@ from conestab.estimators import (
 from conestab.exactgeom import dot, lattice_points_below
 from conestab.exactgeom.lattice import _box
 from conestab.exactgeom.linalg import det
-from conestab.filtration import approx_ord, monomial_filtration, toric_filtration
+from conestab.filtration import approx_ord, approximant, monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import c2_battery, pairwise_dp_orders
@@ -706,6 +707,20 @@ def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
     assert (info.hits, info.misses) == (5, 2)
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, "100"])
+def test_budget_must_be_an_int(c2, fex, bad):
+    # A bool would run as budget 1 and a float or string would pass or fail
+    # by accident; each entry point names the budget instead.
+    message = f"^budget: budget must be a nonnegative integer, got {re.escape(repr(bad))}$"
+    calls = [lambda: lattice_points_below(c2.weight_cone, (1, 1), 3, budget=bad),
+             lambda: sweep(c2, (1, 1), fex, [1, 2], budget=bad),
+             lambda: approx_ord(fex, 2, (1, 1), budget=bad),
+             lambda: approximant(fex, 2, budget=bad)]
+    for call in calls:
+        with pytest.raises(ParseError, match=message):
+            call()
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_sweep_cases(), m=st.integers(1, 6),
        t=st.fractions(min_value=-2, max_value=4, max_denominator=5))
@@ -755,3 +770,20 @@ def test_table_caches_keep_no_table_above_their_bound(c2, fex):
     sweep_approx(c2, (1, 1), fex, 3, range(1, 61))
     assert estimators._shell_table.cache_info().currsize == 2
     assert filtration._approx_tables.cache_info().currsize == 1
+
+
+def test_oversized_table_keeps_the_stored_one():
+    # A grown approximation table too large to keep is built for its call;
+    # the table already stored under its key stays, so the approximant
+    # reads it again with no enumeration and no vertex enumeration.
+    line = from_rays([[1]])
+    G = monomial_filtration(line, [(2,)])
+    filtration._approx_tables.cache_clear()
+    first = approximant(G, 1)
+    assert approx_ord(G, 1, (70000,)) == 70000
+    info = filtration._approx_tables.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    with mock.patch.object(filtration, "enumerate_vertices", side_effect=AssertionError):
+        assert approximant(G, 1) == first
+    info = filtration._approx_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)

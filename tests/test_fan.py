@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conestab.errors import DegenerateCone, UnboundedSlice
+from conestab.errors import ConestabError, DegenerateCone, UnboundedSlice
 from conestab.exactgeom import (
     PLConcave,
     barycenter,
@@ -20,11 +20,13 @@ from conestab.exactgeom import (
     triangulate,
     volume,
 )
+from conestab.exactgeom import cone, fan, linalg
+from conestab.exactgeom.cone import _cone
 from conestab.exactgeom.fan import _chamber_key, _chamber_rows, chambers, cone_fan
-from conestab.exactgeom.linalg import _integer_covectors, mat_rank
+from conestab.exactgeom.linalg import _integer_covectors, mat_rank, primitivize
 from conestab.filtration import monomial_filtration
 from conestab.singularity import from_rays
-from conftest import fan_moments, random_cone, random_filtration
+from conftest import fan_moments, random_cone, random_filtration, scan_chambers, scan_cone
 
 F = Fraction
 
@@ -204,3 +206,94 @@ def test_reduction_stores_the_decomposition_of_the_reduced_rows():
         assert chambers.cache_info().misses == misses
         key = tuple(_chamber_key(G.transform.rows))
         assert chambers(s.weight_cone, key) == chambers.__wrapped__(s.weight_cone, key)
+
+
+@st.composite
+def chamber_cases(draw):
+    """A pointed full-dimensional cone of rank 1 to 4 and one to five
+    covectors, all int or all Fraction, with ties and duplicates among them."""
+    n = draw(st.integers(1, 4))
+    if n == 1:
+        c = cone_from_rays([(draw(st.sampled_from([1, -1])),)])
+    else:
+        points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (n - 1)),
+                               min_size=n, max_size=n + 3))
+        rays = [(1,) + p for p in points]
+        assume(mat_rank(rays) == n)
+        c = draw(st.sampled_from([cone_from_rays(rays), dual_cone(cone_from_rays(rays))]))
+    entry = draw(st.sampled_from([st.integers(-3, 3),
+                                  st.fractions(-3, 3, max_denominator=3)]))
+    covs = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=3))
+    if len(covs) >= 2 and draw(st.booleans()):
+        covs.append(tuple(F(a + b) / 2 for a, b in zip(covs[0], covs[1])))  # a tie
+    if draw(st.booleans()):
+        covs.append(covs[draw(st.integers(0, len(covs) - 1))])
+    return c, tuple(draw(st.permutations(covs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=chamber_cases())
+def test_chambers_match_facet_scan_reference(case):
+    # The double-description cut keeps the same chambers, in the same
+    # order, with the same sorted rays and simplices as the facet scan with
+    # Fraction determinants (a lone chamber's fan is the cone's).
+    c, covs = case
+    got = chambers.__wrapped__(c, covs)
+    assert got == scan_chambers(c, covs)
+    event(f"rank {c.rank}")
+    event(f"{len(got)} of {len(set(covs))} chambers kept")
+    if any(len(f.rays) > c.rank for _, f in got):
+        event("non-simplicial chamber")
+
+
+@st.composite
+def ray_sets(draw):
+    """Primitive integer rays of rank 1 to 5, n of them half of the time,
+    spanning or not, pointed or not."""
+    n = draw(st.integers(1, 5))
+    count = draw(st.one_of(st.just(n), st.integers(1, n + 2)))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=count, max_size=count))
+    return [primitivize(r) for r in rays]
+
+
+def _outcome(build, rays):
+    try:
+        return build(rays)
+    except ConestabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rays=ray_sets())
+def test_cone_matches_two_scan_reference(rays):
+    # On n rays the normals come off one elimination of [R | I]; the cone,
+    # or the error of a degenerate input, is the two scans'.
+    got = _outcome(_cone, rays)
+    assert got == _outcome(scan_cone, rays)
+    event(f"rank {len(rays[0])}, {'error' if isinstance(got[0], type) else 'cone'}")
+
+
+def test_chamber_cut_makes_no_elimination(monkeypatch):
+    # g = min(x, y, z) on the orthant has three simplicial chambers.  The
+    # cuts make no row reduction; each chamber's fan makes one, for the
+    # |det| of its one simplex.
+    c = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    covs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    calls, kernel = [], linalg._row_reduce
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return kernel(rows, ncols)
+
+    for module in (cone, fan, linalg):
+        monkeypatch.setattr(module, "_row_reduce", counted)
+    built = []
+    with monkeypatch.context() as stub:
+        stub.setattr(fan, "simplicial_fan", lambda rays, n: built.append(sorted(rays)))
+        chambers.__wrapped__(c, covs)
+    assert calls == []
+    assert built == [[(0, 0, 1), (0, 1, 0), (1, 1, 1)], [(0, 0, 1), (1, 0, 0), (1, 1, 1)],
+                     [(0, 1, 0), (1, 0, 0), (1, 1, 1)]]
+    found = chambers.__wrapped__(c, covs)
+    assert calls == [3, 3, 3]
+    assert [(z, f.simplices) for z, f in found] == [(z, ((1, (0, 1, 2)),)) for z in covs]

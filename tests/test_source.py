@@ -78,6 +78,14 @@ def test_fans_are_triangulated_in_one_place():
     assert _call_scopes("simplicial_fan") == [("fan.py", "chambers"), ("fan.py", "cone_fan")]
 
 
+def test_chambers_are_cut_without_a_facet_scan():
+    # fan.chambers cuts the weight cone's rays one halfspace at a time
+    # (fan._cut), and simplicial_fan reads |det| off _row_reduce, so fan.py
+    # runs no facet scan and builds no Fraction determinant.
+    assert [scope for scope in _call_scopes("_facet_normals") + _call_scopes("det")
+            if scope[0] == "fan.py"] == []
+
+
 def test_transform_rows_are_read_only_in_the_filtration_layer():
     # Every other module reads a filtration's integer rows through
     # filtration._rows(s, F), which checks that F is over s, so a new
