@@ -4,11 +4,12 @@ A cone is stored with both generators (primitive integer rays) and a
 halfspace description (primitive integer covectors h with <h,x> >= 0), and
 the two are cross-checked at construction time.  All cones handled here are
 pointed and full-dimensional; the dual of such a cone is again of that kind,
-and ``dual_cone`` is an involution on the class.  On n rays the facet
-normals are the columns of R^-1, off one elimination, else a facet scan.
+and ``dual_cone`` is an involution on the class.  One double description,
+``_facet_normals``, converts between the two: it starts from the
+simplicial cone of the first n independent rows, off one elimination, and
+cuts it by each other row (``_cut``).
 """
 
-from itertools import combinations
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -47,42 +48,55 @@ def _of_length(v, n) -> tuple:
     return v
 
 
-def _facet_normals(rays, n):
-    """Facet normals of cone(rays) in R^n by scanning (n-1)-subsets.
+def _facet_normals(rows, n):
+    """The sorted extreme rays of {h : <r, h> >= 0 for every row r}, as
+    primitive integer tuples; [] when the rows do not span R^n.
 
-    This is the one general conversion between generators and inequalities
-    (``_cone`` on n rays and ``fan._cut`` skip it): the same scan of a
-    cone's facet normals gives its extreme rays (duality), and of the rows
-    (a, b) of {x : <a,x> <= b} its vertices (``enumerate_vertices``).  The
-    rays are integer vectors.  Each
-    independent subset's kernel vector comes off the integer kernel as (d
-    at the free column, minus the rest of that column), oriented so that
-    its free entry is positive, and is dotted with the rays in integers; it
-    is a normal, made primitive, when no ray pairs negatively with it, or
-    with its negative (then negated).
+    This is the library's one conversion between generators and
+    inequalities: on a cone's rays it gives the facet normals, on the
+    normals the extreme rays (duality), and on the homogenized rows of a
+    polyhedron its vertices (``enumerate_vertices``).  It is Motzkin's
+    double description.  One elimination of the transposed integer rows,
+    carried with I, picks the first n independent rows B (its pivot
+    columns) and ends in d (B^-1)^T: its rows are the rays of the
+    simplicial cone {B h >= 0}, each tight on every row of B but its own.
+    Every other row then cuts that cone (``_cut``).
     """
-    normals = set()
-    for sub in combinations(rays, n - 1):
-        m, pivots, d, _ = _row_reduce(sub, n)
-        if len(pivots) != n - 1:  # the n - 1 rays are dependent
-            continue
-        fc = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
-        s = 1 if d > 0 else -1
-        h = [0] * n
-        h[fc] = s * d
-        for r, pc in zip(m, pivots):
-            h[pc] = -s * r[fc]
-        side = 0  # the first nonzero pairing; one of the other sign rejects h
-        for r in rays:
-            v = sum(map(mul, h, r))
-            if v * side < 0:
-                break
-            if not side:
-                side = v
-        else:
-            g = gcd(*h) if side >= 0 else -gcd(*h)
-            normals.add(tuple(a // g for a in h))
-    return sorted(normals)
+    k = len(rows)
+    eye = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    m, pivots, d, _ = _row_reduce([(*col, *e) for col, e in zip(zip(*rows), eye)], k)
+    if len(pivots) < n:
+        return []
+    basis = sum(1 << p for p in pivots)
+    rays = [(_primitive(row[k:], d), basis ^ (1 << p)) for row, p in zip(m, pivots)]
+    for i, r in enumerate(rows):
+        if not basis >> i & 1:
+            rays = _cut(rays, r, 1 << i, n)
+    return sorted(r for r, _ in rays)
+
+
+def _cut(rays, h, bit, n):
+    """One step of Motzkin's double description (K. Fukuda and A. Prodon,
+    "Double description method revisited", LNCS 1120, 1996): the extreme
+    rays, with the bitsets of their tight halfspaces, of a pointed cone cut
+    by <h, .> >= 0.  Rays with <h, r> >= 0 stay (gaining ``bit`` at 0), and
+    each adjacent (+, -) pair, which no other ray is tight on all that both
+    are (at least n - 2), is joined into a primitive ray on <h, .> = 0."""
+    signed = [(r, z, sum(map(mul, h, r))) for r, z in rays]
+    out = [(r, z | bit if v == 0 else z) for r, z, v in signed if v >= 0]
+    for p, zp, vp in signed:
+        for q, zq, vq in signed:
+            if vp > 0 > vq and (z := zp & zq).bit_count() >= n - 2 and not any(
+                    z & zr == z for r, zr in rays if r is not p and r is not q):
+                out.append((_primitive([vp * b - vq * a for a, b in zip(p, q)]), z | bit))
+    return out
+
+
+def _primitive(v, sign=1):
+    """The nonzero integer vector v over the gcd of its entries, negated
+    when sign < 0."""
+    g = gcd(*v) if sign > 0 else -gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def cone_from_rays(rays) -> Cone:
@@ -110,28 +124,22 @@ def _distinct(vectors, what):
 def _cone(rays) -> Cone:
     """``cone_from_rays`` on primitive integer rays."""
     rays, n = _distinct(rays, "rays")
-    simplicial = len(rays) == n  # the normals are then the columns of R^-1
-    m, pivots, d, _ = _row_reduce([(*r, *(int(i == k) for k in range(n)))
-                                   for i, r in enumerate(rays)] if simplicial else rays, n)
-    if len(pivots) < n:
-        raise DegenerateCone("rays do not span the ambient space")
-    if simplicial:  # [R | I] reduces to d [I | R^-1]
-        normals = sorted(primitivize([row[k] * d for row in m]) for k in range(n, 2 * n))
-    else:
-        normals = _facet_normals(rays, n)
-        if len(_row_reduce(normals, n)[1]) < n:
-            # The normals span less than R^n exactly when the cone contains a line.
-            raise DegenerateCone("cone is not pointed")
-        rays = _facet_normals(normals, n)
-    cone = Cone(rank=n, rays=tuple(rays), halfspaces=tuple(normals))
+    normals = _facet_normals(rays, n)
+    extreme = _facet_normals(normals, n)
+    if not extreme:  # the normals do not span: the rays do not, or the cone contains a line
+        if len(_row_reduce(rays, n)[1]) < n:
+            raise DegenerateCone("rays do not span the ambient space")
+        raise DegenerateCone("cone is not pointed")
+    cone = Cone(rank=n, rays=tuple(extreme), halfspaces=tuple(normals))
     _validate(cone)
     return cone
 
 
 def cone_from_halfspaces(halfspaces) -> Cone:
-    """Build a cone from covectors {x : <h,x> >= 0}; dual scan for rays."""
+    """Build a cone from covectors {x : <h,x> >= 0}; its rays are the facet
+    normals of the cone the covectors span (duality)."""
     hs, n = _distinct((primitivize(h) for h in halfspaces), "halfspaces")
-    rays = _facet_normals(hs, n)  # duality: rays of C are facet normals of C^v
+    rays = _facet_normals(hs, n)
     if len(_row_reduce(rays, n)[1]) < n:
         raise DegenerateCone("halfspace cone is not full-dimensional")
     return _cone(rays)
@@ -164,7 +172,7 @@ def _triangulate_rays(rays):
     """Split cone(rays) into simplicial subcones on the same ray set.
 
     Works recursively on faces.  The apex is the lexicographically smallest
-    ray, which makes the decomposition deterministic.  Facets are scanned in
+    ray, which makes the decomposition deterministic.  Facets are found in
     the pivot coordinates of the row-reduced rays: projecting onto the pivot
     columns is injective on the span of the rays, so it keeps every facet
     and tight set.

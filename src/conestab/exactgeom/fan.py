@@ -17,9 +17,10 @@ once per cone; each evaluation then runs over integers (``_fan_sums``) at
 x = L xi, with the pairings p_i cleared to the common denominator Q =
 prod of the pairings of all rays; ``_moments`` forms one Fraction per
 output entry, and S one per value.  For g = min_j <z_j, .>, ``chambers``
-splits C into the cones on which g is linear, cut from C's rays by double
-description steps (``_cut``), each with its fan; the fans give S, and their
-rays lambda_max and the irredundant covectors.
+splits C into the cones on which g is linear, cut from C's rays by the
+double description steps of the one H/V conversion (``cone._cut``), each
+with its fan; the fans give S, and their rays lambda_max and the
+irredundant covectors.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from operator import mul
 from typing import NamedTuple
 
 from ..errors import UnboundedSlice
-from .cone import Cone, _triangulate_rays
+from .cone import Cone, _cut, _triangulate_rays
 from .lattice import _TableCache
 from .linalg import _row_reduce, primitivize, vsub
 
@@ -70,7 +71,8 @@ def chambers(c: Cone, covectors):
     Chamber j is {alpha in c : <z_i - z_j, alpha> >= 0 for all i}, where
     z_j attains the minimum; its rays are c's cut by each halfspace
     (``_cut``), and its fan is built here, once, on them.  Duplicated
-    covectors are dropped first, and only the full-dimensional chambers are
+    covectors are dropped first, and a chamber is dropped at the first cut
+    that leaves no ray strictly inside, so only the full-dimensional ones are
     kept, in input order (a lone one is the whole cone, with ``cone_fan``):
     z_j has one exactly when it is irredundant, for the chambers of lower
     dimension (ties) carry no volume.  Cached per (cone, covector tuple);
@@ -86,33 +88,16 @@ def chambers(c: Cone, covectors):
     for j, zj in enumerate(covs):
         rays = start
         for i, zi in enumerate(covs):
-            if i != j and not (rays := _cut(rays, primitivize(vsub(zi, zj)), 1 << (m + i), n)):
-                break
+            if i != j:
+                bit = 1 << (m + i)
+                rays = _cut(rays, primitivize(vsub(zi, zj)), bit, n)
+                if all(z & bit for _, z in rays):
+                    break
         else:
             found.append((zj, [r for r, _ in rays]))
     if len(found) == 1:
         return ((found[0][0], cone_fan(c)),)
     return tuple((z, simplicial_fan(rays, n)) for z, rays in found)
-
-
-def _cut(rays, h, bit, n):
-    """One step of Motzkin's double description (K. Fukuda and A. Prodon,
-    "Double description method revisited", LNCS 1120, 1996): the extreme
-    rays, with the bitsets of their tight halfspaces, of a pointed cone cut
-    by <h, .> >= 0; [] when no ray has <h, r> > 0, the cut of lower
-    dimension.  Rays with <h, r> >= 0 stay (gaining ``bit`` at 0), and each
-    adjacent (+, -) pair, which no other ray is tight on all that both are
-    (at least n - 2), is joined into a primitive ray on <h, .> = 0."""
-    signed = [(r, z, sum(map(mul, h, r))) for r, z in rays]
-    if all(v <= 0 for _, _, v in signed):
-        return []
-    out = [(r, z | bit if v == 0 else z) for r, z, v in signed if v >= 0]
-    for p, zp, vp in signed:
-        for q, zq, vq in signed:
-            if vp > 0 > vq and (z := zp & zq).bit_count() >= n - 2 and not any(
-                    z & zr == z for r, zr in rays if r is not p and r is not q):
-                out.append((primitivize([vp * b - vq * a for a, b in zip(p, q)]), z | bit))
-    return out
 
 
 @lru_cache(maxsize=256)  # a filtration's rows are asked for again and again

@@ -102,14 +102,17 @@ def slice_polytope(c: Cone, xi, level) -> Polytope:
 def enumerate_vertices(halfspaces, dim):
     """All vertices of {x : <a,x> <= b}, sorted; the region may be unbounded.
 
-    Each halfspace is scaled once to an integer row (a, b).  The facet scan
-    of these rows in R^(dim+1) returns the vectors (y, t) with
-    <a,y> + b t >= 0 on every row and equality on ``dim`` independent ones:
-    the homogenization of the region at x = -y / t.  Those with t > 0 give
-    the vertices -y / t, and those with t = 0 recession directions, which
-    are dropped.  Only vertices become Fractions.
+    Each halfspace is scaled once to an integer row (a, b); a covector of
+    another length than ``dim`` raises AmbientMismatch.  With the row
+    t >= 0 these rows cut out, in R^(dim+1), the homogenization of the
+    region: the vectors (y, t) with <a,y> + b t >= 0 on every row, at
+    x = -y / t.  Its extreme rays (``_facet_normals``) with t > 0 give the
+    vertices -y / t, and those with t = 0 recession directions, which are
+    dropped.  The rows span R^(dim+1) unless the region contains a line,
+    and then it has no vertex.  Only vertices become Fractions.
     """
-    rows = [_integer_row((*a, b))[0] for a, b in halfspaces]
+    rows = [_integer_row((*_of_length(a, dim), b))[0] for a, b in halfspaces]
+    rows.append((0,) * dim + (1,))
     return sorted(tuple(Fraction(-y, h[dim]) for y in h[:dim])
                   for h in _facet_normals(rows, dim + 1) if h[dim] > 0)
 

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from math import floor
+from itertools import combinations
+from math import floor, gcd
 from operator import mul, sub
 
 import pytest
 
 from conestab import from_rays, monomial_filtration, toric_filtration
 from conestab.errors import DegenerateCone
-from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _triangulate_rays, _validate
+from conestab.exactgeom.cone import Cone, _distinct, _triangulate_rays, _validate
 from conestab.exactgeom.fan import Fan, _moments
 from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
 
@@ -43,6 +44,42 @@ def fan_moments(fan, xi, order=2):
     return _moments(fan, *_integer_row(xi), order)
 
 
+def scan_facet_normals(rays, n):
+    """Cold reference of ``cone._facet_normals``: the facet normals of
+    cone(rays) in R^n by scanning (n-1)-subsets of the integer rays.
+
+    Each independent subset's kernel vector comes off the integer kernel as
+    (d at the free column, minus the rest of that column), oriented so that
+    its free entry is positive, and is dotted with the rays in integers; it
+    is a normal, made primitive, when no ray pairs negatively with it, or
+    with its negative (then negated).  On rays spanning less than R^n every
+    independent subset's vector is normal to them all and is kept with that
+    orientation, where the double description returns [].
+    """
+    normals = set()
+    for subset in combinations(rays, n - 1):
+        m, pivots, d, _ = _row_reduce(subset, n)
+        if len(pivots) != n - 1:  # the n - 1 rays are dependent
+            continue
+        fc = n * (n - 1) // 2 - sum(pivots)  # the one column without a pivot
+        s = 1 if d > 0 else -1
+        h = [0] * n
+        h[fc] = s * d
+        for r, pc in zip(m, pivots):
+            h[pc] = -s * r[fc]
+        side = 0  # the first nonzero pairing; one of the other sign rejects h
+        for r in rays:
+            v = sum(map(mul, h, r))
+            if v * side < 0:
+                break
+            if not side:
+                side = v
+        else:
+            g = gcd(*h) if side >= 0 else -gcd(*h)
+            normals.add(tuple(a // g for a in h))
+    return sorted(normals)
+
+
 def scan_fan(rays, rank):
     """Cold reference of ``fan.simplicial_fan``: every simplex of
     ``_triangulate_rays``, with |det| from the Fraction ``det``."""
@@ -61,7 +98,7 @@ def scan_chambers(c, covectors):
     found = []
     for j, zj in enumerate(covs):
         hs = [primitivize(vsub(zi, zj)) for i, zi in enumerate(covs) if i != j]
-        rays = _facet_normals(list(c.halfspaces) + hs, n) if hs else c.rays
+        rays = scan_facet_normals(list(c.halfspaces) + hs, n) if hs else c.rays
         if len(_row_reduce(rays, n)[1]) == n:
             found.append((zj, scan_fan(rays, n)))
     return tuple(found)
@@ -73,10 +110,10 @@ def scan_cone(rays):
     rays, n = _distinct(rays, "rays")
     if len(_row_reduce(rays, n)[1]) < n:
         raise DegenerateCone("rays do not span the ambient space")
-    normals = _facet_normals(rays, n)
+    normals = scan_facet_normals(rays, n)
     if len(_row_reduce(normals, n)[1]) < n:
         raise DegenerateCone("cone is not pointed")
-    cone = Cone(rank=n, rays=tuple(_facet_normals(normals, n)), halfspaces=tuple(normals))
+    cone = Cone(rank=n, rays=tuple(scan_facet_normals(normals, n)), halfspaces=tuple(normals))
     _validate(cone)
     return cone
 

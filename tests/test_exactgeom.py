@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm, prod
+from operator import mul
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conestab.errors import (
+    AmbientMismatch,
     BudgetExceeded,
     DegenerateCone,
     NotFullDimensional,
@@ -40,7 +42,7 @@ from conestab.exactgeom.linalg import (
     solve,
 )
 from conestab.exactgeom.lattice import _lattice_runs
-from conftest import random_cone
+from conftest import random_cone, scan_facet_normals
 
 F = Fraction
 
@@ -607,14 +609,59 @@ def _pointed_systems(draw):
     return draw(st.permutations(hs)), dim
 
 
+@st.composite
+def _degenerate_systems(draw):
+    """Systems in dim 1-4 whose homogenized rows alone need not span, so
+    that the row t >= 0 decides: rows all tight at one point (an affine
+    cone, pointed or not), covectors orthogonal to a direction (the region
+    contains a line, so it has no vertex), and a box cut by dim - 1 or dim
+    equalities through an inner point (a segment or a point), rescaled and
+    shuffled like the bounded systems."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["apex", "line", "flat"]))
+    vectors = st.tuples(*[st.integers(-2, 2)] * dim)
+    point = tuple(draw(st.fractions(-1, 1, max_denominator=3)) for _ in range(dim))
+
+    def at(a):
+        return sum((p * q for p, q in zip(a, point)), F(0))
+
+    if kind == "apex":
+        hs = [(a, at(a)) for a in draw(st.lists(vectors, min_size=1, max_size=dim + 3))]
+    elif kind == "line":
+        v = draw(vectors.filter(any))
+        vv = sum(x * x for x in v)
+        hs = [(tuple(vv * x - sum(map(mul, a, v)) * y for x, y in zip(a, v)), draw(_RATS))
+              for a in draw(st.lists(vectors, min_size=1, max_size=dim + 3))]
+    else:
+        hs = [(tuple(F(s * int(j == i)) for j in range(dim)), s * point[i] + 1)
+              for i in range(dim) for s in (1, -1)]
+        for a in draw(st.lists(vectors, min_size=dim - 1, max_size=dim)):
+            hs += [(a, at(a)), (tuple(-x for x in a), -at(a))]
+    hs = [(tuple(c * x for x in a), c * b)
+          for (a, b), c in zip(hs, draw(st.lists(_SCALES, min_size=len(hs),
+                                                 max_size=len(hs))))]
+    return draw(st.permutations(hs)), dim
+
+
 @settings(max_examples=150, deadline=None)
-@given(system=st.one_of(_bounded_systems(), _pointed_systems()))
+@given(system=st.one_of(_bounded_systems(), _pointed_systems(), _degenerate_systems()))
 def test_enumerate_vertices_matches_fraction_reference(system):
     from conestab.exactgeom.polytope import enumerate_vertices
     hs, dim = system
     got = enumerate_vertices(hs, dim)
     assert got == _ref_enumerate_vertices(hs, dim)
     assert all(type(x) is Fraction for v in got for x in v)
+
+
+@pytest.mark.parametrize("halfspaces, dim", [
+    ([((1, 0), 1), ((-1, 0), 0), ((0, 1, 5), 1), ((0, -1), 0)], 2),  # a long covector
+    ([((1, 0), 1), ((-1,), 0)], 2),  # a short one
+    ([((1, 0), 1), ((0, 1), 1)], 3),  # dim above the row length
+])
+def test_enumerate_vertices_refuses_covectors_of_another_length(halfspaces, dim):
+    from conestab.exactgeom.polytope import enumerate_vertices
+    with pytest.raises(AmbientMismatch, match=f"on a rank-{dim} cone"):
+        enumerate_vertices(halfspaces, dim)
 
 
 @st.composite
@@ -643,11 +690,48 @@ def _ray_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(data=_ray_sets())
 def test_facet_normals_match_fraction_reference(data):
-    from conestab.exactgeom.cone import _facet_normals
+    # The integer scan of the tests against the Fraction one; on rays of
+    # rank below n both keep the normals of the span, oriented alike.
     rays, n = data
-    got = _facet_normals(rays, n)
+    got = scan_facet_normals(rays, n)
     assert got == _ref_facet_normals(rays, n)
     assert all(type(x) is int for h in got for x in h)
+
+
+@st.composite
+def _row_sets(draw):
+    """Integer rows in R^n, n = 1..6, spanning R^n or a subspace: 1..n
+    drawn vectors and integer combinations of them, nonnegative ones half
+    of the time (a pointed cone when the vectors are independent), plus
+    duplicates, sums (redundant rows) and negations (the rows' cone then
+    contains a line)."""
+    n = draw(st.integers(1, 6))
+    rank = draw(st.one_of(st.just(n), st.integers(1, n)))
+    basis = [tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(rank)]
+    low = draw(st.sampled_from([0, -1]))
+    rows = list(basis)
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = [draw(st.integers(low, 2)) for _ in range(rank)]
+        rows.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append(draw(st.sampled_from([rows[i], tuple(a + b for a, b in zip(rows[i], rows[j])),
+                                          tuple(-a for a in rows[i])])))
+    return draw(st.permutations(rows)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_row_sets())
+def test_conversion_matches_facet_scan_on_spanning_rows(data):
+    # The double description is the scan on rows spanning R^n, and [] on
+    # the rest, where the scan keeps the normals of the span.
+    from conestab.exactgeom.cone import _facet_normals
+    rows, n = data
+    got = _facet_normals(rows, n)
+    spanning = mat_rank(rows) == n
+    assert got == (scan_facet_normals(rows, n) if spanning else [])
+    event(f"rank {n}, {'spanning' if spanning else 'not spanning'}")
+    event("some ray" if got else "no ray")
 
 
 @st.composite

@@ -21,12 +21,19 @@ from conestab.exactgeom import (
     volume,
 )
 from conestab.exactgeom import cone, fan, linalg
-from conestab.exactgeom.cone import _cone
+from conestab.exactgeom.cone import _distinct
 from conestab.exactgeom.fan import _chamber_key, _chamber_rows, chambers, cone_fan
 from conestab.exactgeom.linalg import _integer_covectors, mat_rank, primitivize
 from conestab.filtration import monomial_filtration
 from conestab.singularity import from_rays
-from conftest import fan_moments, random_cone, random_filtration, scan_chambers, scan_cone
+from conftest import (
+    fan_moments,
+    random_cone,
+    random_filtration,
+    scan_chambers,
+    scan_cone,
+    scan_facet_normals,
+)
 
 F = Fraction
 
@@ -263,13 +270,25 @@ def _outcome(build, rays):
         return type(exc), str(exc)
 
 
+def scan_halfspace_cone(halfspaces):
+    """Cold reference of ``cone_from_halfspaces``: the rays by a scan of the
+    covectors, then ``scan_cone``."""
+    hs, n = _distinct((primitivize(h) for h in halfspaces), "halfspaces")
+    rays = scan_facet_normals(hs, n)
+    if mat_rank(rays) < n:
+        raise DegenerateCone("halfspace cone is not full-dimensional")
+    return scan_cone(rays)
+
+
 @settings(max_examples=400, deadline=None)
 @given(rays=ray_sets())
 def test_cone_matches_two_scan_reference(rays):
-    # On n rays the normals come off one elimination of [R | I]; the cone,
-    # or the error of a degenerate input, is the two scans'.
-    got = _outcome(_cone, rays)
+    # The double description gives the cone, or the error class and message
+    # of a degenerate input, that the two scans give, from rays and from
+    # halfspaces.
+    got = _outcome(cone_from_rays, rays)
     assert got == _outcome(scan_cone, rays)
+    assert _outcome(cone_from_halfspaces, rays) == _outcome(scan_halfspace_cone, rays)
     event(f"rank {len(rays[0])}, {'error' if isinstance(got[0], type) else 'cone'}")
 
 

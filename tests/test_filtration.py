@@ -565,13 +565,12 @@ _CONES = {1: from_rays([(1,)]), 2: from_rays([(1, 0), (0, 1)]), 3: from_rays(R3_
 def _table_sequences(draw):
     """A filtration of rank 1-3 (covector denominators above 1 through
     rescale), a level m and a shuffled sequence of calls on (F, m) whose
-    windows grow and shrink.  Rank 3 keeps m <= 2 when rescaled, where
-    the approximant's vertex enumeration stays small."""
+    windows grow and shrink."""
     rank = draw(st.sampled_from([1, 2, 3]))
     s = _CONES[rank]
-    k = draw(st.integers(1, 3 if rank < 3 else 2))
+    k = draw(st.integers(1, 3))
     F_ = rescale(random_filtration(random.Random(draw(st.integers(0, 2 ** 32))), s), F(1, k))
-    m = draw(st.integers(1, 5 if rank < 3 or k == 1 else 2))
+    m = draw(st.integers(1, 5))
     top = 8 if rank < 3 else 4
     point = st.tuples(*[st.integers(0, top)] * rank).filter(s.weight_cone.contains)
     op = st.one_of(st.tuples(st.just("approx_ord"), point),

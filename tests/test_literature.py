@@ -7,11 +7,15 @@ same way on every path cannot pass them.  Rational values compare with
 certified interval [nvol - gap, nvol] exactly, by squaring.
 """
 
+import json
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
-from conestab.invariants import delta_T
+from conestab.exactgeom import cone, fan, linalg
+from conestab.invariants import delta_T, vol
 from conestab.optimize import minimize_nvol
 from conestab.singularity import from_rays
 
@@ -96,3 +100,57 @@ def test_ypq_volume_lies_in_the_certified_interval(p, q):
     assert 0 < r.certificate_gap <= F(1, 10 ** 9)
     assert _at_most(a, b, d, r.nvol_value)
     assert _at_most(-a, -b, d, r.certificate_gap - r.nvol_value)  # nvol - gap <= a + b s
+
+
+DOCS = Path(__file__).parent / "docs"
+
+
+def _document(name):
+    """The singularity and integer Reeb vector of a document under tests/docs."""
+    doc = json.loads((DOCS / name).read_text())
+    return from_rays(doc["rays"]), tuple(int(x) for x in doc["reeb"])
+
+
+def test_canonical_cone_over_p1_to_the_fifth():
+    # Rays (1, +-e_i): the canonical cone over (P^1)^5, whose anticanonical
+    # polytope is the cube [-1, 1]^5.  A product of P^1's is Kaehler-Einstein,
+    # so the minimal nvol is (-K)^5 = 5! Vol([-1, 1]^5) (Martelli-Sparks-Yau,
+    # hep-th/0503183; Li-Liu-Xu) and delta_T = 1 at xi0 (Blum-Jonsson);
+    # vol(xi0) = 6! Vol([-1, 1]^5) / 6^7, n! times the pyramid on that cube
+    # at height 1/6.
+    s, xi0 = _document("rank6_cross.json")
+    r = minimize_nvol(s)
+    assert r.nvol_value == 3840 == factorial(5) * 2 ** 5 and r.certificate_gap == 0
+    assert delta_T(s, xi0)[0] == 1
+    assert vol(s, xi0) == F(factorial(6) * 2 ** 5, 6 ** 7) == F(20, 243)
+
+
+def test_canonical_cone_over_the_cube_fan():
+    # Rays (1, v) for the vertices v of [-1, 1]^5: the canonical cone of the
+    # toric Fano 5-fold whose anticanonical polytope is the cross-polytope,
+    # of volume 2^5 / 5!.  That polytope is centrally symmetric, so its
+    # barycenter is 0 and the variety is Kaehler-Einstein (Berman-Berndtsson,
+    # "Real Monge-Ampere equations and Kaehler-Ricci solitons on toric log
+    # Fano varieties", 2013): the minimal nvol is (-K)^5 = 2^5, and
+    # delta_T = 1 at xi0.
+    s, xi0 = _document("rank6_cube.json")
+    r = minimize_nvol(s)
+    assert r.nvol_value == 32 and r.certificate_gap == 0
+    assert delta_T(s, xi0)[0] == 1
+
+
+@pytest.mark.parametrize("name", ["rank6_cross.json", "rank6_cube.json"])
+def test_rank6_cone_takes_few_eliminations(monkeypatch, name):
+    # The double description builds the cone from one elimination per
+    # conversion; the subset scan of the 10 and 32 rays and of their 32 and
+    # 10 normals made 201,631 row reductions in from_rays on either cone.
+    calls, kernel = [], linalg._row_reduce
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return kernel(rows, ncols)
+
+    for module in (cone, fan, linalg):
+        monkeypatch.setattr(module, "_row_reduce", counted)
+    s, _ = _document(name)
+    assert s.rank == 6 and 0 < len(calls) < 50

@@ -80,10 +80,24 @@ def test_fans_are_triangulated_in_one_place():
 
 def test_chambers_are_cut_without_a_facet_scan():
     # fan.chambers cuts the weight cone's rays one halfspace at a time
-    # (fan._cut), and simplicial_fan reads |det| off _row_reduce, so fan.py
-    # runs no facet scan and builds no Fraction determinant.
+    # (cone._cut), and simplicial_fan reads |det| off _row_reduce, so fan.py
+    # runs no H/V conversion and builds no Fraction determinant.
     assert [scope for scope in _call_scopes("_facet_normals") + _call_scopes("det")
             if scope[0] == "fan.py"] == []
+
+
+def test_one_hv_conversion():
+    # The double description is the one conversion between generators and
+    # inequalities: its cut runs only inside it and in fan.chambers, and no
+    # subset scan is left to import itertools.combinations.
+    assert _call_scopes("_cut") == [("cone.py", "_facet_normals"), ("fan.py", "chambers")]
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+             and any(alias.name == "combinations" for alias in node.names)
+             or isinstance(node, ast.Attribute) and node.attr == "combinations"]
+    assert found == []
 
 
 def test_transform_rows_are_read_only_in_the_filtration_layer():
