@@ -7,7 +7,8 @@ pointed and full-dimensional; the dual of such a cone is again of that kind,
 and ``dual_cone`` is an involution on the class.  One double description,
 ``_facet_normals``, converts between the two: it starts from the
 simplicial cone of the first n independent rows, off one elimination, and
-cuts it by each other row (``_cut``).
+cuts it by each other row (``_cut``).  The triangulation reads only the
+ray-halfspace incidences (``_incidence``) that the conversion and cuts hold.
 """
 
 from math import gcd
@@ -137,11 +138,12 @@ def _cone(rays) -> Cone:
 
 def cone_from_halfspaces(halfspaces) -> Cone:
     """Build a cone from covectors {x : <h,x> >= 0}; its rays are the facet
-    normals of the cone the covectors span (duality)."""
+    normals of the cone the covectors span (duality), pointed iff they span."""
     hs, n = _distinct((primitivize(h) for h in halfspaces), "halfspaces")
     rays = _facet_normals(hs, n)
     if len(_row_reduce(rays, n)[1]) < n:
-        raise DegenerateCone("halfspace cone is not full-dimensional")
+        pointed = len(_row_reduce(hs, n)[1]) == n
+        raise DegenerateCone(f"halfspace cone is not {'full-dimensional' if pointed else 'pointed'}")
     return _cone(rays)
 
 
@@ -168,26 +170,32 @@ def dual_cone(c: Cone) -> Cone:
     return Cone(rank=c.rank, rays=c.halfspaces, halfspaces=c.rays)
 
 
-def _triangulate_rays(rays):
-    """Split cone(rays) into simplicial subcones on the same ray set.
+def _incidence(rays, halfspaces):
+    """(r, bitset of the halfspaces tight on r) for each ray r: what
+    ``_cut`` and ``_triangulate_rays`` read."""
+    return [(r, sum(1 << k for k, h in enumerate(halfspaces) if not sum(map(mul, h, r))))
+            for r in rays]
 
-    Works recursively on faces.  The apex is the lexicographically smallest
-    ray, which makes the decomposition deterministic.  Facets are found in
-    the pivot coordinates of the row-reduced rays: projecting onto the pivot
-    columns is injective on the span of the rays, so it keeps every facet
-    and tight set.
-    """
-    rays = sorted(rays)
-    pivots = _row_reduce(rays, len(rays[0]))[1]
-    if len(rays) == len(pivots):
-        return [tuple(rays)]
-    apex = rays[0]
-    coords = {r: tuple(r[c] for c in pivots) for r in rays}
-    simplices = []
-    for h in _facet_normals(list(coords.values()), len(pivots)):
-        tight = [r for r in rays if not sum(map(mul, h, coords[r]))]
-        if apex in tight:
-            continue
-        for facet_simplex in _triangulate_rays(tight):
-            simplices.append(tuple(sorted((apex,) + facet_simplex)))
-    return simplices
+
+def _triangulate_rays(incidence, n):
+    """The sorted simplices, each a sorted ray tuple, of the pulling
+    triangulation of a cone spanning R^n, from its (ray, bitset of tight
+    halfspaces) pairs: a k-face with k rays is a simplex, else the least ray
+    is coned over the face's facets that miss it.  A face is the bitset of
+    its rays, and its facets are the inclusion-maximal proper sets among its
+    meets with the halfspaces (V. Kaibel and M. E. Pfetsch, Comput. Geom. 23,
+    2002), so no face is eliminated or converted."""
+    incidence = sorted(incidence)
+    walls = {sum(1 << i for i, (_, z) in enumerate(incidence) if z >> k & 1)
+             for k in range(max(z for _, z in incidence).bit_length())}
+
+    def pull(face, walls, k):
+        if face.bit_count() == k:
+            return [face]
+        apex = face & -face
+        meets = {face & w for w in walls} - {face}
+        return [apex | s for f in meets if not f & apex
+                and not any(f != g and f & g == f for g in meets) for s in pull(f, meets, k - 1)]
+
+    return sorted(tuple(r for i, (r, _) in enumerate(incidence) if s >> i & 1)
+                  for s in pull((1 << len(incidence)) - 1, walls, n))

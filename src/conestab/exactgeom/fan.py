@@ -13,14 +13,15 @@ and the slice barycenter is -grad / ((n+1) vol).  This is Lawrence's
 formula (J. Lawrence, "Polytope volume computation", Math. Comp. 57, 1991)
 in the toric form Martelli, Sparks and Yau use for the volume of a Sasakian
 link (hep-th/0503183).  The fan depends on the cone alone, so it is built
-once per cone; each evaluation then runs over integers (``_fan_sums``) at
+once per cone, from its ray-facet incidences and one |det| per simplex;
+each evaluation then runs over integers (``_fan_sums``) at
 x = L xi, with the pairings p_i cleared to the common denominator Q =
 prod of the pairings of all rays; ``_moments`` forms one Fraction per
 output entry, and S one per value.  For g = min_j <z_j, .>, ``chambers``
 splits C into the cones on which g is linear, cut from C's rays by the
 double description steps of the one H/V conversion (``cone._cut``), each
-with its fan; the fans give S, and their rays lambda_max and the
-irredundant covectors.
+with its fan, triangulated from the incidences the last cut leaves; the
+fans give S, and their rays lambda_max and the irredundant covectors.
 """
 
 from fractions import Fraction
@@ -30,7 +31,7 @@ from operator import mul
 from typing import NamedTuple
 
 from ..errors import UnboundedSlice
-from .cone import Cone, _cut, _triangulate_rays
+from .cone import Cone, _cut, _incidence, _triangulate_rays
 from .lattice import _TableCache
 from .linalg import _row_reduce, primitivize, vsub
 
@@ -47,24 +48,25 @@ class Fan(NamedTuple):
     simplices: tuple
 
 
-def simplicial_fan(rays, rank) -> Fan:
-    """Triangulate cone(rays), spanning R^rank, on its own rays (n are one simplex)."""
-    rays = tuple(sorted(rays))
+def simplicial_fan(incidence, rank) -> Fan:
+    """Triangulate a cone spanning R^rank on its own rays, given with the
+    bitsets of their tight halfspaces (``cone._triangulate_rays``)."""
+    rays = tuple(sorted(r for r, _ in incidence))
     index = {r: i for i, r in enumerate(rays)}
     simplices = tuple((abs(_row_reduce(tau, rank)[2]), tuple(index[r] for r in tau))
-                      for tau in ([rays] if len(rays) == rank else _triangulate_rays(rays)))
+                      for tau in _triangulate_rays(incidence, rank))
     return Fan(rank=rank, rays=rays, simplices=simplices)
 
 
 @lru_cache(maxsize=4096)
 def cone_fan(c: Cone) -> Fan:
     """The simplicial fan of a cone, built once per cone."""
-    return simplicial_fan(c.rays, c.rank)
+    return simplicial_fan(_incidence(c.rays, c.halfspaces), c.rank)
 
 
-# At most 256 decompositions, whose fans hold at most 4096 simplices: a
+# At most 256 decompositions, whose fans hold at most 32768 simplices: a
 # filtration's are read while it is in use, so a short store keeps the hits.
-@partial(_TableCache, 256, 1 << 12, lambda found: sum(len(fan.simplices) for _, fan in found))
+@partial(_TableCache, 256, 1 << 15, lambda found: sum(len(fan.simplices) for _, fan in found))
 def chambers(c: Cone, covectors):
     """((z_j, Fan of chamber j), ...) for g = min_j <z_j, .> on the cone c.
 
@@ -82,8 +84,7 @@ def chambers(c: Cone, covectors):
     """
     covs = list(dict.fromkeys(covectors))
     n, m = c.rank, len(c.halfspaces)
-    start = [(r, sum(1 << k for k, h in enumerate(c.halfspaces) if not sum(map(mul, h, r))))
-             for r in c.rays]
+    start = _incidence(c.rays, c.halfspaces)
     found = []
     for j, zj in enumerate(covs):
         rays = start
@@ -94,7 +95,7 @@ def chambers(c: Cone, covectors):
                 if all(z & bit for _, z in rays):
                     break
         else:
-            found.append((zj, [r for r, _ in rays]))
+            found.append((zj, rays))
     if len(found) == 1:
         return ((found[0][0], cone_fan(c)),)
     return tuple((z, simplicial_fan(rays, n)) for z, rays in found)

@@ -20,9 +20,10 @@ echelon form is the integer rows over d.  The rational entry points scale
 each row once to integers first: ``mat_rank`` counts the pivots, ``det``
 reads d over the row scales, ``solve`` and ``nullspace`` read the carried
 right-hand side and the free columns over d.  The H/V conversion (which
-also enumerates vertices), the chamber fans and cone triangulation hold
-integer rows already and call the kernel directly.  The library targets rank <= 4, so these routines
-favour clarity and exactness over asymptotics.  ``smith_diagonal`` is the
+also enumerates vertices) and the |det| of each simplex of a fan hold
+integer rows already and call the kernel directly; the triangulation
+itself reads incidences and eliminates nothing.  These routines favour
+clarity and exactness over asymptotics.  ``smith_diagonal`` is the
 separate unimodular integer elimination that lattice indices need.
 """
 

@@ -15,8 +15,8 @@ from operator import mul
 from typing import NamedTuple
 
 from ..errors import Unbounded, UnboundedSlice, ZeroVolume
-from .cone import Cone, _facet_normals, _of_length, _triangulate_rays
-from .linalg import _integer_row, det, dot, frac, mat_rank, primitivize, vec, vzero
+from .cone import Cone, _facet_normals, _incidence, _of_length, _triangulate_rays
+from .linalg import _integer_row, det, dot, frac, primitivize, vec, vzero
 
 
 class Polytope(NamedTuple):
@@ -126,9 +126,11 @@ def triangulate(p: Polytope):
     if not p.bounded:
         raise Unbounded("cannot triangulate an unbounded polyhedron")
     prim = {primitivize(tuple(v) + (Fraction(1),)): v for v in p.vertices}
-    if mat_rank(list(prim)) < p.dim + 1:
+    normals = _facet_normals(list(prim), p.dim + 1)
+    if not normals:
         return []  # lower-dimensional: nothing of full measure to triangulate
-    return [tuple(prim[r] for r in simplex) for simplex in _triangulate_rays(prim)]
+    return [tuple(prim[r] for r in simplex)
+            for simplex in _triangulate_rays(_incidence(prim, normals), p.dim + 1)]
 
 
 def _simplex_volume(verts):
@@ -141,10 +143,6 @@ def volume(p: Polytope) -> Fraction:
     """Exact Euclidean volume of a bounded polytope (0 if degenerate)."""
     if not p.bounded:
         raise Unbounded("volume of an unbounded polyhedron")
-    if len(p.vertices) <= p.dim:
-        return Fraction(0)
-    if mat_rank([[x - y for x, y in zip(v, p.vertices[0])] for v in p.vertices[1:]]) < p.dim:
-        return Fraction(0)
     return sum(map(_simplex_volume, triangulate(p)), Fraction(0))
 
 
@@ -154,14 +152,13 @@ def barycenter(p: Polytope):
         raise Unbounded("barycenter of an unbounded polyhedron")
     total = Fraction(0)
     acc = list(vzero(p.dim))
-    if len(p.vertices) > p.dim:
-        for s in triangulate(p):
-            w = _simplex_volume(s)
-            if w == 0:
-                continue
-            centroid = [sum(v[i] for v in s) / (p.dim + 1) for i in range(p.dim)]
-            total += w
-            acc = [a + w * c for a, c in zip(acc, centroid)]
+    for s in triangulate(p):
+        w = _simplex_volume(s)
+        if w == 0:
+            continue
+        centroid = [sum(v[i] for v in s) / (p.dim + 1) for i in range(p.dim)]
+        total += w
+        acc = [a + w * c for a, c in zip(acc, centroid)]
     if total == 0:
         raise ZeroVolume("degenerate polytope has no barycenter")
     return tuple(a / total for a in acc)
@@ -223,8 +220,6 @@ def integrate_pl(p: Polytope, g: PLConcave) -> Fraction:
     for z in g.covectors:  # duplicates would make chambers overlap fully
         if z not in covs:
             covs.append(z)
-    if len(p.vertices) == 1:
-        return Fraction(0)
     total = Fraction(0)
     for j, zj in enumerate(covs):
         hs = list(p.halfspaces)
@@ -233,14 +228,9 @@ def integrate_pl(p: Polytope, g: PLConcave) -> Fraction:
                 continue
             # chamber where zj is minimal: <zj - zi, x> <= 0
             hs.append((tuple(a - b for a, b in zip(zj, zi)), Fraction(0)))
-        verts = enumerate_vertices(hs, p.dim)
-        if len(verts) <= p.dim:
-            continue
-        chamber = Polytope(dim=p.dim, vertices=tuple(verts), recession_rays=(),
-                           halfspaces=tuple(hs))
-        if mat_rank([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]) < p.dim:
-            continue
-        for s in triangulate(chamber):
+        chamber = Polytope(dim=p.dim, vertices=tuple(enumerate_vertices(hs, p.dim)),
+                           recession_rays=(), halfspaces=tuple(hs))
+        for s in triangulate(chamber):  # none when the chamber is lower-dimensional
             w = _simplex_volume(s)
             if w == 0:
                 continue

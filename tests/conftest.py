@@ -8,7 +8,7 @@ import pytest
 
 from conestab import from_rays, monomial_filtration, toric_filtration
 from conestab.errors import DegenerateCone
-from conestab.exactgeom.cone import Cone, _distinct, _triangulate_rays, _validate
+from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _validate
 from conestab.exactgeom.fan import Fan, _moments
 from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
 
@@ -80,13 +80,34 @@ def scan_facet_normals(rays, n):
     return sorted(normals)
 
 
+def scan_triangulation(rays):
+    """Cold reference of ``cone._triangulate_rays``: the same pulling
+    triangulation, recursive on faces, each face's facets found afresh by
+    the H/V conversion in the pivot coordinates of its row-reduced rays
+    (projecting onto the pivot columns is injective on the span of the rays,
+    so it keeps every facet and tight set).  The simplices come in recursion
+    order, each a sorted ray tuple."""
+    rays = sorted(rays)
+    pivots = _row_reduce(rays, len(rays[0]))[1]
+    if len(rays) == len(pivots):
+        return [tuple(rays)]
+    apex = rays[0]
+    coords = {r: tuple(r[c] for c in pivots) for r in rays}
+    simplices = []
+    for h in _facet_normals(list(coords.values()), len(pivots)):
+        tight = [r for r in rays if not sum(map(mul, h, coords[r]))]
+        if apex not in tight:
+            simplices += [tuple(sorted((apex,) + tau)) for tau in scan_triangulation(tight)]
+    return simplices
+
+
 def scan_fan(rays, rank):
-    """Cold reference of ``fan.simplicial_fan``: every simplex of
-    ``_triangulate_rays``, with |det| from the Fraction ``det``."""
+    """Cold reference of ``fan.simplicial_fan``: the sorted simplices of
+    ``scan_triangulation``, with |det| from the Fraction ``det``."""
     rays = tuple(sorted(rays))
     index = {r: i for i, r in enumerate(rays)}
     return Fan(rank, rays, tuple((abs(int(det(tau))), tuple(index[r] for r in tau))
-                                 for tau in _triangulate_rays(rays)))
+                                 for tau in sorted(scan_triangulation(rays))))
 
 
 def scan_chambers(c, covectors):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -25,6 +26,7 @@ from conestab.exactgeom.cone import _distinct
 from conestab.exactgeom.fan import _chamber_key, _chamber_rows, chambers, cone_fan
 from conestab.exactgeom.linalg import _integer_covectors, mat_rank, primitivize
 from conestab.filtration import monomial_filtration
+from conestab.invariants import lambda_max_closed, s_closed
 from conestab.singularity import from_rays
 from conftest import (
     fan_moments,
@@ -33,6 +35,7 @@ from conftest import (
     scan_chambers,
     scan_cone,
     scan_facet_normals,
+    scan_fan,
 )
 
 F = Fraction
@@ -193,6 +196,19 @@ def test_chambers_store_reports_hits_and_misses():
     assert chambers.cache_info() == (0, 0, 256, 0)
 
 
+def test_large_decomposition_is_built_once():
+    # The canonical cone over (P^1)^7: its weight cone, over the 7-cube, has
+    # 7! = 5,040 simplices, and so do the two chambers of this filtration
+    # together, above 4,096.  The store keeps them, so the reduction builds
+    # the decomposition and S and lambda_max read it.
+    s = from_rays([(1, *(a * (j == i) for j in range(7))) for i in range(7) for a in (1, -1)])
+    xi0 = (8,) + (0,) * 7
+    chambers.cache_clear()
+    F_ = monomial_filtration(s, [(2, 1) + (0,) * 6, (2, 0, 1) + (0,) * 5])
+    assert s_closed(s, xi0, F_) == F(5, 24) and lambda_max_closed(s, xi0, F_) == F(3, 8)
+    assert chambers.cache_info() == (2, 1, 256, 1) and chambers.weight == 5040
+
+
 def test_reduction_stores_the_decomposition_of_the_reduced_rows():
     # A redundant covector changes no full-dimensional chamber, so the
     # decomposition built while reducing is stored under the reduced rows'
@@ -238,6 +254,21 @@ def chamber_cases(draw):
     return c, tuple(draw(st.permutations(covs)))
 
 
+def _cube_cone(n):
+    """The cone over the (n-1)-cube: rays (1, +-1, ..., +-1)."""
+    return cone_from_rays([(1, *v) for v in product((1, -1), repeat=n - 1)])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_fans_of_cube_and_cross_polytope_cones_match_reference(n):
+    # The cube cone's pulling triangulation has (n-1)! simplices, and the
+    # cross-polytope cone's (its dual) 2^(n-2): the same sets, sorted, as
+    # the recursion that converts each face afresh.
+    for c, count in [(_cube_cone(n), factorial(n - 1)), (dual_cone(_cube_cone(n)), 2 ** (n - 2))]:
+        got = cone_fan(c)
+        assert got == scan_fan(c.rays, n) and len(got.simplices) == count
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=chamber_cases())
 def test_chambers_match_facet_scan_reference(case):
@@ -271,13 +302,27 @@ def _outcome(build, rays):
 
 
 def scan_halfspace_cone(halfspaces):
-    """Cold reference of ``cone_from_halfspaces``: the rays by a scan of the
+    """Cold reference of ``cone_from_halfspaces``: covectors that do not span
+    leave a line in the cone; otherwise the rays by a scan of the
     covectors, then ``scan_cone``."""
     hs, n = _distinct((primitivize(h) for h in halfspaces), "halfspaces")
+    if mat_rank(hs) < n:
+        raise DegenerateCone("halfspace cone is not pointed")
     rays = scan_facet_normals(hs, n)
     if mat_rank(rays) < n:
         raise DegenerateCone("halfspace cone is not full-dimensional")
     return scan_cone(rays)
+
+
+@pytest.mark.parametrize("halfspaces, error", [
+    ([(0, 1)], "not pointed"),  # the half-plane: full-dimensional, with a line
+    ([(1, 0), (0, 1), (-1, -1)], "not full-dimensional"),  # only the origin
+    ([(1, 0), (-1, 0), (0, 1)], "not full-dimensional"),  # a ray
+])
+def test_degenerate_halfspace_cones(halfspaces, error):
+    for build in (cone_from_halfspaces, scan_halfspace_cone):
+        with pytest.raises(DegenerateCone, match=f"^halfspace cone is {error}$"):
+            build(halfspaces)
 
 
 @settings(max_examples=400, deadline=None)
@@ -308,7 +353,8 @@ def test_chamber_cut_makes_no_elimination(monkeypatch):
         monkeypatch.setattr(module, "_row_reduce", counted)
     built = []
     with monkeypatch.context() as stub:
-        stub.setattr(fan, "simplicial_fan", lambda rays, n: built.append(sorted(rays)))
+        stub.setattr(fan, "simplicial_fan",
+                     lambda incidence, n: built.append(sorted(r for r, _ in incidence)))
         chambers.__wrapped__(c, covs)
     assert calls == []
     assert built == [[(0, 0, 1), (0, 1, 0), (1, 1, 1)], [(0, 0, 1), (1, 0, 0), (1, 1, 1)],

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conestab import invariants
 from conestab.exactgeom import cone, fan, linalg
 from conestab.invariants import delta_T, vol
 from conestab.optimize import minimize_nvol
@@ -139,11 +140,8 @@ def test_canonical_cone_over_the_cube_fan():
     assert delta_T(s, xi0)[0] == 1
 
 
-@pytest.mark.parametrize("name", ["rank6_cross.json", "rank6_cube.json"])
-def test_rank6_cone_takes_few_eliminations(monkeypatch, name):
-    # The double description builds the cone from one elimination per
-    # conversion; the subset scan of the 10 and 32 rays and of their 32 and
-    # 10 normals made 201,631 row reductions in from_rays on either cone.
+def _count_row_reductions(monkeypatch):
+    """The list that every later ``_row_reduce`` call appends its row count to."""
     calls, kernel = [], linalg._row_reduce
 
     def counted(rows, ncols):
@@ -152,5 +150,62 @@ def test_rank6_cone_takes_few_eliminations(monkeypatch, name):
 
     for module in (cone, fan, linalg):
         monkeypatch.setattr(module, "_row_reduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rank6_cross.json", "rank6_cube.json"])
+def test_rank6_cone_takes_few_eliminations(monkeypatch, name):
+    # The double description builds the cone from one elimination per
+    # conversion; the subset scan of the 10 and 32 rays and of their 32 and
+    # 10 normals made 201,631 row reductions in from_rays on either cone.
+    calls = _count_row_reductions(monkeypatch)
     s, _ = _document(name)
     assert s.rank == 6 and 0 < len(calls) < 50
+
+
+def test_rank7_volume_takes_one_elimination_per_simplex(monkeypatch):
+    # The weight cone of the canonical cone over (P^1)^6 is the cone over
+    # the 6-cube, whose pulling triangulation has 6! = 720 simplices.  The
+    # triangulation reads the ray-facet incidences alone, so vol makes one
+    # row reduction per simplex, for its |det|; the recursion that converted
+    # every face afresh made 2,474.
+    s, xi0 = _document("rank7_cross.json")
+    fan.cone_fan.cache_clear()
+    invariants._vol_cached.cache_clear()
+    calls = _count_row_reductions(monkeypatch)
+    assert vol(s, xi0) == F(factorial(7) * 2 ** 6, 7 ** 8)
+    assert len(calls) == 720 == factorial(6)
+
+
+# The canonical cone over a product of toric Fano manifolds has the rays
+# (1, v) for the rays v of every factor's fan, each in its own coordinates.
+# A product of Kaehler-Einstein ones is Kaehler-Einstein, so the minimal nvol
+# is (-K)^d, the multinomial coefficient times the product of the factors'
+# degrees (Martelli-Sparks-Yau, hep-th/0503183; Li-Liu-Xu), and delta_T = 1
+# at xi0 = (n, 0, ..., 0) (Blum-Jonsson).
+P1 = [(1,), (-1,)]
+PRODUCTS = [
+    ((P2, P2), 486),  # 4!/(2! 2!) 9 * 9
+    ((DP3, DP3), 216),  # 4!/(2! 2!) 6 * 6
+    ((P2, P2, P2), 65610),  # 6!/(2! 2! 2!) 9^3
+    ((DP3, P2, P1, P1), 38880),  # 6!/(2! 2!) 6 * 9 * 2 * 2
+    ((P1,) * 6, 46080),  # 6! 2^6
+]
+
+
+def _cone_over_product(factors):
+    d = sum(len(f[0]) for f in factors)
+    rays, before = [], 0
+    for f in factors:
+        k = len(f[0])
+        rays += [(1, *(0,) * before, *v, *(0,) * (d - before - k)) for v in f]
+        before += k
+    return from_rays(rays)
+
+
+@pytest.mark.parametrize("factors, value", PRODUCTS)
+def test_kaehler_einstein_products(factors, value):
+    s = _cone_over_product(factors)
+    r = minimize_nvol(s)
+    assert r.nvol_value == value and r.certificate_gap == 0
+    assert delta_T(s, (s.rank,) + (0,) * (s.rank - 1))[0] == 1

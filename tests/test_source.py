@@ -100,6 +100,22 @@ def test_one_hv_conversion():
     assert found == []
 
 
+def test_triangulation_reads_incidences_only():
+    # The H/V conversion runs once per cone: in the cone constructors, in
+    # enumerate_vertices and once in polytope.triangulate.  The
+    # triangulation recurses on the ray-facet incidences, so it neither
+    # converts nor row-reduces a face.
+    assert _call_scopes("_facet_normals") == [
+        ("cone.py", "_cone"), ("cone.py", "_cone"), ("cone.py", "cone_from_halfspaces"),
+        ("polytope.py", "enumerate_vertices"), ("polytope.py", "triangulate")]
+    tree = ast.parse((SRC / "exactgeom" / "cone.py").read_text())
+    [body] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_triangulate_rays"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(body) if isinstance(node, ast.Call)}
+    assert "pull" in called and called & {"_row_reduce", "_facet_normals"} == set()
+
+
 def test_transform_rows_are_read_only_in_the_filtration_layer():
     # Every other module reads a filtration's integer rows through
     # filtration._rows(s, F), which checks that F is over s, so a new
