@@ -154,8 +154,6 @@ def barycenter(p: Polytope):
     acc = list(vzero(p.dim))
     for s in triangulate(p):
         w = _simplex_volume(s)
-        if w == 0:
-            continue
         centroid = [sum(v[i] for v in s) / (p.dim + 1) for i in range(p.dim)]
         total += w
         acc = [a + w * c for a, c in zip(acc, centroid)]
@@ -174,8 +172,6 @@ def second_moment(p: Polytope):
     M = [[Fraction(0)] * n for _ in range(n)]
     for s in triangulate(p):
         w = _simplex_volume(s)
-        if w == 0:
-            continue
         total = [sum(v[i] for v in s) for i in range(n)]
         scale = w / ((n + 1) * (n + 2))
         for i in range(n):
@@ -232,8 +228,6 @@ def integrate_pl(p: Polytope, g: PLConcave) -> Fraction:
                            recession_rays=(), halfspaces=tuple(hs))
         for s in triangulate(chamber):  # none when the chamber is lower-dimensional
             w = _simplex_volume(s)
-            if w == 0:
-                continue
             centroid = [sum(v[i] for v in s) / (p.dim + 1) for i in range(p.dim)]
             total += w * dot(zj, centroid)
     return total

@@ -282,7 +282,9 @@ def delta_T(s: ConeSingularity, xi0):
     A / (A(xi0) S) is least on an extreme ray of sigma: the value is the
     minimum of A over the rays scaled onto A(xi0) S = 1, always <= 1 (the
     polarization itself has ratio 1).  A unique minimizing ray is returned
-    as it is; where several tie, the Charnes-Cooper LP picks the ray.
+    as it is; where several tie, the Charnes-Cooper LP picks the ray: min
+    <u, y> over y in sigma with A(xi0) <alpha0, y> = 1, a polytope, as
+    alpha0 is positive on the rays of sigma.
     """
     x, L = _xi_row(xi0, s.rank)
     d, Ld = _okounkov_cached(s.weight_cone, x, L).alpha0_ints
@@ -294,9 +296,8 @@ def delta_T(s: ConeSingularity, xi0):
         value = Fraction(Ld * num * a0.denominator, Lu * p * a0.numerator)
         y = s.sigma.rays[first]
     else:
-        from .exactgeom.lp import fractional_lp
         den = tuple(a0 * Fraction(ai, Ld) for ai in d)
-        value, y = fractional_lp(s.u, den, s.sigma.halfspaces, sense="min")
+        value, y = lp_solve(s.u, [(den, "==", 1)] + [(h, ">=", 0) for h in s.sigma.halfspaces])
     if value > 1:
         raise IdentityViolated(f"delta_T returned {value} > 1")
     return value, primitivize(y)
@@ -430,14 +431,14 @@ def inf_twist_s(s: ConeSingularity, xi0, eta):
 
     Twisting wt_eta by xi gives wt_(eta+xi), admissible whenever eta + xi
     stays in the Reeb cone; the twisted vector therefore ranges over the
-    whole cone and the infimum is an LP over its closure.  Returns
-    (value, minimizing twisted vector).
+    whole cone, where S(xi0; .) = <alpha0, .>.  alpha0 is interior to the
+    weight cone, so <alpha0, .> > 0 on sigma minus the origin, and the
+    infimum is 0, attained only at the origin.  Returns (value, minimizing
+    twisted vector) = (0, 0) once xi0 and eta are checked.
     """
     _xi_row(eta, s.rank)
-    alpha0 = okounkov_body(s, xi0).alpha0
-    cons = [(h, ">=", Fraction(0)) for h in s.sigma.halfspaces]
-    res = lp_solve(alpha0, cons, sense="min")
-    return res.value, res.point
+    okounkov_body(s, xi0)
+    return Fraction(0), (Fraction(0),) * s.rank
 
 
 def delta_red_objective(s: ConeSingularity, xi0, eta) -> Fraction:

@@ -14,7 +14,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import ParseError, ToleranceNotReached
+from .errors import IdentityViolated, ParseError, ToleranceNotReached
 from .exactgeom import frac
 from .exactgeom.fan import _fan_sums, cone_fan
 from .exactgeom.linalg import _integer_row, _solve_rows
@@ -82,16 +82,16 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 
     Works on {A = 1}, where nvol equals vol.  Steps: exact Newton direction
     from the integer fan sums (``fan._fan_sums``; the reduced Hessian is
-    asked for only where a step is taken, steepest descent if it is
-    singular), rational rounding of the float trial point (denominators
-    capped), exact descent check, at most once per candidate and step.  The
-    loop ends at once where the reduced gradient is exactly zero, and that
-    iterate is returned unrounded; otherwise a rounding ladder looks for a
-    simpler point that does not increase the value.  The certificate is the
-    convexity bound vol(x*) + <grad, y - x*> minimized over the slice
-    polytope {y in sigma : <u, y> = 1}, which is linear in y and so least
-    at a vertex v / <u, v>, v a ray of sigma (no LP is needed); at an
-    exactly stationary point the gap is exactly zero.  A gap still above a
+    asked for only where a step is taken, and is positive definite as vol
+    is strictly convex on the slice), rational rounding of the float trial
+    point (denominators capped), exact descent check, at most once per
+    candidate and step.  The loop ends at once where the reduced gradient
+    is exactly zero, or where no rounded trial point descends, and the
+    last iterate is the result.  The certificate is the convexity bound
+    vol(x*) + <grad, y - x*> minimized over the slice polytope
+    {y in sigma : <u, y> = 1}, which is linear in y and so least at a
+    vertex v / <u, v>, v a ray of sigma (no LP is needed); at an exactly
+    stationary point the gap is exactly zero.  A gap still above a
     positive ``tol`` is polished by exact Newton steps, each rounded with
     no float at denominators 10^3 / tol, 10^6 / tol, ... (POLISH_ROUNDS).
     The alignment residual alpha0 - u reads alpha0 off the volume and
@@ -120,15 +120,15 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
 
     def newton(x, L, Q, b):
         """The step at x / L as (w, D), w / D.  With hess = L^(n+2) H / Q^3,
-        -T (T^t hess T)^-1 T^t grad is (Q / L) T y for (T^t H T) y = b; a
-        singular T^t H T falls back to -T T^t grad = L^(n+1) T b / (u_p Q)^2."""
+        -T (T^t hess T)^-1 T^t grad is (Q / L) T y for (T^t H T) y = b."""
         H = _fan_sums(fan, x, 2)[3]
         y = _solve_rows([[*(sum(a * H[max(i, j)][min(i, j)] * c for i, a in enumerate(ti)
                                 for j, c in enumerate(tj)) for tj in tangent), bi]
                          for ti, bi in zip(tangent, b)], n - 1)
-        if y is not None:
-            return [Q * sum(map(mul, y[0], col)) for col in zip(*tangent)], L * y[1]
-        return [L ** (n + 1) * sum(map(mul, b, col)) for col in zip(*tangent)], (u[p] * Q) ** 2
+        if y is None:
+            raise IdentityViolated("reduced Hessian of vol is singular, but vol is strictly "
+                                   "convex on the slice")
+        return [Q * sum(map(mul, y[0], col)) for col in zip(*tangent)], L * y[1]
 
     # Interior start on the slice.  The iterate is point = (x, L), with the
     # order-1 sums (Q, V, G) there; its value is L^n V / Q.
@@ -136,8 +136,7 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
     Q, V, G, _ = _fan_sums(fan, point[0], 1)
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
         b = [sum(map(mul, t, G)) for t in tangent]  # -Q^2 / L^(n+1) times T^t grad
-        stationary = not any(b)
-        if stationary:
+        if not any(b):
             break  # by strict convexity nothing descends, not even a rounding
         (x, L), fx = point, (point[1] ** n * V, Q)
         w, D = newton(x, L, Q, b)
@@ -153,17 +152,6 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
             break
         point = cand
         Q, V, G, _ = _fan_sums(fan, point[0], 1)
-
-    # Prefer the simplest rational point near the iterate that does not
-    # increase the value; exact minimizers of small height are recovered.
-    # An exactly stationary iterate is kept as it is: every other point of
-    # the slice has a larger value, so the ladder could only return it.
-    for max_den in () if stationary else (1, 2, 3, 4, 6, 10, 100, 10 ** 4):
-        cand = _round_to_slice(s, *point, max_den)
-        if below(cand, (point[1] ** n * V, Q), False):
-            point = cand
-            Q, V, G, _ = _fan_sums(fan, point[0], 1)
-            break
 
     def gap_at(x, L):  # <grad, xi> - _slice_min(s, grad) for grad = -L^(n+1) G / Q^2
         return (Fraction(-sum(map(mul, G, x)), L) - _slice_min(s, [-g for g in G])) \

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from conestab import optimize
-from conestab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _parse_levels, main
+from conestab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, InputDocument, _parse_levels, main
+from conestab.estimators import gamma_semigroup
+from conestab.filtration import toric_filtration
 from conestab.invariants import InvariantReport
 
 F = Fraction
@@ -360,6 +362,38 @@ def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where,
     assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID
     anchor = where if where.startswith("--") else path + where
     assert capsys.readouterr().err == f"error: {anchor}: {message}\n"
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("[1, 2]", "", "top level must be an object"),
+    (json.dumps(dict(C2_DOC, rays=[])), ".rays", "need a nonempty list of rays"),
+    (json.dumps(dict(C2_DOC, coefficients=["0"])), ".coefficients",
+     "need one coefficient per ray"),
+    (json.dumps({k: v for k, v in C2_DOC.items() if k != "reeb"}), ".reeb", "missing field"),
+    (json.dumps(dict(C2_DOC, filtrations={"F": [1, 2]})), ".filtrations.F",
+     "need an object with 'covectors'"),
+    (json.dumps(dict(C2_DOC, rays=[[1, 0], [0, 1, 1]])), ".rays[1]",
+     "expected a vector of length 2"),
+    ('{"rank": 2,', "", "invalid JSON at line 1, column 12"),
+    (None, "", "[Errno 2] No such file or directory: '{path}'"),
+], ids=["top-level-list", "rays-empty", "coefficients-count", "reeb-missing",
+        "filtration-not-object", "ray-length", "json-truncated", "file-missing"])
+def test_document_error_exits_2_with_one_anchored_line(tmp_path, capsys, text, where, message):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {path}{where}: {message.format(path=path)}\n"
+
+
+def test_okounkov_levels_without_filtration_sample_the_toric_filtration(doc_path, capsys):
+    # With no --filtration the cloud is that of the polarization's own
+    # toric filtration at threshold 0.
+    assert main(["okounkov", doc_path(C2_DOC), "--levels", "2"]) == EXIT_OK
+    doc = InputDocument(C2_DOC)
+    s, reeb = doc.singularity, doc.reeb
+    sample = gamma_semigroup(s, reeb, toric_filtration(s, reeb), 2, 0)
+    assert json.loads(capsys.readouterr().out)["gamma"] == {"2": [list(p) for p in sample.points]}
 
 
 def test_document_levels_match_option(doc_path, capsys):

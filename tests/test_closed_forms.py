@@ -7,7 +7,8 @@ the Charnes-Cooper LP of delta_T.  The values must agree on every draw.
 The optimal point (twist, lct minimizer, delta_T ray) is an output, and an
 LP picks one vertex of its optimal face, so the points must agree whenever
 the closed path is taken; the library runs the LP only where the closed
-form does not fix that vertex.  The draws mix ranks 2-4, boundary
+form does not fix that vertex.  delta_T's tie LP has the Charnes-Cooper
+rows in their order, so its ray agrees on both paths.  The draws mix ranks 2-4, boundary
 coefficients, non-simplicial cones, filtrations that vanish on part of the
 boundary and semistable and unstable polarizations, and they build ties
 on purpose so that both paths of each function are reached.
@@ -179,13 +180,11 @@ def _lct_path(s, G):
 
 
 def _delta_T_path(s, xi0):
-    with mock.patch.object(lp_module, "fractional_lp",
-                           wraps=lp_module.fractional_lp) as lp:
+    # The tie LP has fractional_lp's rows in its order, so it picks the same
+    # ray; the closed path's unique minimizing ray is the LP's only optimum.
+    with mock.patch.object(invariants, "lp_solve", wraps=lp_solve) as lp:
         res = invariants.delta_T(s, xi0)
-    value, ray = _ref_delta_T(s, xi0)
-    assert res[0] == value
-    if not lp.called:
-        assert res[1] == ray
+    assert res == _ref_delta_T(s, xi0)
     return lp.called
 
 
@@ -214,6 +213,19 @@ def test_delta_T_matches_charnes_cooper_lp(seed):
     rnd = random.Random(seed)
     s = _cone(rnd)
     event(_label(_delta_T_path(s, _reeb(rnd, s))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_inf_twist_s_matches_its_lp(seed):
+    # alpha0 is interior to the weight cone, so the LP min <alpha0, .> over
+    # sigma has the origin as its only optimum, which is what is returned.
+    rnd = random.Random(seed)
+    s = _cone(rnd)
+    xi0 = _reeb(rnd, s)
+    cons = [(h, ">=", 0) for h in s.sigma.halfspaces]
+    res = lp_solve(okounkov_body(s, xi0).alpha0, cons, sense="min")
+    assert invariants.inf_twist_s(s, xi0, random_reeb(rnd, s)) == (res.value, res.point)
 
 
 def test_draws_reach_closed_form_and_lp_fallback():

@@ -495,25 +495,43 @@ def test_delta_red_objective(c2, a1):
         delta_red_objective(c2, (1, 2), (1, 1))
 
 
-@pytest.mark.parametrize("call, value", [
-    (lambda s: delta_T(s, (1, 1)), F(2)),
-    (lambda s: delta_red_objective(s, (1, 1), (1, 1)), F(1, 2)),
+@pytest.mark.parametrize("call, lp, value", [
+    (lambda s: delta_T(s, (1, 1)), "conestab.invariants.lp_solve", F(2)),
+    (lambda s: delta_red_objective(s, (1, 1), (1, 1)), "conestab.exactgeom.lp.fractional_lp",
+     F(1, 2)),
 ], ids=["delta_T", "delta_red_objective"])
-def test_identity_checks_raise_typed_error(c2, monkeypatch, call, value):
-    # both rays of C^2 tie at xi0 = (1, 1), so each check sits behind the LP
-    import conestab.exactgeom.lp as lp
+def test_identity_checks_raise_typed_error(c2, monkeypatch, call, lp, value):
+    # both rays of C^2 tie at xi0 = (1, 1), so each check sits behind an LP
     calls = []
-    monkeypatch.setattr(lp, "fractional_lp",
-                        lambda *args, **kwargs: calls.append(args) or (value, (1, 0)))
+    monkeypatch.setattr(lp, lambda *args, **kwargs: calls.append(args) or (value, (1, 0)))
     with pytest.raises(IdentityViolated):
         call(c2)
+    assert len(calls) == 1
+
+
+def test_delta_T_tie_solves_one_lp_on_sigma_as_built(c2, monkeypatch):
+    # Both rays of C^2 tie at xi0 = (1, 1).  The tie LP reads sigma's
+    # halfspaces as they are, so no cone is rebuilt from them.
+    import conestab.exactgeom.cone as cone
+    import conestab.exactgeom.lp as lp
+    import conestab.invariants as inv
+    calls, solve = [], inv.lp_solve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_T rebuilt sigma for its tie LP")
+
+    monkeypatch.setattr(inv, "lp_solve", lambda *args, **kwargs: calls.append(args)
+                        or solve(*args, **kwargs))
+    for module, name in ((lp, "fractional_lp"), (cone, "cone_from_halfspaces"),
+                         (cone, "_facet_normals")):
+        monkeypatch.setattr(module, name, refuse)
+    assert delta_T(c2, (1, 1)) == (1, (0, 1))
     assert len(calls) == 1
 
 
 def test_delta_T_identity_check_on_ray_path(c2, monkeypatch):
     # At xi0 = (1, 2) the ray (1, 0) alone has the least ratio, 2/3, so no
     # LP runs.  Halving alpha0 doubles every ratio, and the least is 4/3.
-    import conestab.exactgeom.lp as lp
     import conestab.invariants as inv
     real = inv._okounkov_cached
 
@@ -525,7 +543,7 @@ def test_delta_T_identity_check_on_ray_path(c2, monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("delta_T ran the LP on a unique minimizing ray")
 
-    monkeypatch.setattr(lp, "fractional_lp", no_lp)
+    monkeypatch.setattr(inv, "lp_solve", no_lp)
     assert delta_T(c2, (1, 2)) == (F(2, 3), (1, 0))
     monkeypatch.setattr(inv, "_okounkov_cached", halved)
     with pytest.raises(IdentityViolated, match="4/3"):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conestab.errors import DegenerateCone, NotKlt, NotQGorenstein, ParseError, ToleranceNotReached
+from conestab.errors import (DegenerateCone, IdentityViolated, NotKlt, NotQGorenstein, ParseError,
+                             ToleranceNotReached)
 from conestab.invariants import okounkov_body, semistable_verdict, vol, vol_derivative
 from conestab import optimize
 from conestab.exactgeom import dot
@@ -34,8 +35,11 @@ def _ref_round_to_slice(s, x, max_den):
 
 def _ref_minimize_nvol(s):
     """``minimize_nvol`` as it was on Fractions: the same Newton steps,
-    float trial points rounded by ``Fraction.limit_denominator``, the same
-    rounding ladder and certificate, and no polishing."""
+    float trial points rounded by ``Fraction.limit_denominator`` and the
+    same certificate, with no polishing.  It keeps the steepest-descent
+    step for a singular reduced Hessian and the final rounding ladder that
+    the library dropped, so every draw checks that they never changed a
+    result."""
     n = s.rank
     fan = cone_fan(s.weight_cone)
 
@@ -231,9 +235,9 @@ def test_minimize_nvol_simplicial_oracle():
 ])
 def test_minimize_nvol_stops_at_exact_stationarity(monkeypatch, rays, coeffs):
     # Once the reduced gradient is exactly zero no rounded candidate can
-    # descend: neither the line search nor the final rounding ladder may
-    # round anything after the last gradient evaluation, which is the one at
-    # the returned point, and no Hessian is asked for there.
+    # descend: the line search may round nothing after the last gradient
+    # evaluation, which is the one at the returned point, and no Hessian is
+    # asked for there.
     events = []
     round_to_slice, fan_sums = optimize._round_to_slice, optimize._fan_sums
 
@@ -260,16 +264,10 @@ def test_minimize_nvol_evaluates_no_candidate_twice_in_an_iteration(monkeypatch)
     # On dP1 the line search used to round 172 times and evaluate the volume
     # 132 times on only 10 distinct points.  The value to beat is fixed
     # until a candidate descends, so a rejected one is not evaluated again
-    # in that iteration; the pinned results stay as they were.  A point is
-    # rounded as x / den and recorded as x in lowest terms; an evaluation
-    # is the volume alone, the order-0 fan sums.
+    # in that iteration; the pinned results stay as they were.  An
+    # evaluation is the volume alone, the order-0 fan sums.
     events = []
-    round_to_slice, fan_sums = optimize._round_to_slice, optimize._fan_sums
-
-    def rounding(s, x, den, max_den, **kwargs):
-        g = gcd(den, *x)
-        events.append(("round", tuple(a // g for a in x)))
-        return round_to_slice(s, x, den, max_den, **kwargs)
+    fan_sums = optimize._fan_sums
 
     def sums(fan, x, order):
         if order == 1:
@@ -278,22 +276,26 @@ def test_minimize_nvol_evaluates_no_candidate_twice_in_an_iteration(monkeypatch)
             events.append(("f", tuple(x)))
         return fan_sums(fan, x, order)
 
-    monkeypatch.setattr(optimize, "_round_to_slice", rounding)
     monkeypatch.setattr(optimize, "_fan_sums", sums)
     r = minimize_nvol(from_rays([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)]))
-    iterations, iterate = [], None
+    iterations = []
     for kind, point in events:
         if kind == "iterate":
-            iterate = point
             iterations.append([])
-        elif kind == "round" and point == iterate:
-            break  # the final rounding ladder rounds the iterate itself
         elif kind == "f":
             iterations[-1].append(point)
     # Some iteration rejects candidates before one descends: 7 evaluations in 5.
     assert len(iterations) == r.iterations and sum(map(len, iterations)) > len(iterations)
     for evaluated in iterations:
         assert len(evaluated) == len(set(evaluated))
+
+
+def test_singular_reduced_hessian_raises_identity_violated(monkeypatch):
+    # vol is strictly convex on the slice, so the Newton system always has a
+    # solution; dP1's start is not stationary, so a step is asked for.
+    monkeypatch.setattr(optimize, "_solve_rows", lambda rows, n: None)
+    with pytest.raises(IdentityViolated, match="singular"):
+        minimize_nvol(from_rays([(1, 0, 0), (1, 1, 0), (1, 2, 2), (1, 0, 1)]))
 
 
 def test_minimize_nvol_rejects_negative_tol(c2):

@@ -116,6 +116,18 @@ def test_triangulation_reads_incidences_only():
     assert "pull" in called and called & {"_row_reduce", "_facet_normals"} == set()
 
 
+def test_lp_runs_only_where_a_tie_leaves_the_point_open():
+    # The lct, reduced-J twist and delta_T solve an LP only on their ties,
+    # and delta_T's tie LP is sigma's halfspaces as built, not fractional_lp,
+    # which would rebuild sigma from them.  inf_twist_s solves none: its
+    # infimum is 0, at the origin.  delta_red_objective's LP is its identity
+    # check.
+    assert _call_scopes("lp_solve") == [
+        ("invariants.py", "_lct_cached"), ("invariants.py", "_reduced_j_twist_lp"),
+        ("invariants.py", "delta_T"), ("lp.py", "fractional_lp")]
+    assert _call_scopes("fractional_lp") == [("invariants.py", "delta_red_objective")]
+
+
 def test_transform_rows_are_read_only_in_the_filtration_layer():
     # Every other module reads a filtration's integer rows through
     # filtration._rows(s, F), which checks that F is over s, so a new
