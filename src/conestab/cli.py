@@ -5,11 +5,14 @@ set of named filtrations (all rationals serialized as "p/q" strings; floats
 are rejected), dispatches the computation, and prints every value both as
 an exact fraction and as a 12-digit decimal.
 
-Exit codes: 0 success, 2 validation failure, 3 budget or tolerance failure.
+Exit codes: 0 success, 2 validation failure, 3 budget or tolerance failure,
+141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ends) when
+stdout is closed before the output is written.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -31,6 +34,7 @@ from .singularity import from_rays, log_discrepancy, reeb_contains
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 def _rat(value, where):
@@ -378,13 +382,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except (BudgetExceeded, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ConestabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:  # the reader is gone: the flush at exit goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

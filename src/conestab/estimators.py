@@ -7,34 +7,32 @@ volume, the order sums against S, the per-level maxima against the top
 slope.  Everything is exact rational bookkeeping; "estimation" refers only
 to the finiteness of the level, never to sampling.
 
-The basis comes as lattice runs, a prefix with a range of the last
-coordinate.  The cached shell table holds the runs, their weight shells
-and the counts N_m, count_gamma and TS0_m.  In rank >= 2 ``sweep`` takes
-level coordinates y = U a (U unimodular, its first row the primitive form
-of xi0) when the slice's prefix box is no larger there: every run lies in
-one shell, and the per-filtration pass reads its order sum and maximum in
-closed form (``filtration._floor_runs``).  In the original coordinates,
-which ``sweep_approx`` always uses, a run's residue classes of the grading
-denominator fill strided slices of shells, counted by +1/-1 pairs in
-strided difference arrays, and the pass adds its orders onto them.
+``sweep`` builds no point: ``fan._shell_sums`` splits the weight cone
+into the simplicial cones of F's chambers, where floor(g) is a start
+value plus a linear form in the generators' multiplicities, and one walk
+over the occupied weights gives every shell's count, order sum and
+maximum, so N_m, TS0_m and count_gamma come from the same counts.  The
+orders of ``sweep_approx`` are DP values, so it reads a cached table of
+lattice runs instead: a run's residue classes of the grading denominator
+fill strided slices of shells, counted by +1/-1 pairs in strided
+difference arrays, and the pass adds its orders onto them.
 """
 
 import csv
 import io
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
-from math import gcd, prod
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
-from .exactgeom import Cone, frac, lattice_points_below
-from .exactgeom.lattice import _box, _checked_budget, _lattice_runs, _TableCache
-from .exactgeom.linalg import _unimodular_completion, smith_diagonal
-from .filtration import MonomialFiltration, _approx_key, _approx_table, _floor_runs, _rows
+from .exactgeom import frac, lattice_points_below
+from .exactgeom.fan import _shell_sums
+from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
+from .exactgeom.linalg import smith_diagonal
+from .filtration import MonomialFiltration, _approx_key, _approx_table, _rows
 from .invariants import _lambda_max_cached, _s_closed_cached, _vol_cached
 from .singularity import ConeSingularity, _xi_row
 
@@ -122,40 +120,14 @@ def _levels(levels):
 
 
 class _ShellTable(NamedTuple):
-    """The filtration-independent part of a sweep below level ``top``."""
+    """The filtration-independent part of ``sweep_approx`` below level ``top``."""
 
-    runs: tuple      # (prefix, lo, hi, at): at is the run's shell when X = 0,
-                     # else its classes as (orders slice, shell slice) pairs
-    flat: bool       # X = 0: every run sits in one shell
-    top: int
-    kept: int        # lattice points below top
-    Ns: tuple        # index m: points below level m
-    TS0s: tuple      # index m: their reference-order sum
-    gammas: tuple    # index m: points at weight <= m
-    W: tuple | None  # runs in level coordinates y, a = W y; None: in a itself
+    runs: tuple       # (prefix, lo, hi, classes): (orders slice, shell slice) pairs
+    counts: list      # index k < top: points in shell k
+    eq_counts: list   # index k < top: points with <xi0, a> = k exactly
 
 
-def _level_frame(wc, xs):
-    """(cone, x, W): the weight cone and the integer row xs = g p of xi0, p
-    primitive, in level coordinates y = U a, U unimodular with first row p
-    and W = U^-1: rays r go to U r, halfspaces h to h W, xs to (g, 0, ...)."""
-    g = gcd(*xs)
-    U, W = _unimodular_completion([x // g for x in xs])
-    cone = Cone(wc.rank, tuple(tuple(sum(map(mul, u, r)) for u in U) for r in wc.rays),
-                tuple(tuple(sum(map(mul, h, col)) for col in zip(*W)) for h in wc.halfspaces))
-    return cone, (g,) + (0,) * (wc.rank - 1), tuple(map(tuple, W))
-
-
-@lru_cache(maxsize=64)
-def _level_coordinates(wc, xs, den, top):
-    """Whether a sweep of xs / den below ``top`` takes level coordinates: in
-    rank >= 2, if the slice's bounding box over the prefix ones is no larger."""
-    def prefixes(c, x):
-        return prod(b - a + 1 for a, b in list(zip(*_box(c, x, top * den)))[:-1])
-    return wc.rank > 1 and prefixes(*_level_frame(wc, xs)[:2]) <= prefixes(wc, xs)
-
-
-def _build_shell_table(wc, xs, den, top, level, budget):
+def _build_shell_table(wc, xs, den, top, budget):
     """Runs, shell slices and counts of the lattice below ``top``.
 
     Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
@@ -163,30 +135,24 @@ def _build_shell_table(wc, xs, den, top, level, budget):
     test "weight is an integer" does not change, so the counts of a class
     are one +1/-1 pair in a difference array of stride |X|, and its orders
     land on one strided slice of shells (only shells up to top + 1 are
-    stored).  When X = 0, as in level coordinates, a run sits in one shell.
+    stored).  When X = 0 a run sits in one shell, and each point is a class
+    of its own, of stride 1.
     """
-    wc, xs, W = _level_frame(wc, xs) if level else (wc, xs, None)
     runs = _lattice_runs(wc, xs, top * den, budget, True)
     *xs, X = xs  # integer weights <xi0 den, a>
-    step = abs(X)
+    step = abs(X) or 1
     # Difference arrays: a class's -1 lands one stride past its last shell.
     counts = [0] * (top + 2)
     eq_counts = [0] * (top + 2)
     table = []
     for prefix, lo, hi in runs:
         w0 = sum(map(mul, xs, prefix))
-        if not X:
-            fw, rem = divmod(w0, den)
-            counts[fw] += hi - lo + 1
-            if not rem:
-                eq_counts[fw] += hi - lo + 1
-            table.append((prefix, lo, hi, fw))
-            continue
+        period = den if X else hi - lo + 1
         classes = []
-        for r in range(min(den, hi - lo + 1)):
+        for r in range(min(period, hi - lo + 1)):
             fw, rem = divmod(w0 + X * (lo + r), den)
-            k = (hi - lo - r) // den + 1
-            src = slice(r, None, den)
+            k = (hi - lo - r) // period + 1
+            src = slice(r, None, period)
             if X < 0:  # walk the class from its lowest shell up
                 fw += X * (k - 1)
                 src = slice(r + den * (k - 1), r - 1 if r else None, -den)
@@ -200,70 +166,39 @@ def _build_shell_table(wc, xs, den, top, level, budget):
     for r in range(min(step, top + 2)):  # prefix sums of stride |X| turn differences into counts
         counts[r::step] = accumulate(counts[r::step])
         eq_counts[r::step] = accumulate(eq_counts[r::step])
-    # Index m of each prefix array aggregates the shells below level m.
-    Ns, TS0s = (tuple(accumulate(x, initial=0)) for x in
-                (counts, [fw * c for fw, c in enumerate(counts)]))
-    return _ShellTable(runs=tuple(table), flat=not X, top=top, kept=Ns[-1], Ns=Ns, TS0s=TS0s,
-                       gammas=tuple(map(add, Ns, eq_counts + [0])), W=W)
+    return _ShellTable(runs=tuple(table), counts=counts[:top], eq_counts=eq_counts[:top])
 
 
-# Shell tables, keyed on (weight cone, x, L, top, level coordinates): at most
-# _TABLES of them, holding at most _TABLE_ENTRIES runs and shells together.
-# A larger table is built for its sweep and dropped after it.
+# Shell tables, keyed on (weight cone, x, L, top): at most _TABLES of them,
+# holding at most _TABLE_ENTRIES runs and shells together.  A larger table
+# is built for its sweep and dropped after it.
 _TABLES = 8
 _TABLE_ENTRIES = 1 << 16
-_shell_table = _TableCache(_TABLES, _TABLE_ENTRIES, lambda table: len(table.runs) + table.top)
+_shell_table = _TableCache(_TABLES, _TABLE_ENTRIES,
+                          lambda table: len(table.runs) + len(table.counts))
 
 
-def _table(s, x, L, levels, budget, level=None):
-    """The shell table of xi0 = x / L below max(levels) + 1, checked against
-    ``budget``, in level coordinates if ``level`` (None: if
-    ``_level_coordinates`` says so).
-
-    The budget is resolved first (CONESTAB_BUDGET when None; negative is a
-    ParseError).  A miss enumerates under it and stores only a complete
-    table; a hit compares the table's point count with it, so both raise
-    the same BudgetExceeded.
-    """
-    budget = _checked_budget(budget)
-    top = levels[-1] + 1
-    level = _level_coordinates(s.weight_cone, x, L, top) if level is None else level
-    key = (s.weight_cone, x, L, top, level)
-    table = _shell_table.get(key)
-    if table is None:
-        table = _shell_table.put(key, _build_shell_table(*key, budget))
-    if table.kept > budget:
-        raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
-    return table
+def _aggregate(s, table, levels, run_orders):
+    """The per-filtration pass over a shell table: ``run_orders(prefix, lo,
+    hi)`` lists the orders along one run, which go onto its shell slices."""
+    sums_ord = [0] * len(table.counts)
+    maxs = [0] * len(table.counts)
+    for prefix, lo, hi, classes in table.runs:
+        orders = run_orders(prefix, lo, hi)
+        for src, dst in classes:
+            os = orders[src]
+            sums_ord[dst] = map(add, sums_ord[dst], os)
+            maxs[dst] = [o if o > m else m for m, o in zip(maxs[dst], os)]
+    return _per_level(s, levels, table.counts, table.eq_counts, sums_ord, maxs)
 
 
-def _aggregate(s, table, levels, run_orders, run_stats=None):
-    """The per-filtration pass over a shell table.
-
-    ``run_orders(prefix, lo, hi)`` lists the orders along one run; they go
-    onto its shell slices, or ``run_stats`` (default: from that list) gives
-    their sum and maximum for a flat table's one shell.  The per-level rows
-    read them next to the table's counts.
-    """
-    if run_stats is None:
-        run_stats = lambda *run: (sum(os := run_orders(*run)), max(os))
-    sums_ord = [0] * (table.top + 1)  # S'_m at the last level needs one extra shell
-    maxs = [0] * (table.top + 1)
-    if table.flat:
-        for prefix, lo, hi, fw in table.runs:
-            total, top = run_stats(prefix, lo, hi)
-            sums_ord[fw] += total
-            maxs[fw] = max(maxs[fw], top)
-    else:
-        for prefix, lo, hi, classes in table.runs:
-            orders = run_orders(prefix, lo, hi)
-            for src, dst in classes:
-                os = orders[src]
-                sums_ord[dst] = map(add, sums_ord[dst], os)
-                maxs[dst] = [o if o > m else m for m, o in zip(maxs[dst], os)]
-    TSs = list(accumulate(sums_ord, initial=0))
+def _per_level(s, levels, counts, eq_counts, sums_ord, maxs):
+    """The rows at ``levels`` from the per-shell point counts, counts at
+    integer weight, order sums and order maxima of the shells below the top
+    level, each a list indexed by shell."""
+    Ns, TS0s, TSs = (list(accumulate(x, initial=0)) for x in
+                     (counts, [k * c for k, c in enumerate(counts)], sums_ord))
     lams = list(accumulate(maxs, max, initial=0))
-    Ns, TS0s = table.Ns, table.TS0s
     per_level = []
     for m in levels:
         N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
@@ -273,7 +208,7 @@ def _aggregate(s, table, levels, run_orders, run_stats=None):
             m=m, N_m=N, TS_m=TS, TS0_m=TS0, S_m=S_m, Sp_m=Sp,
             Spp_m=Fraction((s.rank + 1) * TS, s.rank * m * N),
             lammax_m=Fraction(lams[m], m),
-            count_gamma=table.gammas[m],
+            count_gamma=N + eq_counts[m],
         ))
     return per_level
 
@@ -291,13 +226,13 @@ def sweep(s: ConeSingularity, xi0, F: MonomialFiltration, levels,
 
     Monomials form a basis compatible with every monomial filtration at
     once, so orders are read off pointwise; orders use the integer rounding
-    floor(g), which leaves the S-limit unchanged.  The points are never
-    built: orders and shells are computed a lattice run at a time.
+    floor(g), which leaves the S-limit unchanged.  No point is built: every
+    level comes from one walk over F's chamber cones (``fan._shell_sums``).
     """
     (x, L), levels = _xi_row(xi0, s.rank), _levels(levels)
     target = _target(s, x, L, F)  # checks F's ambient before any enumeration
-    table = _table(s, x, L, levels, budget)
-    per_level = _aggregate(s, table, levels, *_floor_runs(F, table.W))
+    per_level = _per_level(s, levels, *_shell_sums(s.weight_cone, *_rows(s, F), x, L,
+                                                   levels[-1] + 1, _checked_budget(budget)))
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 
 
@@ -305,17 +240,22 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
                  m_filtration: int, levels, budget=None) -> EstimatorSweep:
     """Sweep of the degree-m approximating filtration of F.
 
-    The orders along each run of the shell table are a slice of one run
-    of F's approximation table, whose reference-weight window holds every
-    point below the top level.  Statistics are pointwise below those of the
-    sweep of F and close the gap once the level exceeds the generation
-    degree.
+    The orders along each run of the cached shell table of (weight cone,
+    xi0, top level) are a slice of one run of F's approximation table,
+    whose reference-weight window holds every point below the top level.
+    Statistics are pointwise below those of the sweep of F and close the
+    gap once the level exceeds the generation degree.
     """
     key = _approx_key(F, m_filtration)
     (x, L), levels = _xi_row(xi0, s.rank), _levels(levels)
     budget = _checked_budget(budget)
     target = {**_target(s, x, L, F), "m_filtration": Fraction(m_filtration)}
-    table = _table(s, x, L, levels, budget, level=False)
+    tkey = (s.weight_cone, x, L, levels[-1] + 1)
+    table = _shell_table.get(tkey)
+    if table is None:  # enumerated under the budget, and stored only when complete
+        table = _shell_table.put(tkey, _build_shell_table(*tkey, budget))
+    if sum(table.counts) > budget:  # a hit raises what an enumeration would
+        raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
     ell = s.sigma.interior_point()
     # <ell, .> is linear along a run, so its largest value sits at an end.
     wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)

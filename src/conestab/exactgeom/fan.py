@@ -22,15 +22,20 @@ splits C into the cones on which g is linear, cut from C's rays by the
 double description steps of the one H/V conversion (``cone._cut``), each
 with its fan, triangulated from the incidences the last cut leaves; the
 fans give S, and their rays lambda_max and the irredundant covectors.
+``_shell_sums`` reads the lattice side off the same simplices, made
+half-open: the counts, order sums and order maxima of every level of a
+sweep, each simplicial cone a parallelepiped of start points plus its
+generators (Koeppe and Verdoolaege, Electron. J. Combin. 15, 2008).
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from heapq import heapify, heappop, heappush
 from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from ..errors import UnboundedSlice
+from ..errors import BudgetExceeded, UnboundedSlice
 from .cone import Cone, _cut, _incidence, _triangulate_rays
 from .lattice import _TableCache
 from .linalg import _row_reduce, primitivize, vsub
@@ -178,3 +183,119 @@ def _moments(fan: Fan, x, L, order=2):
     lower = [[Fraction(scale * hess[k][m], Q ** 3) for m in range(k + 1)] for k in range(n)]
     hess_q = tuple(tuple(lower[max(k, m)][min(k, m)] for m in range(n)) for k in range(n))
     return vol_q, grad_q, hess_q
+
+
+def _parallelepiped(c: Cone, tau, x, den, limit, budget, spent):
+    """[(<x, p>, p), ...] for the lattice points p, <x, p> < limit, of the
+    half-open parallelepiped {sum_i lambda_i r_i : 0 <= lambda_i < den} of
+    the simplicial cone on the rays tau; past budget - spent of them,
+    BudgetExceeded names the budget.
+
+    Facet i is open (lambda_i in (0, den]) unless lambda_i is positive at
+    c's interior point perturbed by e_1, e_2, ... symbolically: a point of c
+    lies in the one simplex that holds it plus such a perturbation, so the
+    simplices of any subdivision of c partition its lattice points.  A point
+    is mu / d in tau's coordinates, d = |det tau|, mu in M = d tau^-1 Z^n,
+    a lattice holding d Z^n.  M's Hermite basis (b_k zero before entry k,
+    b_k[k] = h_k dividing d), heaviest ray first, lists the mu a coordinate
+    at a time, each a range of step h_k cut at the limit.
+    """
+    n = c.rank
+    m, _, d, _ = _row_reduce([(*r, *(int(i == j) for j in range(n))) for i, r in enumerate(tau)],
+                             n)
+    W = [sum(map(mul, x, r)) for r in tau]
+    order = sorted(range(n), key=W.__getitem__, reverse=True)
+    inv = [[row[n + i] if d > 0 else -row[n + i] for row in m] for i in order]  # lambda_i d
+    d, q = abs(d), c.interior_point()
+    low = [0 if next(v for v in (sum(map(mul, a, q)), *a) if v) > 0 else 1 for a in inv]
+    gens, basis = [list(col) for col in zip(*inv)], []
+    for k in range(n):
+        piv, rest = [0] * n, []
+        for r in gens + [[d * (i == k) for i in range(n)]]:
+            while r[k]:  # Euclid on entry k
+                t = piv[k] // r[k]
+                piv, r = r, [a - t * b for a, b in zip(piv, r)]
+            rest.append([a % d for a in r])  # d Z^n is in M
+        basis.append(piv if piv[k] > 0 else [-a for a in piv])
+        gens = rest
+    W, cols, bound = [W[i] for i in order], list(zip(*(tau[i] for i in order))), limit * d
+    out, stack = [], [(0, [0] * n, 0)]
+    while stack:
+        k, mu, w = stack.pop()
+        if k == n:
+            out.append((w // d, tuple(sum(map(mul, mu, col)) // d for col in cols)))
+            if spent + len(out) > budget:
+                raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+            continue
+        b, h, lo = basis[k], basis[k][k], low[k]
+        for v in range(lo + (mu[k] - lo) % h, min(lo + d * den, -((w - bound) // W[k])), h):
+            stack.append((k + 1, [a + (v - mu[k]) // h * e for a, e in zip(mu, b)], w + v * W[k]))
+    return out
+
+
+# At most 256 parallelepipeds, holding at most 32768 points together: the
+# simplices of a filtration's chambers recur across its sweeps.
+_parallelepipeds = _TableCache(256, 1 << 15, len)
+
+
+def _shell_sums(c: Cone, rows, den, x, L, top, budget):
+    """(counts, eq_counts, order sums, order maxima) per shell k < top of
+    the lattice points a of c with <x, a> < top L, shell <x, a> // L: how
+    many, how many at <x, a> = k L, and the sum and maximum of floor(g) for
+    g = min_j <rows_j, .> / den.  More than ``budget`` points raise
+    BudgetExceeded, before any per-shell list is made.
+
+    On chamber j's simplicial cone tau (rays r_i), a point is a start point
+    p of den tau's half-open parallelepiped plus sum_i k_i den r_i, of
+    weight <x, p> + sum_i k_i den <x, r_i> and order floor(<z_j, p> / den)
+    + sum_i k_i <z_j, r_i>.  One walk over the occupied weights in
+    increasing order adds generator i to the points made from the first
+    i - 1 at each weight, so each weight's count, order sum and maximum is
+    final when it is reached, and the budget stops the walk there.
+    """
+    limit, n, found, total = top * L, c.rank, [], 0
+    for z, fan in _chamber_rows(c, rows):
+        for _, tau in fan.simplices:
+            key = (c, tuple(fan.rays[i] for i in tau), x, den, limit)
+            starts = _parallelepipeds.get(key)
+            if starts is None:
+                starts = _parallelepipeds.put(key, _parallelepiped(*key, budget, total))
+            # slots[weight]: (count, order sum, order max) of its start points, then
+            # at 3 i of those generator i (weight den <x, r_i>) carries in; max -1: none.
+            steps = [(3 * i, den * sum(map(mul, x, r)), sum(map(mul, z, r)))
+                     for i, r in enumerate(key[1], 1)]
+            slots = {}
+            for w, p in starts:
+                slot = slots.setdefault(w, [0, 0, -1] * (n + 1))
+                v = sum(map(mul, z, p)) // den
+                slot[0], slot[1], slot[2] = slot[0] + 1, slot[1] + v, max(slot[2], v)
+            heap = list(slots)
+            heapify(heap)
+            while heap:
+                w = heappop(heap)
+                slot = slots.pop(w)
+                k, t, mx = slot[0], slot[1], slot[2]
+                for j, dw, dv in steps:
+                    if slot[j]:
+                        o = slot[j + 2]
+                        k, t, mx = k + slot[j], t + slot[j + 1], mx if mx > o else o
+                    u = w + dw
+                    if k and u < limit:
+                        nxt = slots.get(u)
+                        if nxt is None:
+                            slots[u] = nxt = [0, 0, -1] * (n + 1)
+                            heappush(heap, u)
+                        nxt[j], nxt[j + 1], nxt[j + 2] = k, t + dv * k, mx + dv
+                found.append((w, k, t, mx))
+                total += k
+                if total > budget:
+                    raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+    counts, eqs, sums, maxs = ([0] * top for _ in range(4))
+    for w, k, t, mx in found:
+        s, r = divmod(w, L)
+        counts[s] += k
+        eqs[s] += 0 if r else k
+        sums[s] += t
+        if mx > maxs[s]:
+            maxs[s] = mx
+    return counts, eqs, sums, maxs

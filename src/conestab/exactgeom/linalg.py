@@ -261,26 +261,6 @@ def smith_diagonal(rows) -> list:
     return diag
 
 
-def _unimodular_completion(p):
-    """(U, W): integer matrices with U W = I and U's first row the primitive
-    integer vector p.  Euclid's column steps (a, b) -> (b, q b - a), of
-    determinant 1, take p to +-e_1; W collects them and U their inverses."""
-    n, a = len(p), p[0]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    W = [row[:] for row in U]
-    for i in range(1, n):
-        b = p[i]
-        while b:
-            q = a // b
-            a, b = b, q * b - a
-            for row in W:
-                row[0], row[i] = row[i], q * row[i] - row[0]
-            U[0], U[i] = [q * u + v for u, v in zip(U[0], U[i])], [-u for u in U[0]]
-    if a < 0:  # p W = -e_1: negate the first row of U and column of W
-        U[0], W = [-u for u in U[0]], [[-row[0], *row[1:]] for row in W]
-    return U, W
-
-
 def gram_project_out(v, direction):
     """Component of v orthogonal to ``direction`` (standard inner product)."""
     d2 = norm_sq(direction)

@@ -255,39 +255,19 @@ def _envelope(lines, lo, hi):
     return pieces
 
 
-def _floor_sum(n, m, a, b):
-    """The sum of (a i + b) // m over i = 0..n-1 (m >= 1), in Euclid-like steps."""
-    total = 0
-    while n:
-        (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
-        total += qa * (n * (n - 1) // 2) + qb * n
-        (n, b), m, a = divmod(a * n + b, m), a, m
-    return total
-
-
-def _floor_runs(F: MonomialFiltration, W=None):
-    """(orders, stats) of floor(g) along a run (prefix, lo, hi) of y, a = W y
-    (y = a if W is None): the covectors pair as lines c + d t, g is their
-    ``_envelope``, ``orders`` lists floor(g) over t = lo..hi and ``stats``
-    gives its sum (floor sums per piece) and maximum (at a piece end)."""
+def _floor_runs(F: MonomialFiltration):
+    """floor(g) along a run (prefix, lo, hi): the covectors pair as lines
+    c + d t, g is their ``_envelope``, and the list holds floor(g) over
+    t = lo..hi."""
     zs, den = F.transform.rows, F.transform.den
-    zs = [tuple(sum(map(mul, z, col)) for col in zip(*W)) for z in zs] if W else zs
     heads = [(z[:-1], z[-1]) for z in zs]
 
-    def pieces(prefix, lo, hi):
-        return _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads], lo, hi)
-
     def orders(prefix, lo, hi):
-        return [(c + d * t) // den for t0, t1, c, d in pieces(prefix, lo, hi)
+        return [(c + d * t) // den
+                for t0, t1, c, d in _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads],
+                                              lo, hi)
                 for t in range(t0, t1 + 1)]
-
-    def stats(prefix, lo, hi):
-        total, ends = 0, []
-        for t0, t1, c, d in pieces(prefix, lo, hi):
-            total += _floor_sum(t1 - t0 + 1, den, d, c + d * t0)
-            ends += c + d * t0, c + d * t1
-        return total, max(ends) // den
-    return orders, stats
+    return orders
 
 
 def _approx_key(F: MonomialFiltration, m):
@@ -384,7 +364,7 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
     runs = _lattice_runs(s.weight_cone, ell, window, budget, False)
     code, decode = _coder(s.rank, max((max(map(abs, (*p, lo, hi))) for p, lo, hi in runs),
                                       default=0))
-    floor_orders, _ = _floor_runs(F)
+    floor_orders = _floor_runs(F)
     codes, weights, values, spans = [], [], [], []
     for prefix, lo, hi in runs:
         c0, w0 = code((*prefix, 0)), sum(map(mul, head, prefix))

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import floor, gcd
+from math import floor, gcd, prod
 from operator import mul, sub
 
 import pytest
 
-from conestab import from_rays, monomial_filtration, toric_filtration
+from conestab import estimators, from_rays, monomial_filtration, toric_filtration
 from conestab.errors import DegenerateCone
 from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _validate
 from conestab.exactgeom.fan import Fan, _moments
+from conestab.exactgeom.lattice import _box, _checked_budget, _lattice_runs
 from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
+from conestab.filtration import _envelope
+from conestab.singularity import _xi_row
 
 
 @pytest.fixture(scope="session")
@@ -204,3 +207,116 @@ def pairwise_dp_orders(F_, m, pts, ell):
                       + [value[q] + best[r] for q in order[:i]
                          if any(q) and (r := tuple(map(sub, p, q))) in best])
     return best
+
+
+# ---------------------------------------------------------------------------
+# The level-coordinate scan that ``estimators.sweep`` ran before its
+# simplicial-cone kernel, kept as a second reference next to the per-point
+# sweeps of ``tests/test_estimators.py``.
+
+def unimodular_completion(p):
+    """(U, W): integer matrices with U W = I and U's first row the primitive
+    integer vector p.  Euclid's column steps (a, b) -> (b, q b - a), of
+    determinant 1, take p to +-e_1; W collects them and U their inverses."""
+    n, a = len(p), p[0]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    W = [row[:] for row in U]
+    for i in range(1, n):
+        b = p[i]
+        while b:
+            q = a // b
+            a, b = b, q * b - a
+            for row in W:
+                row[0], row[i] = row[i], q * row[i] - row[0]
+            U[0], U[i] = [q * u + v for u, v in zip(U[0], U[i])], [-u for u in U[0]]
+    if a < 0:  # p W = -e_1: negate the first row of U and column of W
+        U[0], W = [-u for u in U[0]], [[-row[0], *row[1:]] for row in W]
+    return U, W
+
+
+def floor_sum(n, m, a, b):
+    """The sum of (a i + b) // m over i = 0..n-1 (m >= 1), in Euclid-like steps."""
+    total = 0
+    while n:
+        (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        (n, b), m, a = divmod(a * n + b, m), a, m
+    return total
+
+
+def floor_runs(F_, W=None):
+    """(orders, stats) of floor(g) along a run (prefix, lo, hi) of y, a = W y
+    (y = a if W is None): the covectors pair as lines c + d t, g is their
+    ``_envelope``, ``orders`` lists floor(g) over t = lo..hi and ``stats``
+    gives its sum (floor sums per piece) and maximum (at a piece end)."""
+    zs, den = F_.transform.rows, F_.transform.den
+    zs = [tuple(sum(map(mul, z, col)) for col in zip(*W)) for z in zs] if W else zs
+    heads = [(z[:-1], z[-1]) for z in zs]
+
+    def pieces(prefix, lo, hi):
+        return _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads], lo, hi)
+
+    def orders(prefix, lo, hi):
+        return [(c + d * t) // den for t0, t1, c, d in pieces(prefix, lo, hi)
+                for t in range(t0, t1 + 1)]
+
+    def stats(prefix, lo, hi):
+        total, ends = 0, []
+        for t0, t1, c, d in pieces(prefix, lo, hi):
+            total += floor_sum(t1 - t0 + 1, den, d, c + d * t0)
+            ends += c + d * t0, c + d * t1
+        return total, max(ends) // den
+    return orders, stats
+
+
+def level_frame(wc, xs):
+    """(cone, x, W): the weight cone and the integer row xs = g p of xi0, p
+    primitive, in level coordinates y = U a, U unimodular with first row p
+    and W = U^-1: rays r go to U r, halfspaces h to h W, xs to (g, 0, ...)."""
+    g = gcd(*xs)
+    U, W = unimodular_completion([x // g for x in xs])
+    cone = Cone(wc.rank, tuple(tuple(sum(map(mul, u, r)) for u in U) for r in wc.rays),
+                tuple(tuple(sum(map(mul, h, col)) for col in zip(*W)) for h in wc.halfspaces))
+    return cone, (g,) + (0,) * (wc.rank - 1), tuple(map(tuple, W))
+
+
+def level_coordinates(wc, xs, den, top):
+    """Whether the scan of xs / den below ``top`` took level coordinates: in
+    rank >= 2, if the slice's bounding box over the prefix ones is no larger."""
+    def prefixes(c, x):
+        box = list(zip(*_box(c, x, top * den)))[:-1]
+        return prod(b - a + 1 for a, b in box)
+    return wc.rank > 1 and prefixes(*level_frame(wc, xs)[:2]) <= prefixes(wc, xs)
+
+
+def scan_sweep(s, xi0, F_, levels, budget=None, level=None):
+    """Cold reference of ``estimators.sweep``: the lattice runs below the top
+    level, in level coordinates if ``level`` (None: if ``level_coordinates``
+    says so), else in the exponents.  A run of rank >= 2 in level
+    coordinates sits in one shell, and ``floor_runs``' stats give its order
+    sum and maximum in closed form; any other run is binned a point at a
+    time.  The rows come from the library's ``_per_level``."""
+    (x, L), levels = _xi_row(xi0, s.rank), estimators._levels(levels)
+    top = levels[-1] + 1
+    if level is None:
+        level = level_coordinates(s.weight_cone, x, L, top)
+    cone, xs, W = level_frame(s.weight_cone, x) if level else (s.weight_cone, x, None)
+    orders, stats = floor_runs(F_, W)
+    counts, eqs, sums, maxs = ([0] * top for _ in range(4))
+
+    def add(w, k, total, top_order):
+        fw, rem = divmod(w, L)
+        counts[fw] += k
+        eqs[fw] += 0 if rem else k
+        sums[fw] += total
+        maxs[fw] = max(maxs[fw], top_order)
+    *head, X = xs
+    for prefix, lo, hi in _lattice_runs(cone, xs, top * L, _checked_budget(budget), True):
+        w0 = sum(map(mul, head, prefix))
+        if X:
+            for t, o in zip(range(lo, hi + 1), orders(prefix, lo, hi)):
+                add(w0 + X * t, 1, o, o)
+        else:
+            add(w0, hi - lo + 1, *stats(prefix, lo, hi))
+    return estimators.EstimatorSweep(levels=list(levels), per_level=estimators._per_level(
+        s, levels, counts, eqs, sums, maxs))

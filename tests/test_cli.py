@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 from conestab import optimize
-from conestab.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, InputDocument, _parse_levels, main
+from conestab.cli import (
+    EXIT_BUDGET,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_PIPE,
+    InputDocument,
+    _parse_levels,
+    main,
+)
 from conestab.estimators import gamma_semigroup
 from conestab.filtration import toric_filtration
 from conestab.invariants import InvariantReport
@@ -272,6 +280,29 @@ def test_long_level_range_stops_on_lattice_budget_in_little_memory(doc_path):
     assert exit_code == str(EXIT_BUDGET)
     assert proc.stderr == "error: lattice enumeration exceeded budget 10000000\n"
     assert int(peak) < 16 * 2 ** 20  # a list of two million levels takes 76 MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["nvolmin", "rank6_cross.json"],
+    ["estimate", "rank4.json", "--filtration", "G", "--levels", "1..12", "--json"],
+], ids=["nvolmin", "estimate-json"])
+def test_closed_stdout_exits_with_the_pipe_code_and_no_traceback(argv):
+    # The reader of stdout is gone before the first write (its end of the
+    # pipe is closed before the child starts): the child exits EXIT_PIPE
+    # and writes nothing to stderr.
+    docs = Path(__file__).resolve().parent / "docs"
+    argv = [str(docs / a) if a.endswith(".json") else a for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "CONESTAB_BUDGET"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "conestab.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
+    assert EXIT_PIPE not in (EXIT_OK, EXIT_INVALID, EXIT_BUDGET)
 
 
 @pytest.mark.parametrize("argv, where", [

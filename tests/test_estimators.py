@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import random
 import re
@@ -7,6 +8,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import floor, lcm
 from operator import mul
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conestab import estimators, filtration
+from conestab.exactgeom import fan
 from conestab.errors import (
     BudgetExceeded,
     DegenerateCone,
@@ -36,7 +39,13 @@ from conestab.exactgeom.linalg import det
 from conestab.filtration import approx_ord, approximant, monomial_filtration, toric_filtration
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
-from conftest import c2_battery, pairwise_dp_orders
+from conftest import (
+    c2_battery,
+    level_coordinates,
+    level_frame,
+    pairwise_dp_orders,
+    scan_sweep,
+)
 
 F = Fraction
 
@@ -131,6 +140,13 @@ def test_level_range_stays_lazy(c2, fex):
 def test_sweep_budget(c2, fex):
     with pytest.raises(BudgetExceeded):
         sweep(c2, (1, 1), fex, [50], budget=100)
+    # Over den = 999000 every point below level 51 is a start point of its
+    # chamber's simplex: the second simplex's listing stops where the count
+    # passes the budget, and names the budget.
+    G = monomial_filtration(c2, [(F(1, 1000), F(1, 999)), (F(1, 999), F(1, 1000))])
+    with pytest.raises(BudgetExceeded, match="^lattice enumeration exceeded budget 1000$"):
+        sweep(c2, (1, 1), G, [50], budget=1000)
+    assert sweep(c2, (1, 1), G, [50], budget=51 * 52 // 2).row(50).N_m == 50 * 51 // 2
 
 
 def test_negative_budget_keyword_is_a_parse_error(c2, fex):
@@ -162,6 +178,72 @@ def test_sweep_budget_counts_points_below_top_level():
     with pytest.raises(BudgetExceeded, match=f"budget {n_top - 1}$"):
         sweep_approx(c2, (1, 1), fex, 3, [50], budget=n_top - 1)
     assert sweep_approx(c2, (1, 1), fex, 3, [50], budget=n_top).row(50).N_m == 50 * 51 // 2
+
+
+def _rank3_count():
+    """``perfbench/workloads.py::_rank3_count``, the hand count of the
+    rank-3 workload cone's points below each level."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._rank3_count
+
+
+def test_sweep_to_level_2000_matches_hand_counts(c2, fex):
+    # Two thousand levels in one pass, under an explicit budget: C^2 has
+    # N_m = m(m+1)/2, the rank-3 workload cone its hand count.
+    sw = sweep(c2, (1, 1), fex, [1, 999, 2000], budget=2001 * 2002 // 2)
+    assert [st.N_m for st in sw.per_level] == [m * (m + 1) // 2 for m in (1, 999, 2000)]
+    G = monomial_filtration(_RANK3, [(3, 2, 2), (2, 3, F(5, 2))])
+    count = _rank3_count()
+    sw = sweep(_RANK3, (1, 1, 1), G, [7, 2000], budget=count(2001))
+    assert [st.N_m for st in sw.per_level] == [count(7), count(2000)]
+    assert sw.row(2000).count_gamma == count(2001)
+
+
+def test_rank4_sweep_to_level_1000():
+    # tests/docs/rank4.json with filtration G: 3.3 * 10^11 points below
+    # level 1000, which no point scan reaches; two independent prototypes
+    # of the kernel gave these counts.
+    doc = json.loads((Path(__file__).parent / "docs" / "rank4.json").read_text())
+    s = from_rays(doc["rays"])
+    G = monomial_filtration(s, doc["filtrations"]["G"]["covectors"])
+    st = sweep(s, doc["reeb"], G, [1000], budget=10 ** 12).row(1000)
+    assert (st.N_m, st.count_gamma) == (334000166500, 335337503501)
+    with pytest.raises(BudgetExceeded, match="^lattice enumeration exceeded budget 10000000$"):
+        sweep(s, doc["reeb"], G, [1000], budget=10 ** 7)
+
+
+def test_thin_simplex_enumerates_only_points_below_the_top(c2, monkeypatch):
+    # F = (1000, 1), (1, 8) cuts C^2 on the ray (7, 999): the chamber
+    # simplex on (1, 0) and (7, 999) has |det| = 999, but only 66 points
+    # lie below level 11.  Its parallelepiped is listed heaviest ray first,
+    # cut at the level, so the start points and the walk's weights together
+    # stay within (n + 1) N_top, and the rows are the per-point ones.
+    G = monomial_filtration(c2, [(1000, 1), (1, 8)])
+    assert sorted(abs(d) for _, f in fan._chamber_rows(c2.weight_cone, G.transform.rows)
+                  for d, _ in f.simplices) == [7, 999]
+    seen = []
+    build, pop = fan._parallelepiped, fan.heappop
+
+    def built(*args):
+        out = build(*args)
+        seen.extend(out)
+        return out
+
+    def popped(heap):
+        seen.append(None)
+        return pop(heap)
+    monkeypatch.setattr(fan, "_parallelepiped", built)
+    monkeypatch.setattr(fan, "heappop", popped)
+    fan._parallelepipeds.cache_clear()
+    sw = sweep(c2, (1, 1), G, range(1, 11), budget=66)
+    assert 0 < len(seen) <= 3 * 66
+    got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
+    assert got.to_json() == _reference_json(_reference_sweep(c2, (1, 1), G, range(1, 11), 66))
+    with pytest.raises(BudgetExceeded, match="^lattice enumeration exceeded budget 65$"):
+        sweep(c2, (1, 1), G, range(1, 11), budget=65)
 
 
 def test_sweep_approx_matches_once_generated(c2, fex):
@@ -436,6 +518,11 @@ _RANK3 = from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
 @example(case=(_RANK3, (F(3, 2), 1, F(5, 4)),
                monomial_filtration(_RANK3, [(3, 2, 2), (2, 3, F(5, 2))]),
                [9, 24], 3, None))  # den(xi0) = 4, X = 5
+@example(case=(_RANK3, (1, 1, 1), monomial_filtration(
+    _RANK3, [(2, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 3), (F(3, 2), F(3, 2), 2)]),
+    [6, 12], 2, None))  # a duplicate, three covectors tied on a = b, a redundant one
+@example(case=(_RANK3, (2, 1, 1), monomial_filtration(
+    _RANK3, [(1, 0, 0), (0, 1, 0)], require_primary=False), [5, 11], 2, None))  # not primary
 def test_sweeps_match_per_point_reference(case):
     s, xi0, G, levels, m_filt, budget = case
     for reference, library in (
@@ -506,32 +593,29 @@ _BOUNDARY = monomial_filtration(_Z3_LOW, [(3, -1), (1, 0)], require_primary=Fals
 @example(case=(from_rays([(-1,)]), (F(-4, 3),), monomial_filtration(
     from_rays([(-1,)]), [(F(-5, 2),)]), [29], 2, None), level=True)
 def test_sweep_in_either_coordinates_matches_per_point_reference(case, level):
-    # The coordinate choice is forced, in ranks 1-4: level coordinates put
-    # every run of rank >= 2 in one shell, where the closed forms give its
-    # sums and maxima; rank 1 in level coordinates crosses shells.
+    # The retired level-coordinate scan (``conftest.scan_sweep``), forced
+    # into either coordinates in ranks 1-4, and the simplicial-cone kernel
+    # of ``sweep`` both print the per-point reference.  Level coordinates
+    # put every run of rank >= 2 in one shell, where the closed forms give
+    # its sums and maxima; rank 1 in level coordinates crosses shells.
     s, xi0, G, levels, _, budget = case
-    estimators._shell_table.cache_clear()
-    with mock.patch.object(estimators, "_level_coordinates", lambda *key: level):
-        try:
-            ref = _reference_sweep(s, xi0, G, levels, budget)
-        except BudgetExceeded:
-            event("budget exceeded")
+    try:
+        ref = _reference_json(_reference_sweep(s, xi0, G, levels, budget))
+    except BudgetExceeded:
+        event("budget exceeded")
+        for call in (scan_sweep, sweep):
             with pytest.raises(BudgetExceeded):
-                sweep(s, xi0, G, levels, budget=budget)
-            return
-        full = sweep(s, xi0, G, levels, budget=budget)
-        table = estimators._table(s, *_xi_row(xi0, s.rank), sorted(set(levels)), budget)
-    assert estimators._shell_table.cache_info().hits == 1  # the table the sweep built
-    assert (table.W is not None) == level
-    assert table.flat or s.rank == 1 or not level
-    got = estimators.EstimatorSweep(levels=full.levels, per_level=full.per_level)
-    assert got.to_json() == _reference_json(ref)
+                call(s, xi0, G, levels, budget=budget)
+        return
+    assert scan_sweep(s, xi0, G, levels, budget, level).to_json() == ref
+    full = sweep(s, xi0, G, levels, budget=budget)
+    assert estimators.EstimatorSweep(levels=full.levels, per_level=full.per_level).to_json() == ref
     event(f"rank {s.rank}, level coordinates {level}")
 
 
 # sha256 of to_json() for sweep and sweep_approx(m_filtration=2), recorded
-# before the sweeps moved to level coordinates; the first case takes level
-# coordinates, the others the original ones.
+# before the sweeps moved to level coordinates, where the first case then
+# went and the others did not; the simplicial-cone kernel prints them too.
 _PINNED_SWEEPS = [
     (_RANK4, (1, 1, 1, 1), _G4, range(1, 13),
      "0c38a7ea72f807759d4533cac007bc4e339386b816ac102c35412792e13c2d3c",
@@ -556,7 +640,7 @@ _PINNED_SWEEPS = [
                          ids=["rank4-level", "rank4-original", "boundary-a", "boundary-b",
                               "line"])
 def test_sweep_digests_pinned(s, xi0, G, levels, plain, approx):
-    assert estimators._level_coordinates(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1) \
+    assert level_coordinates(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1) \
         == (xi0 == (1, 1, 1, 1))
     assert hashlib.sha256(sweep(s, xi0, G, levels).to_json().encode()).hexdigest() == plain
     assert hashlib.sha256(
@@ -564,13 +648,12 @@ def test_sweep_digests_pinned(s, xi0, G, levels, plain, approx):
 
 
 def test_shell_table_work_is_bounded_by_the_points(c2, fex):
-    # At xi0 = (1, 10000019/1000000) the integer weight steps by
-    # X = 10000019 along a run of the last coordinate; the table stores only
-    # the shells up to the top, so ten points take kilobytes, not a
-    # difference array of |X| entries.  Level coordinates would scan a
-    # prefix box of 11000001 levels, so the original ones are chosen.
+    # At xi0 = (1, 10000019/1000000) the integer weight of e_2 is 10000019
+    # in units of 1/L, L = 10^6; the kernel walks only the occupied weights
+    # and keeps only the shells up to the top, so ten points take
+    # kilobytes, not an array over the 11 * 10^6 weights below the top.
     xi0 = (1, F(10000019, 10 ** 6))
-    estimators._shell_table.cache_clear()
+    fan._parallelepipeds.cache_clear()
     tracemalloc.start()
     try:
         sw = sweep(c2, xi0, fex, [5, 10])
@@ -578,7 +661,6 @@ def test_shell_table_work_is_bounded_by_the_points(c2, fex):
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
-    assert not estimators._level_coordinates(c2.weight_cone, *_xi_row(xi0, 2), 11)
     assert sw.row(10).N_m == 10
     got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
     assert got.to_json() == _reference_json(_reference_sweep(c2, xi0, fex, [5, 10], None))
@@ -586,7 +668,8 @@ def test_shell_table_work_is_bounded_by_the_points(c2, fex):
 
 def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
     # xi0 = (1, 1234567/10^6) below level 150: level coordinates would scan
-    # 150000001 prefixes against 151, so the table is built on the exponents.
+    # 150000001 prefixes against 151.  sweep_approx builds its table on the
+    # exponents, and sweep enumerates no lattice runs at all.
     xi0 = (1, F(1234567, 10 ** 6))
     built = []
 
@@ -597,14 +680,17 @@ def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
     monkeypatch.setattr(estimators, "_lattice_runs", counted)
     estimators._shell_table.cache_clear()
     xs, den = _xi_row(xi0, 2)
-    cone, x0, _ = estimators._level_frame(c2.weight_cone, xs)
+    cone, x0, _ = level_frame(c2.weight_cone, xs)
     for c, x, prefixes in ((cone, x0, 150000001), (c2.weight_cone, xs, 151)):
         lo, hi = _box(c, x, 150 * den)
         assert hi[0] - lo[0] + 1 == prefixes
     sw = sweep(c2, xi0, fex, range(1, 150))
-    assert built == [c2.weight_cone.rays]
+    assert built == []
     got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
     assert got.to_json() == _reference_json(_reference_sweep(c2, xi0, fex, range(1, 150), None))
+    approx = sweep_approx(c2, xi0, fex, 3, range(1, 150))
+    assert built == [c2.weight_cone.rays]
+    assert [st.N_m for st in approx.per_level] == [st.N_m for st in sw.per_level]
 
 
 def _json_or_error(call):
@@ -631,30 +717,29 @@ def _table_pairs(draw):
                monomial_filtration(_RANK3, [(3, 2, 2), (2, 3, F(5, 2))]),
                [9, 24], 3, None, monomial_filtration(_RANK3, [(1, 1, 1)])))  # den(xi0) = 4
 def test_second_filtration_on_a_table_matches_a_cold_sweep(pair):
-    # F0 warms the table of (weight cone, xi0, top) under the default
-    # budget; the sweeps of G then read it (and check it against their own
-    # budget) and must print what they print from a cold cache.
-    # sweep_approx reads the original-coordinate table, which sweep may
-    # not build, so each kind of sweep warms its own.
+    # F0 warms the caches of (weight cone, xi0, top) under the default
+    # budget: sweep_approx's shell table, sweep's parallelepipeds.  The
+    # sweeps of G then read them (and check their own budget) and must
+    # print what they print from cold caches; sweep never reads the table.
     s, xi0, G, levels, m_filt, budget, F0 = pair
     table = estimators._shell_table
-    for call in (lambda H, b: sweep(s, xi0, H, levels, budget=b),
-                 lambda H, b: sweep_approx(s, xi0, H, m_filt, levels, budget=b)):
+    for call, misses in ((lambda H, b: sweep(s, xi0, H, levels, budget=b), 0),
+                         (lambda H, b: sweep_approx(s, xi0, H, m_filt, levels, budget=b), 1)):
         table.cache_clear()
+        fan._parallelepipeds.cache_clear()
         cold = _json_or_error(lambda: call(G, budget))
         table.cache_clear()
         call(F0, None)
         warm = _json_or_error(lambda: call(G, budget))
         assert warm == cold
-        assert (table.cache_info().hits, table.cache_info().misses) == (1, 1)
+        assert (table.cache_info().hits, table.cache_info().misses) == (misses, misses)
         event("budget exceeded" if cold.startswith("lattice") else "swept")
 
 
 def test_sweeps_of_one_key_share_one_table(c2, fex, monkeypatch):
-    # sweep and bj_bound_check on one (weight cone, xi0, top) enumerate the
-    # lattice once, in level coordinates (C^2 at (1, 1): the prefix boxes
-    # are equal), and sweep_approx once more in the original ones; a second
-    # sweep_approx and a new top are a hit and a new table.
+    # sweep_approx enumerates the lattice runs once per (weight cone, xi0,
+    # top); a second filtration on the key is a hit and a new top a new
+    # table.  sweep and bj_bound_check enumerate no runs.
     calls = []
 
     def counted(*args):
@@ -664,47 +749,45 @@ def test_sweeps_of_one_key_share_one_table(c2, fex, monkeypatch):
     monkeypatch.setattr(estimators, "_lattice_runs", counted)
     estimators._shell_table.cache_clear()
     G = monomial_filtration(c2, [(1, 3), (2, 1)])
-    level_rays = estimators._level_frame(c2.weight_cone, (1, 1))[0].rays
-    assert level_rays != c2.weight_cone.rays
     sweep(c2, (1, 1), fex, range(1, 21))
-    sweep(c2, (1, 1), G, [3, 20])
-    sweep_approx(c2, (1, 1), G, 2, range(1, 21))
     assert bj_bound_check(c2, (1, 1), G, 10, 1, levels=range(1, 21))
+    assert calls == []
+    sweep_approx(c2, (1, 1), G, 2, range(1, 21))
     sweep_approx(c2, (1, 1), fex, 3, [20])
     info = estimators._shell_table.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
-    assert calls == [(level_rays, 21), (c2.weight_cone.rays, 21)]
-    sweep(c2, (1, 1), G, [3, 19])
-    assert estimators._shell_table.cache_info().misses == 3
-    assert calls[2:] == [(level_rays, 20)]
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert calls == [(c2.weight_cone.rays, 21)]
+    sweep_approx(c2, (1, 1), G, 2, [3, 19])
+    assert estimators._shell_table.cache_info().misses == 2
+    assert calls[1:] == [(c2.weight_cone.rays, 20)]
 
 
 def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
-    # A hit resolves the budget as a miss does and compares it with the
-    # stored point count, so both raise the same errors.
+    # A shell-table hit resolves the budget as a miss does and compares it
+    # with the stored point count, so both raise the same errors.
     levels = [4, 9]
     kept = len(lattice_points_below(c2.weight_cone, (1, 1), 10))
     G = monomial_filtration(c2, [(1, 3)])
     estimators._shell_table.cache_clear()
-    cold = sweep(c2, (1, 1), G, levels).to_json()
-    sweep_approx(c2, (1, 1), fex, 2, levels)  # the original-coordinate table
-    sweep(c2, (1, 1), fex, levels)
+    filtration._approx_tables.cache_clear()
+    cold = sweep_approx(c2, (1, 1), G, 2, levels).to_json()
+    sweep_approx(c2, (1, 1), fex, 2, levels)
     monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {kept - 1}$"):
-        sweep(c2, (1, 1), G, levels, budget=kept - 1)
-    assert sweep(c2, (1, 1), G, levels, budget=kept).to_json() == cold
+        sweep_approx(c2, (1, 1), G, 2, levels, budget=kept - 1)
+    assert sweep_approx(c2, (1, 1), G, 2, levels, budget=kept).to_json() == cold
     monkeypatch.setenv("CONESTAB_BUDGET", str(kept - 1))
     with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {kept - 1}$"):
         sweep_approx(c2, (1, 1), G, 2, levels)
     monkeypatch.setenv("CONESTAB_BUDGET", str(kept))
-    assert sweep(c2, (1, 1), G, levels).to_json() == cold
+    assert sweep_approx(c2, (1, 1), G, 2, levels).to_json() == cold
     with pytest.raises(ParseError, match="^budget: budget must be nonnegative, got -1$"):
-        sweep(c2, (1, 1), G, levels, budget=-1)
+        sweep_approx(c2, (1, 1), G, 2, levels, budget=-1)
     monkeypatch.setenv("CONESTAB_BUDGET", "-3")
     with pytest.raises(ParseError, match="^CONESTAB_BUDGET: budget must be nonnegative, got -3$"):
-        sweep(c2, (1, 1), G, levels)
+        sweep_approx(c2, (1, 1), G, 2, levels)
     info = estimators._shell_table.cache_info()
-    assert (info.hits, info.misses) == (5, 2)
+    assert (info.hits, info.misses) == (5, 1)
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "100"])
@@ -749,7 +832,8 @@ def test_bj_bound_check_validates_m0(c2, fex):
 def test_table_caches_keep_no_table_above_their_bound(c2, fex):
     # A table holding more than the bound (runs and shells for a shell
     # table, points for an approximation table) is built for its call and
-    # dropped after it, so the memory held between calls stays bounded.
+    # dropped after it, so the memory held between calls stays bounded; a
+    # sweep keeps only its parallelepipeds.
     line = from_rays([[1]])
     G = monomial_filtration(line, [(2,)])
     estimators._shell_table.cache_clear()
@@ -757,7 +841,10 @@ def test_table_caches_keep_no_table_above_their_bound(c2, fex):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        assert sweep(line, (1,), G, [10, 70000]).row(70000).N_m == 70000
+        assert sweep(line, (1,), G, [10, 20000]).row(20000).N_m == 20000
+        big = estimators._build_shell_table(line.weight_cone, (1,), 1, 70001, 10 ** 5)
+        assert estimators._shell_table.put("key", big) is big and sum(big.counts) == 70001
+        del big
         held = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()
@@ -765,10 +852,9 @@ def test_table_caches_keep_no_table_above_their_bound(c2, fex):
     assert approx_ord(G, 1, (70000,)) == 70000
     assert estimators._shell_table.cache_info().currsize == 0
     assert filtration._approx_tables.cache_info().currsize == 0
-    # The sweeps of C^2 to level 200 and their approximation stay cached.
-    sweep(c2, (1, 1), fex, range(1, 201))
+    # The approximation sweep of C^2 to level 60 and its table stay cached.
     sweep_approx(c2, (1, 1), fex, 3, range(1, 61))
-    assert estimators._shell_table.cache_info().currsize == 2
+    assert estimators._shell_table.cache_info().currsize == 1
     assert filtration._approx_tables.cache_info().currsize == 1
 
 

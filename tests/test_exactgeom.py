@@ -34,7 +34,6 @@ from conestab.exactgeom import (
 from conestab.exactgeom.linalg import (
     _integer_rows,
     _row_reduce,
-    _unimodular_completion,
     det,
     mat_rank,
     nullspace,
@@ -42,7 +41,7 @@ from conestab.exactgeom.linalg import (
     solve,
 )
 from conestab.exactgeom.lattice import _lattice_runs
-from conftest import random_cone, scan_facet_normals
+from conftest import random_cone, scan_facet_normals, unimodular_completion
 
 F = Fraction
 
@@ -392,7 +391,7 @@ def test_unimodular_completion_inverts_with_first_row_p(p):
     # Integer U and W with U W = I and U's first row p, for primitive p with
     # zero and negative entries; W then has determinant +-1 as well.
     n = len(p)
-    U, W = _unimodular_completion(p)
+    U, W = unimodular_completion(p)
     assert all(type(x) is int for row in U + W for x in row)
     assert U[0] == p
     assert [[sum(U[i][k] * W[k][j] for k in range(n)) for j in range(n)]

@@ -21,7 +21,8 @@ from conestab import estimators, filtration
 from conestab.estimators import sweep_approx
 from conestab.exactgeom import (PLConcave, dot, enumerate_vertices, lattice_points_below,
                                 slice_vertices)
-from conestab.exactgeom.linalg import _integer_covectors, _unimodular_completion
+from conestab.exactgeom.lattice import _checked_budget
+from conestab.exactgeom.linalg import _integer_covectors
 from conestab.filtration import (
     approx_ord,
     approximant,
@@ -37,7 +38,15 @@ from conestab.filtration import (
 )
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
-from conftest import pairwise_dp_orders, random_cone, random_filtration, random_reeb
+from conftest import (
+    floor_runs,
+    floor_sum,
+    pairwise_dp_orders,
+    random_cone,
+    random_filtration,
+    random_reeb,
+    unimodular_completion,
+)
 
 F = Fraction
 
@@ -535,7 +544,8 @@ def _old_approximant(F_, m, budget=None):
 
 def _old_sweep_approx(s, xi0, F_, m, levels, budget=None):
     levels = sorted(set(levels))
-    table = estimators._table(s, *_xi_row(xi0, s.rank), levels, budget, level=False)  # on exponents
+    table = estimators._build_shell_table(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1,
+                                          _checked_budget(budget))
     ell = s.sigma.interior_point()
     pts = lattice_points_below(s.weight_cone, xi0, levels[-1] + 1, budget=budget)
     window = lattice_points_below(s.weight_cone, ell, max(dot(ell, p) for p in pts),
@@ -667,13 +677,14 @@ def test_one_key_builds_one_table(c2, fex, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Closed forms along a lattice run: the lower envelope of the covector lines
-# and the floor sums over its pieces, against brute force.
+# (the library's) and the floor sums over its pieces (the retired
+# level-coordinate scan's, in ``conftest``), against brute force.
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 40), m=st.integers(1, 12), a=st.integers(-60, 60),
        b=st.integers(-200, 200))
 def test_floor_sum_matches_brute_force(n, m, a, b):
-    assert filtration._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
 _LINES = st.lists(st.tuples(st.integers(-30, 30), st.integers(-6, 6)), min_size=1, max_size=5)
@@ -707,7 +718,7 @@ def _run_cases(draw):
     if draw(st.booleans()):
         p = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(
             lambda p: gcd(*p) == 1))
-        W = _unimodular_completion(p)[1]
+        W = unimodular_completion(p)[1]
     prefix = tuple(draw(st.integers(-8, 8)) for _ in range(n - 1))
     lo = draw(st.integers(-15, 15))
     return F_, W, prefix, lo, lo + draw(st.integers(0, 30))
@@ -717,9 +728,12 @@ def _run_cases(draw):
 @given(case=_run_cases())
 def test_run_orders_and_stats_match_per_point_floor(case):
     # orders lists floor(g(a)) at a = W y along the run, and stats gives its
-    # sum and maximum from the envelope's pieces alone.
+    # sum and maximum from the envelope's pieces alone; the library's orders
+    # are those at W = I.
     F_, W, prefix, lo, hi = case
-    orders, stats = filtration._floor_runs(F_, W)
+    orders, stats = floor_runs(F_, W)
+    if W is None:
+        assert filtration._floor_runs(F_)(prefix, lo, hi) == orders(prefix, lo, hi)
     W = W or [[int(i == j) for j in range(len(prefix) + 1)] for i in range(len(prefix) + 1)]
     brute = [floor(F_.ord(tuple(sum(map(mul, row, prefix + (t,))) for row in W)))
              for t in range(lo, hi + 1)]

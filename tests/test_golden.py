@@ -7,7 +7,8 @@ compares the digest of every job's exact outputs with the one stored in
 ``conestab.cli.main`` in this process and must print the stored
 ``perfbench/golden/cli/*.out`` and exit with the stored code.  The golden
 files are only read here; ``perfbench/record_golden.py`` re-records them
-when a change is meant to alter outputs.
+when a change is meant to alter outputs.  ``tests/golden`` holds outputs
+recorded by earlier implementations that the present one must reprint.
 """
 
 import importlib.util
@@ -54,3 +55,14 @@ def test_cli_case_matches_golden_stdout(workloads, case, monkeypatch, capsys):
     name, argv, expected = workloads.cli_argv(case, [])
     assert main(argv) == expected, name
     assert capsys.readouterr().out.encode() == workloads.cli_golden_stdout(case), name
+
+
+def test_rank4_estimate_to_level_72_matches_golden(monkeypatch, capsys):
+    # Recorded by the level-coordinate scan, which read the 9.2 M points
+    # below level 73 in about 3 s; the simplicial-cone kernel reads none.
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    root = PERFBENCH.parent
+    assert main(["estimate", str(root / "tests" / "docs" / "rank4.json"), "--filtration", "G",
+                 "--levels", "1..72"]) == 0
+    assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
+                                                "estimate_rank4_72.out").read_bytes()
