@@ -15,14 +15,15 @@ maximum, so N_m, TS0_m and count_gamma come from the same counts.  The
 orders of ``sweep_approx`` are DP values, so it reads a cached table of
 lattice runs instead: a run's residue classes of the grading denominator
 fill strided slices of shells, counted by +1/-1 pairs in strided
-difference arrays, and the pass adds its orders onto them.
+difference arrays, and the pass adds its orders onto them.  A row holds
+integers only; its ratios are Fractions built on read, and the CSV and
+JSON writers print them from the integers.
 """
 
-import csv
-import io
 import json
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
@@ -40,15 +41,42 @@ CSV_HEADER = ["m", "N_m", "TS_m", "S_m", "Sp_m", "Spp_m", "lammax_m"]
 
 
 class LevelStats(NamedTuple):
+    """One level's statistics, integers only.
+
+    The ratios are properties that build their Fraction on read: S_m =
+    TS_m / TS0_m and Sp_m = shell_TS / shell_TS0, None where the denominator
+    is 0, Spp_m = (n+1) TS_m / (n m N_m) with n the rank, and lammax_m =
+    top_ord / m.  ``EstimatorSweep``'s writers print them from the integers.
+    """
     m: int
     N_m: int
     TS_m: int          # order sum of F over the basis below level m
     TS0_m: int         # order sum of the reference filtration itself
-    S_m: Fraction | None
-    Sp_m: Fraction | None
-    Spp_m: Fraction
-    lammax_m: Fraction  # top order seen below level m, divided by m
-    count_gamma: int    # points at weight <= m
+    count_gamma: int   # points at weight <= m
+    shell_TS: int      # order sum of shell m, the weights in [m, m + 1)
+    shell_TS0: int     # its reference order sum, m times its point count
+    top_ord: int       # top order seen below level m
+    rank: int
+
+    S_m = property(lambda st: Fraction(st.TS_m, st.TS0_m) if st.TS0_m else None)
+    Sp_m = property(lambda st: Fraction(st.shell_TS, st.shell_TS0) if st.shell_TS0 else None)
+    Spp_m = property(lambda st: Fraction((st.rank + 1) * st.TS_m, st.rank * st.m * st.N_m))
+    lammax_m = property(lambda st: Fraction(st.top_ord, st.m))
+
+
+def _ratio(p, q, null, quote):
+    """str(Fraction(p, q)) between quotes for q > 0, ``null`` for q = 0."""
+    if not q:
+        return null
+    g = gcd(p, q)
+    return f"{quote}{p // g}{quote}" if q == g else f"{quote}{p // g}/{q // g}{quote}"
+
+
+def _ratio_texts(per_level, null, quote):
+    """Each row's S_m, Sp_m, Spp_m and lammax_m, written by ``_ratio``."""
+    for m, N, TS, TS0, _, sTS, sTS0, top, n in per_level:
+        yield (_ratio(TS, TS0, null, quote), _ratio(sTS, sTS0, null, quote),
+               _ratio((n + 1) * TS, n * m * N, null, quote), _ratio(top, m, null, quote))
 
 
 class EstimatorSweep(NamedTuple):
@@ -63,36 +91,35 @@ class EstimatorSweep(NamedTuple):
         raise KeyError(m)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(CSV_HEADER)
-        for st in self.per_level:
-            w.writerow([st.m, st.N_m, st.TS_m, *("" if x is None else str(x) for x in
-                                                  (st.S_m, st.Sp_m, st.Spp_m, st.lammax_m))])
-        return buf.getvalue()
+        """The table as ``csv.writer`` writes it: CRLF line ends, and an
+        empty field for a missing ratio."""
+        texts = _ratio_texts(self.per_level, "", "")
+        rows = "".join(f"{st.m},{st.N_m},{st.TS_m},{S},{Sp},{Spp},{lam}\r\n"
+                       for st, (S, Sp, Spp, lam) in zip(self.per_level, texts))
+        return f"{','.join(CSV_HEADER)}\r\n{rows}"
 
     def to_json(self) -> str:
         """{"levels", "rows", "target"}, byte for byte what
         ``json.dumps(..., indent=2)`` writes for it, with the rationals as
         "p/q" strings and missing ratios as null.  The rows have a fixed
-        schema (ints, rationals and None), so each is one f-string; the
-        small target goes through ``json.dumps`` and is indented one level.
+        schema (ints, and ratios written from their integers), so each is
+        one f-string; the small target goes through ``json.dumps`` and is
+        indented one level.
         """
-        def q(x):
-            return "null" if x is None else f'"{x}"'
         levels = ",".join(f"\n    {m}" for m in self.levels)
+        texts = _ratio_texts(self.per_level, "null", '"')
         rows = ",".join(f"""
     {{
       "m": {st.m},
       "N_m": {st.N_m},
       "TS_m": {st.TS_m},
       "TS0_m": {st.TS0_m},
-      "S_m": {q(st.S_m)},
-      "Sp_m": {q(st.Sp_m)},
-      "Spp_m": {q(st.Spp_m)},
-      "lammax_m": {q(st.lammax_m)},
+      "S_m": {S},
+      "Sp_m": {Sp},
+      "Spp_m": {Spp},
+      "lammax_m": {lam},
       "count_gamma": {st.count_gamma}
-    }}""" for st in self.per_level)
+    }}""" for st, (S, Sp, Spp, lam) in zip(self.per_level, texts))
         target = json.dumps({k: None if v is None else str(v) for k, v in self.target.items()},
                             indent=2).replace("\n", "\n  ")
         return (f'{{\n  "levels": {_json_list(levels)},\n  "rows": {_json_list(rows)},\n'
@@ -199,18 +226,8 @@ def _per_level(s, levels, counts, eq_counts, sums_ord, maxs):
     Ns, TS0s, TSs = (list(accumulate(x, initial=0)) for x in
                      (counts, [k * c for k, c in enumerate(counts)], sums_ord))
     lams = list(accumulate(maxs, max, initial=0))
-    per_level = []
-    for m in levels:
-        N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
-        S_m = Fraction(TS, TS0) if TS0 else None
-        Sp = Fraction(TS1 - TS, TS01 - TS0) if TS01 > TS0 else None
-        per_level.append(LevelStats(
-            m=m, N_m=N, TS_m=TS, TS0_m=TS0, S_m=S_m, Sp_m=Sp,
-            Spp_m=Fraction((s.rank + 1) * TS, s.rank * m * N),
-            lammax_m=Fraction(lams[m], m),
-            count_gamma=N + eq_counts[m],
-        ))
-    return per_level
+    return [LevelStats(m, Ns[m], TSs[m], TS0s[m], Ns[m] + eq_counts[m], sums_ord[m],
+                       m * counts[m], lams[m], s.rank) for m in levels]
 
 
 def _target(s, x, L, F):
@@ -330,8 +347,9 @@ def bj_bound_check(s: ConeSingularity, xi0, F: MonomialFiltration,
     if not levels:
         return True
     sw = sweep(s, xi0, F, levels)
-    bound = (1 + eps) * sw.target["S"]
-    return all(st.Spp_m <= bound for st in sw.per_level)
+    bound = (1 + eps) * sw.target["S"]  # S''_m <= p/q, in integers
+    p, q, n = bound.numerator, bound.denominator, s.rank
+    return all((n + 1) * st.TS_m * q <= p * n * st.m * st.N_m for st in sw.per_level)
 
 
 class GoodValuationReport(NamedTuple):

@@ -1,8 +1,13 @@
+import csv
+import io
+import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import floor, gcd, prod
 from operator import mul, sub
+from types import MappingProxyType
+from typing import NamedTuple
 
 import pytest
 
@@ -320,3 +325,76 @@ def scan_sweep(s, xi0, F_, levels, budget=None, level=None):
             add(w0, hi - lo + 1, *stats(prefix, lo, hi))
     return estimators.EstimatorSweep(levels=list(levels), per_level=estimators._per_level(
         s, levels, counts, eqs, sums, maxs))
+
+
+class ReferenceLevelStats(NamedTuple):
+    """A sweep row as ``estimators`` built it while its ratios were fields,
+    made as Fractions with the row: the reference for the rows' properties."""
+    m: int
+    N_m: int
+    TS_m: int
+    TS0_m: int
+    S_m: Fraction | None
+    Sp_m: Fraction | None
+    Spp_m: Fraction
+    lammax_m: Fraction
+    count_gamma: int
+
+
+def reference_per_level(s, levels, counts, eq_counts, sums_ord, maxs):
+    """Cold reference of ``estimators._per_level``: the same per-shell lists,
+    each ratio a Fraction built with its row."""
+    Ns, TS0s, TSs = (list(accumulate(x, initial=0)) for x in
+                     (counts, [k * c for k, c in enumerate(counts)], sums_ord))
+    lams = list(accumulate(maxs, max, initial=0))
+    per_level = []
+    for m in levels:
+        N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
+        S_m = Fraction(TS, TS0) if TS0 else None
+        Sp = Fraction(TS1 - TS, TS01 - TS0) if TS01 > TS0 else None
+        per_level.append(ReferenceLevelStats(
+            m=m, N_m=N, TS_m=TS, TS0_m=TS0, S_m=S_m, Sp_m=Sp,
+            Spp_m=Fraction((s.rank + 1) * TS, s.rank * m * N),
+            lammax_m=Fraction(lams[m], m),
+            count_gamma=N + eq_counts[m],
+        ))
+    return per_level
+
+
+class ReferenceSweep(NamedTuple):
+    """Cold reference of ``estimators.EstimatorSweep``'s writers: CSV through
+    ``csv.writer`` and JSON rows formatted from the Fraction fields of
+    ``ReferenceLevelStats``."""
+    levels: list
+    per_level: list
+    target: dict = MappingProxyType({})
+
+    def to_csv(self):
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(estimators.CSV_HEADER)
+        for st in self.per_level:
+            w.writerow([st.m, st.N_m, st.TS_m, *("" if x is None else str(x) for x in
+                                                  (st.S_m, st.Sp_m, st.Spp_m, st.lammax_m))])
+        return buf.getvalue()
+
+    def to_json(self):
+        def q(x):
+            return "null" if x is None else f'"{x}"'
+        levels = ",".join(f"\n    {m}" for m in self.levels)
+        rows = ",".join(f"""
+    {{
+      "m": {st.m},
+      "N_m": {st.N_m},
+      "TS_m": {st.TS_m},
+      "TS0_m": {st.TS0_m},
+      "S_m": {q(st.S_m)},
+      "Sp_m": {q(st.Sp_m)},
+      "Spp_m": {q(st.Spp_m)},
+      "lammax_m": {q(st.lammax_m)},
+      "count_gamma": {st.count_gamma}
+    }}""" for st in self.per_level)
+        target = json.dumps({k: None if v is None else str(v) for k, v in self.target.items()},
+                            indent=2).replace("\n", "\n  ")
+        return (f'{{\n  "levels": {estimators._json_list(levels)},\n'
+                f'  "rows": {estimators._json_list(rows)},\n  "target": {target}\n}}')

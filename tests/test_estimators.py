@@ -5,7 +5,6 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate
 from math import floor, lcm
 from operator import mul
 from pathlib import Path
@@ -40,10 +39,12 @@ from conestab.filtration import approx_ord, approximant, monomial_filtration, to
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
+    ReferenceSweep,
     c2_battery,
     level_coordinates,
     level_frame,
     pairwise_dp_orders,
+    reference_per_level,
     scan_sweep,
 )
 
@@ -399,19 +400,8 @@ def _reference_aggregate(s, xi0, levels, order_of, pts):
             maxs[fw] = o
         if wi == fw * den:
             eq_counts[fw] += 1
-    Ns, TSs, TS0s = (list(accumulate(x, initial=0)) for x in
-                     (counts, sums_ord, [fw * c for fw, c in enumerate(counts)]))
-    lams = list(accumulate(maxs, max, initial=0))
-    per_level = []
-    for m in levels:
-        N, TS, TS0, TS1, TS01 = Ns[m], TSs[m], TS0s[m], TSs[m + 1], TS0s[m + 1]
-        per_level.append(estimators.LevelStats(
-            m=m, N_m=N, TS_m=TS, TS0_m=TS0,
-            S_m=F(TS, TS0) if TS0 else None,
-            Sp_m=F(TS1 - TS, TS01 - TS0) if TS01 > TS0 else None,
-            Spp_m=F(s.rank + 1, s.rank) * F(TS, m * N),
-            lammax_m=F(lams[m], m), count_gamma=N + eq_counts[m]))
-    return estimators.EstimatorSweep(levels=levels, per_level=per_level)
+    return ReferenceSweep(levels=levels, per_level=reference_per_level(
+        s, levels, counts, eq_counts, sums_ord, maxs))
 
 
 def _reference_points(s, xi0, levels, budget):
@@ -573,6 +563,95 @@ def _rank_one_cases(draw):
     levels = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
     event(f"rank 1, X sign {sign}")
     return s, xi0, draw(_filtrations(s)), levels, draw(st.integers(1, 3)), 400
+
+
+_RANKS_1_TO_3 = st.integers(1, 3).flatmap(
+    lambda rank: _rank_one_cases() if rank == 1 else _sweep_cases(ranks=(rank,)))
+_LINE = from_rays([(1,)])
+_LINE_G = monomial_filtration(_LINE, [(2,)])
+
+
+def _rows_and_reference(call):
+    """The sweep that ``call()`` returns, and the reference rows of the
+    per-shell lists that its ``_per_level`` read."""
+    seen = []
+
+    def per_level(*args):
+        seen.append(args)
+        return library(*args)
+    library = estimators._per_level
+    with mock.patch.object(estimators, "_per_level", per_level):
+        sw = call()
+    (args,) = seen
+    return sw, reference_per_level(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_RANKS_1_TO_3, approx=st.booleans())
+# Weights 0, 3, 6, ... on the line: TS0_m = 0 for m <= 3, and shells 1, 2, 4 are empty.
+@example(case=(_LINE, (3,), _LINE_G, [1, 2, 4, 6], 2, 400), approx=False)
+@example(case=(_LINE, (3,), _LINE_G, [1, 2, 4, 6], 2, 400), approx=True)
+@example(case=(_RANK3, (F(3, 2), 1, F(5, 4)),
+               monomial_filtration(_RANK3, [(3, 2, 2), (2, 3, F(5, 2))]), [1, 3, 5], 2, 400),
+         approx=True)
+def test_rows_build_the_reference_ratios_on_read(case, approx):
+    # Rows hold integers; each ratio property is the Fraction (or None) that
+    # the rows once stored, and both writers print the retired formatting
+    # of those Fractions byte for byte.
+    s, xi0, G, levels, m_filt, budget = case
+    try:
+        sw, ref = _rows_and_reference(
+            (lambda: sweep_approx(s, xi0, G, m_filt, levels, budget=budget)) if approx
+            else (lambda: sweep(s, xi0, G, levels, budget=budget)))
+    except BudgetExceeded:
+        event("budget exceeded")
+        return
+    for row, want in zip(sw.per_level, ref, strict=True):
+        assert (row.m, row.N_m, row.TS_m, row.TS0_m, row.count_gamma) \
+            == (want.m, want.N_m, want.TS_m, want.TS0_m, want.count_gamma)
+        for name in ("S_m", "Sp_m", "Spp_m", "lammax_m"):
+            got, expected = getattr(row, name), getattr(want, name)
+            assert got == expected and type(got) is type(expected), name
+    for name in ("S_m", "Sp_m"):
+        event(f"{name} None: {any(getattr(row, name) is None for row in ref)}")
+    reference = ReferenceSweep(levels=sw.levels, per_level=ref, target=sw.target)
+    assert sw.to_json() == reference.to_json()
+    assert sw.to_csv() == reference.to_csv()
+
+
+def test_row_ratios_cover_both_missing_cases():
+    # The line's example above reaches both None branches of the writers:
+    # orders 2a at weights 3a, so S_m = 2/3 once a = 1 is below m.
+    sw = sweep(_LINE, (3,), _LINE_G, [1, 2, 4, 6])
+    assert [(st.S_m, st.Sp_m) for st in sw.per_level] \
+        == [(None, None), (None, None), (F(2, 3), None), (F(2, 3), F(2, 3))]
+    assert sw.to_csv().split("\r\n")[1:4] == ["1,1,0,,,0,0", "2,1,0,,,0,0", "4,2,2,2/3,,1/2,1/2"]
+    assert '"S_m": null,\n      "Sp_m": null,' in sw.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_RANKS_1_TO_3, eps=st.fractions(min_value=F(1, 40), max_value=2, max_denominator=40),
+       scale=st.fractions(min_value=F(1, 2), max_value=F(3, 2), max_denominator=12),
+       pick=st.integers(0, 50), tie=st.booleans())
+def test_bj_bound_check_matches_fraction_comparison(case, eps, scale, pick, tie):
+    # The integer test (n+1) TS_m q <= p n m N_m, with p/q = (1+eps) S,
+    # decides as S''_m <= (1+eps) S does in Fractions.  S''_m stays below
+    # the closed-form S at these levels, so the target S is replaced to put
+    # the bound among the S''_m: on one of them if ``tie``, else at
+    # ``scale`` times the largest.
+    s, xi0, G, levels, _, budget = case
+    try:
+        spp = sorted({st.Spp_m for st in sweep(s, xi0, G, levels, budget=budget).per_level})
+    except BudgetExceeded:
+        assume(False)
+    bound = spp[pick % len(spp)] if tie else spp[-1] * scale
+    target = estimators._target
+    with mock.patch.object(estimators, "_target",
+                           lambda *args: {**target(*args), "S": bound / (1 + eps)}):
+        got = bj_bound_check(s, xi0, G, eps, min(levels), levels=levels)
+    expected = all(x <= bound for x in spp)
+    event(f"a level on the bound: {bound in spp}, bound holds: {expected}")
+    assert got is expected
 
 
 _RANK4 = from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 2)])

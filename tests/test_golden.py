@@ -66,3 +66,14 @@ def test_rank4_estimate_to_level_72_matches_golden(monkeypatch, capsys):
                  "--levels", "1..72"]) == 0
     assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
                                                 "estimate_rank4_72.out").read_bytes()
+
+
+def test_c2_approx_estimate_to_level_30_matches_golden(monkeypatch, capsys):
+    # The CSV of an approximate sweep, recorded while the rows still held
+    # their ratios as Fractions and ``csv.writer`` wrote them.
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    root = PERFBENCH.parent
+    assert main(["estimate", str(PERFBENCH / "docs" / "c2_fex.json"), "--filtration", "FEX",
+                 "--levels", "1..30", "--approx", "2"]) == 0
+    assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
+                                                "estimate_c2_approx2.out").read_bytes()

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conestab.errors import EmptyInput
-from conestab.estimators import EstimatorSweep
+from conestab.estimators import EstimatorSweep, sweep
 from conestab.exactgeom import PLConcave, slice_polytope
 from conestab.exactgeom.fan import cone_fan
 from conestab.filtration import monomial_filtration
@@ -26,6 +26,8 @@ FIELDS = {
     "PLConcave": ("rows", "den"),
     "Polytope": ("dim", "vertices", "recession_rays", "halfspaces"),
     "Fan": ("rank", "rays", "simplices"),
+    "LevelStats": ("m", "N_m", "TS_m", "TS0_m", "count_gamma", "shell_TS", "shell_TS0",
+                   "top_ord", "rank"),
 }
 
 
@@ -33,7 +35,7 @@ def _records():
     s = from_rays([(1, 0), (1, 2)], [0, "1/3"])
     F = monomial_filtration(s, [(2, 3), (3, 1)])
     return [s.sigma, s, F, F.transform, slice_polytope(s.weight_cone, (1, 1), 1),
-            cone_fan(s.weight_cone)]
+            cone_fan(s.weight_cone), sweep(s, (1, 1), F, [4]).row(4)]
 
 
 @pytest.mark.parametrize("index", range(len(FIELDS)))
