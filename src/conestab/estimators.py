@@ -12,10 +12,10 @@ into the simplicial cones of F's chambers, where floor(g) is a start
 value plus a linear form in the generators' multiplicities, and one walk
 over the occupied weights gives every shell's count, order sum and
 maximum, so N_m, TS0_m and count_gamma come from the same counts.  The
-orders of ``sweep_approx`` are DP values, so it reads a cached table of
-lattice runs instead: a run's residue classes of the grading denominator
-fill strided slices of shells, counted by +1/-1 pairs in strided
-difference arrays, and the pass adds its orders onto them.  A row holds
+orders of ``sweep_approx`` are DP values, so it reads them off F's
+approximation table (``filtration._approx_table``), whose reference-weight
+window holds every point below the top level, and bins that table's
+points below the top by shell, one point at a time.  A row holds
 integers only; its ratios are Fractions built on read, and the CSV and
 JSON writers print them from the integers.
 """
@@ -24,15 +24,14 @@ import json
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from operator import add, mul, sub
+from operator import mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, EmptyInput, LatticeNotGenerated
+from .errors import EmptyInput, LatticeNotGenerated
 from .exactgeom import frac, lattice_points_below
 from .exactgeom.fan import _shell_sums
-from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
-from .exactgeom.linalg import smith_diagonal
+from .exactgeom.lattice import _checked_budget
 from .filtration import MonomialFiltration, _approx_key, _approx_table, _rows
 from .invariants import _lambda_max_cached, _s_closed_cached, _vol_cached
 from .singularity import ConeSingularity, _xi_row
@@ -146,79 +145,6 @@ def _levels(levels):
     return sorted(set(levels))
 
 
-class _ShellTable(NamedTuple):
-    """The filtration-independent part of ``sweep_approx`` below level ``top``."""
-
-    runs: tuple       # (prefix, lo, hi, classes): (orders slice, shell slice) pairs
-    counts: list      # index k < top: points in shell k
-    eq_counts: list   # index k < top: points with <xi0, a> = k exactly
-
-
-def _build_shell_table(wc, xs, den, top, budget):
-    """Runs, shell slices and counts of the lattice below ``top``.
-
-    Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
-    residue class of t mod den the floor weight steps by exactly X and the
-    test "weight is an integer" does not change, so the counts of a class
-    are one +1/-1 pair in a difference array of stride |X|, and its orders
-    land on one strided slice of shells (only shells up to top + 1 are
-    stored).  When X = 0 a run sits in one shell, and each point is a class
-    of its own, of stride 1.
-    """
-    runs = _lattice_runs(wc, xs, top * den, budget, True)
-    *xs, X = xs  # integer weights <xi0 den, a>
-    step = abs(X) or 1
-    # Difference arrays: a class's -1 lands one stride past its last shell.
-    counts = [0] * (top + 2)
-    eq_counts = [0] * (top + 2)
-    table = []
-    for prefix, lo, hi in runs:
-        w0 = sum(map(mul, xs, prefix))
-        period = den if X else hi - lo + 1
-        classes = []
-        for r in range(min(period, hi - lo + 1)):
-            fw, rem = divmod(w0 + X * (lo + r), den)
-            k = (hi - lo - r) // period + 1
-            src = slice(r, None, period)
-            if X < 0:  # walk the class from its lowest shell up
-                fw += X * (k - 1)
-                src = slice(r + den * (k - 1), r - 1 if r else None, -den)
-            end = fw + step * k
-            for diffs in (counts,) if rem else (counts, eq_counts):
-                diffs[fw] += 1
-                if end <= top + 1:
-                    diffs[end] -= 1
-            classes.append((src, slice(fw, end, step)))
-        table.append((prefix, lo, hi, tuple(classes)))
-    for r in range(min(step, top + 2)):  # prefix sums of stride |X| turn differences into counts
-        counts[r::step] = accumulate(counts[r::step])
-        eq_counts[r::step] = accumulate(eq_counts[r::step])
-    return _ShellTable(runs=tuple(table), counts=counts[:top], eq_counts=eq_counts[:top])
-
-
-# Shell tables, keyed on (weight cone, x, L, top): at most _TABLES of them,
-# holding at most _TABLE_ENTRIES runs and shells together.  A larger table
-# is built for its sweep and dropped after it.
-_TABLES = 8
-_TABLE_ENTRIES = 1 << 16
-_shell_table = _TableCache(_TABLES, _TABLE_ENTRIES,
-                          lambda table: len(table.runs) + len(table.counts))
-
-
-def _aggregate(s, table, levels, run_orders):
-    """The per-filtration pass over a shell table: ``run_orders(prefix, lo,
-    hi)`` lists the orders along one run, which go onto its shell slices."""
-    sums_ord = [0] * len(table.counts)
-    maxs = [0] * len(table.counts)
-    for prefix, lo, hi, classes in table.runs:
-        orders = run_orders(prefix, lo, hi)
-        for src, dst in classes:
-            os = orders[src]
-            sums_ord[dst] = map(add, sums_ord[dst], os)
-            maxs[dst] = [o if o > m else m for m, o in zip(maxs[dst], os)]
-    return _per_level(s, levels, table.counts, table.eq_counts, sums_ord, maxs)
-
-
 def _per_level(s, levels, counts, eq_counts, sums_ord, maxs):
     """The rows at ``levels`` from the per-shell point counts, counts at
     integer weight, order sums and order maxima of the shells below the top
@@ -257,9 +183,15 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
                  m_filtration: int, levels, budget=None) -> EstimatorSweep:
     """Sweep of the degree-m approximating filtration of F.
 
-    The orders along each run of the cached shell table of (weight cone,
-    xi0, top level) are a slice of one run of F's approximation table,
-    whose reference-weight window holds every point below the top level.
+    The orders are read off F's approximation table on the window
+    <ell, .> <= W, with ell = sigma's interior point and W the largest
+    floor(<ell, r> (top L - 1) / <x, r>) over the weight-cone rays r
+    (xi0 = x / L): the vertex bound of the slice <x, .> <= top L - 1, so
+    the window holds every point below the top level.  Its points below
+    the top are binned by shell <x, p> // L.  The budget counts the
+    window's points: on a skinny cone W exceeds the largest <ell, .> of a
+    point below the top, and a budget between the two windows' point
+    counts raises although the points up to that largest value fit it.
     Statistics are pointwise below those of the sweep of F and close the
     gap once the level exceeds the generation degree.
     """
@@ -267,22 +199,34 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     (x, L), levels = _xi_row(xi0, s.rank), _levels(levels)
     budget = _checked_budget(budget)
     target = {**_target(s, x, L, F), "m_filtration": Fraction(m_filtration)}
-    tkey = (s.weight_cone, x, L, levels[-1] + 1)
-    table = _shell_table.get(tkey)
-    if table is None:  # enumerated under the budget, and stored only when complete
-        table = _shell_table.put(tkey, _build_shell_table(*tkey, budget))
-    if sum(table.counts) > budget:  # a hit raises what an enumeration would
-        raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+    top = levels[-1] + 1
+    limit = top * L
     ell = s.sigma.interior_point()
-    # <ell, .> is linear along a run, so its largest value sits at an end.
-    wmax = max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)
-               for p, lo, hi, _ in table.runs)
-    runs = _approx_table(F, key, wmax, budget).runs
-
-    def run_orders(prefix, lo, hi):
-        start, orders = runs[prefix]
-        return orders[lo - start:hi - start + 1]
-    per_level = _aggregate(s, table, levels, run_orders)
+    window = max(sum(map(mul, ell, r)) * (limit - 1) // sum(map(mul, x, r))
+                 for r in s.weight_cone.rays)
+    counts, eq_counts, sums_ord, maxs = ([0] * top for _ in range(4))
+    *head, X = x
+    for prefix, (lo, orders) in _approx_table(F, key, window, budget).runs.items():
+        w0 = sum(map(mul, head, prefix))  # <x, p> = w0 + X t along the run
+        # Keep the points below the top, w0 + X t <= limit - 1: a head of
+        # the run if X > 0, a tail if X < 0, all or none if X = 0.
+        if X > 0:
+            orders = orders[:max(0, (limit - 1 - w0) // X + 1 - lo)]
+        elif X < 0:
+            first = max(lo, -((w0 - limit + 1) // X))
+            orders, lo = orders[first - lo:], first
+        elif w0 >= limit:
+            continue
+        w = w0 + X * lo
+        for o in orders:
+            k, rem = divmod(w, L)
+            counts[k] += 1
+            eq_counts[k] += not rem
+            sums_ord[k] += o
+            if o > maxs[k]:
+                maxs[k] = o
+            w += X
+    per_level = _per_level(s, levels, counts, eq_counts, sums_ord, maxs)
     return EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 
 
@@ -293,12 +237,6 @@ class SemigroupSample(NamedTuple):
     t: Fraction
     points: list
     cloud: list  # points divided by m
-
-    def verify_origin_level(self, s, xi0) -> bool:
-        """Level zero of the graded semigroup holds only the origin."""
-        zero_level = lattice_points_below(s.weight_cone, _xi_row(xi0, s.rank)[0], 0,
-                                          strict=False)
-        return zero_level == [tuple(0 for _ in range(s.rank))]
 
     def verify_closure(self, s, xi0, F, limit=200) -> bool:
         """Sampled additive closure: sums of members land in the level-2m slice."""
@@ -357,7 +295,6 @@ class GoodValuationReport(NamedTuple):
     r0: Fraction
     ell: tuple
     generators: list
-    snf_diagonal: list
 
     def __bool__(self):
         return self.ok
@@ -366,12 +303,13 @@ class GoodValuationReport(NamedTuple):
 def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     """Verify the exponent valuation of the singularity is a good one.
 
-    Checks, for the grading functional ell = <., xi0>: monomial leaves are
-    one-dimensional (automatic for an exponent valuation); the weight
-    semigroup generates the full lattice (Smith normal form of an
-    irreducible generating set); ell is strictly positive on the weight
-    cone; and the vertex-order bound ord_m(x^a) >= r0 * ell(a) with the
-    certified constant r0 = 1 / max generator weight.
+    Checks, for the grading functional ell = <., xi0>: ell is strictly
+    positive on the weight cone; and the vertex-order bound ord_m(x^a) >=
+    r0 * ell(a) with the certified constant r0 = 1 / max generator weight,
+    over the irreducible generators.  Monomial leaves are one-dimensional
+    for an exponent valuation, and the lattice points of the
+    full-dimensional weight cone generate the full lattice (they hold an
+    interior point p and every p + e_i), so neither needs a check.
     """
     x, L = _xi_row(xi0, s.rank)  # <xi0, .> = <x, .> / L
     wc = s.weight_cone
@@ -385,10 +323,6 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     members = set(nonzero)
     # Irreducible: p - q is not a nonzero member for any nonzero member q.
     gens = [p for p in nonzero if not any(tuple(map(sub, p, q)) in members for q in nonzero)]
-    diag = smith_diagonal(gens)
-    if diag != [1] * s.rank:
-        raise LatticeNotGenerated(
-            f"weight semigroup generates a proper sublattice (SNF {diag})")
     r0 = Fraction(L, max(sum(map(mul, x, g)) for g in gens))
     return GoodValuationReport(ok=True, r0=r0, ell=tuple(Fraction(a, L) for a in x),
-                               generators=sorted(gens), snf_diagonal=diag)
+                               generators=sorted(gens))

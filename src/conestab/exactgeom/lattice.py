@@ -6,10 +6,11 @@ last coordinate fills an exact integer range, so a slice is a list of
 with the first n-2 coordinates fixed, every integer row is linear in
 coordinate n-1, so its bound on the last coordinate along the row is one
 list comprehension over a range.  ``lattice_points_below`` lays the runs
-out as points; the estimator sweeps aggregate each run at once and never
-build the points.  The tables built from runs (the sweeps' shell tables,
-the approximation tables) are cached in a ``_TableCache``, which bounds
-what it keeps by the size of the tables as well as by their number.
+out as points; the approximation tables keep their orders per run and
+never build the points.  Those tables, like the chamber decompositions
+and the sweeps' parallelepipeds, are cached in a ``_TableCache``, which
+bounds what it keeps by the size of the tables as well as by their
+number.
 """
 
 import os

@@ -23,8 +23,7 @@ right-hand side and the free columns over d.  The H/V conversion (which
 also enumerates vertices) and the |det| of each simplex of a fan hold
 integer rows already and call the kernel directly; the triangulation
 itself reads incidences and eliminates nothing.  These routines favour
-clarity and exactness over asymptotics.  ``smith_diagonal`` is the
-separate unimodular integer elimination that lattice indices need.
+clarity and exactness over asymptotics.
 """
 
 from fractions import Fraction
@@ -224,41 +223,6 @@ def nullspace(rows, ncols):
             v[pc] = Fraction(-r[fc], d)
         basis.append(tuple(v))
     return basis
-
-
-def smith_diagonal(rows) -> list:
-    """Smith normal form diagonal of an integer matrix: min(#rows, #cols)
-    non-negative invariant factors d_1 | d_2 | ..., 0 past the rank.
-
-    Row and column elimination over ``int`` diagonalizes; pairwise gcd/lcm
-    swaps then put the diagonal in divisibility order.
-    """
-    a = [[int(x) for x in r] for r in rows]
-    m, n = len(a), len(a[0]) if a else 0
-    diag = []
-    for t in range(min(m, n)):
-        block = [(i, j) for i in range(t, m) for j in range(t, n)]
-        while any(a[i][j] for i, j in block):
-            # Pivot on the smallest entry, so every pass shrinks the remainders.
-            _, i, j = min((abs(a[i][j]), i, j) for i, j in block if a[i][j])
-            a[t], a[i] = a[i], a[t]
-            for r in a:
-                r[t], r[j] = r[j], r[t]
-            for i in range(t + 1, m):
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                for r in a:
-                    r[j] -= q * r[t]
-            if not any(a[i][t] for i in range(t + 1, m)) and not any(a[t][t + 1:]):
-                break
-        diag.append(abs(a[t][t]))
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, (diag[i] * diag[j] // g if g else 0)
-    return diag
 
 
 def gram_project_out(v, direction):

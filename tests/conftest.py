@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import floor, gcd, prod
-from operator import mul, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -17,7 +17,7 @@ from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _validate
 from conestab.exactgeom.fan import Fan, _moments
 from conestab.exactgeom.lattice import _box, _checked_budget, _lattice_runs
 from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
-from conestab.filtration import _envelope
+from conestab.filtration import _approx_key, _approx_table, _envelope
 from conestab.singularity import _xi_row
 
 
@@ -325,6 +325,104 @@ def scan_sweep(s, xi0, F_, levels, budget=None, level=None):
             add(w0, hi - lo + 1, *stats(prefix, lo, hi))
     return estimators.EstimatorSweep(levels=list(levels), per_level=estimators._per_level(
         s, levels, counts, eqs, sums, maxs))
+
+
+# ---------------------------------------------------------------------------
+# The shell table that ``estimators.sweep_approx`` built before it binned its
+# approximation table by shell: ``build_shell_table`` and
+# ``shell_table_aggregate`` are the retired ``_build_shell_table`` and
+# ``_aggregate``, unchanged.
+
+class ShellTable(NamedTuple):
+    """The filtration-independent part of ``sweep_approx`` below level ``top``."""
+
+    runs: tuple       # (prefix, lo, hi, classes): (orders slice, shell slice) pairs
+    counts: list      # index k < top: points in shell k
+    eq_counts: list   # index k < top: points with <xi0, a> = k exactly
+
+
+def build_shell_table(wc, xs, den, top, budget):
+    """Runs, shell slices and counts of the lattice below ``top``.
+
+    Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
+    residue class of t mod den the floor weight steps by exactly X and the
+    test "weight is an integer" does not change, so the counts of a class
+    are one +1/-1 pair in a difference array of stride |X|, and its orders
+    land on one strided slice of shells (only shells up to top + 1 are
+    stored).  When X = 0 a run sits in one shell, and each point is a class
+    of its own, of stride 1.
+    """
+    runs = _lattice_runs(wc, xs, top * den, budget, True)
+    *xs, X = xs  # integer weights <xi0 den, a>
+    step = abs(X) or 1
+    # Difference arrays: a class's -1 lands one stride past its last shell.
+    counts = [0] * (top + 2)
+    eq_counts = [0] * (top + 2)
+    table = []
+    for prefix, lo, hi in runs:
+        w0 = sum(map(mul, xs, prefix))
+        period = den if X else hi - lo + 1
+        classes = []
+        for r in range(min(period, hi - lo + 1)):
+            fw, rem = divmod(w0 + X * (lo + r), den)
+            k = (hi - lo - r) // period + 1
+            src = slice(r, None, period)
+            if X < 0:  # walk the class from its lowest shell up
+                fw += X * (k - 1)
+                src = slice(r + den * (k - 1), r - 1 if r else None, -den)
+            end = fw + step * k
+            for diffs in (counts,) if rem else (counts, eq_counts):
+                diffs[fw] += 1
+                if end <= top + 1:
+                    diffs[end] -= 1
+            classes.append((src, slice(fw, end, step)))
+        table.append((prefix, lo, hi, tuple(classes)))
+    for r in range(min(step, top + 2)):  # prefix sums of stride |X| turn differences into counts
+        counts[r::step] = accumulate(counts[r::step])
+        eq_counts[r::step] = accumulate(eq_counts[r::step])
+    return ShellTable(runs=tuple(table), counts=counts[:top], eq_counts=eq_counts[:top])
+
+
+def shell_table_aggregate(s, table, levels, run_orders):
+    """The per-filtration pass over a shell table: ``run_orders(prefix, lo,
+    hi)`` lists the orders along one run, which go onto its shell slices."""
+    sums_ord = [0] * len(table.counts)
+    maxs = [0] * len(table.counts)
+    for prefix, lo, hi, classes in table.runs:
+        orders = run_orders(prefix, lo, hi)
+        for src, dst in classes:
+            os = orders[src]
+            sums_ord[dst] = map(add, sums_ord[dst], os)
+            maxs[dst] = [o if o > m else m for m, o in zip(maxs[dst], os)]
+    return estimators._per_level(s, levels, table.counts, table.eq_counts, sums_ord, maxs)
+
+
+def shell_table_window(s, table):
+    """The exact window of a shell table: the largest <ell, .> on its runs,
+    ell = sigma's interior point.  <ell, .> is linear along a run, so its
+    largest value sits at an end."""
+    ell = s.sigma.interior_point()
+    return max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)
+               for p, lo, hi, _ in table.runs)
+
+
+def shell_table_sweep_approx(s, xi0, F_, m, levels, budget=None):
+    """Cold reference of ``estimators.sweep_approx``: the shell table of the
+    lattice below the top level, and the orders of F_'s approximation table
+    on that table's exact window, put onto its shells.  The budget bounds
+    the shell table's points and the window's."""
+    key = _approx_key(F_, m)
+    (x, L), levels = _xi_row(xi0, s.rank), estimators._levels(levels)
+    budget = _checked_budget(budget)
+    target = {**estimators._target(s, x, L, F_), "m_filtration": Fraction(m)}
+    table = build_shell_table(s.weight_cone, x, L, levels[-1] + 1, budget)
+    runs = _approx_table(F_, key, shell_table_window(s, table), budget).runs
+
+    def run_orders(prefix, lo, hi):
+        start, orders = runs[prefix]
+        return orders[lo - start:hi - start + 1]
+    per_level = shell_table_aggregate(s, table, levels, run_orders)
+    return estimators.EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
 
 
 class ReferenceLevelStats(NamedTuple):

@@ -20,7 +20,6 @@ from conestab.errors import (
     BudgetExceeded,
     DegenerateCone,
     EmptyInput,
-    LatticeNotGenerated,
     NotQGorenstein,
     ParseError,
 )
@@ -40,12 +39,15 @@ from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
     ReferenceSweep,
+    build_shell_table,
     c2_battery,
     level_coordinates,
     level_frame,
     pairwise_dp_orders,
     reference_per_level,
     scan_sweep,
+    shell_table_sweep_approx,
+    shell_table_window,
 )
 
 F = Fraction
@@ -284,7 +286,6 @@ def test_gamma_semigroup_validates_m(c2, fex):
 
 def test_gamma_semigroup_verifiers(c2, fex):
     gs = gamma_semigroup(c2, (1, 1), fex, 3, F(1, 2))
-    assert gs.verify_origin_level(c2, (1, 1))
     assert gs.verify_closure(c2, (1, 1), fex)
 
 
@@ -353,23 +354,15 @@ def test_good_valuation_examples(c2, a1):
     assert r.ok and r.r0 == F(1, 2)
     r = good_valuation_check(a1, (1, 1))
     assert r.ok and sorted(r.generators) == [(0, 1), (1, 0), (2, -1)]
-    assert r.snf_diagonal == [1, 1]
 
 
 def test_good_valuation_rank3():
     s = from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
     r = good_valuation_check(s, (0, 0, 1))
-    assert r.ok and r.snf_diagonal == [1, 1, 1]
-
-
-def test_good_valuation_proper_sublattice_message(c2, monkeypatch):
-    # Keep only points with even first coordinate: they generate 2Z x Z.
-    enumerate_all = estimators.lattice_points_below
-    monkeypatch.setattr(estimators, "lattice_points_below", lambda *a, **k: [
-        p for p in enumerate_all(*a, **k) if p[0] % 2 == 0])
-    with pytest.raises(LatticeNotGenerated) as exc:
-        good_valuation_check(c2, (1, 1))
-    assert str(exc.value) == "weight semigroup generates a proper sublattice (SNF [1, 2])"
+    # The weight cone is the cone over the square [-1, 1]^2, a normal
+    # polytope: its Hilbert basis is the square's 9 points at height 1.
+    assert r.ok and r.r0 == 1
+    assert r.generators == [(a, b, 1) for a in (-1, 0, 1) for b in (-1, 0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +740,18 @@ def test_shell_table_work_is_bounded_by_the_points(c2, fex):
 
 def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
     # xi0 = (1, 1234567/10^6) below level 150: level coordinates would scan
-    # 150000001 prefixes against 151.  sweep_approx builds its table on the
-    # exponents, and sweep enumerates no lattice runs at all.
+    # 150000001 prefixes against 151.  sweep enumerates no lattice runs at
+    # all, and sweep_approx builds its approximation table on the exponents,
+    # over the window <ell, .> <= 149 of ell = (1, 1).
     xi0 = (1, F(1234567, 10 ** 6))
     built = []
 
     def counted(*args):
-        built.append(args[0].rays)
+        built.append(args[:3])
         return lattice_runs(*args)
-    lattice_runs = estimators._lattice_runs
-    monkeypatch.setattr(estimators, "_lattice_runs", counted)
-    estimators._shell_table.cache_clear()
+    lattice_runs = filtration._lattice_runs
+    monkeypatch.setattr(filtration, "_lattice_runs", counted)
+    filtration._approx_tables.cache_clear()
     xs, den = _xi_row(xi0, 2)
     cone, x0, _ = level_frame(c2.weight_cone, xs)
     for c, x, prefixes in ((cone, x0, 150000001), (c2.weight_cone, xs, 151)):
@@ -768,7 +762,7 @@ def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
     got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
     assert got.to_json() == _reference_json(_reference_sweep(c2, xi0, fex, range(1, 150), None))
     approx = sweep_approx(c2, xi0, fex, 3, range(1, 150))
-    assert built == [c2.weight_cone.rays]
+    assert built == [(c2.weight_cone, (1, 1), 149)]
     assert [st.N_m for st in approx.per_level] == [st.N_m for st in sw.per_level]
 
 
@@ -796,58 +790,66 @@ def _table_pairs(draw):
                monomial_filtration(_RANK3, [(3, 2, 2), (2, 3, F(5, 2))]),
                [9, 24], 3, None, monomial_filtration(_RANK3, [(1, 1, 1)])))  # den(xi0) = 4
 def test_second_filtration_on_a_table_matches_a_cold_sweep(pair):
-    # F0 warms the caches of (weight cone, xi0, top) under the default
-    # budget: sweep_approx's shell table, sweep's parallelepipeds.  The
-    # sweeps of G then read them (and check their own budget) and must
-    # print what they print from cold caches; sweep never reads the table.
+    # F0 and G warm the caches of (weight cone, xi0, top) under the default
+    # budget: sweep's parallelepipeds, and the approximation tables of F0
+    # and G.  The sweeps of G then read them (and check their own budget)
+    # and must print what they print from cold caches: sweep_approx's is
+    # one hit on G's table, and sweep never reads an approximation table.
     s, xi0, G, levels, m_filt, budget, F0 = pair
-    table = estimators._shell_table
-    for call, misses in ((lambda H, b: sweep(s, xi0, H, levels, budget=b), 0),
-                         (lambda H, b: sweep_approx(s, xi0, H, m_filt, levels, budget=b), 1)):
-        table.cache_clear()
+    tables = filtration._approx_tables
+    for call, hits in ((lambda H, b: sweep(s, xi0, H, levels, budget=b), 0),
+                       (lambda H, b: sweep_approx(s, xi0, H, m_filt, levels, budget=b), 1)):
+        tables.cache_clear()
         fan._parallelepipeds.cache_clear()
         cold = _json_or_error(lambda: call(G, budget))
-        table.cache_clear()
+        tables.cache_clear()
         call(F0, None)
+        call(G, None)
+        before = tables.cache_info()
         warm = _json_or_error(lambda: call(G, budget))
+        after = tables.cache_info()
         assert warm == cold
-        assert (table.cache_info().hits, table.cache_info().misses) == (misses, misses)
+        assert (after.hits - before.hits, after.misses - before.misses) == (hits, 0)
         event("budget exceeded" if cold.startswith("lattice") else "swept")
 
 
 def test_sweeps_of_one_key_share_one_table(c2, fex, monkeypatch):
-    # sweep_approx enumerates the lattice runs once per (weight cone, xi0,
-    # top); a second filtration on the key is a hit and a new top a new
-    # table.  sweep and bj_bound_check enumerate no runs.
+    # sweep_approx enumerates the lattice runs once per (filtration, M): a
+    # lower top level reads the stored table, a higher one grows it, and a
+    # second filtration builds its own.  sweep and bj_bound_check enumerate
+    # no runs.
     calls = []
 
     def counted(*args):
         calls.append((args[0].rays, args[2]))
         return lattice_runs(*args)
-    lattice_runs = estimators._lattice_runs
-    monkeypatch.setattr(estimators, "_lattice_runs", counted)
-    estimators._shell_table.cache_clear()
+    lattice_runs = filtration._lattice_runs
+    monkeypatch.setattr(filtration, "_lattice_runs", counted)
+    filtration._approx_tables.cache_clear()
     G = monomial_filtration(c2, [(1, 3), (2, 1)])
     sweep(c2, (1, 1), fex, range(1, 21))
     assert bj_bound_check(c2, (1, 1), G, 10, 1, levels=range(1, 21))
     assert calls == []
     sweep_approx(c2, (1, 1), G, 2, range(1, 21))
-    sweep_approx(c2, (1, 1), fex, 3, [20])
-    info = estimators._shell_table.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert calls == [(c2.weight_cone.rays, 21)]
     sweep_approx(c2, (1, 1), G, 2, [3, 19])
-    assert estimators._shell_table.cache_info().misses == 2
-    assert calls[1:] == [(c2.weight_cone.rays, 20)]
+    info = filtration._approx_tables.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert calls == [(c2.weight_cone.rays, 20)]
+    sweep_approx(c2, (1, 1), fex, 3, [20])
+    sweep_approx(c2, (1, 1), G, 2, [24])
+    assert calls[1:] == [(c2.weight_cone.rays, 20), (c2.weight_cone.rays, 24)]
+    info = filtration._approx_tables.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
-    # A shell-table hit resolves the budget as a miss does and compares it
-    # with the stored point count, so both raise the same errors.
+    # A hit on the approximation table resolves the budget as a miss does
+    # and compares it with the stored point count of the window, so both
+    # raise the same errors.  At xi0 = ell = (1, 1) the window below level
+    # 10 holds exactly the points of weight < 10.
     levels = [4, 9]
     kept = len(lattice_points_below(c2.weight_cone, (1, 1), 10))
     G = monomial_filtration(c2, [(1, 3)])
-    estimators._shell_table.cache_clear()
     filtration._approx_tables.cache_clear()
     cold = sweep_approx(c2, (1, 1), G, 2, levels).to_json()
     sweep_approx(c2, (1, 1), fex, 2, levels)
@@ -865,8 +867,122 @@ def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
     monkeypatch.setenv("CONESTAB_BUDGET", "-3")
     with pytest.raises(ParseError, match="^CONESTAB_BUDGET: budget must be nonnegative, got -3$"):
         sweep_approx(c2, (1, 1), G, 2, levels)
-    info = estimators._shell_table.cache_info()
-    assert (info.hits, info.misses) == (5, 1)
+    info = filtration._approx_tables.cache_info()
+    assert (info.hits, info.misses) == (4, 2)
+
+
+# Points c in convex position around 0, summing to 0: a cone's rays are
+# k v + sum_i c_i w_i, so v is interior.  Only rank 3 has room for more
+# rays than its rank.
+_SHAPES = {1: [[()]], 2: [[(1,), (-1,)]],
+           3: [[(1, 0), (0, 1), (-1, -1)], [(1, 0), (1, 1), (-1, 0), (-1, -1)],
+               [(1, 0), (0, 1), (-1, 1), (-1, -1), (1, -1)]]}
+
+
+@st.composite
+def _approx_cases(draw):
+    """A cone of rank n = 1-3 with n to n + 2 rays around an integer
+    direction v, xi0 = q v with q rational, a filtration of 1-3 covectors
+    given with duplicate and redundant rows, M = 1-3 and levels up to 8.
+
+    v's last coordinate takes each sign and 0, where X = 0 and every
+    lattice run sits in one shell; q = a / b gives xi0 a denominator L > 1
+    whenever b does not divide a v.
+    """
+    rank = draw(st.sampled_from([1, 2, 3]))
+    small = st.sampled_from([0, 1, -1, 2, -2])
+    v = [draw(small) for _ in range(rank)]
+    w = [[draw(small) for _ in range(rank)] for _ in range(rank - 1)]
+    assume(det([v] + w) != 0)
+    k = draw(st.integers(1, 2))
+    rays = [tuple(k * a + sum(c * b[i] for c, b in zip(cs, w)) for i, a in enumerate(v))
+            for cs in draw(st.sampled_from(_SHAPES[rank]))]
+    assume(all(map(any, rays)))
+    try:
+        s = from_rays(rays)
+    except (NotQGorenstein, DegenerateCone):
+        assume(False)
+    assume(len(s.sigma.rays) == len(rays))
+    q = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    xi0 = tuple(q * a for a in v)
+    covs = list(draw(_filtrations(s)).covectors)
+    for _ in range(draw(st.integers(0, 2))):
+        z = draw(st.sampled_from(covs))
+        r = draw(st.sampled_from([(0,) * rank, *s.sigma.rays]))  # a duplicate, or a row above z
+        covs.append(tuple(a + b for a, b in zip(z, r)))
+    G = monomial_filtration(s, covs)
+    levels = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    event(f"{len(rays)} rays in rank {rank}, xi0 last coordinate 0: {v[-1] == 0}")
+    event(f"L > 1: {_xi_row(xi0, rank)[1] > 1}")
+    return s, xi0, G, draw(st.integers(1, 3)), levels
+
+
+def _windows(call):
+    """call()'s result, and the windows that its sweep_approx asked of the
+    approximation table."""
+    windows = []
+
+    def recorded(F_, key, window, budget):
+        windows.append(window)
+        return approx_table(F_, key, window, budget)
+    approx_table = estimators._approx_table
+    with mock.patch.object(estimators, "_approx_table", recorded):
+        return call(), windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_approx_cases())
+@example(case=(_C2, (1, 1), monomial_filtration(_C2, [(2, 1), (1, 2)]), 2, [3, 8]))
+@example(case=(_WEDGE, (1, 0), monomial_filtration(_WEDGE, [(3, 1), (F(5, 2), F(-1, 2))]),
+               3, [7, 8]))  # X = 0
+@example(case=(_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, 2, [5, 8]))  # L = 6, X < 0
+def test_sweep_approx_matches_the_shell_table_reference(case):
+    # The approximation table binned by shell gives the rows, the JSON and
+    # the CSV of the retired shell-table path, also when the table was
+    # grown past the window, and its window W is at least the shell
+    # table's exact window.
+    s, xi0, G, m_filt, levels = case
+    try:  # keeps the grown table to a few thousand points on skinny cones
+        lattice_points_below(s.weight_cone, xi0, max(levels) + 4, budget=3000)
+    except BudgetExceeded:
+        assume(False)
+    filtration._approx_tables.cache_clear()
+    got, (window,) = _windows(lambda: sweep_approx(s, xi0, G, m_filt, levels))
+    ref = shell_table_sweep_approx(s, xi0, G, m_filt, levels)
+    assert got == ref
+    assert got.to_json() == ref.to_json() and got.to_csv() == ref.to_csv()
+    sweep_approx(s, xi0, G, m_filt, [max(levels) + 3])
+    assert sweep_approx(s, xi0, G, m_filt, levels) == ref
+    x, L = _xi_row(xi0, s.rank)
+    exact = shell_table_window(s, build_shell_table(s.weight_cone, x, L, max(levels) + 1,
+                                                    10 ** 7))
+    assert window >= exact
+    event(f"W > exact window: {window > exact}")
+
+
+def test_window_is_the_vertex_bound_of_the_top_level(c2, fex, z3):
+    # On C^2 at xi0 = (1, 1), the approx workload's cone, W is the shell
+    # table's exact window.  On z3 at xi0 = (4, 3) below level 8 it is 7
+    # where the exact one is 6, and a budget of 10 or 11, between the
+    # windows' point counts, now raises where the shell-table path
+    # returned rows.
+    for top in (2, 9, 23, 31):
+        _, windows = _windows(lambda: sweep_approx(c2, (1, 1), fex, 2, [top - 1]))
+        assert windows == [top - 1] == [shell_table_window(c2, build_shell_table(
+            c2.weight_cone, (1, 1), 1, top, 10 ** 7))]
+    G = monomial_filtration(z3, [(2, 1), (1, 1)])
+    _, windows = _windows(lambda: sweep_approx(z3, (4, 3), G, 2, [7]))
+    assert windows == [7]
+    assert shell_table_window(z3, build_shell_table(z3.weight_cone, (4, 3), 1, 8, 10 ** 7)) == 6
+    ell = z3.sigma.interior_point()
+    assert [len(lattice_points_below(z3.weight_cone, ell, w, strict=False))
+            for w in (6, 7)] == [10, 12]
+    for budget in (10, 11):
+        filtration._approx_tables.cache_clear()
+        ref = shell_table_sweep_approx(z3, (4, 3), G, 2, [7], budget=budget)
+        with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {budget}$"):
+            sweep_approx(z3, (4, 3), G, 2, [7], budget=budget)
+    assert sweep_approx(z3, (4, 3), G, 2, [7], budget=12) == ref
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "100"])
@@ -909,31 +1025,26 @@ def test_bj_bound_check_validates_m0(c2, fex):
 
 
 def test_table_caches_keep_no_table_above_their_bound(c2, fex):
-    # A table holding more than the bound (runs and shells for a shell
-    # table, points for an approximation table) is built for its call and
-    # dropped after it, so the memory held between calls stays bounded; a
-    # sweep keeps only its parallelepipeds.
+    # An approximation table holding more points than the bound is built
+    # for its call and dropped after it, so the memory held between calls
+    # stays bounded; a sweep keeps only its parallelepipeds.
     line = from_rays([[1]])
     G = monomial_filtration(line, [(2,)])
-    estimators._shell_table.cache_clear()
     filtration._approx_tables.cache_clear()
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         assert sweep(line, (1,), G, [10, 20000]).row(20000).N_m == 20000
-        big = estimators._build_shell_table(line.weight_cone, (1,), 1, 70001, 10 ** 5)
-        assert estimators._shell_table.put("key", big) is big and sum(big.counts) == 70001
-        del big
+        assert sweep_approx(line, (1,), G, 1, [10, 70000]).row(70000).N_m == 70000
         held = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()
     assert held < 10 ** 6
+    assert filtration._approx_tables.cache_info().currsize == 0
     assert approx_ord(G, 1, (70000,)) == 70000
-    assert estimators._shell_table.cache_info().currsize == 0
     assert filtration._approx_tables.cache_info().currsize == 0
     # The approximation sweep of C^2 to level 60 and its table stay cached.
     sweep_approx(c2, (1, 1), fex, 3, range(1, 61))
-    assert estimators._shell_table.cache_info().currsize == 1
     assert filtration._approx_tables.cache_info().currsize == 1
 
 

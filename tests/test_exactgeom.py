@@ -37,7 +37,6 @@ from conestab.exactgeom.linalg import (
     det,
     mat_rank,
     nullspace,
-    smith_diagonal,
     solve,
 )
 from conestab.exactgeom.lattice import _lattice_runs
@@ -340,44 +339,6 @@ def _cofactor_det(m):
         return 1
     return sum((-1) ** j * m[0][j] * _cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
                for j in range(len(m)))
-
-
-def _determinantal_factors(a):
-    """s_k = d_k / d_(k-1), where d_k is the gcd of the k x k minors."""
-    out, prev = [], 1
-    for k in range(1, min(len(a), len(a[0])) + 1):
-        d = 0
-        for rows in combinations(range(len(a)), k):
-            for cols in combinations(range(len(a[0])), k):
-                d = gcd(d, _cofactor_det([[a[i][j] for j in cols] for i in rows]))
-        out.append(d // prev if prev else 0)
-        prev = d
-    return out
-
-
-@st.composite
-def _int_matrices(draw):
-    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
-    a = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(m)]
-    keep = draw(st.integers(1, m))  # rows past `keep` combine earlier ones
-    for i in range(keep, m):
-        coeffs = [draw(st.integers(-2, 2)) for _ in range(keep)]
-        a[i] = [sum(c * a[k][j] for k, c in enumerate(coeffs)) for j in range(n)]
-    col, factor = draw(st.integers(0, n - 1)), draw(st.integers(1, 4))
-    for row in a:
-        row[col] *= factor
-    return a
-
-
-def test_smith_diagonal_literal_cases():
-    assert smith_diagonal([[2, 0], [0, -3]]) == [1, 6]
-    assert smith_diagonal([[4, 6], [6, 9]]) == [1, 0]
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=_int_matrices())
-def test_smith_diagonal_matches_determinantal_divisors(a):
-    assert smith_diagonal(a) == _determinantal_factors(a)
 
 
 @settings(max_examples=300, deadline=None)

@@ -39,12 +39,14 @@ from conestab.filtration import (
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
+    build_shell_table,
     floor_runs,
     floor_sum,
     pairwise_dp_orders,
     random_cone,
     random_filtration,
     random_reeb,
+    shell_table_aggregate,
     unimodular_completion,
 )
 
@@ -544,14 +546,14 @@ def _old_approximant(F_, m, budget=None):
 
 def _old_sweep_approx(s, xi0, F_, m, levels, budget=None):
     levels = sorted(set(levels))
-    table = estimators._build_shell_table(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1,
-                                          _checked_budget(budget))
+    table = build_shell_table(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1,
+                              _checked_budget(budget))
     ell = s.sigma.interior_point()
     pts = lattice_points_below(s.weight_cone, xi0, levels[-1] + 1, budget=budget)
     window = lattice_points_below(s.weight_cone, ell, max(dot(ell, p) for p in pts),
                                   strict=False, budget=budget)
     orders = _old_approx_orders(F_, m, window)
-    rows = estimators._aggregate(s, table, levels, lambda p, lo, hi: [
+    rows = shell_table_aggregate(s, table, levels, lambda p, lo, hi: [
         orders[p + (t,)] for t in range(lo, hi + 1)])
     return _rows_json(estimators.EstimatorSweep(levels=levels, per_level=rows))
 

@@ -77,3 +77,25 @@ def test_c2_approx_estimate_to_level_30_matches_golden(monkeypatch, capsys):
                  "--levels", "1..30", "--approx", "2"]) == 0
     assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
                                                 "estimate_c2_approx2.out").read_bytes()
+
+
+def test_rank4_approx_estimate_to_level_12_matches_golden(monkeypatch, capsys):
+    # Recorded by the shell table that ``sweep_approx`` built below the top
+    # level before it binned its approximation table by shell.
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    root = PERFBENCH.parent
+    assert main(["estimate", str(root / "tests" / "docs" / "rank4.json"), "--filtration", "G",
+                 "--levels", "1..12", "--approx", "2"]) == 0
+    assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
+                                                "estimate_rank4_approx2.out").read_bytes()
+
+
+def test_long_reeb_approx_estimate_to_level_10_matches_golden(monkeypatch, capsys):
+    # Recorded by the shell table, as above.  At xi0 = (1, 10000019/10^6),
+    # L = 10^6, so a shell <x, p> // L is not a window <ell, .> of ell = (1, 1).
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    root = PERFBENCH.parent
+    assert main(["estimate", str(root / "tests" / "docs" / "c2_long_reeb.json"), "--filtration",
+                 "FEX", "--levels", "1..10", "--approx", "2"]) == 0
+    assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
+                                                "estimate_c2_long_reeb_approx2.out").read_bytes()
