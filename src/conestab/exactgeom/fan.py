@@ -16,19 +16,20 @@ link (hep-th/0503183).  The fan depends on the cone alone, so it is built
 once per cone, from its ray-facet incidences and one |det| per simplex;
 each evaluation then runs over integers (``_fan_sums``) at
 x = L xi, with the pairings p_i cleared to the common denominator Q =
-prod of the pairings of all rays; ``_moments`` forms one Fraction per
-output entry, and S one per value.  For g = min_j <z_j, .>, ``chambers``
+prod of the pairings of all rays; the callers keep the integers and form
+one Fraction per value they return.  For g = min_j <z_j, .>, ``chambers``
 splits C into the cones on which g is linear, cut from C's rays by the
 double description steps of the one H/V conversion (``cone._cut``), each
 with its fan, triangulated from the incidences the last cut leaves; the
-fans give S, and their rays lambda_max and the irredundant covectors.
-``_shell_sums`` reads the lattice side off the same simplices, made
-half-open: the counts, order sums and order maxima of every level of a
-sweep, each simplicial cone a parallelepiped of start points plus its
-generators (Koeppe and Verdoolaege, Electron. J. Combin. 15, 2008).
+fans give S, through one store of their integer first moments
+(``_chamber_moments``), and their rays lambda_max and the irredundant
+covectors.  ``_shell_sums`` reads the lattice side off the same
+simplices, made half-open: the counts, order sums and order maxima of
+every level of a sweep, each simplicial cone a parallelepiped of start
+points plus its generators (Koeppe and Verdoolaege, Electron. J. Combin.
+15, 2008).
 """
 
-from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from math import gcd, prod
@@ -129,10 +130,22 @@ def _chamber_rows(c: Cone, rows):
     return tuple((back[d], fan) for d, fan in found)
 
 
+@lru_cache(maxsize=16384)
+def _chamber_moments(c: Cone, key, x):
+    """((d, Q, G), ...) per chamber of ``chambers(c, key)``: Q and G the
+    order-1 ``_fan_sums`` of its fan at the int tuple x, for the covector
+    rows whose ``_chamber_key`` is key.  A transform, its twists and
+    rescalings share the key, and so do all one-covector transforms; the
+    entries hold ints, so no Fan outlives the ``chambers`` store."""
+    return tuple((d, Q, tuple(G)) for d, fan in _chamber_rows(c, key)
+                 for Q, _, G, _ in [_fan_sums(fan, x, 1)])
+
+
 def _fan_sums(fan: Fan, x, order):
     """(Q, vol, grad, hess) at the integer vector x, as ints: Q the product
-    of the pairings <w, x> over the rays, and the moments of ``_moments``
-    times Q, -Q^2 and Q^3 (hess only its lower triangle)."""
+    of the pairings <w, x> over the rays, and the three moments of the
+    module docstring at xi = x times Q, -Q^2 and Q^3 (hess only its lower
+    triangle; grad None at order 0, hess None below 2)."""
     n = fan.rank
     P = [sum(map(mul, w, x)) for w in fan.rays]
     if any(p <= 0 for p in P):
@@ -166,23 +179,6 @@ def _fan_sums(fan: Fan, x, order):
                 for m in range(k + 1):
                     hess[k][m] += f * w[k] * w[m]
     return Q, vol, grad, hess
-
-
-def _moments(fan: Fan, x, L, order=2):
-    """(vol, grad, hess) at xi = x / L as Fractions (grad None at order 0,
-    hess None below 2): ``_fan_sums`` at x over the degrees -n, -n-1, -n-2."""
-    n = fan.rank
-    Q, vol, grad, hess = _fan_sums(fan, x, order)
-    vol_q = Fraction(L ** n * vol, Q)
-    if order == 0:
-        return vol_q, None, None
-    grad_q = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in grad)
-    if order == 1:
-        return vol_q, grad_q, None
-    scale = L ** (n + 2)
-    lower = [[Fraction(scale * hess[k][m], Q ** 3) for m in range(k + 1)] for k in range(n)]
-    hess_q = tuple(tuple(lower[max(k, m)][min(k, m)] for m in range(n)) for k in range(n))
-    return vol_q, grad_q, hess_q
 
 
 def _parallelepiped(c: Cone, tau, x, den, limit, budget, spent):

@@ -150,8 +150,10 @@ class _TableCache:
     table larger than ``maxweight`` on its own is returned to its caller
     and never kept, and the table stored under its key stays.  The caller
     builds a table when ``get`` finds none that will do, and stores it with
-    ``put``.  A store given ``build`` is called like it, as an
-    ``lru_cache``, with the cold builder ``__wrapped__``.
+    ``put``; a stored table that ``get``'s ``fits`` rejects is returned to
+    be rebuilt from, and counts as a miss.  A store given ``build`` is
+    called like it, as an ``lru_cache``, with the cold builder
+    ``__wrapped__``.
     """
 
     def __init__(self, maxsize, maxweight, size, build=None):
@@ -163,13 +165,12 @@ class _TableCache:
         table = self.get(key)
         return self.put(key, self.__wrapped__(*key)) if table is None else table
 
-    def get(self, key):
+    def get(self, key, fits=None):
         table = self.tables.pop(key, None)
-        if table is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.tables[key] = table  # now the most recent
+        hit = table is not None and (fits is None or fits(table))
+        self.hits, self.misses = self.hits + hit, self.misses + (not hit)
+        if table is not None:
+            self.tables[key] = table  # now the most recent
         return table
 
     def put(self, key, table):

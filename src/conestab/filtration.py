@@ -403,8 +403,9 @@ def _approx_table(F: MonomialFiltration, key, window, budget) -> _ApproxTable:
     enumerated under the budget, and the complete table replaces the
     stored one, keeping the approximant's transform.
     """
-    table = _approx_tables.get(key)
-    if table is not None and table.window >= window:
+    fits = lambda table: table.window >= window
+    table = _approx_tables.get(key, fits)
+    if table is not None and fits(table):
         if table.counts[window] > budget:
             raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
         return table

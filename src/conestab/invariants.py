@@ -11,10 +11,11 @@ twist, a ray), and its LP runs only on the exact ties where the closed
 form leaves that point open.  The slice integrals all come from one
 simplicial fan of the weight cone (``exactgeom.fan``, Lawrence's formula),
 whose gradient gives D_eta vol(xi) = -(n+1) vol(xi) <bary(xi), eta>: the
-Futaki invariant of a product configuration is a single pairing.  S(xi0; F)
-sums the same first moment over the fans of F's chambers, which
-lambda_max and the covector reduction read from one cache
-(``exactgeom.fan.chambers``).
+Futaki invariant of a product configuration is a single pairing, read off
+the integer sums ``OkounkovBody`` holds.  S(xi0; F) sums the same first
+moment over the fans of F's chambers (``exactgeom.fan.chambers``, which
+lambda_max and the covector reduction read too), once per xi0 for F, its
+twists and rescalings (``exactgeom.fan._chamber_moments``).
 
 The caches key on the integer forms of the only data their values depend
 on: the weight cone (so singularities that differ only in their boundary
@@ -36,9 +37,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DegenerateCone, FutakiNonvanishing, IdentityViolated, NotPrimary
-from .exactgeom import (dot, enumerate_vertices, lp_solve, primitivize, slice_polytope,
+from .exactgeom import (Cone, dot, enumerate_vertices, lp_solve, primitivize, slice_polytope,
                          slice_vertices, vec)
-from .exactgeom.fan import _chamber_rows, _fan_sums, _moments, cone_fan
+from .exactgeom.fan import _chamber_key, _chamber_moments, _chamber_rows, _fan_sums, cone_fan
 from .exactgeom.linalg import gram_project_out, norm_sq
 from .exactgeom.polytope import _slice_extreme
 from .filtration import MonomialFiltration, _newton_halfspaces, _rows
@@ -48,17 +49,42 @@ from .singularity import ConeSingularity, _log_discrepancy, _xi_row
 class OkounkovBody(NamedTuple):
     """Weight-cone slice at level one with its exact volume statistics.
 
+    Held as ints: the weight cone, xi0 = x / L, the order-1 sums (Q, V, G)
+    of its fan at x (``fan._fan_sums``) and alpha0_ints = (row, den),
+    alpha0 = row / den in lowest terms, the form the kernels read; the
+    slice (body), its volume, barycenter and alpha0 are built on read.
     alpha0 = (n+1)/n * barycenter represents the linear form S(xi0; .) on
     coweights; it pairs to 1 with xi0 and lies in the relative interior of
-    the level-one slice.  alpha0_ints = (row, den), alpha0 = row / den in
-    lowest terms, is the form the kernels read.
+    the level-one slice.
     """
 
-    body: object
-    vol: Fraction
-    bary: tuple
-    alpha0: tuple
+    weight_cone: Cone
+    x: tuple
+    L: int
+    Q: int
+    V: int
+    G: tuple
     alpha0_ints: tuple
+
+    @property
+    def body(self):
+        return slice_polytope(self.weight_cone, tuple(Fraction(b, self.L) for b in self.x), 1)
+
+    @property
+    def vol(self) -> Fraction:
+        """The slice volume, vol(xi0) / n!."""
+        n = len(self.x)
+        return Fraction(self.L ** n * self.V, self.Q * math.factorial(n))
+
+    @property
+    def bary(self):
+        (a, d), n = self.alpha0_ints, len(self.x)
+        return tuple(Fraction(n * b, (n + 1) * d) for b in a)
+
+    @property
+    def alpha0(self):
+        a, d = self.alpha0_ints
+        return tuple(Fraction(b, d) for b in a)
 
 
 def _alpha0_ints(x, L, Q, V, G):
@@ -78,13 +104,8 @@ def _alpha0_ints(x, L, Q, V, G):
 @lru_cache(maxsize=4096)
 def _okounkov_cached(wc, x, L) -> OkounkovBody:
     """Keyed on (weight cone, x, L), xi0 = x / L: all the body depends on."""
-    n = wc.rank
     Q, V, G, _ = _fan_sums(cone_fan(wc), x, 1)
-    a, d = _alpha0_ints(x, L, Q, V, G)
-    return OkounkovBody(body=slice_polytope(wc, tuple(Fraction(b, L) for b in x), 1),
-                        vol=Fraction(L ** n * V, Q * math.factorial(n)),
-                        bary=tuple(Fraction(n * b, (n + 1) * d) for b in a),
-                        alpha0=tuple(Fraction(b, d) for b in a), alpha0_ints=(a, d))
+    return OkounkovBody(wc, x, L, Q, V, tuple(G), _alpha0_ints(x, L, Q, V, G))
 
 
 def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
@@ -94,7 +115,8 @@ def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
 @lru_cache(maxsize=8192)
 def _vol_cached(wc, x, L) -> Fraction:
     """Keyed on (weight cone, x, L), xi = x / L."""
-    return _moments(cone_fan(wc), x, L, order=0)[0]
+    Q, V, _, _ = _fan_sums(cone_fan(wc), x, 0)
+    return Fraction(L ** wc.rank * V, Q)
 
 
 def vol(s: ConeSingularity, xi) -> Fraction:
@@ -111,25 +133,24 @@ def nvol(s: ConeSingularity, xi) -> Fraction:
 def vol_derivative(s: ConeSingularity, xi, eta) -> Fraction:
     """Directional derivative of vol at xi along eta (exact closed form)."""
     e, Le = _xi_row(eta, s.rank)
-    _, grad, _ = _moments(cone_fan(s.weight_cone), *_xi_row(xi, s.rank), order=1)
-    return dot(grad, e) / Le
+    O = _okounkov_cached(s.weight_cone, *_xi_row(xi, s.rank))  # grad = -L^(n+1) G / Q^2
+    return Fraction(-O.L ** (s.rank + 1) * sum(map(mul, O.G, e)), O.Q * O.Q * Le)
 
 
 @lru_cache(maxsize=16384)
 def _s_closed_cached(wc, x, L, zs, den) -> Fraction:
     """Keyed on (weight cone, x, L, zs, den), xi0 = x / L and the
     covectors zs_j / den: S = L^(n+1) sum_j <zs_j, G_j> / Q_j^2 over
-    den n vol(xi0), G_j / Q_j^2 the integer first moment of chamber j."""
-    n = wc.rank
+    den n vol(xi0), G_j / Q_j^2 the integer first moment of chamber j
+    (``fan._chamber_moments``) and vol(xi0) = L^n V / Q."""
+    back = _chamber_key(zs)
     num, q = 0, 1  # sum_j <zs_j, G_j> / Q_j^2 as num / q
-    for z, fan in _chamber_rows(wc, zs):
-        Q, _, grad, _ = _fan_sums(fan, x, 1)
+    for d, Q, G in _chamber_moments(wc, tuple(back), x):
         Q2 = Q * Q
-        num = num * Q2 + sum(map(mul, z, grad)) * q
+        num = num * Q2 + sum(map(mul, back[d], G)) * q
         q *= Q2
-    v = _okounkov_cached(wc, x, L).vol  # the slice volume, vol(xi0) / n!
-    return Fraction(L ** (n + 1) * num * v.denominator,
-                    den * n * math.factorial(n) * q * v.numerator)
+    O = _okounkov_cached(wc, x, L)
+    return Fraction(L * num * O.Q, den * wc.rank * q * O.V)
 
 
 def s_closed(s: ConeSingularity, xi0, F: MonomialFiltration) -> Fraction:
@@ -254,9 +275,9 @@ def futaki_product(s: ConeSingularity, xi0, eta) -> Fraction:
     """
     x, L = _xi_row(xi0, s.rank)
     e, Le = _xi_row(eta, s.rank)
-    alpha0 = _okounkov_cached(s.weight_cone, x, L).alpha0
-    return (_log_discrepancy(s, e, Le)
-            - _log_discrepancy(s, x, L) * dot(alpha0, e) / Le)
+    a, d = _okounkov_cached(s.weight_cone, x, L).alpha0_ints
+    ux, ue = sum(map(mul, s.u_row, x)), sum(map(mul, s.u_row, e))
+    return Fraction(ue * L * d - ux * sum(map(mul, a, e)), s.u_den * L * d * Le)
 
 
 def futaki_derivative(s: ConeSingularity, xi0, eta) -> Fraction:
@@ -266,13 +287,13 @@ def futaki_derivative(s: ConeSingularity, xi0, eta) -> Fraction:
     using the exact barycenter form of the derivative.  Must agree with
     futaki_product identically; n L Le u_den T is an integer vector.
     """
-    n, wc = s.rank, s.weight_cone
+    n = s.rank
     x, L = _xi_row(xi0, n)
     e, Le = _xi_row(eta, n)
     ux, ue = sum(map(mul, s.u_row, x)), sum(map(mul, s.u_row, e))
     T = [ux * a - ue * b for a, b in zip(e, x)]
-    v, grad, _ = _moments(cone_fan(wc), x, L, order=1)
-    return dot(grad, T) / (n * L * Le * s.u_den * v)
+    O = _okounkov_cached(s.weight_cone, x, L)  # grad = -L^(n+1) G / Q^2, vol = L^n V / Q
+    return Fraction(-sum(map(mul, O.G, T)), n * Le * s.u_den * O.Q * O.V)
 
 
 def delta_T(s: ConeSingularity, xi0):
@@ -399,7 +420,7 @@ def _reduced_j_twist_lp(s, x, L, F, alpha0):
     cons = [((Fraction(1),) * k + zeros(n + 1), "==", Fraction(1))]
     cons += [(zeros(i) + (Fraction(1),) + zeros(k + n - i), ">=", Fraction(0)) for i in range(k)]
     cons += [(zeros(k) + tuple(h) + zeros(1), ">=", Fraction(0)) for h in s.sigma.halfspaces]
-    for av in _okounkov_cached(s.weight_cone, x, L).body.vertices[1:]:  # slice vertices
+    for av in slice_vertices(s.weight_cone.rays, x, L):  # the body's vertices but the apex
         row = [dot(z, av) for z in covs] + list(av) + [Fraction(-1)]
         cons.append((tuple(row), "<=", Fraction(0)))
     objective = zeros(k) + tuple(-a for a in alpha0) + (Fraction(1),)

@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import floor, gcd, prod
+from math import factorial, floor, gcd, prod
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
@@ -13,11 +13,13 @@ import pytest
 
 from conestab import estimators, from_rays, monomial_filtration, toric_filtration
 from conestab.errors import DegenerateCone
+from conestab.exactgeom import slice_polytope
 from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _validate
-from conestab.exactgeom.fan import Fan, _moments
+from conestab.exactgeom.fan import Fan, _fan_sums, cone_fan
 from conestab.exactgeom.lattice import _box, _checked_budget, _lattice_runs
 from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
 from conestab.filtration import _approx_key, _approx_table, _envelope
+from conestab.invariants import _alpha0_ints
 from conestab.singularity import _xi_row
 
 
@@ -48,8 +50,45 @@ def fex(c2):
 
 def fan_moments(fan, xi, order=2):
     """(vol, grad, hess) of sum_tau |det W_tau| / prod_i <w_i, xi> over a
-    fan at the rational xi, as Fractions: the reference the tests read."""
-    return _moments(fan, *_integer_row(xi), order)
+    fan at the rational xi, as Fractions (grad None at order 0, hess None
+    below 2): the reference the tests read.  With xi = x / L, x integral,
+    these are ``fan._fan_sums`` at x over the degrees -n, -n-1, -n-2."""
+    x, L = _integer_row(xi)
+    n = fan.rank
+    Q, vol, grad, hess = _fan_sums(fan, x, order)
+    vol_q = Fraction(L ** n * vol, Q)
+    if order == 0:
+        return vol_q, None, None
+    grad_q = tuple(Fraction(-L ** (n + 1) * g, Q ** 2) for g in grad)
+    if order == 1:
+        return vol_q, grad_q, None
+    scale = L ** (n + 2)
+    lower = [[Fraction(scale * hess[k][m], Q ** 3) for m in range(k + 1)] for k in range(n)]
+    hess_q = tuple(tuple(lower[max(k, m)][min(k, m)] for m in range(n)) for k in range(n))
+    return vol_q, grad_q, hess_q
+
+
+class ReferenceOkounkovBody(NamedTuple):
+    """``invariants.OkounkovBody`` as it was while it held its views."""
+    body: object
+    vol: Fraction
+    bary: tuple
+    alpha0: tuple
+    alpha0_ints: tuple
+
+
+def okounkov_reference(s, xi0):
+    """Cold reference of ``invariants.okounkov_body``: the record built
+    eagerly, the slice polytope and every Fraction view made with it."""
+    wc = s.weight_cone
+    x, L = _xi_row(xi0, s.rank)
+    n = wc.rank
+    Q, V, G, _ = _fan_sums(cone_fan(wc), x, 1)
+    a, d = _alpha0_ints(x, L, Q, V, G)
+    return ReferenceOkounkovBody(body=slice_polytope(wc, tuple(Fraction(b, L) for b in x), 1),
+                                 vol=Fraction(L ** n * V, Q * factorial(n)),
+                                 bary=tuple(Fraction(n * b, (n + 1) * d) for b in a),
+                                 alpha0=tuple(Fraction(b, d) for b in a), alpha0_ints=(a, d))
 
 
 def scan_facet_normals(rays, n):

@@ -839,7 +839,7 @@ def test_sweeps_of_one_key_share_one_table(c2, fex, monkeypatch):
     sweep_approx(c2, (1, 1), G, 2, [24])
     assert calls[1:] == [(c2.weight_cone.rays, 20), (c2.weight_cone.rays, 24)]
     info = filtration._approx_tables.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+    assert (info.misses, info.currsize) == (3, 2)
 
 
 def test_table_hit_checks_the_budget(c2, fex, monkeypatch):
@@ -1058,8 +1058,19 @@ def test_oversized_table_keeps_the_stored_one():
     first = approximant(G, 1)
     assert approx_ord(G, 1, (70000,)) == 70000
     info = filtration._approx_tables.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    assert (info.misses, info.currsize) == (2, 1)
     with mock.patch.object(filtration, "enumerate_vertices", side_effect=AssertionError):
         assert approximant(G, 1) == first
     info = filtration._approx_tables.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+
+
+def test_table_rebuilt_for_a_larger_window_counts_a_miss(c2):
+    # A stored table whose window is too small is rebuilt, so the lookup
+    # that found it is a miss; only a table read as it is counts a hit.
+    G = monomial_filtration(c2, [(2, 1), (1, 3)])
+    filtration._approx_tables.cache_clear()
+    for alpha in ((3, 3), (30, 30), (3, 3)):
+        approx_ord(G, 2, alpha)
+    info = filtration._approx_tables.cache_info()
+    assert (info.hits, info.misses) == (1, 2)

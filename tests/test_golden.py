@@ -99,3 +99,20 @@ def test_long_reeb_approx_estimate_to_level_10_matches_golden(monkeypatch, capsy
                  "FEX", "--levels", "1..10", "--approx", "2"]) == 0
     assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
                                                 "estimate_c2_long_reeb_approx2.out").read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["okounkov", "tests/docs/rank6_cross.json"], "okounkov_rank6_cross.out"),
+    (["okounkov", "tests/docs/rank6_cube.json"], "okounkov_rank6_cube.out"),
+    (["invariants", "tests/docs/rank4.json", "--filtration", "G", "--json"],
+     "invariants_rank4_json.out"),
+])
+def test_body_and_invariants_at_ranks_4_and_6_match_golden(argv, golden, monkeypatch, capsys):
+    # Recorded while the Okounkov body held its slice polytope, volume,
+    # barycenter and alpha0, all built with it; the record now holds the
+    # fan's integer sums, and these views and S and J_T are read off them.
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    root = PERFBENCH.parent
+    monkeypatch.chdir(root)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (root / "tests" / "golden" / golden).read_bytes()

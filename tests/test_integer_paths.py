@@ -7,12 +7,15 @@ ratios scaled rays onto the slice with ``slice_vertices`` and paired them
 with ``dot``; S summed ``dot(z, grad)`` over ``fan_moments`` of each chamber
 fan; the lct paired its covectors with u by ``dot``; the primarity test
 paired each covector with the weight-cone rays by ``dot``; and covector
-reduction keyed ``chambers`` on sorted Fraction tuples.
+reduction keyed ``chambers`` on sorted Fraction tuples.  They read the
+Okounkov body built eagerly, as it was while it held its Fraction views
+(``conftest.okounkov_reference``); the volume and Futaki references are
+Fraction forms of the fan's moments (``conftest.fan_moments``).
 """
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import event, given, settings
@@ -21,11 +24,11 @@ from hypothesis import strategies as st
 from conestab import invariants as inv
 from conestab.errors import NotPrimary, UnboundedSlice
 from conestab.exactgeom import dot, primitivize, slice_vertices, vec
-from conestab.exactgeom.fan import chambers
+from conestab.exactgeom.fan import chambers, cone_fan
 from conestab.exactgeom.polytope import _slice_extreme
-from conestab.filtration import monomial_filtration
+from conestab.filtration import monomial_filtration, rescale, twist
 from conestab.singularity import _xi_row, from_rays, reeb_vector
-from conftest import fan_moments, random_cone, random_reeb
+from conftest import fan_moments, okounkov_reference, random_cone, random_reeb
 
 F = Fraction
 
@@ -60,7 +63,7 @@ def _old_lambda_max(s, xi0, covectors):
 
 
 def _old_lambda_min(s, xi0, G):
-    return min(G.ord(v) for v in inv.okounkov_body(s, xi0).body.vertices[1:])
+    return min(G.ord(v) for v in okounkov_reference(s, xi0).body.vertices[1:])
 
 
 def _old_s(s, xi0, covectors):
@@ -68,12 +71,12 @@ def _old_s(s, xi0, covectors):
     total = F(0)
     for z, fan in chambers.__wrapped__(s.weight_cone, covectors):
         total -= dot(z, fan_moments(fan, xi0, order=1)[1])
-    return total / (n * factorial(n) * inv.okounkov_body(s, xi0).vol)
+    return total / (n * factorial(n) * okounkov_reference(s, xi0).vol)
 
 
 def _old_reduced_j(s, xi0, G):
     """(value, twist or None when several covectors are active)."""
-    body = inv.okounkov_body(s, xi0)
+    body = okounkov_reference(s, xi0)
     pairings = [dot(z, body.alpha0) for z in G.covectors]
     g0 = min(pairings)
     value = g0 - inv.s_closed(s, xi0, G)
@@ -85,7 +88,7 @@ def _old_reduced_j(s, xi0, G):
 
 
 def _old_delta_ratios(s, xi0):
-    alpha0 = inv.okounkov_body(s, xi0).alpha0
+    alpha0 = okounkov_reference(s, xi0).alpha0
     a0 = dot(s.u, xi0)
     return [dot(s.u, a) for a in slice_vertices(s.sigma.rays, tuple(a0 * x for x in alpha0))]
 
@@ -171,6 +174,72 @@ def test_integer_paths_match_fraction_references(seed):
     if ratios.count(value) == 1:
         assert ray == primitivize(s.sigma.rays[ratios.index(value)])
         event("delta_T without LP")
+
+
+def _record_instance(rnd):
+    """A cone of rank 1-4 (one of NON_SIMPLICIAL or a random simplicial
+    one), with boundary coefficients half the time, xi0 with L > 1, 1-4
+    covectors interior to sigma, a twist in the Reeb cone and a coweight."""
+    kind = rnd.random()
+    if kind < 0.15:
+        rays = [(rnd.choice([1, -1]),)]
+    elif kind < 0.5:
+        rays = rnd.choice(NON_SIMPLICIAL)
+    else:
+        rays = random_cone(rnd, rnd.choice([2, 3, 4])).sigma.rays
+    s = from_rays(rays)
+
+    def combination(rays, low, high=3):
+        coeffs = [rnd.randint(low, high) for _ in rays]
+        return [sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(s.rank)]
+    if rnd.random() < 0.5:
+        # a_i = <w, v_i> / (k top), w in the weight cone: u - w / (k top) solves for u.
+        w = combination(s.weight_cone.rays, 0)
+        top = max(dot(w, v) for v in s.sigma.rays)
+        if top:
+            k = rnd.choice([2, 3])
+            s = from_rays(s.sigma.rays, [dot(w, v) / (k * top) for v in s.sigma.rays])
+    x = combination(s.sigma.rays, 1)
+    L = gcd(*x) * rnd.choice([2, 3, 5])  # x / gcd is primitive, so L is xi0's denominator
+    xi0 = tuple(F(a, L) for a in x)
+    den = rnd.randint(1, 3)
+    covs = [tuple(F(a, den) for a in combination(s.sigma.rays, 1, 6))
+            for _ in range(rnd.randint(1, 4))]
+    xi = tuple(F(a, den) for a in combination(s.sigma.rays, 1))
+    eta = tuple(F(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(s.rank))
+    event(f"rank {s.rank}")
+    event("non-simplicial" if len(s.sigma.rays) > s.rank else "simplicial")
+    event("boundary" if any(s.coefficients) else "no boundary")
+    return s, xi0, covs, xi, eta
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_okounkov_record_and_its_readers_match_the_eager_references(seed):
+    # The record holds ints and builds its views on read; vol, nvol, the
+    # volume derivative, both Futaki routes and S (of F, a twist and a
+    # rescaling, which share their chamber moments) read its integers.
+    rnd = random.Random(seed)
+    s, xi0, covs, xi, eta = _record_instance(rnd)
+    assert _xi_row(xi0, s.rank)[1] > 1
+    ref = okounkov_reference(s, xi0)
+    O = inv.okounkov_body(s, xi0)
+    assert (O.body, O.vol, O.bary, O.alpha0, O.alpha0_ints) == tuple(ref)
+    n, a0, ae = s.rank, dot(s.u, xi0), dot(s.u, eta)
+    v, grad, _ = fan_moments(cone_fan(s.weight_cone), xi0, order=1)
+    T = [(a0 * e - ae * x) / n for e, x in zip(eta, xi0)]
+    got = [inv.vol(s, xi0), inv.nvol(s, xi0), inv.vol_derivative(s, xi0, eta),
+           inv.futaki_derivative(s, xi0, eta), inv.futaki_product(s, xi0, eta)]
+    assert got == [v, a0 ** n * v, dot(grad, eta), dot(grad, T) / v,
+                   ae - a0 * dot(ref.alpha0, eta)]
+    assert v == factorial(n) * ref.vol and all(type(q) is F for q in got)
+    G = monomial_filtration(s, covs)
+    event(f"{len(G.covectors)} chambers")
+    for H, rows in ((G, G.covectors),
+                    (twist(G, xi), [tuple(a + b for a, b in zip(z, xi)) for z in G.covectors]),
+                    (rescale(G, 2), [tuple(2 * a for a in z) for z in G.covectors])):
+        S = inv.s_closed(s, xi0, H)
+        assert S == _old_s(s, xi0, rows) and type(S) is F
 
 
 @settings(max_examples=100, deadline=None)

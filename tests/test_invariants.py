@@ -163,6 +163,43 @@ def test_slice_caches_shared_across_boundaries():
     assert u_values(bounded) == warm
 
 
+def _ints(v):
+    return type(v) is int or type(v) is tuple and all(map(_ints, v))
+
+
+def test_one_fan_sum_per_chamber_for_a_transform_and_its_twists(monkeypatch):
+    # At one xi0 the body sums the weight cone's fan once and futaki_derivative
+    # reads it; S of F, of a twist and of a rescaling sums each of F's k
+    # chambers once, and S of a toric filtration the weight cone's once more.
+    import conestab.invariants as inv
+    from conestab.exactgeom import fan
+
+    s = from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 3)])
+    xi0, G = (2, 3, 1), monomial_filtration(s, [(1, 2, 1), (2, 1, 1), (1, 1, 2)])
+    k = len(fan._chamber_rows(s.weight_cone, G.transform.rows))
+    assert k >= 2
+    for cache in (inv._okounkov_cached, inv._s_closed_cached, fan._chamber_moments):
+        cache.cache_clear()
+    calls = []
+
+    def counted(f, x, order):
+        calls.append(order)
+        return fan_sums(f, x, order)
+    fan_sums = fan._fan_sums
+    monkeypatch.setattr(fan, "_fan_sums", counted)
+    monkeypatch.setattr(inv, "_fan_sums", counted)
+    okounkov_body(s, xi0)
+    futaki_derivative(s, xi0, (1, 0, 2))
+    for H in (G, twist(G, (1, 1, 1)), rescale(G, 2), toric_filtration(s, (1, 2, 1))):
+        s_closed(s, xi0, H)
+    assert calls.count(1) == k + 2
+    # The store's entries, read back with no new sum, hold ints alone: no Fan.
+    for rows in (G.transform.rows, ((1, 2, 1),)):
+        entry = fan._chamber_moments(s.weight_cone, tuple(fan._chamber_key(rows)), xi0)
+        assert len(entry) == len(rows) and _ints(entry)
+    assert calls.count(1) == k + 2
+
+
 def test_lct_toric_minimizer_beats_sampling(c2, fex):
     # 10^4 random interior directions never beat the LP optimum
     rnd = random.Random(73)
@@ -538,7 +575,7 @@ def test_delta_T_identity_check_on_ray_path(c2, monkeypatch):
     def halved(wc, x, L):
         body = real(wc, x, L)
         row, den = body.alpha0_ints
-        return body._replace(alpha0=tuple(x / 2 for x in body.alpha0), alpha0_ints=(row, 2 * den))
+        return body._replace(alpha0_ints=(row, 2 * den))
 
     def no_lp(*args, **kwargs):
         raise AssertionError("delta_T ran the LP on a unique minimizing ray")

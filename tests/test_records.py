@@ -16,7 +16,7 @@ from conestab.estimators import EstimatorSweep, sweep
 from conestab.exactgeom import PLConcave, slice_polytope
 from conestab.exactgeom.fan import cone_fan
 from conestab.filtration import monomial_filtration
-from conestab.invariants import InvariantReport
+from conestab.invariants import InvariantReport, okounkov_body
 from conestab.singularity import from_rays
 
 FIELDS = {
@@ -28,6 +28,7 @@ FIELDS = {
     "Fan": ("rank", "rays", "simplices"),
     "LevelStats": ("m", "N_m", "TS_m", "TS0_m", "count_gamma", "shell_TS", "shell_TS0",
                    "top_ord", "rank"),
+    "OkounkovBody": ("weight_cone", "x", "L", "Q", "V", "G", "alpha0_ints"),
 }
 
 
@@ -35,7 +36,7 @@ def _records():
     s = from_rays([(1, 0), (1, 2)], [0, "1/3"])
     F = monomial_filtration(s, [(2, 3), (3, 1)])
     return [s.sigma, s, F, F.transform, slice_polytope(s.weight_cone, (1, 1), 1),
-            cone_fan(s.weight_cone), sweep(s, (1, 1), F, [4]).row(4)]
+            cone_fan(s.weight_cone), sweep(s, (1, 1), F, [4]).row(4), okounkov_body(s, (2, 3))]
 
 
 @pytest.mark.parametrize("index", range(len(FIELDS)))
@@ -73,6 +74,11 @@ def test_fraction_views_are_derived_from_the_integer_forms():
     assert g.covectors == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
     assert g.value((2, 3)) == 1
     assert s.u == tuple(Fraction(a, s.u_den) for a in s.u_row) == (1, Fraction(-1, 6))
+    body = okounkov_body(s, (2, 3))
+    (a, d), n = body.alpha0_ints, 2
+    assert body.alpha0 == tuple(Fraction(b, d) for b in a)
+    assert body.bary == tuple(Fraction(n, n + 1) * b for b in body.alpha0)
+    assert body.vol == Fraction(body.L ** n * body.V, body.Q * 2)
 
 
 def test_default_containers_are_not_shared():
