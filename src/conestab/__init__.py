@@ -1,10 +1,10 @@
 """conestab: exact stability invariants of toric cone singularities.
 
-The calculus runs entirely in rational arithmetic: cones and polytopes with
-exact volumes and barycenters, an exact simplex solver, monomial
-filtrations with their Newton polyhedra, the scalar invariants (S, extremal
-slopes, lct, Ding, Futaki, delta, J-norms), normalized-volume minimization
-with optimality certificates, and finite-level lattice estimators with
+The calculus runs entirely in rational arithmetic: cones, their slices and
+lattice points, an exact simplex solver, monomial filtrations with their
+Newton polyhedra, the scalar invariants (volume, S, extremal slopes, lct,
+Ding, Futaki, delta, J-norms), normalized-volume minimization with
+optimality certificates, and finite-level lattice estimators with
 convergence diagnostics.
 """
 
@@ -22,19 +22,15 @@ from .exactgeom import (
     Cone,
     PLConcave,
     Polytope,
-    barycenter,
     cone_from_rays,
     dual_cone,
     fractional_lp,
-    integrate_pl,
     lattice_points_below,
     lp_solve,
     slice_polytope,
-    volume,
 )
 from .filtration import (
     MonomialFiltration,
-    NewtonPolyhedron,
     approx_ord,
     approximant,
     geodesic,
@@ -51,11 +47,9 @@ from .invariants import (
     InvariantReport,
     OkounkovBody,
     delta_T,
-    delta_red_objective,
     ding,
     futaki_derivative,
     futaki_product,
-    inf_twist_s,
     j_norm,
     lambda_max_closed,
     lambda_min_closed,

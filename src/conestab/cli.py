@@ -210,7 +210,7 @@ def cmd_invariants(args):
     rep.add("D", exact=invariants.ding(s, xi0, F))
     rep.add("J", exact=invariants.j_norm(s, xi0, F))
     rj = invariants.reduced_j(s, xi0, F)
-    rep.add("J_T", exact=rj.value, lower=rj.lower, upper=rj.upper,
+    rep.add("J_T", exact=rj.value, lower=rj.value, upper=rj.value,
             minimizer_twist=_fmt_vec(rj.minimizer_twist))
     if args.json:
         print(rep.to_json())

@@ -112,10 +112,6 @@ class FutakiNonvanishing(ConestabError):
     """Operation requires the Futaki character to vanish on the cotorus."""
 
 
-class LatticeNotGenerated(ConestabError):
-    """Weight semigroup fails to generate the full lattice as a group."""
-
-
 class IdentityViolated(ConestabError):
     """Internal error: an exact identity a computation relies on failed."""
 

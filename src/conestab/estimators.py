@@ -28,7 +28,7 @@ from operator import mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import EmptyInput, LatticeNotGenerated
+from .errors import EmptyInput, UnboundedSlice
 from .exactgeom import frac, lattice_points_below
 from .exactgeom.fan import _shell_sums
 from .exactgeom.lattice import _checked_budget
@@ -231,29 +231,17 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
 
 
 class SemigroupSample(NamedTuple):
-    """Finite slice of the graded value semigroup of a filtration level."""
+    """Finite slice of the graded value semigroup of a filtration level.
+
+    ``cloud``, the points divided by m, is a list of Fraction tuples built
+    on read.
+    """
 
     m: int
     t: Fraction
     points: list
-    cloud: list  # points divided by m
 
-    def verify_closure(self, s, xi0, F, limit=200) -> bool:
-        """Sampled additive closure: sums of members land in the level-2m slice."""
-        x, L = _xi_row(xi0, s.rank)
-        _rows(s, F)  # F must be over s
-        checked = 0
-        for i, p in enumerate(self.points):
-            for q in self.points[i:]:
-                total = tuple(a + b for a, b in zip(p, q))
-                if sum(map(mul, x, total)) > 2 * self.m * L:
-                    return False
-                if F.ord(total) < 2 * self.m * self.t:
-                    return False
-                checked += 1
-                if checked >= limit:
-                    return True
-        return True
+    cloud = property(lambda g: [tuple(Fraction(a, g.m) for a in p) for p in g.points])
 
 
 def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
@@ -267,8 +255,7 @@ def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
     # g(p) >= m t in integers: g = min_j <zs_j, .> / den and t = tn / td.
     td, bound = t.denominator, den * m * t.numerator
     keep = [p for p in pts if min(sum(map(mul, z, p)) for z in zs) * td >= bound]
-    cloud = [tuple(Fraction(x, m) for x in p) for p in keep]
-    return SemigroupSample(m=m, t=t, points=keep, cloud=cloud)
+    return SemigroupSample(m=m, t=t, points=keep)
 
 
 def bj_bound_check(s: ConeSingularity, xi0, F: MonomialFiltration,
@@ -291,31 +278,28 @@ def bj_bound_check(s: ConeSingularity, xi0, F: MonomialFiltration,
 
 
 class GoodValuationReport(NamedTuple):
-    ok: bool
     r0: Fraction
-    ell: tuple
     generators: list
-
-    def __bool__(self):
-        return self.ok
 
 
 def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
-    """Verify the exponent valuation of the singularity is a good one.
+    """Certify the exponent valuation of the singularity as a good one.
 
-    Checks, for the grading functional ell = <., xi0>: ell is strictly
-    positive on the weight cone; and the vertex-order bound ord_m(x^a) >=
-    r0 * ell(a) with the certified constant r0 = 1 / max generator weight,
-    over the irreducible generators.  Monomial leaves are one-dimensional
-    for an exponent valuation, and the lattice points of the
-    full-dimensional weight cone generate the full lattice (they hold an
-    interior point p and every p + e_i), so neither needs a check.
+    For the grading functional ell = <., xi0>, which must be strictly
+    positive on the weight cone (else UnboundedSlice, as for every xi0
+    entry), returns (r0, generators): the irreducible generators of the
+    weight semigroup and the certified constant r0 = 1 / max generator
+    weight of the vertex-order bound ord_m(x^a) >= r0 * ell(a).  Monomial
+    leaves are one-dimensional for an exponent valuation, and the lattice
+    points of the full-dimensional weight cone generate the full lattice
+    (they hold an interior point p and every p + e_i), so neither needs a
+    check.
     """
     x, L = _xi_row(xi0, s.rank)  # <xi0, .> = <x, .> / L
     wc = s.weight_cone
     for r in wc.rays:
         if sum(map(mul, x, r)) <= 0:
-            raise LatticeNotGenerated("grading functional vanishes on the weight cone")
+            raise UnboundedSlice("slicing covector vanishes on a ray")
     # Generators inside the zonotope bound of Gordan's lemma.
     bound = sum(sum(map(mul, x, r)) for r in wc.rays)
     pts = lattice_points_below(wc, x, bound, strict=False)
@@ -324,5 +308,4 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     # Irreducible: p - q is not a nonzero member for any nonzero member q.
     gens = [p for p in nonzero if not any(tuple(map(sub, p, q)) in members for q in nonzero)]
     r0 = Fraction(L, max(sum(map(mul, x, g)) for g in gens))
-    return GoodValuationReport(ok=True, r0=r0, ell=tuple(Fraction(a, L) for a in x),
-                               generators=sorted(gens))
+    return GoodValuationReport(r0=r0, generators=sorted(gens))

@@ -7,14 +7,9 @@ from .lp import LPResult, fractional_lp, lp_solve
 from .polytope import (
     PLConcave,
     Polytope,
-    barycenter,
     enumerate_vertices,
-    integrate_pl,
-    second_moment,
     slice_polytope,
     slice_vertices,
-    triangulate,
-    volume,
 )
 
 __all__ = [
@@ -22,7 +17,6 @@ __all__ = [
     "LPResult",
     "PLConcave",
     "Polytope",
-    "barycenter",
     "cone_from_halfspaces",
     "cone_from_rays",
     "dot",
@@ -31,14 +25,10 @@ __all__ = [
     "enumeration_budget",
     "frac",
     "fractional_lp",
-    "integrate_pl",
     "lattice_points_below",
     "lp_solve",
     "primitivize",
-    "second_moment",
     "slice_polytope",
     "slice_vertices",
-    "triangulate",
     "vec",
-    "volume",
 ]

@@ -59,16 +59,6 @@ class MonomialFiltration(NamedTuple):
         return self.transform.covectors
 
 
-class NewtonPolyhedron(NamedTuple):
-    """Region {g >= 1} in the weight cone: vertices plus recession cone."""
-
-    polytope: Polytope
-
-    @property
-    def vertices(self):
-        return self.polytope.vertices
-
-
 def _primary(F: MonomialFiltration) -> bool:
     """True when F's transform is positive on every weight-cone ray."""
     rays = F.ambient.weight_cone.rays
@@ -203,18 +193,17 @@ def _newton_halfspaces(sigma, zs, den):
             + [(tuple(-x for x in v), 0) for v in sigma.rays])
 
 
-def newton_polyhedron(F: MonomialFiltration) -> NewtonPolyhedron:
-    """Vertices of {alpha in weight cone : g(alpha) >= 1}.
+def newton_polyhedron(F: MonomialFiltration) -> Polytope:
+    """The region {alpha in weight cone : g(alpha) >= 1}, as a Polytope.
 
-    The recession cone is the whole weight cone; the gauge of this region
-    reproduces g, which is the saturation identity for monomial data.
+    Its vertices are enumerated from the halfspaces and its recession rays
+    are the weight cone's; the gauge of this region reproduces g, which is
+    the saturation identity for monomial data.
     """
     s = F.ambient
     hs = _newton_halfspaces(s.sigma, F.transform.rows, F.transform.den)
-    verts = enumerate_vertices(hs, s.rank)
-    poly = Polytope(dim=s.rank, vertices=tuple(verts),
+    return Polytope(dim=s.rank, vertices=tuple(enumerate_vertices(hs, s.rank)),
                     recession_rays=tuple(s.weight_cone.rays), halfspaces=tuple(hs))
-    return NewtonPolyhedron(polytope=poly)
 
 
 def value_under(F: MonomialFiltration, xi) -> Fraction:

@@ -343,12 +343,6 @@ def semistable_verdict(s: ConeSingularity, xi0):
 class ReducedJResult(NamedTuple):
     value: Fraction
     minimizer_twist: tuple
-    lower: Fraction
-    upper: Fraction
-
-    @property
-    def gap(self) -> Fraction:
-        return self.upper - self.lower
 
 
 def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
@@ -386,7 +380,7 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
     h of sigma, the LP's only optimal vertex; those halfspaces are the
     weight-cone rays, so c* is the max of <z_j, .> over the vertices of P.
     With several active covectors the LP is solved and its vertex
-    returned.  The value is exact, so lower = upper = value.
+    returned.  The result is (value, minimizer_twist), both exact.
     """
     wc = s.weight_cone
     x, L = _xi_row(xi0, s.rank)
@@ -406,8 +400,7 @@ def reduced_j(s: ConeSingularity, xi0, F: MonomialFiltration) -> ReducedJResult:
         twist_xi = (Fraction(0),) * s.rank
     else:
         twist_xi = _reduced_j_twist_lp(s, x, L, F, _okounkov_cached(wc, x, L).alpha0)
-    return ReducedJResult(value=value, minimizer_twist=twist_xi,
-                          lower=value, upper=value)
+    return ReducedJResult(value=value, minimizer_twist=twist_xi)
 
 
 def _reduced_j_twist_lp(s, x, L, F, alpha0):
@@ -549,9 +542,3 @@ class InvariantReport(NamedTuple):
     def to_json(self) -> str:
         return json.dumps({k: v.to_json() for k, v in self.entries.items()},
                           indent=2, sort_keys=True)
-
-    @staticmethod
-    def parse_exact(payload: str):
-        """Recover the exact fractions from a serialized report."""
-        return {name: Fraction(entry["exact"])
-                for name, entry in json.loads(payload).items() if "exact" in entry}

@@ -68,6 +68,30 @@ def fan_moments(fan, xi, order=2):
     return vol_q, grad_q, hess_q
 
 
+def verify_closure(sample, s, xi0, F, limit=200):
+    """Sampled additive closure of a ``SemigroupSample``: sums of its
+    members land in the level-2m slice.  Checks at most ``limit`` pairs."""
+    x, L = _xi_row(xi0, s.rank)
+    checked = 0
+    for i, p in enumerate(sample.points):
+        for q in sample.points[i:]:
+            total = tuple(a + b for a, b in zip(p, q))
+            if sum(map(mul, x, total)) > 2 * sample.m * L:
+                return False
+            if F.ord(total) < 2 * sample.m * sample.t:
+                return False
+            checked += 1
+            if checked >= limit:
+                return True
+    return True
+
+
+def parse_exact(payload):
+    """The exact fractions of an ``InvariantReport.to_json`` payload."""
+    return {name: Fraction(entry["exact"])
+            for name, entry in json.loads(payload).items() if "exact" in entry}
+
+
 class ReferenceOkounkovBody(NamedTuple):
     """``invariants.OkounkovBody`` as it was while it held its views."""
     body: object

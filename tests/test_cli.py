@@ -21,7 +21,7 @@ from conestab.cli import (
 )
 from conestab.estimators import gamma_semigroup
 from conestab.filtration import toric_filtration
-from conestab.invariants import InvariantReport
+from conftest import parse_exact
 
 F = Fraction
 
@@ -111,12 +111,12 @@ def test_invariants_destabilized(doc_path, capsys):
 def test_invariants_json_round_trip(doc_path, capsys):
     assert main(["invariants", doc_path(C2_DOC), "--filtration", "FEX", "--json"]) == EXIT_OK
     payload = capsys.readouterr().out
-    values = InvariantReport.parse_exact(payload)
+    values = parse_exact(payload)
     assert values["S"] == F(5, 4) and values["lct"] == 3
     assert values["D"] == F(1, 2) and values["J_T"] == F(1, 4)
     # serialize once more: fractions survive bit for bit
     again = json.dumps(json.loads(payload), indent=2, sort_keys=True)
-    assert InvariantReport.parse_exact(again) == values
+    assert parse_exact(again) == values
 
 
 def test_unknown_filtration(doc_path, capsys):

@@ -157,7 +157,7 @@ def _reduced_j_path(s, xi0, G):
                            wraps=invariants._reduced_j_twist_lp) as lp:
         res = reduced_j(s, xi0, G)
     value, twist = _ref_reduced_j(s, xi0, G)
-    assert res.value == value == res.lower == res.upper
+    assert res.value == value
     # the twist is optimal: J of the twisted filtration attains the value
     xi = res.minimizer_twist
     alpha0 = okounkov_body(s, xi0).alpha0

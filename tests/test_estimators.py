@@ -22,6 +22,7 @@ from conestab.errors import (
     EmptyInput,
     NotQGorenstein,
     ParseError,
+    UnboundedSlice,
 )
 from conestab.estimators import (
     CSV_HEADER,
@@ -35,7 +36,7 @@ from conestab.exactgeom import dot, lattice_points_below
 from conestab.exactgeom.lattice import _box
 from conestab.exactgeom.linalg import det
 from conestab.filtration import approx_ord, approximant, monomial_filtration, toric_filtration
-from conestab.invariants import s_closed
+from conestab.invariants import delta_T, okounkov_body, s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
     ReferenceSweep,
@@ -48,6 +49,7 @@ from conftest import (
     scan_sweep,
     shell_table_sweep_approx,
     shell_table_window,
+    verify_closure,
 )
 
 F = Fraction
@@ -286,7 +288,7 @@ def test_gamma_semigroup_validates_m(c2, fex):
 
 def test_gamma_semigroup_verifiers(c2, fex):
     gs = gamma_semigroup(c2, (1, 1), fex, 3, F(1, 2))
-    assert gs.verify_closure(c2, (1, 1), fex)
+    assert verify_closure(gs, c2, (1, 1), fex)
 
 
 def test_bj_bound_examples(c2, fex):
@@ -348,12 +350,12 @@ def test_bottom_slope_closed_form_vs_finite_level(c2, fex):
 
 def test_good_valuation_examples(c2, a1):
     r = good_valuation_check(c2, (1, 1))
-    assert r.ok and r.r0 == 1 and r.ell == (1, 1)
+    assert r.r0 == 1
     assert sorted(r.generators) == [(0, 1), (1, 0)]
     r = good_valuation_check(c2, (1, 2))
-    assert r.ok and r.r0 == F(1, 2)
+    assert r.r0 == F(1, 2)
     r = good_valuation_check(a1, (1, 1))
-    assert r.ok and sorted(r.generators) == [(0, 1), (1, 0), (2, -1)]
+    assert sorted(r.generators) == [(0, 1), (1, 0), (2, -1)]
 
 
 def test_good_valuation_rank3():
@@ -361,8 +363,19 @@ def test_good_valuation_rank3():
     r = good_valuation_check(s, (0, 0, 1))
     # The weight cone is the cone over the square [-1, 1]^2, a normal
     # polytope: its Hilbert basis is the square's 9 points at height 1.
-    assert r.ok and r.r0 == 1
+    assert r.r0 == 1
     assert r.generators == [(a, b, 1) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+
+
+def test_good_valuation_rejects_a_xi0_outside_the_reeb_cone_like_every_xi0_entry(c2, fex):
+    # Before, good_valuation_check alone raised LatticeNotGenerated("grading
+    # functional vanishes on the weight cone") here.
+    for xi0 in [(1, 0), (0, 1), (1, -1)]:
+        for call in (lambda: good_valuation_check(c2, xi0), lambda: sweep(c2, xi0, fex, [2]),
+                     lambda: gamma_semigroup(c2, xi0, fex, 2, 1),
+                     lambda: okounkov_body(c2, xi0), lambda: delta_T(c2, xi0)):
+            with pytest.raises(UnboundedSlice, match="^slicing covector vanishes on a ray$"):
+                call()
 
 
 # ---------------------------------------------------------------------------

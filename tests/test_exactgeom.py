@@ -20,16 +20,13 @@ from conestab.errors import (
 from conestab.exactgeom import (
     PLConcave,
     Polytope,
-    barycenter,
     cone_from_rays,
     dot,
     dual_cone,
     frac,
-    integrate_pl,
     lattice_points_below,
     slice_polytope,
     slice_vertices,
-    volume,
 )
 from conestab.exactgeom.linalg import (
     _integer_rows,
@@ -40,6 +37,7 @@ from conestab.exactgeom.linalg import (
     solve,
 )
 from conestab.exactgeom.lattice import _lattice_runs
+from conestab.exactgeom.polytope import barycenter, integrate_pl, volume
 from conftest import random_cone, scan_facet_normals, unimodular_completion
 
 F = Fraction

@@ -10,21 +10,23 @@ from hypothesis import strategies as st
 from conestab.errors import ConestabError, DegenerateCone, UnboundedSlice
 from conestab.exactgeom import (
     PLConcave,
-    barycenter,
     cone_from_halfspaces,
     cone_from_rays,
     dot,
     dual_cone,
-    integrate_pl,
-    second_moment,
     slice_polytope,
-    triangulate,
-    volume,
 )
 from conestab.exactgeom import cone, fan, linalg
 from conestab.exactgeom.cone import _distinct
 from conestab.exactgeom.fan import _chamber_key, _chamber_rows, chambers, cone_fan
 from conestab.exactgeom.linalg import _integer_covectors, mat_rank, primitivize
+from conestab.exactgeom.polytope import (
+    barycenter,
+    integrate_pl,
+    second_moment,
+    triangulate,
+    volume,
+)
 from conestab.filtration import monomial_filtration
 from conestab.invariants import lambda_max_closed, s_closed
 from conestab.singularity import from_rays

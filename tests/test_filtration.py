@@ -243,7 +243,7 @@ def test_gauge_of_newton_region_reproduces_transform(c2, fex):
     # falls out, so the gauge of N equals the transform
     rnd = random.Random(47)
     for Ftest in [fex, random_filtration(rnd, c2), random_filtration(rnd, c2)]:
-        region = newton_polyhedron(Ftest).polytope
+        region = newton_polyhedron(Ftest)
         for alpha in lattice_points_below(c2.weight_cone, (1, 1), 6):
             g = ord_of(Ftest, alpha)
             if g == 0:

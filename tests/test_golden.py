@@ -106,11 +106,15 @@ def test_long_reeb_approx_estimate_to_level_10_matches_golden(monkeypatch, capsy
     (["okounkov", "tests/docs/rank6_cube.json"], "okounkov_rank6_cube.out"),
     (["invariants", "tests/docs/rank4.json", "--filtration", "G", "--json"],
      "invariants_rank4_json.out"),
+    (["okounkov", "tests/docs/rank4.json", "--filtration", "G", "--levels", "1,2", "--t", "1/2"],
+     "okounkov_rank4_gamma.out"),
 ])
 def test_body_and_invariants_at_ranks_4_and_6_match_golden(argv, golden, monkeypatch, capsys):
     # Recorded while the Okounkov body held its slice polytope, volume,
     # barycenter and alpha0, all built with it; the record now holds the
     # fan's integer sums, and these views and S and J_T are read off them.
+    # The rank-4 semigroup sample at t = 1/2 was recorded while
+    # SemigroupSample held its Fraction cloud and reduced J its bracket.
     monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
     root = PERFBENCH.parent
     monkeypatch.chdir(root)

@@ -117,7 +117,6 @@ def _filtration_calls(s, G):
     filtration; the enumerating ones get budget 0, so a check that came
     after their enumeration would raise BudgetExceeded instead."""
     xi0 = (1, 1)
-    sample = gamma_semigroup(s, xi0, toric_filtration(s, xi0), 2, 1)
     return [
         ("s_closed", lambda: inv.s_closed(s, xi0, G)),
         ("lambda_max_closed", lambda: inv.lambda_max_closed(s, xi0, G)),
@@ -131,7 +130,6 @@ def _filtration_calls(s, G):
         ("sweep_approx", lambda: sweep_approx(s, xi0, G, 2, [2], budget=0)),
         ("bj_bound_check", lambda: bj_bound_check(s, xi0, G, 1, 1, levels=[2])),
         ("gamma_semigroup", lambda: gamma_semigroup(s, xi0, G, 2, 1, budget=0)),
-        ("verify_closure", lambda: sample.verify_closure(s, xi0, G)),
     ]
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import conestab
 
@@ -151,3 +152,49 @@ def test_tracer_names_resolve():
         assert [name for name in names if not callable(getattr(module, name, None))] == []
     inv = importlib.import_module("conestab.invariants")
     assert all(getattr(inv, name).cache_info() for name in tracer.INVARIANT_CACHES)
+
+
+def _public_names(module):
+    return sorted(name for name in dir(module)
+                  if not name.startswith("_") and not isinstance(getattr(module, name), ModuleType))
+
+
+def test_public_api_is_pinned():
+    # Adding or removing an export is an edit here.  The reference
+    # integrals of polytope.py and the constant invariants are reached
+    # through their modules, not the packages.
+    assert _public_names(conestab) == [
+        "Cone", "ConeSingularity", "ConestabError", "EstimatorSweep", "InvariantReport",
+        "MonomialFiltration", "NvolResult", "OkounkovBody", "PLConcave", "Polytope",
+        "ReebVector", "SemigroupSample", "approx_ord", "approximant", "bj_bound_check",
+        "cone_from_rays", "delta_T", "ding", "dual_cone", "fractional_lp", "from_rays",
+        "futaki_derivative", "futaki_product", "gamma_semigroup", "geodesic",
+        "good_valuation_check", "intersect", "j_norm", "lambda_max_closed",
+        "lambda_min_closed", "lattice_points_below", "lct_monomial", "log_discrepancy",
+        "lp_solve", "minimize_nvol", "monomial_filtration", "newton_polyhedron", "nvol",
+        "okounkov_body", "ord_of", "reduced_j", "reeb_contains", "reeb_vector", "rescale",
+        "s_closed", "semistable_verdict", "slice_polytope", "sweep", "sweep_approx",
+        "toric_filtration", "twist", "value_under", "vol"]
+    exactgeom = importlib.import_module("conestab.exactgeom")
+    assert _public_names(exactgeom) == sorted(exactgeom.__all__) == [
+        "Cone", "LPResult", "PLConcave", "Polytope", "cone_from_halfspaces", "cone_from_rays",
+        "dot", "dual_cone", "enumerate_vertices", "enumeration_budget", "frac", "fractional_lp",
+        "lattice_points_below", "lp_solve", "primitivize", "slice_polytope", "slice_vertices",
+        "vec"]
+
+
+def test_readme_library_sketch_prints_what_it_computes():
+    # Each line of the README's sketch whose comment holds a value must
+    # compute that value; the other lines run as written.
+    readme = (PERFBENCH.parent / "README.md").read_text()
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, checked = block.splitlines(), {}, 0
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        comment = lines[node.end_lineno - 1].partition("#")[2]
+        if isinstance(node, ast.Expr) and comment:
+            assert eval(code, namespace) == eval(comment, namespace), code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 4
