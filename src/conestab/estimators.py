@@ -15,7 +15,8 @@ maximum, so N_m, TS0_m and count_gamma come from the same counts.  The
 orders of ``sweep_approx`` are DP values, so it reads them off F's
 approximation table (``filtration._approx_table``), whose reference-weight
 window holds every point below the top level, and bins that table's
-points below the top by shell, one point at a time.  A row holds
+points below the top by shell, one point at a time: along each of the
+table's runs <xi0, .> rises, so they are a head of the run.  A row holds
 integers only; its ratios are Fractions built on read, and the CSV and
 JSON writers print them from the integers.
 """
@@ -205,20 +206,11 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     window = max(sum(map(mul, ell, r)) * (limit - 1) // sum(map(mul, x, r))
                  for r in s.weight_cone.rays)
     counts, eq_counts, sums_ord, maxs = ([0] * top for _ in range(4))
-    *head, X = x
-    for prefix, (lo, orders) in _approx_table(F, key, window, budget).runs.items():
-        w0 = sum(map(mul, head, prefix))  # <x, p> = w0 + X t along the run
-        # Keep the points below the top, w0 + X t <= limit - 1: a head of
-        # the run if X > 0, a tail if X < 0, all or none if X = 0.
-        if X > 0:
-            orders = orders[:max(0, (limit - 1 - w0) // X + 1 - lo)]
-        elif X < 0:
-            first = max(lo, -((w0 - limit + 1) // X))
-            orders, lo = orders[first - lo:], first
-        elif w0 >= limit:
-            continue
-        w = w0 + X * lo
-        for o in orders:
+    for p, r, orders in _approx_table(F, key, window, budget).runs:
+        # <x, .> rises along the run (x in the Reeb cone, r in the weight
+        # cone), so the points below the top are a head of it.
+        w, X = sum(map(mul, x, p)), sum(map(mul, x, r))
+        for o in orders[:max(0, (limit - 1 - w) // X + 1)]:
             k, rem = divmod(w, L)
             counts[k] += 1
             eq_counts[k] += not rem

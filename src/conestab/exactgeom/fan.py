@@ -23,11 +23,12 @@ double description steps of the one H/V conversion (``cone._cut``), each
 with its fan, triangulated from the incidences the last cut leaves; the
 fans give S, through one store of their integer first moments
 (``_chamber_moments``), and their rays lambda_max and the irredundant
-covectors.  ``_shell_sums`` reads the lattice side off the same
-simplices, made half-open: the counts, order sums and order maxima of
-every level of a sweep, each simplicial cone a parallelepiped of start
-points plus its generators (Koeppe and Verdoolaege, Electron. J. Combin.
-15, 2008).
+covectors.  The same simplices, made half-open, are the one lattice
+kernel: each is a parallelepiped of start points, stored once per simplex,
+plus its generators (Koeppe and Verdoolaege, Electron. J. Combin. 15,
+2008).  ``_shell_sums`` walks them to every level of a sweep, and ``_runs``
+lists the points below a limit as runs along one ray.  The stores are
+``_TableCache``s, bounded by what they hold and by their entry count.
 """
 
 from functools import lru_cache, partial
@@ -38,8 +39,64 @@ from typing import NamedTuple
 
 from ..errors import BudgetExceeded, UnboundedSlice
 from .cone import Cone, _cut, _incidence, _triangulate_rays
-from .lattice import _TableCache
 from .linalg import _row_reduce, primitivize, vsub
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _TableCache:
+    """Least-recently-used store of tables, bounded by entry count and by
+    the summed ``size`` of what the entries hold.
+
+    Storing a table evicts the oldest entries until both bounds hold; a
+    table larger than ``maxweight`` on its own is returned to its caller
+    and never kept, and the table stored under its key stays.  The caller
+    builds a table when ``get`` finds none that will do, and stores it with
+    ``put``; a stored table that ``get``'s ``fits`` rejects is returned to
+    be rebuilt from, and counts as a miss.  A store given ``build`` is
+    called like it, as an ``lru_cache``, with the cold builder
+    ``__wrapped__``.
+    """
+
+    def __init__(self, maxsize, maxweight, size, build=None):
+        self.maxsize, self.maxweight, self.size = maxsize, maxweight, size
+        self.__wrapped__ = build
+        self.cache_clear()
+
+    def __call__(self, *key):
+        table = self.get(key)
+        return self.put(key, self.__wrapped__(*key)) if table is None else table
+
+    def get(self, key, fits=None):
+        table = self.tables.pop(key, None)
+        hit = table is not None and (fits is None or fits(table))
+        self.hits, self.misses = self.hits + hit, self.misses + (not hit)
+        if table is not None:
+            self.tables[key] = table  # now the most recent
+        return table
+
+    def put(self, key, table):
+        size = self.size(table)
+        if size <= self.maxweight:
+            old = self.tables.pop(key, None)
+            if old is not None:
+                self.weight -= self.size(old)
+            self.tables[key] = table
+            self.weight += size
+            while len(self.tables) > self.maxsize or self.weight > self.maxweight:
+                self.weight -= self.size(self.tables.pop(next(iter(self.tables))))
+        return table
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.tables))
+
+    def cache_clear(self):
+        self.tables, self.weight, self.hits, self.misses = {}, 0, 0, 0
 
 
 class Fan(NamedTuple):
@@ -230,8 +287,47 @@ def _parallelepiped(c: Cone, tau, x, den, limit, budget, spent):
 
 
 # At most 256 parallelepipeds, holding at most 32768 points together: the
-# simplices of a filtration's chambers recur across its sweeps.
-_parallelepipeds = _TableCache(256, 1 << 15, len)
+# simplices of a filtration's chambers recur across its sweeps and tables.
+_parallelepipeds = _TableCache(256, 1 << 15, lambda found: len(found[1]))
+
+
+def _starts(c: Cone, tau, x, den, limit, budget, spent):
+    """``_parallelepiped``'s start points below limit, read from the store of
+    each (cone, simplex rays, x, den), which keeps the list below the largest
+    limit asked so far with that limit."""
+    key = (c, tau, x, den)
+    found = _parallelepipeds.get(key, lambda found: found[0] >= limit)
+    if found is None or found[0] < limit:
+        return _parallelepipeds.put(key, (limit, _parallelepiped(*key, limit, budget, spent)))[1]
+    return found[1] if found[0] == limit else [(w, p) for w, p in found[1] if w < limit]
+
+
+def _runs(c: Cone, taus, x, limit, budget):
+    """[[(p, r, k), ...] per simplicial cone of taus]: the lattice points a
+    with <x, a> < limit of the half-open cones on the rays tau, which
+    subdivide c, as runs p + t r, 0 <= t < k, along the ray r of tau that
+    pairs least with x, so the runs are as long and as few as they can be.
+
+    x pairs positively with every ray.  A point of tau is a start point of
+    its half-open parallelepiped (``_parallelepiped`` at den 1) plus
+    multiples of its rays: one run per start point and per multiple of the
+    other rays.  Past ``budget`` points, BudgetExceeded names it.
+    """
+    out, total = [], 0
+    for tau in taus:
+        X, i = min((sum(map(mul, x, r)), i) for i, r in enumerate(tau))
+        bases = _starts(c, tau, x, 1, limit, budget, total)
+        for ray in tau[:i] + tau[i + 1:]:  # add every multiple of ray that stays below limit
+            dw = sum(map(mul, x, ray))
+            bases = [(w + k * dw, tuple([a + k * b for a, b in zip(p, ray)]))
+                     for w, p in bases for k in range((limit - 1 - w) // dw + 1)]
+            if total + len(bases) > budget:
+                raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+        out.append([(p, tau[i], (limit - 1 - w) // X + 1) for w, p in bases])
+        total += sum(k for _, _, k in out[-1])
+        if total > budget:
+            raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+    return out
 
 
 def _shell_sums(c: Cone, rows, den, x, L, top, budget):
@@ -252,14 +348,12 @@ def _shell_sums(c: Cone, rows, den, x, L, top, budget):
     limit, n, found, total = top * L, c.rank, [], 0
     for z, fan in _chamber_rows(c, rows):
         for _, tau in fan.simplices:
-            key = (c, tuple(fan.rays[i] for i in tau), x, den, limit)
-            starts = _parallelepipeds.get(key)
-            if starts is None:
-                starts = _parallelepipeds.put(key, _parallelepiped(*key, budget, total))
+            rays = tuple(fan.rays[i] for i in tau)
+            starts = _starts(c, rays, x, den, limit, budget, total)
             # slots[weight]: (count, order sum, order max) of its start points, then
             # at 3 i of those generator i (weight den <x, r_i>) carries in; max -1: none.
             steps = [(3 * i, den * sum(map(mul, x, r)), sum(map(mul, z, r)))
-                     for i, r in enumerate(key[1], 1)]
+                     for i, r in enumerate(rays, 1)]
             slots = {}
             for w, p in starts:
                 slot = slots.setdefault(w, [0, 0, -1] * (n + 1))

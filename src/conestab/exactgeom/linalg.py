@@ -33,17 +33,20 @@ from math import gcd, lcm, prod
 Vec = tuple  # tuple of Fraction/int
 
 _PARSED_STRINGS = 4096  # distinct 'p/q' strings kept parsed
+_REFUSING_BOOL = "refusing bool; pass ints, Fractions or 'p/q' strings"
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction.  Floats are
-    rejected: exactness is a contract, not a preference."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction.  Floats and
+    bools are rejected: exactness is a contract, not a preference."""
     if type(x) is Fraction:
         return x
     if type(x) is str:
         return _parse(x)
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; pass a Fraction or 'p/q' string")
+    if type(x) is bool:
+        raise TypeError(_REFUSING_BOOL)
     return Fraction(x)
 
 
@@ -93,9 +96,11 @@ def norm_sq(u) -> Fraction:
 def _integer_row(v):
     """(L*v as a list of ints, L) with L > 0 the lcm of the denominators of v.
 
-    Entries may be ints, Fractions or 'p/q' strings; floats are refused as
-    in ``frac``.
+    Entries may be ints, Fractions or 'p/q' strings; floats and bools are
+    refused as in ``frac``.
     """
+    if bool in map(type, v):
+        raise TypeError(_REFUSING_BOOL)
     try:
         L = lcm(*[x.denominator for x in v])
     except AttributeError:  # strings, or floats for frac to refuse

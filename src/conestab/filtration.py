@@ -17,8 +17,10 @@ The approximations of one filtration at level m share one table
 (``_approx_table``), keyed on (weight cone, integer covector rows, m), over
 the reference-weight window <ell, .> <= w with ell = sigma.interior_point(),
 the sum of the weight cone's facet normals: the kept blocks, the order of
-every window point per lattice run, the point count at each weight and
-the approximant's transform, built once on a window computed from F and m.
+every window point by its code and along each lattice run of ``fan._runs``
+over the simplicial cones of F's chambers, the point count at each weight
+and the approximant's transform, built once on a window computed from F
+and m.
 """
 
 from bisect import bisect_right
@@ -39,8 +41,8 @@ from .errors import (
 )
 from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, slice_vertices, vec
 from .exactgeom.cone import _of_length
-from .exactgeom.fan import _chamber_rows
-from .exactgeom.lattice import _checked_budget, _lattice_runs, _TableCache
+from .exactgeom.fan import _chamber_rows, _runs, _TableCache
+from .exactgeom.lattice import _checked_budget
 from .exactgeom.linalg import _integer_covectors, _integer_row
 from .singularity import ConeSingularity, _xi_row
 
@@ -225,40 +227,6 @@ def ord_of(F: MonomialFiltration, alpha) -> Fraction:
     return F.ord(alpha)
 
 
-def _envelope(lines, lo, hi):
-    """The lower envelope of the lines c + d t on the integers lo..hi: pieces
-    (t0, t1, c, d), each the least line at t0 (of least slope on a tie) up to
-    where one of smaller slope is no larger, so at most len(lines) pieces."""
-    pieces = []
-    while lo <= hi:
-        c, d = lines[0]
-        for c1, d1 in lines:
-            if c1 + d1 * lo < c + d * lo or c1 + d1 * lo == c + d * lo and d1 < d:
-                c, d = c1, d1
-        end = hi + 1
-        for c1, d1 in lines:  # c1 + d1 t <= c + d t from t = ceil((c1 - c) / (d - d1)) on
-            if d1 < d and -((c - c1) // (d - d1)) < end:
-                end = -((c - c1) // (d - d1))
-        pieces.append((lo, end - 1, c, d))
-        lo = end
-    return pieces
-
-
-def _floor_runs(F: MonomialFiltration):
-    """floor(g) along a run (prefix, lo, hi): the covectors pair as lines
-    c + d t, g is their ``_envelope``, and the list holds floor(g) over
-    t = lo..hi."""
-    zs, den = F.transform.rows, F.transform.den
-    heads = [(z[:-1], z[-1]) for z in zs]
-
-    def orders(prefix, lo, hi):
-        return [(c + d * t) // den
-                for t0, t1, c, d in _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads],
-                                              lo, hi)
-                for t in range(t0, t1 + 1)]
-    return orders
-
-
 def _approx_key(F: MonomialFiltration, m):
     """The key of F's approximation tables at level m: (weight cone, integer
     covector rows, their denominator, m).  m must be a positive int."""
@@ -330,11 +298,13 @@ class _ApproxTable:
     """The degree-m approximation of one filtration on the reference-weight
     window <ell, .> <= window, with ell = sigma.interior_point()."""
 
-    __slots__ = ("window", "runs", "blocks", "counts", "certified")
+    __slots__ = ("window", "code", "orders", "runs", "blocks", "counts", "certified")
 
-    def __init__(self, window, runs, blocks, counts):
+    def __init__(self, window, code, orders, runs, blocks, counts):
         self.window = window
-        self.runs = runs            # {prefix: (t_lo, approximate orders along the run)}
+        self.code = code            # the points' integer codes (``_coder``)
+        self.orders = orders        # {code: approximate order} of every window point
+        self.runs = runs            # (start, ray, approximate orders along the run)
         self.blocks = blocks        # kept (gamma, v, <ell, gamma>), in scan order
         self.counts = counts        # index k: window points with <ell, .> <= k
         self.certified = None       # the approximant's transform, once built
@@ -343,32 +313,39 @@ class _ApproxTable:
 def _build_approx_table(F: MonomialFiltration, m, window, budget):
     """The table of F at level m below ``window``, enumerated under ``budget``.
 
-    Along a lattice run the codes and weights are ranges and the block
-    values come from ``_floor_runs``; one ``_block_dp`` gives the
-    blocks and the order of every point, which are stored per run.
+    The window's points are the runs p + t r of ``fan._runs`` over the
+    simplicial cones of F's chambers.  On one of them g = <z_j, .> / den,
+    so along a run the codes, the weights and the values min((<z_j, p> +
+    t <z_j, r>) // den, m) are arithmetic; one ``_block_dp`` gives the
+    blocks and the order of every point, which are stored by code and per
+    run.
     """
     s = F.ambient
     ell = s.sigma.interior_point()
-    *head, last = ell
-    runs = _lattice_runs(s.weight_cone, ell, window, budget, False)
-    code, decode = _coder(s.rank, max((max(map(abs, (*p, lo, hi))) for p, lo, hi in runs),
-                                      default=0))
-    floor_orders = _floor_runs(F)
+    cones = [(z, tuple(fan.rays[i] for i in tau)) for z, fan in
+             _chamber_rows(s.weight_cone, F.transform.rows) for _, tau in fan.simplices]
+    runs = _runs(s.weight_cone, [tau for _, tau in cones], ell, window + 1, budget)
+    bound = max((abs(a + t * b) for group in runs for p, r, k in group
+                 for t in (0, k - 1) for a, b in zip(p, r)), default=0)  # at the run ends
+    code, decode = _coder(s.rank, bound)
+    den, cap = F.transform.den, m * F.transform.den
     codes, weights, values, spans = [], [], [], []
-    for prefix, lo, hi in runs:
-        c0, w0 = code((*prefix, 0)), sum(map(mul, head, prefix))
-        spans.append(range(c0 + lo, c0 + hi + 1))
-        codes += spans[-1]
-        weights += range(w0 + last * lo, w0 + last * (hi + 1), last) if last else \
-            repeat(w0, hi - lo + 1)
-        values += [v if v < m else m for v in floor_orders(prefix, lo, hi)]
+    for (z, _), group in zip(cones, runs):
+        for p, r, k in group:
+            c0, step = code(p), code(r)  # a one-point run has no step
+            a, b = sum(map(mul, z, p)), sum(map(mul, z, r))
+            w0, dw = sum(map(mul, ell, p)), sum(map(mul, ell, r))
+            spans.append((p, r, range(c0, c0 + k * step, step) if k > 1 else (c0,)))
+            codes += spans[-1][2]
+            weights += range(w0, w0 + k * dw, dw)
+            values += [u // den if u < cap else m
+                       for u in (range(a, a + k * b, b) if b else repeat(a, k))]
     kept, best = _block_dp(m, codes, weights, values)
-    table_runs = {prefix: (lo, list(map(best.__getitem__, span)))
-                  for (prefix, lo, _), span in zip(runs, spans)}
+    table_runs = [(p, r, list(map(best.__getitem__, span))) for p, r, span in spans]
     blocks = tuple((decode(c), v, w) for c, v, w in kept)
     weights.sort()
     counts = [bisect_right(weights, k) for k in range(window + 1)]
-    return _ApproxTable(window, table_runs, blocks, counts)
+    return _ApproxTable(window, code, best, table_runs, blocks, counts)
 
 
 # Approximation tables kept by ``_approx_table``: at most _APPROX_TABLES of
@@ -422,8 +399,7 @@ def approx_ord(F: MonomialFiltration, m: int, alpha, budget=None) -> int:
     alpha = tuple(map(int, alpha))
     ell = F.ambient.sigma.interior_point()
     table = _approx_table(F, key, sum(map(mul, ell, alpha)), _checked_budget(budget))
-    lo, orders = table.runs[alpha[:-1]]
-    return orders[alpha[-1] - lo]
+    return table.orders[table.code(alpha)]
 
 
 def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltration:

@@ -142,14 +142,18 @@ def _s_closed_cached(wc, x, L, zs, den) -> Fraction:
     """Keyed on (weight cone, x, L, zs, den), xi0 = x / L and the
     covectors zs_j / den: S = L^(n+1) sum_j <zs_j, G_j> / Q_j^2 over
     den n vol(xi0), G_j / Q_j^2 the integer first moment of chamber j
-    (``fan._chamber_moments``) and vol(xi0) = L^n V / Q."""
+    (``fan._chamber_moments``) and vol(xi0) = L^n V / Q.  One covector is
+    linear, so its S is <zs_0, alpha0> / den, read off the body's record."""
+    O = _okounkov_cached(wc, x, L)
+    if len(zs) == 1:
+        a, d = O.alpha0_ints
+        return Fraction(sum(map(mul, zs[0], a)), den * d)
     back = _chamber_key(zs)
     num, q = 0, 1  # sum_j <zs_j, G_j> / Q_j^2 as num / q
     for d, Q, G in _chamber_moments(wc, tuple(back), x):
         Q2 = Q * Q
         num = num * Q2 + sum(map(mul, back[d], G)) * q
         q *= Q2
-    O = _okounkov_cached(wc, x, L)
     return Fraction(L * num * O.Q, den * wc.rank * q * O.V)
 
 

@@ -101,8 +101,6 @@ def _xi_row(x, n):
     v = _of_length(x.xi if isinstance(x, ReebVector) else x, n)
     if {int, str}.issuperset(map(type, v)):  # parsed once
         return _parsed_row(v)
-    if bool in map(type, v):
-        raise TypeError("refusing bool; pass ints, Fractions or 'p/q' strings")
     return _parsed_row.__wrapped__(v)
 
 

@@ -2,9 +2,10 @@ import csv
 import io
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import factorial, floor, gcd, prod
+from itertools import accumulate, combinations, product, repeat
+from math import ceil, factorial, floor, gcd, prod
 from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
@@ -12,13 +13,14 @@ from typing import NamedTuple
 import pytest
 
 from conestab import estimators, from_rays, monomial_filtration, toric_filtration
-from conestab.errors import DegenerateCone
+from conestab.errors import BudgetExceeded, DegenerateCone
 from conestab.exactgeom import slice_polytope
-from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _validate
+from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _of_length, _validate
 from conestab.exactgeom.fan import Fan, _fan_sums, cone_fan
-from conestab.exactgeom.lattice import _box, _checked_budget, _lattice_runs
-from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
-from conestab.filtration import _approx_key, _approx_table, _envelope
+from conestab.exactgeom.lattice import _checked_budget
+from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, frac, primitivize, vec, vsub
+from conestab.exactgeom.polytope import slice_vertices
+from conestab.filtration import MonomialFiltration, _approx_key, _block_dp, _coder
 from conestab.invariants import _alpha0_ints
 from conestab.singularity import _xi_row
 
@@ -302,6 +304,171 @@ def unimodular_completion(p):
     return U, W
 
 
+# ---------------------------------------------------------------------------
+# The coordinate box scan and the lower envelope of lines that listed the
+# approximation tables' points before ``fan._runs`` did: ``_lattice_runs``,
+# ``_box``, ``_bound``, ``_BLOCK``, ``_envelope`` and ``_floor_runs`` are
+# the retired library functions, unchanged, and ``box_approx_table`` the
+# table builder that read them.
+
+# Prefix rows are bounded in blocks of this many values of coordinate n-1,
+# so a budget stop in a long row allocates only one block.
+_BLOCK = 1024
+
+
+def _lattice_runs(c: Cone, xi, m, budget, strict):
+    """The points of ``lattice_points_below`` as runs (prefix, t_lo, t_hi).
+
+    Exact integer kernel: the first n-1 coordinates (the prefix, a tuple of
+    int) run over the slice's bounding box in lexicographic order, and the
+    last one over the range t_lo..t_hi solved from the integer rows; runs
+    are nonempty.  The bounds are computed a prefix row at a time: once the
+    first n-2 coordinates are fixed, each row is linear along coordinate
+    n-1, so its bound on t over that coordinate's range is one list.  The
+    budget counts kept points, as in ``lattice_points_below``; the count is
+    checked once per block of a row, so the enumeration stops at the end
+    of the block in which it first passes the budget.
+    """
+    xi = vec(_of_length(xi, c.rank))
+    m = frac(m)
+    budget = _checked_budget(budget)
+    n = c.rank
+    lo, hi = _box(c, xi, m)
+    # Rows <g, a> + g0 >= 0: the halfspaces, then <xi D, a> <= m D (- 1 if strict).
+    *ixs, im = _integer_row((*xi, m))[0]
+    rows = [(h, 0) for h in c.halfspaces]
+    rows.append((tuple(-x for x in ixs), im - (1 if strict else 0)))
+    if n == 1:  # no coordinate n-1: give every row and the box a zero one
+        rows = [((0, *g), g0) for g, g0 in rows]
+        lo, hi = [0, *lo], [0, *hi]
+
+    runs = []
+    kept = 0
+    for outer in product(*(range(a, b + 1) for a, b in zip(lo[:-2], hi[:-2]))):
+        # Row values along (u, t) = coordinates n-1 and n are s0 + gu u + gt t.
+        # A row with gt = 0 cuts the range of u; the others bound t, from
+        # below where gt > 0 and from above where gt < 0.  The slice is
+        # bounded, so rows of both signs exist.
+        u_lo, u_hi = lo[-2], hi[-2]
+        lows, highs = [], []
+        for (*go, gu, gt), g0 in rows:
+            s0 = g0 + sum(map(mul, go, outer))
+            if gt:
+                (lows if gt > 0 else highs).append((s0, gu, gt))
+            elif gu > 0:
+                u_lo = max(u_lo, -(s0 // gu))
+            elif gu < 0:
+                u_hi = min(u_hi, s0 // -gu)
+            elif s0 < 0:
+                u_hi = u_lo - 1
+        for start in range(u_lo, u_hi + 1, _BLOCK):
+            us = range(start, min(start + _BLOCK, u_hi + 1))
+            t_lo = _bound(lows, us, max)
+            t_hi = _bound(highs, us, min)
+            prefixes = [outer + (u,) for u in us] if n > 1 else [()]
+            block = [(p, a, b) for p, a, b in zip(prefixes, t_lo, t_hi) if a <= b]
+            kept += sum(b - a for _, a, b in block) + len(block)
+            if kept > budget:
+                raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+            runs += block
+    return runs
+
+
+def _box(c: Cone, xi, m):
+    """(lo, hi), the integer box around the origin and c's rays scaled to <xi, .> = m."""
+    verts = ((0,) * c.rank,) + slice_vertices(c.rays, xi, m)
+    return ([ceil(min(v[i] for v in verts)) for i in range(c.rank)],
+            [floor(max(v[i] for v in verts)) for i in range(c.rank)])
+
+
+def _bound(rows, us, pick):
+    """t bound along u in us from rows (s0, gu, gt) with gt of one sign:
+    ceil(-(s0 + gu u) / gt) from below (gt > 0, pick=max), floor of the same
+    from above (gt < 0, pick=min), the tightest over the rows."""
+    out = None
+    for s0, gu, gt in rows:
+        vals = range(s0 + gu * us.start, s0 + gu * us.stop, gu) if gu else [s0] * len(us)
+        b = [-(s // gt) for s in vals] if gt > 0 else [s // -gt for s in vals]
+        out = b if out is None else list(map(pick, out, b))
+    return out
+
+
+def _envelope(lines, lo, hi):
+    """The lower envelope of the lines c + d t on the integers lo..hi: pieces
+    (t0, t1, c, d), each the least line at t0 (of least slope on a tie) up to
+    where one of smaller slope is no larger, so at most len(lines) pieces."""
+    pieces = []
+    while lo <= hi:
+        c, d = lines[0]
+        for c1, d1 in lines:
+            if c1 + d1 * lo < c + d * lo or c1 + d1 * lo == c + d * lo and d1 < d:
+                c, d = c1, d1
+        end = hi + 1
+        for c1, d1 in lines:  # c1 + d1 t <= c + d t from t = ceil((c1 - c) / (d - d1)) on
+            if d1 < d and -((c - c1) // (d - d1)) < end:
+                end = -((c - c1) // (d - d1))
+        pieces.append((lo, end - 1, c, d))
+        lo = end
+    return pieces
+
+
+def _floor_runs(F: MonomialFiltration):
+    """floor(g) along a run (prefix, lo, hi): the covectors pair as lines
+    c + d t, g is their ``_envelope``, and the list holds floor(g) over
+    t = lo..hi."""
+    zs, den = F.transform.rows, F.transform.den
+    heads = [(z[:-1], z[-1]) for z in zs]
+
+    def orders(prefix, lo, hi):
+        return [(c + d * t) // den
+                for t0, t1, c, d in _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads],
+                                              lo, hi)
+                for t in range(t0, t1 + 1)]
+    return orders
+
+
+class BoxApproxTable(NamedTuple):
+    """The approximation table as the box-scan builder kept it."""
+
+    window: int
+    runs: dict      # {prefix: (t_lo, approximate orders along the run)}
+    blocks: tuple   # kept (gamma, v, <ell, gamma>), in scan order
+    counts: list    # index k: window points with <ell, .> <= k
+
+
+def box_approx_table(F: MonomialFiltration, m, window, budget):
+    """Cold reference of ``filtration._build_approx_table``: the builder as
+    it was while the table was read off the box scan, unchanged but for the
+    record it returns.
+
+    Along a lattice run the codes and weights are ranges and the block
+    values come from ``_floor_runs``; one ``_block_dp`` gives the
+    blocks and the order of every point, which are stored per run.
+    """
+    s = F.ambient
+    ell = s.sigma.interior_point()
+    *head, last = ell
+    runs = _lattice_runs(s.weight_cone, ell, window, budget, False)
+    code, decode = _coder(s.rank, max((max(map(abs, (*p, lo, hi))) for p, lo, hi in runs),
+                                      default=0))
+    floor_orders = _floor_runs(F)
+    codes, weights, values, spans = [], [], [], []
+    for prefix, lo, hi in runs:
+        c0, w0 = code((*prefix, 0)), sum(map(mul, head, prefix))
+        spans.append(range(c0 + lo, c0 + hi + 1))
+        codes += spans[-1]
+        weights += range(w0 + last * lo, w0 + last * (hi + 1), last) if last else \
+            repeat(w0, hi - lo + 1)
+        values += [v if v < m else m for v in floor_orders(prefix, lo, hi)]
+    kept, best = _block_dp(m, codes, weights, values)
+    table_runs = {prefix: (lo, list(map(best.__getitem__, span)))
+                  for (prefix, lo, _), span in zip(runs, spans)}
+    blocks = tuple((decode(c), v, w) for c, v, w in kept)
+    weights.sort()
+    counts = [bisect_right(weights, k) for k in range(window + 1)]
+    return BoxApproxTable(window, table_runs, blocks, counts)
+
+
 def floor_sum(n, m, a, b):
     """The sum of (a i + b) // m over i = 0..n-1 (m >= 1), in Euclid-like steps."""
     total = 0
@@ -479,7 +646,7 @@ def shell_table_sweep_approx(s, xi0, F_, m, levels, budget=None):
     budget = _checked_budget(budget)
     target = {**estimators._target(s, x, L, F_), "m_filtration": Fraction(m)}
     table = build_shell_table(s.weight_cone, x, L, levels[-1] + 1, budget)
-    runs = _approx_table(F_, key, shell_table_window(s, table), budget).runs
+    runs = box_approx_table(F_, key[-1], shell_table_window(s, table), budget).runs
 
     def run_orders(prefix, lo, hi):
         start, orders = runs[prefix]

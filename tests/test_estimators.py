@@ -33,13 +33,13 @@ from conestab.estimators import (
     sweep_approx,
 )
 from conestab.exactgeom import dot, lattice_points_below
-from conestab.exactgeom.lattice import _box
 from conestab.exactgeom.linalg import det
 from conestab.filtration import approx_ord, approximant, monomial_filtration, toric_filtration
 from conestab.invariants import delta_T, okounkov_body, s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
     ReferenceSweep,
+    _box,
     build_shell_table,
     c2_battery,
     level_coordinates,
@@ -438,9 +438,16 @@ def _reference_sweep(s, xi0, G, levels, budget):
 
 
 def _reference_sweep_approx(s, xi0, G, m_filt, levels, budget):
-    """Rows of sweep_approx: the pairwise DP over the reference-weight window."""
+    """Rows of sweep_approx: the pairwise DP over the reference-weight window
+    of the points below the top.  The budget counts the points of the
+    window sweep_approx reads, W the largest <ell, .> at the weight-cone rays
+    scaled onto <xi0, .> = top - 1/L, which on a skinny cone exceeds that
+    of the points below the top."""
     pts = _reference_points(s, xi0, levels, budget)
     ell = s.sigma.interior_point()
+    top = max(levels) + 1 - F(1, lcm(*(F(x).denominator for x in xi0)))
+    W = max(floor(dot(ell, r) * top / dot(xi0, r)) for r in s.weight_cone.rays)
+    lattice_points_below(s.weight_cone, ell, W, strict=False, budget=budget)
     wmax = max(sum(map(mul, ell, p)) for p in pts)
     window = lattice_points_below(s.weight_cone, ell, wmax, strict=False, budget=budget)
     orders = pairwise_dp_orders(G, m_filt, window, ell)
@@ -753,17 +760,17 @@ def test_shell_table_work_is_bounded_by_the_points(c2, fex):
 
 def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
     # xi0 = (1, 1234567/10^6) below level 150: level coordinates would scan
-    # 150000001 prefixes against 151.  sweep enumerates no lattice runs at
-    # all, and sweep_approx builds its approximation table on the exponents,
-    # over the window <ell, .> <= 149 of ell = (1, 1).
+    # 150000001 prefixes against 151 for the retired box scan.  sweep lists
+    # no lattice runs at all, and sweep_approx lists its approximation
+    # table's once, over the window <ell, .> <= 149 of ell = (1, 1).
     xi0 = (1, F(1234567, 10 ** 6))
     built = []
 
-    def counted(*args):
-        built.append(args[:3])
-        return lattice_runs(*args)
-    lattice_runs = filtration._lattice_runs
-    monkeypatch.setattr(filtration, "_lattice_runs", counted)
+    def counted(c, taus, x, limit, budget):
+        built.append((c, x, limit - 1))
+        return runs(c, taus, x, limit, budget)
+    runs = filtration._runs
+    monkeypatch.setattr(filtration, "_runs", counted)
     filtration._approx_tables.cache_clear()
     xs, den = _xi_row(xi0, 2)
     cone, x0, _ = level_frame(c2.weight_cone, xs)
@@ -827,21 +834,26 @@ def test_second_filtration_on_a_table_matches_a_cold_sweep(pair):
 
 
 def test_sweeps_of_one_key_share_one_table(c2, fex, monkeypatch):
-    # sweep_approx enumerates the lattice runs once per (filtration, M): a
-    # lower top level reads the stored table, a higher one grows it, and a
-    # second filtration builds its own.  sweep and bj_bound_check enumerate
-    # no runs.
+    # sweep_approx lists the lattice runs once per (filtration, M): a lower
+    # top level reads the stored table, a higher one grows it, and a second
+    # filtration builds its own.  sweep and bj_bound_check list no runs, and
+    # bj_bound_check reads the start points the sweep of a higher level
+    # stored for the same simplices.
     calls = []
 
-    def counted(*args):
-        calls.append((args[0].rays, args[2]))
-        return lattice_runs(*args)
-    lattice_runs = filtration._lattice_runs
-    monkeypatch.setattr(filtration, "_lattice_runs", counted)
+    def counted(c, taus, x, limit, budget):
+        calls.append((c.rays, limit - 1))
+        return runs(c, taus, x, limit, budget)
+    runs = filtration._runs
+    monkeypatch.setattr(filtration, "_runs", counted)
     filtration._approx_tables.cache_clear()
+    fan._parallelepipeds.cache_clear()
     G = monomial_filtration(c2, [(1, 3), (2, 1)])
-    sweep(c2, (1, 1), fex, range(1, 21))
+    sweep(c2, (1, 1), G, range(1, 31))
+    stored = fan._parallelepipeds.cache_info()
     assert bj_bound_check(c2, (1, 1), G, 10, 1, levels=range(1, 21))
+    info = fan._parallelepipeds.cache_info()
+    assert (info.hits - stored.hits, info.misses - stored.misses) == (stored.currsize, 0)
     assert calls == []
     sweep_approx(c2, (1, 1), G, 2, range(1, 21))
     sweep_approx(c2, (1, 1), G, 2, [3, 19])

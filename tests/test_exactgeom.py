@@ -36,9 +36,8 @@ from conestab.exactgeom.linalg import (
     nullspace,
     solve,
 )
-from conestab.exactgeom.lattice import _lattice_runs
 from conestab.exactgeom.polytope import barycenter, integrate_pl, volume
-from conftest import random_cone, scan_facet_normals, unimodular_completion
+from conftest import _lattice_runs, random_cone, scan_facet_normals, unimodular_completion
 
 F = Fraction
 

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conestab.errors import ConestabError, DegenerateCone, UnboundedSlice
+from conestab.errors import BudgetExceeded, ConestabError, DegenerateCone, UnboundedSlice
 from conestab.exactgeom import (
     PLConcave,
     cone_from_halfspaces,
@@ -19,7 +20,7 @@ from conestab.exactgeom import (
 from conestab.exactgeom import cone, fan, linalg
 from conestab.exactgeom.cone import _distinct
 from conestab.exactgeom.fan import _chamber_key, _chamber_rows, chambers, cone_fan
-from conestab.exactgeom.linalg import _integer_covectors, mat_rank, primitivize
+from conestab.exactgeom.linalg import _integer_covectors, _integer_row, mat_rank, primitivize
 from conestab.exactgeom.polytope import (
     barycenter,
     integrate_pl,
@@ -31,9 +32,12 @@ from conestab.filtration import monomial_filtration
 from conestab.invariants import lambda_max_closed, s_closed
 from conestab.singularity import from_rays
 from conftest import (
+    _box,
+    _lattice_runs,
     fan_moments,
     random_cone,
     random_filtration,
+    random_reeb,
     scan_chambers,
     scan_cone,
     scan_facet_normals,
@@ -364,3 +368,59 @@ def test_chamber_cut_makes_no_elimination(monkeypatch):
     found = chambers.__wrapped__(c, covs)
     assert calls == [3, 3, 3]
     assert [(z, f.simplices) for z, f in found] == [(z, ((1, (0, 1, 2)),)) for z in covs]
+
+
+# ---------------------------------------------------------------------------
+# The one lattice kernel, ``fan._runs``, against the retired box scan.
+
+_NON_SIMPLICIAL_SIGMAS = (((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
+                          ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1)),
+                          ((1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+                           (1, 1, 1, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_runs_list_each_point_below_the_limit_once(seed):
+    # Ranks 1-4, simplicial weight cones and not, xi0 = x / L with L up to
+    # 2 and limits that are not multiples of L.  Over the cone's own fan and
+    # over the chambers of a filtration, the runs lay out every lattice
+    # point with <x, .> < limit exactly once: the box scan's points.  A
+    # budget of the point count passes, and one less raises, from a cold
+    # store and from a warm one.
+    rnd = random.Random(seed)
+    rank = 1 + seed % 4
+    if rank > 2 and rnd.random() < 0.4:
+        s = from_rays(rnd.choice([r for r in _NON_SIMPLICIAL_SIGMAS if len(r[0]) == rank]))
+    else:
+        s = random_cone(rnd, rank)
+    c, xi = s.weight_cone, random_reeb(rnd, s)
+    x, L = _integer_row(xi)
+    x = tuple(x)
+    limit = rnd.randint(0, 12 * max(sum(map(mul, x, r)) for r in c.rays))
+    while prod(b - a + 1 for a, b in zip(*_box(c, xi, F(limit, L)))) > 4000:
+        limit //= 2
+    expected = [p + (t,) for p, lo, hi in _lattice_runs(c, xi, F(limit, L), None, True)
+                for t in range(lo, hi + 1)]
+    n, short = len(expected), f"^lattice enumeration exceeded budget {len(expected) - 1}$"
+    chamber_fans = [f for _, f in _chamber_rows(c, random_filtration(rnd, s).transform.rows)]
+    taus = {name: [tuple(f.rays[i] for i in tau) for f in fans for _, tau in f.simplices]
+            for name, fans in (("fan", [cone_fan(c)]), ("chambers", chamber_fans))}
+    event(f"rank {rank}, {'simplicial' if len(taus['fan']) == 1 else 'not simplicial'}, "
+          f"{'no' if not n else 'under 100' if n < 100 else '100 or more'} points")
+    for name, cones in taus.items():
+        fan._parallelepipeds.cache_clear()
+        if n:  # one point short raises from a cold store
+            with pytest.raises(BudgetExceeded, match=short):
+                fan._runs(c, cones, x, limit, n - 1)
+        runs = fan._runs(c, cones, x, limit, n)
+        if n:  # and from a warm one
+            with pytest.raises(BudgetExceeded, match=short):
+                fan._runs(c, cones, x, limit, n - 1)
+        assert len(runs) == len(cones)
+        assert all(k >= 1 and r in tau and sum(map(mul, x, r)) == min(
+            sum(map(mul, x, w)) for w in tau) for group, tau in zip(runs, cones)
+            for _, r, k in group)
+        points = [tuple(a + t * b for a, b in zip(p, r)) for group in runs
+                  for p, r, k in group for t in range(k)]
+        assert sorted(points) == expected, name

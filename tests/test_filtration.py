@@ -39,6 +39,9 @@ from conestab.filtration import (
 from conestab.invariants import s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
+    _envelope,
+    _floor_runs,
+    box_approx_table,
     build_shell_table,
     floor_runs,
     floor_sum,
@@ -679,8 +682,9 @@ def test_one_key_builds_one_table(c2, fex, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Closed forms along a lattice run: the lower envelope of the covector lines
-# (the library's) and the floor sums over its pieces (the retired
-# level-coordinate scan's, in ``conftest``), against brute force.
+# (the retired box-scan table builder's) and the floor sums over its pieces
+# (the retired level-coordinate scan's), both in ``conftest``, against brute
+# force.
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 40), m=st.integers(1, 12), a=st.integers(-60, 60),
@@ -698,7 +702,7 @@ def test_envelope_pieces_are_the_least_line(lines, lo, length):
     # Consecutive nonempty pieces cover lo..hi, at most one per line, and
     # on each the piece's line takes the minimum of all lines.
     hi = lo + length - 1
-    pieces = filtration._envelope(lines, lo, hi)
+    pieces = _envelope(lines, lo, hi)
     assert len(pieces) <= len(lines)
     assert pieces[0][0] == lo and pieces[-1][1] == hi
     assert all(a[1] + 1 == b[0] for a, b in zip(pieces, pieces[1:]))
@@ -730,14 +734,52 @@ def _run_cases(draw):
 @given(case=_run_cases())
 def test_run_orders_and_stats_match_per_point_floor(case):
     # orders lists floor(g(a)) at a = W y along the run, and stats gives its
-    # sum and maximum from the envelope's pieces alone; the library's orders
-    # are those at W = I.
+    # sum and maximum from the envelope's pieces alone; the box-scan table
+    # builder's orders are those at W = I.
     F_, W, prefix, lo, hi = case
     orders, stats = floor_runs(F_, W)
     if W is None:
-        assert filtration._floor_runs(F_)(prefix, lo, hi) == orders(prefix, lo, hi)
+        assert _floor_runs(F_)(prefix, lo, hi) == orders(prefix, lo, hi)
     W = W or [[int(i == j) for j in range(len(prefix) + 1)] for i in range(len(prefix) + 1)]
     brute = [floor(F_.ord(tuple(sum(map(mul, row, prefix + (t,))) for row in W)))
              for t in range(lo, hi + 1)]
     assert orders(prefix, lo, hi) == brute
     assert stats(prefix, lo, hi) == (sum(brute), max(brute))
+
+
+# ---------------------------------------------------------------------------
+# The approximation table read off the chambers' simplicial cones against
+# the builder that read it off the retired box scan.
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), m=st.integers(1, 5), grow=st.booleans())
+def test_table_matches_the_box_scan_builder(seed, m, grow):
+    # Ranks 1-3, the rank-3 cone of R3_RAYS not simplicial, covector
+    # denominators above 1 through rescale.  Every window point has the
+    # box-scan builder's order, and the blocks and counts are its own; a
+    # table grown from a smaller stored one is the same.  Along each run the
+    # stored orders are those of its points.
+    rnd = random.Random(seed)
+    rank = 1 + seed % 3
+    s = from_rays(R3_RAYS) if rank == 3 and rnd.random() < 0.5 else random_cone(rnd, rank)
+    F_ = rescale(random_filtration(rnd, s), F(1, rnd.randint(1, 3)))
+    ell = s.sigma.interior_point()
+    window = rnd.randint(0, 10 * max(sum(map(mul, ell, r)) for r in s.weight_cone.rays))
+    while _window_count(s, window) > 1500:
+        window //= 2
+    key = filtration._approx_key(F_, m)
+    ref = box_approx_table(F_, m, window, 10 ** 7)
+    filtration._approx_tables.cache_clear()
+    if grow:
+        filtration._approx_table(F_, key, window // 2, 10 ** 7)
+    table = filtration._approx_table(F_, key, window, 10 ** 7)
+    assert table.window == window
+    assert (table.blocks, table.counts) == (ref.blocks, ref.counts)
+    assert len(table.orders) == ref.counts[-1]
+    for prefix, (lo, orders) in ref.runs.items():
+        for t, o in enumerate(orders, lo):
+            assert table.orders[table.code(prefix + (t,))] == o
+    for p, r, orders in table.runs:
+        assert orders == [table.orders[table.code(tuple(a + t * b for a, b in zip(p, r)))]
+                          for t in range(len(orders))]
+    event(f"rank {rank}, {'grown' if grow else 'cold'}, {'some' if table.blocks else 'no'} blocks")

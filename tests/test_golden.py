@@ -101,6 +101,18 @@ def test_long_reeb_approx_estimate_to_level_10_matches_golden(monkeypatch, capsy
                                                 "estimate_c2_long_reeb_approx2.out").read_bytes()
 
 
+def test_rank3_approx_estimate_to_level_20_matches_golden(monkeypatch, capsys):
+    # Recorded while the approximation table read its points off a
+    # coordinate box scan; the rank-3 weight cone is not simplicial, so the
+    # table now reads them off several simplicial cones.
+    monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
+    root = PERFBENCH.parent
+    assert main(["estimate", str(PERFBENCH / "docs" / "rank3.json"), "--filtration", "G",
+                 "--levels", "1..20", "--approx", "4"]) == 0
+    assert capsys.readouterr().out.encode() == (root / "tests" / "golden" /
+                                                "estimate_rank3_approx4.out").read_bytes()
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["okounkov", "tests/docs/rank6_cross.json"], "okounkov_rank6_cross.out"),
     (["okounkov", "tests/docs/rank6_cube.json"], "okounkov_rank6_cube.out"),
@@ -108,13 +120,16 @@ def test_long_reeb_approx_estimate_to_level_10_matches_golden(monkeypatch, capsy
      "invariants_rank4_json.out"),
     (["okounkov", "tests/docs/rank4.json", "--filtration", "G", "--levels", "1,2", "--t", "1/2"],
      "okounkov_rank4_gamma.out"),
+    (["okounkov", "tests/docs/rank6_cube.json", "--levels", "1,2"],
+     "okounkov_rank6_cube_gamma.out"),
 ])
 def test_body_and_invariants_at_ranks_4_and_6_match_golden(argv, golden, monkeypatch, capsys):
     # Recorded while the Okounkov body held its slice polytope, volume,
     # barycenter and alpha0, all built with it; the record now holds the
     # fan's integer sums, and these views and S and J_T are read off them.
     # The rank-4 semigroup sample at t = 1/2 was recorded while
-    # SemigroupSample held its Fraction cloud and reduced J its bracket.
+    # SemigroupSample held its Fraction cloud and reduced J its bracket,
+    # and the rank-6 samples while lattice_points_below scanned a box.
     monkeypatch.delenv("CONESTAB_BUDGET", raising=False)
     root = PERFBENCH.parent
     monkeypatch.chdir(root)

@@ -23,8 +23,8 @@ from conestab.estimators import (bj_bound_check, gamma_semigroup, good_valuation
                                  sweep, sweep_approx)
 from conestab.exactgeom import lattice_points_below
 from conestab.exactgeom.fan import chambers
-from conestab.filtration import (approx_ord, monomial_filtration, ord_of, toric_filtration,
-                                 twist, value_under)
+from conestab.filtration import (approx_ord, monomial_filtration, ord_of, rescale,
+                                 toric_filtration, twist, value_under)
 from conestab.singularity import (ReebVector, _parsed_row, _xi_row, from_rays, log_discrepancy,
                                   reeb_contains, reeb_vector)
 from conftest import random_cone, random_reeb
@@ -276,6 +276,18 @@ def test_each_xi0_is_parsed_once_and_bad_ones_still_raise(monkeypatch):
         inv.vol(s, [F(1), True])
     with pytest.raises(AmbientMismatch, match="^vector of length 3 on a rank-2 cone$"):
         inv.vol(s, [1, 1, 1])
+    # Every other exact input refuses a bool the same way: covectors, rays,
+    # coefficients, a slicing covector, a level and a rescaling factor.
+    G = monomial_filtration(s, [(1, 2)])
+    for call in (lambda: monomial_filtration(s, [(True, 2)]),
+                 lambda: from_rays([(True, 0), (0, 1)]),
+                 lambda: from_rays([(1, 0), (0, 1)], [False, 0]),
+                 lambda: lattice_points_below(s.weight_cone, (True, 1), 2),
+                 lambda: lattice_points_below(s.weight_cone, (1, 1), True),
+                 lambda: rescale(G, True)):
+        with pytest.raises(TypeError, match=r"^refusing bool; pass ints, Fractions or 'p/q' "
+                                            r"strings$"):
+            call()
     # One (row, den) for every spelling of one xi0; ints and strings are
     # parsed once per spelling, and a vector holding a Fraction never meets
     # the memo, so no Fraction is hashed.
