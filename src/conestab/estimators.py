@@ -206,11 +206,13 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     window = max(sum(map(mul, ell, r)) * (limit - 1) // sum(map(mul, x, r))
                  for r in s.weight_cone.rays)
     counts, eq_counts, sums_ord, maxs = ([0] * top for _ in range(4))
-    for p, r, orders in _approx_table(F, key, window, budget).runs:
+    table = _approx_table(F, key, window, budget)
+    for p, r, c0, step, k in table.runs:
         # <x, .> rises along the run (x in the Reeb cone, r in the weight
         # cone), so the points below the top are a head of it.
         w, X = sum(map(mul, x, p)), sum(map(mul, x, r))
-        for o in orders[:max(0, (limit - 1 - w) // X + 1)]:
+        n = min(k, (limit - 1 - w) // X + 1)  # n <= 0: the run starts at or above the top
+        for o in map(table.orders.__getitem__, range(c0, c0 + n * step, step)):
             k, rem = divmod(w, L)
             counts[k] += 1
             eq_counts[k] += not rem

@@ -311,22 +311,22 @@ def _runs(c: Cone, taus, x, limit, budget):
     x pairs positively with every ray.  A point of tau is a start point of
     its half-open parallelepiped (``_parallelepiped`` at den 1) plus
     multiples of its rays: one run per start point and per multiple of the
-    other rays.  Past ``budget`` points, BudgetExceeded names it.
+    other rays.  Past ``budget`` points, BudgetExceeded names it before listing them.
     """
     out, total = [], 0
     for tau in taus:
-        X, i = min((sum(map(mul, x, r)), i) for i, r in enumerate(tau))
+        _, i = min((sum(map(mul, x, r)), i) for i, r in enumerate(tau))
         bases = _starts(c, tau, x, 1, limit, budget, total)
-        for ray in tau[:i] + tau[i + 1:]:  # add every multiple of ray that stays below limit
+        for j, ray in enumerate(tau[:i] + tau[i + 1:] + tau[i:i + 1], 1):  # the runs' ray last
             dw = sum(map(mul, x, ray))
-            bases = [(w + k * dw, tuple([a + k * b for a, b in zip(p, ray)]))
-                     for w, p in bases for k in range((limit - 1 - w) // dw + 1)]
-            if total + len(bases) > budget:
+            ks = [(limit - 1 - w) // dw + 1 for w, _ in bases]  # multiples of ray below limit
+            if total + sum(ks) > budget:  # as many distinct points, counted before listed
                 raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
-        out.append([(p, tau[i], (limit - 1 - w) // X + 1) for w, p in bases])
-        total += sum(k for _, _, k in out[-1])
-        if total > budget:
-            raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+            if j < len(tau):
+                bases = [(w + k * dw, tuple([a + k * b for a, b in zip(p, ray)]))
+                         for (w, p), n in zip(bases, ks) for k in range(n)]
+        total += sum(ks)
+        out.append([(p, tau[i], k) for (_, p), k in zip(bases, ks)])
     return out
 
 

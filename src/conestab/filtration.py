@@ -17,10 +17,10 @@ The approximations of one filtration at level m share one table
 (``_approx_table``), keyed on (weight cone, integer covector rows, m), over
 the reference-weight window <ell, .> <= w with ell = sigma.interior_point(),
 the sum of the weight cone's facet normals: the kept blocks, the order of
-every window point by its code and along each lattice run of ``fan._runs``
-over the simplicial cones of F's chambers, the point count at each weight
-and the approximant's transform, built once on a window computed from F
-and m.
+every window point by its code, the codes along each lattice run of
+``fan._runs`` over the simplicial cones of F's chambers, the point count at
+each weight and the approximant's transform, built once on a window
+computed from F and m.
 """
 
 from bisect import bisect_right
@@ -304,7 +304,7 @@ class _ApproxTable:
         self.window = window
         self.code = code            # the points' integer codes (``_coder``)
         self.orders = orders        # {code: approximate order} of every window point
-        self.runs = runs            # (start, ray, approximate orders along the run)
+        self.runs = runs            # (start, ray, start code, code step, length) per run
         self.blocks = blocks        # kept (gamma, v, <ell, gamma>), in scan order
         self.counts = counts        # index k: window points with <ell, .> <= k
         self.certified = None       # the approximant's transform, once built
@@ -317,8 +317,8 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
     simplicial cones of F's chambers.  On one of them g = <z_j, .> / den,
     so along a run the codes, the weights and the values min((<z_j, p> +
     t <z_j, r>) // den, m) are arithmetic; one ``_block_dp`` gives the
-    blocks and the order of every point, which are stored by code and per
-    run.
+    blocks and the order of every point, stored by code.  Each run keeps its
+    codes as a start and a step, so its orders are read off that dict.
     """
     s = F.ambient
     ell = s.sigma.interior_point()
@@ -329,19 +329,18 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
                  for t in (0, k - 1) for a, b in zip(p, r)), default=0)  # at the run ends
     code, decode = _coder(s.rank, bound)
     den, cap = F.transform.den, m * F.transform.den
-    codes, weights, values, spans = [], [], [], []
+    codes, weights, values, table_runs = [], [], [], []
     for (z, _), group in zip(cones, runs):
         for p, r, k in group:
-            c0, step = code(p), code(r)  # a one-point run has no step
+            c0, step = code(p), code(r) if k > 1 else 1  # a one-point run has no step
             a, b = sum(map(mul, z, p)), sum(map(mul, z, r))
             w0, dw = sum(map(mul, ell, p)), sum(map(mul, ell, r))
-            spans.append((p, r, range(c0, c0 + k * step, step) if k > 1 else (c0,)))
-            codes += spans[-1][2]
+            table_runs.append((p, r, c0, step, k))
+            codes += range(c0, c0 + k * step, step)
             weights += range(w0, w0 + k * dw, dw)
             values += [u // den if u < cap else m
                        for u in (range(a, a + k * b, b) if b else repeat(a, k))]
     kept, best = _block_dp(m, codes, weights, values)
-    table_runs = [(p, r, list(map(best.__getitem__, span))) for p, r, span in spans]
     blocks = tuple((decode(c), v, w) for c, v, w in kept)
     weights.sort()
     counts = [bisect_right(weights, k) for k in range(window + 1)]

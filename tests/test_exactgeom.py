@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, lcm, prod
@@ -207,6 +208,25 @@ def test_lattice_budget_counts_kept_points():
     assert lattice_points_below(orthant, (1, 1), 9, budget=45) == pts
     with pytest.raises(BudgetExceeded):
         lattice_points_below(orthant, (1, 1), 9, budget=44)
+
+
+def test_lattice_budget_raises_before_listing_a_huge_region():
+    # 10**9 levels hold about 5 * 10**17 points of C2 and far more of C3.
+    # Each step along a ray is counted before its list is made, so budget 10
+    # raises having allocated next to nothing.  At (1, 10**8, 1) the first
+    # step (along the second ray) lists 10 points and the second would list
+    # about 10**10.
+    cases = [((1, 0), (0, 1)), (1, 1)], [((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1)], \
+        [((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 10 ** 8, 1)]
+    for rays, xi in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="^lattice enumeration exceeded budget 10$"):
+                lattice_points_below(cone_from_rays(rays), xi, 10 ** 9, budget=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (xi, peak)
 
 
 def test_lattice_budget_env_malformed(monkeypatch):

@@ -757,8 +757,8 @@ def test_table_matches_the_box_scan_builder(seed, m, grow):
     # Ranks 1-3, the rank-3 cone of R3_RAYS not simplicial, covector
     # denominators above 1 through rescale.  Every window point has the
     # box-scan builder's order, and the blocks and counts are its own; a
-    # table grown from a smaller stored one is the same.  Along each run the
-    # stored orders are those of its points.
+    # table grown from a smaller stored one is the same.  A run's start code
+    # and step give its points' codes, and the runs hold each point once.
     rnd = random.Random(seed)
     rank = 1 + seed % 3
     s = from_rays(R3_RAYS) if rank == 3 and rnd.random() < 0.5 else random_cone(rnd, rank)
@@ -779,7 +779,8 @@ def test_table_matches_the_box_scan_builder(seed, m, grow):
     for prefix, (lo, orders) in ref.runs.items():
         for t, o in enumerate(orders, lo):
             assert table.orders[table.code(prefix + (t,))] == o
-    for p, r, orders in table.runs:
-        assert orders == [table.orders[table.code(tuple(a + t * b for a, b in zip(p, r)))]
-                          for t in range(len(orders))]
+    for p, r, c0, step, k in table.runs:  # a run's codes are those of its points
+        assert list(range(c0, c0 + k * step, step)) == [
+            table.code(tuple(a + t * b for a, b in zip(p, r))) for t in range(k)]
+    assert sum(k for *_, k in table.runs) == len(table.orders)
     event(f"rank {rank}, {'grown' if grow else 'cold'}, {'some' if table.blocks else 'no'} blocks")
