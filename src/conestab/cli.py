@@ -173,7 +173,7 @@ class InputDocument:
 
 def _fmt(x) -> str:
     x = Fraction(x)
-    return f"{x} ({float(x):.12g})"
+    return f"{x} ({invariants._decimal12(x)})"
 
 
 def _fmt_vec(v) -> str:
@@ -217,7 +217,7 @@ def cmd_invariants(args):
     elif args.csv:
         print("name,exact,decimal,method")
         for name, entry in rep.entries.items():
-            print(f"{name},{entry.exact},{float(entry.exact):.12g},{entry.method}")
+            print(f"{name},{entry.exact},{invariants._decimal12(entry.exact)},{entry.method}")
     else:
         print(f"filtration {args.filtration} over reeb {_fmt_vec(xi0)}")
         for name, entry in rep.entries.items():
@@ -317,6 +317,8 @@ def cmd_okounkov(args):
     s = doc.singularity
     F = doc.filtration(args.filtration) if args.filtration is not None else None
     t = _rat(args.t, "--t") if args.t is not None else Fraction(0)
+    if args.t is not None and (F is None or args.levels is None):
+        raise ParseError("needs --filtration and --levels", "--t")
     body = invariants.okounkov_body(s, doc.reeb)
     out = {
         "vertices": [[str(Fraction(x)) for x in v] for v in body.body.vertices],

@@ -512,6 +512,20 @@ CLOSED_FORM = "closed-form"
 OPTIMIZER = "optimizer"
 
 
+def _decimal(q, digits):
+    """The rational q to ``digits`` significant digits, with no float."""
+    from decimal import Decimal
+    return f"{Decimal(q.numerator) / q.denominator:.{digits}g}"
+
+
+def _decimal12(x):
+    """x to 12 significant digits: the float's where it is finite and nonzero, or x = 0."""
+    try:
+        return f"{f:.12g}" if (f := float(x)) or not x else _decimal(x, 12)
+    except OverflowError:  # too large for a float
+        return _decimal(x, 12)
+
+
 class ReportEntry(NamedTuple):
     exact: Fraction | None
     method: str
@@ -525,7 +539,7 @@ class ReportEntry(NamedTuple):
         out = {"method": self.method}
         if self.exact is not None:
             out["exact"] = enc(self.exact)
-            out["decimal"] = f"{float(self.exact):.12g}"
+            out["decimal"] = _decimal12(self.exact)
         if self.lower is not None:
             out["lower"] = enc(self.lower)
             out["upper"] = enc(self.upper)

@@ -18,7 +18,7 @@ from .errors import IdentityViolated, ParseError, ToleranceNotReached
 from .exactgeom import frac
 from .exactgeom.fan import _fan_sums, cone_fan
 from .exactgeom.linalg import _integer_row, _solve_rows
-from .invariants import _alpha0_ints, _slice_value
+from .invariants import _alpha0_ints, _decimal, _slice_value
 from .singularity import ConeSingularity
 
 MAX_NEWTON_STEPS = 80
@@ -178,15 +178,9 @@ def minimize_nvol(s: ConeSingularity, tol=Fraction(1, 10 ** 9),
                         nvol_value=Fraction(L ** n * V, Q), certificate_gap=gap,
                         alignment_residual=residual, iterations=iterations)
     if raise_on_gap and gap > tol:
-        raise ToleranceNotReached(f"certificate gap {_decimal(gap)} above the tolerance "
-                                  f"tol = {_decimal(tol)}; exact gap {gap}", result=result)
+        raise ToleranceNotReached(f"certificate gap {_decimal(gap, 3)} above the tolerance "
+                                  f"tol = {_decimal(tol, 3)}; exact gap {gap}", result=result)
     return result
-
-
-def _decimal(q):
-    """A Fraction q >= 0 to three significant digits, with no float."""
-    from decimal import Decimal
-    return f"{Decimal(q.numerator) / q.denominator:.3g}"
 
 
 __all__ = [

@@ -2,25 +2,21 @@ import csv
 import io
 import json
 import random
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, combinations, product, repeat
-from math import ceil, factorial, floor, gcd, prod
-from operator import add, mul, sub
+from itertools import accumulate, combinations, product
+from math import ceil, factorial, floor, gcd, lcm
+from operator import mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
 import pytest
 
 from conestab import estimators, from_rays, monomial_filtration, toric_filtration
-from conestab.errors import BudgetExceeded, DegenerateCone
-from conestab.exactgeom import slice_polytope
-from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _of_length, _validate
+from conestab.errors import DegenerateCone
+from conestab.exactgeom import dot, slice_polytope
+from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _validate
 from conestab.exactgeom.fan import Fan, _fan_sums, cone_fan
-from conestab.exactgeom.lattice import _checked_budget
-from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, frac, primitivize, vec, vsub
-from conestab.exactgeom.polytope import slice_vertices
-from conestab.filtration import MonomialFiltration, _approx_key, _block_dp, _coder
+from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
 from conestab.invariants import _alpha0_ints
 from conestab.singularity import _xi_row
 
@@ -270,389 +266,63 @@ def pairwise_dp_orders(F_, m, pts, ell):
     point set: the O(P^2) DP trying every earlier nonzero point (by
     <ell, .>) as a block worth min(floor(g), m)."""
     order = sorted(pts, key=lambda p: (sum(map(mul, ell, p)), p))
-    value = {p: min(floor(F_.ord(p)), m) for p in order}
-    best = {}
-    for i, p in enumerate(order):
-        best[p] = max([value[p] if any(p) else 0]
-                      + [value[q] + best[r] for q in order[:i]
-                         if any(q) and (r := tuple(map(sub, p, q))) in best])
+    best, blocks = {}, []  # blocks: (q, value of q) for the nonzero points before p
+    for p in order:
+        v = min(floor(F_.ord(p)), m) if any(p) else 0
+        best[p] = max([v] + [u + best[r] for q, u in blocks
+                             if (r := tuple(map(sub, p, q))) in best])
+        if any(p):
+            blocks.append((p, v))
     return best
 
 
-# ---------------------------------------------------------------------------
-# The level-coordinate scan that ``estimators.sweep`` ran before its
-# simplicial-cone kernel, kept as a second reference next to the per-point
-# sweeps of ``tests/test_estimators.py``.
+def _box_scan(c, xi, m, strict):
+    """Every integer a in the cone c with <a, xi> < m (<= m unless strict),
+    in lexicographic order, or None when the region is unbounded.
 
-def unimodular_completion(p):
-    """(U, W): integer matrices with U W = I and U's first row the primitive
-    integer vector p.  Euclid's column steps (a, b) -> (b, q b - a), of
-    determinant 1, take p to +-e_1; W collects them and U their inverses."""
-    n, a = len(p), p[0]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    W = [row[:] for row in U]
-    for i in range(1, n):
-        b = p[i]
-        while b:
-            q = a // b
-            a, b = b, q * b - a
-            for row in W:
-                row[0], row[i] = row[i], q * row[i] - row[0]
-            U[0], U[i] = [q * u + v for u, v in zip(U[0], U[i])], [-u for u in U[0]]
-    if a < 0:  # p W = -e_1: negate the first row of U and column of W
-        U[0], W = [-u for u in U[0]], [[-row[0], *row[1:]] for row in W]
-    return U, W
-
-
-# ---------------------------------------------------------------------------
-# The coordinate box scan and the lower envelope of lines that listed the
-# approximation tables' points before ``fan._runs`` did: ``_lattice_runs``,
-# ``_box``, ``_bound``, ``_BLOCK``, ``_envelope`` and ``_floor_runs`` are
-# the retired library functions, unchanged, and ``box_approx_table`` the
-# table builder that read them.
-
-# Prefix rows are bounded in blocks of this many values of coordinate n-1,
-# so a budget stop in a long row allocates only one block.
-_BLOCK = 1024
-
-
-def _lattice_runs(c: Cone, xi, m, budget, strict):
-    """The points of ``lattice_points_below`` as runs (prefix, t_lo, t_hi).
-
-    Exact integer kernel: the first n-1 coordinates (the prefix, a tuple of
-    int) run over the slice's bounding box in lexicographic order, and the
-    last one over the range t_lo..t_hi solved from the integer rows; runs
-    are nonempty.  The bounds are computed a prefix row at a time: once the
-    first n-2 coordinates are fixed, each row is linear along coordinate
-    n-1, so its bound on t over that coordinate's range is one list.  The
-    budget counts kept points, as in ``lattice_points_below``; the count is
-    checked once per block of a row, so the enumeration stops at the end
-    of the block in which it first passes the budget.
+    The reference for the lattice kernel, sharing none of its code: a box
+    one wider on every side than the hull of the origin and the rays
+    scaled onto <xi, .> = m is scanned point by point with the integer
+    halfspaces and the Fraction pairing.  The region is bounded exactly
+    when xi pairs positively with every ray.
     """
-    xi = vec(_of_length(xi, c.rank))
-    m = frac(m)
-    budget = _checked_budget(budget)
-    n = c.rank
-    lo, hi = _box(c, xi, m)
-    # Rows <g, a> + g0 >= 0: the halfspaces, then <xi D, a> <= m D (- 1 if strict).
-    *ixs, im = _integer_row((*xi, m))[0]
-    rows = [(h, 0) for h in c.halfspaces]
-    rows.append((tuple(-x for x in ixs), im - (1 if strict else 0)))
-    if n == 1:  # no coordinate n-1: give every row and the box a zero one
-        rows = [((0, *g), g0) for g, g0 in rows]
-        lo, hi = [0, *lo], [0, *hi]
-
-    runs = []
-    kept = 0
-    for outer in product(*(range(a, b + 1) for a, b in zip(lo[:-2], hi[:-2]))):
-        # Row values along (u, t) = coordinates n-1 and n are s0 + gu u + gt t.
-        # A row with gt = 0 cuts the range of u; the others bound t, from
-        # below where gt > 0 and from above where gt < 0.  The slice is
-        # bounded, so rows of both signs exist.
-        u_lo, u_hi = lo[-2], hi[-2]
-        lows, highs = [], []
-        for (*go, gu, gt), g0 in rows:
-            s0 = g0 + sum(map(mul, go, outer))
-            if gt:
-                (lows if gt > 0 else highs).append((s0, gu, gt))
-            elif gu > 0:
-                u_lo = max(u_lo, -(s0 // gu))
-            elif gu < 0:
-                u_hi = min(u_hi, s0 // -gu)
-            elif s0 < 0:
-                u_hi = u_lo - 1
-        for start in range(u_lo, u_hi + 1, _BLOCK):
-            us = range(start, min(start + _BLOCK, u_hi + 1))
-            t_lo = _bound(lows, us, max)
-            t_hi = _bound(highs, us, min)
-            prefixes = [outer + (u,) for u in us] if n > 1 else [()]
-            block = [(p, a, b) for p, a, b in zip(prefixes, t_lo, t_hi) if a <= b]
-            kept += sum(b - a for _, a, b in block) + len(block)
-            if kept > budget:
-                raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
-            runs += block
-    return runs
+    pairings = [dot(xi, r) for r in c.rays]
+    if min(pairings) <= 0:
+        return None
+    hull = [(0,) * c.rank] + [tuple(m * x / p for x in r) for r, p in zip(c.rays, pairings)]
+    box = [range(floor(min(v[i] for v in hull)) - 1, ceil(max(v[i] for v in hull)) + 2)
+           for i in range(c.rank)]
+    return [a for a in product(*box) if all(sum(map(mul, h, a)) >= 0 for h in c.halfspaces)
+            and (dot(xi, a) < m if strict else dot(xi, a) <= m)]
 
 
-def _box(c: Cone, xi, m):
-    """(lo, hi), the integer box around the origin and c's rays scaled to <xi, .> = m."""
-    verts = ((0,) * c.rank,) + slice_vertices(c.rays, xi, m)
-    return ([ceil(min(v[i] for v in verts)) for i in range(c.rank)],
-            [floor(max(v[i] for v in verts)) for i in range(c.rank)])
+def _reference_aggregate(s, xi0, levels, order_of, pts):
+    """Per-point aggregation: one Python step per lattice point.
 
-
-def _bound(rows, us, pick):
-    """t bound along u in us from rows (s0, gu, gt) with gt of one sign:
-    ceil(-(s0 + gu u) / gt) from below (gt > 0, pick=max), floor of the same
-    from above (gt < 0, pick=min), the tightest over the rows."""
-    out = None
-    for s0, gu, gt in rows:
-        vals = range(s0 + gu * us.start, s0 + gu * us.stop, gu) if gu else [s0] * len(us)
-        b = [-(s // gt) for s in vals] if gt > 0 else [s // -gt for s in vals]
-        out = b if out is None else list(map(pick, out, b))
-    return out
-
-
-def _envelope(lines, lo, hi):
-    """The lower envelope of the lines c + d t on the integers lo..hi: pieces
-    (t0, t1, c, d), each the least line at t0 (of least slope on a tie) up to
-    where one of smaller slope is no larger, so at most len(lines) pieces."""
-    pieces = []
-    while lo <= hi:
-        c, d = lines[0]
-        for c1, d1 in lines:
-            if c1 + d1 * lo < c + d * lo or c1 + d1 * lo == c + d * lo and d1 < d:
-                c, d = c1, d1
-        end = hi + 1
-        for c1, d1 in lines:  # c1 + d1 t <= c + d t from t = ceil((c1 - c) / (d - d1)) on
-            if d1 < d and -((c - c1) // (d - d1)) < end:
-                end = -((c - c1) // (d - d1))
-        pieces.append((lo, end - 1, c, d))
-        lo = end
-    return pieces
-
-
-def _floor_runs(F: MonomialFiltration):
-    """floor(g) along a run (prefix, lo, hi): the covectors pair as lines
-    c + d t, g is their ``_envelope``, and the list holds floor(g) over
-    t = lo..hi."""
-    zs, den = F.transform.rows, F.transform.den
-    heads = [(z[:-1], z[-1]) for z in zs]
-
-    def orders(prefix, lo, hi):
-        return [(c + d * t) // den
-                for t0, t1, c, d in _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads],
-                                              lo, hi)
-                for t in range(t0, t1 + 1)]
-    return orders
-
-
-class BoxApproxTable(NamedTuple):
-    """The approximation table as the box-scan builder kept it."""
-
-    window: int
-    runs: dict      # {prefix: (t_lo, approximate orders along the run)}
-    blocks: tuple   # kept (gamma, v, <ell, gamma>), in scan order
-    counts: list    # index k: window points with <ell, .> <= k
-
-
-def box_approx_table(F: MonomialFiltration, m, window, budget):
-    """Cold reference of ``filtration._build_approx_table``: the builder as
-    it was while the table was read off the box scan, unchanged but for the
-    record it returns.
-
-    Along a lattice run the codes and weights are ranges and the block
-    values come from ``_floor_runs``; one ``_block_dp`` gives the
-    blocks and the order of every point, which are stored per run.
+    The sweeps' original accumulation, kept as the reference that the
+    run-based aggregation must reproduce exactly.
     """
-    s = F.ambient
-    ell = s.sigma.interior_point()
-    *head, last = ell
-    runs = _lattice_runs(s.weight_cone, ell, window, budget, False)
-    code, decode = _coder(s.rank, max((max(map(abs, (*p, lo, hi))) for p, lo, hi in runs),
-                                      default=0))
-    floor_orders = _floor_runs(F)
-    codes, weights, values, spans = [], [], [], []
-    for prefix, lo, hi in runs:
-        c0, w0 = code((*prefix, 0)), sum(map(mul, head, prefix))
-        spans.append(range(c0 + lo, c0 + hi + 1))
-        codes += spans[-1]
-        weights += range(w0 + last * lo, w0 + last * (hi + 1), last) if last else \
-            repeat(w0, hi - lo + 1)
-        values += [v if v < m else m for v in floor_orders(prefix, lo, hi)]
-    kept, best = _block_dp(m, codes, weights, values)
-    table_runs = {prefix: (lo, list(map(best.__getitem__, span)))
-                  for (prefix, lo, _), span in zip(runs, spans)}
-    blocks = tuple((decode(c), v, w) for c, v, w in kept)
-    weights.sort()
-    counts = [bisect_right(weights, k) for k in range(window + 1)]
-    return BoxApproxTable(window, table_runs, blocks, counts)
-
-
-def floor_sum(n, m, a, b):
-    """The sum of (a i + b) // m over i = 0..n-1 (m >= 1), in Euclid-like steps."""
-    total = 0
-    while n:
-        (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
-        total += qa * (n * (n - 1) // 2) + qb * n
-        (n, b), m, a = divmod(a * n + b, m), a, m
-    return total
-
-
-def floor_runs(F_, W=None):
-    """(orders, stats) of floor(g) along a run (prefix, lo, hi) of y, a = W y
-    (y = a if W is None): the covectors pair as lines c + d t, g is their
-    ``_envelope``, ``orders`` lists floor(g) over t = lo..hi and ``stats``
-    gives its sum (floor sums per piece) and maximum (at a piece end)."""
-    zs, den = F_.transform.rows, F_.transform.den
-    zs = [tuple(sum(map(mul, z, col)) for col in zip(*W)) for z in zs] if W else zs
-    heads = [(z[:-1], z[-1]) for z in zs]
-
-    def pieces(prefix, lo, hi):
-        return _envelope([(sum(map(mul, z, prefix)), d) for z, d in heads], lo, hi)
-
-    def orders(prefix, lo, hi):
-        return [(c + d * t) // den for t0, t1, c, d in pieces(prefix, lo, hi)
-                for t in range(t0, t1 + 1)]
-
-    def stats(prefix, lo, hi):
-        total, ends = 0, []
-        for t0, t1, c, d in pieces(prefix, lo, hi):
-            total += floor_sum(t1 - t0 + 1, den, d, c + d * t0)
-            ends += c + d * t0, c + d * t1
-        return total, max(ends) // den
-    return orders, stats
-
-
-def level_frame(wc, xs):
-    """(cone, x, W): the weight cone and the integer row xs = g p of xi0, p
-    primitive, in level coordinates y = U a, U unimodular with first row p
-    and W = U^-1: rays r go to U r, halfspaces h to h W, xs to (g, 0, ...)."""
-    g = gcd(*xs)
-    U, W = unimodular_completion([x // g for x in xs])
-    cone = Cone(wc.rank, tuple(tuple(sum(map(mul, u, r)) for u in U) for r in wc.rays),
-                tuple(tuple(sum(map(mul, h, col)) for col in zip(*W)) for h in wc.halfspaces))
-    return cone, (g,) + (0,) * (wc.rank - 1), tuple(map(tuple, W))
-
-
-def level_coordinates(wc, xs, den, top):
-    """Whether the scan of xs / den below ``top`` took level coordinates: in
-    rank >= 2, if the slice's bounding box over the prefix ones is no larger."""
-    def prefixes(c, x):
-        box = list(zip(*_box(c, x, top * den)))[:-1]
-        return prod(b - a + 1 for a, b in box)
-    return wc.rank > 1 and prefixes(*level_frame(wc, xs)[:2]) <= prefixes(wc, xs)
-
-
-def scan_sweep(s, xi0, F_, levels, budget=None, level=None):
-    """Cold reference of ``estimators.sweep``: the lattice runs below the top
-    level, in level coordinates if ``level`` (None: if ``level_coordinates``
-    says so), else in the exponents.  A run of rank >= 2 in level
-    coordinates sits in one shell, and ``floor_runs``' stats give its order
-    sum and maximum in closed form; any other run is binned a point at a
-    time.  The rows come from the library's ``_per_level``."""
-    (x, L), levels = _xi_row(xi0, s.rank), estimators._levels(levels)
+    xi0 = tuple(Fraction(x) for x in xi0)
+    levels = sorted(set(levels))
     top = levels[-1] + 1
-    if level is None:
-        level = level_coordinates(s.weight_cone, x, L, top)
-    cone, xs, W = level_frame(s.weight_cone, x) if level else (s.weight_cone, x, None)
-    orders, stats = floor_runs(F_, W)
-    counts, eqs, sums, maxs = ([0] * top for _ in range(4))
-
-    def add(w, k, total, top_order):
-        fw, rem = divmod(w, L)
-        counts[fw] += k
-        eqs[fw] += 0 if rem else k
-        sums[fw] += total
-        maxs[fw] = max(maxs[fw], top_order)
-    *head, X = xs
-    for prefix, lo, hi in _lattice_runs(cone, xs, top * L, _checked_budget(budget), True):
-        w0 = sum(map(mul, head, prefix))
-        if X:
-            for t, o in zip(range(lo, hi + 1), orders(prefix, lo, hi)):
-                add(w0 + X * t, 1, o, o)
-        else:
-            add(w0, hi - lo + 1, *stats(prefix, lo, hi))
-    return estimators.EstimatorSweep(levels=list(levels), per_level=estimators._per_level(
-        s, levels, counts, eqs, sums, maxs))
-
-
-# ---------------------------------------------------------------------------
-# The shell table that ``estimators.sweep_approx`` built before it binned its
-# approximation table by shell: ``build_shell_table`` and
-# ``shell_table_aggregate`` are the retired ``_build_shell_table`` and
-# ``_aggregate``, unchanged.
-
-class ShellTable(NamedTuple):
-    """The filtration-independent part of ``sweep_approx`` below level ``top``."""
-
-    runs: tuple       # (prefix, lo, hi, classes): (orders slice, shell slice) pairs
-    counts: list      # index k < top: points in shell k
-    eq_counts: list   # index k < top: points with <xi0, a> = k exactly
-
-
-def build_shell_table(wc, xs, den, top, budget):
-    """Runs, shell slices and counts of the lattice below ``top``.
-
-    Along a run the integer weight <xi0 den, a> is w0 + X t.  Within one
-    residue class of t mod den the floor weight steps by exactly X and the
-    test "weight is an integer" does not change, so the counts of a class
-    are one +1/-1 pair in a difference array of stride |X|, and its orders
-    land on one strided slice of shells (only shells up to top + 1 are
-    stored).  When X = 0 a run sits in one shell, and each point is a class
-    of its own, of stride 1.
-    """
-    runs = _lattice_runs(wc, xs, top * den, budget, True)
-    *xs, X = xs  # integer weights <xi0 den, a>
-    step = abs(X) or 1
-    # Difference arrays: a class's -1 lands one stride past its last shell.
-    counts = [0] * (top + 2)
+    den = lcm(*(x.denominator for x in xi0))
+    xs = [int(x * den) for x in xi0]
+    counts = [0] * (top + 1)
+    sums_ord = [0] * (top + 1)
+    maxs = [0] * (top + 1)
     eq_counts = [0] * (top + 2)
-    table = []
-    for prefix, lo, hi in runs:
-        w0 = sum(map(mul, xs, prefix))
-        period = den if X else hi - lo + 1
-        classes = []
-        for r in range(min(period, hi - lo + 1)):
-            fw, rem = divmod(w0 + X * (lo + r), den)
-            k = (hi - lo - r) // period + 1
-            src = slice(r, None, period)
-            if X < 0:  # walk the class from its lowest shell up
-                fw += X * (k - 1)
-                src = slice(r + den * (k - 1), r - 1 if r else None, -den)
-            end = fw + step * k
-            for diffs in (counts,) if rem else (counts, eq_counts):
-                diffs[fw] += 1
-                if end <= top + 1:
-                    diffs[end] -= 1
-            classes.append((src, slice(fw, end, step)))
-        table.append((prefix, lo, hi, tuple(classes)))
-    for r in range(min(step, top + 2)):  # prefix sums of stride |X| turn differences into counts
-        counts[r::step] = accumulate(counts[r::step])
-        eq_counts[r::step] = accumulate(eq_counts[r::step])
-    return ShellTable(runs=tuple(table), counts=counts[:top], eq_counts=eq_counts[:top])
-
-
-def shell_table_aggregate(s, table, levels, run_orders):
-    """The per-filtration pass over a shell table: ``run_orders(prefix, lo,
-    hi)`` lists the orders along one run, which go onto its shell slices."""
-    sums_ord = [0] * len(table.counts)
-    maxs = [0] * len(table.counts)
-    for prefix, lo, hi, classes in table.runs:
-        orders = run_orders(prefix, lo, hi)
-        for src, dst in classes:
-            os = orders[src]
-            sums_ord[dst] = map(add, sums_ord[dst], os)
-            maxs[dst] = [o if o > m else m for m, o in zip(maxs[dst], os)]
-    return estimators._per_level(s, levels, table.counts, table.eq_counts, sums_ord, maxs)
-
-
-def shell_table_window(s, table):
-    """The exact window of a shell table: the largest <ell, .> on its runs,
-    ell = sigma's interior point.  <ell, .> is linear along a run, so its
-    largest value sits at an end."""
-    ell = s.sigma.interior_point()
-    return max(sum(map(mul, ell, p)) + max(ell[-1] * lo, ell[-1] * hi)
-               for p, lo, hi, _ in table.runs)
-
-
-def shell_table_sweep_approx(s, xi0, F_, m, levels, budget=None):
-    """Cold reference of ``estimators.sweep_approx``: the shell table of the
-    lattice below the top level, and the orders of F_'s approximation table
-    on that table's exact window, put onto its shells.  The budget bounds
-    the shell table's points and the window's."""
-    key = _approx_key(F_, m)
-    (x, L), levels = _xi_row(xi0, s.rank), estimators._levels(levels)
-    budget = _checked_budget(budget)
-    target = {**estimators._target(s, x, L, F_), "m_filtration": Fraction(m)}
-    table = build_shell_table(s.weight_cone, x, L, levels[-1] + 1, budget)
-    runs = box_approx_table(F_, key[-1], shell_table_window(s, table), budget).runs
-
-    def run_orders(prefix, lo, hi):
-        start, orders = runs[prefix]
-        return orders[lo - start:hi - start + 1]
-    per_level = shell_table_aggregate(s, table, levels, run_orders)
-    return estimators.EstimatorSweep(levels=list(levels), per_level=per_level, target=target)
+    for a in pts:
+        wi = sum(map(mul, xs, a))
+        fw = wi // den
+        o = order_of(a)
+        counts[fw] += 1
+        sums_ord[fw] += o
+        if o > maxs[fw]:
+            maxs[fw] = o
+        if wi == fw * den:
+            eq_counts[fw] += 1
+    return ReferenceSweep(levels=levels, per_level=reference_per_level(
+        s, levels, counts, eq_counts, sums_ord, maxs))
 
 
 class ReferenceLevelStats(NamedTuple):

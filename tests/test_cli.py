@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,6 +137,37 @@ def test_stability_destabilized(doc_path, capsys):
     out = capsys.readouterr().out
     assert "delta_T = 2/3" in out
     assert "destabilizer ray (1, 0)" in out
+
+
+_HUGE_REEB = str(Path(__file__).parent / "docs" / "c2_huge_reeb.json")
+# reeb (10^400, 1): float() overflows on A, nvol and D and rounds vol,
+# lambda_min and J_T to 0, so their decimals are Decimal's 12 digits.
+_HUGE_DECIMALS = {"A": "1.00000000000e+400", "vol": "1e-400", "nvol": "1.00000000000e+400",
+                  "S": "0.5", "lambda_max": "1", "lambda_min": "1e-400", "lct": "3",
+                  "D": "-5.00000000000e+399", "J": "0.5", "J_T": "5.00000000000e-801"}
+
+
+def test_values_outside_float_range_print_decimal_digits(capsys):
+    # Every command exits 0, and delta_T = 2/(10^400 + 1) prints no (0).
+    big = 10 ** 400
+    assert main(["validate", _HUGE_REEB]) == EXIT_OK
+    assert f"reeb: ({big}, 1) interior, A = {big + 1} (1.00000000000e+400)\n" \
+        in capsys.readouterr().out
+    assert main(["stability", _HUGE_REEB]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        f"delta_T = 2/{big + 1} (2.00000000000e-400), minimizing ray (0, 1)\n")
+    assert main(["invariants", _HUGE_REEB, "--filtration", "G"]) == EXIT_OK
+    text = re.findall(r"^  (\S+) += (\S+) \((\S+)\)$", capsys.readouterr().out, re.M)
+    assert main(["invariants", _HUGE_REEB, "--filtration", "G", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert main(["invariants", _HUGE_REEB, "--filtration", "G", "--csv"]) == EXIT_OK
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert {name: decimal for name, _, decimal in text} == _HUGE_DECIMALS
+    assert {name: entry["decimal"] for name, entry in report.items()} == _HUGE_DECIMALS
+    assert {name: decimal for name, _, decimal, _ in rows} == _HUGE_DECIMALS
+    for name, exact, decimal in text:  # each decimal is its exact value to 12 digits
+        assert abs(F(Decimal(decimal)) / F(exact) - 1) < F(1, 10 ** 11)
+        assert report[name]["exact"] == exact
 
 
 def test_nvolmin(doc_path, capsys):
@@ -382,12 +414,19 @@ def test_non_integer_budget_option(doc_path, capsys, budget, shown):
     (C2_DOC, ["okounkov", "--levels", "2", "--t", ""], "--t", "not a rational 'p/q': ''"),
     (dict(C2_DOC, options={"levels": []}), ["estimate", "--filtration", "FEX"],
      ".options.levels", "empty level list"),
+    # --t sets the cloud's threshold, so it is an error without a cloud of F.
+    (C2_DOC, ["okounkov", "--t", "1"], "--t", "needs --filtration and --levels"),
+    (C2_DOC, ["okounkov", "--levels", "4", "--t", "100"], "--t",
+     "needs --filtration and --levels"),
+    (C2_DOC, ["okounkov", "--filtration", "FEX", "--t", "1"], "--t",
+     "needs --filtration and --levels"),
 ], ids=["filtrations-list", "options-list", "covectors-int", "levels-string",
         "levels-entry", "levels-zero", "okounkov-levels-zero", "okounkov-t-without-levels",
         "scale-zero", "covector-negative", "covectors-empty", "rank-zero", "rank-negative",
         "rays-not-pointed", "rays-not-spanning", "coefficients-conflicting",
         "coefficient-not-klt", "approx-empty", "levels-empty", "okounkov-levels-empty",
-        "tol-empty", "t-empty", "document-levels-empty"])
+        "tol-empty", "t-empty", "document-levels-empty", "okounkov-t-alone",
+        "okounkov-t-without-filtration", "okounkov-t-with-filtration-only"])
 def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where, message):
     path = doc_path(doc)
     assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID

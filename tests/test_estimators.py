@@ -1,7 +1,6 @@
 import hashlib
 import importlib.util
 import json
-import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -39,16 +38,10 @@ from conestab.invariants import delta_T, okounkov_body, s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
     ReferenceSweep,
-    _box,
-    build_shell_table,
+    _reference_aggregate,
     c2_battery,
-    level_coordinates,
-    level_frame,
     pairwise_dp_orders,
     reference_per_level,
-    scan_sweep,
-    shell_table_sweep_approx,
-    shell_table_window,
     verify_closure,
 )
 
@@ -381,35 +374,6 @@ def test_good_valuation_rejects_a_xi0_outside_the_reeb_cone_like_every_xi0_entry
 # ---------------------------------------------------------------------------
 # Run-based aggregation against the per-point reference.
 
-def _reference_aggregate(s, xi0, levels, order_of, pts):
-    """Per-point aggregation: one Python step per lattice point.
-
-    The sweeps' original accumulation, kept as the reference that the
-    run-based aggregation must reproduce exactly.
-    """
-    xi0 = tuple(F(x) for x in xi0)
-    levels = sorted(set(levels))
-    top = levels[-1] + 1
-    den = lcm(*(x.denominator for x in xi0))
-    xs = [int(x * den) for x in xi0]
-    counts = [0] * (top + 1)
-    sums_ord = [0] * (top + 1)
-    maxs = [0] * (top + 1)
-    eq_counts = [0] * (top + 2)
-    for a in pts:
-        wi = sum(map(mul, xs, a))
-        fw = wi // den
-        o = order_of(a)
-        counts[fw] += 1
-        sums_ord[fw] += o
-        if o > maxs[fw]:
-            maxs[fw] = o
-        if wi == fw * den:
-            eq_counts[fw] += 1
-    return ReferenceSweep(levels=levels, per_level=reference_per_level(
-        s, levels, counts, eq_counts, sums_ord, maxs))
-
-
 def _reference_points(s, xi0, levels, budget):
     """The points below the top level + 1.  The kernel itself is pinned
     against a box scan that shares none of its code in
@@ -674,35 +638,30 @@ _BOUNDARY = monomial_filtration(_Z3_LOW, [(3, -1), (1, 0)], require_primary=Fals
 
 @settings(max_examples=200, deadline=None)
 @given(case=st.integers(1, 4).flatmap(
-    lambda rank: _rank_one_cases() if rank == 1 else _sweep_cases(ranks=(rank,))),
-    level=st.booleans())
-@example(case=(_RANK4, (1, 1, 1, 1), _G4, [5, 12], 2, None), level=True)
-@example(case=(_RANK4, (1, 1, 1, 1), _G4, [5, 12], 2, None), level=False)
-@example(case=(_RANK4, (F(3, 2), 2, F(5, 3), 1), _G4, [3, 12], 2, None), level=True)
-@example(case=(_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, [7, 40], 2, None), level=True)
+    lambda rank: _rank_one_cases() if rank == 1 else _sweep_cases(ranks=(rank,))))
+@example(case=(_RANK4, (1, 1, 1, 1), _G4, [5, 12], 2, None))
+@example(case=(_RANK4, (F(3, 2), 2, F(5, 3), 1), _G4, [3, 12], 2, None))
+@example(case=(_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, [7, 40], 2, None))
 @example(case=(_WEDGE, (1, 0), monomial_filtration(_WEDGE, [(3, 1), (F(5, 2), F(-1, 2))]),
-               [7, 30], 2, None), level=True)
+               [7, 30], 2, None))
 @example(case=(from_rays([(-1,)]), (F(-4, 3),), monomial_filtration(
-    from_rays([(-1,)]), [(F(-5, 2),)]), [29], 2, None), level=True)
-def test_sweep_in_either_coordinates_matches_per_point_reference(case, level):
-    # The retired level-coordinate scan (``conftest.scan_sweep``), forced
-    # into either coordinates in ranks 1-4, and the simplicial-cone kernel
-    # of ``sweep`` both print the per-point reference.  Level coordinates
-    # put every run of rank >= 2 in one shell, where the closed forms give
-    # its sums and maxima; rank 1 in level coordinates crosses shells.
+    from_rays([(-1,)]), [(F(-5, 2),)]), [29], 2, None))
+def test_sweep_in_either_coordinates_matches_per_point_reference(case):
+    # The simplicial-cone kernel of ``sweep`` prints the per-point
+    # reference in ranks 1-4, or raises where it exceeds the budget.  (The
+    # name is from the retired level-coordinate scan, which this test also
+    # ran, in either coordinates.)
     s, xi0, G, levels, _, budget = case
     try:
         ref = _reference_json(_reference_sweep(s, xi0, G, levels, budget))
     except BudgetExceeded:
         event("budget exceeded")
-        for call in (scan_sweep, sweep):
-            with pytest.raises(BudgetExceeded):
-                call(s, xi0, G, levels, budget=budget)
+        with pytest.raises(BudgetExceeded):
+            sweep(s, xi0, G, levels, budget=budget)
         return
-    assert scan_sweep(s, xi0, G, levels, budget, level).to_json() == ref
     full = sweep(s, xi0, G, levels, budget=budget)
     assert estimators.EstimatorSweep(levels=full.levels, per_level=full.per_level).to_json() == ref
-    event(f"rank {s.rank}, level coordinates {level}")
+    event(f"rank {s.rank}")
 
 
 # sha256 of to_json() for sweep and sweep_approx(m_filtration=2), recorded
@@ -732,14 +691,12 @@ _PINNED_SWEEPS = [
                          ids=["rank4-level", "rank4-original", "boundary-a", "boundary-b",
                               "line"])
 def test_sweep_digests_pinned(s, xi0, G, levels, plain, approx):
-    assert level_coordinates(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1) \
-        == (xi0 == (1, 1, 1, 1))
     assert hashlib.sha256(sweep(s, xi0, G, levels).to_json().encode()).hexdigest() == plain
     assert hashlib.sha256(
         sweep_approx(s, xi0, G, 2, levels).to_json().encode()).hexdigest() == approx
 
 
-def test_shell_table_work_is_bounded_by_the_points(c2, fex):
+def test_sweep_work_is_bounded_by_the_points(c2, fex):
     # At xi0 = (1, 10000019/1000000) the integer weight of e_2 is 10000019
     # in units of 1/L, L = 10^6; the kernel walks only the occupied weights
     # and keeps only the shells up to the top, so ten points take
@@ -758,11 +715,10 @@ def test_shell_table_work_is_bounded_by_the_points(c2, fex):
     assert got.to_json() == _reference_json(_reference_sweep(c2, xi0, fex, [5, 10], None))
 
 
-def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
-    # xi0 = (1, 1234567/10^6) below level 150: level coordinates would scan
-    # 150000001 prefixes against 151 for the retired box scan.  sweep lists
-    # no lattice runs at all, and sweep_approx lists its approximation
-    # table's once, over the window <ell, .> <= 149 of ell = (1, 1).
+def test_long_level_sweeps_read_one_window(c2, fex, monkeypatch):
+    # xi0 = (1, 1234567/10^6) below level 150: sweep lists no lattice runs
+    # at all, and sweep_approx lists its approximation table's once, over
+    # the window <ell, .> <= 149 of ell = (1, 1).
     xi0 = (1, F(1234567, 10 ** 6))
     built = []
 
@@ -772,11 +728,6 @@ def test_long_level_box_keeps_the_original_coordinates(c2, fex, monkeypatch):
     runs = filtration._runs
     monkeypatch.setattr(filtration, "_runs", counted)
     filtration._approx_tables.cache_clear()
-    xs, den = _xi_row(xi0, 2)
-    cone, x0, _ = level_frame(c2.weight_cone, xs)
-    for c, x, prefixes in ((cone, x0, 150000001), (c2.weight_cone, xs, 151)):
-        lo, hi = _box(c, x, 150 * den)
-        assert hi[0] - lo[0] + 1 == prefixes
     sw = sweep(c2, xi0, fex, range(1, 150))
     assert built == []
     got = estimators.EstimatorSweep(levels=sw.levels, per_level=sw.per_level)
@@ -955,6 +906,13 @@ def _windows(call):
         return call(), windows
 
 
+def _exact_window(s, xi0, top):
+    """The largest <ell, .> over the lattice points below ``top``, ell =
+    sigma's interior point: the least window that holds them all."""
+    ell = s.sigma.interior_point()
+    return max(dot(ell, p) for p in lattice_points_below(s.weight_cone, xi0, top))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_approx_cases())
 @example(case=(_C2, (1, 1), monomial_filtration(_C2, [(2, 1), (1, 2)]), 2, [3, 8]))
@@ -962,10 +920,10 @@ def _windows(call):
                3, [7, 8]))  # X = 0
 @example(case=(_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, 2, [5, 8]))  # L = 6, X < 0
 def test_sweep_approx_matches_the_shell_table_reference(case):
-    # The approximation table binned by shell gives the rows, the JSON and
-    # the CSV of the retired shell-table path, also when the table was
-    # grown past the window, and its window W is at least the shell
-    # table's exact window.
+    # The approximation table binned by shell gives the rows and the CSV of
+    # the per-point reference, also when the table was grown past the
+    # window, and its window W is at least the exact window.  (The name is
+    # from the retired shell table, the reference this test had before.)
     s, xi0, G, m_filt, levels = case
     try:  # keeps the grown table to a few thousand points on skinny cones
         lattice_points_below(s.weight_cone, xi0, max(levels) + 4, budget=3000)
@@ -973,41 +931,38 @@ def test_sweep_approx_matches_the_shell_table_reference(case):
         assume(False)
     filtration._approx_tables.cache_clear()
     got, (window,) = _windows(lambda: sweep_approx(s, xi0, G, m_filt, levels))
-    ref = shell_table_sweep_approx(s, xi0, G, m_filt, levels)
-    assert got == ref
-    assert got.to_json() == ref.to_json() and got.to_csv() == ref.to_csv()
+    ref = _reference_sweep_approx(s, xi0, G, m_filt, levels, None)
+    rows = estimators.EstimatorSweep(levels=got.levels, per_level=got.per_level)
+    assert rows.to_json() == _reference_json(ref) and rows.to_csv() == ref.to_csv()
     sweep_approx(s, xi0, G, m_filt, [max(levels) + 3])
-    assert sweep_approx(s, xi0, G, m_filt, levels) == ref
-    x, L = _xi_row(xi0, s.rank)
-    exact = shell_table_window(s, build_shell_table(s.weight_cone, x, L, max(levels) + 1,
-                                                    10 ** 7))
+    assert sweep_approx(s, xi0, G, m_filt, levels) == got
+    exact = _exact_window(s, xi0, max(levels) + 1)
     assert window >= exact
     event(f"W > exact window: {window > exact}")
 
 
 def test_window_is_the_vertex_bound_of_the_top_level(c2, fex, z3):
-    # On C^2 at xi0 = (1, 1), the approx workload's cone, W is the shell
-    # table's exact window.  On z3 at xi0 = (4, 3) below level 8 it is 7
-    # where the exact one is 6, and a budget of 10 or 11, between the
-    # windows' point counts, now raises where the shell-table path
-    # returned rows.
+    # On C^2 at xi0 = (1, 1), the approx workload's cone, W is the exact
+    # window.  On z3 at xi0 = (4, 3) below level 8 it is 7 where the exact
+    # one is 6, and a budget of 10 or 11, between the windows' point
+    # counts, raises where the retired shell-table path returned rows.
     for top in (2, 9, 23, 31):
         _, windows = _windows(lambda: sweep_approx(c2, (1, 1), fex, 2, [top - 1]))
-        assert windows == [top - 1] == [shell_table_window(c2, build_shell_table(
-            c2.weight_cone, (1, 1), 1, top, 10 ** 7))]
+        assert windows == [top - 1] == [_exact_window(c2, (1, 1), top)]
     G = monomial_filtration(z3, [(2, 1), (1, 1)])
     _, windows = _windows(lambda: sweep_approx(z3, (4, 3), G, 2, [7]))
     assert windows == [7]
-    assert shell_table_window(z3, build_shell_table(z3.weight_cone, (4, 3), 1, 8, 10 ** 7)) == 6
+    assert _exact_window(z3, (4, 3), 8) == 6
     ell = z3.sigma.interior_point()
     assert [len(lattice_points_below(z3.weight_cone, ell, w, strict=False))
             for w in (6, 7)] == [10, 12]
     for budget in (10, 11):
         filtration._approx_tables.cache_clear()
-        ref = shell_table_sweep_approx(z3, (4, 3), G, 2, [7], budget=budget)
         with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {budget}$"):
             sweep_approx(z3, (4, 3), G, 2, [7], budget=budget)
-    assert sweep_approx(z3, (4, 3), G, 2, [7], budget=12) == ref
+    got = sweep_approx(z3, (4, 3), G, 2, [7], budget=12)
+    assert estimators.EstimatorSweep(levels=got.levels, per_level=got.per_level).to_json() \
+        == _reference_json(_reference_sweep_approx(z3, (4, 3), G, 2, [7], 12))
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "100"])

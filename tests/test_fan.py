@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import ceil, factorial, floor, prod
 from operator import mul
 
 import pytest
@@ -32,8 +32,7 @@ from conestab.filtration import monomial_filtration
 from conestab.invariants import lambda_max_closed, s_closed
 from conestab.singularity import from_rays
 from conftest import (
-    _box,
-    _lattice_runs,
+    _box_scan,
     fan_moments,
     random_cone,
     random_filtration,
@@ -371,7 +370,7 @@ def test_chamber_cut_makes_no_elimination(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The one lattice kernel, ``fan._runs``, against the retired box scan.
+# The one lattice kernel, ``fan._runs``, against the per-point box scan.
 
 _NON_SIMPLICIAL_SIGMAS = (((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
                           ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1)),
@@ -398,10 +397,13 @@ def test_runs_list_each_point_below_the_limit_once(seed):
     x, L = _integer_row(xi)
     x = tuple(x)
     limit = rnd.randint(0, 12 * max(sum(map(mul, x, r)) for r in c.rays))
-    while prod(b - a + 1 for a, b in zip(*_box(c, xi, F(limit, L)))) > 4000:
+
+    def box(limit):  # the lattice box of the hull of 0 and the rays on <x, .> = limit
+        hull = [(0,) * rank] + [tuple(F(limit * a, dot(x, r)) for a in r) for r in c.rays]
+        return prod(floor(max(col)) - ceil(min(col)) + 1 for col in zip(*hull))
+    while box(limit) > 4000:
         limit //= 2
-    expected = [p + (t,) for p, lo, hi in _lattice_runs(c, xi, F(limit, L), None, True)
-                for t in range(lo, hi + 1)]
+    expected = _box_scan(c, xi, F(limit, L), True)
     n, short = len(expected), f"^lattice enumeration exceeded budget {len(expected) - 1}$"
     chamber_fans = [f for _, f in _chamber_rows(c, random_filtration(rnd, s).transform.rows)]
     taus = {name: [tuple(f.rays[i] for i in tau) for f in fans for _, tau in f.simplices]

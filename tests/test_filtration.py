@@ -1,6 +1,8 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor, gcd
 from operator import le, mul, sub
 
@@ -19,10 +21,7 @@ from conestab.errors import (
 )
 from conestab import estimators, filtration
 from conestab.estimators import sweep_approx
-from conestab.exactgeom import (PLConcave, dot, enumerate_vertices, lattice_points_below,
-                                slice_vertices)
-from conestab.exactgeom.lattice import _checked_budget
-from conestab.exactgeom.linalg import _integer_covectors
+from conestab.exactgeom import dot, enumerate_vertices, lattice_points_below, slice_vertices
 from conestab.filtration import (
     approx_ord,
     approximant,
@@ -37,20 +36,14 @@ from conestab.filtration import (
     value_under,
 )
 from conestab.invariants import s_closed
-from conestab.singularity import _xi_row, from_rays
+from conestab.singularity import from_rays
 from conftest import (
-    _envelope,
-    _floor_runs,
-    box_approx_table,
-    build_shell_table,
-    floor_runs,
-    floor_sum,
+    _box_scan,
+    _reference_aggregate,
     pairwise_dp_orders,
     random_cone,
     random_filtration,
     random_reeb,
-    shell_table_aggregate,
-    unimodular_completion,
 )
 
 F = Fraction
@@ -548,17 +541,12 @@ def _old_approximant(F_, m, budget=None):
 
 
 def _old_sweep_approx(s, xi0, F_, m, levels, budget=None):
-    levels = sorted(set(levels))
-    table = build_shell_table(s.weight_cone, *_xi_row(xi0, s.rank), levels[-1] + 1,
-                              _checked_budget(budget))
     ell = s.sigma.interior_point()
-    pts = lattice_points_below(s.weight_cone, xi0, levels[-1] + 1, budget=budget)
+    pts = lattice_points_below(s.weight_cone, xi0, max(levels) + 1, budget=budget)
     window = lattice_points_below(s.weight_cone, ell, max(dot(ell, p) for p in pts),
                                   strict=False, budget=budget)
     orders = _old_approx_orders(F_, m, window)
-    rows = shell_table_aggregate(s, table, levels, lambda p, lo, hi: [
-        orders[p + (t,)] for t in range(lo, hi + 1)])
-    return _rows_json(estimators.EstimatorSweep(levels=levels, per_level=rows))
+    return _reference_aggregate(s, xi0, levels, orders.__getitem__, pts).to_json()
 
 
 def _rows_json(sw):
@@ -681,84 +669,18 @@ def test_one_key_builds_one_table(c2, fex, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms along a lattice run: the lower envelope of the covector lines
-# (the retired box-scan table builder's) and the floor sums over its pieces
-# (the retired level-coordinate scan's), both in ``conftest``, against brute
-# force.
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(0, 40), m=st.integers(1, 12), a=st.integers(-60, 60),
-       b=st.integers(-200, 200))
-def test_floor_sum_matches_brute_force(n, m, a, b):
-    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
-
-
-_LINES = st.lists(st.tuples(st.integers(-30, 30), st.integers(-6, 6)), min_size=1, max_size=5)
-
-
-@settings(max_examples=300, deadline=None)
-@given(lines=_LINES, lo=st.integers(-20, 20), length=st.integers(1, 40))
-def test_envelope_pieces_are_the_least_line(lines, lo, length):
-    # Consecutive nonempty pieces cover lo..hi, at most one per line, and
-    # on each the piece's line takes the minimum of all lines.
-    hi = lo + length - 1
-    pieces = _envelope(lines, lo, hi)
-    assert len(pieces) <= len(lines)
-    assert pieces[0][0] == lo and pieces[-1][1] == hi
-    assert all(a[1] + 1 == b[0] for a, b in zip(pieces, pieces[1:]))
-    for t0, t1, c, d in pieces:
-        assert t0 <= t1 and (c, d) in lines
-        assert all(c + d * t == min(c2 + d2 * t for c2, d2 in lines) for t in range(t0, t1 + 1))
-
-
-@st.composite
-def _run_cases(draw):
-    """A rank-2 or rank-3 filtration with covectors of denominator up to 3,
-    a coordinate change W (None, or the inverse of a completion of a
-    primitive vector) and a run (prefix, lo, hi)."""
-    n = draw(st.integers(2, 3))
-    coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    covs = draw(st.lists(st.tuples(*[coef] * n), min_size=1, max_size=4))
-    F_ = filtration.MonomialFiltration(ambient=None, transform=PLConcave(*_integer_covectors(covs)))
-    W = None
-    if draw(st.booleans()):
-        p = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(
-            lambda p: gcd(*p) == 1))
-        W = unimodular_completion(p)[1]
-    prefix = tuple(draw(st.integers(-8, 8)) for _ in range(n - 1))
-    lo = draw(st.integers(-15, 15))
-    return F_, W, prefix, lo, lo + draw(st.integers(0, 30))
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_run_cases())
-def test_run_orders_and_stats_match_per_point_floor(case):
-    # orders lists floor(g(a)) at a = W y along the run, and stats gives its
-    # sum and maximum from the envelope's pieces alone; the box-scan table
-    # builder's orders are those at W = I.
-    F_, W, prefix, lo, hi = case
-    orders, stats = floor_runs(F_, W)
-    if W is None:
-        assert _floor_runs(F_)(prefix, lo, hi) == orders(prefix, lo, hi)
-    W = W or [[int(i == j) for j in range(len(prefix) + 1)] for i in range(len(prefix) + 1)]
-    brute = [floor(F_.ord(tuple(sum(map(mul, row, prefix + (t,))) for row in W)))
-             for t in range(lo, hi + 1)]
-    assert orders(prefix, lo, hi) == brute
-    assert stats(prefix, lo, hi) == (sum(brute), max(brute))
-
-
-# ---------------------------------------------------------------------------
 # The approximation table read off the chambers' simplicial cones against
-# the builder that read it off the retired box scan.
+# the per-point references.
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), m=st.integers(1, 5), grow=st.booleans())
-def test_table_matches_the_box_scan_builder(seed, m, grow):
+def test_table_matches_the_per_point_references(seed, m, grow):
     # Ranks 1-3, the rank-3 cone of R3_RAYS not simplicial, covector
-    # denominators above 1 through rescale.  Every window point has the
-    # box-scan builder's order, and the blocks and counts are its own; a
-    # table grown from a smaller stored one is the same.  A run's start code
-    # and step give its points' codes, and the runs hold each point once.
+    # denominators above 1 through rescale.  The table holds the box scan's
+    # window points, each with the pairwise DP's order; its blocks are the
+    # block scan's and its counts those of the points per <ell, .>; a table
+    # grown from a smaller stored one is the same.  A run's start code and
+    # step give its points' codes, and the runs hold each point once.
     rnd = random.Random(seed)
     rank = 1 + seed % 3
     s = from_rays(R3_RAYS) if rank == 3 and rnd.random() < 0.5 else random_cone(rnd, rank)
@@ -767,18 +689,18 @@ def test_table_matches_the_box_scan_builder(seed, m, grow):
     window = rnd.randint(0, 10 * max(sum(map(mul, ell, r)) for r in s.weight_cone.rays))
     while _window_count(s, window) > 1500:
         window //= 2
+    pts = _box_scan(s.weight_cone, ell, window, False)
     key = filtration._approx_key(F_, m)
-    ref = box_approx_table(F_, m, window, 10 ** 7)
     filtration._approx_tables.cache_clear()
     if grow:
         filtration._approx_table(F_, key, window // 2, 10 ** 7)
     table = filtration._approx_table(F_, key, window, 10 ** 7)
     assert table.window == window
-    assert (table.blocks, table.counts) == (ref.blocks, ref.counts)
-    assert len(table.orders) == ref.counts[-1]
-    for prefix, (lo, orders) in ref.runs.items():
-        for t, o in enumerate(orders, lo):
-            assert table.orders[table.code(prefix + (t,))] == o
+    assert {p: table.orders[table.code(p)] for p in pts} == pairwise_dp_orders(F_, m, pts, ell)
+    assert len(table.orders) == len(pts)
+    assert table.blocks == tuple((g, v, dot(ell, g)) for g, v in _old_blocks(F_, m, pts))
+    weights = Counter(sum(map(mul, ell, p)) for p in pts)
+    assert table.counts == list(accumulate(weights[k] for k in range(window + 1)))
     for p, r, c0, step, k in table.runs:  # a run's codes are those of its points
         assert list(range(c0, c0 + k * step, step)) == [
             table.code(tuple(a + t * b for a, b in zip(p, r))) for t in range(k)]

@@ -56,13 +56,47 @@ def _call_scopes(name):
 
 def test_float_is_called_only_to_format_or_round():
     # Every result is exact.  float(...) may only print a value as a decimal
-    # (cli._fmt, the `invariants --csv` decimal column, ReportEntry.to_json)
-    # or feed the minimizer's rounding of a trial point
+    # (invariants._decimal12, which every 12-digit decimal goes through) or
+    # feed the minimizer's rounding of a trial point
     # (optimize._round_to_slice), so integer kernels cannot leak a float into
     # a returned value.
-    assert _call_scopes("float") == [("cli.py", "_fmt"), ("cli.py", "cmd_invariants"),
-                                     ("invariants.py", "to_json"),
+    assert _call_scopes("float") == [("invariants.py", "_decimal12"),
                                      ("optimize.py", "_round_to_slice")]
+
+
+def _names_read(node):
+    """The names a piece of test code reads: loaded names, names imported
+    from conftest and the parameters of its functions (fixtures)."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.ImportFrom) and n.module == "conftest":
+            names.update(a.name for a in n.names)
+        elif isinstance(n, ast.FunctionDef):
+            names.update(a.arg for a in n.args.args + n.args.kwonlyargs)
+    return names
+
+
+def test_every_conftest_name_is_read_by_a_test_module():
+    # A reference that no test compares against checks nothing: every
+    # top-level name of tests/conftest.py is read by a tests/test_*.py
+    # module, directly or through a conftest name that such a module reads.
+    tests = Path(__file__).parent
+    defined = {}
+    for node in ast.parse((tests / "conftest.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    reached = set().union(*(_names_read(ast.parse(path.read_text()))
+                            for path in tests.glob("test_*.py"))) & defined.keys()
+    todo = list(reached)
+    while todo:
+        for name in (_names_read(defined[todo.pop()]) & defined.keys()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert sorted(defined.keys() - reached) == []
 
 
 def test_records_are_built_in_one_place():
