@@ -319,6 +319,8 @@ def cmd_okounkov(args):
     t = _rat(args.t, "--t") if args.t is not None else Fraction(0)
     if args.t is not None and (F is None or args.levels is None):
         raise ParseError("needs --filtration and --levels", "--t")
+    if F is not None and args.levels is None:  # F only chooses the cloud's orders
+        raise ParseError("needs --levels", "--filtration")
     body = invariants.okounkov_body(s, doc.reeb)
     out = {
         "vertices": [[str(Fraction(x)) for x in v] for v in body.body.vertices],

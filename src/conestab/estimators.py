@@ -18,20 +18,23 @@ window holds every point below the top level, and bins that table's
 points below the top by shell, one point at a time: along each of the
 table's runs <xi0, .> rises, so they are a head of the run.  A row holds
 integers only; its ratios are Fractions built on read, and the CSV and
-JSON writers print them from the integers.
+JSON writers print them from the integers.  ``gamma_semigroup`` lays out
+only the kept tail of each of the chambers' runs, and
+``good_valuation_check`` filters the start points of the weight cone's
+half-open parallelepipeds, where its Hilbert basis lies.
 """
 
 import json
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd
-from operator import mul, sub
+from operator import ge, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import EmptyInput, UnboundedSlice
-from .exactgeom import frac, lattice_points_below
-from .exactgeom.fan import _shell_sums
+from .errors import BudgetExceeded, EmptyInput
+from .exactgeom import frac
+from .exactgeom.fan import _chamber_cones, _runs, _shell_sums, _starts, cone_fan
 from .exactgeom.lattice import _checked_budget
 from .filtration import MonomialFiltration, _approx_key, _approx_table, _rows
 from .invariants import _lambda_max_cached, _s_closed_cached, _vol_cached
@@ -240,15 +243,26 @@ class SemigroupSample(NamedTuple):
 
 def gamma_semigroup(s: ConeSingularity, xi0, F: MonomialFiltration,
                     m: int, t, budget=None) -> SemigroupSample:
-    """Lattice points of weight <= m whose order reaches m*t."""
+    """Lattice points of weight <= m whose order reaches m*t, sorted.
+
+    The budget counts the points <x, .> < m L + 1 (xi0 = x / L), read as
+    ``fan._runs`` over F's chamber cones.  On chamber j, g = <z_j, .> / den
+    and <z_j, r> >= 0 along a run p + i r: one division finds its kept tail.
+    """
     _levels([m])
     x, L = _xi_row(xi0, s.rank)
     t = frac(t)
     zs, den = _rows(s, F)
-    pts = lattice_points_below(s.weight_cone, x, m * L, strict=False, budget=budget)
-    # g(p) >= m t in integers: g = min_j <zs_j, .> / den and t = tn / td.
-    td, bound = t.denominator, den * m * t.numerator
-    keep = [p for p in pts if min(sum(map(mul, z, p)) for z in zs) * td >= bound]
+    budget, wc, keep = _checked_budget(budget), s.weight_cone, []
+    # g(p) >= m t in integers: <z_j, p> td >= den m tn, with t = tn / td.
+    td, bound, cones = t.denominator, den * m * t.numerator, _chamber_cones(wc, zs)
+    for (z, _), runs in zip(cones, _runs(wc, [tau for _, tau in cones], x, m * L + 1, budget)):
+        for p, r, k in runs:
+            a, b = sum(map(mul, z, p)) * td - bound, sum(map(mul, z, r)) * td
+            i = 0 if a >= 0 else min(k, -(a // b)) if b else k  # the first kept index
+            keep += zip(*(range(c + i * e, c + k * e, e) if e else repeat(c, k - i)
+                          for c, e in zip(p, r)))
+    keep.sort()
     return SemigroupSample(m=m, t=t, points=keep)
 
 
@@ -287,19 +301,23 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     leaves are one-dimensional for an exponent valuation, and the lattice
     points of the full-dimensional weight cone generate the full lattice
     (they hold an interior point p and every p + e_i), so neither needs a
-    check.
+    check.  The generators lie among the rays and the start points, which
+    the budget counts, of the half-open parallelepipeds of ``cone_fan``
+    (Bruns and Ichim, J. Algebra 324, 2010).  By increasing weight, p is
+    kept unless its facet pairings are all at least a kept q's.
     """
     x, L = _xi_row(xi0, s.rank)  # <xi0, .> = <x, .> / L
     wc = s.weight_cone
-    for r in wc.rays:
-        if sum(map(mul, x, r)) <= 0:
-            raise UnboundedSlice("slicing covector vanishes on a ray")
-    # Generators inside the zonotope bound of Gordan's lemma.
-    bound = sum(sum(map(mul, x, r)) for r in wc.rays)
-    pts = lattice_points_below(wc, x, bound, strict=False)
-    nonzero = [p for p in pts if any(x != 0 for x in p)]
-    members = set(nonzero)
-    # Irreducible: p - q is not a nonzero member for any nonzero member q.
-    gens = [p for p in nonzero if not any(tuple(map(sub, p, q)) in members for q in nonzero)]
-    r0 = Fraction(L, max(sum(map(mul, x, g)) for g in gens))
-    return GoodValuationReport(r0=r0, generators=sorted(gens))
+    budget, spent, fan, found = _checked_budget(None), 0, cone_fan(wc), set(wc.rays)
+    for _, tau in fan.simplices:
+        rays = tuple(fan.rays[i] for i in tau)
+        starts = _starts(wc, rays, x, 1, sum(sum(map(mul, x, r)) for r in rays) + 1, budget, spent)
+        if (spent := spent + len(starts)) > budget:  # a stored list is read uncounted
+            raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+        found.update(p for _, p in starts if any(p))
+    kept = []  # (weight, facet pairings, point), by increasing weight
+    for w, p in sorted((sum(map(mul, x, p)), p) for p in found):
+        h = [sum(map(mul, n, p)) for n in wc.halfspaces]
+        if not any(all(map(ge, h, hq)) for _, hq, _ in kept):
+            kept.append((w, h, p))
+    return GoodValuationReport(r0=Fraction(L, kept[-1][0]), generators=sorted(p for *_, p in kept))

@@ -26,9 +26,10 @@ fans give S, through one store of their integer first moments
 covectors.  The same simplices, made half-open, are the one lattice
 kernel: each is a parallelepiped of start points, stored once per simplex,
 plus its generators (Koeppe and Verdoolaege, Electron. J. Combin. 15,
-2008).  ``_shell_sums`` walks them to every level of a sweep, and ``_runs``
-lists the points below a limit as runs along one ray.  The stores are
-``_TableCache``s, bounded by what they hold and by their entry count.
+2008).  ``_shell_sums`` walks the chambers' simplices (``_chamber_cones``)
+to every level of a sweep, and ``_runs`` lists the points below a limit as
+runs along one ray.  The stores are ``_TableCache``s, bounded by what they
+hold and by their entry count.
 """
 
 from functools import lru_cache, partial
@@ -187,6 +188,12 @@ def _chamber_rows(c: Cone, rows):
     return tuple((back[d], fan) for d, fan in found)
 
 
+def _chamber_cones(c: Cone, rows):
+    """[(z_j, rays of tau), ...] over the simplices tau of ``_chamber_rows``."""
+    return [(z, tuple(fan.rays[i] for i in tau))
+            for z, fan in _chamber_rows(c, rows) for _, tau in fan.simplices]
+
+
 @lru_cache(maxsize=16384)
 def _chamber_moments(c: Cone, key, x):
     """((d, Q, G), ...) per chamber of ``chambers(c, key)``: Q and G the
@@ -294,7 +301,9 @@ _parallelepipeds = _TableCache(256, 1 << 15, lambda found: len(found[1]))
 def _starts(c: Cone, tau, x, den, limit, budget, spent):
     """``_parallelepiped``'s start points below limit, read from the store of
     each (cone, simplex rays, x, den), which keeps the list below the largest
-    limit asked so far with that limit."""
+    limit asked so far with that limit; UnboundedSlice unless x > 0 on c."""
+    if any(sum(map(mul, x, r)) <= 0 for r in c.rays):
+        raise UnboundedSlice("slicing covector vanishes on a ray")
     key = (c, tau, x, den)
     found = _parallelepipeds.get(key, lambda found: found[0] >= limit)
     if found is None or found[0] < limit:
@@ -308,10 +317,10 @@ def _runs(c: Cone, taus, x, limit, budget):
     subdivide c, as runs p + t r, 0 <= t < k, along the ray r of tau that
     pairs least with x, so the runs are as long and as few as they can be.
 
-    x pairs positively with every ray.  A point of tau is a start point of
-    its half-open parallelepiped (``_parallelepiped`` at den 1) plus
+    x pairs positively with every ray of c (else ``_starts`` raises).  A point
+    of tau is a start point of its half-open parallelepiped (at den 1) plus
     multiples of its rays: one run per start point and per multiple of the
-    other rays.  Past ``budget`` points, BudgetExceeded names it before listing them.
+    other rays.  Past ``budget`` points, BudgetExceeded names it, unlisted.
     """
     out, total = [], 0
     for tau in taus:
@@ -346,40 +355,38 @@ def _shell_sums(c: Cone, rows, den, x, L, top, budget):
     final when it is reached, and the budget stops the walk there.
     """
     limit, n, found, total = top * L, c.rank, [], 0
-    for z, fan in _chamber_rows(c, rows):
-        for _, tau in fan.simplices:
-            rays = tuple(fan.rays[i] for i in tau)
-            starts = _starts(c, rays, x, den, limit, budget, total)
-            # slots[weight]: (count, order sum, order max) of its start points, then
-            # at 3 i of those generator i (weight den <x, r_i>) carries in; max -1: none.
-            steps = [(3 * i, den * sum(map(mul, x, r)), sum(map(mul, z, r)))
-                     for i, r in enumerate(rays, 1)]
-            slots = {}
-            for w, p in starts:
-                slot = slots.setdefault(w, [0, 0, -1] * (n + 1))
-                v = sum(map(mul, z, p)) // den
-                slot[0], slot[1], slot[2] = slot[0] + 1, slot[1] + v, max(slot[2], v)
-            heap = list(slots)
-            heapify(heap)
-            while heap:
-                w = heappop(heap)
-                slot = slots.pop(w)
-                k, t, mx = slot[0], slot[1], slot[2]
-                for j, dw, dv in steps:
-                    if slot[j]:
-                        o = slot[j + 2]
-                        k, t, mx = k + slot[j], t + slot[j + 1], mx if mx > o else o
-                    u = w + dw
-                    if k and u < limit:
-                        nxt = slots.get(u)
-                        if nxt is None:
-                            slots[u] = nxt = [0, 0, -1] * (n + 1)
-                            heappush(heap, u)
-                        nxt[j], nxt[j + 1], nxt[j + 2] = k, t + dv * k, mx + dv
-                found.append((w, k, t, mx))
-                total += k
-                if total > budget:
-                    raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
+    for z, rays in _chamber_cones(c, rows):
+        starts = _starts(c, rays, x, den, limit, budget, total)
+        # slots[weight]: (count, order sum, order max) of its start points, then
+        # at 3 i of those generator i (weight den <x, r_i>) carries in; max -1: none.
+        steps = [(3 * i, den * sum(map(mul, x, r)), sum(map(mul, z, r)))
+                 for i, r in enumerate(rays, 1)]
+        slots = {}
+        for w, p in starts:
+            slot = slots.setdefault(w, [0, 0, -1] * (n + 1))
+            v = sum(map(mul, z, p)) // den
+            slot[0], slot[1], slot[2] = slot[0] + 1, slot[1] + v, max(slot[2], v)
+        heap = list(slots)
+        heapify(heap)
+        while heap:
+            w = heappop(heap)
+            slot = slots.pop(w)
+            k, t, mx = slot[0], slot[1], slot[2]
+            for j, dw, dv in steps:
+                if slot[j]:
+                    o = slot[j + 2]
+                    k, t, mx = k + slot[j], t + slot[j + 1], mx if mx > o else o
+                u = w + dw
+                if k and u < limit:
+                    nxt = slots.get(u)
+                    if nxt is None:
+                        slots[u] = nxt = [0, 0, -1] * (n + 1)
+                        heappush(heap, u)
+                    nxt[j], nxt[j + 1], nxt[j + 2] = k, t + dv * k, mx + dv
+            found.append((w, k, t, mx))
+            total += k
+            if total > budget:
+                raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
     counts, eqs, sums, maxs = ([0] * top for _ in range(4))
     for w, k, t, mx in found:
         s, r = divmod(w, L)

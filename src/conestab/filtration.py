@@ -41,7 +41,7 @@ from .errors import (
 )
 from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, slice_vertices, vec
 from .exactgeom.cone import _of_length
-from .exactgeom.fan import _chamber_rows, _runs, _TableCache
+from .exactgeom.fan import _chamber_cones, _chamber_rows, _runs, _TableCache
 from .exactgeom.lattice import _checked_budget
 from .exactgeom.linalg import _integer_covectors, _integer_row
 from .singularity import ConeSingularity, _xi_row
@@ -322,8 +322,7 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
     """
     s = F.ambient
     ell = s.sigma.interior_point()
-    cones = [(z, tuple(fan.rays[i] for i in tau)) for z, fan in
-             _chamber_rows(s.weight_cone, F.transform.rows) for _, tau in fan.simplices]
+    cones = _chamber_cones(s.weight_cone, F.transform.rows)
     runs = _runs(s.weight_cone, [tau for _, tau in cones], ell, window + 1, budget)
     bound = max((abs(a + t * b) for group in runs for p, r, k in group
                  for t in (0, k - 1) for a, b in zip(p, r)), default=0)  # at the run ends

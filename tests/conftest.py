@@ -12,8 +12,8 @@ from typing import NamedTuple
 import pytest
 
 from conestab import estimators, from_rays, monomial_filtration, toric_filtration
-from conestab.errors import DegenerateCone
-from conestab.exactgeom import dot, slice_polytope
+from conestab.errors import DegenerateCone, UnboundedSlice
+from conestab.exactgeom import dot, lattice_points_below, slice_polytope
 from conestab.exactgeom.cone import Cone, _distinct, _facet_normals, _validate
 from conestab.exactgeom.fan import Fan, _fan_sums, cone_fan
 from conestab.exactgeom.linalg import _integer_row, _row_reduce, det, primitivize, vsub
@@ -294,6 +294,26 @@ def _box_scan(c, xi, m, strict):
            for i in range(c.rank)]
     return [a for a in product(*box) if all(sum(map(mul, h, a)) >= 0 for h in c.halfspaces)
             and (dot(xi, a) < m if strict else dot(xi, a) <= m)]
+
+
+def good_valuation_reference(s, xi0):
+    """``estimators.good_valuation_check`` as it was before it read the fan's
+    parallelepipeds: every lattice point under the zonotope bound of
+    Gordan's lemma, filtered pairwise for irreducibility."""
+    x, L = _xi_row(xi0, s.rank)  # <xi0, .> = <x, .> / L
+    wc = s.weight_cone
+    for r in wc.rays:
+        if sum(map(mul, x, r)) <= 0:
+            raise UnboundedSlice("slicing covector vanishes on a ray")
+    # Generators inside the zonotope bound of Gordan's lemma.
+    bound = sum(sum(map(mul, x, r)) for r in wc.rays)
+    pts = lattice_points_below(wc, x, bound, strict=False)
+    nonzero = [p for p in pts if any(x != 0 for x in p)]
+    members = set(nonzero)
+    # Irreducible: p - q is not a nonzero member for any nonzero member q.
+    gens = [p for p in nonzero if not any(tuple(map(sub, p, q)) in members for q in nonzero)]
+    r0 = Fraction(L, max(sum(map(mul, x, g)) for g in gens))
+    return estimators.GoodValuationReport(r0=r0, generators=sorted(gens))
 
 
 def _reference_aggregate(s, xi0, levels, order_of, pts):

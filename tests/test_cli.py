@@ -420,13 +420,16 @@ def test_non_integer_budget_option(doc_path, capsys, budget, shown):
      "needs --filtration and --levels"),
     (C2_DOC, ["okounkov", "--filtration", "FEX", "--t", "1"], "--t",
      "needs --filtration and --levels"),
+    # --filtration only chooses the cloud's orders, so it is an error without a cloud.
+    (C2_DOC, ["okounkov", "--filtration", "FEX"], "--filtration", "needs --levels"),
 ], ids=["filtrations-list", "options-list", "covectors-int", "levels-string",
         "levels-entry", "levels-zero", "okounkov-levels-zero", "okounkov-t-without-levels",
         "scale-zero", "covector-negative", "covectors-empty", "rank-zero", "rank-negative",
         "rays-not-pointed", "rays-not-spanning", "coefficients-conflicting",
         "coefficient-not-klt", "approx-empty", "levels-empty", "okounkov-levels-empty",
         "tol-empty", "t-empty", "document-levels-empty", "okounkov-t-alone",
-        "okounkov-t-without-filtration", "okounkov-t-with-filtration-only"])
+        "okounkov-t-without-filtration", "okounkov-t-with-filtration-only",
+        "okounkov-filtration-without-levels"])
 def test_malformed_document_exits_2_anchored(doc_path, capsys, doc, argv, where, message):
     path = doc_path(doc)
     assert main(argv[:1] + [path] + argv[1:]) == EXIT_INVALID

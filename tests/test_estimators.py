@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import floor, lcm
 from operator import mul
 from pathlib import Path
@@ -34,12 +35,13 @@ from conestab.estimators import (
 from conestab.exactgeom import dot, lattice_points_below
 from conestab.exactgeom.linalg import det
 from conestab.filtration import approx_ord, approximant, monomial_filtration, toric_filtration
-from conestab.invariants import delta_T, okounkov_body, s_closed
+from conestab.invariants import delta_T, lambda_max_closed, okounkov_body, s_closed
 from conestab.singularity import _xi_row, from_rays
 from conftest import (
     ReferenceSweep,
     _reference_aggregate,
     c2_battery,
+    good_valuation_reference,
     pairwise_dp_orders,
     reference_per_level,
     verify_closure,
@@ -646,11 +648,9 @@ _BOUNDARY = monomial_filtration(_Z3_LOW, [(3, -1), (1, 0)], require_primary=Fals
                [7, 30], 2, None))
 @example(case=(from_rays([(-1,)]), (F(-4, 3),), monomial_filtration(
     from_rays([(-1,)]), [(F(-5, 2),)]), [29], 2, None))
-def test_sweep_in_either_coordinates_matches_per_point_reference(case):
+def test_sweep_matches_per_point_reference_in_ranks_1_to_4(case):
     # The simplicial-cone kernel of ``sweep`` prints the per-point
-    # reference in ranks 1-4, or raises where it exceeds the budget.  (The
-    # name is from the retired level-coordinate scan, which this test also
-    # ran, in either coordinates.)
+    # reference in ranks 1-4, or raises where it exceeds the budget.
     s, xi0, G, levels, _, budget = case
     try:
         ref = _reference_json(_reference_sweep(s, xi0, G, levels, budget))
@@ -919,11 +919,10 @@ def _exact_window(s, xi0, top):
 @example(case=(_WEDGE, (1, 0), monomial_filtration(_WEDGE, [(3, 1), (F(5, 2), F(-1, 2))]),
                3, [7, 8]))  # X = 0
 @example(case=(_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, 2, [5, 8]))  # L = 6, X < 0
-def test_sweep_approx_matches_the_shell_table_reference(case):
+def test_sweep_approx_matches_per_point_reference(case):
     # The approximation table binned by shell gives the rows and the CSV of
     # the per-point reference, also when the table was grown past the
-    # window, and its window W is at least the exact window.  (The name is
-    # from the retired shell table, the reference this test had before.)
+    # window, and its window W is at least the exact window.
     s, xi0, G, m_filt, levels = case
     try:  # keeps the grown table to a few thousand points on skinny cones
         lattice_points_below(s.weight_cone, xi0, max(levels) + 4, budget=3000)
@@ -981,10 +980,16 @@ def test_budget_must_be_an_int(c2, fex, bad):
 
 @settings(max_examples=80, deadline=None)
 @given(case=_sweep_cases(), m=st.integers(1, 6),
-       t=st.fractions(min_value=-2, max_value=4, max_denominator=5))
+       t=st.one_of(st.just("lambda_max"),
+                   st.fractions(min_value=-2, max_value=4, max_denominator=5)))
 def test_gamma_semigroup_matches_fraction_orders(case, m, t):
-    # The integer membership test keeps exactly the points g(p) >= m t.
+    # The integer membership test keeps exactly the points g(p) >= m t,
+    # also at t = lambda_max, which only points of weight m where g / <xi0, .>
+    # is largest reach.
     s, xi0, G, *_ = case
+    at_top = t == "lambda_max"
+    if at_top:
+        t = lambda_max_closed(s, xi0, G)
     try:
         pts = lattice_points_below(s.weight_cone, xi0, m, strict=False, budget=3000)
     except BudgetExceeded:
@@ -994,6 +999,71 @@ def test_gamma_semigroup_matches_fraction_orders(case, m, t):
     assert sample.cloud == [tuple(F(x, m) for x in p) for p in sample.points]
     event(f"t <= 0: {t <= 0}, covector denominator > 1: "
           f"{any(x.denominator > 1 for z in G.covectors for x in z)}")
+    event(f"t = lambda_max: {at_top}, a point kept: {bool(sample.points)}")
+
+
+def test_gamma_semigroup_lists_only_the_kept_points(c2):
+    # Above the top slope (5/3 here) no point is kept, and the runs below
+    # level 600 are read without listing their 180,901 points.
+    G = monomial_filtration(c2, [(2, 1), (1, 3), (3, 2)])
+    tracemalloc.start()
+    try:
+        assert gamma_semigroup(c2, (1, 1), G, 600, 2).points == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+
+
+def _doc_cone(name):
+    doc = json.loads((Path(__file__).parent / "docs" / f"{name}.json").read_text())
+    return from_rays(doc["rays"]), doc["reeb"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sweep_cases())
+@example(case=(_Z3_LOW, (F(5, 2), F(-1, 3)), _BOUNDARY, [1], 1, None))
+@example(case=(_RANK3, (1, 1, 1), None, [1], 1, None))  # not simplicial
+def test_hilbert_basis_matches_the_zonotope_scan(case):
+    # The generators and r0 read off the fan's parallelepipeds are those of
+    # the scan of every point under the zonotope bound, filtered pairwise.
+    s, xi0, *_ = case
+    with mock.patch.dict("os.environ", {"CONESTAB_BUDGET": "500"}):
+        try:  # keeps the reference's pairwise filter to a few hundred points
+            ref = good_valuation_reference(s, xi0)
+        except BudgetExceeded:
+            assume(False)
+    assert good_valuation_check(s, xi0) == ref
+    event(f"rank {s.rank}, {len(s.weight_cone.rays)} weight-cone rays")
+
+
+def test_hilbert_basis_of_the_cube_cones():
+    # The weight cone of rank6_cross is the cone over the cube [-1, 1]^5, a
+    # normal polytope: its Hilbert basis is the cube's 3^5 lattice points at
+    # height 1.  The reference's zonotope scan exceeds the default budget
+    # here, so the basis is pinned instead.
+    s, reeb = _doc_cone("rank6_cross")
+    r = good_valuation_check(s, reeb)
+    assert (len(r.generators), r.r0) == (243, F(1, 6))
+    assert r.generators == sorted((1, *p) for p in product((-1, 0, 1), repeat=5))
+
+
+def test_good_valuation_budget_counts_the_parallelepiped_points(monkeypatch):
+    # CONESTAB_BUDGET bounds the start points listed, sum |det tau| over the
+    # simplices of the weight cone's fan: 3840 on rank6_cross.  The count is
+    # checked on a fresh listing and on the stored lists alike.
+    s, reeb = _doc_cone("rank6_cross")
+    count = sum(d for d, _ in fan.cone_fan(s.weight_cone).simplices)
+    assert count == 3840
+    fan._parallelepipeds.cache_clear()
+    for budget in (count - 1, count, count - 1):
+        monkeypatch.setenv("CONESTAB_BUDGET", str(budget))
+        if budget < count:
+            with pytest.raises(BudgetExceeded,
+                               match=f"^lattice enumeration exceeded budget {budget}$"):
+                good_valuation_check(s, reeb)
+        else:
+            assert len(good_valuation_check(s, reeb).generators) == 243
 
 
 def test_bj_bound_check_validates_m0(c2, fex):

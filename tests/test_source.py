@@ -113,6 +113,15 @@ def test_fans_are_triangulated_in_one_place():
     assert _call_scopes("simplicial_fan") == [("fan.py", "chambers"), ("fan.py", "cone_fan")]
 
 
+def test_consumers_read_runs_not_point_lists():
+    # Every lattice point set of the library is read off the fan's
+    # half-open parallelepipeds (fan._starts, fan._runs); the sorted point
+    # list of lattice_points_below is for callers outside it.
+    assert _call_scopes("lattice_points_below") == []
+    assert _call_scopes("_starts") == [("estimators.py", "good_valuation_check"),
+                                       ("fan.py", "_runs"), ("fan.py", "_shell_sums")]
+
+
 def test_chambers_are_cut_without_a_facet_scan():
     # fan.chambers cuts the weight cone's rays one halfspace at a time
     # (cone._cut), and simplicial_fan reads |det| off _row_reduce, so fan.py
