@@ -191,8 +191,10 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
     <ell, .> <= W, with ell = sigma's interior point and W the largest
     floor(<ell, r> (top L - 1) / <x, r>) over the weight-cone rays r
     (xi0 = x / L): the vertex bound of the slice <x, .> <= top L - 1, so
-    the window holds every point below the top level.  Its points below
-    the top are binned by shell <x, p> // L.  The budget counts the
+    the window holds every point below the top level.  Along each of the
+    table's runs <x, .> rises, so its points below the top are a head of
+    the run, whose orders are one slice of the table's; they are binned by
+    shell <x, p> // L.  The budget counts the
     window's points: on a skinny cone W exceeds the largest <ell, .> of a
     point below the top, and a budget between the two windows' point
     counts raises although the points up to that largest value fit it.
@@ -210,12 +212,10 @@ def sweep_approx(s: ConeSingularity, xi0, F: MonomialFiltration,
                  for r in s.weight_cone.rays)
     counts, eq_counts, sums_ord, maxs = ([0] * top for _ in range(4))
     table = _approx_table(F, key, window, budget)
-    for p, r, c0, step, k in table.runs:
-        # <x, .> rises along the run (x in the Reeb cone, r in the weight
-        # cone), so the points below the top are a head of it.
+    for p, r, k, start in table.runs:
         w, X = sum(map(mul, x, p)), sum(map(mul, x, r))
         n = min(k, (limit - 1 - w) // X + 1)  # n <= 0: the run starts at or above the top
-        for o in map(table.orders.__getitem__, range(c0, c0 + n * step, step)):
+        for o in table.orders[start:start + max(n, 0)]:
             k, rem = divmod(w, L)
             counts[k] += 1
             eq_counts[k] += not rem
@@ -290,7 +290,7 @@ class GoodValuationReport(NamedTuple):
     generators: list
 
 
-def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
+def good_valuation_check(s: ConeSingularity, xi0, budget=None) -> GoodValuationReport:
     """Certify the exponent valuation of the singularity as a good one.
 
     For the grading functional ell = <., xi0>, which must be strictly
@@ -304,20 +304,22 @@ def good_valuation_check(s: ConeSingularity, xi0) -> GoodValuationReport:
     check.  The generators lie among the rays and the start points, which
     the budget counts, of the half-open parallelepipeds of ``cone_fan``
     (Bruns and Ichim, J. Algebra 324, 2010).  By increasing weight, p is
-    kept unless its facet pairings are all at least a kept q's.
+    kept unless its facet pairings are all at least a kept q's; such a q
+    vanishes on every facet p vanishes on, a bitmask tested first.
     """
     x, L = _xi_row(xi0, s.rank)  # <xi0, .> = <x, .> / L
     wc = s.weight_cone
-    budget, spent, fan, found = _checked_budget(None), 0, cone_fan(wc), set(wc.rays)
+    budget, spent, fan, found = _checked_budget(budget), 0, cone_fan(wc), set(wc.rays)
     for _, tau in fan.simplices:
         rays = tuple(fan.rays[i] for i in tau)
         starts = _starts(wc, rays, x, 1, sum(sum(map(mul, x, r)) for r in rays) + 1, budget, spent)
         if (spent := spent + len(starts)) > budget:  # a stored list is read uncounted
             raise BudgetExceeded(f"lattice enumeration exceeded budget {budget}")
         found.update(p for _, p in starts if any(p))
-    kept = []  # (weight, facet pairings, point), by increasing weight
+    kept = []  # (weight, facet pairings, zero-facet bits, point), by increasing weight
     for w, p in sorted((sum(map(mul, x, p)), p) for p in found):
         h = [sum(map(mul, n, p)) for n in wc.halfspaces]
-        if not any(all(map(ge, h, hq)) for _, hq, _ in kept):
-            kept.append((w, h, p))
+        z = sum(1 << i for i, a in enumerate(h) if not a)
+        if not any(zq & z == z and all(map(ge, h, hq)) for _, hq, zq, _ in kept):
+            kept.append((w, h, z, p))
     return GoodValuationReport(r0=Fraction(L, kept[-1][0]), generators=sorted(p for *_, p in kept))

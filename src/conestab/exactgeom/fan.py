@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from ..errors import BudgetExceeded, UnboundedSlice
 from .cone import Cone, _cut, _incidence, _triangulate_rays
-from .linalg import _row_reduce, primitivize, vsub
+from .linalg import _STORE_ENTRIES, _row_reduce, primitivize, vsub
 
 
 class _CacheInfo(NamedTuple):
@@ -122,15 +122,16 @@ def simplicial_fan(incidence, rank) -> Fan:
     return Fan(rank=rank, rays=rays, simplices=simplices)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def cone_fan(c: Cone) -> Fan:
     """The simplicial fan of a cone, built once per cone."""
     return simplicial_fan(_incidence(c.rays, c.halfspaces), c.rank)
 
 
-# At most 256 decompositions, whose fans hold at most 32768 simplices: a
+# Decompositions whose fans hold at most 32768 simplices together: a
 # filtration's are read while it is in use, so a short store keeps the hits.
-@partial(_TableCache, 256, 1 << 15, lambda found: sum(len(fan.simplices) for _, fan in found))
+@partial(_TableCache, _STORE_ENTRIES, 1 << 15,
+         lambda found: sum(len(fan.simplices) for _, fan in found))
 def chambers(c: Cone, covectors):
     """((z_j, Fan of chamber j), ...) for g = min_j <z_j, .> on the cone c.
 
@@ -165,7 +166,7 @@ def chambers(c: Cone, covectors):
     return tuple((z, simplicial_fan(rays, n)) for z, rays in found)
 
 
-@lru_cache(maxsize=256)  # a filtration's rows are asked for again and again
+@lru_cache(maxsize=_STORE_ENTRIES)  # a filtration's rows are asked for again
 def _chamber_key(rows):
     """{difference from the first row over their gcd: row}, in order."""
     zs = [[a - b for a, b in zip(z, rows[0])] for z in rows]
@@ -194,7 +195,7 @@ def _chamber_cones(c: Cone, rows):
             for z, fan in _chamber_rows(c, rows) for _, tau in fan.simplices]
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _chamber_moments(c: Cone, key, x):
     """((d, Q, G), ...) per chamber of ``chambers(c, key)``: Q and G the
     order-1 ``_fan_sums`` of its fan at the int tuple x, for the covector
@@ -293,9 +294,9 @@ def _parallelepiped(c: Cone, tau, x, den, limit, budget, spent):
     return out
 
 
-# At most 256 parallelepipeds, holding at most 32768 points together: the
-# simplices of a filtration's chambers recur across its sweeps and tables.
-_parallelepipeds = _TableCache(256, 1 << 15, lambda found: len(found[1]))
+# Parallelepipeds holding at most 32768 points together: the simplices of
+# a filtration's chambers recur across its sweeps and tables.
+_parallelepipeds = _TableCache(_STORE_ENTRIES, 1 << 15, lambda found: len(found[1]))
 
 
 def _starts(c: Cone, tau, x, den, limit, budget, spent):

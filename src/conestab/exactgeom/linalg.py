@@ -32,7 +32,9 @@ from math import gcd, lcm, prod
 
 Vec = tuple  # tuple of Fraction/int
 
-_PARSED_STRINGS = 4096  # distinct 'p/q' strings kept parsed
+# Entries every store keeps: its readers reuse an entry while one cone,
+# filtration or document is in use, and later calls read no older one.
+_STORE_ENTRIES = 256
 _REFUSING_BOOL = "refusing bool; pass ints, Fractions or 'p/q' strings"
 
 
@@ -50,7 +52,7 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-@lru_cache(maxsize=_PARSED_STRINGS)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _parse(text) -> Fraction:
     return Fraction(text)
 

@@ -16,11 +16,11 @@ approximating filtration as a concave transform of its own.
 The approximations of one filtration at level m share one table
 (``_approx_table``), keyed on (weight cone, integer covector rows, m), over
 the reference-weight window <ell, .> <= w with ell = sigma.interior_point(),
-the sum of the weight cone's facet normals: the kept blocks, the order of
-every window point by its code, the codes along each lattice run of
-``fan._runs`` over the simplicial cones of F's chambers, the point count at
-each weight and the approximant's transform, built once on a window
-computed from F and m.
+the sum of the weight cone's facet normals: the kept blocks, the lattice
+runs of ``fan._runs`` over the simplicial cones of F's chambers with the
+order of every window point in run order, the point count at each weight
+and the approximant's transform, built once on a window computed from F
+and m.
 """
 
 from bisect import bisect_right
@@ -43,7 +43,7 @@ from .exactgeom import PLConcave, Polytope, dot, enumerate_vertices, frac, slice
 from .exactgeom.cone import _of_length
 from .exactgeom.fan import _chamber_cones, _chamber_rows, _runs, _TableCache
 from .exactgeom.lattice import _checked_budget
-from .exactgeom.linalg import _integer_covectors, _integer_row
+from .exactgeom.linalg import _STORE_ENTRIES, _integer_covectors, _integer_row
 from .singularity import ConeSingularity, _xi_row
 
 
@@ -238,7 +238,7 @@ def _approx_key(F: MonomialFiltration, m):
 
 
 def _block_dp(m, codes, weights, values):
-    """(kept, best) of the degree-m approximation on a down-closed point set.
+    """(kept, orders) of the degree-m approximation on a down-closed point set.
 
     The points are given by integer codes, linear and injective on the
     differences of two points, with their reference weights <ell, .> and
@@ -253,7 +253,7 @@ def _block_dp(m, codes, weights, values):
     moves the leftover into the remainder and never lowers the total, so
     the best decomposition is best[p] = max(0, v(q) + best[p - q] over
     kept q with p - q in the set, q = p included), taken by increasing
-    weight.
+    weight; orders lists it in the order of ``codes``.
     """
     members = set(codes)
     kept, kept_v, kept_w = [], [], []
@@ -267,7 +267,7 @@ def _block_dp(m, codes, weights, values):
     for _, c in sorted(zip(weights, codes)):
         v = max(map(add, kept_v, map(get, map(sub, repeat(c), kept), missing)), default=0)
         best[c] = v if v > 0 else 0
-    return list(zip(kept, kept_v, kept_w)), best
+    return list(zip(kept, kept_v, kept_w)), list(map(best.__getitem__, codes))
 
 
 def _coder(n, bound):
@@ -294,17 +294,31 @@ def _coder(n, bound):
     return code, decode
 
 
+def _line(q, r):
+    """The key of the line q + Z r, for int tuples q and r, r primitive:
+    r_i q - q_i r at r's first nonzero entry i, which two lattice points
+    share exactly when they differ by a multiple of r."""
+    i = next(i for i, a in enumerate(r) if a)
+    return tuple([r[i] * a - q[i] * b for a, b in zip(q, r)])
+
+
 class _ApproxTable:
     """The degree-m approximation of one filtration on the reference-weight
-    window <ell, .> <= window, with ell = sigma.interior_point()."""
+    window <ell, .> <= window, with ell = sigma.interior_point().
 
-    __slots__ = ("window", "code", "orders", "runs", "blocks", "counts", "certified")
+    Run (p, r, k, start) holds the points p + t r, 0 <= t < k, at
+    orders[start + t].  A line along r holds at most one run along r (it
+    stays in a half-open simplicial cone on r once it enters one), so
+    ``lines``, built on the first ``approx_ord``, finds a point's run.
+    """
 
-    def __init__(self, window, code, orders, runs, blocks, counts):
+    __slots__ = ("window", "orders", "runs", "lines", "blocks", "counts", "certified")
+
+    def __init__(self, window, orders, runs, blocks, counts):
         self.window = window
-        self.code = code            # the points' integer codes (``_coder``)
-        self.orders = orders        # {code: approximate order} of every window point
-        self.runs = runs            # (start, ray, start code, code step, length) per run
+        self.orders = orders        # the approximate order of every window point, in run order
+        self.runs = runs            # (start point, ray, length, index in orders) per run
+        self.lines = None           # {ray: {_line(start point, ray): run}}, once built
         self.blocks = blocks        # kept (gamma, v, <ell, gamma>), in scan order
         self.counts = counts        # index k: window points with <ell, .> <= k
         self.certified = None       # the approximant's transform, once built
@@ -317,8 +331,8 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
     simplicial cones of F's chambers.  On one of them g = <z_j, .> / den,
     so along a run the codes, the weights and the values min((<z_j, p> +
     t <z_j, r>) // den, m) are arithmetic; one ``_block_dp`` gives the
-    blocks and the order of every point, stored by code.  Each run keeps its
-    codes as a start and a step, so its orders are read off that dict.
+    blocks and the order of every point, which the table keeps in run
+    order, and the DP's dict of orders by code is dropped.
     """
     s = F.ambient
     ell = s.sigma.interior_point()
@@ -334,24 +348,23 @@ def _build_approx_table(F: MonomialFiltration, m, window, budget):
             c0, step = code(p), code(r) if k > 1 else 1  # a one-point run has no step
             a, b = sum(map(mul, z, p)), sum(map(mul, z, r))
             w0, dw = sum(map(mul, ell, p)), sum(map(mul, ell, r))
-            table_runs.append((p, r, c0, step, k))
+            table_runs.append((p, r, k, len(codes)))
             codes += range(c0, c0 + k * step, step)
             weights += range(w0, w0 + k * dw, dw)
             values += [u // den if u < cap else m
                        for u in (range(a, a + k * b, b) if b else repeat(a, k))]
-    kept, best = _block_dp(m, codes, weights, values)
+    kept, orders = _block_dp(m, codes, weights, values)
     blocks = tuple((decode(c), v, w) for c, v, w in kept)
     weights.sort()
     counts = [bisect_right(weights, k) for k in range(window + 1)]
-    return _ApproxTable(window, code, best, table_runs, blocks, counts)
+    return _ApproxTable(window, orders, table_runs, blocks, counts)
 
 
-# Approximation tables kept by ``_approx_table``: at most _APPROX_TABLES of
-# them, holding at most _APPROX_POINTS window points together.  A larger
-# table is built for its call and dropped after it.
-_APPROX_TABLES = 256
+# Approximation tables kept by ``_approx_table``, holding at most
+# _APPROX_POINTS window points together.  A larger table is built for its
+# call and dropped after it.
 _APPROX_POINTS = 1 << 16
-_approx_tables = _TableCache(_APPROX_TABLES, _APPROX_POINTS,
+_approx_tables = _TableCache(_STORE_ENTRIES, _APPROX_POINTS,
                              lambda table: table.counts[-1] + len(table.runs))
 
 
@@ -397,7 +410,17 @@ def approx_ord(F: MonomialFiltration, m: int, alpha, budget=None) -> int:
     alpha = tuple(map(int, alpha))
     ell = F.ambient.sigma.interior_point()
     table = _approx_table(F, key, sum(map(mul, ell, alpha)), _checked_budget(budget))
-    return table.orders[table.code(alpha)]
+    if table.lines is None:
+        table.lines = {}
+        for run in table.runs:
+            table.lines.setdefault(run[1], {})[_line(*run[:2])] = run
+    for r, lines in table.lines.items():  # alpha's run lies on its line along one ray
+        run = lines.get(_line(alpha, r))
+        if run is not None:
+            p, _, k, start = run
+            t = next((a - b) // c for a, b, c in zip(alpha, p, r) if c)
+            if 0 <= t < k:
+                return table.orders[start + t]
 
 
 def approximant(F: MonomialFiltration, m: int, budget=None) -> MonomialFiltration:

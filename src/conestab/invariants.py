@@ -40,7 +40,7 @@ from .errors import DegenerateCone, FutakiNonvanishing, IdentityViolated, NotPri
 from .exactgeom import (Cone, dot, enumerate_vertices, lp_solve, primitivize, slice_polytope,
                          slice_vertices, vec)
 from .exactgeom.fan import _chamber_key, _chamber_moments, _chamber_rows, _fan_sums, cone_fan
-from .exactgeom.linalg import gram_project_out, norm_sq
+from .exactgeom.linalg import _STORE_ENTRIES, gram_project_out, norm_sq
 from .exactgeom.polytope import _slice_extreme
 from .filtration import MonomialFiltration, _newton_halfspaces, _rows
 from .singularity import ConeSingularity, _log_discrepancy, _xi_row
@@ -101,7 +101,7 @@ def _alpha0_ints(x, L, Q, V, G):
     return tuple(a // g for a in row), d // g
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _okounkov_cached(wc, x, L) -> OkounkovBody:
     """Keyed on (weight cone, x, L), xi0 = x / L: all the body depends on."""
     Q, V, G, _ = _fan_sums(cone_fan(wc), x, 1)
@@ -112,7 +112,7 @@ def okounkov_body(s: ConeSingularity, xi0) -> OkounkovBody:
     return _okounkov_cached(s.weight_cone, *_xi_row(xi0, s.rank))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _vol_cached(wc, x, L) -> Fraction:
     """Keyed on (weight cone, x, L), xi = x / L."""
     Q, V, _, _ = _fan_sums(cone_fan(wc), x, 0)
@@ -137,7 +137,7 @@ def vol_derivative(s: ConeSingularity, xi, eta) -> Fraction:
     return Fraction(-O.L ** (s.rank + 1) * sum(map(mul, O.G, e)), O.Q * O.Q * Le)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _s_closed_cached(wc, x, L, zs, den) -> Fraction:
     """Keyed on (weight cone, x, L, zs, den), xi0 = x / L and the
     covectors zs_j / den: S = L^(n+1) sum_j <zs_j, G_j> / Q_j^2 over
@@ -180,7 +180,7 @@ def _slice_value(groups, x, L, den, largest):
     return Fraction(L * num, den * p)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _lambda_max_cached(wc, x, L, zs, den) -> Fraction:
     """Keyed on (weight cone, x, L, zs, den)."""
     return _slice_value((((z,), fan.rays) for z, fan in _chamber_rows(wc, zs)), x, L, den, True)
@@ -247,7 +247,7 @@ def lct_monomial(s: ConeSingularity, F: MonomialFiltration) -> LctResult:
     return _lct_cached(s.u_row, s.u_den, s.sigma, *_rows(s, F))
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _lct_cached(u, Lu, sigma, zs, den) -> LctResult:
     """Keyed on (u, Lu, sigma, zs, den), u / Lu and the covectors zs_j /
     den: the only data the lct reads; the singularity is not hashed."""

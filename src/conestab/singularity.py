@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import DegenerateCone, NotKlt, NotQGorenstein
 from .exactgeom import Cone, dual_cone, frac, primitivize, vec
 from .exactgeom.cone import _cone, _of_length
-from .exactgeom.linalg import _integer_row, _solve_rows
+from .exactgeom.linalg import _STORE_ENTRIES, _integer_row, _solve_rows
 
 
 class ConeSingularity(NamedTuple):
@@ -104,7 +104,7 @@ def _xi_row(x, n):
     return _parsed_row.__wrapped__(v)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=_STORE_ENTRIES)
 def _parsed_row(v):
     ints, L = _integer_row(v)
     return tuple(ints), L

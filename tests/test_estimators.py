@@ -154,7 +154,10 @@ def test_negative_budget_keyword_is_a_parse_error(c2, fex):
     calls = (lambda b: sweep(c2, (1, 1), fex, [1, 2], budget=b),
              lambda b: sweep_approx(c2, (1, 1), fex, 2, [1, 2], budget=b),
              lambda b: gamma_semigroup(c2, (1, 1), fex, 2, 1, budget=b),
-             lambda b: lattice_points_below(c2.weight_cone, (1, 1), 2, budget=b))
+             lambda b: lattice_points_below(c2.weight_cone, (1, 1), 2, budget=b),
+             lambda b: good_valuation_check(c2, (1, 1), budget=b),
+             lambda b: approx_ord(fex, 2, (1, 1), budget=b),
+             lambda b: approximant(fex, 2, budget=b))
     for call in calls:
         with pytest.raises(ParseError, match="^budget: budget must be nonnegative, got -5$"):
             call(-5)
@@ -1049,21 +1052,24 @@ def test_hilbert_basis_of_the_cube_cones():
 
 
 def test_good_valuation_budget_counts_the_parallelepiped_points(monkeypatch):
-    # CONESTAB_BUDGET bounds the start points listed, sum |det tau| over the
+    # The budget bounds the start points listed, sum |det tau| over the
     # simplices of the weight cone's fan: 3840 on rank6_cross.  The count is
-    # checked on a fresh listing and on the stored lists alike.
+    # checked on a fresh listing and on the stored lists alike, and
+    # CONESTAB_BUDGET stands in for a budget not given.
     s, reeb = _doc_cone("rank6_cross")
     count = sum(d for d, _ in fan.cone_fan(s.weight_cone).simplices)
     assert count == 3840
     fan._parallelepipeds.cache_clear()
     for budget in (count - 1, count, count - 1):
-        monkeypatch.setenv("CONESTAB_BUDGET", str(budget))
         if budget < count:
             with pytest.raises(BudgetExceeded,
                                match=f"^lattice enumeration exceeded budget {budget}$"):
-                good_valuation_check(s, reeb)
+                good_valuation_check(s, reeb, budget=budget)
         else:
-            assert len(good_valuation_check(s, reeb).generators) == 243
+            assert len(good_valuation_check(s, reeb, budget=budget).generators) == 243
+    monkeypatch.setenv("CONESTAB_BUDGET", str(count - 1))
+    with pytest.raises(BudgetExceeded, match=f"^lattice enumeration exceeded budget {count - 1}$"):
+        good_valuation_check(s, reeb)
 
 
 def test_bj_bound_check_validates_m0(c2, fex):

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -290,14 +291,20 @@ def test_approx_ord_bounds_and_monotone(c2):
 
 
 def _random_window(seed):
-    """C^2 (even seeds) or the rank-3 non-simplicial cone (odd seeds), a
-    filtration with rational covectors, rescaled down so that blocks of
-    small order matter, and a reference-weight window of up to ~140 points."""
+    """C^2, the rank-3 non-simplicial cone or a skinny cone (by seed mod 3),
+    a filtration with rational covectors, rescaled down so that blocks of
+    small order matter, and a reference-weight window of up to ~170 points.
+    A skinny cone's weight-cone rays pair with ell at up to 9, so many of
+    its table's runs hold one point."""
     rnd = random.Random(seed)
-    s = from_rays(R3_RAYS) if seed % 2 else from_rays([(1, 0), (0, 1)])
+    k, top = rnd.randint(5, 9), 12
+    if seed % 3 == 2 and rnd.random() < 0.5:
+        s, top = from_rays([(1, 0), (rnd.randint(-3, 3), k)]), 30
+    else:
+        s = from_rays(([(1, 0), (0, 1)], R3_RAYS, [(1, 0, 0), (0, 1, 0), (1, 1, k)])[seed % 3])
     F_ = rescale(random_filtration(rnd, s), F(1, rnd.randint(1, 3)))
     ell = s.sigma.interior_point()
-    window = lattice_points_below(s.weight_cone, ell, rnd.randint(0, 12), strict=False)
+    window = lattice_points_below(s.weight_cone, ell, rnd.randint(0, top), strict=False)
     return F_, ell, window
 
 
@@ -679,8 +686,8 @@ def test_table_matches_the_per_point_references(seed, m, grow):
     # denominators above 1 through rescale.  The table holds the box scan's
     # window points, each with the pairwise DP's order; its blocks are the
     # block scan's and its counts those of the points per <ell, .>; a table
-    # grown from a smaller stored one is the same.  A run's start code and
-    # step give its points' codes, and the runs hold each point once.
+    # grown from a smaller stored one is the same.  The runs lay out the
+    # orders, each point once.
     rnd = random.Random(seed)
     rank = 1 + seed % 3
     s = from_rays(R3_RAYS) if rank == 3 and rnd.random() < 0.5 else random_cone(rnd, rank)
@@ -696,13 +703,31 @@ def test_table_matches_the_per_point_references(seed, m, grow):
         filtration._approx_table(F_, key, window // 2, 10 ** 7)
     table = filtration._approx_table(F_, key, window, 10 ** 7)
     assert table.window == window
-    assert {p: table.orders[table.code(p)] for p in pts} == pairwise_dp_orders(F_, m, pts, ell)
+    orders = {tuple(a + t * b for a, b in zip(p, r)): table.orders[start + t]
+              for p, r, k, start in table.runs for t in range(k)}
+    assert orders == pairwise_dp_orders(F_, m, pts, ell)
     assert len(table.orders) == len(pts)
+    assert [start for *_, start in table.runs] == list(
+        accumulate((k for _, _, k, _ in table.runs), initial=0))[:-1]
     assert table.blocks == tuple((g, v, dot(ell, g)) for g, v in _old_blocks(F_, m, pts))
     weights = Counter(sum(map(mul, ell, p)) for p in pts)
     assert table.counts == list(accumulate(weights[k] for k in range(window + 1)))
-    for p, r, c0, step, k in table.runs:  # a run's codes are those of its points
-        assert list(range(c0, c0 + k * step, step)) == [
-            table.code(tuple(a + t * b for a, b in zip(p, r))) for t in range(k)]
-    assert sum(k for *_, k in table.runs) == len(table.orders)
     event(f"rank {rank}, {'grown' if grow else 'cold'}, {'some' if table.blocks else 'no'} blocks")
+
+
+def test_stored_table_keeps_its_orders_in_run_order():
+    # The 63,546-point table of C^2 under min((2,1), (1,3), (3,2)) at m = 4
+    # on the window 355 keeps one order list in run order: it holds under
+    # 2.5 MB, where a dict of orders by code held 6.2 MB, and its build
+    # peaks no higher than then (15.5 MB, tracemalloc).
+    G = monomial_filtration(from_rays([(1, 0), (0, 1)]), [(2, 1), (1, 3), (3, 2)])
+    key = filtration._approx_key(G, 4)
+    filtration._approx_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        table = filtration._approx_table(G, key, 355, 10 ** 7)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (table.counts[-1], filtration._approx_tables.cache_info().currsize) == (63546, 1)
+    assert held < 2.5e6 and peak < 16e6

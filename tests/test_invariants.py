@@ -1,12 +1,16 @@
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conestab import invariants, singularity
 from conestab.errors import DegenerateCone, FutakiNonvanishing, IdentityViolated, UnboundedSlice
-from conestab.exactgeom import dot
+from conestab.exactgeom import dot, fan, linalg
+from conestab.exactgeom.linalg import _STORE_ENTRIES
 from conestab.filtration import (
     geodesic,
     intersect,
@@ -36,6 +40,7 @@ from conestab.invariants import (
     vol,
     vol_derivative,
 )
+from conestab.optimize import minimize_nvol
 from conestab.singularity import from_rays, log_discrepancy
 from conftest import random_cone, random_filtration, random_instance, random_reeb
 
@@ -623,3 +628,30 @@ def test_cube_cone_full_pipeline():
     # ((1,0,2) + (-1,0,2) = 4 xi0), so J_red = g(alpha0) - S with no twist
     rj = reduced_j(s, xi0, Ft)
     assert rj == (F(1, 2), (0, 0, 0))
+
+
+def test_stores_hold_at_most_the_entry_bound():
+    # Past 256 distinct cones through the invariants, the Okounkov body and
+    # the minimizer, every entry-bounded store holds at most its bound, and
+    # the stores those entries read are full.
+    stores = {id(obj): obj for name, mod in list(sys.modules.items())
+              if name.startswith("conestab") for obj in vars(mod).values()
+              if hasattr(obj, "cache_info") and not isinstance(obj, type)}
+    for store in stores.values():
+        store.cache_clear()
+    cones = [(a, k) for k in range(2, 40) for a in range(k) if gcd(a, k) == 1][:300]
+    for a, k in cones:
+        s = from_rays([(1, 0), (a, k)])
+        xi0 = (f"{(1 + a) * k}/{k}", k)  # sigma's rays summed, a new string each
+        G = monomial_filtration(s, [(1 + 2 * a, 2 * k), (2 + a, k)])  # two chambers
+        okounkov_body(s, xi0)
+        s_closed(s, xi0, G)
+        lambda_max_closed(s, xi0, G)
+        lct_monomial(s, G)
+        minimize_nvol(s)
+    assert [store for store in stores.values()
+            if store.cache_info().currsize > _STORE_ENTRIES] == []
+    full = (invariants._okounkov_cached, invariants._s_closed_cached,
+            invariants._lambda_max_cached, invariants._lct_cached, fan.cone_fan, fan.chambers,
+            fan._chamber_moments, singularity._parsed_row, linalg._parse)
+    assert [store.cache_info().currsize for store in full] == [_STORE_ENTRIES] * len(full)

@@ -99,6 +99,41 @@ def test_every_conftest_name_is_read_by_a_test_module():
     assert sorted(defined.keys() - reached) == []
 
 
+def _store_bounds():
+    """[(file:line, entry bound), ...] of every lru_cache, cache and
+    _TableCache store in the package: the bound's source, None when the
+    decorator takes none."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.FunctionDef):
+                found += [(where, None) for d in node.decorator_list
+                          if getattr(d, "id", getattr(d, "attr", None)) in ("lru_cache", "cache")]
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = getattr(node.func, "id", getattr(node.func, "attr", None)), node.args
+            if name == "partial" and args and getattr(args[0], "id", None) == "_TableCache":
+                name, args = "_TableCache", args[1:]
+            if name in ("lru_cache", "cache", "_TableCache"):
+                bound = args[0] if args else next(
+                    (k.value for k in node.keywords if k.arg == "maxsize"), None)
+                found.append((where, bound and ast.unparse(bound)))
+    return found
+
+
+def test_every_store_reads_the_one_entry_bound():
+    # Each of the library's thirteen stores keeps at most linalg._STORE_ENTRIES
+    # entries, the reuse its readers show; the constant is defined once.
+    found = _store_bounds()
+    assert len(found) == 13
+    assert [(where, bound) for where, bound in found if bound != "_STORE_ENTRIES"] == []
+    defined = [node for path in SRC.rglob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assign)
+               and "_STORE_ENTRIES" in (getattr(t, "id", None) for t in node.targets)]
+    assert len(defined) == 1
+
+
 def test_records_are_built_in_one_place():
     # A transform is built only by the one integer entry of the filtration
     # layer, which reduces it to its canonical rows over the least
